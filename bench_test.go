@@ -23,13 +23,34 @@ func benchOpts(faults int, wls ...string) experiments.Options {
 	return experiments.Options{Faults: faults, Workloads: wls, Seed: 1}
 }
 
+// benchSession starts one campaign session for a benchmark.
+func benchSession(b *testing.B, wl string, s merlin.Structure, faults int, seed int64) *merlin.Session {
+	b.Helper()
+	sess, err := merlin.Start(context.Background(), wl,
+		merlin.WithStructure(s), merlin.WithFaults(faults), merlin.WithSeed(seed))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sess
+}
+
+// benchArtifacts runs phase 1 of such a session and returns its products.
+func benchArtifacts(b *testing.B, wl string, s merlin.Structure, faults int, seed int64) *merlin.Artifacts {
+	b.Helper()
+	sess := benchSession(b, wl, s, faults, seed)
+	if err := sess.Preprocess(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	return sess.Artifacts()
+}
+
 // BenchmarkTable1 exercises the baseline configuration golden run.
 func BenchmarkTable1_BaselineConfig(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if experiments.Table1() == "" {
 			b.Fatal("empty")
 		}
-		rep, err := merlin.Run(merlin.Config{Workload: "sha", Structure: merlin.RF, Faults: 200, Seed: 1})
+		rep, err := benchSession(b, "sha", merlin.RF, 200, 1).Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,12 +225,15 @@ func BenchmarkFigure14_PostACEAccuracy(b *testing.B) {
 // against the comprehensive baseline.
 func BenchmarkFigure15_BaselineAccuracy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := merlin.Config{Workload: "fft", Structure: merlin.SQ, Faults: 400, Seed: 2}
-		base, err := merlin.RunBaseline(cfg)
+		sess := benchSession(b, "fft", merlin.SQ, 400, 2)
+		base, err := sess.Baseline(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
-		rep := base.Artifacts.Inject()
+		rep, err := sess.Run(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
 		worst := 0.0
 		for o := campaign.Outcome(0); o < campaign.NumOutcomes; o++ {
 			d := 100 * (rep.Dist.Share(o) - base.Dist.Share(o))
@@ -228,7 +252,7 @@ func BenchmarkFigure15_BaselineAccuracy(b *testing.B) {
 // BenchmarkFigure16 computes FIT rates for baseline, MeRLiN and ACE-like.
 func BenchmarkFigure16_FIT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := merlin.Run(merlin.Config{Workload: "sha", Structure: merlin.RF, Faults: 1000, Seed: 3})
+		rep, err := benchSession(b, "sha", merlin.RF, 1000, 3).Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -296,18 +320,14 @@ func BenchmarkTheory_VarianceAnalysis(b *testing.B) {
 // identical fault list and golden run.
 func strategyArtifacts(b *testing.B) *merlin.Artifacts {
 	b.Helper()
-	a, err := merlin.Preprocess(merlin.Config{Workload: "sha", Structure: merlin.RF, Faults: 1000, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return a
+	return benchArtifacts(b, "sha", merlin.RF, 1000, 1)
 }
 
 func benchStrategy(b *testing.B, s campaign.Strategy) {
 	a := strategyArtifacts(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := a.Runner.RunAllWith(context.Background(), s, a.Faults, &a.Golden.Result, campaign.DefaultCheckpoints)
+		res, err := a.Runner.Run(context.Background(), a.Faults, &a.Golden.Result, campaign.Plan{Strategy: s})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -319,16 +339,16 @@ func benchStrategy(b *testing.B, s campaign.Strategy) {
 	}
 }
 
-// BenchmarkStrategy_Replay times the from-reset baseline scheduler.
+// BenchmarkStrategy_Replay times the from-reset baseline strategy.
 func BenchmarkStrategy_Replay(b *testing.B) { benchStrategy(b, campaign.Replay) }
 
-// BenchmarkStrategy_Checkpointed times the k-snapshot scheduler.
+// BenchmarkStrategy_Checkpointed times the k-snapshot strategy.
 func BenchmarkStrategy_Checkpointed(b *testing.B) { benchStrategy(b, campaign.Checkpointed) }
 
-// BenchmarkStrategy_Forked times the fork-on-fault scheduler.
+// BenchmarkStrategy_Forked times the fork-on-fault strategy.
 func BenchmarkStrategy_Forked(b *testing.B) { benchStrategy(b, campaign.Forked) }
 
-// BenchmarkStrategy_Speedup runs all three schedulers on the identical
+// BenchmarkStrategy_Speedup runs all three strategies on the identical
 // campaign and reports Forked's and Checkpointed's wall-clock and
 // serial-equivalent speedups over Replay (and verifies the outcomes agree,
 // so the reported speedups are for bit-identical results).
@@ -336,9 +356,14 @@ func BenchmarkStrategy_Speedup(b *testing.B) {
 	a := strategyArtifacts(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		replay, _ := a.Runner.RunAllWith(context.Background(), campaign.Replay, a.Faults, &a.Golden.Result, 0)
-		ckpt, _ := a.Runner.RunAllWith(context.Background(), campaign.Checkpointed, a.Faults, &a.Golden.Result, campaign.DefaultCheckpoints)
-		forked, _ := a.Runner.RunAllWith(context.Background(), campaign.Forked, a.Faults, &a.Golden.Result, 0)
+		run := func(s campaign.Strategy) *campaign.Result {
+			res, err := a.Runner.Run(context.Background(), a.Faults, &a.Golden.Result, campaign.Plan{Strategy: s})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return res
+		}
+		replay, ckpt, forked := run(campaign.Replay), run(campaign.Checkpointed), run(campaign.Forked)
 		for j := range replay.Outcomes {
 			if replay.Outcomes[j] != forked.Outcomes[j] || replay.Outcomes[j] != ckpt.Outcomes[j] {
 				b.Fatalf("fault %d: outcomes diverge across strategies", j)
@@ -356,21 +381,14 @@ func BenchmarkStrategy_Speedup(b *testing.B) {
 func BenchmarkGoldenRun_SimulatorThroughput(b *testing.B) {
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		a, err := merlin.Preprocess(merlin.Config{Workload: "susan_c", Structure: merlin.RF, Faults: 1, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles = a.Golden.Result.Cycles
+		cycles = benchArtifacts(b, "susan_c", merlin.RF, 1, 1).Golden.Result.Cycles
 	}
 	b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
 }
 
 // BenchmarkACELikeAnalysis isolates the interval-building step.
 func BenchmarkACELikeAnalysis_Build(b *testing.B) {
-	a, err := merlin.Preprocess(merlin.Config{Workload: "bzip2", Structure: merlin.L1D, Faults: 2000, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
+	a := benchArtifacts(b, "bzip2", merlin.L1D, 2000, 1)
 	log := a.Golden.Tracer.Log(merlin.L1D)
 	core := a.Runner.NewCore()
 	entries := core.StructureEntries(merlin.L1D)
@@ -383,10 +401,7 @@ func BenchmarkACELikeAnalysis_Build(b *testing.B) {
 
 // BenchmarkGrouping isolates phase 2 (the fault-list reduction itself).
 func BenchmarkGrouping_Reduce(b *testing.B) {
-	a, err := merlin.Preprocess(merlin.Config{Workload: "qsort", Structure: merlin.RF, Faults: 20000, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
+	a := benchArtifacts(b, "qsort", merlin.RF, 20000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		red := reduction.Reduce(a.Analysis, a.Faults, reduction.DefaultOptions())

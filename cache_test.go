@@ -1,6 +1,7 @@
 package merlin
 
 import (
+	"context"
 	"testing"
 
 	"merlin/internal/cpu"
@@ -10,36 +11,28 @@ import (
 // (populating), and cache-hit (served) must produce identical reports; the
 // hit must skip the golden run.
 func TestCacheBitIdenticalReports(t *testing.T) {
-	cfg := Config{
-		Workload:  "sha",
-		Structure: RF,
-		Faults:    300,
-		Seed:      11,
-		Strategy:  StrategyForked,
+	run := func(extra ...Option) *Report {
+		t.Helper()
+		opts := append([]Option{WithStructure(RF), WithFaults(300), WithSeed(11), WithStrategy(StrategyForked)}, extra...)
+		rep, err := startSession(t, "sha", opts...).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
 	}
 
-	cold, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := run()
 
 	cache, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Cache = cache
 
-	miss, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	miss := run(WithCache(cache))
 	if miss.CacheHit {
 		t.Fatal("first cached run reported a cache hit on an empty cache")
 	}
-	hit, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hit := run(WithCache(cache))
 	if !hit.CacheHit {
 		t.Fatal("second cached run missed; golden run was repeated")
 	}
@@ -68,12 +61,11 @@ func TestCacheKeySeparation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Workload: "sha", Structure: RF, Faults: 50, Seed: 3, Cache: cache}
-	if _, err := Run(cfg); err != nil {
+	opts := []Option{WithStructure(RF), WithFaults(50), WithSeed(3), WithCache(cache)}
+	if _, err := startSession(t, "sha", opts...).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	cfg.CPU = cpu.DefaultConfig().WithRF(128)
-	rep, err := Run(cfg)
+	rep, err := startSession(t, "sha", append(opts, WithCPU(cpu.DefaultConfig().WithRF(128)))...).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,15 +77,15 @@ func TestCacheKeySeparation(t *testing.T) {
 // TestConfigValidation: negative knobs reach the user as errors, not as
 // silently applied defaults.
 func TestConfigValidation(t *testing.T) {
-	for name, cfg := range map[string]Config{
-		"negative workers": {Workload: "sha", Structure: RF, Faults: 10, Workers: -2},
-		"negative faults":  {Workload: "sha", Structure: RF, Faults: -1},
-		"negative reps":    {Workload: "sha", Structure: RF, Faults: 10, RepsPerGroup: -3},
-		"negative ckpts":   {Workload: "sha", Structure: RF, Faults: 10, Checkpoints: -1},
-		"bad confidence":   {Workload: "sha", Structure: RF, Confidence: 1.5},
+	for name, opt := range map[string]Option{
+		"negative workers": WithWorkers(-2),
+		"negative faults":  WithFaults(-1),
+		"negative reps":    WithRepsPerGroup(-3),
+		"negative ckpts":   WithCheckpoints(-1),
+		"bad confidence":   WithSampling(1.5, 0),
 	} {
-		if _, err := Preprocess(cfg); err == nil {
-			t.Errorf("%s: Preprocess accepted invalid config", name)
+		if _, err := Start(context.Background(), "sha", opt); err == nil {
+			t.Errorf("%s: Start accepted the invalid option", name)
 		}
 	}
 }

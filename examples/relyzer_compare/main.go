@@ -44,7 +44,7 @@ func main() {
 	for i, fi := range red.HitFaults {
 		full[i] = a.Faults[fi]
 	}
-	fullRes, err := a.Runner.RunAll(ctx, full, &a.Golden.Result)
+	fullRes, err := a.Runner.Run(ctx, full, &a.Golden.Result, campaign.Plan{})
 	if err != nil {
 		log.Fatal(err)
 	}

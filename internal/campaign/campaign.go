@@ -7,9 +7,7 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -178,33 +176,25 @@ type Runner struct {
 	// cycles, past which the fault classifies as Timeout. NewRunner sets
 	// the paper's 3; 0 is invalid (every run would time out immediately).
 	TimeoutFactor uint64
-	// Workers is the injection worker count of RunAll and the
-	// checkpointed/forked schedulers. NewRunner leaves it 0, which means
-	// runtime.GOMAXPROCS(0) (all host cores) at run time. Negative values
-	// are invalid.
+	// Workers is Run's injection worker count. NewRunner leaves it 0, which
+	// means runtime.GOMAXPROCS(0) (all host cores) at run time. Negative
+	// values are invalid.
 	Workers int
 	// GoldenBudget bounds the fault-free reference run; a golden run
 	// that exceeds it is an error, not a campaign result. NewRunner sets
 	// DefaultGoldenBudget; 0 is invalid.
 	GoldenBudget uint64
-	// MaxForks caps the in-flight machine clones of the fork-on-fault
-	// scheduler (its memory bound). 0 means 2 x the *effective* worker
-	// count (i.e. 2 x GOMAXPROCS when Workers is also 0). Negative
-	// values are invalid.
+	// MaxForks caps the in-flight machine clones of the Forked strategy
+	// (its memory bound). 0 means 2 x the *effective* worker count (i.e.
+	// 2 x GOMAXPROCS when Workers is also 0). Negative values are invalid.
 	MaxForks int
-	// OnOutcome, when non-nil, is called once per classified fault with
-	// the fault's index in the campaign's input list. All schedulers call
-	// it from worker goroutines, concurrently and in completion (not
-	// input) order; it must be safe for concurrent use and should return
-	// quickly — the campaign service uses it to stream per-fault progress.
-	OnOutcome func(idx int, f fault.Fault, o Outcome)
 	// Snapshots, when non-nil, serves checkpoint ladders across campaigns
-	// (the daemon's in-memory snapshot cache): on a hit the checkpointed
-	// and forked schedulers skip the ladder rebuild entirely. Nil means
+	// (the daemon's in-memory snapshot cache): on a hit the Checkpointed
+	// and Forked strategies skip the ladder rebuild entirely. Nil means
 	// every campaign builds its own ladder.
 	Snapshots SnapshotSource
 	// Pool recycles retired machine-clone shells across faults (and across
-	// campaigns run on this Runner). Nil means the first scheduler call
+	// campaigns run on this Runner). Nil means the first Run call
 	// installs one; share a pool explicitly to recycle shells across
 	// Runners of the same configuration. Like the other knobs, it must not
 	// be swapped while a campaign is running.
@@ -250,17 +240,10 @@ func (r *Runner) Validate() error {
 	return nil
 }
 
-// emit reports one classified fault to the OnOutcome hook, if any.
-func (r *Runner) emit(idx int, f fault.Fault, o Outcome) {
-	if r.OnOutcome != nil {
-		r.OnOutcome(idx, f, o)
-	}
-}
-
 // clonePool returns the Runner's shell pool, installing one on first use.
-// Schedulers call it once per campaign from the submitting goroutine, so
-// lazy installation is race-free under the Runner's "one campaign at a
-// time" contract.
+// Run calls it once per campaign from the submitting goroutine, so lazy
+// installation is race-free as long as a Runner's first campaigns do not
+// overlap.
 func (r *Runner) clonePool() *cpu.ClonePool {
 	if r.Pool == nil {
 		r.Pool = cpu.NewClonePool(0)
@@ -268,20 +251,16 @@ func (r *Runner) clonePool() *cpu.ClonePool {
 	return r.Pool
 }
 
-// runMetrics accumulates the injection-phase performance counters all
-// schedulers share; workers update it concurrently.
+// runMetrics accumulates Run's injection-phase performance counters;
+// workers update it concurrently.
 type runMetrics struct {
 	clones    atomic.Int64  // machine snapshots taken
 	cloneNS   atomic.Int64  // wall time spent taking them
 	simCycles atomic.Uint64 // machine cycles actually simulated
 }
 
-// clone takes one metered snapshot of src through the pool. A nil
-// receiver clones unmetered, so pooled paths without metrics stay safe.
+// clone takes one metered snapshot of src through the pool.
 func (m *runMetrics) clone(pool *cpu.ClonePool, src *cpu.Core) *cpu.Core {
-	if m == nil {
-		return pool.Clone(src)
-	}
 	t0 := time.Now()
 	c := pool.Clone(src)
 	m.cloneNS.Add(int64(time.Since(t0)))
@@ -313,10 +292,21 @@ func (r *Runner) RunGolden(track ...lifetime.StructureID) (*Golden, error) {
 	return &Golden{Result: res, Tracer: tr}, nil
 }
 
-// RunFault re-executes the program with f injected and classifies the
-// outcome against the golden run. Simulator panics are converted to Crash,
-// internal assertion failures to Assert.
-func (r *Runner) RunFault(f fault.Fault, golden *cpu.RunResult) (out Outcome) {
+// RunFault re-executes the program from reset with f injected and
+// classifies the outcome against the golden run: a fresh core, no pool, no
+// snapshots, no early exit — the reference every Run plan is
+// differentially tested against.
+func (r *Runner) RunFault(f fault.Fault, golden *cpu.RunResult) Outcome {
+	return r.inject(r.NewCore(), f, golden, nil, nil)
+}
+
+// inject is the one per-fault function behind Run and the RunFault*
+// drivers: step c (at or before the fault's pre-injection cycle) up to it,
+// flip the bits, and run to the stop rule — the cut when cut is non-nil,
+// else the first ladder snapshot the run is masked-equivalent to (none for
+// a nil or reset-only ladder), else program end. Simulator panics are
+// converted to Crash, internal assertion failures to Assert.
+func (r *Runner) inject(c *cpu.Core, f fault.Fault, golden *cpu.RunResult, ladder *CheckpointSet, cut *TruncatedGolden) (out Outcome) {
 	defer func() {
 		if p := recover(); p != nil {
 			if _, ok := p.(*cpu.AssertError); ok {
@@ -326,14 +316,14 @@ func (r *Runner) RunFault(f fault.Fault, golden *cpu.RunResult) (out Outcome) {
 			}
 		}
 	}()
-	c := r.NewCore()
 	for c.Cycle()+1 < f.Cycle && c.Halted() == cpu.Running {
 		c.Step()
 	}
 	applyFault(c, f)
-	limit := r.TimeoutFactor * golden.Cycles
-	res := c.Run(limit)
-	return Classify(res, golden)
+	if cut != nil {
+		return classifyTruncated(c, cut)
+	}
+	return r.classifyAgainst(c, golden, ladder)
 }
 
 // applyFault flips every bit of the (possibly multi-bit) fault, clamped to
@@ -382,7 +372,7 @@ type Result struct {
 	// Dist.Total() + Cancelled == len(Outcomes) always holds.
 	Cancelled int
 
-	// Clones counts the machine snapshots the scheduler took and
+	// Clones counts the machine snapshots the campaign took and
 	// CloneTime the wall-clock spent taking them — the per-fault setup
 	// cost the copy-on-write state layers attack.
 	Clones    int64
@@ -393,8 +383,8 @@ type Result struct {
 	// effective simulation throughput.
 	SimCycles uint64
 	// SnapshotHit reports that the checkpoint ladder was served by a
-	// SnapshotSource instead of rebuilt (always false for Replay, which
-	// uses no ladder).
+	// SnapshotSource instead of rebuilt (always false for Replay, whose
+	// reset-only ladder never goes through the source).
 	SnapshotHit bool
 }
 
@@ -408,7 +398,7 @@ func (res *Result) CyclesPerSec() float64 {
 }
 
 // newResult sizes a Result for n faults with every outcome pre-marked
-// Cancelled: a scheduler only overwrites the entries it classifies, so a
+// Cancelled: Run only overwrites the entries it classifies, so a
 // cancelled campaign's skipped faults are identifiable without extra
 // bookkeeping.
 func newResult(n int) *Result {
@@ -457,115 +447,6 @@ func (res *Result) finalize(ctx context.Context) error {
 		return ctx.Err()
 	}
 	return nil
-}
-
-// RunAll injects every fault in faults (in parallel) and aggregates the
-// classification. The outcome order matches the fault order. Workers
-// observe ctx between injections: on cancellation the partial Result is
-// returned together with ctx.Err(), in-flight faults finish classification
-// and the rest are marked Cancelled.
-//
-// Replay remains the assumption-free baseline: every faulty run simulates
-// to its natural end, with no convergence early exit. Only the per-fault
-// setup is accelerated — workers clone one frozen reset snapshot through
-// the shell pool instead of rebuilding the core, and a clone of the reset
-// state is bit-identical to a fresh core, so outcomes are unchanged.
-func (r *Runner) RunAll(ctx context.Context, faults []fault.Fault, golden *cpu.RunResult) (*Result, error) {
-	res := newResult(len(faults))
-	var serialNS atomic.Int64
-	var m runMetrics
-	start := time.Now()
-	if len(faults) > 0 && ctx.Err() == nil {
-		pool := r.clonePool()
-		reset := r.NewCore().Clone() // frozen: concurrent workers clone it safely
-		parallelFor(ctx, r.Workers, len(faults), func(i int) {
-			t0 := time.Now()
-			res.Outcomes[i] = r.runReplayFault(pool, reset, faults[i], golden, &m)
-			serialNS.Add(int64(time.Since(t0)))
-			r.emit(i, faults[i], res.Outcomes[i])
-		})
-	}
-	res.Wall = time.Since(start)
-	res.Serial = time.Duration(serialNS.Load())
-	m.fill(res)
-	return res, res.finalize(ctx)
-}
-
-// runReplayFault is RunFault through the clone pool: replay f from a
-// frozen reset snapshot to its natural classification. The clone is
-// released after classification; a released shell is scrubbed by
-// copy-over on reuse, so even a panicked (Crash/Assert) run's shell is
-// safe to recycle.
-func (r *Runner) runReplayFault(pool *cpu.ClonePool, reset *cpu.Core, f fault.Fault, golden *cpu.RunResult, m *runMetrics) (out Outcome) {
-	c := m.clone(pool, reset)
-	defer func() {
-		m.simCycles.Add(c.Cycle())
-		pool.Release(c)
-		if p := recover(); p != nil {
-			if _, ok := p.(*cpu.AssertError); ok {
-				out = Assert
-			} else {
-				out = Crash // simulator crash
-			}
-		}
-	}()
-	for c.Cycle()+1 < f.Cycle && c.Halted() == cpu.Running {
-		c.Step()
-	}
-	applyFault(c, f)
-	res := c.Run(r.TimeoutFactor * golden.Cycles)
-	return Classify(res, golden)
-}
-
-// parallelFor runs fn(0..n-1) across a worker pool. Cancellation is
-// observed between iterations: once ctx is done no new index is dispatched,
-// so at most one in-flight fn per worker completes afterwards.
-func parallelFor(ctx context.Context, workers, n int, fn func(i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	done := ctx.Done()
-feed:
-	for i := 0; i < n; i++ {
-		// Non-blocking cancellation check first: when a worker is ready
-		// to receive AND ctx is done, a bare two-case select would pick
-		// at random and could keep dispatching past cancellation.
-		select {
-		case <-done:
-			break feed
-		default:
-		}
-		select {
-		case next <- i:
-		case <-done:
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
 }
 
 func equalU64(a, b []uint64) bool {

@@ -20,9 +20,9 @@ func target(t *testing.T, name string) Target {
 	return Target{Cfg: cpu.DefaultConfig(), Prog: w.Program()}
 }
 
-// mustRun unwraps a scheduler result in tests that never cancel: any
-// cancellation error there is a test bug. Curried so the scheduler's
-// (Result, error) pair can feed it directly: mustRun(t)(r.RunAll(...)).
+// mustRun unwraps a campaign result in tests that never cancel: any
+// cancellation error there is a test bug. Curried so Run's
+// (Result, error) pair can feed it directly: mustRun(t)(r.Run(...)).
 func mustRun(t *testing.T) func(*Result, error) *Result {
 	return func(res *Result, err error) *Result {
 		t.Helper()
@@ -71,7 +71,7 @@ func TestInjectionCampaignSmall(t *testing.T) {
 	c := r.NewCore()
 	faults := sampling.Generate(lifetime.StructRF,
 		c.StructureEntries(lifetime.StructRF), 64, g.Result.Cycles, 150, 7)
-	res := mustRun(t)(r.RunAll(context.Background(), faults, &g.Result))
+	res := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{}))
 	if res.Dist.Total() != 150 {
 		t.Fatalf("classified %d of 150", res.Dist.Total())
 	}
@@ -99,8 +99,8 @@ func TestInjectionDeterminism(t *testing.T) {
 	faults := sampling.Generate(lifetime.StructL1D,
 		c.StructureEntries(lifetime.StructL1D), c.StructureEntryBits(lifetime.StructL1D),
 		g.Result.Cycles, 60, 3)
-	a := mustRun(t)(r.RunAll(context.Background(), faults, &g.Result))
-	b := mustRun(t)(r.RunAll(context.Background(), faults, &g.Result))
+	a := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{}))
+	b := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{}))
 	for i := range a.Outcomes {
 		if a.Outcomes[i] != b.Outcomes[i] {
 			t.Fatalf("fault %d (%v): %v then %v", i, faults[i], a.Outcomes[i], b.Outcomes[i])
@@ -183,7 +183,7 @@ func TestTruncatedGoldenAndFaults(t *testing.T) {
 	c := r.NewCore()
 	faults := sampling.Generate(lifetime.StructRF,
 		c.StructureEntries(lifetime.StructRF), 64, cut, 80, 11)
-	res := mustRun(t)(r.RunAllTruncated(context.Background(), faults, tg))
+	res := mustRun(t)(r.Run(context.Background(), faults, nil, Plan{Cut: tg}))
 	if res.Dist.Total() != 80 {
 		t.Fatal("missing outcomes")
 	}
@@ -235,8 +235,8 @@ func TestMultiBitFaults(t *testing.T) {
 			double[i].Bit = 62
 		}
 	}
-	r1 := mustRun(t)(r.RunAll(context.Background(), single, &g.Result))
-	r2 := mustRun(t)(r.RunAll(context.Background(), double, &g.Result))
+	r1 := mustRun(t)(r.Run(context.Background(), single, &g.Result, Plan{}))
+	r2 := mustRun(t)(r.Run(context.Background(), double, &g.Result, Plan{}))
 	// Flipping a superset of bits at the same sites can only corrupt at
 	// least as often; verify the aggregate ordering (the multi-bit model's
 	// sanity property) with slack for classification shifts among

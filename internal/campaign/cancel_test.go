@@ -31,18 +31,17 @@ func TestSchedulerCancellation(t *testing.T) {
 	c := r.NewCore()
 	faults := sampling.Generate(lifetime.StructRF,
 		c.StructureEntries(lifetime.StructRF), 64, g.Result.Cycles, nFaults, 23)
-	ref := mustRun(t)(r.RunAll(context.Background(), faults, &g.Result))
+	ref := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{}))
 
 	for _, strat := range []Strategy{Replay, Checkpointed, Forked} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var classified atomic.Int64
-		r.OnOutcome = func(idx int, f fault.Fault, o Outcome) {
-			if classified.Add(1) == cancelAfter {
-				cancel()
-			}
-		}
-		res, err := r.RunAllWith(ctx, strat, faults, &g.Result, 4)
-		r.OnOutcome = nil
+		res, err := r.Run(ctx, faults, &g.Result, Plan{Strategy: strat, Checkpoints: 4,
+			OnOutcome: func(idx int, f fault.Fault, o Outcome) {
+				if classified.Add(1) == cancelAfter {
+					cancel()
+				}
+			}})
 		cancel()
 
 		if !errors.Is(err, context.Canceled) {
@@ -85,7 +84,7 @@ func TestSchedulerCancellation(t *testing.T) {
 
 // TestSchedulerCancellationMultiWorker pins the documented stop bound
 // under real concurrency: with w workers, at most one in-flight fault per
-// worker (plus, for the forked scheduler, one handed-off job) may finish
+// worker (plus, for the forked strategy, one handed-off job) may finish
 // after the cancellation point.
 func TestSchedulerCancellationMultiWorker(t *testing.T) {
 	const nFaults = 120
@@ -105,13 +104,12 @@ func TestSchedulerCancellationMultiWorker(t *testing.T) {
 	for _, strat := range []Strategy{Replay, Checkpointed, Forked} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var classified atomic.Int64
-		r.OnOutcome = func(idx int, f fault.Fault, o Outcome) {
-			if classified.Add(1) == cancelAfter {
-				cancel()
-			}
-		}
-		res, err := r.RunAllWith(ctx, strat, faults, &g.Result, 4)
-		r.OnOutcome = nil
+		res, err := r.Run(ctx, faults, &g.Result, Plan{Strategy: strat, Checkpoints: 4,
+			OnOutcome: func(idx int, f fault.Fault, o Outcome) {
+				if classified.Add(1) == cancelAfter {
+					cancel()
+				}
+			}})
 		cancel()
 
 		if !errors.Is(err, context.Canceled) {
@@ -144,7 +142,7 @@ func TestPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, strat := range []Strategy{Replay, Checkpointed, Forked} {
-		res, err := r.RunAllWith(ctx, strat, faults, &g.Result, 3)
+		res, err := r.Run(ctx, faults, &g.Result, Plan{Strategy: strat, Checkpoints: 3})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%v: err = %v, want context.Canceled", strat, err)
 		}

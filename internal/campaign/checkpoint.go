@@ -1,10 +1,7 @@
 package campaign
 
 import (
-	"context"
 	"sort"
-	"sync/atomic"
-	"time"
 
 	"merlin/internal/cpu"
 	"merlin/internal/fault"
@@ -115,82 +112,8 @@ func (r *Runner) classifyAgainst(c *cpu.Core, golden *cpu.RunResult, ladder *Che
 // classifies against the golden run. Results are bit-identical to
 // RunFault: the snapshot is exactly the state a from-reset replay reaches,
 // and the continuation stops early only at a snapshot it is provably
-// masked-equivalent to (the same convergence exit the fork-on-fault
-// scheduler uses), so masked faults cost at most one inter-snapshot
+// masked-equivalent to, so masked faults cost at most one inter-snapshot
 // segment instead of the rest of the run.
 func (r *Runner) RunFaultFrom(set *CheckpointSet, f fault.Fault, golden *cpu.RunResult) Outcome {
-	return r.runFaultFrom(nil, set, f, golden, nil)
-}
-
-// runFaultFrom is RunFaultFrom with pooling and metering: with a non-nil
-// pool the clone comes from (and returns to) the shell pool, and a
-// non-nil runMetrics accumulates clone and cycle counters.
-func (r *Runner) runFaultFrom(pool *cpu.ClonePool, set *CheckpointSet, f fault.Fault, golden *cpu.RunResult, m *runMetrics) (out Outcome) {
-	base := set.before(f.Cycle)
-	var c *cpu.Core
-	if pool != nil {
-		c = m.clone(pool, base)
-	} else {
-		c = base.Clone()
-	}
-	start := c.Cycle()
-	defer func() {
-		if m != nil {
-			m.simCycles.Add(c.Cycle() - start)
-		}
-		if pool != nil {
-			pool.Release(c)
-		}
-		if p := recover(); p != nil {
-			if _, ok := p.(*cpu.AssertError); ok {
-				out = Assert
-			} else {
-				out = Crash
-			}
-		}
-	}()
-	for c.Cycle()+1 < f.Cycle && c.Halted() == cpu.Running {
-		c.Step()
-	}
-	applyFault(c, f)
-	return r.classifyAgainst(c, golden, set)
-}
-
-// RunAllCheckpointed is RunAll accelerated by k checkpoints. Outcomes are
-// identical to RunAll's; only wall-clock differs. The snapshot build (one
-// golden-run replay) is part of the campaign and counted in both Wall and
-// Serial — unless a shared SnapshotSource serves a prebuilt ladder
-// (res.SnapshotHit), in which case the campaign skips it entirely.
-// Workers observe ctx between injections; on cancellation the partial
-// Result is returned together with ctx.Err().
-func (r *Runner) RunAllCheckpointed(ctx context.Context, faults []fault.Fault, golden *cpu.RunResult, k int) (*Result, error) {
-	res := newResult(len(faults))
-	start := time.Now()
-	// The snapshot build replays a whole golden run and, like the golden
-	// run itself, is not interruptible — skip it entirely when the
-	// campaign is already dead on arrival (but stamp the wall-clock, so
-	// partial results always carry one).
-	if ctx.Err() != nil {
-		res.Wall = time.Since(start)
-		return res, res.finalize(ctx)
-	}
-	var serialNS atomic.Int64
-	var m runMetrics
-	pool := r.clonePool()
-	set, hit := r.ladder(k, golden.Cycles)
-	if !hit {
-		m.simCycles.Add(set.LastCycle())
-	}
-	res.SnapshotHit = hit
-	serialNS.Add(int64(time.Since(start)))
-	parallelFor(ctx, r.Workers, len(faults), func(i int) {
-		t0 := time.Now()
-		res.Outcomes[i] = r.runFaultFrom(pool, set, faults[i], golden, &m)
-		serialNS.Add(int64(time.Since(t0)))
-		r.emit(i, faults[i], res.Outcomes[i])
-	})
-	res.Wall = time.Since(start)
-	res.Serial = time.Duration(serialNS.Load())
-	m.fill(res)
-	return res, res.finalize(ctx)
+	return r.inject(set.before(f.Cycle).Clone(), f, golden, set, nil)
 }

@@ -75,8 +75,8 @@ func TestCheckpointedCampaignIdentical(t *testing.T) {
 		for _, s := range []lifetime.StructureID{lifetime.StructRF, lifetime.StructSQ, lifetime.StructL1D} {
 			faults := sampling.Generate(s, c.StructureEntries(s), c.StructureEntryBits(s),
 				g.Result.Cycles, 60, 21)
-			plain := mustRun(t)(r.RunAll(context.Background(), faults, &g.Result))
-			fast := mustRun(t)(r.RunAllCheckpointed(context.Background(), faults, &g.Result, 6))
+			plain := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{}))
+			fast := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{Strategy: Checkpointed, Checkpoints: 6}))
 			for i := range faults {
 				if plain.Outcomes[i] != fast.Outcomes[i] {
 					t.Errorf("%s/%v fault %v: replay %v vs checkpointed %v",

@@ -9,7 +9,7 @@ import (
 	"merlin/internal/sampling"
 )
 
-// TestPooledReplayMatchesRunFault: RunAll's pooled reset-snapshot path
+// TestPooledReplayMatchesRunFault: Run's pooled reset-snapshot replay
 // must classify every fault exactly as the untouched per-fault RunFault
 // (fresh core, no pool, no early exit) does — the seed behaviour.
 func TestPooledReplayMatchesRunFault(t *testing.T) {
@@ -20,10 +20,10 @@ func TestPooledReplayMatchesRunFault(t *testing.T) {
 	}
 	c := r.NewCore()
 	faults := strategyFaultList(c, lifetime.StructRF, g.Result.Cycles, 30, 5, nil)
-	res := mustRun(t)(r.RunAll(context.Background(), faults, &g.Result))
+	res := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{}))
 	for i, f := range faults {
 		if want := r.RunFault(f, &g.Result); res.Outcomes[i] != want {
-			t.Errorf("fault %v: pooled RunAll %v, RunFault %v", f, res.Outcomes[i], want)
+			t.Errorf("fault %v: pooled Run %v, RunFault %v", f, res.Outcomes[i], want)
 		}
 	}
 	if res.Clones != int64(len(faults)) {
@@ -67,7 +67,7 @@ func TestCheckpointedCancelledWallClock(t *testing.T) {
 	faults := sampling.Generate(lifetime.StructRF, 256, 64, g.Result.Cycles, 10, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := r.RunAllCheckpointed(ctx, faults, &g.Result, 4)
+	res, err := r.Run(ctx, faults, &g.Result, Plan{Strategy: Checkpointed, Checkpoints: 4})
 	if err == nil {
 		t.Fatal("cancelled campaign returned no error")
 	}
@@ -83,12 +83,14 @@ func TestCheckpointedCancelledWallClock(t *testing.T) {
 type mapSnapshotSource struct {
 	mu     sync.Mutex
 	sets   map[SnapshotKey]*CheckpointSet
+	calls  int
 	builds int
 }
 
 func (s *mapSnapshotSource) GetOrBuild(key SnapshotKey, build func() *CheckpointSet) (*CheckpointSet, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.calls++
 	if set, ok := s.sets[key]; ok {
 		return set, true
 	}
@@ -103,7 +105,7 @@ func (s *mapSnapshotSource) GetOrBuild(key SnapshotKey, build func() *Checkpoint
 
 // TestSnapshotSourceSharing: with a SnapshotSource attached, repeat
 // campaigns reuse one ladder (SnapshotHit set, one build), outcomes stay
-// bit-identical, and both checkpointed and forked schedulers share the
+// bit-identical, and both checkpointed and forked strategies share the
 // same cached sets per their distinct keys.
 func TestSnapshotSourceSharing(t *testing.T) {
 	r := NewRunner(target(t, "sha"))
@@ -113,13 +115,13 @@ func TestSnapshotSourceSharing(t *testing.T) {
 	}
 	c := r.NewCore()
 	faults := strategyFaultList(c, lifetime.StructRF, g.Result.Cycles, 25, 11, nil)
-	want := mustRun(t)(r.RunAll(context.Background(), faults, &g.Result))
+	want := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{}))
 
 	src := &mapSnapshotSource{}
 	r.Snapshots = src
 	for round := 0; round < 2; round++ {
-		ck := mustRun(t)(r.RunAllCheckpointed(context.Background(), faults, &g.Result, 4))
-		fk := mustRun(t)(r.RunAllForked(context.Background(), faults, &g.Result))
+		ck := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{Strategy: Checkpointed, Checkpoints: 4}))
+		fk := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{Strategy: Forked}))
 		if hit := round > 0; ck.SnapshotHit != hit || fk.SnapshotHit != hit {
 			t.Errorf("round %d: SnapshotHit ckpt=%v forked=%v, want %v", round, ck.SnapshotHit, fk.SnapshotHit, hit)
 		}
@@ -150,7 +152,7 @@ func TestConcurrentCampaignsSharedSnapshots(t *testing.T) {
 	}
 	c := base.NewCore()
 	faults := strategyFaultList(c, lifetime.StructRF, g.Result.Cycles, 20, 13, nil)
-	want := mustRun(t)(base.RunAll(context.Background(), faults, &g.Result))
+	want := mustRun(t)(base.Run(context.Background(), faults, &g.Result, Plan{}))
 
 	var wg sync.WaitGroup
 	outcomes := make([]*Result, 4)
@@ -161,7 +163,7 @@ func TestConcurrentCampaignsSharedSnapshots(t *testing.T) {
 			r := NewRunner(target(t, "sha"))
 			r.Snapshots = src
 			r.Workers = 2
-			res, err := r.RunAllForked(context.Background(), faults, &g.Result)
+			res, err := r.Run(context.Background(), faults, &g.Result, Plan{Strategy: Forked})
 			if err != nil {
 				t.Error(err)
 				return

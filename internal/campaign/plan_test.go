@@ -1,0 +1,156 @@
+package campaign
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"merlin/internal/conformance/gen"
+	"merlin/internal/cpu"
+	"merlin/internal/fault"
+	"merlin/internal/lifetime"
+	"merlin/internal/sampling"
+)
+
+var allStrategies = []Strategy{Replay, Checkpointed, Forked}
+
+// TestEmptyCampaignDoesNoWork: under every strategy and stop rule, a
+// campaign with nothing to inject (every sampled fault was ACE-masked)
+// simulates nothing, clones nothing and never asks the SnapshotSource for a
+// ladder; a non-empty truncated campaign carries the same Wall / Serial /
+// SimCycles stamps as a full-run one.
+func TestEmptyCampaignDoesNoWork(t *testing.T) {
+	r := NewRunner(target(t, "sha"))
+	g, err := r.RunGolden()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg, err := r.RunGoldenTruncated(g.Result.Cycles / 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &mapSnapshotSource{}
+	r.Snapshots = src
+	for _, s := range allStrategies {
+		for _, cut := range []*TruncatedGolden{nil, tg} {
+			res := mustRun(t)(r.Run(context.Background(), nil, &g.Result, Plan{Strategy: s, Cut: cut}))
+			if res.SimCycles != 0 || res.Clones != 0 || len(res.Outcomes) != 0 {
+				t.Errorf("%v (truncated %v): empty campaign did work: SimCycles %d Clones %d Outcomes %d",
+					s, cut != nil, res.SimCycles, res.Clones, len(res.Outcomes))
+			}
+		}
+	}
+	if src.calls != 0 {
+		t.Errorf("empty campaigns asked the SnapshotSource for a ladder %d times", src.calls)
+	}
+
+	c := r.NewCore()
+	faults := sampling.Generate(lifetime.StructRF, c.StructureEntries(lifetime.StructRF), 64, tg.Cut, 20, 3)
+	res := mustRun(t)(r.Run(context.Background(), faults, nil, Plan{Cut: tg}))
+	if res.Wall <= 0 || res.Serial <= 0 || res.SimCycles == 0 {
+		t.Errorf("truncated campaign left Wall %v Serial %v SimCycles %d unstamped", res.Wall, res.Serial, res.SimCycles)
+	}
+}
+
+// TestPlansAgreeOnGeneratedKernels: on seeded stress kernels of every
+// class, Run under every strategy and worker count classifies each fault
+// exactly as the per-fault reference does — RunFault at program end,
+// RunFaultTruncated at a mid-run cut.
+func TestPlansAgreeOnGeneratedKernels(t *testing.T) {
+	ctx := context.Background()
+	for _, class := range gen.Classes() {
+		for seed := uint64(1); seed <= 3; seed++ {
+			r := NewRunner(Target{Cfg: cpu.DefaultConfig(), Prog: gen.Kernel(class, seed)})
+			g, err := r.RunGolden()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tg, err := r.RunGoldenTruncated(g.Result.Cycles / 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := r.NewCore()
+			for _, st := range []lifetime.StructureID{lifetime.StructRF, lifetime.StructSQ, lifetime.StructL1D} {
+				sample := func(cycles uint64) []fault.Fault {
+					return sampling.Generate(st, c.StructureEntries(st), c.StructureEntryBits(st), cycles, 100, int64(seed))
+				}
+				full, cutFaults := sample(g.Result.Cycles), sample(tg.Cut)
+				want := make([]Outcome, len(full))
+				wantCut := make([]Outcome, len(cutFaults))
+				for i := range full {
+					want[i] = r.RunFault(full[i], &g.Result)
+					wantCut[i] = r.RunFaultTruncated(cutFaults[i], tg)
+				}
+				for _, s := range allStrategies {
+					for _, workers := range []int{1, 4} {
+						r.Workers = workers
+						name := fmt.Sprintf("%s/%d/%v %v x%d", class, seed, st, s, workers)
+						got := mustRun(t)(r.Run(ctx, full, &g.Result, Plan{Strategy: s}))
+						for i := range full {
+							if got.Outcomes[i] != want[i] {
+								t.Errorf("%s fault %v: Run %v, RunFault %v", name, full[i], got.Outcomes[i], want[i])
+							}
+						}
+					}
+					gotCut := mustRun(t)(r.Run(ctx, cutFaults, nil, Plan{Strategy: s, Cut: tg}))
+					for i := range cutFaults {
+						if gotCut.Outcomes[i] != wantCut[i] {
+							t.Errorf("%s/%d/%v %v fault %v: truncated Run %v, RunFaultTruncated %v",
+								class, seed, st, s, cutFaults[i], gotCut.Outcomes[i], wantCut[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPlanWorkCounters pins the work each strategy does on sha/RF/1000
+// faults/seed 1 — machine clones, simulated cycles, snapshot hit — to the
+// values the four separate schedulers recorded before they were merged,
+// with and without a SnapshotSource (cold, then warm).
+func TestPlanWorkCounters(t *testing.T) {
+	type work struct {
+		clones    int64
+		simCycles uint64
+		hit       bool
+	}
+	cold := map[Strategy]work{
+		Replay:       {1000, 6152243, false},
+		Checkpointed: {1000, 757371, false},
+		Forked:       {1025, 210918, false},
+	}
+	warm := map[Strategy]work{
+		Replay:       cold[Replay], // no ladder to share
+		Checkpointed: {1000, 751892, true},
+		Forked:       {1025, 205001, true},
+	}
+	for _, shared := range []bool{false, true} {
+		r := NewRunner(target(t, "sha"))
+		g, err := r.RunGolden()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := r.NewCore()
+		faults := sampling.Generate(lifetime.StructRF, c.StructureEntries(lifetime.StructRF),
+			c.StructureEntryBits(lifetime.StructRF), g.Result.Cycles, 1000, 1)
+		if shared {
+			r.Snapshots = &mapSnapshotSource{}
+		}
+		rounds := []map[Strategy]work{cold}
+		if shared {
+			rounds = append(rounds, warm)
+		}
+		for round, want := range rounds {
+			for _, s := range allStrategies {
+				if s == Replay && shared && round == 0 {
+					continue // 1000 from-reset replays: once per runner is enough
+				}
+				res := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{Strategy: s}))
+				if got := (work{res.Clones, res.SimCycles, res.SnapshotHit}); got != want[s] {
+					t.Errorf("shared=%v round %d %v: work %+v, want %+v", shared, round, s, got, want[s])
+				}
+			}
+		}
+	}
+}

@@ -40,7 +40,7 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// TestOnOutcomeHook: every scheduler reports each fault exactly once, with
+// TestOnOutcomeHook: every strategy reports each fault exactly once, with
 // the outcome it also records in the result, under concurrency.
 func TestOnOutcomeHook(t *testing.T) {
 	r := NewRunner(target(t, "sha"))
@@ -59,7 +59,7 @@ func TestOnOutcomeHook(t *testing.T) {
 		var mu sync.Mutex
 		seen := make(map[int]Outcome)
 		var hookFaults []fault.Fault
-		r.OnOutcome = func(idx int, f fault.Fault, o Outcome) {
+		hook := func(idx int, f fault.Fault, o Outcome) {
 			mu.Lock()
 			defer mu.Unlock()
 			if _, dup := seen[idx]; dup {
@@ -68,8 +68,7 @@ func TestOnOutcomeHook(t *testing.T) {
 			seen[idx] = o
 			hookFaults = append(hookFaults, f)
 		}
-		res := mustRun(t)(r.RunAllWith(context.Background(), strat, faults, &golden.Result, 4))
-		r.OnOutcome = nil
+		res := mustRun(t)(r.Run(context.Background(), faults, &golden.Result, Plan{Strategy: strat, Checkpoints: 4, OnOutcome: hook}))
 
 		if len(seen) != len(faults) {
 			t.Fatalf("%v: hook saw %d faults, want %d", strat, len(seen), len(faults))

@@ -73,77 +73,100 @@ func (s *Strategy) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// DefaultCheckpoints is the snapshot count RunAllWith uses when the
-// Checkpointed strategy is selected without an explicit k.
+// DefaultCheckpoints is the snapshot count Run uses when the Checkpointed
+// strategy is selected without an explicit k.
 const DefaultCheckpoints = 8
 
-// RunAllWith dispatches a campaign to the selected strategy. checkpoints
-// is only consulted by Checkpointed (<=0 means DefaultCheckpoints). Like
-// the strategies themselves, it observes ctx between injections and
-// returns the partial Result together with ctx.Err() on cancellation.
-func (r *Runner) RunAllWith(ctx context.Context, s Strategy, faults []fault.Fault, golden *cpu.RunResult, checkpoints int) (*Result, error) {
-	switch s {
+// ForkSyncPoints is the number of golden snapshots the Forked strategy
+// freezes along the run. They serve double duty: the sweep re-roots its
+// copy-on-write lineage at each one, and faulty continuations compare
+// their state against them to exit early once a fault provably converged
+// back to the golden run.
+const ForkSyncPoints = 24
+
+// Plan says how one campaign reproduces each fault's pre-fault prefix and
+// where each faulty continuation stops. The zero value is the
+// assumption-free baseline: replay from reset to program end.
+type Plan struct {
+	// Strategy picks the start snapshot and, with it, the early exit:
+	//
+	//	Replay        the reset state; no early exit
+	//	Checkpointed  the nearest of Checkpoints frozen snapshots; exit at
+	//	              the first later snapshot the run is masked-equivalent to
+	//	Forked        a clone off one sweep of the golden run, taken at the
+	//	              fault cycle; same exit over ForkSyncPoints snapshots
+	Strategy Strategy
+	// Checkpoints is the snapshot count of Checkpointed (<= 0 means
+	// DefaultCheckpoints); the other strategies ignore it.
+	Checkpoints int
+	// Cut, when non-nil, stops every run at the cut cycle and classifies by
+	// the truncated scheme of RunFaultTruncated instead of at program end.
+	// It replaces the golden argument of Run with Cut.Result; snapshots
+	// then serve as starting points only (a truncated run has no early exit).
+	Cut *TruncatedGolden
+	// OnOutcome, when non-nil, is called once per classified fault with the
+	// fault's index in the campaign's input list, from worker goroutines,
+	// concurrently and in completion (not input) order; it must be safe
+	// for concurrent use and should return quickly.
+	OnOutcome func(idx int, f fault.Fault, o Outcome)
+}
+
+// planLadder returns the plan's checkpoint set for a goldenCycles-long run
+// and whether r.Snapshots served it. Replay's reset-only set is built inline:
+// it costs no simulation, so it never goes through the snapshot source.
+func (r *Runner) planLadder(plan Plan, goldenCycles uint64) (set *CheckpointSet, hit bool) {
+	switch plan.Strategy {
 	case Checkpointed:
-		if checkpoints <= 0 {
-			checkpoints = DefaultCheckpoints
+		k := plan.Checkpoints
+		if k <= 0 {
+			k = DefaultCheckpoints
 		}
-		return r.RunAllCheckpointed(ctx, faults, golden, checkpoints)
+		return r.ladder(k, goldenCycles)
 	case Forked:
-		return r.RunAllForked(ctx, faults, golden)
+		return r.ladder(ForkSyncPoints, goldenCycles)
 	default:
-		return r.RunAll(ctx, faults, golden)
+		return r.BuildCheckpoints(0, goldenCycles), false
 	}
 }
 
-// ForkSyncPoints is the number of golden snapshots the fork-on-fault
-// scheduler freezes along the run. They serve double duty: the sweep
-// re-roots its copy-on-write lineage at each one, and faulty continuations
-// compare their state against them to exit early once a fault provably
-// converged back to the golden run.
-const ForkSyncPoints = 24
-
-// forkJob hands one fault plus its pre-fault machine snapshot to a worker.
-type forkJob struct {
+// job hands one fault to a worker; core is its ready pre-fault clone under
+// Forked and nil otherwise (the worker then clones the nearest snapshot).
+type job struct {
 	idx  int
 	core *cpu.Core
 }
 
-// RunAllForked is the fork-on-fault scheduler. A single sweep core steps
-// forward through the golden run exactly once; at each fault's injection
-// cycle (visited in ascending order) it clones the machine state and hands
-// the clone to a bounded worker pool that applies the fault and runs the
-// faulty continuation to classification. The shared pre-fault prefix is
-// thus simulated once for the whole campaign instead of once per fault,
-// reducing total pre-fault work from O(F x avg_cycle/(k+1)) under
-// checkpointing to O(golden_cycles + F x clone).
+// Run injects every fault in faults and classifies it against golden, in
+// parallel, under plan. The outcome order matches the fault order, and
+// outcomes are bit-identical across strategies and to the per-fault
+// RunFault (RunFaultTruncated with plan.Cut) reference; strategies differ
+// only in how much of the golden run is re-simulated per fault.
 //
-// Faulty continuations additionally stop at the first golden sync
-// snapshot they are masked-equivalent to (see cpu.MaskedEquivalent):
-// state-identical up to provably dead storage, which guarantees the rest
-// of the run reproduces the golden outcome. Because the overwhelming
-// share of faults is masked, most continuations end at the next sync
-// point instead of simulating to program completion. Faults that never
-// re-converge run to their natural classification, so outcomes stay
-// bit-identical to RunAll's, in the input fault order.
+// Under Forked a single sweep core steps through the golden run exactly
+// once, visiting the faults in ascending cycle order and handing a clone
+// to the workers at each fault cycle, so the shared prefix is simulated
+// once per campaign instead of once per fault. Live clones are capped at
+// MaxForks (default 2x workers): the sweep blocks until a worker retires
+// one, so faults clustering late in the run cannot hold thousands of
+// machine snapshots in memory.
 //
-// The number of live clones is capped at MaxForks (default 2x workers) so
-// campaigns whose faults cluster late in the run cannot hold thousands of
-// machine snapshots in memory: the sweep blocks until a worker retires a
-// clone.
-//
-// The sweep observes ctx between faults: on cancellation it stops forking,
-// in-flight clones finish classification, the remaining faults are marked
-// Cancelled, and the partial Result is returned together with ctx.Err().
-func (r *Runner) RunAllForked(ctx context.Context, faults []fault.Fault, golden *cpu.RunResult) (*Result, error) {
+// The ladder build (one golden-run replay, skipped on a SnapshotSource
+// hit) and the sweep are shared pre-fault work, counted once in Wall,
+// Serial and SimCycles. An empty or already-cancelled campaign does
+// neither. Cancellation is observed between faults: no new fault is
+// dispatched once ctx is done, in-flight faults finish classification, the
+// rest stay marked Cancelled, and the partial Result is returned together
+// with ctx.Err().
+func (r *Runner) Run(ctx context.Context, faults []fault.Fault, golden *cpu.RunResult, plan Plan) (*Result, error) {
 	res := newResult(len(faults))
 	start := time.Now()
-	// The sync ladder build replays a whole golden run and is not
-	// interruptible; skip it when the campaign is already dead on arrival.
 	if len(faults) == 0 || ctx.Err() != nil {
 		res.Wall = time.Since(start)
 		return res, res.finalize(ctx)
 	}
-
+	if plan.Cut != nil {
+		golden = &plan.Cut.Result
+	}
 	workers := r.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -151,27 +174,33 @@ func (r *Runner) RunAllForked(ctx context.Context, faults []fault.Fault, golden 
 	if workers > len(faults) {
 		workers = len(faults)
 	}
-	maxForks := r.MaxForks
-	if maxForks <= 0 {
-		maxForks = 2 * workers
-	}
 
-	// The golden sync ladder (a CheckpointSet: reset state + snapshots at
-	// evenly spaced cycles), served from the shared SnapshotSource when
-	// one is attached and built once per campaign otherwise. Like the
-	// sweep, a build is shared pre-fault work counted once in Wall and
-	// Serial; a snapshot hit skips it entirely.
 	var serialNS atomic.Int64
 	var m runMetrics
 	pool := r.clonePool()
-	ladder, hit := r.ladder(ForkSyncPoints, golden.Cycles)
+	ladder, hit := r.planLadder(plan, golden.Cycles)
 	if !hit {
 		m.simCycles.Add(ladder.LastCycle())
 	}
 	res.SnapshotHit = hit
 	serialNS.Add(int64(time.Since(start)))
-	live := make(chan struct{}, maxForks) // in-flight clone budget
-	jobs := make(chan forkJob)
+
+	var sw *sweep
+	var order []int // dispatch order; nil means input order
+	if plan.Strategy == Forked {
+		maxForks := r.MaxForks
+		if maxForks <= 0 {
+			maxForks = 2 * workers
+		}
+		sw = &sweep{
+			ladder: ladder, pool: pool, m: &m,
+			live: make(chan struct{}, maxForks),
+			core: m.clone(pool, ladder.cores[0]),
+			next: 1,
+		}
+		order = fault.SortedIndices(faults) // the sweep only moves forward
+	}
+	jobs := make(chan job)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -179,73 +208,63 @@ func (r *Runner) RunAllForked(ctx context.Context, faults []fault.Fault, golden 
 			defer wg.Done()
 			for j := range jobs {
 				t0 := time.Now()
-				preFault := j.core.Cycle()
-				res.Outcomes[j.idx] = r.runForkedClone(j.core, faults[j.idx], golden, ladder)
-				m.simCycles.Add(j.core.Cycle() - preFault)
-				pool.Release(j.core)
+				f := faults[j.idx]
+				c := j.core
+				if c == nil {
+					c = m.clone(pool, ladder.before(f.Cycle))
+				}
+				from := c.Cycle()
+				o := r.inject(c, f, golden, ladder, plan.Cut)
+				m.simCycles.Add(c.Cycle() - from)
+				// A released shell is scrubbed by copy-over on reuse, so
+				// even a panicked run's shell is safe to recycle.
+				pool.Release(c)
+				res.Outcomes[j.idx] = o
 				serialNS.Add(int64(time.Since(t0)))
-				r.emit(j.idx, faults[j.idx], res.Outcomes[j.idx])
-				<-live
+				if plan.OnOutcome != nil {
+					plan.OnOutcome(j.idx, f, o)
+				}
+				if sw != nil {
+					<-sw.live
+				}
 			}
 		}()
 	}
 
-	// The sweep: advance the golden run once, forking at each fault
-	// cycle. Crossing a ladder snapshot, the sweep re-roots itself on a
-	// clone of it — bit-identical state by determinism — so the
-	// copy-on-write page pool the forks share with the ladder stays
-	// shallow and state comparisons skip everything the segment never
-	// wrote.
-	sweep := m.clone(pool, ladder.cores[0])
-	next := 1
 	t0 := time.Now()
-	sweepStart := sweep.Cycle()
 	done := ctx.Done()
-sweep:
-	for _, idx := range fault.SortedIndices(faults) {
+feed:
+	for n := range faults {
+		// Non-blocking cancellation check first: when a worker is ready to
+		// receive AND ctx is done, a bare two-case select would pick at
+		// random and could keep dispatching past cancellation.
 		select {
 		case <-done:
-			break sweep
+			break feed
 		default:
 		}
-		fc := faults[idx].Cycle
-		root := -1
-		for next < len(ladder.cycles) && ladder.cycles[next] < fc {
-			root = next
-			next++
-		}
-		if root >= 0 {
-			m.simCycles.Add(sweep.Cycle() - sweepStart)
-			pool.Release(sweep)
-			sweep = m.clone(pool, ladder.cores[root])
-			sweepStart = sweep.Cycle()
-		}
-		for sweep.Cycle()+1 < fc && sweep.Halted() == cpu.Running {
-			sweep.Step()
-		}
-		// Acquiring a clone slot and handing the job off can both block
-		// on busy workers; observe cancellation in each so a cancelled
-		// sweep never waits for a whole classification to retire first.
-		// (Breaking with the live token held is harmless: the sweep ends
-		// and the channel is garbage once the workers drain.)
-		select {
-		case live <- struct{}{}:
-		case <-done:
-			break sweep
+		j := job{idx: n}
+		if sw != nil {
+			j.idx = order[n]
+			if j.core = sw.fork(faults[j.idx].Cycle, done); j.core == nil {
+				break feed
+			}
 		}
 		select {
-		case jobs <- forkJob{idx: idx, core: m.clone(pool, sweep)}:
+		case jobs <- j:
 		case <-done:
-			break sweep
+			break feed
 		}
 	}
 	close(jobs)
-	// The sweep is shared pre-fault work; count it once in the
-	// serial-equivalent total.
-	m.simCycles.Add(sweep.Cycle() - sweepStart)
-	serialNS.Add(int64(time.Since(t0)))
+	if sw != nil {
+		sw.meter()
+		serialNS.Add(int64(time.Since(t0)))
+	}
 	wg.Wait()
-	pool.Release(sweep)
+	if sw != nil {
+		pool.Release(sw.core)
+	}
 
 	res.Wall = time.Since(start)
 	res.Serial = time.Duration(serialNS.Load())
@@ -253,21 +272,49 @@ sweep:
 	return res, res.finalize(ctx)
 }
 
-// runForkedClone finishes one faulty continuation: the clone already sits
-// at the fault's pre-injection cycle, so only apply-and-run remains — the
-// shared classifyAgainst does the rest, including the masked-equivalence
-// early exit at the golden sync snapshots. Simulator panics classify
-// exactly as in RunFault.
-func (r *Runner) runForkedClone(c *cpu.Core, f fault.Fault, golden *cpu.RunResult, ladder *CheckpointSet) (out Outcome) {
-	defer func() {
-		if p := recover(); p != nil {
-			if _, ok := p.(*cpu.AssertError); ok {
-				out = Assert
-			} else {
-				out = Crash
-			}
-		}
-	}()
-	applyFault(c, f)
-	return r.classifyAgainst(c, golden, ladder)
+// sweep is the Forked start source: one core advanced through the golden
+// run, forked at each fault cycle.
+type sweep struct {
+	ladder *CheckpointSet
+	pool   *cpu.ClonePool
+	m      *runMetrics
+	live   chan struct{} // in-flight clone budget
+	core   *cpu.Core
+	from   uint64 // cycle core was last rooted at
+	next   int    // first ladder snapshot not yet crossed
+}
+
+// fork advances the sweep to the pre-injection cycle of a fault at fc and
+// returns a clone of it once the clone budget has room, or nil when done
+// fires first (so a cancelled sweep never waits for a whole classification
+// to retire). Crossing a ladder snapshot, the sweep re-roots itself on a
+// clone of it — bit-identical state by determinism — so the copy-on-write
+// page pool the forks share with the ladder stays shallow and state
+// comparisons skip everything the segment never wrote.
+func (s *sweep) fork(fc uint64, done <-chan struct{}) *cpu.Core {
+	root := -1
+	for s.next < len(s.ladder.cycles) && s.ladder.cycles[s.next] < fc {
+		root = s.next
+		s.next++
+	}
+	if root >= 0 {
+		s.meter()
+		s.pool.Release(s.core)
+		s.core = s.m.clone(s.pool, s.ladder.cores[root])
+		s.from = s.core.Cycle()
+	}
+	for s.core.Cycle()+1 < fc && s.core.Halted() == cpu.Running {
+		s.core.Step()
+	}
+	select {
+	case s.live <- struct{}{}:
+		return s.m.clone(s.pool, s.core)
+	case <-done:
+		return nil
+	}
+}
+
+// meter counts the cycles the sweep simulated since it was last rooted.
+func (s *sweep) meter() {
+	s.m.simCycles.Add(s.core.Cycle() - s.from)
 }

@@ -58,9 +58,9 @@ func TestStrategyDifferential(t *testing.T) {
 		faults := strategyFaultList(r.NewCore(), tc.s, g.Result.Cycles, 50, int64(31+wi), set.cycles[1:])
 
 		ctx := context.Background()
-		replay := mustRun(t)(r.RunAll(ctx, faults, &g.Result))
-		ckpt := mustRun(t)(r.RunAllWith(ctx, Checkpointed, faults, &g.Result, k))
-		forked := mustRun(t)(r.RunAllWith(ctx, Forked, faults, &g.Result, 0))
+		replay := mustRun(t)(r.Run(ctx, faults, &g.Result, Plan{}))
+		ckpt := mustRun(t)(r.Run(ctx, faults, &g.Result, Plan{Strategy: Checkpointed, Checkpoints: k}))
+		forked := mustRun(t)(r.Run(ctx, faults, &g.Result, Plan{Strategy: Forked}))
 		for i := range faults {
 			if replay.Outcomes[i] != ckpt.Outcomes[i] {
 				t.Errorf("%s/%v fault %v: replay %v vs checkpointed %v",
@@ -92,11 +92,11 @@ func TestForkedBoundedPool(t *testing.T) {
 	c := r.NewCore()
 	faults := sampling.Generate(lifetime.StructRF,
 		c.StructureEntries(lifetime.StructRF), 64, g.Result.Cycles, 40, 17)
-	want := mustRun(t)(r.RunAll(context.Background(), faults, &g.Result))
+	want := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{}))
 
 	r.Workers = 2
 	r.MaxForks = 1
-	got := mustRun(t)(r.RunAllForked(context.Background(), faults, &g.Result))
+	got := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{Strategy: Forked}))
 	for i := range faults {
 		if want.Outcomes[i] != got.Outcomes[i] {
 			t.Errorf("fault %v: replay %v vs bounded forked %v", faults[i], want.Outcomes[i], got.Outcomes[i])
@@ -112,11 +112,11 @@ func TestForkedEmptyAndSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := mustRun(t)(r.RunAllForked(context.Background(), nil, &g.Result)); res.Dist.Total() != 0 || len(res.Outcomes) != 0 {
+	if res := mustRun(t)(r.Run(context.Background(), nil, &g.Result, Plan{Strategy: Forked})); res.Dist.Total() != 0 || len(res.Outcomes) != 0 {
 		t.Errorf("empty campaign: %+v", res)
 	}
 	one := []fault.Fault{{Structure: lifetime.StructRF, Entry: 255, Bit: 63, Cycle: 1}}
-	if res := mustRun(t)(r.RunAllForked(context.Background(), one, &g.Result)); res.Outcomes[0] != Masked {
+	if res := mustRun(t)(r.Run(context.Background(), one, &g.Result, Plan{Strategy: Forked})); res.Outcomes[0] != Masked {
 		t.Errorf("unused-register fault = %v, want Masked", res.Outcomes[0])
 	}
 }

@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"context"
 	"fmt"
 
 	"merlin/internal/cpu"
@@ -37,26 +36,18 @@ func (r *Runner) RunGoldenTruncated(cut uint64, track ...lifetime.StructureID) (
 	return &TruncatedGolden{Cut: cut, Result: res, Hash: c.StateHash(), Tracer: tr}, nil
 }
 
-// RunFaultTruncated injects f, runs to the cut, and classifies with the
-// paper's truncated scheme: Masked / DUE / Crash / Assert / Unknown. SDCs
-// and Timeouts cannot be identified because the program never finishes;
-// any fault whose effects are still present in the machine state at the
-// cut is Unknown.
-func (r *Runner) RunFaultTruncated(f fault.Fault, tg *TruncatedGolden) (out Outcome) {
-	defer func() {
-		if p := recover(); p != nil {
-			if _, ok := p.(*cpu.AssertError); ok {
-				out = Assert
-			} else {
-				out = Crash
-			}
-		}
-	}()
-	c := r.NewCore()
-	for c.Cycle()+1 < f.Cycle && c.Halted() == cpu.Running {
-		c.Step()
-	}
-	applyFault(c, f)
+// RunFaultTruncated injects f into a fresh core, runs to the cut, and
+// classifies with the paper's truncated scheme (see classifyTruncated): the
+// per-fault reference of Run with Plan.Cut.
+func (r *Runner) RunFaultTruncated(f fault.Fault, tg *TruncatedGolden) Outcome {
+	return r.inject(r.NewCore(), f, &tg.Result, nil, tg)
+}
+
+// classifyTruncated runs faulty core c (fault already applied) to the cut
+// and classifies it Masked / DUE / Crash / Unknown. SDCs and Timeouts
+// cannot be identified because the program never finishes; any fault whose
+// effects are still present in the machine state at the cut is Unknown.
+func classifyTruncated(c *cpu.Core, tg *TruncatedGolden) Outcome {
 	res := c.Run(tg.Cut)
 	switch res.Halt {
 	case cpu.CycleLimit:
@@ -84,14 +75,4 @@ func (r *Runner) RunFaultTruncated(f fault.Fault, tg *TruncatedGolden) (out Outc
 		return DUE
 	}
 	return Unknown
-}
-
-// RunAllTruncated is the truncated-run analogue of RunAll, with the same
-// cancellation contract.
-func (r *Runner) RunAllTruncated(ctx context.Context, faults []fault.Fault, tg *TruncatedGolden) (*Result, error) {
-	res := newResult(len(faults))
-	parallelFor(ctx, r.Workers, len(faults), func(i int) {
-		res.Outcomes[i] = r.RunFaultTruncated(faults[i], tg)
-	})
-	return res, res.finalize(ctx)
 }

@@ -75,7 +75,7 @@ func Ablation(ctx context.Context, o Options) (*AblationResult, error) {
 		for i, fi := range base.HitFaults {
 			full[i] = a.Faults[fi]
 		}
-		fullRes, err := a.Runner.RunAllWith(ctx, o.Strategy, full, &a.Golden.Result, 0)
+		fullRes, err := a.Runner.Run(ctx, full, &a.Golden.Result, campaign.Plan{Strategy: o.Strategy})
 		if err != nil {
 			return nil, err
 		}

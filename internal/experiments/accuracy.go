@@ -79,7 +79,7 @@ func runAccuracy(ctx context.Context, o Options, wl string, z StructSize) (*Accu
 	for i, fi := range red.HitFaults {
 		full[i] = a.Faults[fi]
 	}
-	fullRes, err := a.Runner.RunAllWith(ctx, o.Strategy, full, &a.Golden.Result, 0)
+	fullRes, err := a.Runner.Run(ctx, full, &a.Golden.Result, campaign.Plan{Strategy: o.Strategy})
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +119,7 @@ func runAccuracy(ctx context.Context, o Options, wl string, z StructSize) (*Accu
 				pruned = append(pruned, a.Faults[i])
 			}
 		}
-		prunedRes, err := a.Runner.RunAllWith(ctx, o.Strategy, pruned, &a.Golden.Result, 0)
+		prunedRes, err := a.Runner.Run(ctx, pruned, &a.Golden.Result, campaign.Plan{Strategy: o.Strategy})
 		if err != nil {
 			return nil, err
 		}

@@ -78,7 +78,7 @@ func Table4(ctx context.Context, o Options) (*Table4Result, error) {
 			lifetime.StructRF, entries, 8, cut)
 		faults := sampling.Generate(lifetime.StructRF, entries, 64, cut, o.Faults, o.Seed)
 
-		baseRes, err := runner.RunAllTruncated(ctx, faults, tg)
+		baseRes, err := runner.Run(ctx, faults, nil, campaign.Plan{Cut: tg})
 		if err != nil {
 			return nil, err
 		}
@@ -87,7 +87,7 @@ func Table4(ctx context.Context, o Options) (*Table4Result, error) {
 		})
 
 		red := reduction.Reduce(analysis, faults, reduction.DefaultOptions())
-		repRes, err := runner.RunAllTruncated(ctx, red.Reduced(), tg)
+		repRes, err := runner.Run(ctx, red.Reduced(), nil, campaign.Plan{Cut: tg})
 		if err != nil {
 			return nil, err
 		}

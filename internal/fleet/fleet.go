@@ -670,8 +670,8 @@ func (d *Dispatcher) runRemote(ctx context.Context, w WorkerInfo, reps []int) ([
 }
 
 // runLocal executes reps in-process, serialized (the underlying campaign
-// Runner parallelizes internally; two concurrent Local calls would race
-// on its outcome hook).
+// Runner parallelizes internally; two concurrent Local calls would only
+// oversubscribe the host).
 func (d *Dispatcher) runLocal(ctx context.Context, reps []int) error {
 	d.localMu.Lock()
 	defer d.localMu.Unlock()

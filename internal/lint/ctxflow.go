@@ -44,7 +44,7 @@ func runCtxFlow(pass *Pass) {
 		// context.Background() anywhere in the package (including
 		// function literals): each surviving site must carry a
 		// //lint:allow ctxflow002 stating why it detaches (shutdown
-		// drains, deprecated wrappers, daemon-owned campaign roots).
+		// drains, daemon-owned campaign roots).
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {

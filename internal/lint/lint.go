@@ -64,7 +64,7 @@ func (d Diagnostic) String() string {
 type AllowlistedSite struct {
 	Pos    token.Position
 	Code   string
-	Where  string // enclosing function, e.g. "Runner.RunAll"
+	Where  string // enclosing function, e.g. "Runner.Run"
 	Reason string
 }
 

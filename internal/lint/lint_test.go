@@ -161,13 +161,13 @@ func TestRealModuleClean(t *testing.T) {
 		t.Errorf("only %d packages analyzed — loader lost most of the module", res.Packages)
 	}
 	// The audited exemption surface as committed: the conformance
-	// sabotage path, the deprecated v1 wrappers, the shutdown drains
-	// (directives) and the Wall-stamp/heartbeat sites (allowlist).
+	// sabotage path and the shutdown drains (directives) and the
+	// Wall-stamp/heartbeat sites (allowlist).
 	if len(res.Suppressed) == 0 {
 		t.Error("no suppressed findings — the //lint:allow directives on the real tree stopped matching")
 	}
 	if len(res.Allowlisted) == 0 {
-		t.Error("no allowlisted sites — the walltime allowlist stopped matching the schedulers")
+		t.Error("no allowlisted sites — the walltime allowlist stopped matching Runner.Run")
 	}
 }
 

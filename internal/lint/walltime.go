@@ -53,8 +53,8 @@ var WallTime = &Analyzer{
 		"merlin/internal/chaos",
 		// internal/server is deliberately out of scope: event
 		// timestamps, uptime and queue ages are wall-clock by design
-		// and never feed Report bytes. cmd/*, examples/ and scripts/
-		// are operator tooling.
+		// and never feed Report bytes. cmd/* and examples/ are operator
+		// tooling.
 	),
 	Run: runWallTime,
 }
@@ -69,13 +69,8 @@ var wallClockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
 // state.
 var wallClockAllow = map[string]map[string]string{
 	"merlin/internal/campaign": {
-		"runMetrics.clone":          "clone-cost metric (Result.CloneTime); never touches simulated state",
-		"Runner.RunAll":             "Result.Wall/Serial wall-clock metric stamping",
-		"Runner.RunAllCheckpointed": "Result.Wall/Serial wall-clock metric stamping",
-		"Runner.RunAllForked":       "Result.Wall/Serial wall-clock metric stamping",
-		// Runner.RunAllTruncated was listed here until the walltime002 rot
-		// check landed: it delegates its wall stamping to RunAll and never
-		// read the clock itself.
+		"runMetrics.clone": "clone-cost metric (Result.CloneTime); never touches simulated state",
+		"Runner.Run":       "Result.Wall/Serial wall-clock metric stamping",
 	},
 	"merlin": {
 		"runFleetCampaign": "fleet Report.Wall metric stamping",

@@ -18,9 +18,7 @@
 // The primary API is the Session: merlin.Start(ctx, workload, opts...)
 // validates a campaign built from functional options and returns a
 // Session whose phase methods are context-aware and report typed Progress
-// events. The flat Config struct and the package-level Run, RunBaseline
-// and Preprocess entry points are the deprecated v1 surface, kept as thin
-// wrappers over the same pipeline.
+// events.
 package merlin
 
 import (
@@ -129,7 +127,7 @@ type CacheStats = store.Stats
 func OpenCache(dir string) (*Cache, error) { return store.Open(dir) }
 
 // SnapshotCache is an in-memory, byte-budgeted LRU of checkpoint ladders
-// (the frozen machine snapshots the checkpointed and forked schedulers
+// (the frozen machine snapshots the checkpointed and forked strategies
 // clone injection runs from). Campaigns sharing one SnapshotCache and
 // agreeing on (workload, CPU config, golden cycles) reuse one immutable
 // ladder instead of each replaying the golden run to rebuild it — the
@@ -149,13 +147,9 @@ func NewSnapshotCache(budgetBytes int64) *SnapshotCache {
 	return store.NewSnapshotCache(budgetBytes)
 }
 
-// Config describes one MeRLiN campaign.
-//
-// Deprecated: Config is the v1 knob-struct surface. New code should build
-// a Session with Start and functional options (WithStructure, WithFaults,
-// WithStrategy, ...), which validate at Start time and support
-// cancellation and progress streaming. Config remains fully functional
-// for the deprecated Run/RunBaseline/Preprocess wrappers.
+// Config is the resolved configuration of one MeRLiN campaign: what Start
+// built from its options, with defaults applied, as Session.Config and
+// Artifacts.Config return it.
 type Config struct {
 	// Workload names a registered benchmark (see Workloads).
 	Workload string
@@ -186,7 +180,7 @@ type Config struct {
 	// Workers bounds injection parallelism; 0 = GOMAXPROCS.
 	Workers int
 
-	// Strategy selects the injection scheduler: StrategyReplay (default),
+	// Strategy selects the injection strategy: StrategyReplay (default),
 	// StrategyCheckpointed, or StrategyForked. All three classify every
 	// fault identically; they differ only in how much of the pre-fault
 	// prefix is re-simulated.
@@ -201,9 +195,7 @@ type Config struct {
 	// reports stay bit-identical to unpruned runs. Structures other than
 	// RF ignore the option (their entries hold no architectural registers).
 	StaticPrune bool
-	// Checkpoints > 0 sets the snapshot count of StrategyCheckpointed
-	// (and, for backward compatibility, selects that strategy when
-	// Strategy is left at the default).
+	// Checkpoints > 0 sets the snapshot count of StrategyCheckpointed.
 	Checkpoints int
 
 	// Cache, when non-nil, short-circuits Preprocess: on a hit the golden
@@ -214,16 +206,15 @@ type Config struct {
 	Cache *Cache
 
 	// Snapshots, when non-nil, shares checkpoint ladders across campaigns:
-	// the checkpointed and forked schedulers serve their frozen machine
+	// the checkpointed and forked strategies serve their frozen machine
 	// snapshots from it instead of rebuilding them per campaign. Create
 	// one with NewSnapshotCache; the daemon wires a process-wide instance.
 	Snapshots *SnapshotCache
 }
 
-// fillDefaults replaces zero knobs with their documented defaults. It is
-// shared by the v1 and v2 paths and deliberately does NOT touch the
-// strategy: under the Session API the checkpoints/strategy implication is
-// resolved explicitly by Start.
+// fillDefaults replaces zero knobs with their documented defaults. It does
+// not touch the strategy: Start resolves the checkpoints/strategy
+// implication explicitly.
 func (c Config) fillDefaults() Config {
 	if c.CPU.PhysRegs == 0 {
 		c.CPU = cpu.DefaultConfig()
@@ -240,20 +231,8 @@ func (c Config) fillDefaults() Config {
 	return c
 }
 
-// withDefaults is the v1 defaulting rule: fillDefaults plus the historic
-// behaviour of Checkpoints > 0 silently selecting the checkpointed
-// strategy when Strategy was left at the default. The legacy wrappers
-// keep it so existing Config callers see unchanged semantics; Start does
-// not use it.
-func (c Config) withDefaults() Config {
-	if c.Strategy == StrategyReplay && c.Checkpoints > 0 {
-		c.Strategy = StrategyCheckpointed
-	}
-	return c.fillDefaults()
-}
-
 // validate rejects knob values the pipeline would otherwise silently
-// misread (applied after withDefaults, so zeros have already been replaced
+// misread (applied after fillDefaults, so zeros have already been replaced
 // by documented defaults and anything invalid left is a caller error).
 // Campaign requests arriving over the daemon's HTTP API funnel through
 // this same check.
@@ -312,29 +291,10 @@ type Artifacts struct {
 // "spec", or "" for all).
 func Workloads(suite string) []string { return workloads.Names(suite) }
 
-// Preprocess runs phase 1: the single fault-free profiling run that records
-// the structure's vulnerable intervals, plus the creation of the initial
-// statistical fault list.
-//
-// With Config.Cache set, the profiling run is served from the golden-run
-// artifact cache when a previous campaign already profiled the same
-// (workload, core config, structure): the golden run and analysis build
-// are skipped and their products loaded instead, bit-identically. On a
-// miss the products are stored after the run.
-func Preprocess(cfg Config) (*Artifacts, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	arts, err := preprocessStructures(cfg, []Structure{cfg.Structure})
-	if err != nil {
-		return nil, err
-	}
-	return arts[0], nil
-}
-
-// preprocessStructures is the shared core of phase 1: one golden run (or
-// one artifact-cache load) tracing every listed structure, yielding one
+// preprocessStructures is phase 1: the single fault-free profiling run (or
+// one artifact-cache load, when cfg.Cache already holds the products of the
+// same workload, core config and structures) tracing every listed
+// structure, plus the initial statistical fault lists, yielding one
 // *Artifacts per structure — all sharing the same Runner (and therefore
 // clone pool and snapshot source) and the same Golden. A single-structure
 // campaign passes its one target; a batch passes its whole list and pays
@@ -515,22 +475,17 @@ func (a *Artifacts) staticPrune() error {
 	return nil
 }
 
-// inject is the context-aware core of phase 3, shared by Session.Inject
-// and the deprecated Artifacts.Inject. onOutcome, when non-nil, is
-// installed as the scheduler's per-fault hook for the duration of the
-// call. On cancellation the partial *Report (raw representative Dist, no
-// extrapolation, Cancelled count set) is returned together with
-// ctx.Err().
+// plan is the campaign's injection plan: the configured strategy and
+// checkpoint count plus the per-fault hook (nil for none).
+func (a *Artifacts) plan(onOutcome func(int, fault.Fault, campaign.Outcome)) campaign.Plan {
+	return campaign.Plan{Strategy: a.Config.Strategy, Checkpoints: a.Config.Checkpoints, OnOutcome: onOutcome}
+}
+
+// inject is phase 3 behind Session.Inject; Reduce must have run. On
+// cancellation the partial *Report (raw representative Dist, no
+// extrapolation, Cancelled count set) is returned together with ctx.Err().
 func (a *Artifacts) inject(ctx context.Context, onOutcome func(int, fault.Fault, campaign.Outcome)) (*Report, error) {
-	if a.Red == nil {
-		a.Reduce()
-	}
-	if onOutcome != nil {
-		a.Runner.OnOutcome = onOutcome
-		defer func() { a.Runner.OnOutcome = nil }()
-	}
-	reduced := a.Red.Reduced()
-	res, err := a.Runner.RunAllWith(ctx, a.Config.Strategy, reduced, &a.Golden.Result, a.Config.Checkpoints)
+	res, err := a.Runner.Run(ctx, a.Red.Reduced(), &a.Golden.Result, a.plan(onOutcome))
 	return a.reportFrom(res, err == nil), err
 }
 
@@ -586,8 +541,7 @@ func (a *Artifacts) reportFrom(res *campaign.Result, extrapolate bool) *Report {
 // global representative index. It is the execution primitive of the
 // distributed path: a worker runs its shard through it, and the
 // coordinator runs requeued remainders through it as the local fallback.
-// Reduce must have run. Calls must not overlap (they share the Runner's
-// outcome hook); the fleet dispatcher serializes its Local calls.
+// Reduce must have run.
 func (a *Artifacts) injectSubset(ctx context.Context, reps []int, onOutcome func(rep int, f fault.Fault, o campaign.Outcome)) error {
 	reduced := a.Red.Reduced()
 	subset := make([]fault.Fault, len(reps))
@@ -597,23 +551,16 @@ func (a *Artifacts) injectSubset(ctx context.Context, reps []int, onOutcome func
 		}
 		subset[i] = reduced[r]
 	}
-	if onOutcome != nil {
-		a.Runner.OnOutcome = func(i int, f fault.Fault, o campaign.Outcome) { onOutcome(reps[i], f, o) }
-		defer func() { a.Runner.OnOutcome = nil }()
-	}
-	_, err := a.Runner.RunAllWith(ctx, a.Config.Strategy, subset, &a.Golden.Result, a.Config.Checkpoints)
+	_, err := a.Runner.Run(ctx, subset, &a.Golden.Result, a.plan(func(i int, f fault.Fault, o campaign.Outcome) {
+		onOutcome(reps[i], f, o)
+	}))
 	return err
 }
 
-// baseline is the context-aware core of the comprehensive campaign,
-// shared by Session.Baseline and the deprecated RunBaseline; it has
+// baseline is the comprehensive campaign behind Session.Baseline; it has
 // inject's cancellation contract.
 func (a *Artifacts) baseline(ctx context.Context, onOutcome func(int, fault.Fault, campaign.Outcome)) (*BaselineReport, error) {
-	if onOutcome != nil {
-		a.Runner.OnOutcome = onOutcome
-		defer func() { a.Runner.OnOutcome = nil }()
-	}
-	res, err := a.Runner.RunAllWith(ctx, a.Config.Strategy, a.Faults, &a.Golden.Result, a.Config.Checkpoints)
+	res, err := a.Runner.Run(ctx, a.Faults, &a.Golden.Result, a.plan(onOutcome))
 	core := a.Runner.NewCore()
 	bits := core.StructureEntries(a.Config.Structure) * core.StructureEntryBits(a.Config.Structure)
 	rep := &BaselineReport{
@@ -636,47 +583,6 @@ func (a *Artifacts) baseline(ctx context.Context, onOutcome func(int, fault.Faul
 		Artifacts:    a,
 	}
 	return rep, err
-}
-
-// Inject runs phase 3: the representatives of the reduced fault list are
-// injected and their outcomes extrapolated over the full initial list.
-//
-// Deprecated: use Session.Inject, which is cancellable and streams
-// per-fault progress. Inject runs under context.Background().
-func (a *Artifacts) Inject() *Report {
-	//lint:allow ctxflow002 deprecated v1 wrapper, documented to run uncancellable
-	rep, _ := a.inject(context.Background(), nil)
-	return rep
-}
-
-// Run executes the full MeRLiN pipeline for one campaign.
-//
-// Deprecated: use Start and Session.Run, which validate options at Start
-// time, are cancellable, and stream typed progress. Run delegates to the
-// same pipeline and produces bit-identical reports.
-func Run(cfg Config) (*Report, error) {
-	a, err := Preprocess(cfg)
-	if err != nil {
-		return nil, err
-	}
-	a.Reduce()
-	//lint:allow ctxflow002 deprecated v1 wrapper, documented to run uncancellable
-	rep, _ := a.inject(context.Background(), nil)
-	return rep, nil
-}
-
-// RunBaseline injects the entire initial fault list (the comprehensive
-// campaign MeRLiN is compared against) and reports its distribution.
-//
-// Deprecated: use Session.Baseline, which additionally reuses the
-// session's preprocessing products instead of repeating the golden run.
-func RunBaseline(cfg Config) (*BaselineReport, error) {
-	a, err := Preprocess(cfg)
-	if err != nil {
-		return nil, err
-	}
-	//lint:allow ctxflow002 deprecated v1 wrapper, documented to run uncancellable
-	return a.baseline(context.Background(), nil)
 }
 
 // Report is the outcome of one MeRLiN campaign.
@@ -736,7 +642,7 @@ type Report struct {
 	// served from a shared SnapshotCache instead of rebuilt (always false
 	// for StrategyReplay, which uses no ladder).
 	SnapshotHit bool
-	// Clones counts the machine snapshots the scheduler took and CloneTime
+	// Clones counts the machine snapshots the campaign took and CloneTime
 	// the wall-clock spent taking them.
 	Clones    int64
 	CloneTime time.Duration

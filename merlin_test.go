@@ -8,26 +8,58 @@ import (
 	"merlin/internal/campaign"
 )
 
-func TestPipelinePhases(t *testing.T) {
-	cfg := Config{Workload: "sha", Structure: RF, Faults: 400, Seed: 1}
-	a, err := Preprocess(cfg)
+// startSession starts a campaign session, failing the test on an option
+// error.
+func startSession(t *testing.T, wl string, opts ...Option) *Session {
+	t.Helper()
+	s, err := Start(context.Background(), wl, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s
+}
+
+// preprocessed starts a session and runs its phase 1.
+func preprocessed(t *testing.T, wl string, opts ...Option) *Session {
+	t.Helper()
+	s := startSession(t, wl, opts...)
+	if err := s.Preprocess(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func TestPipelinePhases(t *testing.T) {
+	ctx := context.Background()
+	s := preprocessed(t, "sha", WithStructure(RF), WithFaults(400), WithSeed(1))
+	a := s.Artifacts()
 	if len(a.Faults) != 400 {
 		t.Fatalf("faults = %d", len(a.Faults))
 	}
 	if a.Analysis == nil || len(a.Analysis.Intervals) == 0 {
 		t.Fatal("no vulnerable intervals recorded")
 	}
-	red := a.Reduce()
+	red, err := s.Reduce()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if red.ACEMasked+len(red.HitFaults) != 400 {
 		t.Fatal("pruning does not partition the list")
 	}
 	if red.ReducedCount() > len(red.HitFaults) {
 		t.Fatal("grouping increased the fault count")
 	}
-	rep := a.Inject()
+	// Phases are idempotent: re-running returns the same products.
+	if again, _ := s.Reduce(); again != red {
+		t.Error("Reduce is not memoized")
+	}
+	if err := s.Preprocess(ctx); err != nil || s.Artifacts() != a {
+		t.Errorf("second Preprocess re-ran phase 1 (err %v)", err)
+	}
+	rep, err := s.Inject(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.Dist.Total() != 400 {
 		t.Fatalf("extrapolated total = %d", rep.Dist.Total())
 	}
@@ -40,7 +72,7 @@ func TestPipelinePhases(t *testing.T) {
 }
 
 func TestRunEndToEnd(t *testing.T) {
-	rep, err := Run(Config{Workload: "fft", Structure: SQ, Faults: 300, Seed: 2})
+	rep, err := startSession(t, "fft", WithStructure(SQ), WithFaults(300), WithSeed(2)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +91,7 @@ func TestRunEndToEnd(t *testing.T) {
 
 func TestDerivedSampleSize(t *testing.T) {
 	// With no explicit fault count, the Leveugle formula sizes the list.
-	cfg := Config{Workload: "fft", Structure: SQ, Confidence: 0.95, ErrorMargin: 0.05, Seed: 3}
-	a, err := Preprocess(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := preprocessed(t, "fft", WithStructure(SQ), WithSampling(0.95, 0.05), WithSeed(3)).Artifacts()
 	// 95%/5% needs ~384 faults for large populations.
 	if n := len(a.Faults); n < 350 || n > 420 {
 		t.Errorf("derived sample size = %d, want ~384", n)
@@ -76,12 +104,12 @@ func TestDerivedSampleSize(t *testing.T) {
 func TestACELikePruningSound(t *testing.T) {
 	for _, wl := range []string{"sha", "qsort"} {
 		for _, s := range []Structure{RF, SQ, L1D} {
-			cfg := Config{Workload: wl, Structure: s, Faults: 300, Seed: 9}
-			a, err := Preprocess(cfg)
+			sess := preprocessed(t, wl, WithStructure(s), WithFaults(300), WithSeed(9))
+			a := sess.Artifacts()
+			red, err := sess.Reduce()
 			if err != nil {
 				t.Fatal(err)
 			}
-			red := a.Reduce()
 			checked := 0
 			for i, f := range a.Faults {
 				if red.IntervalOf[i] >= 0 {
@@ -105,25 +133,25 @@ func TestACELikePruningSound(t *testing.T) {
 // (paper Fig 14): injecting only representatives and extrapolating must
 // closely match injecting the entire post-ACE list.
 func TestExtrapolationMatchesFullInjection(t *testing.T) {
-	cfg := Config{Workload: "stringsearch", Structure: RF, Faults: 500, Seed: 4}
-	a, err := Preprocess(cfg)
+	sess := preprocessed(t, "stringsearch", WithStructure(RF), WithFaults(500), WithSeed(4))
+	a := sess.Artifacts()
+	red, err := sess.Reduce()
 	if err != nil {
 		t.Fatal(err)
 	}
-	red := a.Reduce()
 
 	// Full injection of the post-ACE list.
 	full := make([]Fault, len(red.HitFaults))
 	for i, fi := range red.HitFaults {
 		full[i] = a.Faults[fi]
 	}
-	fullRes, err := a.Runner.RunAll(context.Background(), full, &a.Golden.Result)
+	fullRes, err := a.Runner.Run(context.Background(), full, &a.Golden.Result, campaign.Plan{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// MeRLiN path.
-	repRes, err := a.Runner.RunAll(context.Background(), red.Reduced(), &a.Golden.Result)
+	repRes, err := a.Runner.Run(context.Background(), red.Reduced(), &a.Golden.Result, campaign.Plan{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +187,7 @@ func TestWorkloadsList(t *testing.T) {
 }
 
 func TestUnknownWorkload(t *testing.T) {
-	if _, err := Run(Config{Workload: "nope", Structure: RF, Faults: 10}); err == nil {
+	if _, err := Start(context.Background(), "nope", WithStructure(RF), WithFaults(10)); err == nil {
 		t.Error("expected error for unknown workload")
 	}
 }

@@ -32,7 +32,7 @@ const (
 
 // Progress is one event of a Session's typed progress stream: phase
 // transitions, the cache hit/miss of Preprocess, and per-fault outcomes
-// (subsuming the old campaign.Runner.OnOutcome hook). Fault events are
+// (fed by the campaign.Plan.OnOutcome hook). Fault events are
 // emitted from injection worker goroutines, concurrently and in completion
 // (not input) order — a WithProgress callback must be safe for concurrent
 // use and should return quickly.

@@ -1,10 +1,8 @@
 package merlin
 
-// This file is the v2 public API: merlin.Start builds a Session from
+// This file is the public campaign API: merlin.Start builds a Session from
 // functional options, and the Session exposes the pipeline phases as
 // context-aware, cancellable methods with a unified typed progress stream.
-// The flat Config struct and the package-level Run/RunBaseline/Preprocess
-// entry points remain as thin deprecated wrappers.
 
 import (
 	"context"
@@ -15,9 +13,9 @@ import (
 	"merlin/internal/workloads"
 )
 
-// Option configures a Session at Start time. Options replace the v1
-// Config knob-struct: each knob is an explicit, validated setter, and
-// conflicting combinations fail Start instead of being silently patched.
+// Option configures a Session at Start time: each knob is an explicit,
+// validated setter, and conflicting combinations fail Start instead of
+// being silently patched.
 type Option func(*sessionConfig) error
 
 // sessionConfig accumulates options before validation. strategySet
@@ -139,7 +137,7 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithStrategy selects the injection scheduler explicitly. All strategies
+// WithStrategy selects the injection strategy explicitly. All strategies
 // classify every fault identically; they differ only in how much of the
 // pre-fault prefix is re-simulated. Combining a non-checkpointed strategy
 // with WithCheckpoints is a Start-time error.
@@ -156,10 +154,8 @@ func WithStrategy(s Strategy) Option {
 	}
 }
 
-// WithCheckpoints sets the snapshot count of the checkpointed scheduler
-// and — unless WithStrategy was given — implies StrategyCheckpointed.
-// This replaces the v1 behaviour of Config.Checkpoints silently flipping
-// the strategy: under the Session API the implication is explicit, and a
+// WithCheckpoints sets the snapshot count of the checkpointed strategy
+// and — unless WithStrategy was given — implies StrategyCheckpointed; a
 // conflicting WithStrategy(StrategyReplay) (or Forked) fails Start.
 func WithCheckpoints(k int) Option {
 	return func(o *sessionConfig) error {
@@ -182,7 +178,7 @@ func WithCache(c *Cache) Option {
 }
 
 // WithSnapshotCache attaches a shared checkpoint-ladder cache: the
-// checkpointed and forked schedulers serve their frozen machine snapshots
+// checkpointed and forked strategies serve their frozen machine snapshots
 // from it instead of rebuilding them, so concurrent and repeat campaigns
 // over one (workload, CPU config, golden cycles) pay the ladder build
 // once. Create one with NewSnapshotCache; the daemon wires a process-wide
@@ -300,7 +296,7 @@ func (s *Session) emitEvent(p Progress) {
 	}
 }
 
-// faultEmitter adapts the progress stream to the campaign scheduler's
+// faultEmitter adapts the progress stream to the campaign plan's
 // per-fault hook; nil when no subscriber is attached.
 func (s *Session) faultEmitter(phase Phase) func(int, Fault, Outcome) {
 	if s.emit == nil {
@@ -324,10 +320,11 @@ func (s *Session) Preprocess(ctx context.Context) error {
 		return err
 	}
 	s.emitEvent(Progress{Kind: ProgressPhaseStart, Phase: PhasePreprocess})
-	a, err := Preprocess(s.cfg)
+	arts, err := preprocessStructures(s.cfg, []Structure{s.cfg.Structure})
 	if err != nil {
 		return err
 	}
+	a := arts[0]
 	s.art = a
 	s.emitEvent(Progress{
 		Kind: ProgressPhaseDone, Phase: PhasePreprocess,
@@ -442,8 +439,8 @@ func (s *Session) Run(ctx context.Context) (*Report, error) {
 
 // Baseline injects the entire initial fault list (the comprehensive
 // campaign MeRLiN is compared against), reusing this session's
-// preprocessing products — unlike the deprecated RunBaseline, it does not
-// repeat the golden run after Run. It shares Inject's cancellation
+// preprocessing products, so it does not repeat the golden run after Run.
+// It shares Inject's cancellation
 // contract: on cancellation the partial *BaselineReport is returned
 // together with ctx.Err().
 func (s *Session) Baseline(ctx context.Context) (*BaselineReport, error) {

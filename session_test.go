@@ -63,57 +63,6 @@ func TestStartOptionValidation(t *testing.T) {
 	}
 }
 
-// TestLegacyCheckpointFlipPreserved: the deprecated Config path keeps the
-// historic Checkpoints>0 strategy flip the v2 API rejects.
-func TestLegacyCheckpointFlipPreserved(t *testing.T) {
-	cfg := Config{Workload: "sha", Structure: RF, Faults: 10, Checkpoints: 3}.withDefaults()
-	if cfg.Strategy != StrategyCheckpointed {
-		t.Fatalf("legacy flip lost: strategy %v", cfg.Strategy)
-	}
-	// An explicit non-default strategy is never flipped.
-	cfg = Config{Workload: "sha", Structure: RF, Strategy: StrategyForked, Checkpoints: 3}.withDefaults()
-	if cfg.Strategy != StrategyForked {
-		t.Fatalf("legacy flip overrode an explicit strategy: %v", cfg.Strategy)
-	}
-}
-
-// TestSessionMatchesLegacyRun: the acceptance criterion that existing
-// merlin.Run(cfg) callers produce bit-identical reports through the
-// deprecated wrapper, and that the Session pipeline agrees with it.
-func TestSessionMatchesLegacyRun(t *testing.T) {
-	cfg := Config{Workload: "sha", Structure: RF, Faults: 300, Seed: 11, Strategy: StrategyForked}
-	legacy, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx := context.Background()
-	s, err := Start(ctx, "sha",
-		WithStructure(RF), WithFaults(300), WithSeed(11), WithStrategy(StrategyForked))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := s.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Dist != legacy.Dist || rep.AVF != legacy.AVF || rep.FIT != legacy.FIT ||
-		rep.GoldenCycles != legacy.GoldenCycles || rep.Injected != legacy.Injected ||
-		rep.FinalGroups != legacy.FinalGroups {
-		t.Fatalf("Session report diverged from legacy Run:\nlegacy %+v\nv2     %+v", legacy, rep)
-	}
-
-	// Phases are idempotent: re-running returns the same products.
-	red1, _ := s.Reduce()
-	red2, _ := s.Reduce()
-	if red1 != red2 {
-		t.Error("Reduce is not memoized")
-	}
-	if err := s.Preprocess(ctx); err != nil {
-		t.Errorf("second Preprocess: %v", err)
-	}
-}
-
 // TestSessionProgressStream: the typed stream carries phase transitions,
 // the cache outcome and one event per injected fault, in phase order.
 func TestSessionProgressStream(t *testing.T) {
@@ -215,7 +164,7 @@ func TestSessionInjectCancellation(t *testing.T) {
 // TestReportJSONCarriesNames: the text-marshaling satellite — structures,
 // strategies and outcomes serialize as names, and the report round-trips.
 func TestReportJSONCarriesNames(t *testing.T) {
-	rep, err := Run(Config{Workload: "sha", Structure: RF, Faults: 120, Seed: 2})
+	rep, err := startSession(t, "sha", WithStructure(RF), WithFaults(120), WithSeed(2)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +205,7 @@ func TestReportJSONCarriesNames(t *testing.T) {
 
 // TestSessionBaselineReusesGolden: Session.Baseline after Run must not
 // repeat the golden run (one Artifacts, same golden cycles) and agrees
-// with the deprecated RunBaseline.
+// with the baseline of an independent session.
 func TestSessionBaselineReusesGolden(t *testing.T) {
 	ctx := context.Background()
 	s, err := Start(ctx, "fft", WithStructure(SQ), WithFaults(200), WithSeed(5))
@@ -279,11 +228,11 @@ func TestSessionBaselineReusesGolden(t *testing.T) {
 		t.Fatalf("baseline diverged from session campaign: %+v", base)
 	}
 
-	legacy, err := RunBaseline(Config{Workload: "fft", Structure: SQ, Faults: 200, Seed: 5})
+	fresh, err := startSession(t, "fft", WithStructure(SQ), WithFaults(200), WithSeed(5)).Baseline(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy.Dist != base.Dist {
-		t.Fatalf("legacy baseline %v != session baseline %v", legacy.Dist, base.Dist)
+	if fresh.Dist != base.Dist {
+		t.Fatalf("fresh-session baseline %v != baseline after Run %v", fresh.Dist, base.Dist)
 	}
 }
