@@ -14,7 +14,6 @@ import (
 	"strings"
 	"time"
 
-	"merlin/internal/campaign"
 	reduction "merlin/internal/merlin"
 	"merlin/internal/stats"
 )
@@ -41,10 +40,8 @@ type Batch struct {
 	structures []Structure
 	emit       func(Progress)
 
-	runner   *campaign.Runner
+	inject   injectFunc // every session's injection executor
 	sessions []*Session // one per structure, sharing the golden run
-	cacheHit bool
-	cacheErr error
 }
 
 // StartBatch validates workload and options and returns a Batch ready to
@@ -74,7 +71,7 @@ func StartBatch(ctx context.Context, workload string, opts ...Option) (*Batch, e
 	if cfg.Snapshots == nil {
 		cfg.Snapshots = NewSnapshotCache(0)
 	}
-	return &Batch{cfg: cfg, structures: structures, emit: sc.progress}, nil
+	return &Batch{cfg: cfg, structures: structures, emit: sc.progress, inject: runReduced}, nil
 }
 
 // Structures returns the batch's injection targets in report order.
@@ -105,47 +102,15 @@ func (b *Batch) Preprocess(ctx context.Context) error {
 	if b.sessions != nil {
 		return nil
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	b.emitBatch(Progress{Kind: ProgressPhaseStart, Phase: PhasePreprocess})
-	arts, err := preprocessStructures(b.cfg, b.structures)
+	arts, err := preprocess(ctx, b.cfg, b.structures, b.emitBatch)
 	if err != nil {
 		return err
 	}
-	b.runner = arts[0].Runner
-	b.cacheHit = arts[0].CacheHit
-	b.cacheErr = arts[0].CacheErr
 	b.sessions = make([]*Session, len(arts))
 	for i, a := range arts {
-		b.sessions[i] = &Session{cfg: a.Config, emit: b.emit, art: a}
+		b.sessions[i] = &Session{cfg: a.Config, emit: b.emit, art: a, inject: b.inject}
 	}
-	b.emitBatch(Progress{
-		Kind: ProgressPhaseDone, Phase: PhasePreprocess,
-		CacheHit: b.cacheHit, CacheErr: b.cacheErr,
-		Msg: b.preprocessSummary(arts),
-	})
 	return nil
-}
-
-func (b *Batch) preprocessSummary(arts []*Artifacts) string {
-	src := "golden run simulated once for"
-	switch {
-	case b.cacheHit:
-		src = "golden run served from artifact cache for"
-	case b.cfg.Cache != nil:
-		src = "golden run simulated once, cached, for"
-	}
-	parts := make([]string, len(arts))
-	for i, a := range arts {
-		parts[i] = fmt.Sprintf("%v (%d intervals, %d faults)",
-			a.Config.Structure, len(a.Analysis.Intervals), len(a.Faults))
-	}
-	if b.cacheErr != nil {
-		src = "(cache write failed: " + b.cacheErr.Error() + ") " + src
-	}
-	return fmt.Sprintf("%s %d structures: %d cycles; %s",
-		src, len(arts), arts[0].Golden.Result.Cycles, strings.Join(parts, ", "))
 }
 
 // Run executes the whole batch: the shared Preprocess, then every
@@ -160,11 +125,12 @@ func (b *Batch) Run(ctx context.Context) (*BatchReport, error) {
 		return nil, err
 	}
 	start := time.Now()
+	shared := b.sessions[0].art // the golden run and runner every structure shares
 	rep := &BatchReport{
 		Workload:     b.cfg.Workload,
 		Structures:   b.Structures(),
-		GoldenCycles: b.sessions[0].art.Golden.Result.Cycles,
-		CacheHit:     b.cacheHit,
+		GoldenCycles: shared.Golden.Result.Cycles,
+		CacheHit:     shared.CacheHit,
 	}
 	var runErr error
 	for _, s := range b.sessions {
@@ -177,7 +143,7 @@ func (b *Batch) Run(ctx context.Context) (*BatchReport, error) {
 			break
 		}
 	}
-	rep.GoldenRuns = b.runner.GoldenRuns()
+	rep.GoldenRuns = shared.Runner.GoldenRuns()
 	rep.Wall = time.Since(start)
 	b.aggregate(rep)
 	if runErr == nil {

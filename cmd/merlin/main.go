@@ -31,6 +31,10 @@
 // The campaign runs under a signal-aware context: Ctrl-C cancels it
 // between injections and prints the partial classification instead of
 // discarding the work.
+//
+// Subcommands: `merlin conformance`, `merlin chaos`, `merlin analyze`, and
+// `merlin run prog.s`, which assembles and executes a µx64 assembly file on
+// the simulated core (see run.go).
 package main
 
 import (
@@ -57,14 +61,17 @@ func main() { os.Exit(run()) }
 func run() int {
 	// Subcommands take over before campaign flag parsing; everything else
 	// is the original campaign interface.
-	if len(os.Args) > 1 && os.Args[1] == "conformance" {
-		return runConformance(os.Args[2:])
-	}
-	if len(os.Args) > 1 && os.Args[1] == "chaos" {
-		return runChaos(os.Args[2:])
-	}
-	if len(os.Args) > 1 && os.Args[1] == "analyze" {
-		return runAnalyze(os.Args[2:])
+	if len(os.Args) > 1 {
+		switch os.Args[1] {
+		case "conformance":
+			return runConformance(os.Args[2:])
+		case "chaos":
+			return runChaos(os.Args[2:])
+		case "analyze":
+			return runAnalyze(os.Args[2:])
+		case "run":
+			return runProgram(os.Args[2:])
+		}
 	}
 	var (
 		workload   = flag.String("workload", "qsort", "workload name (see -list)")

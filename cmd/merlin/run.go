@@ -1,13 +1,3 @@
-// Command uxrun assembles and executes a µx64 assembly file on the
-// simulated out-of-order core (or the in-order architectural interpreter),
-// printing the committed output stream and pipeline statistics. It is the
-// quickest way to experiment with the simulation substrate directly.
-//
-//	uxrun prog.s
-//	uxrun -interp -v prog.s
-//	echo 'li r1, 42
-//	out r1
-//	halt' | uxrun -
 package main
 
 import (
@@ -21,24 +11,36 @@ import (
 	"merlin/internal/interp"
 )
 
-func main() {
+// runProgram implements `merlin run`: assemble and execute a µx64 assembly
+// file on the simulated out-of-order core (or the in-order architectural
+// interpreter), printing the committed output stream and pipeline
+// statistics. It is the quickest way to experiment with the simulation
+// substrate directly.
+//
+//	merlin run prog.s
+//	merlin run -interp -v prog.s
+//	echo 'li r1, 42
+//	out r1
+//	halt' | merlin run -
+func runProgram(args []string) int {
+	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	var (
-		useInterp = flag.Bool("interp", false, "run on the architectural interpreter instead of the core")
-		verbose   = flag.Bool("v", false, "print pipeline statistics")
-		dis       = flag.Bool("d", false, "print the disassembly and exit")
-		maxCycles = flag.Uint64("max-cycles", 100_000_000, "cycle budget")
-		regs      = flag.Int("regs", 256, "physical registers")
-		trace     = flag.Bool("trace", false, "print every committed instruction")
+		useInterp = fs.Bool("interp", false, "run on the architectural interpreter instead of the core")
+		verbose   = fs.Bool("v", false, "print pipeline statistics")
+		dis       = fs.Bool("d", false, "print the disassembly and exit")
+		maxCycles = fs.Uint64("max-cycles", 100_000_000, "cycle budget")
+		regs      = fs.Int("regs", 256, "physical registers")
+		trace     = fs.Bool("trace", false, "print every committed instruction")
 	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: uxrun [flags] prog.s  (or - for stdin)")
-		os.Exit(2)
+	fs.Parse(args)
+	if fs.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "usage: merlin run [flags] prog.s  (or - for stdin)")
+		return 2
 	}
 
 	var src []byte
 	var err error
-	name := flag.Arg(0)
+	name := fs.Arg(0)
 	if name == "-" {
 		src, err = io.ReadAll(os.Stdin)
 		name = "stdin"
@@ -46,21 +48,21 @@ func main() {
 		src, err = os.ReadFile(name)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "uxrun:", err)
-		os.Exit(1)
+		fmt.Fprintln(os.Stderr, "merlin run:", err)
+		return 1
 	}
 
 	prog, err := asm.Assemble(name, string(src))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "uxrun:", err)
-		os.Exit(1)
+		fmt.Fprintln(os.Stderr, "merlin run:", err)
+		return 1
 	}
 
 	if *dis {
 		for i, in := range prog.Text {
 			fmt.Printf("%4d:  %s\n", i, in)
 		}
-		return
+		return 0
 	}
 
 	if *useInterp {
@@ -71,7 +73,7 @@ func main() {
 		fmt.Printf("-- halt: %v after %d instructions, %d exceptions\n",
 			[...]string{"ok", "crash-pagefault", "crash-badfetch", "crash-divzero", "step-limit"}[res.Halt],
 			res.Steps, len(res.ExcLog))
-		return
+		return 0
 	}
 
 	core := cpu.New(cpu.DefaultConfig().WithRF(*regs), prog)
@@ -96,4 +98,5 @@ func main() {
 			s.L2Stats.Hits, s.L2Stats.Hits+s.L2Stats.Misses,
 			s.L1DStats.Writebacks)
 	}
+	return 0
 }

@@ -15,10 +15,12 @@
 //	curl -s -X DELETE localhost:7411/campaigns/c000001  # cancel queued or running
 //	curl -s localhost:7411/statsz                       # queues + cache hits/misses
 //
-// Batch campaigns evaluate one workload across several structures over a
-// single shared golden run (one profiling pass, one artifact, one
-// checkpoint ladder), streaming structure-tagged events; DELETE cancels
-// the whole batch:
+// A record's target is a structure list: "structure" is shorthand for a
+// one-element "structures". A list evaluates one workload across several
+// structures over a single shared golden run (one profiling pass, one
+// artifact, one checkpoint ladder), streams structure-tagged events and is
+// answered with a batch report; DELETE cancels the whole list. /batches is
+// a pure alias of /campaigns — any id resolves under either prefix:
 //
 //	curl -s -X POST localhost:7411/batches \
 //	    -d '{"workload":"qsort","structures":["RF","SQ","L1D"],"faults":2000,"strategy":"forked"}'
@@ -36,20 +38,22 @@
 // (terminal status "cancelled", worker shard freed), and a submission may
 // carry "deadline_ms" to bound its execution time.
 //
-// merlind also scales out. A coordinator (the default role) shards each
-// campaign's fault groups across fleet workers that joined it, merges
-// their streamed outcomes, and — with -registry — persists campaign state
-// so a restart resumes in-flight campaigns from their last checkpoint.
-// Workers are the same binary pointed at the coordinator:
+// Every record runs one path on every deployment: each structure's
+// representatives are classified through an outcome ledger that resumes
+// from the record's checkpoint, shards the remainder across whatever fleet
+// workers joined this daemon (the default role is coordinator), runs them
+// in-process when none did, and merges the streamed outcomes. With
+// -registry the record state is persisted, so a restart resumes in-flight
+// records — single structures and lists alike — from their last
+// checkpoint. Workers are the same binary pointed at the coordinator:
 //
 //	merlind -addr :7411 -registry ./merlind-registry &      # coordinator
 //	merlind -role worker -addr :7412 -join http://localhost:7411 &
 //	merlind -role worker -addr :7413 -join http://localhost:7411 &
 //	curl -s localhost:7411/fleet/workers                    # the fleet
 //
-// Campaigns submit to the coordinator exactly as before; with no workers
-// joined it degrades to the single-process pipeline, and a worker lost
-// mid-campaign has its unfinished fault groups requeued onto survivors.
+// A worker lost mid-campaign has its unfinished fault groups requeued onto
+// survivors.
 package main
 
 import (

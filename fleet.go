@@ -1,15 +1,16 @@
 package merlin
 
-// This file wires the distributed campaign fleet: the coordinator side
-// (durable registry adapter, the shard-merge RunFunc that spreads a
-// campaign's fault groups over internal/fleet workers and recombines
-// their outcome streams) and the worker side (ServeWorker, which joins a
-// coordinator, heartbeats, and executes shard jobs against the local
-// pipeline). MeRLiN's determinism keeps the protocol thin: a worker
-// re-derives Preprocess and Reduce bit-identically from the campaign
-// request, so shard jobs carry only the request JSON and global
-// representative indices, and golden artifacts travel separately by
-// content address.
+// This file wires the daemon's injection executor and the campaign fleet:
+// the coordinator side (durable registry adapter, the outcome ledger every
+// record's structures inject through — resume from the checkpoint, shard
+// the pending fault groups over internal/fleet workers or run them
+// in-process, merge the outcome streams) and the worker side (ServeWorker,
+// which joins a coordinator, heartbeats, and executes shard jobs against
+// the local pipeline). MeRLiN's determinism keeps the protocol thin: a
+// worker re-derives Preprocess and Reduce bit-identically from the
+// campaign request, so shard jobs carry only the request JSON, the
+// structure name and its representative indices, and golden artifacts
+// travel separately by content address.
 
 import (
 	"context"
@@ -25,7 +26,6 @@ import (
 	"time"
 
 	"merlin/internal/campaign"
-	"merlin/internal/fault"
 	"merlin/internal/fleet"
 	"merlin/internal/server"
 	"merlin/internal/store"
@@ -76,32 +76,31 @@ func (a registryAdapter) Delete(id string) error { return a.reg.Delete(id) }
 // silently prefer either answer.
 var ErrDeterminismViolation = errors.New("merlin: determinism violation")
 
-// outcomeLedger is the coordinator's merge point: per-shard outcome
-// streams, resumed checkpoints and local fallback runs all land here,
+// outcomeLedger is the merge point of one structure's injection: per-shard
+// outcome streams, resumed checkpoints and local shard runs all land here,
 // deduplicated by representative index (a rep that streamed just before
 // its worker died may be re-injected elsewhere; by determinism the
 // duplicate carries the same outcome, and the first write wins). A
 // duplicate carrying a *different* outcome trips the determinism
-// violation, which fails the campaign. Every fresh outcome is forwarded
-// to the campaign's event log and the durable checkpoint.
+// violation, which fails the campaign. Every fresh outcome is handed to
+// fresh — the progress stream and the durable checkpoint.
 type outcomeLedger struct {
 	mu        sync.Mutex
 	outcomes  []campaign.Outcome // indexed by rep; Cancelled = unclassified
-	done      []bool
 	violation error
+	work      campaign.Result // work counters summed over the locally executed shards
 
-	structure  string
-	emit       func(CampaignEvent)
-	checkpoint func(map[int]string)
+	structure string
+	emit      func(CampaignEvent)
+	fresh     func(rep int, o campaign.Outcome)
 }
 
-func newOutcomeLedger(total int, structure string, emit func(CampaignEvent), checkpoint func(map[int]string)) *outcomeLedger {
+func newOutcomeLedger(total int, structure string, emit func(CampaignEvent), fresh func(rep int, o campaign.Outcome)) *outcomeLedger {
 	l := &outcomeLedger{
-		outcomes:   make([]campaign.Outcome, total),
-		done:       make([]bool, total),
-		structure:  structure,
-		emit:       emit,
-		checkpoint: checkpoint,
+		outcomes:  make([]campaign.Outcome, total),
+		structure: structure,
+		emit:      emit,
+		fresh:     fresh,
 	}
 	for i := range l.outcomes {
 		l.outcomes[i] = campaign.Cancelled
@@ -110,18 +109,20 @@ func newOutcomeLedger(total int, structure string, emit func(CampaignEvent), che
 }
 
 // resume seeds the ledger with a previous incarnation's checkpointed
-// outcomes, returning how many applied. Unknown outcome names and
-// out-of-range indices are dropped — a corrupted checkpoint degrades to
+// outcomes, returning how many applied. Checkpoint keys are offset by the
+// preceding structures' representative counts, so keys outside
+// [offset, offset+len) belong to the record's other structures; those and
+// unknown outcome names are dropped — a corrupted checkpoint degrades to
 // re-injecting, never to a wrong report.
-func (l *outcomeLedger) resume(resume map[int]string) int {
+func (l *outcomeLedger) resume(resume map[int]string, offset int) int {
 	n := 0
-	for rep, name := range resume {
+	for key, name := range resume {
+		rep := key - offset
 		o, err := campaign.ParseOutcome(name)
 		if err != nil || o == campaign.Cancelled || rep < 0 || rep >= len(l.outcomes) {
 			continue
 		}
 		l.outcomes[rep] = o
-		l.done[rep] = true
 		n++
 	}
 	return n
@@ -129,52 +130,27 @@ func (l *outcomeLedger) resume(resume map[int]string) int {
 
 // record merges one classified representative. Verbatim duplicates are
 // no-ops; a duplicate with a different outcome records a determinism
-// violation (surfaced by err) and is not merged.
-func (l *outcomeLedger) record(rep int, faultStr string, o campaign.Outcome) {
+// violation (surfaced by result) and is not merged.
+func (l *outcomeLedger) record(rep int, o campaign.Outcome) {
 	l.mu.Lock()
 	if rep < 0 || rep >= len(l.outcomes) {
 		l.mu.Unlock()
 		return
 	}
-	if l.done[rep] {
-		prev := l.outcomes[rep]
-		if o != prev && l.violation == nil {
-			l.violation = fmt.Errorf("%w: representative %d classified %q, then %q",
-				ErrDeterminismViolation, rep, prev.String(), o.String())
-			v := l.violation
-			l.mu.Unlock()
-			l.emit(CampaignEvent{Type: "error", Structure: l.structure, Msg: v.Error()})
-			return
-		}
+	switch prev := l.outcomes[rep]; {
+	case prev == campaign.Cancelled:
+		l.outcomes[rep] = o
 		l.mu.Unlock()
-		return
+		l.fresh(rep, o)
+	case prev != o && l.violation == nil:
+		v := fmt.Errorf("%w: representative %d classified %q, then %q",
+			ErrDeterminismViolation, rep, prev.String(), o.String())
+		l.violation = v
+		l.mu.Unlock()
+		l.emit(CampaignEvent{Type: "error", Structure: l.structure, Msg: v.Error()})
+	default:
+		l.mu.Unlock()
 	}
-	l.done[rep] = true
-	l.outcomes[rep] = o
-	l.mu.Unlock()
-	l.emit(CampaignEvent{Type: "fault", Structure: l.structure, Index: rep,
-		Fault: faultStr, Outcome: o.String()})
-	l.checkpoint(map[int]string{rep: o.String()})
-}
-
-// err reports the first determinism violation the merge observed, nil if
-// none.
-func (l *outcomeLedger) err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.violation
-}
-
-func (l *outcomeLedger) pendingCount() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for _, d := range l.done {
-		if !d {
-			n++
-		}
-	}
-	return n
 }
 
 // pendingShards partitions the unclassified representatives into shards
@@ -188,7 +164,7 @@ func (l *outcomeLedger) pendingShards(red *Reduction, n int) [][]int {
 	for _, shard := range red.ShardReps(n) {
 		var keep []int
 		for _, rep := range shard {
-			if !l.done[rep] {
+			if l.outcomes[rep] == campaign.Cancelled {
 				keep = append(keep, rep)
 			}
 		}
@@ -199,142 +175,125 @@ func (l *outcomeLedger) pendingShards(red *Reduction, n int) [][]int {
 	return out
 }
 
-// result assembles the merged campaign Result; entries still carrying the
-// Cancelled sentinel count as never-injected.
-func (l *outcomeLedger) result() *campaign.Result {
+// addWork sums one locally executed shard's work counters into the merged
+// result (SnapshotHit = any shard hit). Remotely executed shards report
+// none.
+func (l *outcomeLedger) addWork(r *campaign.Result) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return campaign.NewResultFrom(l.outcomes)
+	l.work.Serial += r.Serial
+	l.work.Clones += r.Clones
+	l.work.CloneTime += r.CloneTime
+	l.work.SimCycles += r.SimCycles
+	l.work.SnapshotHit = l.work.SnapshotHit || r.SnapshotHit
 }
 
-// runFleetCampaign is the coordinator's durable, shardable execution of a
-// single-structure campaign: Preprocess and Reduce run once here, the
-// representative space is sharded along group boundaries, shards stream
-// from live workers (or run in-process when none are alive — the
-// degradation path is exactly the single-node pipeline), lost workers'
-// reps requeue onto survivors, and every classified outcome is
-// checkpointed through the job so a coordinator restart resumes instead
-// of restarting. The merged report is bit-identical to a single-node
-// run's in everything but the timing counters, because the outcomes are.
-func runFleetCampaign(ctx context.Context, job server.Job, emit func(CampaignEvent), cache *Cache, snapshots *SnapshotCache, pool *fleet.Pool, client *http.Client, stall time.Duration) (any, error) {
-	req := job.Request
-	opts, err := requestOptions(req, cache)
-	if err != nil {
-		return nil, err
-	}
-	if snapshots != nil {
-		opts = append(opts, WithSnapshotCache(snapshots))
-	}
-	opts = append(opts, WithProgress(func(p Progress) {
-		if ev, ok := progressEvent(p); ok {
-			emit(ev)
+// result assembles the merged campaign Result — entries still carrying the
+// Cancelled sentinel count as never-injected — and reports the first
+// determinism violation the merge observed, nil if none.
+func (l *outcomeLedger) result() (*campaign.Result, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	res := campaign.NewResultFrom(l.outcomes)
+	res.Serial, res.Clones, res.CloneTime = l.work.Serial, l.work.Clones, l.work.CloneTime
+	res.SimCycles, res.SnapshotHit = l.work.SimCycles, l.work.SnapshotHit
+	return res, l.violation
+}
+
+// ledgerInjector is the daemon's injection executor, the one run path of
+// every record on every deployment: each structure of the record's batch
+// b classifies its reduced list through an outcome ledger — seeded from
+// the job's checkpoint (a restarted daemon re-injects only the remainder),
+// the pending representatives sharded along group boundaries and
+// dispatched over the pool's live workers (with none alive the shards run
+// in-process, which is exactly the single-node pipeline), lost workers'
+// reps requeued onto survivors, and every fresh outcome checkpointed
+// through the job. The merged Result is bit-identical to a plain
+// Runner.Run's in everything but the timing and work counters, because the
+// outcomes are.
+//
+// Checkpoint keys stay one flat map[int]string per record: a structure's
+// representative indices are offset by the ReducedCount of the structures
+// before it in list order (Batch.Run injects in that order, so those
+// reductions exist by the time this one runs).
+func ledgerInjector(b *Batch, job server.Job, emit func(CampaignEvent), cache *Cache, pool *fleet.Pool, client *http.Client, stall time.Duration) injectFunc {
+	return func(ctx context.Context, s *Session, onOutcome func(int, Fault, Outcome)) (*campaign.Result, error) {
+		art := s.art
+		structure := art.Config.Structure.String()
+		offset := 0
+		for _, prev := range b.sessions {
+			if prev == s {
+				break
+			}
+			offset += prev.art.Red.ReducedCount()
 		}
-	}))
-	s, err := Start(ctx, req.Workload, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Preprocess(ctx); err != nil {
-		return nil, err
-	}
-	red, err := s.Reduce()
-	if err != nil {
-		return nil, err
-	}
-	art := s.Artifacts()
-
-	led := newOutcomeLedger(red.ReducedCount(), art.Config.Structure.String(), emit, job.Checkpoint)
-	if n := led.resume(job.Resume); n > 0 {
-		emit(CampaignEvent{Type: "shard", Structure: led.structure,
-			Msg: fmt.Sprintf("%d of %d representatives already classified by checkpoint; injecting the remainder", n, red.ReducedCount())})
-	}
-
-	reqJSON, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	artifactID := ""
-	if cache != nil {
-		artifactID = store.NewKey(art.Config.Workload, art.Config.CPU, art.Runner.GoldenBudget, art.Config.Structure).ID()
-	}
-	local := func(ctx context.Context, reps []int) error {
-		return art.injectSubset(ctx, reps, func(rep int, f fault.Fault, o campaign.Outcome) {
-			led.record(rep, f.String(), o)
+		reduced := art.Red.Reduced()
+		led := newOutcomeLedger(len(reduced), structure, emit, func(rep int, o campaign.Outcome) {
+			if onOutcome != nil {
+				onOutcome(rep, reduced[rep], o)
+			}
+			job.Checkpoint(map[int]string{offset + rep: o.String()})
 		})
-	}
-
-	start := time.Now()
-	var runErr error
-	if led.pendingCount() > 0 {
-		workers := 0
-		if pool != nil {
-			workers = len(pool.Alive())
+		if n := led.resume(job.Resume, offset); n > 0 {
+			emit(CampaignEvent{Type: "shard", Structure: structure,
+				Msg: fmt.Sprintf("%d of %d representatives already classified by checkpoint; injecting the remainder", n, len(reduced))})
 		}
+
+		reqJSON, err := json.Marshal(job.Request)
+		if err != nil {
+			return nil, err
+		}
+		sj := fleet.ShardJob{Campaign: job.ID, Request: reqJSON, Structure: structure}
+		if cache != nil {
+			sj.ArtifactID = store.NewKey(art.Config.Workload, art.Config.CPU, art.Runner.GoldenBudget, b.structures...).ID()
+			sj.ArtifactURL = "/artifacts/" + sj.ArtifactID
+		}
+		disp := &fleet.Dispatcher{
+			Pool:         pool,
+			Client:       client,
+			StallTimeout: stall,
+			Job: func(reps []int) fleet.ShardJob {
+				j := sj // shards dispatch concurrently
+				j.Reps = reps
+				return j
+			},
+			OnOutcome: func(o fleet.Outcome) {
+				out, err := campaign.ParseOutcome(o.Outcome)
+				if err != nil || out == campaign.Cancelled {
+					return
+				}
+				led.record(o.Rep, out)
+			},
+			Local: func(ctx context.Context, reps []int) error {
+				res, err := art.injectSubset(ctx, reps, func(rep int, _ Fault, o campaign.Outcome) {
+					led.record(rep, o)
+				})
+				if res != nil {
+					led.addWork(res)
+				}
+				return err
+			},
+			Emit: func(typ, msg string) {
+				emit(CampaignEvent{Type: typ, Structure: structure, Msg: msg})
+			},
+		}
+
+		start := time.Now()
 		// Two shards per worker keep everyone busy even when group sizes
 		// skew, and give the work-stealing rounds units to requeue.
-		shardCount := 2 * workers
-		if shardCount < 1 {
-			shardCount = 1
+		runErr := disp.Run(ctx, led.pendingShards(art.Red, max(1, 2*len(pool.Alive()))))
+		// A determinism violation observed at the merge point outranks any
+		// dispatch error: the report cannot be trusted either way.
+		res, verr := led.result()
+		if verr != nil {
+			runErr = verr
 		}
-		shards := led.pendingShards(red, shardCount)
-		if pool == nil {
-			for _, reps := range shards {
-				if runErr = local(ctx, reps); runErr != nil {
-					break
-				}
-			}
-		} else {
-			disp := &fleet.Dispatcher{
-				Pool:         pool,
-				Client:       client,
-				StallTimeout: stall,
-				Job: func(reps []int) fleet.ShardJob {
-					sj := fleet.ShardJob{Campaign: job.ID, Request: reqJSON, Reps: reps}
-					if artifactID != "" {
-						sj.ArtifactID = artifactID
-						sj.ArtifactURL = "/artifacts/" + artifactID
-					}
-					return sj
-				},
-				OnOutcome: func(o fleet.Outcome) {
-					out, err := campaign.ParseOutcome(o.Outcome)
-					if err != nil || out == campaign.Cancelled {
-						return
-					}
-					led.record(o.Rep, o.Fault, out)
-				},
-				Local: local,
-				Emit: func(typ, msg string) {
-					emit(CampaignEvent{Type: typ, Structure: led.structure, Msg: msg})
-				},
-			}
-			runErr = disp.Run(ctx, shards)
+		res.Wall = time.Since(start)
+		if runErr == nil && res.Cancelled > 0 {
+			runErr = fmt.Errorf("merlin: fleet dispatch left %d representatives unclassified", res.Cancelled)
 		}
+		return res, runErr
 	}
-
-	// A determinism violation observed at the merge point outranks any
-	// dispatch error: the report cannot be trusted either way.
-	if verr := led.err(); verr != nil {
-		runErr = verr
-	}
-
-	res := led.result()
-	res.Wall = time.Since(start)
-	complete := runErr == nil && res.Cancelled == 0
-	rep := art.reportFrom(res, complete)
-	if runErr != nil {
-		// A cancelled or interrupted campaign keeps its partial report (raw
-		// representative distribution, Cancelled count set), matching the
-		// local pipeline's cancellation contract.
-		return rep, runErr
-	}
-	if res.Cancelled > 0 {
-		return rep, fmt.Errorf("merlin: fleet dispatch left %d representatives unclassified", res.Cancelled)
-	}
-	emit(CampaignEvent{Type: "inject", Structure: led.structure,
-		Msg: fmt.Sprintf("merged %d representative outcomes in %v: %v",
-			res.Injected, res.Wall.Round(time.Millisecond), res.Dist)})
-	return rep, nil
 }
 
 // WorkerOptions configures a fleet worker process (see ServeWorker).
@@ -421,11 +380,13 @@ func prefetchArtifact(ctx context.Context, client *http.Client, cache *Cache, co
 }
 
 // workerShardRun executes one shard job against the local pipeline: the
-// worker re-derives Preprocess (served from its artifact cache when the
-// prefetch landed) and Reduce deterministically from the request, then
-// injects exactly the job's representatives, streaming each outcome back.
-// client is the artifact-prefetch HTTP client; nil takes a 60s-bounded
-// default (the chaos harness injects a fault-wrapped one).
+// worker re-derives the record's batch Preprocess (served from its
+// artifact cache when the prefetch landed — the same structure list, so
+// the same content address as the coordinator's) and the shard's
+// structure's Reduce deterministically from the request, then injects
+// exactly the job's representatives, streaming each outcome back. client
+// is the artifact-prefetch HTTP client; nil takes a 60s-bounded default
+// (the chaos harness injects a fault-wrapped one).
 func workerShardRun(cache *Cache, snapshots *SnapshotCache, coordinator string, client *http.Client) fleet.ShardRunFunc {
 	if client == nil {
 		client = &http.Client{Timeout: 60 * time.Second}
@@ -435,30 +396,33 @@ func workerShardRun(cache *Cache, snapshots *SnapshotCache, coordinator string, 
 		if err := json.Unmarshal(job.Request, &req); err != nil {
 			return fmt.Errorf("merlin: bad shard request: %w", err)
 		}
-		if len(req.Structures) > 0 {
-			return fmt.Errorf("merlin: batch campaigns are not sharded across workers")
-		}
 		prefetchArtifact(ctx, client, cache, coordinator, job)
-		opts, err := requestOptions(req, cache)
+		opts, err := requestOptions(req, cache, snapshots)
 		if err != nil {
 			return err
 		}
-		if snapshots != nil {
-			opts = append(opts, WithSnapshotCache(snapshots))
-		}
-		s, err := Start(ctx, req.Workload, opts...)
+		b, err := StartBatch(ctx, req.Workload, opts...)
 		if err != nil {
 			return err
 		}
-		if err := s.Preprocess(ctx); err != nil {
+		if err := b.Preprocess(ctx); err != nil {
 			return err
 		}
-		if _, err := s.Reduce(); err != nil {
+		for _, s := range b.sessions {
+			// A job naming no structure predates list records: its request
+			// has exactly one.
+			if job.Structure != "" && job.Structure != s.cfg.Structure.String() {
+				continue
+			}
+			if _, err := s.Reduce(); err != nil {
+				return err
+			}
+			_, err := s.art.injectSubset(ctx, job.Reps, func(rep int, f Fault, o campaign.Outcome) {
+				emit(fleet.Outcome{Rep: rep, Fault: f.String(), Outcome: o.String()})
+			})
 			return err
 		}
-		return s.Artifacts().injectSubset(ctx, job.Reps, func(rep int, f fault.Fault, o campaign.Outcome) {
-			emit(fleet.Outcome{Rep: rep, Fault: f.String(), Outcome: o.String()})
-		})
+		return fmt.Errorf("merlin: shard names structure %q, which the request does not list", job.Structure)
 	}
 }
 
@@ -521,8 +485,5 @@ func ServeWorker(ctx context.Context, addr string, opt WorkerOptions) error {
 		}
 	case <-ctx.Done():
 	}
-	//lint:allow ctxflow002 shutdown drain: the caller's ctx is already done, this bounds the drain
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	return hs.Shutdown(shutdownCtx)
+	return drain(hs)
 }

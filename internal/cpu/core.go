@@ -583,7 +583,7 @@ func (c *Core) flushReads(e *robEntry) {
 
 // SetCommitTrace streams one line per committed macro-instruction to w:
 // cycle, sequence number, RIP and disassembly. Intended for debugging
-// workloads and the pipeline itself (uxrun -trace); unset (nil) in
+// workloads and the pipeline itself (merlin run -trace); unset (nil) in
 // campaigns.
 func (c *Core) SetCommitTrace(w io.Writer) { c.traceW = w }
 

@@ -44,8 +44,11 @@ type ShardJob struct {
 	// Request is the campaign's submission JSON (server.Request); the
 	// worker re-derives Preprocess and Reduce from it deterministically.
 	Request json.RawMessage `json:"request"`
-	// Reps are the global representative indices (positions in the
-	// reduction's Reduced() order) this shard must inject.
+	// Structure names which of the request's structures the shard belongs
+	// to; absent means the request's single one.
+	Structure string `json:"structure,omitempty"`
+	// Reps are the representative indices (positions in that structure's
+	// Reduced() order) this shard must inject.
 	Reps []int `json:"reps"`
 	// ArtifactID and ArtifactURL let the worker prefetch the campaign's
 	// golden-run artifact by content address instead of repeating the

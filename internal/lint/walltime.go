@@ -73,8 +73,8 @@ var wallClockAllow = map[string]map[string]string{
 		"Runner.Run":       "Result.Wall/Serial wall-clock metric stamping",
 	},
 	"merlin": {
-		"runFleetCampaign": "fleet Report.Wall metric stamping",
-		"Batch.Run":        "BatchReport.Wall metric stamping",
+		"ledgerInjector": "merged Result.Wall metric stamping",
+		"Batch.Run":      "BatchReport.Wall metric stamping",
 		// The chaos harness is operator tooling over the service's HTTP
 		// surface: its wall-clock reads are suite timing metrics and poll
 		// deadlines, never simulated or merged state.

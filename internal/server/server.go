@@ -10,35 +10,35 @@
 // direction clean — server never imports the simulator — and makes the
 // scheduling and streaming machinery testable with synthetic pipelines.
 //
-// Endpoints:
+// Endpoints (every /campaigns route is also registered under /batches —
+// the two prefixes are pure aliases over one handler set, so any id
+// resolves under either):
 //
-//	POST   /campaigns             submit a campaign: 202 + {"id": ...}, or
-//	                              429 when the target shard's queue is full
-//	GET    /campaigns             list campaigns, most recent first
+//	POST   /campaigns             submit a record: 202 + {"id": ...}, or 429
+//	                              when the target shard's queue is full. The
+//	                              target is a structure list: "structure" is
+//	                              shorthand for a one-element "structures"
+//	                              (exactly one of the two is required). Which
+//	                              field the request used is kept as the
+//	                              record's kind — "campaign" ids start with
+//	                              c, "batch" ids with b — and decides the
+//	                              report shape the pipeline returns
+//	GET    /campaigns             list records of both kinds, newest first
 //	GET    /campaigns/{id}        status, plus the report once finished
-//	DELETE /campaigns/{id}        cancel a queued or running campaign
-//	                              (200; 409 once it already finished): a
-//	                              queued campaign turns "cancelled"
-//	                              immediately, a running one has its
-//	                              context cancelled and turns "cancelled"
-//	                              when its worker observes it, freeing the
-//	                              shard for the next queued campaign
-//	GET    /campaigns/{id}/events the campaign's event log as NDJSON,
-//	                              following live progress until the
-//	                              campaign finishes (?from=N resumes after
-//	                              event N-1)
-//	POST   /batches               submit a multi-structure batch campaign
-//	                              (a "structures" list instead of a single
-//	                              "structure"): one shared golden run, one
-//	                              worker slot, one event log interleaving
-//	                              every structure
-//	GET    /batches               list batches, most recent first
-//	GET    /batches/{id}          status, plus the batch report once done
-//	DELETE /batches/{id}          cancel the whole batch (all structures)
-//	GET    /batches/{id}/events   the batch's event log as NDJSON; fault
-//	                              and phase events carry a "structure" tag
+//	DELETE /campaigns/{id}        cancel a queued or running record (200;
+//	                              409 once it already finished): a queued
+//	                              one turns "cancelled" immediately, a
+//	                              running one has its context cancelled —
+//	                              covering every structure of its list — and
+//	                              turns "cancelled" when its worker observes
+//	                              it, freeing the shard for the next record
+//	GET    /campaigns/{id}/events the record's event log as NDJSON,
+//	                              following live progress until it finishes
+//	                              (?from=N resumes after event N-1); fault
+//	                              and per-structure phase events carry a
+//	                              "structure" tag
 //	GET    /healthz               liveness + campaign/batch counts
-//	GET    /statsz                queue depths, campaign counts, cache stats
+//	GET    /statsz                queue depths, record counts, pipeline stats
 package server
 
 import (
@@ -61,12 +61,12 @@ import (
 type Request struct {
 	// Workload is the registered benchmark name (required).
 	Workload string `json:"workload"`
-	// Structure is the injection target: "RF", "SQ" or "L1D" (required
-	// for POST /campaigns; forbidden for batches).
+	// Structure is the injection target: "RF", "SQ" or "L1D" — shorthand
+	// for a one-element Structures, answered with a single report.
 	Structure string `json:"structure,omitempty"`
-	// Structures is the batch target list (required for POST /batches;
-	// forbidden for single campaigns). The batch shares one golden run
-	// across all of them and reports each separately.
+	// Structures is the target list: one golden run shared across all of
+	// them, each reported separately inside a batch report. Exactly one of
+	// Structure and Structures must be set.
 	Structures []string `json:"structures,omitempty"`
 
 	// Faults sets the initial statistical fault list size; 0 derives it
@@ -119,8 +119,9 @@ type Event struct {
 	// the registry after a restart), "restored" (terminal record reloaded
 	// from the registry), "interrupted" (shutdown left the record
 	// resumable), "truncated" (synthetic: the stream's ?from fell into the
-	// ring buffer's dropped range), and the coordinator's "shard" /
-	// "requeue" markers for distributed campaigns.
+	// ring buffer's dropped range), and the injection ledger's "shard"
+	// (a group of representatives assigned to a worker or run locally) /
+	// "requeue" (work stolen back from a lost worker) markers.
 	Type string `json:"type"`
 	// Structure tags the event with the structure it belongs to ("RF",
 	// "SQ", "L1D"). Batch campaigns interleave several structures in one
@@ -157,9 +158,8 @@ type Event struct {
 // Job is one unit of work handed to the RunFunc: the submitted request
 // plus the durable-execution context a resumable pipeline needs.
 type Job struct {
-	// ID and Kind identify the record (KindCampaign or KindBatch).
-	ID   string
-	Kind string
+	// ID identifies the record.
+	ID string
 	// Request is the submission being executed.
 	Request Request
 
@@ -229,18 +229,9 @@ type Config struct {
 	// malformed campaigns are rejected with 400 instead of failing
 	// asynchronously in the queue.
 	Validate func(Request) error
-	// CacheStats, when non-nil, is folded into GET /statsz (the daemon
-	// passes the artifact cache's stats).
-	CacheStats func() any
-	// SnapshotStats, when non-nil, is folded into GET /statsz (the daemon
-	// passes the in-memory snapshot cache's stats).
-	SnapshotStats func() any
-	// RegistryStats, when non-nil, is folded into GET /statsz (the daemon
-	// passes the durable registry's stats).
-	RegistryStats func() any
-	// PruneStats, when non-nil, is folded into GET /statsz (the daemon
-	// passes the static pre-pruner's running counters).
-	PruneStats func() any
+	// Stats, when non-nil, is merged key by key into GET /statsz (the
+	// daemon passes "cache", "snapshots", "registry" and "static_prune").
+	Stats func() map[string]any
 
 	// Routes, when non-nil, is called with the service mux so the daemon
 	// can mount extra endpoint trees — the fleet coordinator's /fleet/*
@@ -319,11 +310,9 @@ func terminalStatus(status string) bool {
 	return status == StatusDone || status == StatusFailed || status == StatusCancelled
 }
 
-// Kinds of submission the service runs. Both flow through the same
-// queues, workers, event logs and cancellation; they differ only in which
-// endpoints serve them and in what the injected RunFunc does with the
-// request (a batch request carries Structures and returns a batch
-// report).
+// Kinds of record. Kind is data, not routing: it records which target
+// field the request used (Structure → campaign, Structures → batch),
+// picks the id prefix, and tells clients which report shape to expect.
 const (
 	KindCampaign = "campaign"
 	KindBatch    = "batch"
@@ -703,7 +692,6 @@ func (s *Server) run(c *campaign) {
 	var lastPersist time.Time
 	job := Job{
 		ID:      c.id,
-		Kind:    c.kind,
 		Request: c.req,
 		Resume:  resume,
 		Checkpoint: func(outcomes map[int]string) {
@@ -782,32 +770,14 @@ func (s *Server) shardOf(id string) int {
 	return int(h.Sum32() % uint32(len(s.queues)))
 }
 
-// Submit enqueues a single-structure campaign and returns its id. It
-// fails fast with ErrQueueFull when the target shard's queue is at
-// capacity.
+// Submit enqueues a record and returns its id. The record runs as one
+// cancellable unit — a single worker slot, a single event log interleaving
+// every structure of its list — and Submit fails fast with ErrQueueFull
+// when the target shard's queue is at capacity.
 func (s *Server) Submit(req Request) (string, error) {
-	if len(req.Structures) > 0 {
-		return "", &badRequestError{fmt.Errorf("structures is a batch field; submit via POST /batches (or set structure)")}
+	if (req.Structure != "") == (len(req.Structures) > 0) {
+		return "", &badRequestError{fmt.Errorf("want exactly one of structure and structures")}
 	}
-	return s.submit(req, KindCampaign)
-}
-
-// SubmitBatch enqueues a multi-structure batch campaign and returns its
-// id. The batch runs as one cancellable unit: a single worker slot, a
-// single event log interleaving every structure, and one DELETE cancels
-// all of it.
-func (s *Server) SubmitBatch(req Request) (string, error) {
-	if len(req.Structures) == 0 {
-		return "", &badRequestError{fmt.Errorf("batch submissions require a non-empty structures list")}
-	}
-	if req.Structure != "" {
-		return "", &badRequestError{fmt.Errorf("structure is a single-campaign field; batches take structures")}
-	}
-	return s.submit(req, KindBatch)
-}
-
-// submit is the shared enqueue path of Submit and SubmitBatch.
-func (s *Server) submit(req Request, kind string) (string, error) {
 	if req.DeadlineMS < 0 {
 		return "", &badRequestError{fmt.Errorf("deadline_ms is %d; want >= 0 (0 = no deadline)", req.DeadlineMS)}
 	}
@@ -820,9 +790,9 @@ func (s *Server) submit(req Request, kind string) (string, error) {
 		return "", fmt.Errorf("server: shutting down")
 	}
 
-	prefix := "c"
-	if kind == KindBatch {
-		prefix = "b"
+	kind, prefix := KindCampaign, "c"
+	if len(req.Structures) > 0 {
+		kind, prefix = KindBatch, "b"
 	}
 	s.mu.Lock()
 	s.nextID++
@@ -932,16 +902,6 @@ func (s *Server) get(id string) (*campaign, bool) {
 	return c, ok
 }
 
-// getKind looks up a record by id, visible only through its own kind's
-// endpoint tree (a batch id 404s under /campaigns and vice versa).
-func (s *Server) getKind(id, kind string) (*campaign, bool) {
-	c, ok := s.get(id)
-	if !ok || c.kind != kind {
-		return nil, false
-	}
-	return c, true
-}
-
 // statusJSON is the wire form of GET /campaigns/{id} (and the per-entry
 // form of GET /campaigns).
 type statusJSON struct {
@@ -957,8 +917,8 @@ type statusJSON struct {
 	// DroppedEvents counts log entries the ring buffer discarded; a
 	// streamer resuming into that range receives a "truncated" marker.
 	DroppedEvents int `json:"dropped_events,omitempty"`
-	// Checkpointed counts the per-representative outcomes persisted so
-	// far (nonzero only while a distributed or resumed campaign runs).
+	// Checkpointed counts the per-representative outcomes checkpointed so
+	// far, over every structure of the record's list.
 	Checkpointed int    `json:"checkpointed,omitempty"`
 	Report       any    `json:"report,omitempty"`
 	Error        string `json:"error,omitempty"`
@@ -987,23 +947,20 @@ func (c *campaign) statusJSON(withReport bool) statusJSON {
 	return st
 }
 
-// Handler returns the service's HTTP handler. The /batches tree mirrors
-// /campaigns — submit, list, status, cancel, event streaming — over the
-// same queues and workers; each tree only serves records of its own kind.
+// Handler returns the service's HTTP handler: one handler set — submit,
+// list, status, cancel, event streaming — registered under /campaigns and,
+// as a pure alias, under /batches.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /statsz", s.handleStatsz)
-	mux.HandleFunc("POST /campaigns", s.handleSubmit)
-	mux.HandleFunc("GET /campaigns", s.handleList(KindCampaign))
-	mux.HandleFunc("GET /campaigns/{id}", s.handleStatus(KindCampaign))
-	mux.HandleFunc("DELETE /campaigns/{id}", s.handleCancel(KindCampaign))
-	mux.HandleFunc("GET /campaigns/{id}/events", s.handleEvents(KindCampaign))
-	mux.HandleFunc("POST /batches", s.handleSubmitBatch)
-	mux.HandleFunc("GET /batches", s.handleList(KindBatch))
-	mux.HandleFunc("GET /batches/{id}", s.handleStatus(KindBatch))
-	mux.HandleFunc("DELETE /batches/{id}", s.handleCancel(KindBatch))
-	mux.HandleFunc("GET /batches/{id}/events", s.handleEvents(KindBatch))
+	for _, tree := range []string{"/campaigns", "/batches"} {
+		mux.HandleFunc("POST "+tree, s.handleSubmit)
+		mux.HandleFunc("GET "+tree, s.handleList)
+		mux.HandleFunc("GET "+tree+"/{id}", s.handleStatus)
+		mux.HandleFunc("DELETE "+tree+"/{id}", s.handleCancel)
+		mux.HandleFunc("GET "+tree+"/{id}/events", s.handleEvents)
+	}
 	if s.cfg.Routes != nil {
 		s.cfg.Routes(mux)
 	}
@@ -1058,30 +1015,15 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		"campaigns":         counts[KindCampaign],
 		"batches":           counts[KindBatch],
 	}
-	if s.cfg.CacheStats != nil {
-		stats["cache"] = s.cfg.CacheStats()
-	}
-	if s.cfg.SnapshotStats != nil {
-		stats["snapshots"] = s.cfg.SnapshotStats()
-	}
-	if s.cfg.RegistryStats != nil {
-		stats["registry"] = s.cfg.RegistryStats()
-	}
-	if s.cfg.PruneStats != nil {
-		stats["static_prune"] = s.cfg.PruneStats()
+	if s.cfg.Stats != nil {
+		for k, v := range s.cfg.Stats() {
+			stats[k] = v
+		}
 	}
 	writeJSON(w, http.StatusOK, stats)
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	s.serveSubmit(w, r, s.Submit)
-}
-
-func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
-	s.serveSubmit(w, r, s.SubmitBatch)
-}
-
-func (s *Server) serveSubmit(w http.ResponseWriter, r *http.Request, submit func(Request) (string, error)) {
 	var req Request
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
@@ -1089,7 +1031,7 @@ func (s *Server) serveSubmit(w http.ResponseWriter, r *http.Request, submit func
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
 		return
 	}
-	id, err := submit(req)
+	id, err := s.Submit(req)
 	switch {
 	case err == nil:
 		writeJSON(w, http.StatusAccepted, map[string]string{"id": id})
@@ -1106,35 +1048,25 @@ func (s *Server) serveSubmit(w http.ResponseWriter, r *http.Request, submit func
 	}
 }
 
-func (s *Server) handleList(kind string) http.HandlerFunc {
-	listKey := "campaigns"
-	if kind == KindBatch {
-		listKey = "batches"
+func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
+	// Ids are minted from one counter shared by both kinds, so reversed
+	// submission order is newest first by numeric id.
+	s.mu.Lock()
+	out := make([]statusJSON, 0, len(s.order))
+	for i := len(s.order) - 1; i >= 0; i-- {
+		out = append(out, s.campaigns[s.order[i]].statusJSON(false))
 	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.mu.Lock()
-		ids := append([]string(nil), s.order...)
-		s.mu.Unlock()
-		sort.Sort(sort.Reverse(sort.StringSlice(ids))) // ids are zero-padded: reverse-lexicographic = newest first per kind
-		out := make([]statusJSON, 0, len(ids))
-		for _, id := range ids {
-			if c, ok := s.getKind(id, kind); ok {
-				out = append(out, c.statusJSON(false))
-			}
-		}
-		writeJSON(w, http.StatusOK, map[string]any{listKey: out})
-	}
+	s.mu.Unlock()
+	writeJSON(w, http.StatusOK, map[string]any{"campaigns": out})
 }
 
-func (s *Server) handleStatus(kind string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		c, ok := s.getKind(r.PathValue("id"), kind)
-		if !ok {
-			writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown " + kind})
-			return
-		}
-		writeJSON(w, http.StatusOK, c.statusJSON(true))
+func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
+	c, ok := s.get(r.PathValue("id"))
+	if !ok {
+		writeJSON(w, http.StatusNotFound, map[string]string{"error": ErrUnknownCampaign.Error()})
+		return
 	}
+	writeJSON(w, http.StatusOK, c.statusJSON(true))
 }
 
 // ErrFinished is returned by Cancel (and served as 409) when the campaign
@@ -1179,51 +1111,38 @@ func (s *Server) Cancel(id string) (status string, err error) {
 	}
 }
 
-// handleCancel serves DELETE /campaigns/{id} and DELETE /batches/{id}:
-// 200 with the resulting status for queued ("cancelled") and running
-// ("cancelling", terminal "cancelled" follows once the worker unwinds)
-// records, 409 for finished ones, 404 for unknown or wrong-kind ids.
-// Cancelling a batch cancels the whole batch: its one context covers
-// every structure, so finished structures keep their reports and the
+// handleCancel serves DELETE /campaigns/{id}: 200 with the resulting
+// status for queued ("cancelled") and running ("cancelling", terminal
+// "cancelled" follows once the worker unwinds) records, 409 for finished
+// ones, 404 for unknown ids. The record's one context covers every
+// structure of its list, so finished structures keep their reports and the
 // rest never inject.
-func (s *Server) handleCancel(kind string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		if _, ok := s.getKind(id, kind); !ok {
-			writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown " + kind})
-			return
-		}
-		status, err := s.Cancel(id)
-		switch err {
-		case nil:
-			writeJSON(w, http.StatusOK, map[string]string{"id": id, "status": status})
-		case ErrUnknownCampaign:
-			writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown " + kind})
-		case ErrFinished:
-			writeJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
-		default:
-			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-		}
+func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	status, err := s.Cancel(id)
+	switch err {
+	case nil:
+		writeJSON(w, http.StatusOK, map[string]string{"id": id, "status": status})
+	case ErrUnknownCampaign:
+		writeJSON(w, http.StatusNotFound, map[string]string{"error": err.Error()})
+	case ErrFinished:
+		writeJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
+	default:
+		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 	}
 }
 
 // handleEvents streams a record's event log as NDJSON: everything
 // already recorded, then live events as they happen, closing once the
-// record reaches a terminal state (or the client goes away). Batch logs
-// interleave all structures; each fault/phase event carries its
-// "structure" tag so clients can demultiplex.
-func (s *Server) handleEvents(kind string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		c, ok := s.getKind(r.PathValue("id"), kind)
-		if !ok {
-			writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown " + kind})
-			return
-		}
-		s.streamEvents(w, r, c)
+// record reaches a terminal state (or the client goes away). Logs
+// interleave all structures of the record's list; each fault/phase event
+// carries its "structure" tag so clients can demultiplex.
+func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
+	c, ok := s.get(r.PathValue("id"))
+	if !ok {
+		writeJSON(w, http.StatusNotFound, map[string]string{"error": ErrUnknownCampaign.Error()})
+		return
 	}
-}
-
-func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, c *campaign) {
 	from := 0
 	if v := r.URL.Query().Get("from"); v != "" {
 		n, err := strconv.Atoi(v)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -418,7 +419,9 @@ func TestValidationRejectsAtSubmit(t *testing.T) {
 
 func TestHealthzAndListAndNotFound(t *testing.T) {
 	p := &fakePipeline{}
-	_, hs := newTestServer(t, Config{Run: p.run, CacheStats: func() any { return map[string]int{"hits": 7} }})
+	_, hs := newTestServer(t, Config{Run: p.run, Stats: func() map[string]any {
+		return map[string]any{"cache": map[string]int{"hits": 7}}
+	}})
 
 	resp, err := http.Get(hs.URL + "/healthz")
 	if err != nil {
@@ -703,77 +706,112 @@ func TestBatchSubmitRunAndEvents(t *testing.T) {
 	}
 }
 
-// TestBatchAndCampaignTreesAreSeparate: a batch id is invisible under
-// /campaigns (status, events, cancel, list) and vice versa.
-func TestBatchAndCampaignTreesAreSeparate(t *testing.T) {
+// TestTreesAreAliases: /campaigns and /batches are one handler set. Any id
+// resolves under either prefix with the same body (status, events,
+// cancel), both lists carry both kinds newest-first by numeric id, and
+// kind is derived from which target field the request used — never from
+// the prefix it was posted to.
+func TestTreesAreAliases(t *testing.T) {
 	p := &fakePipeline{}
 	_, hs := newTestServer(t, Config{Run: p.run})
 
-	bid := submitAt(t, hs.URL, "/batches", Request{Workload: "sha", Structures: []string{"RF"}, Faults: 1})
-	cid := submit(t, hs.URL, Request{Workload: "sha", Structure: "RF", Faults: 1})
-	waitDoneAt(t, hs.URL, "/batches", bid)
-	waitDone(t, hs.URL, cid)
+	// Posted "against the grain": a list under /campaigns, a single
+	// structure under /batches.
+	bid := submitAt(t, hs.URL, "/campaigns", Request{Workload: "sha", Structures: []string{"RF"}, Faults: 1})
+	cid := submitAt(t, hs.URL, "/batches", Request{Workload: "sha", Structure: "RF", Faults: 1})
+	if !strings.HasPrefix(bid, "b") || !strings.HasPrefix(cid, "c") {
+		t.Fatalf("ids = %q, %q; want a b-prefixed list record and a c-prefixed single one", bid, cid)
+	}
+	if st := waitDoneAt(t, hs.URL, "/batches", cid); st.Kind != KindCampaign {
+		t.Fatalf("single-structure record kind = %q, want %q", st.Kind, KindCampaign)
+	}
+	if st := waitDone(t, hs.URL, bid); st.Kind != KindBatch {
+		t.Fatalf("list record kind = %q, want %q", st.Kind, KindBatch)
+	}
 
-	for _, probe := range []string{
-		"/campaigns/" + bid, "/campaigns/" + bid + "/events",
-		"/batches/" + cid, "/batches/" + cid + "/events",
-	} {
-		resp, err := http.Get(hs.URL + probe)
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(hs.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(raw)
+	}
+	for _, id := range []string{bid, cid} {
+		for _, suffix := range []string{"", "/events"} {
+			codeC, bodyC := get("/campaigns/" + id + suffix)
+			codeB, bodyB := get("/batches/" + id + suffix)
+			if codeC != http.StatusOK || codeB != http.StatusOK || bodyC != bodyB {
+				t.Fatalf("%s%s: /campaigns = %d, /batches = %d, bodies equal = %v; want 200 twice with one body",
+					id, suffix, codeC, codeB, bodyC == bodyB)
+			}
+		}
+	}
+	// DELETE resolves across prefixes too: both records are finished, so 409
+	// (not 404) either way.
+	for _, path := range []string{"/campaigns/" + bid, "/batches/" + cid} {
+		req, _ := http.NewRequest(http.MethodDelete, hs.URL+path, nil)
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("GET %s = %d, want 404 (kind separation)", probe, resp.StatusCode)
+		if resp.StatusCode != http.StatusConflict {
+			t.Fatalf("DELETE %s = %d, want 409", path, resp.StatusCode)
 		}
 	}
 
-	var lists struct {
+	// One list, newest first by numeric id across the b/c prefixes
+	// (lexicographic order would put every c id before every b id).
+	cid2 := submit(t, hs.URL, Request{Workload: "sha", Structure: "SQ", Faults: 1})
+	waitDone(t, hs.URL, cid2)
+	_, listC := get("/campaigns")
+	_, listB := get("/batches")
+	if listC != listB {
+		t.Fatalf("lists differ across prefixes:\n%s\n%s", listC, listB)
+	}
+	var list struct {
 		Campaigns []statusJSON `json:"campaigns"`
-		Batches   []statusJSON `json:"batches"`
 	}
-	for _, tree := range []string{"/campaigns", "/batches"} {
-		resp, err := http.Get(hs.URL + tree)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&lists); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
+	if err := json.Unmarshal([]byte(listC), &list); err != nil {
+		t.Fatal(err)
 	}
-	if len(lists.Campaigns) != 1 || lists.Campaigns[0].ID != cid {
-		t.Fatalf("campaign list = %+v, want just %s", lists.Campaigns, cid)
+	var ids []string
+	for _, st := range list.Campaigns {
+		ids = append(ids, st.ID)
 	}
-	if len(lists.Batches) != 1 || lists.Batches[0].ID != bid {
-		t.Fatalf("batch list = %+v, want just %s", lists.Batches, bid)
+	if want := []string{cid2, cid, bid}; !reflect.DeepEqual(ids, want) {
+		t.Fatalf("list order = %v, want %v (newest first across kinds)", ids, want)
 	}
 }
 
-// TestBatchSubmitValidation: the structures list is required on /batches,
-// forbidden on /campaigns, and exclusive with the single structure field.
+// TestBatchSubmitValidation: a submission names its target exactly once —
+// structure and structures together, or neither, are 400 under both
+// prefixes.
 func TestBatchSubmitValidation(t *testing.T) {
 	p := &fakePipeline{}
 	_, hs := newTestServer(t, Config{Run: p.run})
 
-	post := func(tree string, req Request) int {
-		t.Helper()
-		body, _ := json.Marshal(req)
-		resp, err := http.Post(hs.URL+tree, "application/json", strings.NewReader(string(body)))
-		if err != nil {
-			t.Fatal(err)
+	for _, tree := range []string{"/campaigns", "/batches"} {
+		for name, req := range map[string]Request{
+			"neither": {Workload: "sha"},
+			"both":    {Workload: "sha", Structure: "RF", Structures: []string{"RF"}},
+		} {
+			body, _ := json.Marshal(req)
+			resp, err := http.Post(hs.URL+tree, "application/json", strings.NewReader(string(body)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("POST %s with %s target field = %d, want 400", tree, name, resp.StatusCode)
+			}
 		}
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-	if code := post("/batches", Request{Workload: "sha"}); code != http.StatusBadRequest {
-		t.Fatalf("batch without structures = %d, want 400", code)
-	}
-	if code := post("/batches", Request{Workload: "sha", Structure: "RF", Structures: []string{"RF"}}); code != http.StatusBadRequest {
-		t.Fatalf("batch with both structure fields = %d, want 400", code)
-	}
-	if code := post("/campaigns", Request{Workload: "sha", Structures: []string{"RF"}}); code != http.StatusBadRequest {
-		t.Fatalf("campaign with structures list = %d, want 400", code)
 	}
 }
 

@@ -481,22 +481,13 @@ func (a *Artifacts) plan(onOutcome func(int, fault.Fault, campaign.Outcome)) cam
 	return campaign.Plan{Strategy: a.Config.Strategy, Checkpoints: a.Config.Checkpoints, OnOutcome: onOutcome}
 }
 
-// inject is phase 3 behind Session.Inject; Reduce must have run. On
-// cancellation the partial *Report (raw representative Dist, no
-// extrapolation, Cancelled count set) is returned together with ctx.Err().
-func (a *Artifacts) inject(ctx context.Context, onOutcome func(int, fault.Fault, campaign.Outcome)) (*Report, error) {
-	res, err := a.Runner.Run(ctx, a.Red.Reduced(), &a.Golden.Result, a.plan(onOutcome))
-	return a.reportFrom(res, err == nil), err
-}
-
-// reportFrom assembles the campaign Report from a reduction and an
-// injection Result. It is the merge point shared by the local pipeline
-// (inject) and the distributed coordinator, whose Result recombines
-// per-shard outcome streams and resumed checkpoints via
-// campaign.NewResultFrom. extrapolate selects the complete-campaign view
-// (group extrapolation over the full initial list); false leaves Dist as
-// the raw distribution of the classified representatives, the partial
-// view of a cancelled or interrupted campaign.
+// reportFrom assembles the campaign Report from a reduction and the
+// injection Result Session.Inject's executor returned — one Runner.Run by
+// default; under the daemon the ledger's merge of per-shard outcome
+// streams and resumed checkpoints. extrapolate selects the
+// complete-campaign view (group extrapolation over the full initial list);
+// false leaves Dist as the raw distribution of the classified
+// representatives, the partial view of a cancelled or interrupted campaign.
 func (a *Artifacts) reportFrom(res *campaign.Result, extrapolate bool) *Report {
 	core := a.Runner.NewCore()
 	bits := core.StructureEntries(a.Config.Structure) * core.StructureEntryBits(a.Config.Structure)
@@ -538,23 +529,23 @@ func (a *Artifacts) reportFrom(res *campaign.Result, extrapolate bool) *Report {
 // injectSubset injects only the representatives at the given positions of
 // the reduced list (the coordinate system shard jobs and durable
 // checkpoints are keyed by), reporting each through onOutcome with its
-// global representative index. It is the execution primitive of the
-// distributed path: a worker runs its shard through it, and the
-// coordinator runs requeued remainders through it as the local fallback.
-// Reduce must have run.
-func (a *Artifacts) injectSubset(ctx context.Context, reps []int, onOutcome func(rep int, f fault.Fault, o campaign.Outcome)) error {
+// global representative index. It is the shard execution primitive: a
+// worker runs its shard through it, and the daemon's ledger runs local
+// shards and requeued remainders through it. The returned Result covers
+// the subset only (its work counters are what the ledger sums). Reduce
+// must have run.
+func (a *Artifacts) injectSubset(ctx context.Context, reps []int, onOutcome func(rep int, f fault.Fault, o campaign.Outcome)) (*campaign.Result, error) {
 	reduced := a.Red.Reduced()
 	subset := make([]fault.Fault, len(reps))
 	for i, r := range reps {
 		if r < 0 || r >= len(reduced) {
-			return fmt.Errorf("merlin: representative index %d outside the reduced list (%d reps)", r, len(reduced))
+			return nil, fmt.Errorf("merlin: representative index %d outside the reduced list (%d reps)", r, len(reduced))
 		}
 		subset[i] = reduced[r]
 	}
-	_, err := a.Runner.Run(ctx, subset, &a.Golden.Result, a.plan(func(i int, f fault.Fault, o campaign.Outcome) {
+	return a.Runner.Run(ctx, subset, &a.Golden.Result, a.plan(func(i int, f fault.Fault, o campaign.Outcome) {
 		onOutcome(reps[i], f, o)
 	}))
-	return err
 }
 
 // baseline is the comprehensive campaign behind Session.Baseline; it has
@@ -633,6 +624,11 @@ type Report struct {
 	RepOutcomes []Outcome
 	// Wall and Serial time the injection phase: parallel wall-clock and
 	// summed per-injection (single-machine-equivalent) time.
+	//
+	// Serial, SnapshotHit, Clones, CloneTime and SimCycles count the work
+	// this process executed. A daemon sums them over the shards it ran
+	// itself; shards executed by remote fleet workers contribute none, so a
+	// fully distributed campaign reports them as zero.
 	Wall   time.Duration
 	Serial time.Duration
 	// CacheHit reports that Preprocess was served from the golden-run

@@ -1,9 +1,11 @@
 package merlin
 
 // This file is the campaign service's pipeline adapter: it wires the
-// Session API (Start → Session.Run with a progress subscription) and the
-// golden-run artifact cache into the pipeline-agnostic HTTP service of
-// internal/server. cmd/merlind is a thin flag wrapper around Serve.
+// batch API (StartBatch over the record's structure list → Batch.Run with
+// a progress subscription, every structure injecting through fleet.go's
+// outcome ledger) and the golden-run artifact cache into the
+// pipeline-agnostic HTTP service of internal/server. cmd/merlind is a thin
+// flag wrapper around Serve.
 
 import (
 	"context"
@@ -33,13 +35,14 @@ const (
 
 // Server is the long-running campaign service behind cmd/merlind: an
 // HTTP+JSON API (POST /campaigns, GET /campaigns/{id}, DELETE
-// /campaigns/{id}, streamed /campaigns/{id}/events, the mirrored
-// /batches tree for multi-structure batch campaigns over one shared
-// golden run, /healthz, /statsz) over a sharded worker pool with bounded
-// queues. Campaigns and batches are cancellable — DELETE cancels queued
-// and running submissions alike, and cancelling a batch cancels all of
-// its structures — and may carry a per-request deadline. Construct with
-// NewServer, or let Serve manage the whole lifecycle.
+// /campaigns/{id}, streamed /campaigns/{id}/events, /batches as an alias
+// of the same tree, /healthz, /statsz) over a sharded worker pool with
+// bounded queues. A record's target is a structure list evaluated over
+// one shared golden run ("structure" is the one-element shorthand).
+// Records are cancellable — DELETE cancels queued and running submissions
+// alike, covering every structure of the list — and may carry a
+// per-request deadline. Construct with NewServer, or let Serve manage the
+// whole lifecycle.
 type Server = server.Server
 
 // CampaignRequest is the wire form of one campaign submission.
@@ -116,73 +119,64 @@ func NewServer(opt ServeOptions) (*Server, error) {
 	if opt.SnapshotBudget >= 0 {
 		snapshots = NewSnapshotCache(opt.SnapshotBudget)
 	}
-	var pool *fleet.Pool
-	if opt.FleetTTL >= 0 {
-		pool = fleet.NewPool(opt.FleetTTL)
-	}
+	// The pool always exists — the dispatcher degrades to in-process
+	// execution on an empty one — but with the fleet disabled nothing can
+	// join it, because its endpoints are never mounted.
+	pool := fleet.NewPool(opt.FleetTTL)
 	// Running total of statically pre-pruned fault sites across every
 	// campaign this daemon ran, surfaced on /statsz. Local to the server
-	// instance (not package state), fed by observing reduce events on
-	// their way to the record log — which covers the local, batch and
-	// fleet-coordinated paths alike.
+	// instance (not package state), fed by the one run path's progress
+	// stream.
 	var staticPruned atomic.Int64
-	run := runCampaign(opt.Cache, snapshots, pool, opt.Registry != nil, opt.FleetClient, opt.FleetStallTimeout)
 	cfg := server.Config{
-		Run: func(ctx context.Context, job server.Job, emit func(CampaignEvent)) (any, error) {
-			return run(ctx, job, func(ev CampaignEvent) {
-				if ev.Type == "reduce" && ev.StaticPruned > 0 {
-					staticPruned.Add(int64(ev.StaticPruned))
-				}
-				emit(ev)
-			})
-		},
+		Run:                  runCampaign(opt.Cache, snapshots, pool, &staticPruned, opt.FleetClient, opt.FleetStallTimeout),
 		Validate:             validateRequest(opt.Cache),
 		Shards:               opt.Shards,
 		WorkersPerShard:      opt.WorkersPerShard,
 		QueueDepth:           opt.QueueDepth,
 		RetainFinished:       opt.RetainFinished,
 		MaxEventsPerCampaign: opt.MaxEventsPerCampaign,
-		PruneStats: func() any {
-			return map[string]int64{"static_pruned_faults": staticPruned.Load()}
+		Stats: func() map[string]any {
+			st := map[string]any{
+				"static_prune": map[string]int64{"static_pruned_faults": staticPruned.Load()},
+			}
+			if opt.Cache != nil {
+				st["cache"] = opt.Cache.Stats()
+			}
+			if snapshots != nil {
+				st["snapshots"] = snapshots.Stats()
+			}
+			if opt.Registry != nil {
+				st["registry"] = opt.Registry.Stats()
+			}
+			return st
 		},
 	}
-	if opt.Cache != nil {
-		cache := opt.Cache
-		cfg.CacheStats = func() any { return cache.Stats() }
-	}
-	if snapshots != nil {
-		cfg.SnapshotStats = func() any { return snapshots.Stats() }
-	}
 	if opt.Registry != nil {
-		reg := opt.Registry
-		cfg.Registry = registryAdapter{reg}
-		cfg.RegistryStats = func() any { return reg.Stats() }
+		cfg.Registry = registryAdapter{opt.Registry}
 	}
-	if pool != nil || opt.Cache != nil {
-		cache := opt.Cache
-		cfg.Routes = func(mux *http.ServeMux) {
-			if pool != nil {
-				// Worker registration, heartbeats and the fleet listing.
-				mux.Handle("/fleet/", pool.Handler())
-			}
-			if cache != nil {
-				// Content-addressed golden-artifact transfer: workers
-				// prefetch by the same key the cache stores under, skipping
-				// their own golden runs.
-				mux.HandleFunc("GET /artifacts/{id}", func(w http.ResponseWriter, r *http.Request) {
-					raw, ok := cache.GetRaw(r.PathValue("id"))
-					if !ok {
-						http.Error(w, `{"error":"unknown artifact"}`, http.StatusNotFound)
-						return
-					}
-					// Advertise the payload digest so the worker can verify
-					// the bytes end to end before caching them.
-					sum := sha256.Sum256(raw)
-					w.Header().Set(artifactDigestHeader, hex.EncodeToString(sum[:]))
-					w.Header().Set("Content-Type", "application/octet-stream")
-					w.Write(raw)
-				})
-			}
+	cfg.Routes = func(mux *http.ServeMux) {
+		if opt.FleetTTL >= 0 {
+			// Worker registration, heartbeats and the fleet listing.
+			mux.Handle("/fleet/", pool.Handler())
+		}
+		if opt.Cache != nil {
+			// Content-addressed golden-artifact transfer: workers
+			// prefetch by the same key the cache stores under, skipping
+			// their own golden runs.
+			mux.HandleFunc("GET /artifacts/{id}", func(w http.ResponseWriter, r *http.Request) {
+				raw, ok := opt.Cache.GetRaw(r.PathValue("id"))
+				if !ok {
+					http.Error(w, `{"error":"unknown artifact"}`, http.StatusNotFound)
+					return
+				}
+				// Advertise the payload digest so the worker can verify
+				// the bytes end to end before caching them.
+				sum := sha256.Sum256(raw)
+				w.Header().Set(artifactDigestHeader, hex.EncodeToString(sum[:]))
+				w.Header().Set("Content-Type", "application/octet-stream")
+				w.Write(raw)
+			})
 		}
 	}
 	return server.New(cfg)
@@ -220,36 +214,37 @@ func Serve(ctx context.Context, addr string, opt ServeOptions) error {
 	// listener down first would leave Shutdown waiting out its whole drain
 	// deadline behind streams that only end when the campaigns do.
 	srv.Close()
-	//lint:allow ctxflow002 shutdown drain: the caller's ctx is already done, this bounds the drain
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	return hs.Shutdown(shutdownCtx)
+	return drain(hs)
 }
 
-// requestOptions translates a wire request into Session (or Batch)
-// options, rejecting unknown names and negative knobs. A request carrying
-// a structures list yields batch options (WithStructures); one carrying a
-// single structure yields WithStructure. The returned options do not
-// include the progress subscription — runCampaign appends its own.
-func requestOptions(req CampaignRequest, cache *Cache) ([]Option, error) {
-	var opts []Option
-	if len(req.Structures) > 0 {
-		targets := make([]Structure, len(req.Structures))
-		for i, name := range req.Structures {
-			t, err := ParseStructure(name)
-			if err != nil {
-				return nil, err
-			}
-			targets[i] = t
-		}
-		opts = append(opts, WithStructures(targets...))
-	} else {
-		target, err := ParseStructure(req.Structure)
+// drain shuts a listener down gracefully under the drain deadline; the
+// coordinator and the worker share it.
+func drain(hs *http.Server) error {
+	//lint:allow ctxflow002 shutdown drain: the caller's ctx is already done, this bounds the drain
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	return hs.Shutdown(ctx)
+}
+
+// requestOptions translates a wire request into StartBatch options,
+// rejecting unknown names and negative knobs. The target is always a
+// structure list: a request's single structure is its one-element form.
+// The returned options do not include the progress subscription —
+// runCampaign appends its own.
+func requestOptions(req CampaignRequest, cache *Cache, snapshots *SnapshotCache) ([]Option, error) {
+	names := req.Structures
+	if len(names) == 0 {
+		names = []string{req.Structure}
+	}
+	targets := make([]Structure, len(names))
+	for i, name := range names {
+		t, err := ParseStructure(name)
 		if err != nil {
 			return nil, err
 		}
-		opts = append(opts, WithStructure(target))
+		targets[i] = t
 	}
+	opts := []Option{WithStructures(targets...)}
 	if req.PhysRegs < 0 || req.SQEntries < 0 || req.L1DBytes < 0 {
 		return nil, fmt.Errorf("core configuration knobs must be >= 0 (0 = paper baseline)")
 	}
@@ -263,16 +258,18 @@ func requestOptions(req CampaignRequest, cache *Cache) ([]Option, error) {
 	if req.L1DBytes > 0 {
 		cpuCfg = cpuCfg.WithL1D(req.L1DBytes)
 	}
+	// Zero faults, sampling parameters and workers, and nil caches, are the
+	// documented "use the default" values of their options, so they pass
+	// straight through.
 	opts = append(opts,
 		WithCPU(cpuCfg),
 		WithSeed(req.Seed),
+		WithFaults(req.Faults),
+		WithSampling(req.Confidence, req.ErrorMargin),
+		WithWorkers(req.Workers),
+		WithCache(cache),
+		WithSnapshotCache(snapshots),
 	)
-	if req.Faults != 0 {
-		opts = append(opts, WithFaults(req.Faults))
-	}
-	if req.Confidence != 0 || req.ErrorMargin != 0 {
-		opts = append(opts, WithSampling(req.Confidence, req.ErrorMargin))
-	}
 	if req.RepsPerGroup != 0 {
 		opts = append(opts, WithRepsPerGroup(req.RepsPerGroup))
 	}
@@ -281,9 +278,6 @@ func requestOptions(req CampaignRequest, cache *Cache) ([]Option, error) {
 	}
 	if req.StaticPrune {
 		opts = append(opts, WithStaticPrune())
-	}
-	if req.Workers != 0 {
-		opts = append(opts, WithWorkers(req.Workers))
 	}
 	if req.Strategy != "" {
 		strat, err := ParseStrategy(req.Strategy)
@@ -295,29 +289,20 @@ func requestOptions(req CampaignRequest, cache *Cache) ([]Option, error) {
 	if req.Checkpoints != 0 {
 		opts = append(opts, WithCheckpoints(req.Checkpoints))
 	}
-	if cache != nil {
-		opts = append(opts, WithCache(cache))
-	}
 	return opts, nil
 }
 
-// validateRequest vets a submission synchronously — Start and StartBatch
-// perform the full option validation without simulating anything — so
-// malformed campaigns fail the POST with 400 instead of failing later in
-// the queue.
+// validateRequest vets a submission synchronously — StartBatch performs
+// the full option validation without simulating anything — so malformed
+// campaigns fail the POST with 400 instead of failing later in the queue.
 func validateRequest(cache *Cache) func(CampaignRequest) error {
 	return func(req CampaignRequest) error {
-		opts, err := requestOptions(req, cache)
+		opts, err := requestOptions(req, cache, nil)
 		if err != nil {
 			return err
 		}
-		if len(req.Structures) > 0 {
-			//lint:allow ctxflow002 synchronous option validation only; Start simulates nothing at Start time
-			_, err = StartBatch(context.Background(), req.Workload, opts...)
-		} else {
-			//lint:allow ctxflow002 synchronous option validation only; Start simulates nothing at Start time
-			_, err = Start(context.Background(), req.Workload, opts...)
-		}
+		//lint:allow ctxflow002 synchronous option validation only; StartBatch simulates nothing at Start time
+		_, err = StartBatch(context.Background(), req.Workload, opts...)
 		return err
 	}
 }
@@ -350,70 +335,51 @@ func progressEvent(p Progress) (CampaignEvent, bool) {
 	return CampaignEvent{}, false
 }
 
-// runCampaign adapts the Session and Batch APIs to the service's RunFunc:
-// one Session (or Batch, when the request carries a structures list) per
-// record, its progress stream forwarded to the event log, its context
-// wired to the service's per-record cancellation — for a batch that
-// context covers every structure, so one DELETE cancels the whole batch.
-// A cancelled record returns ctx.Err(), which the service records as the
-// "cancelled" terminal state. All campaigns share the process-wide
-// snapshot cache, so repeat and concurrent campaigns (and the structures
-// of one batch) reuse one frozen checkpoint ladder instead of each
-// rebuilding it.
-//
-// Single-structure campaigns take the fleet merge path — sharded over
-// live workers, outcomes checkpointed, resumable — whenever there is
-// someone or something to merge for: live workers in the pool, a durable
-// registry, or checkpointed outcomes from a previous incarnation. With
-// none of those (today's plain single-process daemon) they run the local
-// Session pipeline unchanged. Batches always run locally: they already
-// amortize one golden run across structures in-process.
-func runCampaign(cache *Cache, snapshots *SnapshotCache, pool *fleet.Pool, durable bool, client *http.Client, stall time.Duration) server.RunFunc {
+// runCampaign adapts the batch API to the service's RunFunc — the one run
+// path of every record on every deployment: StartBatch over the record's
+// structure list, its progress stream forwarded to the event log, every
+// structure injecting through the outcome ledger (ledgerInjector: resumed
+// from the job's checkpoint, sharded over whatever fleet workers are
+// alive, in-process otherwise), its context wired to the service's
+// per-record cancellation so one DELETE cancels the whole list. A
+// cancelled record returns ctx.Err(), which the service records as the
+// "cancelled" terminal state. All records share the process-wide snapshot
+// cache, so repeat and concurrent campaigns (and the structures of one
+// list) reuse one frozen checkpoint ladder instead of each rebuilding it.
+func runCampaign(cache *Cache, snapshots *SnapshotCache, pool *fleet.Pool, staticPruned *atomic.Int64, client *http.Client, stall time.Duration) server.RunFunc {
 	return func(ctx context.Context, job server.Job, emit func(CampaignEvent)) (any, error) {
 		req := job.Request
-		if len(req.Structures) == 0 {
-			fleetAlive := pool != nil && len(pool.Alive()) > 0
-			if fleetAlive || durable || len(job.Resume) > 0 {
-				return runFleetCampaign(ctx, job, emit, cache, snapshots, pool, client, stall)
-			}
-		}
-		opts, err := requestOptions(req, cache)
+		opts, err := requestOptions(req, cache, snapshots)
 		if err != nil {
 			return nil, err
-		}
-		if snapshots != nil {
-			opts = append(opts, WithSnapshotCache(snapshots))
 		}
 		opts = append(opts, WithProgress(func(p Progress) {
 			if ev, ok := progressEvent(p); ok {
+				staticPruned.Add(int64(ev.StaticPruned)) // nonzero on reduce events only
 				emit(ev)
 			}
 		}))
-		// On cancellation Run returns a partial report together with
-		// ctx.Err(); both are handed to the service, which retains the
-		// report on the cancelled record — for a batch, the structures
-		// that finished before the DELETE keep their results. The
-		// explicit nil returns avoid wrapping a typed nil pointer in the
-		// RunFunc's any.
-		if len(req.Structures) > 0 {
-			b, err := StartBatch(ctx, req.Workload, opts...)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := b.Run(ctx)
-			if rep == nil {
-				return nil, err
-			}
-			return rep, err
-		}
-		s, err := Start(ctx, req.Workload, opts...)
+		b, err := StartBatch(ctx, req.Workload, opts...)
 		if err != nil {
 			return nil, err
 		}
-		rep, err := s.Run(ctx)
-		if rep == nil {
+		b.inject = ledgerInjector(b, job, emit, cache, pool, client, stall)
+		// On cancellation Run returns a partial report together with
+		// ctx.Err(); both are handed to the service, which retains the
+		// report on the cancelled record — the structures that finished
+		// before the DELETE keep their results. A request that named a
+		// single structure is answered with that structure's Report, a list
+		// with the BatchReport. The explicit nil returns avoid wrapping a
+		// typed nil pointer in the RunFunc's any.
+		rep, err := b.Run(ctx)
+		switch {
+		case rep == nil:
+			return nil, err
+		case len(req.Structures) > 0:
+			return rep, err
+		case len(rep.Reports) == 0:
 			return nil, err
 		}
-		return rep, err
+		return rep.Reports[0], err
 	}
 }

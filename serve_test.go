@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -53,7 +54,11 @@ type campaignStatus struct {
 	Report   json.RawMessage `json:"report"`
 }
 
-func campaignWait(t *testing.T, base, id string) (campaignStatus, *Report) {
+// recordWait polls a record until it is done and decodes its report into
+// rep (a *Report for a single-structure record, a *BatchReport for a list
+// one). It polls under /campaigns whatever the id's prefix: the trees are
+// aliases.
+func recordWait(t *testing.T, base, id string, rep any) campaignStatus {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
@@ -71,16 +76,27 @@ func campaignWait(t *testing.T, base, id string) (campaignStatus, *Report) {
 		case "failed":
 			t.Fatalf("campaign %s failed: %s", id, st.Error)
 		case "done":
-			rep := new(Report)
 			if err := json.Unmarshal(st.Report, rep); err != nil {
 				t.Fatalf("decoding report: %v", err)
 			}
-			return st, rep
+			return st
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("campaign %s did not finish", id)
-	return campaignStatus{}, nil
+	return campaignStatus{}
+}
+
+func campaignWait(t *testing.T, base, id string) (campaignStatus, *Report) {
+	t.Helper()
+	rep := new(Report)
+	return recordWait(t, base, id, rep), rep
+}
+
+func batchWait(t *testing.T, base, id string) (campaignStatus, *BatchReport) {
+	t.Helper()
+	rep := new(BatchReport)
+	return recordWait(t, base, id, rep), rep
 }
 
 // TestDaemonCacheHitOnResubmit is the acceptance-criteria test: the same
@@ -142,83 +158,107 @@ func TestDaemonCacheHitOnResubmit(t *testing.T) {
 // with a warm golden-artifact cache, a repeat campaign skips the
 // checkpoint-ladder rebuild entirely — visible as the report's
 // SnapshotHit, the inject event's snapshot_hit field, and the /statsz
-// snapshot hit counter — while producing a bit-identical Dist.
+// snapshot hit counter — while producing a bit-identical Dist. It runs on
+// a plain daemon and on one with a durable registry: every deployment
+// runs the one ledger path, so both report the work counters and the two
+// repeat reports are equal in everything but wall-clock.
 func TestDaemonSnapshotHitOnResubmit(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := daemon(t, ServeOptions{Cache: cache})
-
-	const body = `{"workload":"sha","structure":"RF","faults":300,"seed":9,"strategy":"forked"}`
-	firstID := postCampaign(t, hs.URL, body)
-	_, first := campaignWait(t, hs.URL, firstID)
-	if first.SnapshotHit {
-		t.Fatal("first campaign reported a snapshot hit on a cold cache")
-	}
-
-	secondID := postCampaign(t, hs.URL, body)
-	_, second := campaignWait(t, hs.URL, secondID)
-	if !second.CacheHit {
-		t.Fatal("second campaign missed the artifact cache")
-	}
-	if !second.SnapshotHit {
-		t.Fatal("second identical campaign rebuilt the checkpoint ladder despite a warm snapshot cache")
-	}
-	if second.Dist != first.Dist {
-		t.Fatalf("Dist not bit-identical across snapshot hit:\nfirst  %v\nsecond %v", first.Dist, second.Dist)
-	}
-	if second.CyclesPerSec <= 0 || first.CyclesPerSec <= 0 {
-		t.Errorf("cycles/s not reported: first %v, second %v", first.CyclesPerSec, second.CyclesPerSec)
-	}
-
-	// The inject event of the second campaign carries the hit.
-	resp, err := http.Get(hs.URL + "/campaigns/" + secondID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var injectSeen, injectHit bool
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		var ev CampaignEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("bad event line %q: %v", sc.Text(), err)
-		}
-		if ev.Type == "inject" {
-			injectSeen = true
-			if ev.SnapshotHit != nil && *ev.SnapshotHit {
-				injectHit = true
+	repeats := map[string]Report{}
+	for _, name := range []string{"plain", "registry"} {
+		t.Run(name, func(t *testing.T) {
+			cache, err := OpenCache(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
 			}
-			if ev.CyclesPerSec <= 0 {
-				t.Errorf("inject event missing cycles_per_sec: %+v", ev)
+			opt := ServeOptions{Cache: cache}
+			if name == "registry" {
+				if opt.Registry, err = OpenRegistry(t.TempDir()); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-	}
-	if !injectSeen {
-		t.Fatal("no inject event in the second campaign's stream")
-	}
-	if !injectHit {
-		t.Fatal("second campaign's inject event does not carry snapshot_hit=true")
-	}
+			hs := daemon(t, opt)
 
-	// /statsz exports the snapshot cache counters.
-	sresp, err := http.Get(hs.URL + "/statsz")
-	if err != nil {
-		t.Fatal(err)
+			const body = `{"workload":"sha","structure":"RF","faults":300,"seed":9,"strategy":"forked"}`
+			firstID := postCampaign(t, hs.URL, body)
+			_, first := campaignWait(t, hs.URL, firstID)
+			if first.SnapshotHit {
+				t.Fatal("first campaign reported a snapshot hit on a cold cache")
+			}
+
+			secondID := postCampaign(t, hs.URL, body)
+			_, second := campaignWait(t, hs.URL, secondID)
+			if !second.CacheHit {
+				t.Fatal("second campaign missed the artifact cache")
+			}
+			if !second.SnapshotHit {
+				t.Fatal("second identical campaign rebuilt the checkpoint ladder despite a warm snapshot cache")
+			}
+			if second.Dist != first.Dist {
+				t.Fatalf("Dist not bit-identical across snapshot hit:\nfirst  %v\nsecond %v", first.Dist, second.Dist)
+			}
+			for i, r := range []*Report{first, second} {
+				if r.SimCycles == 0 || r.Clones == 0 || r.CyclesPerSec <= 0 {
+					t.Errorf("campaign %d reports no work: SimCycles %d, Clones %d, CyclesPerSec %v",
+						i+1, r.SimCycles, r.Clones, r.CyclesPerSec)
+				}
+			}
+			norm := *second
+			norm.Wall, norm.Serial, norm.CloneTime, norm.CyclesPerSec = 0, 0, 0, 0
+			repeats[name] = norm
+
+			// The inject event of the second campaign carries the hit.
+			resp, err := http.Get(hs.URL + "/campaigns/" + secondID + "/events")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var injectSeen, injectHit bool
+			sc := bufio.NewScanner(resp.Body)
+			for sc.Scan() {
+				var ev CampaignEvent
+				if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+					t.Fatalf("bad event line %q: %v", sc.Text(), err)
+				}
+				if ev.Type == "inject" {
+					injectSeen = true
+					if ev.SnapshotHit != nil && *ev.SnapshotHit {
+						injectHit = true
+					}
+					if ev.CyclesPerSec <= 0 {
+						t.Errorf("inject event missing cycles_per_sec: %+v", ev)
+					}
+				}
+			}
+			if !injectSeen {
+				t.Fatal("no inject event in the second campaign's stream")
+			}
+			if !injectHit {
+				t.Fatal("second campaign's inject event does not carry snapshot_hit=true")
+			}
+
+			// /statsz exports the snapshot cache counters.
+			sresp, err := http.Get(hs.URL + "/statsz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sresp.Body.Close()
+			var stats struct {
+				Snapshots SnapshotCacheStats `json:"snapshots"`
+			}
+			if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
+				t.Fatal(err)
+			}
+			if stats.Snapshots.Hits < 1 || stats.Snapshots.Misses < 1 || stats.Snapshots.Entries < 1 {
+				t.Fatalf("snapshot stats = %+v, want >=1 hit, miss and entry", stats.Snapshots)
+			}
+			if stats.Snapshots.Bytes <= 0 || stats.Snapshots.Budget <= 0 {
+				t.Fatalf("snapshot stats missing byte accounting: %+v", stats.Snapshots)
+			}
+		})
 	}
-	defer sresp.Body.Close()
-	var stats struct {
-		Snapshots SnapshotCacheStats `json:"snapshots"`
-	}
-	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Snapshots.Hits < 1 || stats.Snapshots.Misses < 1 || stats.Snapshots.Entries < 1 {
-		t.Fatalf("snapshot stats = %+v, want >=1 hit, miss and entry", stats.Snapshots)
-	}
-	if stats.Snapshots.Bytes <= 0 || stats.Snapshots.Budget <= 0 {
-		t.Fatalf("snapshot stats missing byte accounting: %+v", stats.Snapshots)
+	if !reflect.DeepEqual(repeats["plain"], repeats["registry"]) {
+		t.Fatalf("same request, different report by deployment:\nplain    %+v\nregistry %+v",
+			repeats["plain"], repeats["registry"])
 	}
 }
 
@@ -448,7 +488,7 @@ func TestDaemonRejectsStrategyCheckpointConflict(t *testing.T) {
 // TestDaemonBatchEndToEnd is the daemon-level batch acceptance test: POST
 // /batches runs a real 3-structure batch over one shared golden run,
 // streams structure-tagged NDJSON events, and serves a BatchReport whose
-// per-structure entries match standalone campaigns.
+// per-structure entries match standalone library sessions.
 func TestDaemonBatchEndToEnd(t *testing.T) {
 	cache, err := OpenCache(t.TempDir())
 	if err != nil {
@@ -473,54 +513,20 @@ func TestDaemonBatchEndToEnd(t *testing.T) {
 		t.Fatalf("POST /batches = %d: %s", resp.StatusCode, posted.Error)
 	}
 
-	// Wait for the batch report.
-	var rep *BatchReport
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(hs.URL + "/batches/" + posted.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st campaignStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Status == "failed" {
-			t.Fatalf("batch failed: %s", st.Error)
-		}
-		if st.Status == "done" {
-			rep = new(BatchReport)
-			if err := json.Unmarshal(st.Report, rep); err != nil {
-				t.Fatalf("decoding batch report: %v", err)
-			}
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if rep == nil {
-		t.Fatal("batch did not finish")
-	}
+	_, rep := batchWait(t, hs.URL, posted.ID)
 
 	if rep.GoldenRuns != 1 {
 		t.Fatalf("batch performed %d golden runs, want exactly 1", rep.GoldenRuns)
 	}
-	if len(rep.Reports) != 3 {
-		t.Fatalf("batch report carries %d structures, want 3", len(rep.Reports))
-	}
 
-	// Per-structure results match standalone campaigns over the same knobs.
-	for i, structure := range []string{"RF", "SQ", "L1D"} {
-		body := `{"workload":"sha","structure":"` + structure + `","faults":200,"seed":11,"strategy":"forked"}`
-		_, solo := campaignWait(t, hs.URL, postCampaign(t, hs.URL, body))
-		got := rep.Reports[i]
-		if got.Dist != solo.Dist || got.AVF != solo.AVF || got.FIT != solo.FIT ||
-			got.Injected != solo.Injected || got.InitialFaults != solo.InitialFaults {
-			t.Fatalf("%s: batch member diverged from standalone campaign:\nbatch      %+v\nstandalone %+v",
-				structure, got, solo)
-		}
+	// Per-structure results match standalone library sessions over the same
+	// knobs.
+	var solos []*Report
+	for _, structure := range []Structure{RF, SQ, L1D} {
+		solos = append(solos, libraryReports(t, "sha", []Structure{structure},
+			WithFaults(200), WithSeed(11), WithStrategy(StrategyForked))...)
 	}
+	sameReports(t, "batch member", rep.Reports, solos)
 
 	// The event stream is structure-tagged and ends with the batch summary
 	// before the terminal done event.
@@ -555,70 +561,72 @@ func TestDaemonBatchEndToEnd(t *testing.T) {
 }
 
 // TestDaemonBatchCancelWholeBatch: DELETE /batches/{id} cancels every
-// structure of a running batch — the record turns "cancelled" and frees
-// its worker.
+// structure of a running list record — the record turns "cancelled",
+// frees its worker, and keeps the partial BatchReport: the structure that
+// finished before the DELETE is complete, the one under injection partial.
 func TestDaemonBatchCancelWholeBatch(t *testing.T) {
 	hs := daemon(t, ServeOptions{})
 
-	// Big enough to still be mid-injection when the DELETE lands.
-	body := `{"workload":"sha","structures":["RF","SQ","L1D"],"faults":60000,"seed":3,"workers":1}`
-	resp, err := http.Post(hs.URL+"/batches", "application/json", strings.NewReader(body))
+	// Big enough for the second structure to still be mid-injection when
+	// the DELETE lands.
+	id := postCampaign(t, hs.URL,
+		`{"workload":"sha","structures":["RF","SQ"],"faults":60000,"seed":3,"workers":1}`)
+
+	// Stream until the first SQ outcome proves RF is finished and SQ is
+	// mid-injection, then DELETE; keep draining to the terminal event.
+	resp, err := http.Get(hs.URL + "/batches/" + id + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var posted struct{ ID string }
-	if err := json.NewDecoder(resp.Body).Decode(&posted); err != nil {
-		t.Fatal(err)
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	deleted := false
+	last := ""
+	for sc.Scan() {
+		var ev CampaignEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("bad event %q: %v", sc.Text(), err)
+		}
+		last = ev.Type
+		if ev.Type == "fault" && ev.Structure == "SQ" && !deleted {
+			deleted = true
+			req, _ := http.NewRequest(http.MethodDelete, hs.URL+"/batches/"+id, nil)
+			dresp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dresp.Body.Close()
+			if dresp.StatusCode != http.StatusOK {
+				t.Fatalf("DELETE /batches/{id} = %d, want 200", dresp.StatusCode)
+			}
+		}
 	}
-	resp.Body.Close()
-
-	// Wait until it is actually running (status flips from queued).
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(hs.URL + "/batches/" + posted.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st campaignStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Status == "running" {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	if !deleted {
+		t.Fatalf("stream ended on %q before any SQ fault event", last)
+	}
+	if last != "cancelled" {
+		t.Fatalf("stream ended on %q, want terminal cancelled event", last)
 	}
 
-	req, _ := http.NewRequest(http.MethodDelete, hs.URL+"/batches/"+posted.ID, nil)
-	dresp, err := http.DefaultClient.Do(req)
+	sresp, err := http.Get(hs.URL + "/batches/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dresp.Body.Close()
-	if dresp.StatusCode != http.StatusOK {
-		t.Fatalf("DELETE /batches/{id} = %d, want 200", dresp.StatusCode)
+	var st campaignStatus
+	err = json.NewDecoder(sresp.Body).Decode(&st)
+	sresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(hs.URL + "/batches/" + posted.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st campaignStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Status == "cancelled" {
-			return
-		}
-		if st.Status == "done" || st.Status == "failed" {
-			t.Fatalf("batch reached %q, want cancelled", st.Status)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if st.Status != "cancelled" {
+		t.Fatalf("status = %q, want cancelled", st.Status)
 	}
-	t.Fatal("batch never reached cancelled")
+	partial := new(BatchReport)
+	if err := json.Unmarshal(st.Report, partial); err != nil {
+		t.Fatalf("cancelled list record lost its partial report: %v", err)
+	}
+	if len(partial.Reports) != 2 || partial.Reports[0].Cancelled != 0 || partial.Reports[1].Cancelled == 0 {
+		t.Fatalf("partial batch report = %+v, want a complete RF report and a partial SQ one", partial.Reports)
+	}
 }

@@ -7,8 +7,10 @@ package merlin
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
+	"merlin/internal/campaign"
 	"merlin/internal/cpu"
 	"merlin/internal/workloads"
 )
@@ -228,6 +230,24 @@ type Session struct {
 	emit func(Progress)
 
 	art *Artifacts // phase products; art.Red memoizes the reduction
+
+	inject injectFunc
+}
+
+// injectFunc is the injection executor underneath Session.Inject: it
+// classifies the session's reduced fault list — reporting each
+// representative through onOutcome (nil for none) with its reduced-list
+// index — and returns the campaign Result. On cancellation it returns the
+// partial Result together with ctx.Err(); a nil Result means injection
+// never started. The daemon swaps in its resumable, shardable ledger
+// (Batch.inject); everything else runs runReduced.
+type injectFunc func(ctx context.Context, s *Session, onOutcome func(int, Fault, Outcome)) (*campaign.Result, error)
+
+// runReduced is the default executor: one Runner.Run over the whole
+// reduced list.
+func runReduced(ctx context.Context, s *Session, onOutcome func(int, Fault, Outcome)) (*campaign.Result, error) {
+	a := s.art
+	return a.Runner.Run(ctx, a.Red.Reduced(), &a.Golden.Result, a.plan(onOutcome))
 }
 
 // buildSessionConfig applies the options, resolves the checkpoint/strategy
@@ -277,7 +297,7 @@ func Start(ctx context.Context, workload string, opts ...Option) (*Session, erro
 	if len(sc.structures) > 0 {
 		return nil, fmt.Errorf("merlin: WithStructures is a batch option; use StartBatch (single campaigns take WithStructure)")
 	}
-	return &Session{cfg: sc.cfg, emit: sc.progress}, nil
+	return &Session{cfg: sc.cfg, emit: sc.progress, inject: runReduced}, nil
 }
 
 // Config returns the session's configuration after defaults were applied.
@@ -316,37 +336,52 @@ func (s *Session) Preprocess(ctx context.Context) error {
 	if s.art != nil {
 		return nil
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	s.emitEvent(Progress{Kind: ProgressPhaseStart, Phase: PhasePreprocess})
-	arts, err := preprocessStructures(s.cfg, []Structure{s.cfg.Structure})
+	arts, err := preprocess(ctx, s.cfg, []Structure{s.cfg.Structure}, s.emitEvent)
 	if err != nil {
 		return err
 	}
-	a := arts[0]
-	s.art = a
-	s.emitEvent(Progress{
-		Kind: ProgressPhaseDone, Phase: PhasePreprocess,
-		CacheHit: a.CacheHit, CacheErr: a.CacheErr,
-		Msg: preprocessSummary(a),
-	})
+	s.art = arts[0]
 	return nil
 }
 
-func preprocessSummary(a *Artifacts) string {
+// preprocess is phase 1 behind Session.Preprocess and Batch.Preprocess — a
+// session is the one-structure case: the context gate, one
+// preprocessStructures over the target list, and the phase's progress
+// events through emit.
+func preprocess(ctx context.Context, cfg Config, structures []Structure, emit func(Progress)) ([]*Artifacts, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	emit(Progress{Kind: ProgressPhaseStart, Phase: PhasePreprocess})
+	arts, err := preprocessStructures(cfg, structures)
+	if err != nil {
+		return nil, err
+	}
+	a := arts[0] // every structure shares the golden run and its cache outcome
 	src := "golden run simulated (no cache)"
 	switch {
 	case a.CacheHit:
 		src = "golden run served from artifact cache"
-	case a.Config.Cache != nil:
+	case cfg.Cache != nil:
 		src = "golden run simulated and cached"
 	}
 	if a.CacheErr != nil {
 		src += " (cache write failed: " + a.CacheErr.Error() + ")"
 	}
-	return fmt.Sprintf("%s: %d cycles, %d vulnerable intervals, %d faults sampled",
-		src, a.Golden.Result.Cycles, len(a.Analysis.Intervals), len(a.Faults))
+	if len(arts) > 1 {
+		src += fmt.Sprintf(" (shared by %d structures)", len(arts))
+	}
+	parts := make([]string, len(arts))
+	for i, a := range arts {
+		parts[i] = fmt.Sprintf("%v (%d vulnerable intervals, %d faults sampled)",
+			a.Config.Structure, len(a.Analysis.Intervals), len(a.Faults))
+	}
+	emit(Progress{
+		Kind: ProgressPhaseDone, Phase: PhasePreprocess,
+		CacheHit: a.CacheHit, CacheErr: a.CacheErr,
+		Msg: fmt.Sprintf("%s: %d cycles; %s", src, a.Golden.Result.Cycles, strings.Join(parts, ", ")),
+	})
+	return arts, nil
 }
 
 // Reduce runs phase 2 (ACE-like pruning + two-step grouping), memoizing
@@ -394,7 +429,11 @@ func (s *Session) Inject(ctx context.Context) (*Report, error) {
 		return nil, err
 	}
 	s.emitEvent(Progress{Kind: ProgressPhaseStart, Phase: PhaseInject})
-	rep, err := s.art.inject(ctx, s.faultEmitter(PhaseInject))
+	res, err := s.inject(ctx, s, s.faultEmitter(PhaseInject))
+	if res == nil {
+		return nil, err
+	}
+	rep := s.art.reportFrom(res, err == nil)
 	if err != nil {
 		return rep, err
 	}
