@@ -79,12 +79,6 @@ func (b *Batch) Structures() []Structure {
 	return append([]Structure(nil), b.structures...)
 }
 
-// Sessions exposes the per-structure Sessions (in Structures order) once
-// Preprocess has run; nil before. They share the batch's golden run, and
-// driving one directly (e.g. Session.Baseline for a per-structure
-// comprehensive campaign) never repeats it.
-func (b *Batch) Sessions() []*Session { return b.sessions }
-
 // emitBatch reports one batch-level progress event (no structure tag: it
 // spans every structure of the batch).
 func (b *Batch) emitBatch(p Progress) {

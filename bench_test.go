@@ -2,20 +2,19 @@
 // at reduced scale (one per table/figure; cmd/experiments runs the same
 // generators at arbitrary scale). Key reproduced quantities are attached
 // as custom benchmark metrics so `go test -bench` output documents the
-// measured shape next to the paper's numbers.
+// measured shape next to the paper's numbers. These are reproduction entry
+// points, not performance measurements: speed is measured by `go run
+// ./bench` alone.
 package merlin_test
 
 import (
 	"context"
 	"testing"
-	"time"
 
 	"merlin"
 
 	"merlin/internal/campaign"
 	"merlin/internal/experiments"
-	"merlin/internal/lifetime"
-	reduction "merlin/internal/merlin"
 	"merlin/internal/stats"
 )
 
@@ -32,16 +31,6 @@ func benchSession(b *testing.B, wl string, s merlin.Structure, faults int, seed 
 		b.Fatal(err)
 	}
 	return sess
-}
-
-// benchArtifacts runs phase 1 of such a session and returns its products.
-func benchArtifacts(b *testing.B, wl string, s merlin.Structure, faults int, seed int64) *merlin.Artifacts {
-	b.Helper()
-	sess := benchSession(b, wl, s, faults, seed)
-	if err := sess.Preprocess(context.Background()); err != nil {
-		b.Fatal(err)
-	}
-	return sess.Artifacts()
 }
 
 // BenchmarkTable1 exercises the baseline configuration golden run.
@@ -61,7 +50,7 @@ func BenchmarkTable1_BaselineConfig(b *testing.B) {
 // BenchmarkTable3 computes the analytic exhaustive-list comparison.
 func BenchmarkTable3_ExhaustiveModel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := reduction.DefaultExhaustiveModel().Table3()
+		rows := experiments.DefaultExhaustiveModel().Table3()
 		b.ReportMetric(rows[0].Gain, "merlin-gain")
 		b.ReportMetric(rows[1].Gain, "relyzer-gain")
 	}
@@ -315,100 +304,6 @@ func BenchmarkTheory_VarianceAnalysis(b *testing.B) {
 	}
 }
 
-// strategyArtifacts prepares the 1,000-fault RF campaign every strategy
-// benchmark replays, so Replay/Checkpointed/Forked are timed on an
-// identical fault list and golden run.
-func strategyArtifacts(b *testing.B) *merlin.Artifacts {
-	b.Helper()
-	return benchArtifacts(b, "sha", merlin.RF, 1000, 1)
-}
-
-func benchStrategy(b *testing.B, s campaign.Strategy) {
-	a := strategyArtifacts(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := a.Runner.Run(context.Background(), a.Faults, &a.Golden.Result, campaign.Plan{Strategy: s})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Dist.Total() != len(a.Faults) {
-			b.Fatal("missing outcomes")
-		}
-		b.ReportMetric(res.Wall.Seconds()*1000, "wall-ms")
-		b.ReportMetric(res.Serial.Seconds()*1000, "serial-ms")
-	}
-}
-
-// BenchmarkStrategy_Replay times the from-reset baseline strategy.
-func BenchmarkStrategy_Replay(b *testing.B) { benchStrategy(b, campaign.Replay) }
-
-// BenchmarkStrategy_Checkpointed times the k-snapshot strategy.
-func BenchmarkStrategy_Checkpointed(b *testing.B) { benchStrategy(b, campaign.Checkpointed) }
-
-// BenchmarkStrategy_Forked times the fork-on-fault strategy.
-func BenchmarkStrategy_Forked(b *testing.B) { benchStrategy(b, campaign.Forked) }
-
-// BenchmarkStrategy_Speedup runs all three strategies on the identical
-// campaign and reports Forked's and Checkpointed's wall-clock and
-// serial-equivalent speedups over Replay (and verifies the outcomes agree,
-// so the reported speedups are for bit-identical results).
-func BenchmarkStrategy_Speedup(b *testing.B) {
-	a := strategyArtifacts(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run := func(s campaign.Strategy) *campaign.Result {
-			res, err := a.Runner.Run(context.Background(), a.Faults, &a.Golden.Result, campaign.Plan{Strategy: s})
-			if err != nil {
-				b.Fatal(err)
-			}
-			return res
-		}
-		replay, ckpt, forked := run(campaign.Replay), run(campaign.Checkpointed), run(campaign.Forked)
-		for j := range replay.Outcomes {
-			if replay.Outcomes[j] != forked.Outcomes[j] || replay.Outcomes[j] != ckpt.Outcomes[j] {
-				b.Fatalf("fault %d: outcomes diverge across strategies", j)
-			}
-		}
-		b.ReportMetric(replay.Wall.Seconds()/ckpt.Wall.Seconds(), "ckpt-wall-x")
-		b.ReportMetric(replay.Serial.Seconds()/ckpt.Serial.Seconds(), "ckpt-serial-x")
-		b.ReportMetric(replay.Wall.Seconds()/forked.Wall.Seconds(), "forked-wall-x")
-		b.ReportMetric(replay.Serial.Seconds()/forked.Serial.Seconds(), "forked-serial-x")
-	}
-}
-
-// BenchmarkGoldenRun measures raw simulator throughput (cycles/second) on
-// the paper's baseline configuration.
-func BenchmarkGoldenRun_SimulatorThroughput(b *testing.B) {
-	var cycles uint64
-	for i := 0; i < b.N; i++ {
-		cycles = benchArtifacts(b, "susan_c", merlin.RF, 1, 1).Golden.Result.Cycles
-	}
-	b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
-}
-
-// BenchmarkACELikeAnalysis isolates the interval-building step.
-func BenchmarkACELikeAnalysis_Build(b *testing.B) {
-	a := benchArtifacts(b, "bzip2", merlin.L1D, 2000, 1)
-	log := a.Golden.Tracer.Log(merlin.L1D)
-	core := a.Runner.NewCore()
-	entries := core.StructureEntries(merlin.L1D)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		an := lifetime.Build(log, merlin.L1D, entries, 64, a.Golden.Result.Cycles)
-		b.ReportMetric(float64(len(an.Intervals)), "intervals")
-	}
-}
-
-// BenchmarkGrouping isolates phase 2 (the fault-list reduction itself).
-func BenchmarkGrouping_Reduce(b *testing.B) {
-	a := benchArtifacts(b, "qsort", merlin.RF, 20000, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		red := reduction.Reduce(a.Analysis, a.Faults, reduction.DefaultOptions())
-		b.ReportMetric(red.FinalSpeedup(), "final-speedup")
-	}
-}
-
 // BenchmarkAblation evaluates the grouping design choices (step-2 byte
 // grouping, representatives per group) against ground truth.
 func BenchmarkAblation_GroupingChoices(b *testing.B) {
@@ -420,62 +315,4 @@ func BenchmarkAblation_GroupingChoices(b *testing.B) {
 		b.ReportMetric(r.Rows[0].WorstDiff, "step1-only-pp")
 		b.ReportMetric(r.Rows[1].WorstDiff, "paper-pp")
 	}
-}
-
-// benchBatch3 is the shared harness of the batch benchmarks: a
-// 3-structure qsort campaign, big enough that the golden run dominates a
-// sequential re-trace. wall-ms is the mean per-iteration wall-clock
-// across all of b.N (ReportMetric is last-call-wins, so per-iteration
-// reporting would record only the warmest run).
-func benchBatch3(b *testing.B, run func(b *testing.B)) {
-	b.Helper()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		run(b)
-	}
-	b.ReportMetric(time.Since(start).Seconds()*1000/float64(b.N), "wall-ms")
-}
-
-// BenchmarkBatch_SharedGolden times a 3-structure batch campaign: one
-// golden run traced for RF, SQ and L1D, per-structure injections sharing
-// the clone pool and checkpoint ladder.
-func BenchmarkBatch_SharedGolden(b *testing.B) {
-	benchBatch3(b, func(b *testing.B) {
-		ctx := context.Background()
-		batch, err := merlin.StartBatch(ctx, "qsort",
-			merlin.WithStructures(merlin.RF, merlin.SQ, merlin.L1D),
-			merlin.WithFaults(300), merlin.WithSeed(1),
-			merlin.WithStrategy(merlin.StrategyForked))
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep, err := batch.Run(ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.GoldenRuns != 1 {
-			b.Fatalf("batch ran %d golden runs", rep.GoldenRuns)
-		}
-	})
-}
-
-// BenchmarkBatch_Sequential3x times the pre-batch equivalent: three
-// standalone sessions, each paying its own golden run and ladder — the
-// baseline the batch's shared-golden design is measured against.
-func BenchmarkBatch_Sequential3x(b *testing.B) {
-	benchBatch3(b, func(b *testing.B) {
-		ctx := context.Background()
-		for _, structure := range []merlin.Structure{merlin.RF, merlin.SQ, merlin.L1D} {
-			s, err := merlin.Start(ctx, "qsort",
-				merlin.WithStructure(structure),
-				merlin.WithFaults(300), merlin.WithSeed(1),
-				merlin.WithStrategy(merlin.StrategyForked))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.Run(ctx); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

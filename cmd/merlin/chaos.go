@@ -8,7 +8,7 @@ import (
 	"os/signal"
 	"syscall"
 
-	"merlin"
+	"merlin/internal/chaos/suite"
 )
 
 // runChaos implements `merlin chaos`: certify the campaign fleet against
@@ -33,13 +33,13 @@ func runChaos(args []string) int {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	opt := merlin.ChaosOptions{Seed: *seed, Scenarios: *scenarios, Workers: *workers}
+	opt := suite.Options{Seed: *seed, Scenarios: *scenarios, Workers: *workers}
 	if *verbose {
 		opt.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 	}
-	res, err := merlin.RunChaos(ctx, opt)
+	res, err := suite.Run(ctx, opt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "merlin chaos: FAIL:", err)
 		return 1

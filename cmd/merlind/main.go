@@ -1,7 +1,7 @@
 // Command merlind is the MeRLiN campaign service: a long-running daemon
-// that accepts fault-injection campaigns over an HTTP+JSON API, runs them
-// on a sharded worker pool with bounded queues, streams per-fault progress
-// to clients, and amortizes golden runs across campaigns (and across
+// that accepts fault-injection campaigns over an HTTP+JSON API, runs up to
+// -concurrency of them at once off one bounded FIFO queue, streams
+// per-fault progress to clients, and amortizes golden runs across campaigns (and across
 // daemon restarts) through the on-disk golden-run artifact cache.
 //
 // Start it and submit a campaign:
@@ -35,7 +35,7 @@
 //
 // Campaigns are first-class, interruptible objects: DELETE cancels a
 // queued campaign instantly and stops a running one between injections
-// (terminal status "cancelled", worker shard freed), and a submission may
+// (terminal status "cancelled", its runner freed), and a submission may
 // carry "deadline_ms" to bound its execution time.
 //
 // Every record runs one path on every deployment: each structure's
@@ -70,9 +70,8 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":7411", "listen address")
 		cache     = flag.String("cache", "merlind-cache", "golden-run artifact cache directory (empty disables caching)")
-		shards    = flag.Int("shards", 0, "independent campaign worker pools (0 = default 4)")
-		shardW    = flag.Int("shard-workers", 0, "concurrent campaigns per shard (0 = default 1)")
-		queue     = flag.Int("queue", 0, "pending-campaign bound per shard, beyond which submissions get 429 (0 = default 64)")
+		conc      = flag.Int("concurrency", 0, "campaigns run at once, oldest first (0 = default 4)")
+		queue     = flag.Int("queue", 0, "pending-campaign bound, beyond which submissions get 429 (0 = default 256)")
 		retain    = flag.Int("retain", 0, "finished campaigns kept queryable before the oldest are evicted (0 = default 1024)")
 		maxEvents = flag.Int("max-events", 0, "per-campaign event log cap before the oldest entries are dropped (0 = default 8192)")
 		snapMB    = flag.Int64("snapshot-budget", 0, "in-memory checkpoint-snapshot cache budget in MB, shared across campaigns (0 = default 512, negative disables)")
@@ -131,8 +130,7 @@ func main() {
 
 	opt := merlin.ServeOptions{
 		Cache:                artifacts,
-		Shards:               *shards,
-		WorkersPerShard:      *shardW,
+		Concurrency:          *conc,
 		QueueDepth:           *queue,
 		RetainFinished:       *retain,
 		MaxEventsPerCampaign: *maxEvents,

@@ -16,7 +16,7 @@ import (
 	"merlin"
 
 	"merlin/internal/campaign"
-	"merlin/internal/relyzer"
+	"merlin/internal/experiments/relyzer"
 )
 
 func main() {

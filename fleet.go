@@ -322,9 +322,6 @@ type WorkerOptions struct {
 	SnapshotBudget int64
 	// Logf, when non-nil, receives worker lifecycle log lines.
 	Logf func(format string, args ...any)
-	// Client, when non-nil, replaces the worker's artifact-prefetch HTTP
-	// client — the chaos harness's injection point for transfer faults.
-	Client *http.Client
 }
 
 // maxArtifactBytes bounds one artifact transfer; the raw payload is
@@ -379,15 +376,17 @@ func prefetchArtifact(ctx context.Context, client *http.Client, cache *Cache, co
 	cache.PutRaw(job.ArtifactID, raw)
 }
 
-// workerShardRun executes one shard job against the local pipeline: the
-// worker re-derives the record's batch Preprocess (served from its
+// WorkerShardRun returns the worker's shard executor — the function
+// ServeWorker serves, exported so the in-module chaos harness
+// (internal/chaos/suite) can wrap the real pipeline in a fleet.Agent of its
+// own. It executes one shard job against the local pipeline: the worker
+// re-derives the record's batch Preprocess (served from its
 // artifact cache when the prefetch landed — the same structure list, so
 // the same content address as the coordinator's) and the shard's
 // structure's Reduce deterministically from the request, then injects
 // exactly the job's representatives, streaming each outcome back. client
-// is the artifact-prefetch HTTP client; nil takes a 60s-bounded default
-// (the chaos harness injects a fault-wrapped one).
-func workerShardRun(cache *Cache, snapshots *SnapshotCache, coordinator string, client *http.Client) fleet.ShardRunFunc {
+// is the artifact-prefetch HTTP client; nil takes a 60s-bounded default.
+func WorkerShardRun(cache *Cache, snapshots *SnapshotCache, coordinator string, client *http.Client) fleet.ShardRunFunc {
 	if client == nil {
 		client = &http.Client{Timeout: 60 * time.Second}
 	}
@@ -459,7 +458,7 @@ func ServeWorker(ctx context.Context, addr string, opt WorkerOptions) error {
 		Advertise:   advertise,
 		Interval:    opt.Interval,
 		Logf:        opt.Logf,
-		Run:         workerShardRun(opt.Cache, snapshots, coordinator, opt.Client),
+		Run:         WorkerShardRun(opt.Cache, snapshots, coordinator, nil),
 	}
 
 	mux := http.NewServeMux()

@@ -131,7 +131,7 @@ func joinFleet(t *testing.T, coordURL, id, addr string) {
 // worker process is killed mid-shard.
 func fleetWorker(t *testing.T, coordURL string, cache *Cache, dieAfter int) *httptest.Server {
 	t.Helper()
-	run := workerShardRun(cache, nil, coordURL, nil)
+	run := WorkerShardRun(cache, nil, coordURL, nil)
 	if dieAfter >= 0 {
 		inner := run
 		run = func(ctx context.Context, job fleet.ShardJob, emit func(fleet.Outcome)) error {
@@ -387,105 +387,6 @@ func TestFleetCoordinatorRestartResume(t *testing.T) {
 		})
 	}
 }
-
-// benchSubmitAndWait drives one campaign through a daemon and blocks
-// until it finishes, failing the benchmark on any non-done terminal.
-func benchSubmitAndWait(b *testing.B, base, body string) {
-	b.Helper()
-	resp, err := http.Post(base+"/campaigns", "application/json", strings.NewReader(body))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var submitted struct {
-		ID string `json:"id"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&submitted)
-	resp.Body.Close()
-	if err != nil || submitted.ID == "" {
-		b.Fatalf("submit: id=%q err=%v", submitted.ID, err)
-	}
-	deadline := time.Now().Add(120 * time.Second)
-	for {
-		resp, err := http.Get(base + "/campaigns/" + submitted.ID)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var st struct {
-			Status string `json:"status"`
-			Error  string `json:"error"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			b.Fatal(err)
-		}
-		switch st.Status {
-		case "done":
-			return
-		case "failed", "cancelled":
-			b.Fatalf("benchmark campaign %s: %s", st.Status, st.Error)
-		}
-		if time.Now().After(deadline) {
-			b.Fatal("benchmark campaign never finished")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// benchFleetWall is the shared harness of the fleet benchmarks: a
-// single-structure replay campaign with per-node parallelism pinned to
-// one worker thread ("workers":1), so the wall-clock ratio between the
-// local daemon and a two-worker fleet isolates what sharding buys at
-// fixed per-node compute. The golden artifact is warmed outside the
-// timer (one throwaway campaign, which also prefetches it into every
-// fleet worker's cache), leaving the measured loop dominated by the
-// injection phase plus coordination overhead.
-func benchFleetWall(b *testing.B, nWorkers int) {
-	b.Helper()
-	cache, err := OpenCache(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv, err := NewServer(ServeOptions{Cache: cache})
-	if err != nil {
-		b.Fatal(err)
-	}
-	hs := httptest.NewServer(srv.Handler())
-	defer func() { hs.Close(); srv.Close() }()
-
-	for i := 0; i < nWorkers; i++ {
-		wc, err := OpenCache(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		agent := &fleet.Agent{ID: fmt.Sprintf("bench-w%d", i), Run: workerShardRun(wc, nil, hs.URL, nil)}
-		ws := httptest.NewServer(agent.Handler())
-		defer ws.Close()
-		resp, err := http.Post(hs.URL+"/fleet/join", "application/json",
-			strings.NewReader(fmt.Sprintf(`{"id":"bench-w%d","addr":%q}`, i, ws.URL)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		resp.Body.Close()
-	}
-
-	const body = `{"workload":"qsort","structure":"L1D","faults":3000,"seed":5,"strategy":"replay","workers":1}`
-	benchSubmitAndWait(b, hs.URL, body) // warm golden artifact + worker caches
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		benchSubmitAndWait(b, hs.URL, body)
-	}
-	b.ReportMetric(time.Since(start).Seconds()*1000/float64(b.N), "wall-ms")
-}
-
-// BenchmarkFleet_Local times the campaign on a plain single-process
-// daemon — the baseline the fleet is measured against.
-func BenchmarkFleet_Local(b *testing.B) { benchFleetWall(b, 0) }
-
-// BenchmarkFleet_TwoWorkers times the same campaign sharded across two
-// fleet workers.
-func BenchmarkFleet_TwoWorkers(b *testing.B) { benchFleetWall(b, 2) }
 
 // TestLedgerMismatchedDuplicate: the merge point tolerates verbatim
 // duplicates but turns a contradicting one into ErrDeterminismViolation —

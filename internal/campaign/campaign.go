@@ -302,7 +302,7 @@ func (r *Runner) RunFault(f fault.Fault, golden *cpu.RunResult) Outcome {
 
 // inject is the one per-fault function behind Run and the RunFault*
 // drivers: step c (at or before the fault's pre-injection cycle) up to it,
-// flip the bits, and run to the stop rule — the cut when cut is non-nil,
+// flip the bit, and run to the stop rule — the cut when cut is non-nil,
 // else the first ladder snapshot the run is masked-equivalent to (none for
 // a nil or reset-only ladder), else program end. Simulator panics are
 // converted to Crash, internal assertion failures to Assert.
@@ -319,24 +319,11 @@ func (r *Runner) inject(c *cpu.Core, f fault.Fault, golden *cpu.RunResult, ladde
 	for c.Cycle()+1 < f.Cycle && c.Halted() == cpu.Running {
 		c.Step()
 	}
-	applyFault(c, f)
+	c.FlipBit(f.Structure, int(f.Entry), int(f.Bit))
 	if cut != nil {
 		return classifyTruncated(c, cut)
 	}
 	return r.classifyAgainst(c, golden, ladder)
-}
-
-// applyFault flips every bit of the (possibly multi-bit) fault, clamped to
-// the entry width.
-func applyFault(c *cpu.Core, f fault.Fault) {
-	entryBits := c.StructureEntryBits(f.Structure)
-	for i := 0; i < f.Bits(); i++ {
-		bit := int(f.Bit) + i
-		if bit >= entryBits {
-			break
-		}
-		c.FlipBit(f.Structure, int(f.Entry), bit)
-	}
 }
 
 // Classify maps a completed faulty run to its fault-effect class.

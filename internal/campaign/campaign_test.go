@@ -217,33 +217,3 @@ func TestTruncatedFaultMaskedWhenOverwritten(t *testing.T) {
 		t.Errorf("dead fault at cut = %v, want Masked", got)
 	}
 }
-
-func TestMultiBitFaults(t *testing.T) {
-	r := NewRunner(target(t, "sha"))
-	g, err := r.RunGolden()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := r.NewCore()
-	entries := c.StructureEntries(lifetime.StructRF)
-	single := sampling.GenerateMultiBit(lifetime.StructRF, entries, 64, g.Result.Cycles, 300, 1, 13)
-	double := make([]fault.Fault, len(single))
-	copy(double, single)
-	for i := range double {
-		double[i].Width = 2
-		if double[i].Bit == 63 {
-			double[i].Bit = 62
-		}
-	}
-	r1 := mustRun(t)(r.Run(context.Background(), single, &g.Result, Plan{}))
-	r2 := mustRun(t)(r.Run(context.Background(), double, &g.Result, Plan{}))
-	// Flipping a superset of bits at the same sites can only corrupt at
-	// least as often; verify the aggregate ordering (the multi-bit model's
-	// sanity property) with slack for classification shifts among
-	// non-masked classes.
-	if r2.Dist[Masked] > r1.Dist[Masked] {
-		t.Errorf("double-bit masked %d > single-bit masked %d", r2.Dist[Masked], r1.Dist[Masked])
-	}
-	t.Logf("single: %v", r1.Dist)
-	t.Logf("double: %v", r2.Dist)
-}

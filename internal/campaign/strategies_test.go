@@ -142,31 +142,6 @@ func TestCheckpointBeforeCycleZero(t *testing.T) {
 	}
 }
 
-// TestApplyFaultMultiBitClamp: a multi-bit fault reaching past the entry
-// width must flip only the in-range bits.
-func TestApplyFaultMultiBitClamp(t *testing.T) {
-	r := NewRunner(target(t, "sha"))
-	got := r.NewCore()
-	applyFault(got, fault.Fault{Structure: lifetime.StructRF, Entry: 7, Bit: 62, Width: 4})
-	want := r.NewCore()
-	want.FlipBit(lifetime.StructRF, 7, 62)
-	want.FlipBit(lifetime.StructRF, 7, 63)
-	if got.StateHash() != want.StateHash() {
-		t.Error("multi-bit fault not clamped to the entry width")
-	}
-
-	// Width 0 and 1 both encode the single-bit model.
-	for _, w := range []uint8{0, 1} {
-		got := r.NewCore()
-		applyFault(got, fault.Fault{Structure: lifetime.StructRF, Entry: 3, Bit: 5, Width: w})
-		want := r.NewCore()
-		want.FlipBit(lifetime.StructRF, 3, 5)
-		if got.StateHash() != want.StateHash() {
-			t.Errorf("width %d: applyFault != single FlipBit", w)
-		}
-	}
-}
-
 // TestStrategyNames: the enum round-trips through its flag spelling.
 func TestStrategyNames(t *testing.T) {
 	for _, s := range []Strategy{Replay, Checkpointed, Forked} {

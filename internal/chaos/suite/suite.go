@@ -1,6 +1,4 @@
-package merlin
-
-// This file is the chaos certification harness behind `merlin chaos`: an
+// Package suite is the chaos certification harness behind `merlin chaos`: an
 // in-process coordinator+worker fleet subjected to seeded fault
 // schedules — dropped and stalled shard streams, crashing and straggling
 // workers, corrupted artifact transfers, torn registry writes — with
@@ -15,6 +13,7 @@ package merlin
 // every fault draw, but goroutine interleaving decides which shard a
 // given draw lands on. Re-running a seed replays the same fault mix and
 // intensities, and the oracle must hold either way.
+package suite
 
 import (
 	"bufio"
@@ -29,6 +28,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"merlin"
 
 	"merlin/internal/chaos"
 	"merlin/internal/fleet"
@@ -52,8 +53,8 @@ var chaosKinds = []string{
 	"mixed",
 }
 
-// ChaosOptions configures RunChaos.
-type ChaosOptions struct {
+// Options configures Run.
+type Options struct {
 	// Seed fixes every fault draw; scenario i derives its own independent
 	// stream from (Seed, i).
 	Seed uint64
@@ -66,8 +67,8 @@ type ChaosOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// ChaosResult summarizes a chaos certification run.
-type ChaosResult struct {
+// Result summarizes a chaos certification run.
+type Result struct {
 	Scenarios int            `json:"scenarios"`
 	Workers   int            `json:"workers"`
 	Requeues  int            `json:"requeues"`
@@ -130,7 +131,7 @@ func chaosScheduleFor(kind string, r *chaos.Rand) chaosSchedule {
 // normalizeChaosReport strips the timing and locality counters that
 // legitimately differ between runs; everything left must be bit-identical
 // by determinism. Mirrors the fleet tests' normalization.
-func normalizeChaosReport(r *Report) Report {
+func normalizeChaosReport(r *merlin.Report) merlin.Report {
 	n := *r
 	n.Wall, n.Serial, n.CloneTime = 0, 0, 0
 	n.Clones, n.SimCycles = 0, 0
@@ -139,14 +140,14 @@ func normalizeChaosReport(r *Report) Report {
 	return n
 }
 
-// RunChaos runs the chaos certification suite: one clean fleet run to
+// Run runs the chaos certification suite: one clean fleet run to
 // fix the reference report (and warm the shared artifact cache), then
 // opt.Scenarios seeded chaos schedules, each of which must complete and
 // match the reference bit-identically. The first scenario that fails —
 // campaign error or report divergence — aborts the suite with a
 // diagnostic naming the scenario index, kind and seed, which is all a
 // reproduction needs.
-func RunChaos(ctx context.Context, opt ChaosOptions) (*ChaosResult, error) {
+func Run(ctx context.Context, opt Options) (*Result, error) {
 	if opt.Scenarios <= 0 {
 		opt.Scenarios = 25
 	}
@@ -163,7 +164,7 @@ func RunChaos(ctx context.Context, opt ChaosOptions) (*ChaosResult, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(root)
-	cache, err := OpenCache(filepath.Join(root, "coordinator-cache"))
+	cache, err := merlin.OpenCache(filepath.Join(root, "coordinator-cache"))
 	if err != nil {
 		return nil, err
 	}
@@ -181,7 +182,7 @@ func RunChaos(ctx context.Context, opt ChaosOptions) (*ChaosResult, error) {
 	cleanWall := time.Since(cleanStart)
 	logf("chaos: clean reference run in %v (%d workers)", cleanWall.Round(time.Millisecond), opt.Workers)
 
-	res := &ChaosResult{
+	res := &Result{
 		Scenarios: opt.Scenarios,
 		Workers:   opt.Workers,
 		Kinds:     make(map[string]int),
@@ -225,14 +226,14 @@ type chaosScenarioResult struct {
 // given schedule, runs the fixed campaign through it, and checks the
 // merged report against wantJSON (nil = reference run: just return the
 // bytes). The whole fleet is torn down before returning.
-func runChaosScenario(ctx context.Context, cache *Cache, root string, idx int, sched chaosSchedule, r *chaos.Rand, workers int, wantJSON []byte) (*chaosScenarioResult, error) {
+func runChaosScenario(ctx context.Context, cache *merlin.Cache, root string, idx int, sched chaosSchedule, r *chaos.Rand, workers int, wantJSON []byte) (*chaosScenarioResult, error) {
 	var faults atomic.Int64
 	onFault := func(kind, path string) { faults.Add(1) }
 
 	// A short fleet TTL keeps the scenario's recovery clocks fast: the
 	// circuit-breaker cooldown is a multiple of it, and a quarantined
 	// worker should be readmitted within the scenario, not minutes later.
-	srvOpt := ServeOptions{Cache: cache, FleetTTL: 2 * time.Second, FleetStallTimeout: sched.stall}
+	srvOpt := merlin.ServeOptions{Cache: cache, FleetTTL: 2 * time.Second, FleetStallTimeout: sched.stall}
 	if sched.fleet != nil {
 		srvOpt.FleetClient = &http.Client{
 			Transport: &chaos.Transport{R: r, Rules: sched.fleet, OnFault: onFault},
@@ -247,7 +248,7 @@ func runChaosScenario(ctx context.Context, cache *Cache, root string, idx int, s
 		}
 		srvOpt.Registry = reg
 	}
-	srv, err := NewServer(srvOpt)
+	srv, err := merlin.NewServer(srvOpt)
 	if err != nil {
 		return nil, err
 	}
@@ -267,7 +268,7 @@ func runChaosScenario(ctx context.Context, cache *Cache, root string, idx int, s
 	wctx, wcancel := context.WithCancel(ctx)
 	defer wcancel()
 	for w := 0; w < workers; w++ {
-		wcache, err := OpenCache(filepath.Join(root, fmt.Sprintf("s%d-w%d", idx, w)))
+		wcache, err := merlin.OpenCache(filepath.Join(root, fmt.Sprintf("s%d-w%d", idx, w)))
 		if err != nil {
 			return nil, err
 		}
@@ -278,7 +279,7 @@ func runChaosScenario(ctx context.Context, cache *Cache, root string, idx int, s
 				Transport: &chaos.Transport{R: r, Rules: sched.artifact, OnFault: onFault},
 			}
 		}
-		run := workerShardRun(wcache, nil, coordURL, artClient)
+		run := merlin.WorkerShardRun(wcache, nil, coordURL, artClient)
 		if sched.behavior != nil {
 			run = sched.behavior.Wrap(run)
 		}
@@ -390,7 +391,7 @@ func chaosSubmit(ctx context.Context, base string) (string, error) {
 // chaosAwait polls the campaign until it terminates. A campaign that
 // fails (or never finishes) under a sub-lethal schedule is the
 // certification failure this harness exists to catch.
-func chaosAwait(ctx context.Context, base, id string) (*Report, error) {
+func chaosAwait(ctx context.Context, base, id string) (*merlin.Report, error) {
 	deadline := time.Now().Add(180 * time.Second)
 	for {
 		if ctx.Err() != nil {
@@ -412,7 +413,7 @@ func chaosAwait(ctx context.Context, base, id string) (*Report, error) {
 		}
 		switch st.Status {
 		case "done":
-			rep := new(Report)
+			rep := new(merlin.Report)
 			if err := json.Unmarshal(st.Report, rep); err != nil {
 				return nil, fmt.Errorf("decoding report: %w", err)
 			}
@@ -444,7 +445,7 @@ func chaosCountRequeues(ctx context.Context, base, id string) (int, error) {
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 64<<10), 1<<20)
 	for sc.Scan() {
-		var ev CampaignEvent
+		var ev merlin.CampaignEvent
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			continue
 		}

@@ -10,8 +10,7 @@ import (
 
 // BenchmarkConformanceSuite measures one sweep of the generated-kernel
 // conformance suite (every class, a handful of seeds, default core). The
-// wall-ms metric is what a CI-sized certification pass costs;
-// BENCH_PR7.json holds its value when the engine landed.
+// wall-ms metric is what a CI-sized certification pass costs.
 func BenchmarkConformanceSuite(b *testing.B) {
 	const seedsPerClass = 4
 	cfg := cpu.DefaultConfig()

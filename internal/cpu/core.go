@@ -173,7 +173,7 @@ type RunResult struct {
 type Core struct {
 	Cfg     Config
 	prog    *isa.Program
-	cracked [][]isa.Uop // per-RIP µop decomposition, computed once
+	cracked [][]isa.Uop // per-RIP µop decomposition, owned by prog
 
 	dmem *mem.Memory
 	imem *mem.Memory
@@ -262,7 +262,7 @@ func New(cfg Config, prog *isa.Program) *Core {
 		lastSQ:      -1,
 		pred:        newPredictor(cfg),
 	}
-	c.cracked = crackedFor(prog)
+	c.cracked = prog.Uops()
 	c.l2 = mem.NewCache(cfg.L2, c.dmem)
 	c.l1d = mem.NewCache(cfg.L1D, c.l2)
 	c.l1i = mem.NewCache(cfg.L1I, c.imem)

@@ -7,9 +7,9 @@ import (
 	"merlin"
 
 	"merlin/internal/campaign"
+	"merlin/internal/experiments/relyzer"
 	"merlin/internal/lifetime"
 	reduction "merlin/internal/merlin"
-	"merlin/internal/relyzer"
 	"merlin/internal/stats"
 )
 

@@ -146,6 +146,37 @@ func TestTable3(t *testing.T) {
 	}
 }
 
+func TestTable3Magnitudes(t *testing.T) {
+	m := DefaultExhaustiveModel()
+	rows := m.Table3()
+	// The paper quotes ~1e13 exhaustive, 1e10 gain, ~3e9 years, ~4 months
+	// for MeRLiN; our computed scenario must land within an order of
+	// magnitude of each.
+	mer := rows[0]
+	if mer.Exhaustive < 1e13 || mer.Exhaustive > 1e15 {
+		t.Errorf("MeRLiN exhaustive = %e", mer.Exhaustive)
+	}
+	if mer.Gain < 1e10 || mer.Gain > 1e12 {
+		t.Errorf("MeRLiN gain = %e", mer.Gain)
+	}
+	if y := years(mer.ExhaustiveTime); y < 1e9 || y > 1e12 {
+		t.Errorf("MeRLiN exhaustive time = %e years", y)
+	}
+	if mo := months(mer.RemainingTime); mo < 1 || mo > 12 {
+		t.Errorf("MeRLiN remaining time = %v months", mo)
+	}
+	rel := rows[1]
+	if rel.Gain < 1e4 || rel.Gain > 1e6 {
+		t.Errorf("Relyzer gain = %e", rel.Gain)
+	}
+	if y := years(rel.RemainingTime); y < 3 || y > 300 {
+		t.Errorf("Relyzer remaining time = %v years", y)
+	}
+	if m.String() == "" {
+		t.Error("empty render")
+	}
+}
+
 func TestTable4Small(t *testing.T) {
 	r, err := Table4(context.Background(), Options{Faults: 120, Seed: 7})
 	if err != nil {

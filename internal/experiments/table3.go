@@ -1,4 +1,4 @@
-package merlin
+package experiments
 
 import "fmt"
 
@@ -43,8 +43,8 @@ func DefaultExhaustiveModel() ExhaustiveModel {
 	}
 }
 
-// Row is one line of Table 3.
-type Row struct {
+// Table3Row is one line of Table 3.
+type Table3Row struct {
 	Method         string
 	Exhaustive     float64 // faults in the exhaustive list
 	Remaining      float64 // faults left to inject
@@ -53,21 +53,21 @@ type Row struct {
 	RemainingTime  float64 // seconds to inject the remaining list serially
 }
 
-// Years converts seconds to years.
-func Years(sec float64) float64 { return sec / (365.25 * 24 * 3600) }
+// years converts seconds to years.
+func years(sec float64) float64 { return sec / (365.25 * 24 * 3600) }
 
-// Months converts seconds to months.
-func Months(sec float64) float64 { return sec / (30 * 24 * 3600) }
+// months converts seconds to months.
+func months(sec float64) float64 { return sec / (30 * 24 * 3600) }
 
 // Table3 computes both rows of the comparison.
-func (m ExhaustiveModel) Table3() [2]Row {
+func (m ExhaustiveModel) Table3() [2]Table3Row {
 	runSecUarch := m.Cycles / m.UarchCPS
 	runSecSW := m.Cycles / m.SWCPS
 
 	merlinExh := (m.RFBits + m.SQBits + m.L1DBits) * m.Cycles
 	relyzerExh := m.SWFaultBitsPerCycle * m.Cycles
 
-	return [2]Row{
+	return [2]Table3Row{
 		{
 			Method:         "MeRLiN",
 			Exhaustive:     merlinExh,
@@ -95,7 +95,7 @@ func (m ExhaustiveModel) String() string {
 	for _, r := range rows {
 		s += fmt.Sprintf("%-8s %12.1e %10.1e %10.1e %15.1e yr %13.1f mo\n",
 			r.Method, r.Exhaustive, r.Remaining, r.Gain,
-			Years(r.ExhaustiveTime), Months(r.RemainingTime))
+			years(r.ExhaustiveTime), months(r.RemainingTime))
 	}
 	s += "paper:   MeRLiN 1e13 -> 1e3 (gain 1e10), ~3e9 years -> 4 months\n"
 	s += "paper:   Relyzer 1e11 -> 1e6 (gain 1e5), ~3e6 years -> 32 years\n"

@@ -16,7 +16,7 @@ import (
 // Relyzer (§4.2).
 func Table3() string {
 	return "Table 3: methods vs the exhaustive fault list (1e9-cycle benchmark, L1D 32KB + SQ 16 + RF 64)\n" +
-		reduction.DefaultExhaustiveModel().String()
+		DefaultExhaustiveModel().String()
 }
 
 // Table4Row is one method's classification in the truncated-run scheme.

@@ -11,23 +11,12 @@ import (
 	"merlin/internal/lifetime"
 )
 
-// Fault is one transient fault: a flip of Width adjacent bits (Width 0 or
-// 1 means the paper's single-bit model; larger widths model multi-bit
-// upsets from a single strike, the extension studied by e.g. MACAU [20]).
+// Fault is one transient fault: the paper's single-bit flip.
 type Fault struct {
 	Structure lifetime.StructureID
 	Entry     int32  // physical slot index within the structure
-	Bit       int32  // first flipped bit within the entry (0 .. entryBits-1)
+	Bit       int32  // flipped bit within the entry (0 .. entryBits-1)
 	Cycle     uint64 // flip applied at the start of this cycle
-	Width     uint8  // number of adjacent bits flipped; 0 means 1
-}
-
-// Bits returns the number of flipped bits (at least 1).
-func (f Fault) Bits() int {
-	if f.Width <= 1 {
-		return 1
-	}
-	return int(f.Width)
 }
 
 // Byte returns the byte position of the flipped bit within its entry — the
@@ -36,24 +25,14 @@ func (f Fault) Byte() int { return int(f.Bit) / 8 }
 
 // String formats the fault for logs.
 func (f Fault) String() string {
-	if f.Bits() > 1 {
-		return fmt.Sprintf("%s[%d] bits %d..%d @ cycle %d", f.Structure, f.Entry, f.Bit, int(f.Bit)+f.Bits()-1, f.Cycle)
-	}
 	return fmt.Sprintf("%s[%d] bit %d @ cycle %d", f.Structure, f.Entry, f.Bit, f.Cycle)
 }
 
-// Equal reports whether two faults denote the identical flip. Width 0 and
-// Width 1 both encode the single-bit model, so they compare equal.
-func Equal(a, b Fault) bool {
-	if a.Bits() != b.Bits() {
-		return false
-	}
-	a.Width, b.Width = 0, 0
-	return a == b
-}
+// Equal reports whether two faults denote the identical flip.
+func Equal(a, b Fault) bool { return a == b }
 
-// Less orders faults by injection cycle, breaking ties by structure, entry,
-// bit and width so any sort over faults is fully deterministic.
+// Less orders faults by injection cycle, breaking ties by structure, entry
+// and bit so any sort over faults is fully deterministic.
 func Less(a, b Fault) bool {
 	switch {
 	case a.Cycle != b.Cycle:
@@ -62,10 +41,8 @@ func Less(a, b Fault) bool {
 		return a.Structure < b.Structure
 	case a.Entry != b.Entry:
 		return a.Entry < b.Entry
-	case a.Bit != b.Bit:
-		return a.Bit < b.Bit
 	default:
-		return a.Bits() < b.Bits()
+		return a.Bit < b.Bit
 	}
 }
 

@@ -6,17 +6,6 @@ import (
 	"merlin/internal/lifetime"
 )
 
-func TestBits(t *testing.T) {
-	for _, tt := range []struct {
-		width uint8
-		want  int
-	}{{0, 1}, {1, 1}, {2, 2}, {8, 8}} {
-		if got := (Fault{Width: tt.width}).Bits(); got != tt.want {
-			t.Errorf("Width %d: Bits() = %d, want %d", tt.width, got, tt.want)
-		}
-	}
-}
-
 func TestByte(t *testing.T) {
 	for _, tt := range []struct {
 		bit  int32
@@ -33,25 +22,18 @@ func TestString(t *testing.T) {
 	if got, want := single.String(), "RF[3] bit 5 @ cycle 77"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
-	multi := Fault{Structure: lifetime.StructSQ, Entry: 1, Bit: 6, Cycle: 9, Width: 3}
-	if got, want := multi.String(), "SQ[1] bits 6..8 @ cycle 9"; got != want {
-		t.Errorf("String() = %q, want %q", got, want)
-	}
 }
 
 func TestEqual(t *testing.T) {
 	base := Fault{Structure: lifetime.StructRF, Entry: 2, Bit: 4, Cycle: 10}
-	w1 := base
-	w1.Width = 1
-	if !Equal(base, w1) {
-		t.Error("Width 0 and Width 1 encode the same single-bit fault")
+	if !Equal(base, base) {
+		t.Error("a fault must equal itself")
 	}
 	for _, other := range []Fault{
 		{Structure: lifetime.StructSQ, Entry: 2, Bit: 4, Cycle: 10},
 		{Structure: lifetime.StructRF, Entry: 3, Bit: 4, Cycle: 10},
 		{Structure: lifetime.StructRF, Entry: 2, Bit: 5, Cycle: 10},
 		{Structure: lifetime.StructRF, Entry: 2, Bit: 4, Cycle: 11},
-		{Structure: lifetime.StructRF, Entry: 2, Bit: 4, Cycle: 10, Width: 2},
 	} {
 		if Equal(base, other) {
 			t.Errorf("Equal(%v, %v) = true", base, other)
@@ -66,7 +48,6 @@ func TestLessIsStrictWeakOrder(t *testing.T) {
 		{Structure: lifetime.StructSQ, Entry: 0, Bit: 0, Cycle: 2},
 		{Structure: lifetime.StructRF, Entry: 1, Bit: 0, Cycle: 2},
 		{Structure: lifetime.StructRF, Entry: 0, Bit: 3, Cycle: 2},
-		{Structure: lifetime.StructRF, Entry: 0, Bit: 0, Cycle: 2, Width: 2},
 	}
 	for _, a := range faults {
 		if Less(a, a) {

@@ -10,7 +10,10 @@
 // forms ldadd/ldxor/stadd crack into load + ALU (+ STA + STD) chains.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // NumArchRegs is the number of architectural general-purpose registers.
 // r15 conventionally holds the stack pointer and r14 the link register.
@@ -319,6 +322,23 @@ type Program struct {
 	Data    []byte // initial bytes at DataBase
 	Symbols map[string]int64
 	Entry   int // starting RIP
+
+	uopsOnce sync.Once
+	uops     [][]Uop
+}
+
+// Uops returns the program's µop table — Crack of every Text entry, indexed
+// by RIP — decoded once on first use and shared, read-only, by every core
+// that runs the program (campaigns build thousands of cores per program).
+// Text must not change after the first call.
+func (p *Program) Uops() [][]Uop {
+	p.uopsOnce.Do(func() {
+		p.uops = make([][]Uop, len(p.Text))
+		for i, in := range p.Text {
+			p.uops[i] = Crack(in)
+		}
+	})
+	return p.uops
 }
 
 // Memory layout constants shared by the assembler, loader and core. The

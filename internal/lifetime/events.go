@@ -150,21 +150,13 @@ func NewTracer(track ...StructureID) *Tracer {
 	return t
 }
 
-// RehydrateTracer reconstructs a Tracer from a cached golden trace (the
+// RehydrateTracerLogs reconstructs a Tracer from a cached golden trace (the
 // deserialization path of the artifact cache in internal/store): the event
-// log of one structure plus the committed branch trace. The result serves
-// every read-side Tracer use — Log, Branches, re-running Build — exactly
-// like the tracer that recorded the run.
-func RehydrateTracer(s StructureID, log *Log, branches []BranchRec, cycles uint64) *Tracer {
-	var logs [NumStructures]*Log
-	logs[s] = log
-	return RehydrateTracerLogs(logs, branches, cycles)
-}
-
-// RehydrateTracerLogs is RehydrateTracer for a multi-structure golden
-// trace (a batch campaign's cached artifact): logs is indexed by
-// StructureID, and nil entries leave that structure untracked, exactly as
-// if NewTracer had omitted it.
+// logs, indexed by StructureID, plus the committed branch trace. Nil
+// entries leave that structure untracked, exactly as if NewTracer had
+// omitted it. The result serves every read-side Tracer use — Log,
+// Branches, re-running Build — exactly like the tracer that recorded the
+// run.
 func RehydrateTracerLogs(logs [NumStructures]*Log, branches []BranchRec, cycles uint64) *Tracer {
 	return &Tracer{logs: logs, Branches: branches, Cycles: cycles}
 }

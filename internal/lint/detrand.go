@@ -36,13 +36,14 @@ var DetRand = &Analyzer{
 		"merlin/internal/lifetime",
 		"merlin/internal/merlin",
 		"merlin/internal/guestflow",
-		"merlin/internal/relyzer",
+		"merlin/internal/experiments/relyzer",
 		"merlin/internal/workloads",
 		"merlin/internal/asm",
 		"merlin/internal/conformance",
 		// The chaos engine's whole contract is seeded determinism: its
 		// splitmix64 streams must never silently mix in global randomness.
 		"merlin/internal/chaos",
+		"merlin/internal/chaos/suite",
 	),
 	Run: runDetRand,
 }

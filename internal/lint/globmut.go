@@ -45,7 +45,7 @@ var GlobMut = &Analyzer{
 		"merlin/internal/isa",
 		"merlin/internal/merlin",
 		"merlin/internal/guestflow",
-		"merlin/internal/relyzer",
+		"merlin/internal/experiments/relyzer",
 		"merlin/internal/workloads",
 		"merlin/internal/asm",
 		"merlin/internal/conformance",
@@ -53,6 +53,7 @@ var GlobMut = &Analyzer{
 		"merlin/internal/fleet",
 		"merlin/internal/store",
 		"merlin/internal/chaos",
+		"merlin/internal/chaos/suite",
 	),
 	Run: runGlobMut,
 }

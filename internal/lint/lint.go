@@ -121,16 +121,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{DetRand, WallTime, MapOrder, TestHook, CtxFlow, GlobMut}
 }
 
-// AnalyzerByName returns the named analyzer, or nil.
-func AnalyzerByName(name string) *Analyzer {
-	for _, a := range Analyzers() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
 // inPaths returns an AppliesTo matcher for an exact import-path set.
 func inPaths(paths ...string) func(string) bool {
 	set := make(map[string]bool, len(paths))

@@ -43,7 +43,7 @@ var WallTime = &Analyzer{
 		"merlin/internal/isa",
 		"merlin/internal/merlin",
 		"merlin/internal/guestflow",
-		"merlin/internal/relyzer",
+		"merlin/internal/experiments/relyzer",
 		"merlin/internal/workloads",
 		"merlin/internal/asm",
 		"merlin/internal/conformance",
@@ -51,6 +51,7 @@ var WallTime = &Analyzer{
 		"merlin/internal/fleet",
 		"merlin/internal/store",
 		"merlin/internal/chaos",
+		"merlin/internal/chaos/suite",
 		// internal/server is deliberately out of scope: event
 		// timestamps, uptime and queue ages are wall-clock by design
 		// and never feed Report bytes. cmd/* and examples/ are operator
@@ -75,14 +76,14 @@ var wallClockAllow = map[string]map[string]string{
 	"merlin": {
 		"ledgerInjector": "merged Result.Wall metric stamping",
 		"Batch.Run":      "BatchReport.Wall metric stamping",
-		// The chaos harness is operator tooling over the service's HTTP
-		// surface: its wall-clock reads are suite timing metrics and poll
-		// deadlines, never simulated or merged state.
-		"RunChaos":          "chaos suite wall-clock metrics (ChaosResult timing fields)",
+	},
+	// The chaos harness is operator tooling over the service's HTTP
+	// surface: its wall-clock reads are suite timing metrics and poll
+	// deadlines, never simulated or merged state.
+	"merlin/internal/chaos/suite": {
+		"Run":               "chaos suite wall-clock metrics (Result timing fields)",
 		"chaosAwait":        "chaos campaign poll deadline",
 		"chaosAwaitWorkers": "chaos fleet join poll deadline",
-		// runChaosScenario was listed here until the walltime002 rot check
-		// landed: its timing uses duration constants, not clock reads.
 	},
 	"merlin/internal/fleet": {
 		"NewPool": "heartbeat/TTL liveness clock (injected so tests fake it)",

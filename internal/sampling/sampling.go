@@ -112,37 +112,3 @@ func Generate(s lifetime.StructureID, entries, entryBits int, cycles uint64, n i
 	}
 	return faults
 }
-
-// GenerateMultiBit draws n uniform faults like Generate but flips width
-// adjacent bits per fault (multi-bit upset model; width 1 degenerates to
-// the paper's single-bit model). The first bit is chosen so the whole
-// burst stays within the entry; a width wider than the entry itself is
-// clamped to entryBits (the burst then always covers the whole entry,
-// starting at bit 0) instead of panicking on the impossible placement.
-// Degenerate geometries return an empty list exactly like Generate.
-func GenerateMultiBit(s lifetime.StructureID, entries, entryBits int, cycles uint64, n int, width int, seed int64) []fault.Fault {
-	if n <= 0 || entries <= 0 || entryBits <= 0 || cycles == 0 {
-		return []fault.Fault{}
-	}
-	if width < 1 {
-		width = 1
-	}
-	if width > entryBits {
-		width = entryBits
-	}
-	if width > 255 {
-		width = 255 // Fault.Width is a uint8
-	}
-	rng := rand.New(rand.NewSource(seed))
-	faults := make([]fault.Fault, n)
-	for i := range faults {
-		faults[i] = fault.Fault{
-			Structure: s,
-			Entry:     int32(rng.Intn(entries)),
-			Bit:       int32(rng.Intn(entryBits - width + 1)),
-			Cycle:     uint64(rng.Int63n(int64(cycles))) + 1,
-			Width:     uint8(width),
-		}
-	}
-	return faults
-}

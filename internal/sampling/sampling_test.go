@@ -143,48 +143,6 @@ func TestGenerateDegenerateGeometry(t *testing.T) {
 			if len(got) != 0 {
 				t.Fatalf("Generate = %d faults, want 0", len(got))
 			}
-			gotMB := GenerateMultiBit(lifetime.StructRF, tc.entries, tc.bits, tc.cycles, tc.n, 2, 1)
-			if len(gotMB) != 0 {
-				t.Fatalf("GenerateMultiBit = %d faults, want 0", len(gotMB))
-			}
-		})
-	}
-}
-
-// TestGenerateMultiBitWidthClamp: a burst wider than the entry is clamped
-// to the entry size (the flip then covers the whole entry from bit 0)
-// instead of panicking on the impossible placement.
-func TestGenerateMultiBitWidthClamp(t *testing.T) {
-	cases := []struct {
-		name      string
-		entryBits int
-		width     int
-		wantWidth int
-	}{
-		{"width equals entry", 8, 8, 8},
-		{"width one over", 8, 9, 8},
-		{"width far over", 8, 64, 8},
-		{"width over uint8", 512, 400, 255},
-		{"zero width means one", 8, 0, 1},
-		{"negative width means one", 8, -3, 1},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			faults := GenerateMultiBit(lifetime.StructRF, 16, tc.entryBits, 1000, 50, tc.width, 7)
-			if len(faults) != 50 {
-				t.Fatalf("got %d faults, want 50", len(faults))
-			}
-			for _, f := range faults {
-				if f.Bits() != tc.wantWidth {
-					t.Fatalf("fault %v has width %d, want %d", f, f.Bits(), tc.wantWidth)
-				}
-				if int(f.Bit)+f.Bits() > tc.entryBits {
-					t.Fatalf("fault %v overruns the %d-bit entry", f, tc.entryBits)
-				}
-				if f.Cycle < 1 || f.Cycle > 1000 {
-					t.Fatalf("fault %v cycle out of [1, cycles]", f)
-				}
-			}
 		})
 	}
 }

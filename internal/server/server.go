@@ -1,7 +1,7 @@
 // Package server implements the campaign service behind cmd/merlind: an
 // HTTP+JSON API that accepts fault-injection campaigns, runs them on a
-// sharded worker pool over bounded job queues, and streams per-fault
-// progress to clients while campaigns execute.
+// fixed set of runners draining one bounded FIFO queue, and streams
+// per-fault progress to clients while campaigns execute.
 //
 // The package is deliberately pipeline-agnostic: it knows how to queue,
 // schedule, observe and serve campaigns, but the campaign itself is an
@@ -15,7 +15,7 @@
 // resolves under either):
 //
 //	POST   /campaigns             submit a record: 202 + {"id": ...}, or 429
-//	                              when the target shard's queue is full. The
+//	                              when the pending queue is full. The
 //	                              target is a structure list: "structure" is
 //	                              shorthand for a one-element "structures"
 //	                              (exactly one of the two is required). Which
@@ -30,15 +30,15 @@
 //	                              one turns "cancelled" immediately, a
 //	                              running one has its context cancelled —
 //	                              covering every structure of its list — and
-//	                              turns "cancelled" when its worker observes
-//	                              it, freeing the shard for the next record
+//	                              turns "cancelled" when its runner observes
+//	                              it, freeing the runner for the next record
 //	GET    /campaigns/{id}/events the record's event log as NDJSON,
 //	                              following live progress until it finishes
 //	                              (?from=N resumes after event N-1); fault
 //	                              and per-structure phase events carry a
 //	                              "structure" tag
 //	GET    /healthz               liveness + campaign/batch counts
-//	GET    /statsz                queue depths, record counts, pipeline stats
+//	GET    /statsz                queue depth, record counts, pipeline stats
 package server
 
 import (
@@ -46,7 +46,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net/http"
 	"sort"
 	"strconv"
@@ -249,19 +248,15 @@ type Config struct {
 	// behavior, including marking shutdown-interrupted campaigns failed.
 	Registry Registry
 
-	// Shards is the number of independent worker pools; campaigns are
-	// assigned by hash of their id. 0 means DefaultShards. Negative
-	// values are rejected by New.
-	Shards int
-	// WorkersPerShard is the number of campaigns one shard runs
-	// concurrently (each campaign additionally parallelizes its own
-	// injections). 0 means DefaultWorkersPerShard; negative values are
-	// rejected by New.
-	WorkersPerShard int
-	// QueueDepth is the pending-campaign bound per shard; submissions
-	// beyond it are refused with 429 so load sheds at the edge instead
-	// of accumulating unbounded memory. 0 means DefaultQueueDepth;
+	// Concurrency is the number of records the server runs at once, in
+	// submission order off one FIFO queue (each record additionally
+	// parallelizes its own injections). 0 means DefaultConcurrency;
 	// negative values are rejected by New.
+	Concurrency int
+	// QueueDepth is the bound on pending (accepted, not yet running)
+	// records; submissions beyond it are refused with 429 so load sheds at
+	// the edge instead of accumulating unbounded memory. 0 means
+	// DefaultQueueDepth; negative values are rejected by New.
 	QueueDepth int
 	// RetainFinished bounds how many finished (done or failed) campaigns
 	// — records, reports and event logs — stay queryable: the oldest are
@@ -280,14 +275,12 @@ type Config struct {
 	MaxEventsPerCampaign int
 }
 
-// Defaults for Config. Small shard counts keep per-shard FIFO fairness
-// while letting unrelated campaigns overtake each other across shards.
+// Defaults for Config.
 const (
-	DefaultShards          = 4
-	DefaultWorkersPerShard = 1
-	DefaultQueueDepth      = 64
-	DefaultRetainFinished  = 1024
-	DefaultMaxEvents       = 8192
+	DefaultConcurrency    = 4
+	DefaultQueueDepth     = 256
+	DefaultRetainFinished = 1024
+	DefaultMaxEvents      = 8192
 )
 
 // checkpointInterval throttles durable checkpoint writes: the first
@@ -304,7 +297,7 @@ const (
 	StatusCancelled = "cancelled"
 )
 
-// terminal reports whether a status is final (no worker will touch the
+// terminal reports whether a status is final (no runner will touch the
 // campaign again and its event log is complete).
 func terminalStatus(status string) bool {
 	return status == StatusDone || status == StatusFailed || status == StatusCancelled
@@ -323,7 +316,6 @@ const (
 type campaign struct {
 	id        string
 	kind      string
-	shard     int
 	req       Request
 	submitted time.Time
 
@@ -346,7 +338,7 @@ type campaign struct {
 	// RunFunc's Job.Checkpoint and persisted through the registry.
 	outcomes map[int]string
 	notify   chan struct{} // closed and replaced on every event append
-	// cancel aborts the running campaign's context; set by the worker
+	// cancel aborts the running campaign's context; set by the runner
 	// while the campaign runs. cancelRequested records that a DELETE
 	// asked for cancellation, distinguishing a user-cancelled campaign
 	// from one interrupted by server shutdown.
@@ -445,7 +437,7 @@ type Server struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	queues []chan *campaign
+	queue chan *campaign // pending records, FIFO; capacity is Config.QueueDepth
 
 	mu        sync.Mutex
 	campaigns map[string]*campaign
@@ -453,16 +445,14 @@ type Server struct {
 	nextID    uint64
 }
 
-// New validates cfg, applies defaults, and starts the shard worker pools.
+// New validates cfg, applies defaults, and starts the runners.
 func New(cfg Config) (*Server, error) {
 	if cfg.Run == nil {
 		return nil, fmt.Errorf("server: Config.Run is required")
 	}
 	switch {
-	case cfg.Shards < 0:
-		return nil, fmt.Errorf("server: Shards is %d; want >= 0 (0 = %d)", cfg.Shards, DefaultShards)
-	case cfg.WorkersPerShard < 0:
-		return nil, fmt.Errorf("server: WorkersPerShard is %d; want >= 0 (0 = %d)", cfg.WorkersPerShard, DefaultWorkersPerShard)
+	case cfg.Concurrency < 0:
+		return nil, fmt.Errorf("server: Concurrency is %d; want >= 0 (0 = %d)", cfg.Concurrency, DefaultConcurrency)
 	case cfg.QueueDepth < 0:
 		return nil, fmt.Errorf("server: QueueDepth is %d; want >= 0 (0 = %d)", cfg.QueueDepth, DefaultQueueDepth)
 	case cfg.RetainFinished < 0:
@@ -470,11 +460,8 @@ func New(cfg Config) (*Server, error) {
 	case cfg.MaxEventsPerCampaign < 0:
 		return nil, fmt.Errorf("server: MaxEventsPerCampaign is %d; want >= 0 (0 = %d)", cfg.MaxEventsPerCampaign, DefaultMaxEvents)
 	}
-	if cfg.Shards == 0 {
-		cfg.Shards = DefaultShards
-	}
-	if cfg.WorkersPerShard == 0 {
-		cfg.WorkersPerShard = DefaultWorkersPerShard
+	if cfg.Concurrency == 0 {
+		cfg.Concurrency = DefaultConcurrency
 	}
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = DefaultQueueDepth
@@ -493,22 +480,17 @@ func New(cfg Config) (*Server, error) {
 		start:     time.Now(),
 		ctx:       ctx,
 		cancel:    cancel,
-		queues:    make([]chan *campaign, cfg.Shards),
+		queue:     make(chan *campaign, cfg.QueueDepth),
 		campaigns: make(map[string]*campaign),
 	}
-	for i := range s.queues {
-		s.queues[i] = make(chan *campaign, cfg.QueueDepth)
-	}
-	// Restore before the workers start, so re-enqueued campaigns cannot
-	// race a worker observing a half-restored map.
+	// Restore before the runners start, so re-enqueued campaigns cannot
+	// race a runner observing a half-restored map.
 	if cfg.Registry != nil {
 		s.restore()
 	}
-	for i := range s.queues {
-		for w := 0; w < cfg.WorkersPerShard; w++ {
-			s.wg.Add(1)
-			go s.worker(s.queues[i])
-		}
+	for i := 0; i < cfg.Concurrency; i++ {
+		s.wg.Add(1)
+		go s.runner()
 	}
 	return s, nil
 }
@@ -533,8 +515,8 @@ func recSeq(id string) uint64 {
 // are re-enqueued as queued with their checkpointed outcomes — a
 // coordinator restart resumes in-flight campaigns instead of forgetting
 // them. Unreadable records were already skipped by the registry; a
-// record that no longer fits its shard queue fails visibly rather than
-// silently vanishing.
+// record that no longer fits the queue fails visibly rather than silently
+// vanishing.
 func (s *Server) restore() {
 	recs, err := s.cfg.Registry.List()
 	if err != nil {
@@ -555,7 +537,6 @@ func (s *Server) restore() {
 		c := &campaign{
 			id:        rec.ID,
 			kind:      rec.Kind,
-			shard:     s.shardOf(rec.ID),
 			req:       req,
 			submitted: rec.Submitted,
 			started:   rec.Started,
@@ -587,10 +568,10 @@ func (s *Server) restore() {
 		c.appendLocked(Event{Type: "resumed",
 			Msg: fmt.Sprintf("resumed after restart (%d outcomes checkpointed)", len(c.outcomes))})
 		select {
-		case s.queues[c.shard] <- c:
+		case s.queue <- c:
 		default:
-			c.finishLocked(StatusFailed, nil, "restore: shard queue full",
-				Event{Type: "failed", Msg: "restore: shard queue full"})
+			c.finishLocked(StatusFailed, nil, "restore: queue full",
+				Event{Type: "failed", Msg: "restore: queue full"})
 			s.persist(c)
 		}
 	}
@@ -634,20 +615,20 @@ func (s *Server) persist(c *campaign) {
 }
 
 // Close stops accepting campaigns, cancels the run context, and waits for
-// the workers to drain. Queued-but-unstarted campaigns stay "queued".
+// the runners to drain. Queued-but-unstarted campaigns stay "queued".
 func (s *Server) Close() {
 	s.cancel()
 	s.wg.Wait()
 }
 
-// worker runs campaigns from one shard queue until shutdown.
-func (s *Server) worker(queue <-chan *campaign) {
+// runner runs campaigns off the queue, oldest first, until shutdown.
+func (s *Server) runner() {
 	defer s.wg.Done()
 	for {
 		select {
 		case <-s.ctx.Done():
 			return
-		case c := <-queue:
+		case c := <-s.queue:
 			s.run(c)
 		}
 	}
@@ -681,7 +662,7 @@ func (s *Server) run(c *campaign) {
 		}
 	}
 	c.mu.Unlock()
-	c.append(Event{Type: "started", Msg: fmt.Sprintf("campaign %s running on shard %d", c.id, c.shard)})
+	c.append(Event{Type: "started", Msg: fmt.Sprintf("campaign %s running", c.id)})
 	s.persist(c)
 
 	// Checkpoint merges classified outcomes into the record and persists
@@ -763,17 +744,10 @@ func (s *Server) run(c *campaign) {
 	s.persist(c)
 }
 
-// shardOf maps a campaign id to its worker pool.
-func (s *Server) shardOf(id string) int {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return int(h.Sum32() % uint32(len(s.queues)))
-}
-
 // Submit enqueues a record and returns its id. The record runs as one
-// cancellable unit — a single worker slot, a single event log interleaving
+// cancellable unit — a single runner, a single event log interleaving
 // every structure of its list — and Submit fails fast with ErrQueueFull
-// when the target shard's queue is at capacity.
+// when the pending queue is at capacity.
 func (s *Server) Submit(req Request) (string, error) {
 	if (req.Structure != "") == (len(req.Structures) > 0) {
 		return "", &badRequestError{fmt.Errorf("want exactly one of structure and structures")}
@@ -800,7 +774,6 @@ func (s *Server) Submit(req Request) (string, error) {
 	c := &campaign{
 		id:        id,
 		kind:      kind,
-		shard:     s.shardOf(id),
 		req:       req,
 		submitted: time.Now(),
 		status:    StatusQueued,
@@ -813,11 +786,11 @@ func (s *Server) Submit(req Request) (string, error) {
 	s.mu.Unlock()
 	s.unregister(evicted)
 
-	// The queued event precedes the enqueue so no worker can emit
+	// The queued event precedes the enqueue so no runner can emit
 	// "started" ahead of it.
-	c.append(Event{Type: "queued", Msg: fmt.Sprintf("queued on shard %d", c.shard)})
+	c.append(Event{Type: "queued"})
 	select {
-	case s.queues[c.shard] <- c:
+	case s.queue <- c:
 	default:
 		s.mu.Lock()
 		delete(s.campaigns, id)
@@ -884,8 +857,8 @@ func (s *Server) evictFinishedLocked() []string {
 	return evicted
 }
 
-// ErrQueueFull is returned (and served as 429) when the target shard's
-// bounded queue cannot take another campaign.
+// ErrQueueFull is returned (and served as 429) when the bounded pending
+// queue cannot take another campaign.
 var ErrQueueFull = fmt.Errorf("server: campaign queue full, retry later")
 
 // badRequestError marks a submission-time validation failure (served 400).
@@ -908,7 +881,6 @@ type statusJSON struct {
 	ID        string    `json:"id"`
 	Kind      string    `json:"kind"`
 	Status    string    `json:"status"`
-	Shard     int       `json:"shard"`
 	Request   Request   `json:"request"`
 	Submitted time.Time `json:"submitted"`
 	Started   time.Time `json:"started"`
@@ -931,7 +903,6 @@ func (c *campaign) statusJSON(withReport bool) statusJSON {
 		ID:            c.id,
 		Kind:          c.kind,
 		Status:        c.status,
-		Shard:         c.shard,
 		Request:       c.req,
 		Submitted:     c.submitted,
 		Started:       c.started,
@@ -1001,19 +972,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	depths := make([]int, len(s.queues))
-	for i, q := range s.queues {
-		depths[i] = len(q)
-	}
 	counts := s.countByStatus()
 	stats := map[string]any{
-		"uptime_seconds":    time.Since(s.start).Seconds(),
-		"shards":            len(s.queues),
-		"workers_per_shard": s.cfg.WorkersPerShard,
-		"queue_capacity":    s.cfg.QueueDepth,
-		"queue_depths":      depths,
-		"campaigns":         counts[KindCampaign],
-		"batches":           counts[KindBatch],
+		"uptime_seconds": time.Since(s.start).Seconds(),
+		"concurrency":    s.cfg.Concurrency,
+		"queue_capacity": s.cfg.QueueDepth,
+		"queue_depth":    len(s.queue),
+		"campaigns":      counts[KindCampaign],
+		"batches":        counts[KindBatch],
 	}
 	if s.cfg.Stats != nil {
 		for k, v := range s.cfg.Stats() {
@@ -1078,9 +1044,9 @@ var ErrFinished = fmt.Errorf("server: campaign already finished")
 var ErrUnknownCampaign = fmt.Errorf("server: unknown campaign")
 
 // Cancel cancels a campaign. A queued campaign becomes "cancelled"
-// immediately (its worker will skip it); a running campaign has its
-// context cancelled and reaches "cancelled" once its RunFunc observes the
-// cancellation and returns, freeing the worker shard. Cancelling an
+// immediately (the runner that dequeues it will skip it); a running
+// campaign has its context cancelled and reaches "cancelled" once its
+// RunFunc observes the cancellation and returns, freeing the runner. Cancelling an
 // already-finished campaign returns ErrFinished.
 func (s *Server) Cancel(id string) (status string, err error) {
 	c, ok := s.get(id)
@@ -1093,7 +1059,7 @@ func (s *Server) Cancel(id string) (status string, err error) {
 		c.mu.Unlock()
 		return "", ErrFinished
 	case c.status == StatusQueued:
-		// Terminal immediately: the worker checks the status on dequeue
+		// Terminal immediately: the runner checks the status on dequeue
 		// and skips cancelled campaigns, so no run will start.
 		c.cancelRequested = true
 		c.finishLocked(StatusCancelled, nil, "cancelled while queued",
@@ -1113,7 +1079,7 @@ func (s *Server) Cancel(id string) (status string, err error) {
 
 // handleCancel serves DELETE /campaigns/{id}: 200 with the resulting
 // status for queued ("cancelled") and running ("cancelling", terminal
-// "cancelled" follows once the worker unwinds) records, 409 for finished
+// "cancelled" follows once the runner unwinds) records, 409 for finished
 // ones, 404 for unknown ids. The record's one context covers every
 // structure of its list, so finished structures keep their reports and the
 // rest never inject.

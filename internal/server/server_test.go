@@ -227,10 +227,7 @@ func TestConcurrentCampaignStreaming(t *testing.T) {
 	gateA := make(chan struct{})
 	gateB := make(chan struct{})
 	p := &fakePipeline{gate: map[string]chan struct{}{"alpha": gateA, "beta": gateB}}
-	// Two shards, each with a worker, so both campaigns can run
-	// concurrently regardless of the ids' shard hash... use one shard
-	// with two workers to make concurrency certain.
-	_, hs := newTestServer(t, Config{Run: p.run, Shards: 1, WorkersPerShard: 2})
+	_, hs := newTestServer(t, Config{Run: p.run, Concurrency: 2})
 
 	idA := submit(t, hs.URL, Request{Workload: "alpha", Structure: "RF", Faults: 2})
 	idB := submit(t, hs.URL, Request{Workload: "beta", Structure: "SQ", Faults: 2})
@@ -317,12 +314,12 @@ func TestEventStreamResume(t *testing.T) {
 	}
 }
 
-// TestBoundedQueueSheds: submissions past the per-shard bound are refused
+// TestBoundedQueueSheds: submissions past the pending bound are refused
 // with 429 and leave no campaign record behind.
 func TestBoundedQueueSheds(t *testing.T) {
 	gate := make(chan struct{})
 	p := &fakePipeline{gate: map[string]chan struct{}{"slow": gate}}
-	s, hs := newTestServer(t, Config{Run: p.run, Shards: 1, WorkersPerShard: 1, QueueDepth: 2})
+	s, hs := newTestServer(t, Config{Run: p.run, Concurrency: 1, QueueDepth: 2})
 	defer close(gate)
 
 	// One running (pulled off the queue) + two queued = at capacity.
@@ -357,7 +354,7 @@ func TestBoundedQueueSheds(t *testing.T) {
 
 	// Queue depth is observable on /statsz.
 	var stats struct {
-		QueueDepths []int `json:"queue_depths"`
+		QueueDepth int `json:"queue_depth"`
 	}
 	sresp, err := http.Get(hs.URL + "/statsz")
 	if err != nil {
@@ -367,8 +364,46 @@ func TestBoundedQueueSheds(t *testing.T) {
 	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if len(stats.QueueDepths) != 1 || stats.QueueDepths[0] != 2 {
-		t.Fatalf("queue_depths = %v, want [2]", stats.QueueDepths)
+	if stats.QueueDepth != 2 {
+		t.Fatalf("queue_depth = %d, want 2", stats.QueueDepth)
+	}
+}
+
+// TestNoHeadOfLineBlocking: with the default config a record never waits
+// while a runner is idle. One long-running record stays in flight while
+// short ones come and go; the next DefaultConcurrency-1 submissions must
+// all start beside it — under the old id-hashed shard queues the first of
+// them landed on the long record's shard and sat behind it with three
+// runners idle. Only once every runner is busy does the queue fill,
+// shedding exactly at the total pending bound.
+func TestNoHeadOfLineBlocking(t *testing.T) {
+	gate := make(chan struct{})
+	p := &fakePipeline{gate: map[string]chan struct{}{"slow": gate}}
+	_, hs := newTestServer(t, Config{Run: p.run})
+	defer close(gate)
+	slow := Request{Workload: "slow", Structure: "RF", Faults: 1}
+
+	waitRunning(t, hs.URL, submit(t, hs.URL, slow))
+	for i := 1; i < DefaultConcurrency; i++ {
+		waitDone(t, hs.URL, submit(t, hs.URL, Request{Workload: "quick", Structure: "RF", Faults: 1}))
+	}
+	for i := 1; i < DefaultConcurrency; i++ {
+		waitRunning(t, hs.URL, submit(t, hs.URL, slow))
+	}
+
+	// Every runner is busy: submissions now queue, up to the bound.
+	for i := 0; i < DefaultQueueDepth; i++ {
+		submit(t, hs.URL, slow)
+	}
+	body, _ := json.Marshal(slow)
+	resp, err := http.Post(hs.URL+"/campaigns", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("submission past %d running + %d queued: status %d, want 429 exactly at the total bound",
+			DefaultConcurrency, DefaultQueueDepth, resp.StatusCode)
 	}
 }
 
@@ -484,7 +519,7 @@ func TestHealthzAndListAndNotFound(t *testing.T) {
 // while unfinished campaigns are never touched.
 func TestFinishedCampaignEviction(t *testing.T) {
 	p := &fakePipeline{}
-	s, hs := newTestServer(t, Config{Run: p.run, Shards: 1, RetainFinished: 2})
+	s, hs := newTestServer(t, Config{Run: p.run, Concurrency: 1, RetainFinished: 2})
 
 	var ids []string
 	for i := 0; i < 4; i++ {
@@ -524,9 +559,8 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("New accepted a Config without Run")
 	}
 	for name, cfg := range map[string]Config{
-		"negative shards":  {Run: p.run, Shards: -1},
-		"negative workers": {Run: p.run, WorkersPerShard: -2},
-		"negative queue":   {Run: p.run, QueueDepth: -3},
+		"negative concurrency": {Run: p.run, Concurrency: -1},
+		"negative queue":       {Run: p.run, QueueDepth: -3},
 	} {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("%s: New accepted invalid config", name)
@@ -570,13 +604,13 @@ func del(t *testing.T, base, id string) (int, map[string]string) {
 
 // TestCancelQueuedRunningAndFinished is the DELETE differential: a queued
 // campaign cancels instantly (200), a running one is cancelled through
-// its context (200) and frees the worker shard for the next queued
+// its context (200) and frees the runner for the next queued
 // campaign, and a finished one refuses with 409. Attached streamers
 // receive the terminal "cancelled" NDJSON event in every cancelled case.
 func TestCancelQueuedRunningAndFinished(t *testing.T) {
 	gate := make(chan struct{})
 	p := &fakePipeline{gate: map[string]chan struct{}{"slow": gate}}
-	_, hs := newTestServer(t, Config{Run: p.run, Shards: 1, WorkersPerShard: 1})
+	_, hs := newTestServer(t, Config{Run: p.run, Concurrency: 1})
 
 	running := submit(t, hs.URL, Request{Workload: "slow", Structure: "RF", Faults: 100})
 	waitRunning(t, hs.URL, running)
@@ -612,10 +646,10 @@ func TestCancelQueuedRunningAndFinished(t *testing.T) {
 		}
 	}
 
-	// The shard is free again: a fresh campaign runs to completion.
+	// The runner is free again: a fresh campaign runs to completion.
 	free := submit(t, hs.URL, Request{Workload: "ok", Structure: "RF", Faults: 1})
 	if st := waitDone(t, hs.URL, free); st.Status != StatusDone {
-		t.Fatalf("post-cancel campaign: %q (worker shard not freed?)", st.Status)
+		t.Fatalf("post-cancel campaign: %q (runner not freed?)", st.Status)
 	}
 
 	// Finished: 409, status untouched.
@@ -635,13 +669,13 @@ func TestCancelQueuedRunningAndFinished(t *testing.T) {
 }
 
 // TestDeadlineMS: a per-request deadline bounds a stuck campaign, failing
-// it with a deadline error while the shard moves on; negative deadlines
+// it with a deadline error while the runner moves on; negative deadlines
 // are rejected at submission.
 func TestDeadlineMS(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
 	p := &fakePipeline{gate: map[string]chan struct{}{"slow": gate}}
-	_, hs := newTestServer(t, Config{Run: p.run, Shards: 1, WorkersPerShard: 1})
+	_, hs := newTestServer(t, Config{Run: p.run, Concurrency: 1})
 
 	id := submit(t, hs.URL, Request{Workload: "slow", Structure: "RF", Faults: 100, DeadlineMS: 30})
 	st := waitDone(t, hs.URL, id)
@@ -649,7 +683,7 @@ func TestDeadlineMS(t *testing.T) {
 		t.Fatalf("deadlined campaign: status %q err %q, want failed with deadline message", st.Status, st.Error)
 	}
 
-	// The shard survived the deadline.
+	// The runner survived the deadline.
 	ok := submit(t, hs.URL, Request{Workload: "ok", Structure: "RF", Faults: 1})
 	if st := waitDone(t, hs.URL, ok); st.Status != StatusDone {
 		t.Fatalf("post-deadline campaign: %q", st.Status)
@@ -960,7 +994,7 @@ func (r *fakeRegistry) get(id string) (Record, bool) {
 func TestRegistryPersistsLifecycle(t *testing.T) {
 	reg := newFakeRegistry()
 	p := &fakePipeline{}
-	_, hs := newTestServer(t, Config{Run: p.run, Shards: 1, Registry: reg, RetainFinished: 2})
+	_, hs := newTestServer(t, Config{Run: p.run, Concurrency: 1, Registry: reg, RetainFinished: 2})
 
 	id := submit(t, hs.URL, Request{Workload: "sha", Structure: "RF", Faults: 2})
 	waitDone(t, hs.URL, id)
@@ -1025,7 +1059,7 @@ func TestRegistryRestore(t *testing.T) {
 		}
 		return p.run(ctx, job, emit)
 	}
-	_, hs := newTestServer(t, Config{Run: run, Shards: 1, Registry: reg})
+	_, hs := newTestServer(t, Config{Run: run, Concurrency: 1, Registry: reg})
 
 	// The terminal record is queryable with its report and restored marker.
 	st := getStatus(t, hs.URL, "c000003")
@@ -1086,7 +1120,7 @@ func TestCheckpointPersistsOutcomes(t *testing.T) {
 		job.Checkpoint(map[int]string{1: "SDC"})
 		return map[string]any{"ok": true}, nil
 	}
-	_, hs := newTestServer(t, Config{Run: run, Shards: 1, Registry: reg})
+	_, hs := newTestServer(t, Config{Run: run, Concurrency: 1, Registry: reg})
 
 	id := submit(t, hs.URL, Request{Workload: "sha", Structure: "RF", Faults: 2})
 	<-ckpt
@@ -1125,7 +1159,7 @@ func TestShutdownLeavesResumableRecord(t *testing.T) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	s, err := New(Config{Run: run, Shards: 1, Registry: reg})
+	s, err := New(Config{Run: run, Concurrency: 1, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1154,7 +1188,7 @@ func TestShutdownLeavesResumableRecord(t *testing.T) {
 		}
 		return map[string]any{"resumed": true}, nil
 	}
-	s2, err := New(Config{Run: done, Shards: 1, Registry: reg})
+	s2, err := New(Config{Run: done, Concurrency: 1, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

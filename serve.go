@@ -36,8 +36,8 @@ const (
 // Server is the long-running campaign service behind cmd/merlind: an
 // HTTP+JSON API (POST /campaigns, GET /campaigns/{id}, DELETE
 // /campaigns/{id}, streamed /campaigns/{id}/events, /batches as an alias
-// of the same tree, /healthz, /statsz) over a sharded worker pool with
-// bounded queues. A record's target is a structure list evaluated over
+// of the same tree, /healthz, /statsz) over a fixed set of runners
+// draining one bounded FIFO queue. A record's target is a structure list evaluated over
 // one shared golden run ("structure" is the one-element shorthand).
 // Records are cancellable — DELETE cancels queued and running submissions
 // alike, covering every structure of the list — and may carry a
@@ -65,14 +65,12 @@ type ServeOptions struct {
 	// negative disables snapshot sharing.
 	SnapshotBudget int64
 
-	// Shards is the number of independent worker pools (campaigns are
-	// assigned by id hash), WorkersPerShard how many campaigns one shard
-	// runs concurrently, and QueueDepth the pending-campaign bound per
-	// shard (submissions beyond it get 429). Zero values take the
-	// server defaults (4 / 1 / 64).
-	Shards          int
-	WorkersPerShard int
-	QueueDepth      int
+	// Concurrency is how many records run at once, oldest first off one
+	// FIFO queue, and QueueDepth the bound on pending records
+	// (submissions beyond it get 429). Zero values take the server
+	// defaults (4 / 256).
+	Concurrency int
+	QueueDepth  int
 	// RetainFinished bounds how many finished campaigns (reports + event
 	// logs) stay queryable; the oldest are evicted beyond it so a
 	// long-running daemon's memory tracks load, not lifetime. 0 takes
@@ -111,7 +109,7 @@ type ServeOptions struct {
 	FleetStallTimeout time.Duration
 }
 
-// NewServer starts the campaign service's worker pools and returns the
+// NewServer starts the campaign service's runners and returns the
 // service. Expose it over HTTP with (*Server).Handler; stop it with
 // (*Server).Close.
 func NewServer(opt ServeOptions) (*Server, error) {
@@ -131,8 +129,7 @@ func NewServer(opt ServeOptions) (*Server, error) {
 	cfg := server.Config{
 		Run:                  runCampaign(opt.Cache, snapshots, pool, &staticPruned, opt.FleetClient, opt.FleetStallTimeout),
 		Validate:             validateRequest(opt.Cache),
-		Shards:               opt.Shards,
-		WorkersPerShard:      opt.WorkersPerShard,
+		Concurrency:          opt.Concurrency,
 		QueueDepth:           opt.QueueDepth,
 		RetainFinished:       opt.RetainFinished,
 		MaxEventsPerCampaign: opt.MaxEventsPerCampaign,

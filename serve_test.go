@@ -270,7 +270,7 @@ func TestDaemonConcurrentEventStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := daemon(t, ServeOptions{Cache: cache, Shards: 1, WorkersPerShard: 2})
+	hs := daemon(t, ServeOptions{Cache: cache, Concurrency: 2})
 
 	// Bounded per-campaign workers: a campaign defaulting to all host
 	// cores can starve the test harness (and the second submission) long
@@ -364,10 +364,10 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 // TestDaemonCancelMidInjection is the cancellation acceptance test
 // against the real pipeline: DELETE on a mid-injection campaign turns it
 // "cancelled", delivers the terminal NDJSON event to an attached
-// streamer, and frees the worker shard (observable via /statsz counts as
+// streamer, and frees the runner (observable via /statsz counts as
 // the next campaign runs).
 func TestDaemonCancelMidInjection(t *testing.T) {
-	hs := daemon(t, ServeOptions{Shards: 1, WorkersPerShard: 1})
+	hs := daemon(t, ServeOptions{Concurrency: 1})
 
 	// A large replay campaign on one worker: slow enough to catch
 	// mid-injection, instantly abandoned once cancelled.
@@ -435,8 +435,8 @@ func TestDaemonCancelMidInjection(t *testing.T) {
 		t.Fatalf("partial report has no Cancelled count: %+v", partial)
 	}
 
-	// The worker shard is freed: a follow-up campaign on the same single
-	// shard runs to completion, and /statsz shows nothing left running.
+	// The runner is freed: a follow-up campaign on the same single
+	// runner runs to completion, and /statsz shows nothing left running.
 	_, rep := campaignWait(t, hs.URL, postCampaign(t, hs.URL,
 		`{"workload":"sha","structure":"RF","faults":100,"seed":2,"strategy":"forked"}`))
 	if rep.Dist.Total() != 100 {
