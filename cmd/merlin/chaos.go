@@ -13,10 +13,10 @@ import (
 
 // runChaos implements `merlin chaos`: certify the campaign fleet against
 // seeded fault schedules. An in-process coordinator+worker fleet runs
-// one chaos campaign per scenario — stalled and crashed shard streams,
-// corrupted artifact transfers, torn registry writes, 5xx storms,
-// stragglers and duplicates — and every surviving run must produce a
-// merged report bit-identical to a clean run of the same request.
+// one chaos campaign per scenario, cycling seven schedule kinds — stalled
+// and crashed shard streams, torn registry writes, 5xx storms, duplicates,
+// stragglers and a mix — and every surviving run must produce a merged
+// report bit-identical to a clean run of the same request.
 //
 //	merlin chaos -seed 1 -scenarios 25
 //	merlin chaos -seed 7 -scenarios 8 -workers 3 -v

@@ -41,18 +41,21 @@
 // Every record runs one path on every deployment: each structure's
 // representatives are classified through an outcome ledger that resumes
 // from the record's checkpoint, shards the remainder across whatever fleet
-// workers joined this daemon (the default role is coordinator), runs them
-// in-process when none did, and merges the streamed outcomes. With
-// -registry the record state is persisted, so a restart resumes in-flight
-// records — single structures and lists alike — from their last
-// checkpoint. Workers are the same binary pointed at the coordinator:
+// workers joined this daemon, runs them in-process when none did, and
+// merges the streamed outcomes. With -registry the record state is
+// persisted, so a restart resumes in-flight records — single structures and
+// lists alike — from their last checkpoint. Workers are the same binary
+// pointed at a coordinator with -join:
 //
 //	merlind -addr :7411 -registry ./merlind-registry &      # coordinator
-//	merlind -role worker -addr :7412 -join http://localhost:7411 &
-//	merlind -role worker -addr :7413 -join http://localhost:7411 &
+//	merlind -addr :7412 -join http://localhost:7411 &
+//	merlind -addr :7413 -join http://localhost:7411 &
 //	curl -s localhost:7411/fleet/workers                    # the fleet
 //
-// A worker lost mid-campaign has its unfinished fault groups requeued onto
+// A worker is a pure injection executor: each shard job carries the
+// campaign configuration, the golden reference and its faults, so a worker
+// keeps no artifact cache (-cache is a coordinator flag) and runs no golden
+// run. One lost mid-campaign has its unfinished fault groups requeued onto
 // survivors.
 package main
 
@@ -69,19 +72,18 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":7411", "listen address")
-		cache     = flag.String("cache", "merlind-cache", "golden-run artifact cache directory (empty disables caching)")
+		cache     = flag.String("cache", "merlind-cache", "golden-run artifact cache directory (coordinator; empty disables caching)")
 		conc      = flag.Int("concurrency", 0, "campaigns run at once, oldest first (0 = default 4)")
 		queue     = flag.Int("queue", 0, "pending-campaign bound, beyond which submissions get 429 (0 = default 256)")
 		retain    = flag.Int("retain", 0, "finished campaigns kept queryable before the oldest are evicted (0 = default 1024)")
 		maxEvents = flag.Int("max-events", 0, "per-campaign event log cap before the oldest entries are dropped (0 = default 8192)")
 		snapMB    = flag.Int64("snapshot-budget", 0, "in-memory checkpoint-snapshot cache budget in MB, shared across campaigns (0 = default 512, negative disables)")
 
-		role      = flag.String("role", "coordinator", `"coordinator" accepts campaigns and shards them over joined workers; "worker" joins a coordinator and executes shards`)
-		join      = flag.String("join", "", "coordinator base URL to join (worker role; setting it implies -role worker)")
-		advertise = flag.String("advertise", "", "base URL the coordinator reaches this worker at (worker role; default http://127.0.0.1<addr>)")
-		workerID  = flag.String("worker-id", "", "worker name in the coordinator's pool (worker role; default derived from the advertise URL)")
-		registry  = flag.String("registry", "", "durable campaign registry directory: campaigns survive and resume across restarts (coordinator role; empty disables)")
-		fleetTTL  = flag.Duration("worker-ttl", 0, "heartbeat window before a silent worker is considered dead (coordinator role; 0 = default 10s, negative disables the fleet endpoints)")
+		join      = flag.String("join", "", "coordinator base URL: run as a fleet worker that joins it and executes shards, instead of as a coordinator")
+		advertise = flag.String("advertise", "", "base URL the coordinator reaches this worker at (worker; default http://127.0.0.1<addr>)")
+		workerID  = flag.String("worker-id", "", "worker name in the coordinator's pool (worker; default derived from the advertise URL)")
+		registry  = flag.String("registry", "", "durable campaign registry directory: campaigns survive and resume across restarts (coordinator; empty disables)")
+		fleetTTL  = flag.Duration("worker-ttl", 0, "heartbeat window before a silent worker is considered dead (coordinator; 0 = default 10s, negative disables the fleet endpoints)")
 	)
 	flag.Parse()
 
@@ -89,6 +91,25 @@ func main() {
 	if snapBudget > 0 {
 		snapBudget <<= 20
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+
+	if *join != "" {
+		log.Printf("merlind worker listening on %s, joining %s", *addr, *join)
+		err := merlin.ServeWorker(ctx, *addr, merlin.WorkerOptions{
+			Coordinator:    *join,
+			ID:             *workerID,
+			Advertise:      *advertise,
+			SnapshotBudget: snapBudget,
+			Logf:           log.Printf,
+		})
+		if err != nil {
+			log.Fatalf("merlind: %v", err)
+		}
+		log.Printf("worker shut down cleanly")
+		return
+	}
+
 	var artifacts *merlin.Cache
 	if *cache != "" {
 		c, err := merlin.OpenCache(*cache)
@@ -100,32 +121,6 @@ func main() {
 		log.Printf("artifact cache at %s (%d artifacts, %d bytes)", c.Dir(), st.Entries, st.Bytes)
 	} else {
 		log.Printf("artifact cache disabled; every campaign will repeat its golden run")
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	if *join != "" || *role == "worker" {
-		if *join == "" {
-			log.Fatalf("merlind: -role worker requires -join <coordinator URL>")
-		}
-		log.Printf("merlind worker listening on %s, joining %s", *addr, *join)
-		err := merlin.ServeWorker(ctx, *addr, merlin.WorkerOptions{
-			Coordinator:    *join,
-			ID:             *workerID,
-			Advertise:      *advertise,
-			Cache:          artifacts,
-			SnapshotBudget: snapBudget,
-			Logf:           log.Printf,
-		})
-		if err != nil {
-			log.Fatalf("merlind: %v", err)
-		}
-		log.Printf("worker shut down cleanly")
-		return
-	}
-	if *role != "coordinator" {
-		log.Fatalf("merlind: unknown -role %q (want coordinator or worker)", *role)
 	}
 
 	opt := merlin.ServeOptions{

@@ -4,13 +4,12 @@ package merlin
 // the coordinator side (durable registry adapter, the outcome ledger every
 // record's structures inject through — resume from the checkpoint, shard
 // the pending fault groups over internal/fleet workers or run them
-// in-process, merge the outcome streams) and the worker side (ServeWorker,
-// which joins a coordinator, heartbeats, and executes shard jobs against
-// the local pipeline). MeRLiN's determinism keeps the protocol thin: a
-// worker re-derives Preprocess and Reduce bit-identically from the
-// campaign request, so shard jobs carry only the request JSON, the
-// structure name and its representative indices, and golden artifacts
-// travel separately by content address.
+// in-process, merge the outcome streams and work counters) and the worker
+// side (ServeWorker, which joins a coordinator, heartbeats, and executes
+// shard jobs). The coordinator is the only process that runs Preprocess and
+// Reduce: a shard job carries Runner.Run's argument list — the campaign
+// configuration, the golden reference and the shard's faults — so a worker
+// is a pure injection executor holding nothing but the job.
 
 import (
 	"context"
@@ -19,13 +18,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
 	"time"
 
 	"merlin/internal/campaign"
+	"merlin/internal/cpu"
 	"merlin/internal/fleet"
 	"merlin/internal/server"
 	"merlin/internal/store"
@@ -88,7 +87,7 @@ type outcomeLedger struct {
 	mu        sync.Mutex
 	outcomes  []campaign.Outcome // indexed by rep; Cancelled = unclassified
 	violation error
-	work      campaign.Result // work counters summed over the locally executed shards
+	work      campaign.Work // summed over every executed shard, local and remote
 
 	structure string
 	emit      func(CampaignEvent)
@@ -175,17 +174,11 @@ func (l *outcomeLedger) pendingShards(red *Reduction, n int) [][]int {
 	return out
 }
 
-// addWork sums one locally executed shard's work counters into the merged
-// result (SnapshotHit = any shard hit). Remotely executed shards report
-// none.
-func (l *outcomeLedger) addWork(r *campaign.Result) {
+// addWork sums one executed shard's work counters into the merged result.
+func (l *outcomeLedger) addWork(w campaign.Work) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.work.Serial += r.Serial
-	l.work.Clones += r.Clones
-	l.work.CloneTime += r.CloneTime
-	l.work.SimCycles += r.SimCycles
-	l.work.SnapshotHit = l.work.SnapshotHit || r.SnapshotHit
+	l.work.Add(w)
 }
 
 // result assembles the merged campaign Result — entries still carrying the
@@ -195,9 +188,50 @@ func (l *outcomeLedger) result() (*campaign.Result, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	res := campaign.NewResultFrom(l.outcomes)
-	res.Serial, res.Clones, res.CloneTime = l.work.Serial, l.work.Clones, l.work.CloneTime
-	res.SimCycles, res.SnapshotHit = l.work.SimCycles, l.work.SnapshotHit
+	res.Work = l.work
 	return res, l.violation
+}
+
+// shardSpec is what a shard job's opaque Spec holds — Runner.Run's argument
+// list. Request is the record's submission, read only for what configures
+// the Runner and the plan (workload, core knobs, strategy/checkpoints,
+// workers; the coordinator already applied the sampling and grouping
+// knobs); Cycles, Output and ExcLog are the golden reference the faults
+// classify against; Faults are the shard's, parallel to the job's Reps.
+type shardSpec struct {
+	Request CampaignRequest `json:"request"`
+	Cycles  uint64          `json:"cycles"`
+	Output  []uint64        `json:"output"`
+	ExcLog  []uint32        `json:"exc_log"`
+	Faults  []Fault         `json:"faults"`
+}
+
+// specDigest is the end-to-end integrity check of a shard job: the hex
+// sha256 of its spec bytes, stamped by the coordinator and verified by the
+// worker before it decodes them.
+func specDigest(spec []byte) string {
+	sum := sha256.Sum256(spec)
+	return hex.EncodeToString(sum[:])
+}
+
+// validate vets a decoded spec against the core it configures before
+// anything simulates: the spec is input from outside the process, and an
+// out-of-range flip would otherwise panic inside the simulator and be
+// recovered as a silently wrong Crash outcome.
+func (sp *shardSpec) validate(core *cpu.Core, reps []int) error {
+	if len(sp.Faults) != len(reps) {
+		return fmt.Errorf("merlin: shard spec carries %d faults for %d representatives", len(sp.Faults), len(reps))
+	}
+	for _, f := range sp.Faults {
+		entries, bits := core.StructureEntries(f.Structure), core.StructureEntryBits(f.Structure)
+		switch {
+		case f.Entry < 0 || int(f.Entry) >= entries || f.Bit < 0 || int(f.Bit) >= bits:
+			return fmt.Errorf("merlin: shard fault %v is outside the configured geometry (%d entries x %d bits)", f, entries, bits)
+		case f.Cycle < 1 || f.Cycle > sp.Cycles:
+			return fmt.Errorf("merlin: shard fault %v is outside the golden run (%d cycles)", f, sp.Cycles)
+		}
+	}
+	return nil
 }
 
 // ledgerInjector is the daemon's injection executor, the one run path of
@@ -216,7 +250,7 @@ func (l *outcomeLedger) result() (*campaign.Result, error) {
 // representative indices are offset by the ReducedCount of the structures
 // before it in list order (Batch.Run injects in that order, so those
 // reductions exist by the time this one runs).
-func ledgerInjector(b *Batch, job server.Job, emit func(CampaignEvent), cache *Cache, pool *fleet.Pool, client *http.Client, stall time.Duration) injectFunc {
+func ledgerInjector(b *Batch, job server.Job, emit func(CampaignEvent), pool *fleet.Pool, client *http.Client, stall time.Duration) injectFunc {
 	return func(ctx context.Context, s *Session, onOutcome func(int, Fault, Outcome)) (*campaign.Result, error) {
 		art := s.art
 		structure := art.Config.Structure.String()
@@ -239,23 +273,23 @@ func ledgerInjector(b *Batch, job server.Job, emit func(CampaignEvent), cache *C
 				Msg: fmt.Sprintf("%d of %d representatives already classified by checkpoint; injecting the remainder", n, len(reduced))})
 		}
 
-		reqJSON, err := json.Marshal(job.Request)
-		if err != nil {
-			return nil, err
-		}
-		sj := fleet.ShardJob{Campaign: job.ID, Request: reqJSON, Structure: structure}
-		if cache != nil {
-			sj.ArtifactID = store.NewKey(art.Config.Workload, art.Config.CPU, art.Runner.GoldenBudget, b.structures...).ID()
-			sj.ArtifactURL = "/artifacts/" + sj.ArtifactID
+		golden := &art.Golden.Result
+		subset := func(reps []int) []Fault {
+			faults := make([]Fault, len(reps))
+			for i, rep := range reps {
+				faults[i] = reduced[rep]
+			}
+			return faults
 		}
 		disp := &fleet.Dispatcher{
 			Pool:         pool,
 			Client:       client,
 			StallTimeout: stall,
 			Job: func(reps []int) fleet.ShardJob {
-				j := sj // shards dispatch concurrently
-				j.Reps = reps
-				return j
+				// Cannot fail: integers plus a request that arrived as JSON.
+				spec, _ := json.Marshal(shardSpec{Request: job.Request,
+					Cycles: golden.Cycles, Output: golden.Output, ExcLog: golden.ExcLog, Faults: subset(reps)})
+				return fleet.ShardJob{Campaign: job.ID, Spec: spec, Digest: specDigest(spec), Reps: reps}
 			},
 			OnOutcome: func(o fleet.Outcome) {
 				out, err := campaign.ParseOutcome(o.Outcome)
@@ -264,13 +298,17 @@ func ledgerInjector(b *Batch, job server.Job, emit func(CampaignEvent), cache *C
 				}
 				led.record(o.Rep, out)
 			},
-			Local: func(ctx context.Context, reps []int) error {
-				res, err := art.injectSubset(ctx, reps, func(rep int, _ Fault, o campaign.Outcome) {
-					led.record(rep, o)
-				})
-				if res != nil {
-					led.addWork(res)
+			OnWork: func(raw json.RawMessage) {
+				var w campaign.Work
+				if json.Unmarshal(raw, &w) == nil {
+					led.addWork(w)
 				}
+			},
+			Local: func(ctx context.Context, reps []int) error {
+				res, err := art.Runner.Run(ctx, subset(reps), golden, art.Config.plan(func(i int, _ Fault, o campaign.Outcome) {
+					led.record(reps[i], o)
+				}))
+				led.addWork(res.Work)
 				return err
 			},
 			Emit: func(typ, msg string) {
@@ -312,10 +350,9 @@ type WorkerOptions struct {
 	// TTL).
 	Interval time.Duration
 
-	// Cache is the worker's golden-run artifact cache; with one attached
-	// the worker prefetches the campaign's golden artifact from the
-	// coordinator by content address and skips its own golden run. Nil
-	// disables (the worker recomputes — slower, still correct).
+	// Cache is ignored: a worker executes shards holding nothing but the
+	// job and runs no golden run to cache. The field remains only because
+	// bench/http.go sets it (see ROADMAP 3a).
 	Cache *Cache
 	// SnapshotBudget bounds the worker's in-memory snapshot cache
 	// (0 = default 512 MB, negative disables), as in ServeOptions.
@@ -324,104 +361,48 @@ type WorkerOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// maxArtifactBytes bounds one artifact transfer; the raw payload is
-// checksum-validated before it enters the cache, so a truncated fetch is
-// rejected, not served.
-const maxArtifactBytes = 256 << 20
-
-// artifactDigestHeader carries the sha256 of an artifact's raw bytes on
-// the transfer, giving the receiving worker an end-to-end integrity
-// check that is independent of the artifact's own embedded checksum.
-const artifactDigestHeader = "X-Merlin-Artifact-Digest"
-
-// prefetchArtifact pulls the campaign's golden artifact by content
-// address into the worker's cache, best-effort: any failure just means
-// the worker recomputes its golden run. Received bytes are verified
-// against the coordinator's advertised sha256 before they may enter the
-// cache — an in-transit bit flip is dropped here, not discovered later
-// as a mysterious decode failure.
-func prefetchArtifact(ctx context.Context, client *http.Client, cache *Cache, coordinator string, job fleet.ShardJob) {
-	if cache == nil || job.ArtifactID == "" || cache.HasRaw(job.ArtifactID) {
-		return
-	}
-	url := job.ArtifactURL
-	if url == "" {
-		url = "/artifacts/" + job.ArtifactID
-	}
-	if strings.HasPrefix(url, "/") {
-		url = coordinator + url
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return
-	}
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxArtifactBytes))
-	if err != nil {
-		return
-	}
-	if want := resp.Header.Get(artifactDigestHeader); want != "" {
-		sum := sha256.Sum256(raw)
-		if got := hex.EncodeToString(sum[:]); got != want {
-			return // corrupted in transit; recompute rather than cache damage
-		}
-	}
-	cache.PutRaw(job.ArtifactID, raw)
-}
-
 // WorkerShardRun returns the worker's shard executor — the function
 // ServeWorker serves, exported so the in-module chaos harness
 // (internal/chaos/suite) can wrap the real pipeline in a fleet.Agent of its
-// own. It executes one shard job against the local pipeline: the worker
-// re-derives the record's batch Preprocess (served from its
-// artifact cache when the prefetch landed — the same structure list, so
-// the same content address as the coordinator's) and the shard's
-// structure's Reduce deterministically from the request, then injects
-// exactly the job's representatives, streaming each outcome back. client
-// is the artifact-prefetch HTTP client; nil takes a 60s-bounded default.
-func WorkerShardRun(cache *Cache, snapshots *SnapshotCache, coordinator string, client *http.Client) fleet.ShardRunFunc {
-	if client == nil {
-		client = &http.Client{Timeout: 60 * time.Second}
-	}
-	return func(ctx context.Context, job fleet.ShardJob, emit func(fleet.Outcome)) error {
-		var req CampaignRequest
-		if err := json.Unmarshal(job.Request, &req); err != nil {
-			return fmt.Errorf("merlin: bad shard request: %w", err)
+// own. It is a pure injection executor: verify the job's digest, decode and
+// validate its spec, build the Runner the spec's request configures (with
+// the worker's snapshot cache attached), and classify exactly the job's
+// faults through the same Runner.Run a coordinator runs for an in-process
+// shard, streaming each outcome back under its representative index and
+// returning the run's work counters. Every rejection happens before any
+// simulation and fails the shard with a named error, so it requeues.
+func WorkerShardRun(snapshots *SnapshotCache) fleet.ShardRunFunc {
+	return func(ctx context.Context, job fleet.ShardJob, emit func(fleet.Outcome)) (json.RawMessage, error) {
+		if got := specDigest(job.Spec); got != job.Digest {
+			return nil, fmt.Errorf("merlin: shard spec digest mismatch: job says %q, its %d bytes hash to %s", job.Digest, len(job.Spec), got)
 		}
-		prefetchArtifact(ctx, client, cache, coordinator, job)
-		opts, err := requestOptions(req, cache, snapshots)
+		var spec shardSpec
+		if err := json.Unmarshal(job.Spec, &spec); err != nil {
+			return nil, fmt.Errorf("merlin: bad shard spec: %w", err)
+		}
+		opts, err := requestOptions(spec.Request, nil, snapshots)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		b, err := StartBatch(ctx, req.Workload, opts...)
+		sc, err := buildSessionConfig(spec.Request.Workload, opts)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if err := b.Preprocess(ctx); err != nil {
-			return err
+		runner, err := newRunner(sc.cfg)
+		if err != nil {
+			return nil, err
 		}
-		for _, s := range b.sessions {
-			// A job naming no structure predates list records: its request
-			// has exactly one.
-			if job.Structure != "" && job.Structure != s.cfg.Structure.String() {
-				continue
-			}
-			if _, err := s.Reduce(); err != nil {
-				return err
-			}
-			_, err := s.art.injectSubset(ctx, job.Reps, func(rep int, f Fault, o campaign.Outcome) {
-				emit(fleet.Outcome{Rep: rep, Fault: f.String(), Outcome: o.String()})
-			})
-			return err
+		if err := spec.validate(runner.NewCore(), job.Reps); err != nil {
+			return nil, err
 		}
-		return fmt.Errorf("merlin: shard names structure %q, which the request does not list", job.Structure)
+		golden := &cpu.RunResult{Cycles: spec.Cycles, Output: spec.Output, ExcLog: spec.ExcLog}
+		res, err := runner.Run(ctx, spec.Faults, golden, sc.cfg.plan(func(i int, _ Fault, o campaign.Outcome) {
+			emit(fleet.Outcome{Rep: job.Reps[i], Outcome: o.String()})
+		}))
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(res.Work)
 	}
 }
 
@@ -458,7 +439,7 @@ func ServeWorker(ctx context.Context, addr string, opt WorkerOptions) error {
 		Advertise:   advertise,
 		Interval:    opt.Interval,
 		Logf:        opt.Logf,
-		Run:         WorkerShardRun(opt.Cache, snapshots, coordinator, nil),
+		Run:         WorkerShardRun(snapshots),
 	}
 
 	mux := http.NewServeMux()

@@ -2,22 +2,22 @@ package merlin
 
 import (
 	"bufio"
+	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"merlin/internal/campaign"
+	"merlin/internal/cpu"
 	"merlin/internal/fleet"
 )
 
@@ -124,17 +124,18 @@ func joinFleet(t *testing.T, coordURL, id, addr string) {
 	}
 }
 
-// fleetWorker serves the real worker pipeline behind an httptest
-// listener. dieAfter >= 0 turns it into a crashing worker: every shard
-// request streams that many outcomes and then aborts the connection
+// fleetWorker serves the real shard executor behind an httptest listener;
+// it holds nothing but the jobs it is sent — no cache directory, no
+// coordinator URL. dieAfter >= 0 turns it into a crashing worker: every
+// shard request streams that many outcomes and then aborts the connection
 // without a done marker — exactly what the coordinator sees when a
 // worker process is killed mid-shard.
-func fleetWorker(t *testing.T, coordURL string, cache *Cache, dieAfter int) *httptest.Server {
+func fleetWorker(t *testing.T, dieAfter int) *httptest.Server {
 	t.Helper()
-	run := WorkerShardRun(cache, nil, coordURL, nil)
+	run := WorkerShardRun(nil)
 	if dieAfter >= 0 {
 		inner := run
-		run = func(ctx context.Context, job fleet.ShardJob, emit func(fleet.Outcome)) error {
+		run = func(ctx context.Context, job fleet.ShardJob, emit func(fleet.Outcome)) (json.RawMessage, error) {
 			var n atomic.Int32
 			inner(ctx, job, func(o fleet.Outcome) {
 				if int(n.Add(1)) <= dieAfter {
@@ -168,16 +169,8 @@ func TestFleetWorkerLossRequeue(t *testing.T) {
 	// Coordinator plus two workers; w1 streams two outcomes per shard and
 	// then drops the connection, every time.
 	coord := daemon(t, ServeOptions{Cache: cache})
-	w1Cache, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2Cache, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	w1 := fleetWorker(t, coord.URL, w1Cache, 2)
-	w2 := fleetWorker(t, coord.URL, w2Cache, -1)
+	w1 := fleetWorker(t, 2)
+	w2 := fleetWorker(t, -1)
 	joinFleet(t, coord.URL, "w1", w1.URL)
 	joinFleet(t, coord.URL, "w2", w2.URL)
 
@@ -210,17 +203,9 @@ func TestFleetWorkerLossRequeue(t *testing.T) {
 		t.Fatalf("pool after worker loss = %+v, want only w2", list.Workers)
 	}
 
-	// The survivor prefetched the golden artifact by content address
-	// instead of repeating the golden run.
-	if st := w2Cache.Stats(); st.Entries == 0 {
-		t.Fatal("surviving worker never received the golden artifact")
-	}
-
 	// A list record over the same fleet, the crashing worker rejoined: each
-	// structure is sharded in turn (shard jobs name their structure, so the
-	// workers derive the list's Preprocess and fetch its artifact), w1's
-	// lost reps requeue again, and every per-structure report equals the
-	// library batch's.
+	// structure is sharded in turn, w1's lost reps requeue again, and every
+	// per-structure report equals the library batch's.
 	joinFleet(t, coord.URL, "w1", w1.URL)
 	wantList := libraryReports(t, "sha", []Structure{RF, SQ}, refOpts...)
 	bid := postCampaign(t, coord.URL,
@@ -249,9 +234,6 @@ func TestFleetWorkerLossRequeue(t *testing.T) {
 		if remote[name] == 0 {
 			t.Fatalf("list record: no %s shard went to a worker: %v", name, remote)
 		}
-	}
-	if st := w2Cache.Stats(); st.Entries < 2 {
-		t.Fatalf("surviving worker holds %d artifacts, want the single campaign's and the list's", st.Entries)
 	}
 }
 
@@ -433,61 +415,227 @@ func TestLedgerMismatchedDuplicate(t *testing.T) {
 	}
 }
 
-// TestPrefetchArtifactDigestMismatch: a worker rejects artifact bytes
-// whose sha256 disagrees with the coordinator's advertised digest — the
-// in-transit bit flip never enters the cache — while intact bytes under
-// the same protocol land normally.
-func TestPrefetchArtifactDigestMismatch(t *testing.T) {
-	dir := t.TempDir()
-	cache, err := OpenCache(dir)
+// TestFleetShipsFaultsNotRecipe: a worker executes a shard holding only the
+// job. Campaigns over a two-worker fleet — one structure, a list, and
+// non-default grouping and core knobs the workers must not need to re-apply
+// — equal the library reference while the coordinator serves no artifact
+// (the route is gone), the workers ask it for nothing at all, and the
+// fully remote campaigns still report the work they cost.
+func TestFleetShipsFaultsNotRecipe(t *testing.T) {
+	cache, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Populate the coordinator cache with one real golden artifact.
-	ref := daemon(t, ServeOptions{Cache: cache})
-	campaignWait(t, ref.URL, postCampaign(t, ref.URL,
-		`{"workload":"sha","structure":"RF","faults":300,"seed":9,"strategy":"forked"}`))
-	files, err := filepath.Glob(filepath.Join(dir, "*.artifact"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no artifact landed in the cache: %v (%v)", files, err)
+	srv, err := NewServer(ServeOptions{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
 	}
-	id := strings.TrimSuffix(filepath.Base(files[0]), ".artifact")
-	raw, ok := cache.GetRaw(id)
-	if !ok {
-		t.Fatalf("artifact %s unreadable", id)
-	}
-	sum := sha256.Sum256(raw)
-	digest := hex.EncodeToString(sum[:])
-
-	// A chaos coordinator: advertises the true digest, serves the bytes
-	// with one bit flipped when corrupt is set.
-	var corrupt atomic.Bool
-	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		body := raw
-		if corrupt.Load() {
-			body = append([]byte(nil), raw...)
-			body[len(body)/2] ^= 0x40
-		}
-		w.Header().Set(artifactDigestHeader, digest)
-		w.Write(body)
+	var mu sync.Mutex
+	served := map[string]int{} // first path segment -> requests
+	handler := srv.Handler()
+	coord := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		served[strings.SplitN(r.URL.Path, "/", 3)[1]]++
+		mu.Unlock()
+		handler.ServeHTTP(w, r)
 	}))
-	defer hs.Close()
+	t.Cleanup(func() { coord.Close(); srv.Close() })
+	joinFleet(t, coord.URL, "w1", fleetWorker(t, -1).URL)
+	joinFleet(t, coord.URL, "w2", fleetWorker(t, -1).URL)
 
-	wcache, err := OpenCache(t.TempDir())
+	base := []Option{WithFaults(300), WithSeed(9)}
+	for _, tc := range []struct {
+		name       string
+		body       string
+		structures []Structure
+		opts       []Option
+	}{
+		{"single", `{"workload":"sha","structure":"RF","faults":300,"seed":9,"strategy":"forked"}`,
+			[]Structure{RF}, []Option{WithStrategy(StrategyForked)}},
+		{"list", `{"workload":"sha","structures":["RF","SQ"],"faults":300,"seed":9,"strategy":"forked"}`,
+			[]Structure{RF, SQ}, []Option{WithStrategy(StrategyForked)}},
+		{"knobs", `{"workload":"sha","structure":"RF","faults":300,"seed":9,"checkpoints":4,"reps_per_group":2,"disable_byte_grouping":true,"phys_regs":128}`,
+			[]Structure{RF}, []Option{WithCheckpoints(4), WithRepsPerGroup(2), WithoutByteGrouping(), WithCPU(cpu.DefaultConfig().WithRF(128))}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := libraryReports(t, "sha", tc.structures, append(tc.opts, base...)...)
+			id := postCampaign(t, coord.URL, tc.body)
+			var got []*Report
+			if len(tc.structures) > 1 {
+				_, rep := batchWait(t, coord.URL, id)
+				got = rep.Reports
+			} else {
+				_, rep := campaignWait(t, coord.URL, id)
+				got = []*Report{rep}
+			}
+			sameReports(t, "fleet campaign", got, want)
+
+			remote := 0
+			for _, ev := range campaignEvents(t, coord.URL, id) {
+				switch {
+				case ev.Type == "requeue", ev.Type == "shard" && strings.Contains(ev.Msg, "locally"):
+					t.Fatalf("a shard did not run remotely: %s: %s", ev.Type, ev.Msg)
+				case ev.Type == "shard" && strings.Contains(ev.Msg, "-> worker"):
+					remote++
+				}
+			}
+			if remote < len(tc.structures) {
+				t.Fatalf("%d remote shard assignments for %d structures", remote, len(tc.structures))
+			}
+			for _, r := range got {
+				if r.SimCycles == 0 || r.Clones == 0 || r.Serial == 0 || r.CyclesPerSec == 0 {
+					t.Fatalf("%v ran on workers only and reports no work: SimCycles %d, Clones %d, Serial %v, CyclesPerSec %v",
+						r.Structure, r.SimCycles, r.Clones, r.Serial, r.CyclesPerSec)
+				}
+			}
+		})
+	}
+
+	// The test is the coordinator's only client besides the two joins it
+	// posted itself: nothing but record traffic and those joins arrived, so
+	// the workers fetched nothing. And there is nothing to fetch.
+	mu.Lock()
+	for tree, n := range served {
+		if tree != "campaigns" && tree != "fleet" {
+			t.Errorf("coordinator served %d requests under /%s", n, tree)
+		}
+	}
+	if served["fleet"] != 2 {
+		t.Errorf("coordinator served %d /fleet/ requests, want only the two joins", served["fleet"])
+	}
+	mu.Unlock()
+	resp, err := http.Get(coord.URL + "/artifacts/" + strings.Repeat("a", 64))
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := fleet.ShardJob{ArtifactID: id, ArtifactURL: "/artifacts/" + id}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /artifacts/<id> = %d, want 404: the route is gone", resp.StatusCode)
+	}
+}
 
-	corrupt.Store(true)
-	prefetchArtifact(context.Background(), hs.Client(), wcache, hs.URL, job)
-	if wcache.HasRaw(id) {
-		t.Fatal("corrupted artifact bytes entered the worker cache past the digest check")
+// TestWorkerRejectsBadShardSpec: a shard spec is input from outside the
+// process. A corrupted or malformed one ends the stream with a named error
+// on the done marker and not one outcome line — nothing is simulated, so
+// nothing can be misclassified — while the intact job classifies every
+// fault and reports its work.
+func TestWorkerRejectsBadShardSpec(t *testing.T) {
+	ctx := context.Background()
+	s, err := Start(ctx, "sha", WithFaults(300), WithSeed(9), WithStrategy(StrategyForked))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Preprocess(ctx); err != nil {
+		t.Fatal(err)
+	}
+	red, err := s.Reduce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := s.art.Golden.Result
+	good := shardSpec{
+		Request: CampaignRequest{Workload: "sha", Structure: "RF", Strategy: "forked"},
+		Cycles:  golden.Cycles, Output: golden.Output, ExcLog: golden.ExcLog,
+		Faults: red.Reduced()[:4],
+	}
+	reps := []int{0, 1, 2, 3}
+
+	hs := httptest.NewServer((&fleet.Agent{ID: "w", Run: WorkerShardRun(nil)}).Handler())
+	defer hs.Close()
+	type line struct {
+		Outcome string          `json:"outcome"`
+		Done    bool            `json:"done"`
+		Err     string          `json:"error"`
+		Work    json.RawMessage `json:"work"`
+	}
+	// run posts spec as the coordinator would stamp it, after tamper (nil
+	// for none) had its way with the job, and returns the stream's outcome
+	// line count and its done marker.
+	run := func(spec shardSpec, tamper func(*fleet.ShardJob)) (outcomes int, done line) {
+		t.Helper()
+		raw, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := fleet.ShardJob{Campaign: "c000001", Spec: raw, Digest: specDigest(raw), Reps: reps}
+		if tamper != nil {
+			tamper(&job)
+		}
+		body, err := json.Marshal(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(hs.URL+"/fleet/run", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		dec := json.NewDecoder(resp.Body)
+		for dec.More() {
+			var l line
+			if err := dec.Decode(&l); err != nil {
+				t.Fatal(err)
+			}
+			if l.Done {
+				return outcomes, l
+			}
+			outcomes++
+		}
+		t.Fatal("stream ended without a done marker")
+		return
 	}
 
-	corrupt.Store(false)
-	prefetchArtifact(context.Background(), hs.Client(), wcache, hs.URL, job)
-	if !wcache.HasRaw(id) {
-		t.Fatal("intact artifact bytes rejected despite a matching digest")
+	n, done := run(good, nil)
+	var work Work
+	if n != len(reps) || done.Err != "" || json.Unmarshal(done.Work, &work) != nil || work.SimCycles == 0 {
+		t.Fatalf("intact job: %d outcome lines, done marker %+v (work %+v)", n, done, work)
+	}
+
+	with := func(mut func(*shardSpec)) shardSpec {
+		sp := good
+		sp.Faults = append([]Fault(nil), good.Faults...)
+		mut(&sp)
+		return sp
+	}
+	for _, tc := range []struct {
+		name   string
+		spec   shardSpec
+		tamper func(*fleet.ShardJob)
+		want   string
+	}{
+		{name: "flipped spec byte", spec: good, want: "digest mismatch",
+			tamper: func(j *fleet.ShardJob) {
+				// A digit of the golden cycle count: still valid JSON, a
+				// different reference — only the digest can tell.
+				i := bytes.Index(j.Spec, []byte(`"cycles":`)) + len(`"cycles":`)
+				j.Spec = append([]byte(nil), j.Spec...)
+				j.Spec[i] ^= 1
+			}},
+		{name: "fewer faults than reps", spec: with(func(sp *shardSpec) { sp.Faults = sp.Faults[:3] }), want: "3 faults for 4 representatives"},
+		{name: "entry out of range", spec: with(func(sp *shardSpec) { sp.Faults[1].Entry = 256 }), want: "outside the configured geometry"},
+		{name: "negative entry", spec: with(func(sp *shardSpec) { sp.Faults[1].Entry = -1 }), want: "outside the configured geometry"},
+		{name: "bit out of range", spec: with(func(sp *shardSpec) { sp.Faults[2].Bit = 64 }), want: "outside the configured geometry"},
+		{name: "cycle past the golden run", spec: with(func(sp *shardSpec) { sp.Faults[3].Cycle = golden.Cycles + 1 }), want: "outside the golden run"},
+		{name: "cycle zero", spec: with(func(sp *shardSpec) { sp.Faults[0].Cycle = 0 }), want: "outside the golden run"},
+		{name: "unknown structure", spec: good, want: "unknown structure",
+			tamper: func(j *fleet.ShardJob) { // no Fault value marshals to this; re-stamped, so only decoding objects
+				j.Spec = bytes.Replace(j.Spec, []byte(`"Structure":"RF"`), []byte(`"Structure":"XQ"`), 1)
+				j.Digest = specDigest(j.Spec)
+			}},
+		{name: "unknown workload", spec: with(func(sp *shardSpec) { sp.Request.Workload = "nope" }), want: "unknown workload"},
+		{name: "geometry follows the core knobs", spec: with(func(sp *shardSpec) {
+			sp.Request.PhysRegs = 128
+			sp.Faults[0].Entry = 200 // inside the default 256-entry RF, outside this one
+		}), want: "outside the configured geometry"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, done := run(tc.spec, tc.tamper)
+			if n != 0 {
+				t.Fatalf("%d outcome lines streamed from a rejected spec", n)
+			}
+			if !strings.Contains(done.Err, tc.want) || done.Work != nil {
+				t.Fatalf("done marker = %+v, want an error naming %q and no work", done, tc.want)
+			}
+		})
 	}
 }

@@ -344,21 +344,13 @@ func Classify(res cpu.RunResult, golden *cpu.RunResult) Outcome {
 	}
 }
 
-// Result aggregates a campaign.
-type Result struct {
-	Outcomes []Outcome
-	Dist     Dist
-	Wall     time.Duration // parallel wall-clock of the whole campaign
-	Serial   time.Duration // summed per-injection run time (single-machine equivalent)
-	// Injected counts the faults actually injected and classified; Dist
-	// aggregates exactly those.
-	Injected int
-	// Cancelled counts faults the campaign never injected because its
-	// context was cancelled first. Their Outcomes entries carry the
-	// Cancelled sentinel and they are excluded from Dist, so
-	// Dist.Total() + Cancelled == len(Outcomes) always holds.
-	Cancelled int
-
+// Work counts what executing an injection run cost, wherever it ran: one
+// Runner.Run fills it, and a campaign merged from several runs (local and
+// remote shards) reports their sum.
+type Work struct {
+	// Serial is the summed per-injection run time (single-machine
+	// equivalent).
+	Serial time.Duration
 	// Clones counts the machine snapshots the campaign took and
 	// CloneTime the wall-clock spent taking them — the per-fault setup
 	// cost the copy-on-write state layers attack.
@@ -373,6 +365,32 @@ type Result struct {
 	// SnapshotSource instead of rebuilt (always false for Replay, whose
 	// reset-only ladder never goes through the source).
 	SnapshotHit bool
+}
+
+// Add sums another run's work into w (SnapshotHit = any run hit).
+func (w *Work) Add(o Work) {
+	w.Serial += o.Serial
+	w.Clones += o.Clones
+	w.CloneTime += o.CloneTime
+	w.SimCycles += o.SimCycles
+	w.SnapshotHit = w.SnapshotHit || o.SnapshotHit
+}
+
+// Result aggregates a campaign.
+type Result struct {
+	Outcomes []Outcome
+	Dist     Dist
+	Wall     time.Duration // parallel wall-clock of the whole campaign
+	// Injected counts the faults actually injected and classified; Dist
+	// aggregates exactly those.
+	Injected int
+	// Cancelled counts faults the campaign never injected because its
+	// context was cancelled first. Their Outcomes entries carry the
+	// Cancelled sentinel and they are excluded from Dist, so
+	// Dist.Total() + Cancelled == len(Outcomes) always holds.
+	Cancelled int
+
+	Work
 }
 
 // CyclesPerSec is the campaign's effective simulation throughput:

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"sync"
 	"time"
@@ -46,7 +47,7 @@ type Behavior struct {
 
 // Wrap returns run perturbed by the receiver's fault distribution.
 func (b *Behavior) Wrap(run fleet.ShardRunFunc) fleet.ShardRunFunc {
-	return func(ctx context.Context, job fleet.ShardJob, emit func(fleet.Outcome)) error {
+	return func(ctx context.Context, job fleet.ShardJob, emit func(fleet.Outcome)) (json.RawMessage, error) {
 		n := len(job.Reps)
 		if n == 0 {
 			return run(ctx, job, emit)
@@ -113,7 +114,7 @@ func (b *Behavior) Wrap(run fleet.ShardRunFunc) fleet.ShardRunFunc {
 			}
 		}
 
-		err := run(cctx, job, wrapped)
+		work, err := run(cctx, job, wrapped)
 		mu.Lock()
 		f := fate
 		mu.Unlock()
@@ -133,7 +134,7 @@ func (b *Behavior) Wrap(run fleet.ShardRunFunc) fleet.ShardRunFunc {
 			sleepCtx(ctx, stallFor)
 			panic(http.ErrAbortHandler)
 		}
-		return err
+		return work, err
 	}
 }
 

@@ -6,9 +6,9 @@
 // the undisturbed run. This package supplies the schedule: a splitmix64
 // stream of fault draws feeding three pluggable injection points —
 //
-//   - Transport: a chaos http.RoundTripper that drops, delays, truncates
-//     and bit-flips responses, breaks NDJSON streams mid-line, injects
-//     5xx, and stalls response bodies without closing them;
+//   - Transport: a chaos http.RoundTripper that drops, delays and
+//     truncates responses, breaks NDJSON streams mid-line, injects 5xx,
+//     and stalls response bodies without closing them;
 //   - FS: a chaos store.FS that tears writes, fails renames, reports
 //     ENOSPC and flips payload bytes on the way to disk;
 //   - Behavior: worker-side perturbations of a fleet.ShardRunFunc —

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -97,32 +98,6 @@ func TestTransportTruncate(t *testing.T) {
 	}
 }
 
-func TestTransportCorrupt(t *testing.T) {
-	srv := chaosBackend(t)
-	client := &http.Client{Transport: &Transport{R: NewRand(1), Rules: []Faults{{Corrupt: 1}}}}
-	resp, err := client.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(body) != 8192 {
-		t.Fatalf("corrupt body = %d bytes, want full length", len(body))
-	}
-	flipped := 0
-	for _, c := range body {
-		if c != 'x' {
-			flipped++
-		}
-	}
-	if flipped != 1 {
-		t.Fatalf("%d bytes differ, want exactly one flipped bit", flipped)
-	}
-}
-
 // TestTransportStall: the stalled body blocks without closing, and
 // closing it from the reader side (the watchdog's move) unblocks it.
 func TestTransportStall(t *testing.T) {
@@ -164,7 +139,7 @@ func TestTransportPathScope(t *testing.T) {
 		R:     NewRand(1),
 		Rules: []Faults{{PathPrefix: "/fleet/run", Drop: 1}},
 	}}
-	resp, err := client.Get(srv.URL + "/artifacts/abc")
+	resp, err := client.Get(srv.URL + "/fleet/workers")
 	if err != nil {
 		t.Fatalf("out-of-scope request perturbed: %v", err)
 	}
@@ -232,15 +207,15 @@ func TestFSFaults(t *testing.T) {
 // TestBehaviorDuplicateAndMismatch: the benign duplicate repeats the
 // line verbatim; the Byzantine one contradicts it.
 func TestBehaviorDuplicateAndMismatch(t *testing.T) {
-	run := func(ctx context.Context, job fleet.ShardJob, emit func(fleet.Outcome)) error {
+	run := func(ctx context.Context, job fleet.ShardJob, emit func(fleet.Outcome)) (json.RawMessage, error) {
 		for _, rep := range job.Reps {
 			emit(fleet.Outcome{Rep: rep, Outcome: "Masked"})
 		}
-		return nil
+		return nil, nil
 	}
 	b := &Behavior{R: NewRand(1), Duplicate: 1, MismatchDuplicate: 1}
 	var got []fleet.Outcome
-	err := b.Wrap(run)(context.Background(), fleet.ShardJob{Reps: []int{0, 1, 2}},
+	_, err := b.Wrap(run)(context.Background(), fleet.ShardJob{Reps: []int{0, 1, 2}},
 		func(o fleet.Outcome) { got = append(got, o) })
 	if err != nil {
 		t.Fatal(err)
@@ -270,14 +245,14 @@ func TestBehaviorDuplicateAndMismatch(t *testing.T) {
 // the caller's goroutine (the HTTP handler), after run has unwound — the
 // connection-reset crash, not a process crash from an injection worker.
 func TestBehaviorCrashAborts(t *testing.T) {
-	run := func(ctx context.Context, job fleet.ShardJob, emit func(fleet.Outcome)) error {
+	run := func(ctx context.Context, job fleet.ShardJob, emit func(fleet.Outcome)) (json.RawMessage, error) {
 		for _, rep := range job.Reps {
 			if ctx.Err() != nil {
-				return ctx.Err()
+				return nil, ctx.Err()
 			}
 			emit(fleet.Outcome{Rep: rep, Outcome: "Masked"})
 		}
-		return nil
+		return nil, nil
 	}
 	b := &Behavior{R: NewRand(1), Crash: 1}
 	var emitted int
@@ -298,14 +273,14 @@ func TestBehaviorCrashAborts(t *testing.T) {
 // more, holds the stream open, and aborts only once the request context
 // ends — the coordinator-side watchdog's body-close.
 func TestBehaviorStallHoldsUntilClosed(t *testing.T) {
-	run := func(ctx context.Context, job fleet.ShardJob, emit func(fleet.Outcome)) error {
+	run := func(ctx context.Context, job fleet.ShardJob, emit func(fleet.Outcome)) (json.RawMessage, error) {
 		for _, rep := range job.Reps {
 			if ctx.Err() != nil {
-				return ctx.Err()
+				return nil, ctx.Err()
 			}
 			emit(fleet.Outcome{Rep: rep, Outcome: "Masked"})
 		}
-		return nil
+		return nil, nil
 	}
 	b := &Behavior{R: NewRand(1), Stall: 1, StallFor: 10 * time.Second}
 	ctx, cancel := context.WithCancel(context.Background())

@@ -58,7 +58,6 @@ func (f *FS) ReadFile(path string) ([]byte, error)      { return f.inner().ReadF
 func (f *FS) Rename(old, new string) error              { return f.inner().Rename(old, new) }
 func (f *FS) Remove(path string) error                  { return f.inner().Remove(path) }
 func (f *FS) ReadDir(dir string) ([]os.DirEntry, error) { return f.inner().ReadDir(dir) }
-func (f *FS) Stat(path string) (os.FileInfo, error)     { return f.inner().Stat(path) }
 
 // WriteFileAtomic perturbs the write per the fault distribution; the
 // undisturbed path delegates to the inner FS.

@@ -1,7 +1,7 @@
 // Package suite is the chaos certification harness behind `merlin chaos`: an
 // in-process coordinator+worker fleet subjected to seeded fault
-// schedules — dropped and stalled shard streams, crashing and straggling
-// workers, corrupted artifact transfers, torn registry writes — with
+// schedules of seven kinds — dropped and stalled shard streams, crashing
+// and straggling workers, duplicated outcomes, torn registry writes — with
 // MeRLiN's own determinism as the oracle. Every schedule here is
 // sub-lethal by construction: the hardened fleet must absorb it and
 // produce a merged report bit-identical (timing counters aside) to a
@@ -38,14 +38,13 @@ import (
 
 // chaosCampaignBody is the fixed campaign every scenario runs: small
 // enough to finish in ~a second locally, rich enough to shard across
-// workers and exercise the artifact transfer.
+// workers.
 const chaosCampaignBody = `{"workload":"sha","structure":"RF","faults":300,"seed":9,"strategy":"forked"}`
 
 // chaosKinds are the scenario schedules, cycled over the scenario index.
 var chaosKinds = []string{
 	"worker-stall",
 	"mid-stream-crash",
-	"corrupt-artifact",
 	"torn-registry",
 	"http-5xx",
 	"duplicate-outcomes",
@@ -81,12 +80,11 @@ type Result struct {
 
 // chaosSchedule is one scenario's fault configuration across the three
 // injection points: the coordinator's shard-stream client, each worker's
-// behavior and artifact-fetch client, and the registry filesystem.
+// behavior, and the registry filesystem.
 type chaosSchedule struct {
 	kind     string
 	behavior *chaos.Behavior
 	fleet    []chaos.Faults // coordinator → worker shard streams
-	artifact []chaos.Faults // worker → coordinator artifact fetches
 	fs       *chaos.FSFaults
 	stall    time.Duration // dispatcher watchdog override (0 = default)
 }
@@ -104,10 +102,6 @@ func chaosScheduleFor(kind string, r *chaos.Rand) chaosSchedule {
 		s.stall = 1500 * time.Millisecond
 	case "mid-stream-crash":
 		s.behavior = &chaos.Behavior{R: r, Crash: 0.6}
-	case "corrupt-artifact":
-		// Bit flips on the artifact transfer: the digest check must drop
-		// them and the worker falls back to recomputing its golden run.
-		s.artifact = []chaos.Faults{{PathPrefix: "/artifacts/", Corrupt: 0.7}}
 	case "torn-registry":
 		// Checkpoint writes tear or rot at rest; the registry's read-side
 		// checksum must quarantine, never wedge or corrupt a resume.
@@ -122,7 +116,6 @@ func chaosScheduleFor(kind string, r *chaos.Rand) chaosSchedule {
 		s.behavior = &chaos.Behavior{R: r, Crash: 0.25, Stall: 0.2, StallFor: 10 * time.Second,
 			Duplicate: 0.3, Straggle: 0.5, MaxLag: 10 * time.Millisecond}
 		s.fleet = []chaos.Faults{{PathPrefix: "/fleet/run", Drop: 0.15, HTTP500: 0.15}}
-		s.artifact = []chaos.Faults{{PathPrefix: "/artifacts/", Corrupt: 0.3}}
 		s.stall = 1500 * time.Millisecond
 	}
 	return s
@@ -262,24 +255,11 @@ func runChaosScenario(ctx context.Context, cache *merlin.Cache, root string, idx
 	coordURL := "http://" + ln.Addr().String()
 	defer func() { hs.Close(); srv.Close() }()
 
-	// Workers: each with its own fresh artifact cache (so the prefetch
-	// path is exercised every scenario), chaos behavior wrapping the real
-	// shard pipeline, and a chaos artifact-fetch client when scheduled.
+	// Workers: chaos behavior wrapping the real shard executor.
 	wctx, wcancel := context.WithCancel(ctx)
 	defer wcancel()
 	for w := 0; w < workers; w++ {
-		wcache, err := merlin.OpenCache(filepath.Join(root, fmt.Sprintf("s%d-w%d", idx, w)))
-		if err != nil {
-			return nil, err
-		}
-		var artClient *http.Client
-		if sched.artifact != nil {
-			artClient = &http.Client{
-				Timeout:   60 * time.Second,
-				Transport: &chaos.Transport{R: r, Rules: sched.artifact, OnFault: onFault},
-			}
-		}
-		run := merlin.WorkerShardRun(wcache, nil, coordURL, artClient)
+		run := merlin.WorkerShardRun(nil)
 		if sched.behavior != nil {
 			run = sched.behavior.Wrap(run)
 		}

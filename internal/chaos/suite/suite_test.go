@@ -51,12 +51,8 @@ func TestChaosLethalMismatchFailsLoudly(t *testing.T) {
 	coord := httptest.NewServer(srv.Handler())
 	defer func() { coord.Close(); srv.Close() }()
 
-	wcache, err := merlin.OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
 	byz := &chaos.Behavior{R: chaos.NewRand(1), MismatchDuplicate: 1}
-	agent := &fleet.Agent{ID: "byz", Run: byz.Wrap(merlin.WorkerShardRun(wcache, nil, coord.URL, nil))}
+	agent := &fleet.Agent{ID: "byz", Run: byz.Wrap(merlin.WorkerShardRun(nil))}
 	hs := httptest.NewServer(agent.Handler())
 	defer hs.Close()
 	resp, err := http.Post(coord.URL+"/fleet/join", "application/json",

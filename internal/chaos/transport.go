@@ -14,15 +14,12 @@ import (
 // the order the fields are declared; at most one fault fires per request
 // (plus an independent delay), which keeps intensities interpretable.
 //
-// Fault classes split by what the receiver can detect. Drop, HTTP500,
-// Stall and Truncate are detectable failures — the dispatcher's retry,
-// watchdog and requeue machinery must absorb them. Corrupt flips a bit
-// in the payload and is only safe to aim at responses whose receiver
-// verifies content (the artifact endpoint's digest + embedded checksum);
-// aimed at an NDJSON outcome stream it could forge a *valid* line with a
-// wrong rep or class, which no transport-level defense can detect — that
-// Byzantine case is Behavior.MismatchDuplicate's job, where the ledger
-// can see it.
+// Drop, HTTP500, Stall and Truncate are all failures the receiver can
+// detect — the dispatcher's retry, watchdog and requeue machinery must
+// absorb them. There is deliberately no payload bit flip: aimed at an
+// NDJSON outcome stream it could forge a *valid* line with a wrong rep or
+// class, which no transport-level defense can detect — that Byzantine case
+// is Behavior.MismatchDuplicate's job, where the ledger can see it.
 type Faults struct {
 	// PathPrefix scopes the rule: only requests whose URL path starts
 	// with it are perturbed. Empty matches every request.
@@ -45,10 +42,6 @@ type Faults struct {
 	// Truncate cuts the body after a random prefix: a clean EOF mid-
 	// stream, mid-NDJSON-line more often than not.
 	Truncate float64
-	// Corrupt flips one random bit somewhere in the first 4 KiB of the
-	// body (any flip breaks an end-to-end digest, wherever it lands).
-	// See the type comment for where this is safe to aim.
-	Corrupt float64
 	// Delay holds the request for a random duration up to MaxDelay
 	// before sending it; drawn independently of the faults above.
 	Delay    float64
@@ -148,9 +141,6 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	case t.R.Chance(f.Truncate):
 		t.note("truncate", req.URL.Path)
 		resp.Body = &truncateBody{inner: resp.Body, left: t.R.Intn(4096) + 1}
-	case t.R.Chance(f.Corrupt):
-		t.note("corrupt", req.URL.Path)
-		resp.Body = &corruptBody{inner: resp.Body, at: t.R.Intn(4 << 10), bit: byte(1 << t.R.Intn(8))}
 	}
 	return resp, nil
 }
@@ -219,24 +209,3 @@ func (b *truncateBody) Read(p []byte) (int, error) {
 }
 
 func (b *truncateBody) Close() error { return b.inner.Close() }
-
-// corruptBody flips one bit at stream offset `at` (or never, if the body
-// is shorter) — the in-transit corruption an end-to-end digest exists to
-// catch.
-type corruptBody struct {
-	inner io.ReadCloser
-	at    int
-	off   int
-	bit   byte
-}
-
-func (b *corruptBody) Read(p []byte) (int, error) {
-	n, err := b.inner.Read(p)
-	if n > 0 && b.at >= b.off && b.at < b.off+n {
-		p[b.at-b.off] ^= b.bit
-	}
-	b.off += n
-	return n, err
-}
-
-func (b *corruptBody) Close() error { return b.inner.Close() }

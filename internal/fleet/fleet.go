@@ -4,21 +4,22 @@
 // work-stealing dispatcher that spreads a campaign's fault groups across
 // live workers and requeues a lost worker's unfinished groups (Dispatcher).
 //
-// The protocol is deliberately thin, because MeRLiN's determinism does
-// the heavy lifting: a worker re-derives Preprocess and Reduce from the
-// campaign request bit-identically (same binary, registered workloads,
-// deterministic sampling), so a shard job only needs to carry the request
-// JSON plus the global representative indices to inject — not fault
-// lists or traces. Golden artifacts travel separately by content address
-// so a warm worker skips its golden run entirely. Per-fault outcomes
-// stream back as NDJSON with a final done marker; any stream that ends
-// without the marker (worker crash, network partition) simply leaves its
-// reps pending, and the next dispatch round reassigns them to whoever is
-// still alive.
+// A shard job ships the faults, not the recipe that chose them: the
+// coordinator runs the pipeline's analysis phases once per campaign, and a
+// job carries what executing its slice takes — an opaque spec (the
+// campaign configuration, the golden reference and the shard's faults,
+// defined by whoever injects the ShardRunFunc) plus the representative
+// index each fault reports under — so a worker cannot disagree with the
+// coordinator about which fault an index means. The spec travels with its
+// sha256, checked before the worker looks inside. Per-fault outcomes
+// stream back as NDJSON with a final done marker carrying the shard's
+// (equally opaque) work counters; any stream that ends without the marker
+// (worker crash, network partition) simply leaves its reps pending, and
+// the next dispatch round reassigns them to whoever is still alive.
 //
 // Like internal/server, this package never imports the simulator: the
-// shard execution is an injected ShardRunFunc, and the request payload is
-// an opaque JSON blob. The root merlin package wires both sides.
+// shard execution is an injected ShardRunFunc, and spec and work are
+// opaque JSON. The root merlin package wires both sides.
 package fleet
 
 import (
@@ -41,37 +42,39 @@ import (
 type ShardJob struct {
 	// Campaign is the coordinator's record id (for logs and idempotence).
 	Campaign string `json:"campaign"`
-	// Request is the campaign's submission JSON (server.Request); the
-	// worker re-derives Preprocess and Reduce from it deterministically.
-	Request json.RawMessage `json:"request"`
-	// Structure names which of the request's structures the shard belongs
-	// to; absent means the request's single one.
-	Structure string `json:"structure,omitempty"`
-	// Reps are the representative indices (positions in that structure's
-	// Reduced() order) this shard must inject.
+	// Spec is what the shard run executes, opaque to this package; Digest
+	// is the hex sha256 of its bytes, which the worker verifies before
+	// decoding them.
+	Spec   json.RawMessage `json:"spec"`
+	Digest string          `json:"digest"`
+	// Reps are the representative indices the shard's outcomes report
+	// under, parallel to the faults the spec carries.
 	Reps []int `json:"reps"`
-	// ArtifactID and ArtifactURL let the worker prefetch the campaign's
-	// golden-run artifact by content address instead of repeating the
-	// golden run; both optional — a worker that cannot fetch recomputes.
-	ArtifactID  string `json:"artifact_id,omitempty"`
-	ArtifactURL string `json:"artifact_url,omitempty"`
 }
 
-// Outcome is one line of a shard job's NDJSON response stream: a
-// classified representative, or the final done marker (Done true, Err
-// carrying the shard's failure if it did not complete cleanly).
+// Outcome is one classified representative: a line of a shard job's NDJSON
+// response stream.
 type Outcome struct {
 	Rep     int    `json:"rep"`
-	Fault   string `json:"fault,omitempty"`
 	Outcome string `json:"outcome,omitempty"`
-	Done    bool   `json:"done,omitempty"`
-	Err     string `json:"error,omitempty"`
+}
+
+// streamLine is the wire union of a shard stream: Outcome lines, closed by
+// the done marker (Done true; Err carrying the shard's failure if it did
+// not complete cleanly, else Work what executing it cost).
+type streamLine struct {
+	Outcome
+	Done bool            `json:"done,omitempty"`
+	Err  string          `json:"error,omitempty"`
+	Work json.RawMessage `json:"work,omitempty"`
 }
 
 // ShardRunFunc executes one shard job on a worker, emitting each
-// classified representative as it lands. It must observe ctx (the HTTP
-// request's context: coordinator gone = stop injecting).
-type ShardRunFunc func(ctx context.Context, job ShardJob, emit func(Outcome)) error
+// classified representative as it lands and returning the shard's work
+// counters (opaque here; the done marker carries them to the
+// coordinator). It must observe ctx (the HTTP request's context:
+// coordinator gone = stop injecting).
+type ShardRunFunc func(ctx context.Context, job ShardJob, emit func(Outcome)) (work json.RawMessage, err error)
 
 // WorkerInfo describes one registered worker.
 type WorkerInfo struct {
@@ -416,21 +419,21 @@ func (a *Agent) Handler() http.Handler {
 		flusher, _ := w.(http.Flusher)
 		enc := json.NewEncoder(w)
 		var mu sync.Mutex // emit may be called from the shard's own workers
-		emit := func(o Outcome) {
+		send := func(line streamLine) {
 			mu.Lock()
 			defer mu.Unlock()
-			enc.Encode(o)
+			enc.Encode(line)
 			if flusher != nil {
 				flusher.Flush()
 			}
 		}
 		a.logf("fleet: shard %s: %d reps", job.Campaign, len(job.Reps))
-		err := a.Run(r.Context(), job, emit)
-		done := Outcome{Done: true}
+		work, err := a.Run(r.Context(), job, func(o Outcome) { send(streamLine{Outcome: o}) })
+		done := streamLine{Done: true, Work: work}
 		if err != nil {
-			done.Err = err.Error()
+			done = streamLine{Done: true, Err: err.Error()}
 		}
-		emit(done)
+		send(done)
 	})
 	return mux
 }
@@ -449,6 +452,9 @@ type Dispatcher struct {
 	// elsewhere, and by determinism the duplicate carries the same
 	// outcome.
 	OnOutcome func(o Outcome)
+	// OnWork, when non-nil, receives the work counters of every remote
+	// shard that finished cleanly, as its ShardRunFunc returned them.
+	OnWork func(work json.RawMessage)
 	// Local runs a rep set in-process: the degradation path when no
 	// workers are alive and the last resort for reps whose remote
 	// attempts are exhausted. Calls are serialized by the Dispatcher.
@@ -616,16 +622,20 @@ func (d *Dispatcher) runRemote(ctx context.Context, w WorkerInfo, reps []int) ([
 			if dog != nil {
 				dog.Reset(stall)
 			}
-			var o Outcome
-			if err := json.Unmarshal(sc.Bytes(), &o); err != nil {
+			var line streamLine
+			if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
 				return fmt.Errorf("fleet: bad outcome line from %s: %w", w.ID, err)
 			}
-			if o.Done {
-				if o.Err != "" {
-					return fmt.Errorf("fleet: worker %s shard failed: %s", w.ID, o.Err)
+			if line.Done {
+				if line.Err != "" {
+					return fmt.Errorf("fleet: worker %s shard failed: %s", w.ID, line.Err)
+				}
+				if d.OnWork != nil && line.Work != nil {
+					d.OnWork(line.Work)
 				}
 				return nil
 			}
+			o := line.Outcome
 			if prev, ok := seen[o.Rep]; ok {
 				if prev != o.Outcome {
 					fatal = fmt.Errorf("%w: worker %s classified rep %d as %q, then %q",

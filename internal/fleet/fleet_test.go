@@ -109,7 +109,7 @@ func fakeWorker(t *testing.T, name string, dieAfter *atomic.Int64, calls *atomic
 	t.Helper()
 	agent := &Agent{
 		ID: name,
-		Run: func(ctx context.Context, job ShardJob, emit func(Outcome)) error {
+		Run: func(ctx context.Context, job ShardJob, emit func(Outcome)) (json.RawMessage, error) {
 			if calls != nil {
 				calls.Add(1)
 			}
@@ -119,9 +119,9 @@ func fakeWorker(t *testing.T, name string, dieAfter *atomic.Int64, calls *atomic
 						panic(http.ErrAbortHandler) // kill the stream mid-shard
 					}
 				}
-				emit(Outcome{Rep: rep, Fault: fmt.Sprintf("f%d", rep), Outcome: "Masked"})
+				emit(Outcome{Rep: rep, Outcome: "Masked"})
 			}
-			return nil
+			return json.Marshal(len(job.Reps))
 		},
 	}
 	hs := httptest.NewServer(agent.Handler())
@@ -156,7 +156,8 @@ func countSyncMap(m *sync.Map) int {
 }
 
 // TestDispatcherSpreadsShards: two healthy workers split the shards and
-// every rep is classified exactly once, with no local fallback.
+// every rep is classified exactly once, with no local fallback; each
+// shard's done marker hands its work to OnWork.
 func TestDispatcherSpreadsShards(t *testing.T) {
 	var callsA, callsB atomic.Int64
 	wA := fakeWorker(t, "wA", nil, &callsA)
@@ -169,6 +170,14 @@ func TestDispatcherSpreadsShards(t *testing.T) {
 	var localReps [][]int
 	var localMu sync.Mutex
 	d := dispatcherFor(p, &got, &localReps, &localMu)
+	var worked atomic.Int64 // reps the workers' done markers account for
+	d.OnWork = func(work json.RawMessage) {
+		var n int64
+		if err := json.Unmarshal(work, &n); err != nil {
+			t.Errorf("work %q: %v", work, err)
+		}
+		worked.Add(n)
+	}
 
 	shards := [][]int{{0, 1}, {2, 3}, {4}, {5, 6, 7}}
 	if err := d.Run(context.Background(), shards); err != nil {
@@ -176,6 +185,9 @@ func TestDispatcherSpreadsShards(t *testing.T) {
 	}
 	if n := countSyncMap(&got); n != 8 {
 		t.Fatalf("classified %d of 8 reps", n)
+	}
+	if worked.Load() != 8 {
+		t.Fatalf("done markers reported work for %d reps, want 8", worked.Load())
 	}
 	if len(localReps) != 0 {
 		t.Fatalf("healthy fleet fell back to local: %v", localReps)
@@ -319,7 +331,7 @@ func TestAgentJoinAndHeartbeat(t *testing.T) {
 		Coordinator: hs.URL,
 		Advertise:   "http://worker-1",
 		Interval:    50 * time.Millisecond,
-		Run:         func(context.Context, ShardJob, func(Outcome)) error { return nil },
+		Run:         func(context.Context, ShardJob, func(Outcome)) (json.RawMessage, error) { return nil, nil },
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -358,24 +370,25 @@ func TestAgentJoinAndHeartbeat(t *testing.T) {
 }
 
 // TestAgentHandlerStreamsDoneMarker: a clean shard ends with the done
-// marker; a failing shard carries the error on it.
+// marker carrying the work its run returned; a failing shard carries the
+// error on it instead.
 func TestAgentHandlerStreamsDoneMarker(t *testing.T) {
 	agent := &Agent{
 		ID: "w1",
-		Run: func(ctx context.Context, job ShardJob, emit func(Outcome)) error {
+		Run: func(ctx context.Context, job ShardJob, emit func(Outcome)) (json.RawMessage, error) {
 			for _, rep := range job.Reps {
 				emit(Outcome{Rep: rep, Outcome: "SDC"})
 			}
 			if job.Campaign == "boom" {
-				return fmt.Errorf("synthetic shard failure")
+				return nil, fmt.Errorf("synthetic shard failure")
 			}
-			return nil
+			return json.RawMessage(`{"cycles":7}`), nil
 		},
 	}
 	hs := httptest.NewServer(agent.Handler())
 	defer hs.Close()
 
-	stream := func(campaign string) []Outcome {
+	stream := func(campaign string) []streamLine {
 		t.Helper()
 		body, _ := json.Marshal(ShardJob{Campaign: campaign, Reps: []int{3, 5}})
 		resp, err := http.Post(hs.URL+"/fleet/run", "application/json", strings.NewReader(string(body)))
@@ -383,10 +396,10 @@ func TestAgentHandlerStreamsDoneMarker(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var outs []Outcome
+		var outs []streamLine
 		dec := json.NewDecoder(resp.Body)
 		for dec.More() {
-			var o Outcome
+			var o streamLine
 			if err := dec.Decode(&o); err != nil {
 				t.Fatal(err)
 			}
@@ -399,11 +412,11 @@ func TestAgentHandlerStreamsDoneMarker(t *testing.T) {
 	if len(outs) != 3 || outs[0].Rep != 3 || outs[1].Rep != 5 {
 		t.Fatalf("stream = %+v", outs)
 	}
-	if last := outs[2]; !last.Done || last.Err != "" {
+	if last := outs[2]; !last.Done || last.Err != "" || string(last.Work) != `{"cycles":7}` {
 		t.Fatalf("done marker = %+v", last)
 	}
 	outs = stream("boom")
-	if last := outs[len(outs)-1]; !last.Done || !strings.Contains(last.Err, "synthetic") {
+	if last := outs[len(outs)-1]; !last.Done || !strings.Contains(last.Err, "synthetic") || last.Work != nil {
 		t.Fatalf("failure marker = %+v", last)
 	}
 
@@ -427,10 +440,10 @@ func stallingWorker(t *testing.T, name string) *httptest.Server {
 	t.Helper()
 	agent := &Agent{
 		ID: name,
-		Run: func(ctx context.Context, job ShardJob, emit func(Outcome)) error {
+		Run: func(ctx context.Context, job ShardJob, emit func(Outcome)) (json.RawMessage, error) {
 			emit(Outcome{Rep: job.Reps[0], Outcome: "Masked"})
 			<-ctx.Done()
-			return ctx.Err()
+			return nil, ctx.Err()
 		},
 	}
 	hs := httptest.NewServer(agent.Handler())
@@ -492,9 +505,9 @@ func TestDispatcherWatchdogStallRequeue(t *testing.T) {
 func TestDispatcherOversizedOutcomeLine(t *testing.T) {
 	huge := &Agent{
 		ID: "a-huge",
-		Run: func(ctx context.Context, job ShardJob, emit func(Outcome)) error {
-			emit(Outcome{Rep: job.Reps[0], Fault: strings.Repeat("x", 4096), Outcome: "Masked"})
-			return nil
+		Run: func(ctx context.Context, job ShardJob, emit func(Outcome)) (json.RawMessage, error) {
+			emit(Outcome{Rep: job.Reps[0], Outcome: strings.Repeat("x", 4096)})
+			return nil, nil
 		},
 	}
 	hsHuge := httptest.NewServer(huge.Handler())
@@ -580,10 +593,10 @@ func TestDispatcherPoisonShardFailsLoudly(t *testing.T) {
 func TestDispatcherMismatchedDuplicateFatal(t *testing.T) {
 	byz := &Agent{
 		ID: "byz",
-		Run: func(ctx context.Context, job ShardJob, emit func(Outcome)) error {
+		Run: func(ctx context.Context, job ShardJob, emit func(Outcome)) (json.RawMessage, error) {
 			emit(Outcome{Rep: job.Reps[0], Outcome: "Masked"})
 			emit(Outcome{Rep: job.Reps[0], Outcome: "SDC"})
-			return nil
+			return nil, nil
 		},
 	}
 	hs := httptest.NewServer(byz.Handler())
@@ -611,13 +624,13 @@ func TestDispatcherMismatchedDuplicateFatal(t *testing.T) {
 func TestDispatcherBenignDuplicateTolerated(t *testing.T) {
 	dup := &Agent{
 		ID: "dup",
-		Run: func(ctx context.Context, job ShardJob, emit func(Outcome)) error {
+		Run: func(ctx context.Context, job ShardJob, emit func(Outcome)) (json.RawMessage, error) {
 			for _, rep := range job.Reps {
 				o := Outcome{Rep: rep, Outcome: "Masked"}
 				emit(o)
 				emit(o)
 			}
-			return nil
+			return nil, nil
 		},
 	}
 	hs := httptest.NewServer(dup.Handler())

@@ -234,8 +234,7 @@ type Config struct {
 
 	// Routes, when non-nil, is called with the service mux so the daemon
 	// can mount extra endpoint trees — the fleet coordinator's /fleet/*
-	// registration routes and the /artifacts/* content-address transfer —
-	// on the same listener. The server stays pipeline-agnostic: it only
+	// registration routes — on the same listener. The server stays pipeline-agnostic: it only
 	// lends out the mux.
 	Routes func(mux *http.ServeMux)
 

@@ -30,8 +30,6 @@ type FS interface {
 	Remove(path string) error
 	// ReadDir lists dir.
 	ReadDir(dir string) ([]os.DirEntry, error)
-	// Stat stats path without reading it.
-	Stat(path string) (os.FileInfo, error)
 }
 
 // OSFS is the production FS: the real filesystem with the durability
@@ -42,7 +40,6 @@ func (OSFS) ReadFile(path string) ([]byte, error)      { return os.ReadFile(path
 func (OSFS) Rename(oldpath, newpath string) error      { return os.Rename(oldpath, newpath) }
 func (OSFS) Remove(path string) error                  { return os.Remove(path) }
 func (OSFS) ReadDir(dir string) ([]os.DirEntry, error) { return os.ReadDir(dir) }
-func (OSFS) Stat(path string) (os.FileInfo, error)     { return os.Stat(path) }
 
 // WriteFileAtomic writes data next to path, fsyncs, and renames into
 // place. The fsync before the rename is what upgrades the guarantee from

@@ -177,53 +177,6 @@ func TestRegistryRejectsHostileIDs(t *testing.T) {
 	}
 }
 
-// TestRawArtifactTransfer exercises the fleet's artifact-fetch path:
-// GetRaw serves the verified encoded file, PutRaw files it on the far
-// side, and the worker's ordinary Get then hits bit-identically.
-func TestRawArtifactTransfer(t *testing.T) {
-	src, _ := Open(t.TempDir())
-	dst, _ := Open(t.TempDir())
-	k := sampleKey()
-	want := sampleArtifact()
-	if err := src.Put(k, want); err != nil {
-		t.Fatal(err)
-	}
-
-	id := k.ID()
-	if dst.HasRaw(id) {
-		t.Fatal("HasRaw true on empty destination cache")
-	}
-	raw, ok := src.GetRaw(id)
-	if !ok {
-		t.Fatal("GetRaw missed an artifact Put just filed")
-	}
-	if err := dst.PutRaw(id, raw); err != nil {
-		t.Fatal(err)
-	}
-	if !dst.HasRaw(id) {
-		t.Fatal("HasRaw false after PutRaw")
-	}
-	got, ok := dst.Get(k)
-	if !ok {
-		t.Fatal("Get missed after raw transfer")
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("raw transfer not bit-identical:\n got %+v\nwant %+v", got, want)
-	}
-
-	// PutRaw must refuse bytes it cannot verify, and both raw entry points
-	// must reject non-content-address ids.
-	if err := dst.PutRaw(id, raw[:len(raw)/2]); err == nil {
-		t.Fatal("PutRaw accepted a truncated payload")
-	}
-	if err := dst.PutRaw("../evil", raw); err == nil {
-		t.Fatal("PutRaw accepted a hostile id")
-	}
-	if _, ok := src.GetRaw("../evil"); ok {
-		t.Fatal("GetRaw accepted a hostile id")
-	}
-}
-
 // TestRegistryQuarantine: a corrupt record is not merely skipped — it is
 // moved aside to .corrupt so the damage shows up once in Stats (and on
 // disk, for forensics) instead of re-counting as an error on every scan.

@@ -300,71 +300,6 @@ func (s *Store) Put(k Key, a *Artifact) error {
 	return nil
 }
 
-// validArtifactID reports whether id has the shape of a content address
-// (lowercase hex sha256) — anything else could escape the cache dir.
-func validArtifactID(id string) bool {
-	if len(id) != 2*sha256.Size {
-		return false
-	}
-	for _, c := range id {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
-// GetRaw returns the encoded file (magic + checksum + gob) for the
-// artifact addressed by id, for serving over the fleet's artifact-fetch
-// endpoint. The payload is verified before it is handed out, so a worker
-// never receives a corrupt file the coordinator would itself have treated
-// as a miss.
-func (s *Store) GetRaw(id string) ([]byte, bool) {
-	if !validArtifactID(id) {
-		return nil, false
-	}
-	raw, err := s.fs.ReadFile(filepath.Join(s.dir, id+".artifact"))
-	if err != nil {
-		s.misses.Add(1)
-		return nil, false
-	}
-	if _, err := decode(raw); err != nil {
-		s.errs.Add(1)
-		s.misses.Add(1)
-		return nil, false
-	}
-	s.hits.Add(1)
-	return raw, true
-}
-
-// HasRaw reports whether a file exists for id without reading it (the
-// fleet uses it to skip redundant artifact fetches).
-func (s *Store) HasRaw(id string) bool {
-	if !validArtifactID(id) {
-		return false
-	}
-	_, err := s.fs.Stat(filepath.Join(s.dir, id+".artifact"))
-	return err == nil
-}
-
-// PutRaw files an encoded artifact received over the wire under id,
-// validating magic and checksum first — a worker cache never accepts
-// bytes it could not itself have produced. The caller is trusted on the
-// id↔content binding (the fleet derives both from the same request).
-func (s *Store) PutRaw(id string, raw []byte) error {
-	if !validArtifactID(id) {
-		return fmt.Errorf("store: invalid artifact id %q", id)
-	}
-	if _, err := decode(raw); err != nil {
-		return err
-	}
-	if err := s.fs.WriteFileAtomic(filepath.Join(s.dir, id+".artifact"), raw); err != nil {
-		return err
-	}
-	s.puts.Add(1)
-	return nil
-}
-
 // Stats snapshots the cache counters and walks the directory for on-disk
 // totals.
 func (s *Store) Stats() Stats {

@@ -69,6 +69,10 @@ type (
 	// Strategy selects how injection runs reproduce the pre-fault
 	// execution prefix (bit-identical outcomes, different wall-clock).
 	Strategy = campaign.Strategy
+	// Work counts what an injection phase executed (Serial, Clones,
+	// CloneTime, SimCycles, SnapshotHit), summed over every shard of the
+	// campaign wherever it ran.
+	Work = campaign.Work
 )
 
 // Injection strategies, fastest last.
@@ -303,18 +307,8 @@ func Workloads(suite string) []string { return workloads.Names(suite) }
 // cfg must already have defaults applied and be validated; structures must
 // be non-empty and duplicate-free (Start and StartBatch guarantee both).
 func preprocessStructures(cfg Config, structures []Structure) ([]*Artifacts, error) {
-	w, err := workloads.Get(cfg.Workload)
+	runner, err := newRunner(cfg)
 	if err != nil {
-		return nil, err
-	}
-	runner := campaign.NewRunner(campaign.Target{Cfg: cfg.CPU, Prog: w.Program()})
-	runner.Workers = cfg.Workers
-	if cfg.Snapshots != nil {
-		// Explicit nil check: assigning a typed nil pointer would make the
-		// SnapshotSource interface non-nil and panic on use.
-		runner.Snapshots = cfg.Snapshots
-	}
-	if err := runner.Validate(); err != nil {
 		return nil, err
 	}
 
@@ -371,6 +365,28 @@ func preprocessStructures(cfg Config, structures []Structure) ([]*Artifacts, err
 		}
 	}
 	return out, nil
+}
+
+// newRunner builds the injection Runner of a campaign: the registered
+// workload's program on cfg's core, cfg's worker bound and snapshot source.
+// The coordinator's Preprocess and a fleet worker's shard executor both
+// start here.
+func newRunner(cfg Config) (*campaign.Runner, error) {
+	w, err := workloads.Get(cfg.Workload)
+	if err != nil {
+		return nil, err
+	}
+	runner := campaign.NewRunner(campaign.Target{Cfg: cfg.CPU, Prog: w.Program()})
+	runner.Workers = cfg.Workers
+	if cfg.Snapshots != nil {
+		// Explicit nil check: assigning a typed nil pointer would make the
+		// SnapshotSource interface non-nil and panic on use.
+		runner.Snapshots = cfg.Snapshots
+	}
+	if err := runner.Validate(); err != nil {
+		return nil, err
+	}
+	return runner, nil
 }
 
 // rehydrateArtifacts rebuilds the per-structure Preprocess products from a
@@ -477,8 +493,8 @@ func (a *Artifacts) staticPrune() error {
 
 // plan is the campaign's injection plan: the configured strategy and
 // checkpoint count plus the per-fault hook (nil for none).
-func (a *Artifacts) plan(onOutcome func(int, fault.Fault, campaign.Outcome)) campaign.Plan {
-	return campaign.Plan{Strategy: a.Config.Strategy, Checkpoints: a.Config.Checkpoints, OnOutcome: onOutcome}
+func (c Config) plan(onOutcome func(int, fault.Fault, campaign.Outcome)) campaign.Plan {
+	return campaign.Plan{Strategy: c.Strategy, Checkpoints: c.Checkpoints, OnOutcome: onOutcome}
 }
 
 // reportFrom assembles the campaign Report from a reduction and the
@@ -516,42 +532,16 @@ func (a *Artifacts) reportFrom(res *campaign.Result, extrapolate bool) *Report {
 		ACELikeFIT:    a.Analysis.AVF() * RawFITPerBit * float64(bits),
 		RepOutcomes:   res.Outcomes,
 		Wall:          res.Wall,
-		Serial:        res.Serial,
 		CacheHit:      a.CacheHit,
-		SnapshotHit:   res.SnapshotHit,
-		Clones:        res.Clones,
-		CloneTime:     res.CloneTime,
-		SimCycles:     res.SimCycles,
+		Work:          res.Work,
 		CyclesPerSec:  res.CyclesPerSec(),
 	}
-}
-
-// injectSubset injects only the representatives at the given positions of
-// the reduced list (the coordinate system shard jobs and durable
-// checkpoints are keyed by), reporting each through onOutcome with its
-// global representative index. It is the shard execution primitive: a
-// worker runs its shard through it, and the daemon's ledger runs local
-// shards and requeued remainders through it. The returned Result covers
-// the subset only (its work counters are what the ledger sums). Reduce
-// must have run.
-func (a *Artifacts) injectSubset(ctx context.Context, reps []int, onOutcome func(rep int, f fault.Fault, o campaign.Outcome)) (*campaign.Result, error) {
-	reduced := a.Red.Reduced()
-	subset := make([]fault.Fault, len(reps))
-	for i, r := range reps {
-		if r < 0 || r >= len(reduced) {
-			return nil, fmt.Errorf("merlin: representative index %d outside the reduced list (%d reps)", r, len(reduced))
-		}
-		subset[i] = reduced[r]
-	}
-	return a.Runner.Run(ctx, subset, &a.Golden.Result, a.plan(func(i int, f fault.Fault, o campaign.Outcome) {
-		onOutcome(reps[i], f, o)
-	}))
 }
 
 // baseline is the comprehensive campaign behind Session.Baseline; it has
 // inject's cancellation contract.
 func (a *Artifacts) baseline(ctx context.Context, onOutcome func(int, fault.Fault, campaign.Outcome)) (*BaselineReport, error) {
-	res, err := a.Runner.Run(ctx, a.Faults, &a.Golden.Result, a.plan(onOutcome))
+	res, err := a.Runner.Run(ctx, a.Faults, &a.Golden.Result, a.Config.plan(onOutcome))
 	core := a.Runner.NewCore()
 	bits := core.StructureEntries(a.Config.Structure) * core.StructureEntryBits(a.Config.Structure)
 	rep := &BaselineReport{
@@ -565,11 +555,7 @@ func (a *Artifacts) baseline(ctx context.Context, onOutcome func(int, fault.Faul
 		AVF:          res.Dist.AVF(),
 		FIT:          res.Dist.FIT(bits, RawFITPerBit),
 		Wall:         res.Wall,
-		Serial:       res.Serial,
-		SnapshotHit:  res.SnapshotHit,
-		Clones:       res.Clones,
-		CloneTime:    res.CloneTime,
-		SimCycles:    res.SimCycles,
+		Work:         res.Work,
 		CyclesPerSec: res.CyclesPerSec(),
 		Artifacts:    a,
 	}
@@ -622,31 +608,20 @@ type Report struct {
 	// RepOutcomes are the representatives' raw outcomes, in reduced-list
 	// order.
 	RepOutcomes []Outcome
-	// Wall and Serial time the injection phase: parallel wall-clock and
-	// summed per-injection (single-machine-equivalent) time.
-	//
-	// Serial, SnapshotHit, Clones, CloneTime and SimCycles count the work
-	// this process executed. A daemon sums them over the shards it ran
-	// itself; shards executed by remote fleet workers contribute none, so a
-	// fully distributed campaign reports them as zero.
-	Wall   time.Duration
-	Serial time.Duration
+	// Wall is the injection phase's parallel wall-clock.
+	Wall time.Duration
 	// CacheHit reports that Preprocess was served from the golden-run
 	// artifact cache (no golden run was simulated for this campaign).
 	CacheHit bool
-	// SnapshotHit reports that the injection phase's checkpoint ladder was
-	// served from a shared SnapshotCache instead of rebuilt (always false
-	// for StrategyReplay, which uses no ladder).
-	SnapshotHit bool
-	// Clones counts the machine snapshots the campaign took and CloneTime
-	// the wall-clock spent taking them.
-	Clones    int64
-	CloneTime time.Duration
-	// SimCycles is the total number of machine cycles simulated during
-	// injection (shared pre-fault work plus every faulty continuation);
-	// CyclesPerSec divides it by Wall — the campaign's effective
+	// Work counts what the injection phase executed — Serial (summed
+	// per-injection, single-machine-equivalent time), Clones and CloneTime
+	// (machine snapshots taken), SimCycles (shared pre-fault work plus every
+	// faulty continuation) and SnapshotHit (the checkpoint ladder came from
+	// a shared SnapshotCache; always false for StrategyReplay). A daemon
+	// sums it over every shard of the campaign, in-process and remote alike.
+	Work
+	// CyclesPerSec divides SimCycles by Wall — the campaign's effective
 	// simulation throughput across all workers.
-	SimCycles    uint64
 	CyclesPerSec float64
 }
 
@@ -679,16 +654,10 @@ type BaselineReport struct {
 	Dist Dist
 	AVF  float64
 	FIT  float64
-	// Wall and Serial time the injection phase: parallel wall-clock and
-	// summed per-injection (single-machine-equivalent) time.
-	Wall   time.Duration
-	Serial time.Duration
-	// SnapshotHit, Clones, CloneTime, SimCycles and CyclesPerSec mirror
-	// Report's injection-phase performance counters.
-	SnapshotHit  bool
-	Clones       int64
-	CloneTime    time.Duration
-	SimCycles    uint64
+	// Wall, Work and CyclesPerSec mirror Report's injection-phase
+	// performance counters.
+	Wall time.Duration
+	Work
 	CyclesPerSec float64
 
 	// Artifacts retains the preprocessing products so MeRLiN and the

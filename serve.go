@@ -9,8 +9,6 @@ package merlin
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"net/http"
 	"sync/atomic"
@@ -152,29 +150,9 @@ func NewServer(opt ServeOptions) (*Server, error) {
 	if opt.Registry != nil {
 		cfg.Registry = registryAdapter{opt.Registry}
 	}
-	cfg.Routes = func(mux *http.ServeMux) {
-		if opt.FleetTTL >= 0 {
-			// Worker registration, heartbeats and the fleet listing.
-			mux.Handle("/fleet/", pool.Handler())
-		}
-		if opt.Cache != nil {
-			// Content-addressed golden-artifact transfer: workers
-			// prefetch by the same key the cache stores under, skipping
-			// their own golden runs.
-			mux.HandleFunc("GET /artifacts/{id}", func(w http.ResponseWriter, r *http.Request) {
-				raw, ok := opt.Cache.GetRaw(r.PathValue("id"))
-				if !ok {
-					http.Error(w, `{"error":"unknown artifact"}`, http.StatusNotFound)
-					return
-				}
-				// Advertise the payload digest so the worker can verify
-				// the bytes end to end before caching them.
-				sum := sha256.Sum256(raw)
-				w.Header().Set(artifactDigestHeader, hex.EncodeToString(sum[:]))
-				w.Header().Set("Content-Type", "application/octet-stream")
-				w.Write(raw)
-			})
-		}
+	if opt.FleetTTL >= 0 {
+		// Worker registration, heartbeats and the fleet listing.
+		cfg.Routes = func(mux *http.ServeMux) { mux.Handle("/fleet/", pool.Handler()) }
 	}
 	return server.New(cfg)
 }
@@ -360,7 +338,7 @@ func runCampaign(cache *Cache, snapshots *SnapshotCache, pool *fleet.Pool, stati
 		if err != nil {
 			return nil, err
 		}
-		b.inject = ledgerInjector(b, job, emit, cache, pool, client, stall)
+		b.inject = ledgerInjector(b, job, emit, pool, client, stall)
 		// On cancellation Run returns a partial report together with
 		// ctx.Err(); both are handed to the service, which retains the
 		// report on the cancelled record — the structures that finished

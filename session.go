@@ -247,7 +247,7 @@ type injectFunc func(ctx context.Context, s *Session, onOutcome func(int, Fault,
 // reduced list.
 func runReduced(ctx context.Context, s *Session, onOutcome func(int, Fault, Outcome)) (*campaign.Result, error) {
 	a := s.art
-	return a.Runner.Run(ctx, a.Red.Reduced(), &a.Golden.Result, a.plan(onOutcome))
+	return a.Runner.Run(ctx, a.Red.Reduced(), &a.Golden.Result, a.Config.plan(onOutcome))
 }
 
 // buildSessionConfig applies the options, resolves the checkpoint/strategy
