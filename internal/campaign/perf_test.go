@@ -5,8 +5,10 @@ import (
 	"sync"
 	"testing"
 
+	"merlin/internal/cpu"
 	"merlin/internal/lifetime"
 	"merlin/internal/sampling"
+	"merlin/internal/workloads"
 )
 
 // TestPooledReplayMatchesRunFault: Run's pooled reset-snapshot replay
@@ -180,6 +182,65 @@ func TestConcurrentCampaignsSharedSnapshots(t *testing.T) {
 			if res.Outcomes[j] != want.Outcomes[j] {
 				t.Fatalf("campaign %d fault %d: %v, want %v", i, j, res.Outcomes[j], want.Outcomes[j])
 			}
+		}
+	}
+}
+
+// midRunDjpeg returns a frozen djpeg core at the middle of its fault-free
+// run and a frozen snapshot of it 2,000 cycles later — one rung of the
+// forked L1D campaign's ladder, at the benchmark workload's own scale.
+func midRunDjpeg(b *testing.B) (mid, rung *cpu.Core) {
+	b.Helper()
+	w, err := workloads.Get("djpeg")
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := w.NewCore(cpu.DefaultConfig())
+	golden := w.NewCore(cpu.DefaultConfig()).Run(DefaultGoldenBudget)
+	for c.Cycle() < golden.Cycles/2 {
+		c.Step()
+	}
+	mid = c.Clone()
+	for i := 0; i < injectStepCycles; i++ {
+		c.Step()
+	}
+	return mid, c.Clone()
+}
+
+const injectStepCycles = 2000
+
+// BenchmarkInjectStep is the inner loop of the lib_forked_l1d benchmark
+// workload without the campaign around it: pooled clone, 2,000 cycles of
+// simulation, the masked-equivalence check at the rung, release.
+func BenchmarkInjectStep(b *testing.B) {
+	mid, rung := midRunDjpeg(b)
+	pool := cpu.NewClonePool(0)
+	pool.Release(pool.Clone(mid))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := pool.Clone(mid)
+		for s := 0; s < injectStepCycles; s++ {
+			c.Step()
+		}
+		if !cpu.MaskedEquivalent(c, rung) {
+			b.Fatal("fault-free continuation is not masked-equivalent to its rung")
+		}
+		pool.Release(c)
+	}
+	b.ReportMetric(float64(b.N)*injectStepCycles/b.Elapsed().Seconds(), "cycles/s")
+}
+
+// BenchmarkMaskedEquivalent times the early-exit check on its worst case,
+// two equal machines (everything is compared).
+func BenchmarkMaskedEquivalent(b *testing.B) {
+	_, rung := midRunDjpeg(b)
+	c := rung.Clone()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !cpu.MaskedEquivalent(c, rung) {
+			b.Fatal("a clone is not masked-equivalent to its source")
 		}
 	}
 }

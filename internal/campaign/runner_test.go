@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"merlin/internal/cpu"
 	"merlin/internal/fault"
 	"merlin/internal/lifetime"
 	"merlin/internal/sampling"
@@ -82,6 +83,47 @@ func TestOnOutcomeHook(t *testing.T) {
 			if f.Structure != lifetime.StructRF {
 				t.Fatalf("%v: hook fault %d has wrong structure %v", strat, i, f.Structure)
 			}
+		}
+	}
+}
+
+// TestNoRecoveredRuntimePanic: inject recovers any Go panic as outcome
+// Crash, so a simulator index bug would surface as a shifted report, not a
+// red test. Run the reference fault lists the way inject does but report
+// what was recovered: only *cpu.AssertError (the modelled Assert outcome)
+// may ever be panicked by the simulator.
+func TestNoRecoveredRuntimePanic(t *testing.T) {
+	for _, tc := range []struct {
+		wl string
+		s  lifetime.StructureID
+	}{
+		{"sha", lifetime.StructRF},
+		{"djpeg", lifetime.StructL1D},
+		{"qsort", lifetime.StructSQ},
+	} {
+		r := NewRunner(target(t, tc.wl))
+		g, err := r.RunGolden()
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := r.BuildCheckpoints(6, g.Result.Cycles)
+		faults := strategyFaultList(r.NewCore(), tc.s, g.Result.Cycles, 80, 17, set.cycles[1:])
+		for _, f := range faults {
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						if _, ok := p.(*cpu.AssertError); !ok {
+							t.Errorf("%s/%v fault %v: simulator panicked with %T: %v", tc.wl, tc.s, f, p, p)
+						}
+					}
+				}()
+				c := set.before(f.Cycle).Clone()
+				for c.Cycle()+1 < f.Cycle && c.Halted() == cpu.Running {
+					c.Step()
+				}
+				c.FlipBit(f.Structure, int(f.Entry), int(f.Bit))
+				r.classifyAgainst(c, &g.Result, set)
+			}()
 		}
 	}
 }

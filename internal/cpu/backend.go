@@ -1,50 +1,45 @@
 package cpu
 
 import (
+	"math/bits"
+
 	"merlin/internal/isa"
 	"merlin/internal/lifetime"
 )
 
 // issueStage selects ready µops oldest-first up to the issue width and
 // functional-unit limits and begins their execution. Operand values are
-// captured (and their register-file reads recorded) at issue.
+// captured (and their register-file reads recorded) at issue. A µop that
+// cannot go this cycle is decided from its issue-queue record alone.
 func (c *Core) issueStage() {
-	alu, mul, ld, st := c.Cfg.IntALUs, c.Cfg.IntMulDiv, c.Cfg.LoadPorts, c.Cfg.StorePorts
-	issued := 0
-	kept := c.iq[:0]
-	for _, idx := range c.iq {
-		e := &c.rob[idx]
-		keep := true
-		if issued < c.Cfg.IssueWidth && c.srcsReady(e) {
-			var fu *int
-			switch e.uop.Kind {
-			case isa.UopALU, isa.UopBr, isa.UopJmp, isa.UopOut, isa.UopSTA:
-				fu = &alu
-			case isa.UopMul:
-				fu = &mul
-			case isa.UopLoad:
-				fu = &ld
-			case isa.UopSTD:
-				fu = &st
-			default:
-				assertf(false, "unissuable µop kind %d in IQ", e.uop.Kind)
-			}
-			if *fu > 0 && !(e.uop.Kind == isa.UopLoad && c.loadBlocked(e)) {
-				*fu--
-				issued++
-				c.execute(e)
-				keep = false
-			}
+	free := [numFU]int{fuALU: c.Cfg.IntALUs, fuMul: c.Cfg.IntMulDiv, fuLoad: c.Cfg.LoadPorts, fuStore: c.Cfg.StorePorts}
+	iq, ready, width := c.iq, c.regReady, c.Cfg.IssueWidth
+	issued, kept := 0, 0
+	for i, q := range iq {
+		if issued < width &&
+			(q.src1 < 0 || ready[q.src1]) && (q.src2 < 0 || ready[q.src2]) &&
+			free[q.fu] > 0 && !(q.fu == fuLoad && c.loadBlocked(&c.rob[q.slot])) {
+			free[q.fu]--
+			issued++
+			c.execute(int(q.slot))
+			continue
 		}
-		if keep {
-			kept = append(kept, idx)
+		if kept != i {
+			iq[kept] = q
 		}
+		kept++
 	}
-	c.iq = kept
+	c.iq = iq[:kept]
 }
 
-func (c *Core) srcsReady(e *robEntry) bool {
-	return (e.src1 < 0 || c.regReady[e.src1]) && (e.src2 < 0 || c.regReady[e.src2])
+// fuOf maps a µop kind to the functional unit it occupies; fuNone marks
+// the kinds that never issue (they are done as soon as they are renamed).
+var fuOf = [...]uint16{
+	isa.UopALU: fuALU, isa.UopBr: fuALU, isa.UopJmp: fuALU, isa.UopOut: fuALU, isa.UopSTA: fuALU,
+	isa.UopMul:  fuMul,
+	isa.UopLoad: fuLoad,
+	isa.UopSTD:  fuStore,
+	isa.UopHalt: fuNone, isa.UopNop: fuNone,
 }
 
 // loadBlocked resolves memory disambiguation for a load about to issue.
@@ -57,17 +52,17 @@ func (c *Core) loadBlocked(e *robEntry) bool {
 	if e.src1 >= 0 {
 		s1 = c.regVal[e.src1]
 	}
-	addr := s1 + uint64(e.uop.Imm)
+	u := &c.uops[e.uop]
+	addr := s1 + uint64(u.Imm)
 	e.addr = addr
 	e.sqSlot = -1
-	if !c.dmem.InRange(addr, int(e.uop.MemSize)) {
+	if !c.dmem.InRange(addr, int(u.MemSize)) {
 		return false // faults at commit; nothing to disambiguate
 	}
-	size := uint64(e.uop.MemSize)
+	size := uint64(u.MemSize)
 	var bestSeq uint64
 	fwd := int16(-1)
-	for i := 0; i < c.sqLen; i++ {
-		slot := (c.sqHead + i) % len(c.sq)
+	for i, slot := 0, c.sqHead; i < c.sqLen; i, slot = i+1, ringNext(slot, len(c.sq)) {
 		s := &c.sq[slot]
 		if s.seq >= e.seq {
 			break // SQ is in program order: the rest are younger
@@ -92,21 +87,28 @@ func (c *Core) loadBlocked(e *robEntry) bool {
 	return false
 }
 
-// execute captures operands, computes the µop's result and schedules its
-// completion. Loads access the cache (or forward from the SQ) here; the
-// cycle of these reads is the cycle the stored bits are consumed, which is
-// what the vulnerable-interval analysis records.
-func (c *Core) execute(e *robEntry) {
+// execute captures the operands of the µop in ROB slot idx, computes its
+// result and schedules its completion. Loads access the cache (or forward
+// from the SQ) here; the cycle of these reads is the cycle the stored bits
+// are consumed, which is what the vulnerable-interval analysis records.
+func (c *Core) execute(idx int) {
+	e := &c.rob[idx]
 	e.state = stExecuting
+	c.executing[idx>>6] |= 1 << (uint(idx) & 63)
+	traced := c.tracer != nil // pendRead is a real call; an injection run skips it
 	if e.src1 >= 0 {
 		e.src1Val = c.regVal[e.src1]
-		c.pendRead(e, lifetime.StructRF, int32(e.src1), 0xff)
+		if traced {
+			c.pendRead(idx, lifetime.StructRF, int32(e.src1), 0xff)
+		}
 	}
 	if e.src2 >= 0 {
 		e.src2Val = c.regVal[e.src2]
-		c.pendRead(e, lifetime.StructRF, int32(e.src2), 0xff)
+		if traced {
+			c.pendRead(idx, lifetime.StructRF, int32(e.src2), 0xff)
+		}
 	}
-	u := &e.uop
+	u := &c.uops[e.uop]
 	switch u.Kind {
 	case isa.UopALU:
 		e.result = aluResult(u.Op, e.src1Val, e.src2Val, u.Imm)
@@ -156,7 +158,7 @@ func (c *Core) execute(e *robEntry) {
 		e.addr = addr
 		if !c.dmem.InRange(addr, int(u.MemSize)) {
 			e.exc = ExcPageFault
-		} else if addr%uint64(u.MemSize) != 0 {
+		} else if misaligned(addr, u.MemSize) {
 			e.exc = ExcMisalign
 		}
 		e.doneAt = c.cycle + 1
@@ -172,20 +174,20 @@ func (c *Core) execute(e *robEntry) {
 			e.result = 0
 			e.doneAt = c.cycle + 2
 		case e.sqSlot >= 0: // store-to-load forwarding
-			if addr%uint64(size) != 0 {
+			if misaligned(addr, size) {
 				e.exc = ExcMisalign // kernel fixup, architecturally visible
 			}
 			c.stats.SQForwards++
 			s := &c.sq[e.sqSlot]
 			d := addr - s.addr
 			e.result = extend(s.data>>(8*d), size, u.Signed)
-			c.pendRead(e, lifetime.StructSQ, int32(e.sqSlot), maskRange(int(d), int(size)))
+			c.pendRead(idx, lifetime.StructSQ, int32(e.sqSlot), maskRange(int(d), int(size)))
 			e.doneAt = c.cycle + 2
 		default:
-			if addr%uint64(size) != 0 {
+			if misaligned(addr, size) {
 				e.exc = ExcMisalign // simulated kernel fixes it up below
 			}
-			v, lat := c.dcacheRead(e, addr, size)
+			v, lat := c.dcacheRead(idx, addr, size)
 			e.result = extend(v, size, u.Signed)
 			e.doneAt = c.cycle + 1 + uint64(lat)
 		}
@@ -198,47 +200,72 @@ func (c *Core) execute(e *robEntry) {
 }
 
 // writebackStage publishes completed results to the physical register file
-// and store queue, wakes dependants, and resolves branches. The oldest
-// mispredicted branch completing this cycle squashes everything younger.
+// and store queue, wakes dependants, and resolves branches. It visits only
+// the executing µops, oldest first: ring order from robHead is age order,
+// so the walk starts with the head word's slots at and above robHead, goes
+// round the bitmap, and ends with the head word's slots below robHead. The
+// oldest mispredicted branch completing this cycle squashes everything
+// younger, which ends the stage: older µops were already visited.
 func (c *Core) writebackStage() {
-	for i := 0; i < c.robLen; i++ {
-		idx := (c.robHead + i) % len(c.rob)
-		e := &c.rob[idx]
-		if e.state != stExecuting || e.doneAt > c.cycle {
-			continue
+	words := c.executing[:(len(c.rob)+63)>>6]
+	w, below := c.robHead>>6, uint64(1)<<(uint(c.robHead)&63)-1
+	for k := 0; k <= len(words); k++ {
+		m := words[w]
+		if k == 0 {
+			m &^= below
+		} else if k == len(words) {
+			m &= below
 		}
-		e.state = stDone
-		if e.physDest >= 0 {
-			c.regVal[e.physDest] = e.result
-			c.regReady[e.physDest] = true
-			c.emitWrite(lifetime.StructRF, int32(e.physDest), 0xff, int32(e.rip), e.uop.UPC)
-		}
-		switch e.uop.Kind {
-		case isa.UopSTA:
-			s := &c.sq[e.sqSlot]
-			assertf(s.valid, "STA writeback to invalid SQ slot")
-			s.addr = e.addr
-			s.addrOK = true
-		case isa.UopSTD:
-			s := &c.sq[e.sqSlot]
-			assertf(s.valid, "STD writeback to invalid SQ slot")
-			s.data = e.result
-			s.dataOK = true
-			c.emitWrite(lifetime.StructSQ, int32(e.sqSlot), maskRange(0, int(s.size)), int32(e.rip), e.uop.UPC)
-		case isa.UopBr, isa.UopJmp:
-			if e.actTarget != e.predTarget {
-				c.stats.Mispredicts++
-				if e.isCond {
-					c.pred.repair(e.ghrSnap, e.actTaken)
-				}
-				c.squashYounger(e.seq)
-				c.redirect(e.actTarget)
-				// Everything younger is gone; older entries were already
-				// visited (the walk is oldest-first).
+		for ; m != 0; m &= m - 1 {
+			idx := w<<6 + bits.TrailingZeros64(m)
+			if c.rob[idx].doneAt <= c.cycle && !c.complete(idx) {
 				return
 			}
 		}
+		w = ringNext(w, len(words))
 	}
+}
+
+// complete writes back the µop in ROB slot idx. It reports false when the
+// µop was a mispredicted branch: everything younger has been squashed and
+// fetch redirected.
+func (c *Core) complete(idx int) bool {
+	e := &c.rob[idx]
+	e.state = stDone
+	c.executing[idx>>6] &^= 1 << (uint(idx) & 63)
+	if e.physDest >= 0 {
+		c.regVal[e.physDest] = e.result
+		c.regReady[e.physDest] = true
+		if c.tracer != nil {
+			c.emitWrite(lifetime.StructRF, int32(e.physDest), 0xff, int32(e.rip), c.uops[e.uop].UPC)
+		}
+	}
+	switch e.kind {
+	case isa.UopSTA:
+		s := &c.sq[e.sqSlot]
+		assertf(s.valid, "STA writeback to invalid SQ slot")
+		s.addr = e.addr
+		s.addrOK = true
+	case isa.UopSTD:
+		s := &c.sq[e.sqSlot]
+		assertf(s.valid, "STD writeback to invalid SQ slot")
+		s.data = e.result
+		s.dataOK = true
+		if c.tracer != nil {
+			c.emitWrite(lifetime.StructSQ, int32(e.sqSlot), maskRange(0, int(s.size)), int32(e.rip), c.uops[e.uop].UPC)
+		}
+	case isa.UopBr, isa.UopJmp:
+		if e.actTarget != e.predTarget {
+			c.stats.Mispredicts++
+			if isa.IsCondBranch(c.uops[e.uop].Op) {
+				c.pred.repair(e.ghrSnap, e.actTaken)
+			}
+			c.squashYounger(e.seq)
+			c.redirect(e.actTarget)
+			return false
+		}
+	}
+	return true
 }
 
 // redirect restarts fetch at target on the next cycle.
@@ -250,12 +277,12 @@ func (c *Core) redirect(target int64) {
 }
 
 // squashYounger removes every µop younger than seq, undoing renaming (in
-// reverse order), LSQ allocation, and issue-queue residency. Their pending
-// structure reads die with them: squashed reads never end vulnerable
-// intervals.
+// reverse order), LSQ allocation, and issue-queue, executing-set and
+// decode-queue residency. Their pending structure reads die with them:
+// squashed reads never end vulnerable intervals.
 func (c *Core) squashYounger(seq uint64) {
 	for c.robLen > 0 {
-		tIdx := (c.robHead + c.robLen - 1) % len(c.rob)
+		tIdx := ringAdd(c.robHead, c.robLen-1, len(c.rob))
 		t := &c.rob[tIdx]
 		if t.seq <= seq {
 			break
@@ -266,38 +293,38 @@ func (c *Core) squashYounger(seq uint64) {
 			}
 			c.freePhys(t.physDest)
 		}
-		switch t.uop.Kind {
+		switch t.kind {
 		case isa.UopLoad:
 			c.lqLen--
 		case isa.UopSTA:
-			tail := (c.sqHead + c.sqLen - 1) % len(c.sq)
+			tail := ringAdd(c.sqHead, c.sqLen-1, len(c.sq))
 			assertf(int16(tail) == t.sqSlot, "SQ rollback out of order: tail %d, slot %d", tail, t.sqSlot)
 			s := &c.sq[tail]
 			s.valid, s.addrOK, s.dataOK = false, false, false
 			c.emitInvalidate(lifetime.StructSQ, int32(tail), 0xff)
 			c.sqLen--
 		}
+		c.executing[tIdx>>6] &^= 1 << (uint(tIdx) & 63)
 		c.stats.SquashedUops++
 		c.robLen--
 	}
 	kept := c.iq[:0]
-	for _, idx := range c.iq {
-		if e := &c.rob[idx]; e.seq <= seq && e.state == stWaiting {
-			kept = append(kept, idx)
+	for _, q := range c.iq {
+		if e := &c.rob[q.slot]; e.seq <= seq && e.state == stWaiting {
+			kept = append(kept, q)
 		}
 	}
 	c.iq = kept
-	c.decodeQ = c.decodeQ[:0]
-	c.dqHead = 0
+	c.dqHead, c.dqTail = 0, 0
 	c.curTempCount = 0
 	c.lastSQ = -1
 }
 
 // dcacheRead reads size bytes at addr through the L1D, splitting at line
 // boundaries (misaligned accesses after kernel fixup), recording the byte
-// positions read on the consuming µop, and returning the little-endian
-// value and total latency.
-func (c *Core) dcacheRead(e *robEntry, addr uint64, size uint8) (uint64, int) {
+// positions read against the consuming µop's ROB slot, and returning the
+// little-endian value and total latency.
+func (c *Core) dcacheRead(slot int, addr uint64, size uint8) (uint64, int) {
 	var val uint64
 	shift, lat := 0, 0
 	remaining := int(size)
@@ -311,7 +338,7 @@ func (c *Core) dcacheRead(e *robEntry, addr uint64, size uint8) (uint64, int) {
 			val |= uint64(data[off+i]) << shift
 			shift += 8
 		}
-		c.pendRead(e, lifetime.StructL1D, int32(entry), maskRange(off, n))
+		c.pendRead(slot, lifetime.StructL1D, int32(entry), maskRange(off, n))
 		addr += uint64(n)
 		remaining -= n
 	}
@@ -341,6 +368,10 @@ func (c *Core) dcacheWrite(addr uint64, size uint8, data uint64, rip int32, upc 
 	}
 	return lat
 }
+
+// misaligned reports whether a size-byte access at addr is not naturally
+// aligned. Access sizes are powers of two, so this is a mask, not a divide.
+func misaligned(addr uint64, size uint8) bool { return addr&uint64(size-1) != 0 }
 
 // maskRange returns the byte mask covering bytes [off, off+n).
 func maskRange(off, n int) uint64 {

@@ -1,11 +1,6 @@
 package cpu
 
-import (
-	"unsafe"
-
-	"merlin/internal/lifetime"
-	"merlin/internal/mem"
-)
+import "unsafe"
 
 // Clone returns a snapshot of the whole machine state that can be stepped
 // independently of the original. Campaigns use clones as checkpoints so
@@ -30,13 +25,16 @@ func (c *Core) Clone() *Core {
 
 // cloneInto copies the complete machine state of c into n, reusing n's
 // existing allocations (slices, maps, predictor tables) wherever the
-// capacities fit. It overwrites every field — a recycled shell from a
-// ClonePool is scrubbed by copy-over, never trusted. n must not be c.
+// capacities fit. It overwrites every field (TestCloneCoversEveryField) —
+// a recycled shell from a ClonePool is scrubbed by copy-over, never
+// trusted — and only reads c: derived state (the executing set, the issue
+// queue records) is copied like any other, never rebuilt lazily on the
+// source, which other goroutines may be cloning. n must not be c.
 func (c *Core) cloneInto(n *Core) {
 	assertf(c.tracer == nil, "Clone of a traced core")
 	n.Cfg = c.Cfg
 	n.prog = c.prog
-	n.cracked = c.cracked // immutable, shared
+	n.uops, n.uopFirst = c.uops, c.uopFirst // immutable, shared
 
 	n.cycle = c.cycle
 	n.seqGen = c.seqGen
@@ -50,6 +48,7 @@ func (c *Core) cloneInto(n *Core) {
 	n.rob = append(n.rob[:0], c.rob...)
 	n.robHead = c.robHead
 	n.robLen = c.robLen
+	n.executing = c.executing
 	n.iq = append(n.iq[:0], c.iq...)
 
 	n.sq = append(n.sq[:0], c.sq...)
@@ -64,6 +63,7 @@ func (c *Core) cloneInto(n *Core) {
 	n.chargedLine = c.chargedLine
 	n.decodeQ = append(n.decodeQ[:0], c.decodeQ...)
 	n.dqHead = c.dqHead
+	n.dqTail = c.dqTail
 	n.pred = c.pred.cloneInto(n.pred)
 
 	n.curTemps = c.curTemps
@@ -81,6 +81,7 @@ func (c *Core) cloneInto(n *Core) {
 
 	n.stats = c.stats
 	n.tracer = nil
+	n.reads = nil
 	n.traceW = nil
 	n.witness = nil
 	n.mutate = nil
@@ -109,19 +110,6 @@ func (c *Core) cloneInto(n *Core) {
 		n.l1i = c.l1i.Clone(n.imem)
 	} else {
 		c.l1i.CloneInto(n.l1i, n.imem)
-	}
-	// Event hooks fire only when a tracer is attached; clones are
-	// untraced, so the rewired hooks stay dormant but keep the invariant
-	// that every core's hooks point at itself.
-	n.l1d.OnFill = func(set, way int, cycle uint64) {
-		n.emitL1D(lifetime.EvWrite, set, way, ^uint64(0))
-	}
-	n.l1d.OnEvict = func(set, way int, kind mem.EvictKind, cycle uint64) {
-		if kind == mem.EvictDirty {
-			n.emitL1D(lifetime.EvWBRead, set, way, ^uint64(0))
-		} else {
-			n.emitL1D(lifetime.EvInvalidate, set, way, ^uint64(0))
-		}
 	}
 }
 
@@ -167,8 +155,8 @@ func (c *Core) Footprint() int64 {
 	f += int64(len(c.regVal))*8 + int64(len(c.regReady))
 	f += int64(len(c.rob)) * int64(unsafe.Sizeof(robEntry{}))
 	f += int64(len(c.sq)) * int64(unsafe.Sizeof(sqEntry{}))
-	f += int64(cap(c.decodeQ)) * int64(unsafe.Sizeof(pendingUop{}))
-	f += int64(cap(c.iq))*4 + int64(cap(c.freeList))*2
+	f += int64(len(c.decodeQ)) * int64(unsafe.Sizeof(pendingUop{}))
+	f += int64(cap(c.iq))*int64(unsafe.Sizeof(iqEntry{})) + int64(cap(c.freeList))*2
 	f += int64(cap(c.output))*8 + int64(cap(c.excLog))*4
 	p := c.pred
 	f += int64(len(p.localHist))*2 + int64(len(p.localPred)) + int64(len(p.globalPred)) +

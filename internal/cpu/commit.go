@@ -32,7 +32,7 @@ func (c *Core) commitStage() {
 			return
 		}
 
-		switch e.uop.Kind {
+		switch e.kind {
 		case isa.UopHalt:
 			c.halted = HaltOK
 			c.lastCommitAt = c.cycle
@@ -44,7 +44,7 @@ func (c *Core) commitStage() {
 		case isa.UopLoad:
 			c.lqLen--
 		case isa.UopBr:
-			if e.isCond {
+			if isa.IsCondBranch(c.uops[e.uop].Op) {
 				c.pred.updateCond(e.rip, e.actTaken)
 				if c.tracer != nil {
 					c.tracer.RecordBranch(e.seq, int32(e.rip), int32(e.actTarget), e.actTaken)
@@ -69,8 +69,12 @@ func (c *Core) commitStage() {
 		if e.last {
 			c.committedInsts++
 		}
-		c.traceCommit(e)
-		c.flushReads(e)
+		if c.traceW != nil {
+			c.traceCommit(e)
+		}
+		if c.tracer != nil {
+			c.flushReads(c.robHead, e)
+		}
 		c.committedUops++
 		c.lastCommitAt = c.cycle
 		if e.last && c.witness != nil {
@@ -79,7 +83,7 @@ func (c *Core) commitStage() {
 				Regs:      c.archRegs,
 				OutputLen: len(c.output), ExcLogLen: len(c.excLog),
 			}
-			switch e.uop.Kind {
+			switch e.kind {
 			case isa.UopSTD:
 				s := &c.sq[e.sqSlot]
 				ev.HasStore, ev.StoreAddr, ev.StoreSize, ev.StoreData = true, s.addr, s.size, s.data
@@ -88,7 +92,7 @@ func (c *Core) commitStage() {
 			}
 			c.witness(ev)
 		}
-		c.robHead = (c.robHead + 1) % len(c.rob)
+		c.robHead = ringNext(c.robHead, len(c.rob))
 		c.robLen--
 	}
 }
@@ -102,7 +106,7 @@ func (c *Core) commitStore(e *robEntry) {
 	assertf(s.valid && s.addrOK && s.dataOK, "committing incomplete store (valid=%v addrOK=%v dataOK=%v)", s.valid, s.addrOK, s.dataOK)
 	s.committed = true
 	s.drainRIP = e.rip
-	s.drainUPC = e.uop.UPC
+	s.drainUPC = c.uops[e.uop].UPC
 	s.drainSeq = e.seq
 }
 
@@ -134,6 +138,6 @@ func (c *Core) drainStage() {
 	}
 	s.valid, s.addrOK, s.dataOK, s.committed = false, false, false, false
 	c.emitInvalidate(lifetime.StructSQ, int32(slot), 0xff)
-	c.sqHead = (c.sqHead + 1) % len(c.sq)
+	c.sqHead = ringNext(c.sqHead, len(c.sq))
 	c.sqLen--
 }

@@ -10,6 +10,19 @@
 // issue queue, split load/store queues with store-to-load forwarding,
 // wrong-path execution with full squash recovery, precise exceptions at
 // commit, and a write-back two-level cache hierarchy.
+//
+// Campaigns spend almost all their time in Step, so the pipeline's dynamic
+// state is laid out for it: a stage touches only what can change this
+// cycle. What a µop is lives once per program in the immutable static µop
+// table ((*isa.Program).Uops); decode-queue, ROB and issue-queue records
+// hold an index into it plus what the dynamic instance adds, contain no
+// pointer and no padding (clones are memmoves, state comparison is byte
+// comparison), and are written in place. Writeback walks a bitmap of the
+// executing µops, oldest first from the ROB head; issue decides "not this
+// cycle" from an 8-byte record without touching the ROB; ring indices wrap
+// by compare. The speculative-read buffers of the lifetime tracer are a
+// side table only a traced core (AttachTracer) has. docs/ARCHITECTURE.md,
+// "What a cycle costs", lists the invariants this layout must keep.
 package cpu
 
 import "merlin/internal/mem"

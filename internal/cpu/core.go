@@ -3,6 +3,7 @@ package cpu
 import (
 	"fmt"
 	"io"
+	"math/bits"
 
 	"merlin/internal/isa"
 	"merlin/internal/lifetime"
@@ -66,8 +67,8 @@ const (
 	stDone
 )
 
-// pendingRead is a speculative structure read buffered on a ROB entry and
-// published to the lifetime tracer only if the reader commits (squashed
+// pendingRead is a speculative structure read buffered against a ROB slot
+// and published to the lifetime tracer only if the reader commits (squashed
 // reads must not end vulnerable intervals; paper Fig 3).
 type pendingRead struct {
 	structID lifetime.StructureID
@@ -77,39 +78,80 @@ type pendingRead struct {
 	seq      uint64
 }
 
-type robEntry struct {
-	seq  uint64
-	rip  int64
-	uop  isa.Uop
-	last bool // final µop of its macro-instruction
+// uopReads is one ROB slot's row of the tracer-only side table: the reads
+// its current occupant has made so far. Only a traced golden run has the
+// table (AttachTracer allocates it); injection clones never carry it.
+type uopReads struct {
+	n uint8
+	r [4]pendingRead
+}
 
-	state    uopState
-	doneAt   uint64
-	exc      ExcKind
-	physDest int16
-	oldPhys  int16
-	archDest int8
-	src1     int16
-	src2     int16
-	src1Val  uint64
-	src2Val  uint64
-	result   uint64
+// maxROBEntries bounds Config.ROBEntries: the executing bitmap is a fixed
+// array and issue-queue records hold the ROB slot in 16 bits.
+const maxROBEntries = 1024
+
+// badUop is the static-table index of the invalid-fetch pseudo µop, which
+// no program text backs.
+const badUop = -1
+
+// robEntry is the dynamic record of one in-flight µop. What the µop is
+// lives once, in the program's static µop table (uop indexes it); the
+// record holds only what this dynamic instance adds. It contains no
+// pointer and no padding (TestRecordLayouts), so cloning the ROB is one
+// memmove and comparing two ROBs is one byte comparison.
+type robEntry struct {
+	seq     uint64
+	rip     int64
+	doneAt  uint64
+	src1Val uint64
+	src2Val uint64
+	result  uint64
 
 	// Branch bookkeeping.
 	predTarget int64
 	actTarget  int64
-	actTaken   bool
-	isCond     bool
 	ghrSnap    uint64
 
-	// Memory bookkeeping.
-	addr   uint64
-	sqSlot int16
+	addr uint64 // memory µops: effective address
 
-	freeT1, freeT2 int16 // temp physical registers to release at commit
+	uop int32 // index into the static µop table, or badUop
 
-	nReads uint8
-	reads  [4]pendingRead
+	physDest int16
+	oldPhys  int16
+	src1     int16
+	src2     int16
+	sqSlot   int16
+	freeT1   int16 // temp physical registers to release at commit
+	freeT2   int16
+
+	archDest int8
+	kind     isa.UopKind // the static µop's Kind (UopNop for the pseudo µop)
+	state    uopState
+	exc      ExcKind
+	last     bool // final µop of its macro-instruction
+	actTaken bool
+}
+
+// Functional-unit classes, indexing the per-cycle unit budget of issueStage.
+const (
+	fuALU uint16 = iota // also address generation, branches and OUT
+	fuMul
+	fuLoad
+	fuStore
+	numFU
+	fuNone = numFU // never issues
+)
+
+// iqEntry is a waiting µop as the issue stage sees it: everything the
+// select loop needs to decide "not this cycle" without touching the µop's
+// ROB slot. It repeats what rob[slot] and the static table already say
+// (checkDerived in the tests rebuilds it from them), and like robEntry it
+// has no padding.
+type iqEntry struct {
+	slot int16 // ROB slot
+	src1 int16
+	src2 int16
+	fu   uint16
 }
 
 type sqEntry struct {
@@ -130,16 +172,18 @@ type sqEntry struct {
 	drainSeq  uint64
 }
 
+// pendingUop is a fetched µop waiting in the decode queue: which static µop
+// it is, and the branch prediction made for it at fetch. Like robEntry it
+// has no pointer and no padding.
 type pendingUop struct {
-	rip  int64
-	uop  isa.Uop
-	last bool
-	bad  bool // invalid-fetch pseudo µop
+	rip int64
 
 	// Branch prediction made at fetch.
 	predTarget int64
 	ghrSnap    uint64
-	isCond     bool
+
+	uop int32 // index into the static µop table, or badUop
+	end int32 // one past the last µop of the same macro-instruction (0 with badUop)
 }
 
 // Stats counts pipeline activity over a run.
@@ -171,9 +215,12 @@ type RunResult struct {
 // Core is one instance of the simulated machine. It is single-goroutine;
 // campaigns parallelise by running independent Cores.
 type Core struct {
-	Cfg     Config
-	prog    *isa.Program
-	cracked [][]isa.Uop // per-RIP µop decomposition, owned by prog
+	Cfg  Config
+	prog *isa.Program
+	// The program's static µop table, owned by prog and immutable: the
+	// µops of Text[rip] are uops[uopFirst[rip]:uopFirst[rip+1]].
+	uops     []isa.Uop
+	uopFirst []int32
 
 	dmem *mem.Memory
 	imem *mem.Memory
@@ -194,8 +241,15 @@ type Core struct {
 	rob     []robEntry
 	robHead int
 	robLen  int
+	// executing is a bitmap over ROB slots: the µops that have issued and
+	// not yet written back, so writeback visits only those. Walked from
+	// robHead in ring order it is age order. Derived from rob[i].state. It
+	// is an array inside the Core, not a slice: a 16-byte allocation of its
+	// own would share a cache line with those of the cores other workers
+	// are stepping, and every cycle writes it.
+	executing [maxROBEntries / 64]uint64
 
-	iq []int32 // ROB slot indexes of waiting µops, program order
+	iq []iqEntry // waiting µops, program order
 
 	sq             []sqEntry
 	sqHead         int
@@ -208,9 +262,14 @@ type Core struct {
 	fetchHalted  bool
 	fetchReadyAt uint64
 	chargedLine  int64
-	decodeQ      []pendingUop
-	dqHead       int
-	pred         *predictor
+	// The decode queue is a fixed ring of power-of-two length. dqHead and
+	// dqTail count the µops renamed and fetched since the queue last
+	// emptied (or was squashed); µop n of that count sits in slot
+	// n & (len-1).
+	decodeQ []pendingUop
+	dqHead  int
+	dqTail  int
+	pred    *predictor
 
 	// Rename scratch: temps of the macro-instruction being renamed.
 	curTemps     [2]int16
@@ -236,6 +295,7 @@ type Core struct {
 	mutate  func(seq uint64, op isa.Op, result uint64) uint64
 
 	tracer *lifetime.Tracer
+	reads  []uopReads // per ROB slot, allocated by AttachTracer
 	traceW io.Writer
 	stats  Stats
 }
@@ -245,6 +305,7 @@ type Core struct {
 // to isa.StackTop.
 func New(cfg Config, prog *isa.Program) *Core {
 	assertf(cfg.PhysRegs > isa.NumArchRegs, "PhysRegs %d must exceed %d architectural registers", cfg.PhysRegs, isa.NumArchRegs)
+	assertf(cfg.ROBEntries <= maxROBEntries, "ROBEntries %d exceeds the %d slots the executing bitmap covers", cfg.ROBEntries, maxROBEntries)
 	c := &Core{
 		Cfg:  cfg,
 		prog: prog,
@@ -255,28 +316,18 @@ func New(cfg Config, prog *isa.Program) *Core {
 		regReady: make([]bool, cfg.PhysRegs),
 		rob:      make([]robEntry, cfg.ROBEntries),
 		sq:       make([]sqEntry, cfg.SQEntries),
-		iq:       make([]int32, 0, cfg.IQEntries),
+		iq:       make([]iqEntry, 0, cfg.IQEntries),
+		decodeQ:  make([]pendingUop, 1<<bits.Len(uint(cfg.DecodeQCap-1))),
 
 		fetchPC:     int64(prog.Entry),
 		chargedLine: -1,
 		lastSQ:      -1,
 		pred:        newPredictor(cfg),
 	}
-	c.cracked = prog.Uops()
+	c.uops, c.uopFirst = prog.Uops()
 	c.l2 = mem.NewCache(cfg.L2, c.dmem)
 	c.l1d = mem.NewCache(cfg.L1D, c.l2)
 	c.l1i = mem.NewCache(cfg.L1I, c.imem)
-
-	c.l1d.OnFill = func(set, way int, cycle uint64) {
-		c.emitL1D(lifetime.EvWrite, set, way, ^uint64(0))
-	}
-	c.l1d.OnEvict = func(set, way int, kind mem.EvictKind, cycle uint64) {
-		if kind == mem.EvictDirty {
-			c.emitL1D(lifetime.EvWBRead, set, way, ^uint64(0))
-		} else {
-			c.emitL1D(lifetime.EvInvalidate, set, way, ^uint64(0))
-		}
-	}
 
 	c.dmem.WriteBytes(isa.DataBase, prog.Data)
 	for i := 0; i < isa.NumArchRegs; i++ {
@@ -305,6 +356,19 @@ func (c *Core) WriteData(addr uint64, data []byte) {
 func (c *Core) AttachTracer(t *lifetime.Tracer) {
 	assertf(c.cycle == 0, "AttachTracer after the run started")
 	c.tracer = t
+	c.reads = make([]uopReads, len(c.rob))
+	// The L1D fill/evict hooks only ever feed the tracer, so only a traced
+	// core has them.
+	c.l1d.OnFill = func(set, way int, cycle uint64) {
+		c.emitL1D(lifetime.EvWrite, set, way, ^uint64(0))
+	}
+	c.l1d.OnEvict = func(set, way int, kind mem.EvictKind, cycle uint64) {
+		if kind == mem.EvictDirty {
+			c.emitL1D(lifetime.EvWBRead, set, way, ^uint64(0))
+		} else {
+			c.emitL1D(lifetime.EvInvalidate, set, way, ^uint64(0))
+		}
+	}
 	if l := t.Log(lifetime.StructRF); l != nil {
 		for p := 0; p < isa.NumArchRegs; p++ {
 			l.Append(lifetime.Event{Seq: t.NextSeq(), Cycle: 0, Entry: int32(p), Mask: 0xff, Kind: lifetime.EvWrite, RIP: lifetime.InitRip})
@@ -488,9 +552,8 @@ func (c *Core) StateHash() uint64 {
 			}
 		}
 	}
-	for i := 0; i < c.sqLen; i++ {
-		s := &c.sq[(c.sqHead+i)%len(c.sq)]
-		if s.dataOK {
+	for i, slot := 0, c.sqHead; i < c.sqLen; i, slot = i+1, ringNext(slot, len(c.sq)) {
+		if s := &c.sq[slot]; s.dataOK {
 			u64In(s.data)
 		}
 	}
@@ -552,33 +615,50 @@ func (c *Core) freePhys(p int16) {
 	c.emitInvalidate(lifetime.StructRF, int32(p), 0xff)
 }
 
-// pendRead buffers a structure read on the reading µop; it is published at
-// commit and dropped on squash.
-func (c *Core) pendRead(e *robEntry, s lifetime.StructureID, entry int32, mask uint64) {
+// pendRead buffers a structure read against the reading µop's ROB slot; it
+// is published at commit and dropped on squash.
+func (c *Core) pendRead(slot int, s lifetime.StructureID, entry int32, mask uint64) {
 	if c.tracer == nil || c.tracer.Log(s) == nil {
 		return
 	}
-	assertf(int(e.nReads) < len(e.reads), "too many pending reads on one µop")
-	e.reads[e.nReads] = pendingRead{structID: s, entry: entry, mask: mask, cycle: c.cycle, seq: c.tracer.NextSeq()}
-	e.nReads++
+	pr := &c.reads[slot]
+	assertf(int(pr.n) < len(pr.r), "too many pending reads on one µop")
+	pr.r[pr.n] = pendingRead{structID: s, entry: entry, mask: mask, cycle: c.cycle, seq: c.tracer.NextSeq()}
+	pr.n++
 }
 
-func (c *Core) flushReads(e *robEntry) {
-	if c.tracer == nil || e.nReads == 0 {
-		return
-	}
-	for i := uint8(0); i < e.nReads; i++ {
-		r := &e.reads[i]
+// flushReads publishes the buffered reads of the µop committing from slot
+// of a traced core.
+func (c *Core) flushReads(slot int, e *robEntry) {
+	pr := &c.reads[slot]
+	for i := uint8(0); i < pr.n; i++ {
+		r := &pr.r[i]
 		l := c.tracer.Log(r.structID)
 		if l == nil {
 			continue
 		}
-		rip := int32(e.rip)
 		l.Append(lifetime.Event{
 			Seq: r.seq, Cycle: r.cycle, CommitSeq: e.seq, Entry: r.entry,
-			Mask: r.mask, Kind: lifetime.EvRead, RIP: rip, UPC: e.uop.UPC,
+			Mask: r.mask, Kind: lifetime.EvRead, RIP: int32(e.rip), UPC: c.uops[e.uop].UPC,
 		})
 	}
+}
+
+// ringNext and ringAdd step an index around a ring of n slots by compare
+// instead of by division (n is a configuration value, rarely a power of
+// two). ringAdd requires 0 <= k <= n.
+func ringNext(i, n int) int {
+	if i++; i == n {
+		return 0
+	}
+	return i
+}
+
+func ringAdd(i, k, n int) int {
+	if i += k; i >= n {
+		i -= n
+	}
+	return i
 }
 
 // SetCommitTrace streams one line per committed macro-instruction to w:
@@ -588,7 +668,7 @@ func (c *Core) flushReads(e *robEntry) {
 func (c *Core) SetCommitTrace(w io.Writer) { c.traceW = w }
 
 func (c *Core) traceCommit(e *robEntry) {
-	if c.traceW == nil || !e.last {
+	if !e.last {
 		return
 	}
 	fmt.Fprintf(c.traceW, "%8d  #%-6d %4d: %s\n", c.cycle, e.seq, e.rip, c.prog.Text[e.rip])

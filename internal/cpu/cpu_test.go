@@ -15,9 +15,7 @@ func run(t *testing.T, src string) RunResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(DefaultConfig(), p)
-	res := c.Run(2_000_000)
-	return res
+	return runChecked(t, New(DefaultConfig(), p), 2_000_000)
 }
 
 func wantOutput(t *testing.T, res RunResult, want ...uint64) {

@@ -113,7 +113,7 @@ func TestDifferentialAgainstInterpreter(t *testing.T) {
 				cfg.IQEntries = 8
 				cfg.ROBEntries = 24
 			}
-			got := New(cfg, prog).Run(10_000_000)
+			got := runChecked(t, New(cfg, prog), 10_000_000)
 
 			wantHalt := map[interp.HaltReason]HaltReason{
 				interp.HaltOK:         HaltOK,

@@ -28,6 +28,9 @@ func TestPooledCloneDifferential(t *testing.T) {
 	if !StateEqual(c1, frozen.Clone()) {
 		t.Fatal("pooled clone differs from plain clone")
 	}
+	if err := c1.checkDerived(); err != nil {
+		t.Fatal(err)
+	}
 	got1 := runToEnd(c1)
 
 	// Release the now-dirty (run-to-halt) shell and clone again: the
@@ -36,6 +39,9 @@ func TestPooledCloneDifferential(t *testing.T) {
 	c2 := pool.Clone(frozen)
 	if !StateEqual(c2, frozen.Clone()) {
 		t.Fatal("recycled-shell clone differs from plain clone")
+	}
+	if err := c2.checkDerived(); err != nil {
+		t.Fatal(err)
 	}
 	got2 := runToEnd(c2)
 
@@ -74,6 +80,9 @@ func TestPooledCloneScrubsFaultyShell(t *testing.T) {
 	}
 	if !StateEqual(clean, frozen.Clone()) {
 		t.Fatal("recycled shell not scrubbed to the source state")
+	}
+	if err := clean.checkDerived(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -46,8 +46,19 @@ func newPredictor(cfg Config) *predictor {
 	return p
 }
 
+// tableIdx reduces x modulo a table length n. Table lengths are
+// configuration values, in practice powers of two, and then the reduction
+// is a mask instead of a hardware divide (of which a conditional branch
+// otherwise costs eight between prediction and training).
+func tableIdx(x uint64, n int) int {
+	if n&(n-1) == 0 {
+		return int(x) & (n - 1)
+	}
+	return int(x % uint64(n))
+}
+
 func (p *predictor) localIdx(rip int64) int {
-	return int(uint64(rip)) % len(p.localHist)
+	return tableIdx(uint64(rip), len(p.localHist))
 }
 
 // predictCond returns the taken/not-taken prediction for a conditional
@@ -56,10 +67,10 @@ func (p *predictor) localIdx(rip int64) int {
 func (p *predictor) predictCond(rip int64) (taken bool, snap uint64) {
 	snap = p.ghr
 	lh := p.localHist[p.localIdx(rip)]
-	local := p.localPred[int(lh)%len(p.localPred)] >= 2
-	global := p.globalPred[p.ghr%uint64(len(p.globalPred))] >= 2
+	local := p.localPred[tableIdx(uint64(lh), len(p.localPred))] >= 2
+	global := p.globalPred[tableIdx(p.ghr, len(p.globalPred))] >= 2
 	taken = local
-	if p.chooser[p.ghr%uint64(len(p.chooser))] >= 2 {
+	if p.chooser[tableIdx(p.ghr, len(p.chooser))] >= 2 {
 		taken = global
 	}
 	p.ghr = p.ghr<<1 | b2u(taken)
@@ -77,9 +88,9 @@ func (p *predictor) repair(snap uint64, taken bool) {
 func (p *predictor) updateCond(rip int64, taken bool) {
 	li := p.localIdx(rip)
 	lh := p.localHist[li]
-	lpi := int(lh) % len(p.localPred)
-	gpi := p.commitGHR % uint64(len(p.globalPred))
-	chi := p.commitGHR % uint64(len(p.chooser))
+	lpi := tableIdx(uint64(lh), len(p.localPred))
+	gpi := tableIdx(p.commitGHR, len(p.globalPred))
+	chi := tableIdx(p.commitGHR, len(p.chooser))
 
 	localSays := p.localPred[lpi] >= 2
 	globalSays := p.globalPred[gpi] >= 2
@@ -99,7 +110,7 @@ func (p *predictor) updateCond(rip int64, taken bool) {
 // predictIndirect looks up the BTB for an indirect jump at rip; ok reports
 // a tag hit.
 func (p *predictor) predictIndirect(rip int64) (target int64, ok bool) {
-	i := int(uint64(rip)) % len(p.btbTag)
+	i := tableIdx(uint64(rip), len(p.btbTag))
 	if p.btbTag[i] != rip {
 		return 0, false
 	}
@@ -108,7 +119,7 @@ func (p *predictor) predictIndirect(rip int64) (target int64, ok bool) {
 
 // updateIndirect trains the BTB with a committed indirect target.
 func (p *predictor) updateIndirect(rip, target int64) {
-	i := int(uint64(rip)) % len(p.btbTag)
+	i := tableIdx(uint64(rip), len(p.btbTag))
 	p.btbTag[i] = rip
 	p.btbTarget[i] = target
 }
@@ -117,12 +128,12 @@ func (p *predictor) updateIndirect(rip, target int64) {
 // squash: a cold or clobbered RAS only costs mispredictions).
 func (p *predictor) push(ret int64) {
 	p.ras[p.rasTop] = ret
-	p.rasTop = (p.rasTop + 1) % len(p.ras)
+	p.rasTop = ringNext(p.rasTop, len(p.ras))
 }
 
 // pop predicts a return target from the RAS.
 func (p *predictor) pop() int64 {
-	p.rasTop = (p.rasTop - 1 + len(p.ras)) % len(p.ras)
+	p.rasTop = ringAdd(p.rasTop, len(p.ras)-1, len(p.ras))
 	return p.ras[p.rasTop]
 }
 

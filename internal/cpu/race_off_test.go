@@ -1,0 +1,5 @@
+//go:build !race
+
+package cpu_test
+
+const raceEnabled = false

@@ -1,6 +1,10 @@
 package cpu
 
-import "slices"
+import (
+	"bytes"
+	"slices"
+	"unsafe"
+)
 
 // StateEqual reports whether two cores of the same configuration and
 // program are in bit-identical machine states: every microarchitectural
@@ -77,8 +81,8 @@ func (c *Core) regDead(p int16) bool {
 	if !slices.Contains(c.freeList, p) {
 		return false
 	}
-	for i := 0; i < c.robLen; i++ {
-		e := &c.rob[(c.robHead+i)%len(c.rob)]
+	for i, slot := 0, c.robHead; i < c.robLen; i, slot = i+1, ringNext(slot, len(c.rob)) {
+		e := &c.rob[slot]
 		if e.physDest == p || e.oldPhys == p || e.src1 == p || e.src2 == p ||
 			e.freeT1 == p || e.freeT2 == p {
 			return false
@@ -93,32 +97,53 @@ func (c *Core) regDead(p int16) bool {
 // controlEqual compares everything outside the fault-injectable data
 // arrays: all scalar pipeline state, rename tables, ROB/IQ/decode
 // contents, the predictor, and the architectural results so far. Cheap
-// scalar state is compared first so diverged machines fail fast.
+// scalar state is compared first so diverged machines fail fast. The ROB
+// is compared whole, dead slots included, and the decode queue over every
+// record written since it last emptied that the ring still holds.
 func controlEqual(a, b *Core) bool {
 	assertf(a.tracer == nil && b.tracer == nil, "state comparison of a traced core")
 	if a.cycle != b.cycle || a.seqGen != b.seqGen || a.halted != b.halted ||
-		a.robHead != b.robHead || a.robLen != b.robLen ||
+		a.robHead != b.robHead || a.robLen != b.robLen || a.executing != b.executing ||
 		a.sqHead != b.sqHead || a.sqLen != b.sqLen || a.lqLen != b.lqLen ||
 		a.drainBusyUntil != b.drainBusyUntil ||
 		a.fetchPC != b.fetchPC || a.fetchHalted != b.fetchHalted ||
 		a.fetchReadyAt != b.fetchReadyAt || a.chargedLine != b.chargedLine ||
-		a.dqHead != b.dqHead || a.rat != b.rat || a.archRegs != b.archRegs ||
+		a.dqHead != b.dqHead || a.dqTail != b.dqTail ||
+		a.rat != b.rat || a.archRegs != b.archRegs ||
 		a.curTemps != b.curTemps || a.tempAcc != b.tempAcc ||
 		a.curTempCount != b.curTempCount || a.lastSQ != b.lastSQ ||
 		a.committedInsts != b.committedInsts || a.committedUops != b.committedUops ||
 		a.lastCommitAt != b.lastCommitAt || a.stats != b.stats {
 		return false
 	}
-	if !slices.Equal(a.regReady, b.regReady) ||
-		!slices.Equal(a.freeList, b.freeList) || !slices.Equal(a.iq, b.iq) ||
-		!slices.Equal(a.output, b.output) || !slices.Equal(a.excLog, b.excLog) ||
-		!slices.Equal(a.rob, b.rob) || !slices.Equal(a.decodeQ, b.decodeQ) {
+	dq := min(a.dqTail, len(a.decodeQ), len(b.decodeQ))
+	if !memEqual(a.regReady, b.regReady) ||
+		!memEqual(a.freeList, b.freeList) || !memEqual(a.iq, b.iq) ||
+		!memEqual(a.output, b.output) || !memEqual(a.excLog, b.excLog) ||
+		!memEqual(a.rob, b.rob) ||
+		!memEqual(a.decodeQ[:dq], b.decodeQ[:dq]) {
 		return false
 	}
 	p, q := a.pred, b.pred
 	return p.ghr == q.ghr && p.commitGHR == q.commitGHR && p.rasTop == q.rasTop &&
-		slices.Equal(p.localHist, q.localHist) && slices.Equal(p.localPred, q.localPred) &&
-		slices.Equal(p.globalPred, q.globalPred) && slices.Equal(p.chooser, q.chooser) &&
-		slices.Equal(p.btbTag, q.btbTag) && slices.Equal(p.btbTarget, q.btbTarget) &&
-		slices.Equal(p.ras, q.ras)
+		memEqual(p.localHist, q.localHist) && memEqual(p.localPred, q.localPred) &&
+		memEqual(p.globalPred, q.globalPred) && memEqual(p.chooser, q.chooser) &&
+		memEqual(p.btbTag, q.btbTag) && memEqual(p.btbTarget, q.btbTarget) &&
+		memEqual(p.ras, q.ras)
+}
+
+// memEqual reports whether a and b hold the same elements by comparing
+// their memory, which the runtime does a cache line at a time where
+// slices.Equal loops element by element. T must be free of pointers,
+// padding and floats, so that equal bytes are exactly equal values:
+// integers, bools, and the record structs TestRecordLayouts checks.
+func memEqual[T comparable](a, b []T) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	if len(a) == 0 {
+		return true
+	}
+	n := len(a) * int(unsafe.Sizeof(a[0]))
+	return bytes.Equal(unsafe.Slice((*byte)(unsafe.Pointer(&a[0])), n), unsafe.Slice((*byte)(unsafe.Pointer(&b[0])), n))
 }

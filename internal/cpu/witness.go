@@ -81,7 +81,7 @@ func (c *Core) DrainPendingStores() {
 		}
 		c.dcacheWrite(s.addr, s.size, s.data, int32(s.drainRIP), s.drainUPC)
 		s.valid, s.addrOK, s.dataOK, s.committed = false, false, false, false
-		c.sqHead = (c.sqHead + 1) % len(c.sq)
+		c.sqHead = ringNext(c.sqHead, len(c.sq))
 		c.sqLen--
 	}
 }

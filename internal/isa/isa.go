@@ -324,21 +324,25 @@ type Program struct {
 	Entry   int // starting RIP
 
 	uopsOnce sync.Once
-	uops     [][]Uop
+	uops     []Uop
+	uopFirst []int32
 }
 
-// Uops returns the program's µop table — Crack of every Text entry, indexed
-// by RIP — decoded once on first use and shared, read-only, by every core
-// that runs the program (campaigns build thousands of cores per program).
-// Text must not change after the first call.
-func (p *Program) Uops() [][]Uop {
+// Uops returns the program's static µop table — Crack of every Text entry,
+// flattened: the µops of Text[pc] are flat[first[pc]:first[pc+1]] — decoded
+// once on first use and shared, read-only, by every core that runs the
+// program (campaigns build thousands of cores per program). In-flight
+// pipeline records refer to a µop by its index in flat instead of carrying
+// a copy. Text must not change after the first call.
+func (p *Program) Uops() (flat []Uop, first []int32) {
 	p.uopsOnce.Do(func() {
-		p.uops = make([][]Uop, len(p.Text))
+		p.uopFirst = make([]int32, len(p.Text)+1)
 		for i, in := range p.Text {
-			p.uops[i] = Crack(in)
+			p.uops = append(p.uops, Crack(in)...)
+			p.uopFirst[i+1] = int32(len(p.uops))
 		}
 	})
-	return p.uops
+	return p.uops, p.uopFirst
 }
 
 // Memory layout constants shared by the assembler, loader and core. The
