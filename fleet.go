@@ -196,11 +196,15 @@ func (l *outcomeLedger) result() (*campaign.Result, error) {
 // list. Request is the record's submission, read only for what configures
 // the Runner and the plan (workload, core knobs, strategy/checkpoints,
 // workers; the coordinator already applied the sampling and grouping
-// knobs); Cycles, Output and ExcLog are the golden reference the faults
-// classify against; Faults are the shard's, parallel to the job's Reps.
+// knobs); Cycles, Insts, Output and ExcLog are the golden reference the
+// faults classify against (Insts, the instructions the golden run retired,
+// is what the hand-off's acceptance rule measures an interpreter-finished
+// run by: without it every remote hand-off falls back); Faults are the
+// shard's, parallel to the job's Reps.
 type shardSpec struct {
 	Request CampaignRequest `json:"request"`
 	Cycles  uint64          `json:"cycles"`
+	Insts   uint64          `json:"insts"`
 	Output  []uint64        `json:"output"`
 	ExcLog  []uint32        `json:"exc_log"`
 	Faults  []Fault         `json:"faults"`
@@ -221,6 +225,9 @@ func specDigest(spec []byte) string {
 func (sp *shardSpec) validate(core *cpu.Core, reps []int) error {
 	if len(sp.Faults) != len(reps) {
 		return fmt.Errorf("merlin: shard spec carries %d faults for %d representatives", len(sp.Faults), len(reps))
+	}
+	if sp.Insts == 0 {
+		return fmt.Errorf("merlin: shard spec carries no golden instruction count")
 	}
 	for _, f := range sp.Faults {
 		entries, bits := core.StructureEntries(f.Structure), core.StructureEntryBits(f.Structure)
@@ -288,7 +295,8 @@ func ledgerInjector(b *Batch, job server.Job, emit func(CampaignEvent), pool *fl
 			Job: func(reps []int) fleet.ShardJob {
 				// Cannot fail: integers plus a request that arrived as JSON.
 				spec, _ := json.Marshal(shardSpec{Request: job.Request,
-					Cycles: golden.Cycles, Output: golden.Output, ExcLog: golden.ExcLog, Faults: subset(reps)})
+					Cycles: golden.Cycles, Insts: golden.Stats.CommittedInsts,
+					Output: golden.Output, ExcLog: golden.ExcLog, Faults: subset(reps)})
 				return fleet.ShardJob{Campaign: job.ID, Spec: spec, Digest: specDigest(spec), Reps: reps}
 			},
 			OnOutcome: func(o fleet.Outcome) {
@@ -395,7 +403,8 @@ func WorkerShardRun(snapshots *SnapshotCache) fleet.ShardRunFunc {
 		if err := spec.validate(runner.NewCore(), job.Reps); err != nil {
 			return nil, err
 		}
-		golden := &cpu.RunResult{Cycles: spec.Cycles, Output: spec.Output, ExcLog: spec.ExcLog}
+		golden := &cpu.RunResult{Cycles: spec.Cycles, Output: spec.Output, ExcLog: spec.ExcLog,
+			Stats: cpu.Stats{CommittedInsts: spec.Insts}}
 		res, err := runner.Run(ctx, spec.Faults, golden, sc.cfg.plan(func(i int, _ Fault, o campaign.Outcome) {
 			emit(fleet.Outcome{Rep: job.Reps[i], Outcome: o.String()})
 		}))

@@ -27,10 +27,7 @@ import (
 // accounting — must be bit-identical by determinism.
 func normalizedReport(r *Report) Report {
 	n := *r
-	n.Wall, n.Serial, n.CloneTime = 0, 0, 0
-	n.Clones, n.SimCycles = 0, 0
-	n.CyclesPerSec = 0
-	n.SnapshotHit, n.CacheHit = false, false
+	n.Wall, n.Work, n.CyclesPerSec, n.CacheHit = 0, Work{}, 0, false
 	return n
 }
 
@@ -482,10 +479,18 @@ func TestFleetShipsFaultsNotRecipe(t *testing.T) {
 			if remote < len(tc.structures) {
 				t.Fatalf("%d remote shard assignments for %d structures", remote, len(tc.structures))
 			}
-			for _, r := range got {
+			for i, r := range got {
 				if r.SimCycles == 0 || r.Clones == 0 || r.Serial == 0 || r.CyclesPerSec == 0 {
 					t.Fatalf("%v ran on workers only and reports no work: SimCycles %d, Clones %d, Serial %v, CyclesPerSec %v",
 						r.Structure, r.SimCycles, r.Clones, r.Serial, r.CyclesPerSec)
+				}
+				// A worker hands off exactly where the library run does: the
+				// acceptance rule reads the golden instruction count, which
+				// the spec must carry (without it every attempt falls back).
+				w := want[i]
+				if r.HandOffs == 0 || r.HandOffs != w.HandOffs || r.FellBack != w.FellBack || r.InterpInsts != w.InterpInsts {
+					t.Fatalf("%v on workers: %d hand-offs, %d fall-backs, %d interpreted instructions; in-process %d, %d, %d",
+						r.Structure, r.HandOffs, r.FellBack, r.InterpInsts, w.HandOffs, w.FellBack, w.InterpInsts)
 				}
 			}
 		})
@@ -535,7 +540,7 @@ func TestWorkerRejectsBadShardSpec(t *testing.T) {
 	golden := s.art.Golden.Result
 	good := shardSpec{
 		Request: CampaignRequest{Workload: "sha", Structure: "RF", Strategy: "forked"},
-		Cycles:  golden.Cycles, Output: golden.Output, ExcLog: golden.ExcLog,
+		Cycles:  golden.Cycles, Insts: golden.Stats.CommittedInsts, Output: golden.Output, ExcLog: golden.ExcLog,
 		Faults: red.Reduced()[:4],
 	}
 	reps := []int{0, 1, 2, 3}
@@ -616,6 +621,7 @@ func TestWorkerRejectsBadShardSpec(t *testing.T) {
 		{name: "negative entry", spec: with(func(sp *shardSpec) { sp.Faults[1].Entry = -1 }), want: "outside the configured geometry"},
 		{name: "bit out of range", spec: with(func(sp *shardSpec) { sp.Faults[2].Bit = 64 }), want: "outside the configured geometry"},
 		{name: "cycle past the golden run", spec: with(func(sp *shardSpec) { sp.Faults[3].Cycle = golden.Cycles + 1 }), want: "outside the golden run"},
+		{name: "no golden instruction count", spec: with(func(sp *shardSpec) { sp.Insts = 0 }), want: "no golden instruction count"},
 		{name: "cycle zero", spec: with(func(sp *shardSpec) { sp.Faults[0].Cycle = 0 }), want: "outside the golden run"},
 		{name: "unknown structure", spec: good, want: "unknown structure",
 			tamper: func(j *fleet.ShardJob) { // no Fault value marshals to this; re-stamped, so only decoding objects

@@ -7,6 +7,7 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -257,6 +258,16 @@ type runMetrics struct {
 	clones    atomic.Int64  // machine snapshots taken
 	cloneNS   atomic.Int64  // wall time spent taking them
 	simCycles atomic.Uint64 // machine cycles actually simulated
+
+	handOffs, fellBack atomic.Int64  // see Work
+	interpInsts        atomic.Uint64 // see Work
+}
+
+// addHandOffs folds a retiring worker's hand-off counts in.
+func (m *runMetrics) addHandOffs(h *handOff) {
+	m.handOffs.Add(h.handOffs)
+	m.fellBack.Add(h.fellBack)
+	m.interpInsts.Add(h.interpInsts)
 }
 
 // clone takes one metered snapshot of src through the pool.
@@ -273,6 +284,7 @@ func (m *runMetrics) fill(res *Result) {
 	res.Clones = m.clones.Load()
 	res.CloneTime = time.Duration(m.cloneNS.Load())
 	res.SimCycles = m.simCycles.Load()
+	res.HandOffs, res.FellBack, res.InterpInsts = m.handOffs.Load(), m.fellBack.Load(), m.interpInsts.Load()
 }
 
 // RunGolden performs the fault-free reference run, tracking lifetimes of
@@ -297,16 +309,17 @@ func (r *Runner) RunGolden(track ...lifetime.StructureID) (*Golden, error) {
 // snapshots, no early exit — the reference every Run plan is
 // differentially tested against.
 func (r *Runner) RunFault(f fault.Fault, golden *cpu.RunResult) Outcome {
-	return r.inject(r.NewCore(), f, golden, nil, nil)
+	return r.inject(r.NewCore(), f, golden, nil, nil, nil)
 }
 
 // inject is the one per-fault function behind Run and the RunFault*
 // drivers: step c (at or before the fault's pre-injection cycle) up to it,
 // flip the bit, and run to the stop rule — the cut when cut is non-nil,
-// else the first ladder snapshot the run is masked-equivalent to (none for
-// a nil or reset-only ladder), else program end. Simulator panics are
-// converted to Crash, internal assertion failures to Assert.
-func (r *Runner) inject(c *cpu.Core, f fault.Fault, golden *cpu.RunResult, ladder *CheckpointSet, cut *TruncatedGolden) (out Outcome) {
+// else the first ladder snapshot where the run is masked-equivalent or the
+// interpreter can finish it through h (none for a nil or reset-only
+// ladder), else program end. Simulator panics are converted to Crash,
+// internal assertion failures to Assert.
+func (r *Runner) inject(c *cpu.Core, f fault.Fault, golden *cpu.RunResult, ladder *CheckpointSet, cut *TruncatedGolden, h *handOff) (out Outcome) {
 	defer func() {
 		if p := recover(); p != nil {
 			if _, ok := p.(*cpu.AssertError); ok {
@@ -323,17 +336,23 @@ func (r *Runner) inject(c *cpu.Core, f fault.Fault, golden *cpu.RunResult, ladde
 	if cut != nil {
 		return classifyTruncated(c, cut)
 	}
-	return r.classifyAgainst(c, golden, ladder)
+	return r.classifyAgainst(c, f, c.RenameSeq(), golden, ladder, h)
 }
 
 // Classify maps a completed faulty run to its fault-effect class.
 func Classify(res cpu.RunResult, golden *cpu.RunResult) Outcome {
-	switch res.Halt {
+	return classify(res.Halt, res.Output, nil, res.ExcLog, nil, golden)
+}
+
+// classify maps a run that ended with halt to its fault-effect class; its
+// output is out ++ outTail and its exception log exc ++ excTail.
+func classify(halt cpu.HaltReason, out, outTail []uint64, exc, excTail []uint32, golden *cpu.RunResult) Outcome {
+	switch halt {
 	case cpu.HaltOK:
-		if !equalU64(res.Output, golden.Output) {
+		if !spliceEqual(out, outTail, golden.Output) {
 			return SDC
 		}
-		if !equalU32(res.ExcLog, golden.ExcLog) {
+		if !spliceEqual(exc, excTail, golden.ExcLog) {
 			return DUE
 		}
 		return Masked
@@ -342,6 +361,12 @@ func Classify(res cpu.RunResult, golden *cpu.RunResult) Outcome {
 	default:
 		return Crash
 	}
+}
+
+// spliceEqual reports whether head ++ tail equals want.
+func spliceEqual[T comparable](head, tail, want []T) bool {
+	return len(head)+len(tail) == len(want) &&
+		slices.Equal(head, want[:len(head)]) && slices.Equal(tail, want[len(head):])
 }
 
 // Work counts what executing an injection run cost, wherever it ran: one
@@ -361,6 +386,15 @@ type Work struct {
 	// faulty continuation. Divided by Wall it yields the campaign's
 	// effective simulation throughput.
 	SimCycles uint64
+	// HandOffs counts the faulty runs the architectural interpreter
+	// finished instead of the detailed core, FellBack the hand-off attempts
+	// that returned to the detailed core undecided (a watched byte read
+	// again, or a run too long to rule Timeout in or out), and InterpInsts
+	// the instructions interpreted over both. SimCycles counts detailed
+	// cycles only.
+	HandOffs    int64
+	FellBack    int64
+	InterpInsts uint64
 	// SnapshotHit reports that the checkpoint ladder was served by a
 	// SnapshotSource instead of rebuilt (always false for Replay, whose
 	// reset-only ladder never goes through the source).
@@ -373,6 +407,9 @@ func (w *Work) Add(o Work) {
 	w.Clones += o.Clones
 	w.CloneTime += o.CloneTime
 	w.SimCycles += o.SimCycles
+	w.HandOffs += o.HandOffs
+	w.FellBack += o.FellBack
+	w.InterpInsts += o.InterpInsts
 	w.SnapshotHit = w.SnapshotHit || o.SnapshotHit
 }
 
@@ -452,28 +489,4 @@ func (res *Result) finalize(ctx context.Context) error {
 		return ctx.Err()
 	}
 	return nil
-}
-
-func equalU64(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalU32(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

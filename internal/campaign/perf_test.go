@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"merlin/internal/cpu"
+	"merlin/internal/interp"
 	"merlin/internal/lifetime"
 	"merlin/internal/sampling"
 	"merlin/internal/workloads"
@@ -229,6 +230,44 @@ func BenchmarkInjectStep(b *testing.B) {
 		pool.Release(c)
 	}
 	b.ReportMetric(float64(b.N)*injectStepCycles/b.Elapsed().Seconds(), "cycles/s")
+}
+
+// BenchmarkInterpRun is the other half of a handed-off run: restart one
+// reusable interpreter from a fault-free core halfway through its run
+// (committed registers, memory image composed page by page on first touch)
+// and finish the program. Steady state allocates nothing.
+func BenchmarkInterpRun(b *testing.B) {
+	for _, name := range []string{"djpeg", "sha", "gcc"} {
+		b.Run(name, func(b *testing.B) {
+			prog := workloads.MustGet(name).Program()
+			c := cpu.New(cpu.DefaultConfig(), prog)
+			golden := c.Clone().Run(DefaultGoldenBudget)
+			for c.Cycle() < golden.Cycles/2 {
+				c.Step()
+			}
+			pc, ok := c.Quiescent(0)
+			for !ok {
+				c.Step()
+				pc, ok = c.Quiescent(0)
+			}
+			var m interp.Machine
+			run := func() uint64 {
+				m.Reset(prog, pc, c.CommittedRegs(), c)
+				m.Run(golden.Stats.CommittedInsts)
+				if m.Result().Halt != interp.HaltOK {
+					b.Fatalf("interpreter ended with %v", m.Result().Halt)
+				}
+				return m.Steps()
+			}
+			insts := run() // the first run grows the buffers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			b.ReportMetric(float64(insts)*float64(b.N)/b.Elapsed().Seconds(), "inst/s")
+		})
+	}
 }
 
 // BenchmarkMaskedEquivalent times the early-exit check on its worst case,

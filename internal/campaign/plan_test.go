@@ -106,24 +106,28 @@ func TestPlansAgreeOnGeneratedKernels(t *testing.T) {
 }
 
 // TestPlanWorkCounters pins the work each strategy does on sha/RF/1000
-// faults/seed 1 — machine clones, simulated cycles, snapshot hit — to the
-// values the four separate schedulers recorded before they were merged,
-// with and without a SnapshotSource (cold, then warm).
+// faults/seed 1 — machine clones, detailed cycles simulated, snapshot hit,
+// and what the hand-off did: runs the interpreter finished, attempts that
+// fell back, instructions interpreted — with and without a SnapshotSource
+// (cold, then warm). Replay has no rung and must never hand off.
 func TestPlanWorkCounters(t *testing.T) {
 	type work struct {
-		clones    int64
-		simCycles uint64
-		hit       bool
+		clones      int64
+		simCycles   uint64
+		hit         bool
+		handOffs    int64
+		fellBack    int64
+		interpInsts uint64
 	}
 	cold := map[Strategy]work{
-		Replay:       {1000, 6152243, false},
-		Checkpointed: {1000, 757371, false},
-		Forked:       {1025, 210918, false},
+		Replay:       {1000, 6152243, false, 0, 0, 0},
+		Checkpointed: {1000, 689318, false, 32, 0, 314231},
+		Forked:       {1025, 134667, false, 57, 0, 506446},
 	}
 	warm := map[Strategy]work{
 		Replay:       cold[Replay], // no ladder to share
-		Checkpointed: {1000, 751892, true},
-		Forked:       {1025, 205001, true},
+		Checkpointed: {1000, 683839, true, 32, 0, 314231},
+		Forked:       {1025, 128750, true, 57, 0, 506446},
 	}
 	for _, shared := range []bool{false, true} {
 		r := NewRunner(target(t, "sha"))
@@ -147,7 +151,7 @@ func TestPlanWorkCounters(t *testing.T) {
 					continue // 1000 from-reset replays: once per runner is enough
 				}
 				res := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{Strategy: s}))
-				if got := (work{res.Clones, res.SimCycles, res.SnapshotHit}); got != want[s] {
+				if got := (work{res.Clones, res.SimCycles, res.SnapshotHit, res.HandOffs, res.FellBack, res.InterpInsts}); got != want[s] {
 					t.Errorf("shared=%v round %d %v: work %+v, want %+v", shared, round, s, got, want[s])
 				}
 			}

@@ -122,7 +122,7 @@ func TestNoRecoveredRuntimePanic(t *testing.T) {
 					c.Step()
 				}
 				c.FlipBit(f.Structure, int(f.Entry), int(f.Bit))
-				r.classifyAgainst(c, &g.Result, set)
+				r.classifyAgainst(c, f, c.RenameSeq(), &g.Result, set, new(handOff))
 			}()
 		}
 	}

@@ -206,6 +206,8 @@ func (r *Runner) Run(ctx context.Context, faults []fault.Fault, golden *cpu.RunR
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			h := new(handOff)
+			defer m.addHandOffs(h)
 			for j := range jobs {
 				t0 := time.Now()
 				f := faults[j.idx]
@@ -214,7 +216,7 @@ func (r *Runner) Run(ctx context.Context, faults []fault.Fault, golden *cpu.RunR
 					c = m.clone(pool, ladder.before(f.Cycle))
 				}
 				from := c.Cycle()
-				o := r.inject(c, f, golden, ladder, plan.Cut)
+				o := r.inject(c, f, golden, ladder, plan.Cut, h)
 				m.simCycles.Add(c.Cycle() - from)
 				// A released shell is scrubbed by copy-over on reuse, so
 				// even a panicked run's shell is safe to recycle.

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"slices"
 
 	"merlin/internal/cpu"
 	"merlin/internal/fault"
@@ -40,7 +41,7 @@ func (r *Runner) RunGoldenTruncated(cut uint64, track ...lifetime.StructureID) (
 // classifies with the paper's truncated scheme (see classifyTruncated): the
 // per-fault reference of Run with Plan.Cut.
 func (r *Runner) RunFaultTruncated(f fault.Fault, tg *TruncatedGolden) Outcome {
-	return r.inject(r.NewCore(), f, &tg.Result, nil, tg)
+	return r.inject(r.NewCore(), f, &tg.Result, nil, tg, nil)
 }
 
 // classifyTruncated runs faulty core c (fault already applied) to the cut
@@ -59,8 +60,8 @@ func classifyTruncated(c *cpu.Core, tg *TruncatedGolden) Outcome {
 	default:
 		return Crash
 	}
-	outputSame := equalU64(res.Output, tg.Result.Output)
-	excSame := equalU32(res.ExcLog, tg.Result.ExcLog)
+	outputSame := slices.Equal(res.Output, tg.Result.Output)
+	excSame := slices.Equal(res.ExcLog, tg.Result.ExcLog)
 	if !outputSame {
 		return Unknown // corrupted output already visible; still "not finished"
 	}

@@ -126,10 +126,7 @@ func chaosScheduleFor(kind string, r *chaos.Rand) chaosSchedule {
 // by determinism. Mirrors the fleet tests' normalization.
 func normalizeChaosReport(r *merlin.Report) merlin.Report {
 	n := *r
-	n.Wall, n.Serial, n.CloneTime = 0, 0, 0
-	n.Clones, n.SimCycles = 0, 0
-	n.CyclesPerSec = 0
-	n.SnapshotHit, n.CacheHit = false, false
+	n.Wall, n.Work, n.CyclesPerSec, n.CacheHit = 0, merlin.Work{}, 0, false
 	return n
 }
 

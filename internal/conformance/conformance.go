@@ -111,6 +111,11 @@ var haltMap = map[interp.HaltReason]cpu.HaltReason{
 	interp.CrashDivZero:   cpu.CrashDivZero,
 }
 
+// CoreHalt returns the core halt cause the reference's h corresponds to
+// (cpu.Running for the causes only the reference has). The campaign's
+// hand-off classifies interpreter-finished runs through it.
+func CoreHalt(h interp.HaltReason) cpu.HaltReason { return haltMap[h] }
+
 // Run executes prog on both machines in lockstep and returns the report.
 func Run(prog *isa.Program, cfg Config) *Report {
 	maxCycles := cfg.MaxCycles

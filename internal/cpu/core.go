@@ -284,9 +284,12 @@ type Core struct {
 	lastCommitAt   uint64
 
 	// archRegs is the committed (retirement) architectural register file,
-	// updated as µops retire. It is derived state — always equal to
-	// regVal at the last committed mapping — kept so retire-boundary
-	// witnesses and ArchRegs cost one array copy instead of a RAT walk.
+	// updated as µops retire: a copy of the value each register's last
+	// committed writer produced, kept so retire-boundary witnesses and
+	// ArchRegs cost one array copy instead of a RAT walk. On a fault-free
+	// core it equals regVal at the committed mapping; a bit flipped in a
+	// physical register after its writer retired shows only there
+	// (CommittedRegs).
 	archRegs [isa.NumArchRegs]uint64
 
 	// witness and mutate are observation/test hooks (SetRetireWitness,

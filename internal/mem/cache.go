@@ -199,6 +199,15 @@ func (c *Cache) Valid(entry int) bool {
 	return c.blockRO(entry / c.ways).lines[entry%c.ways].valid
 }
 
+// EntryLine reports which line the entry holds, read-only: its base
+// address, and whether it is valid and dirty (the address is meaningless
+// when it is not valid). Like Probe and PeekEntryData it touches neither
+// LRU state nor the copy-on-write sharing of the set.
+func (c *Cache) EntryLine(entry int) (addr uint64, valid, dirty bool) {
+	ln := &c.blockRO(entry / c.ways).lines[entry%c.ways]
+	return c.lineAddr(entry/c.ways, ln.tag), ln.valid, ln.dirty
+}
+
 func (c *Cache) set(addr uint64) int    { return int(addr>>c.offBits) & (c.sets - 1) }
 func (c *Cache) tag(addr uint64) uint64 { return addr >> (c.offBits + c.idxBits) }
 func (c *Cache) lineAddr(set int, tag uint64) uint64 {

@@ -70,8 +70,8 @@ type (
 	// execution prefix (bit-identical outcomes, different wall-clock).
 	Strategy = campaign.Strategy
 	// Work counts what an injection phase executed (Serial, Clones,
-	// CloneTime, SimCycles, SnapshotHit), summed over every shard of the
-	// campaign wherever it ran.
+	// CloneTime, SimCycles, HandOffs, FellBack, InterpInsts, SnapshotHit),
+	// summed over every shard of the campaign wherever it ran.
 	Work = campaign.Work
 )
 
@@ -615,10 +615,14 @@ type Report struct {
 	CacheHit bool
 	// Work counts what the injection phase executed — Serial (summed
 	// per-injection, single-machine-equivalent time), Clones and CloneTime
-	// (machine snapshots taken), SimCycles (shared pre-fault work plus every
-	// faulty continuation) and SnapshotHit (the checkpoint ladder came from
-	// a shared SnapshotCache; always false for StrategyReplay). A daemon
-	// sums it over every shard of the campaign, in-process and remote alike.
+	// (machine snapshots taken), SimCycles (detailed cycles: shared pre-fault
+	// work plus every faulty continuation up to where it ended or was handed
+	// off), HandOffs, FellBack and InterpInsts (runs the architectural
+	// interpreter finished, hand-off attempts that returned to the detailed
+	// core, instructions interpreted) and SnapshotHit (the checkpoint ladder
+	// came from a shared SnapshotCache; always false for StrategyReplay). A
+	// daemon sums it over every shard of the campaign, in-process and remote
+	// alike.
 	Work
 	// CyclesPerSec divides SimCycles by Wall — the campaign's effective
 	// simulation throughput across all workers.
@@ -629,10 +633,18 @@ type Report struct {
 func (r *Report) String() string {
 	return fmt.Sprintf(
 		"%s/%s: %d faults -> ACE-like %d masked (%.1fx) -> %d groups -> %d injected (%.1fx total)\n"+
-			"  dist: %v\n  AVF %.4f (ACE-like bound %.4f)  FIT %.3f (ACE-like %.3f)",
+			"  dist: %v\n  AVF %.4f (ACE-like bound %.4f)  FIT %.3f (ACE-like %.3f)\n"+
+			"  injection: %d detailed cycles, %s",
 		r.Workload, r.Structure, r.InitialFaults, r.ACEMasked, r.ACESpeedup,
 		r.FinalGroups, r.Injected, r.FinalSpeedup,
-		r.Dist, r.AVF, r.ACELikeAVF, r.FIT, r.ACELikeFIT)
+		r.Dist, r.AVF, r.ACELikeAVF, r.FIT, r.ACELikeFIT,
+		r.SimCycles, handOffNote(r.Work))
+}
+
+// handOffNote renders a campaign's hand-off counters for the summaries.
+func handOffNote(w Work) string {
+	return fmt.Sprintf("%d runs handed off to the interpreter (%d attempts fell back, %d instructions interpreted)",
+		w.HandOffs, w.FellBack, w.InterpInsts)
 }
 
 // BaselineReport is the outcome of a comprehensive campaign.

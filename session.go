@@ -440,9 +440,9 @@ func (s *Session) Inject(ctx context.Context) (*Report, error) {
 	s.emitEvent(Progress{
 		Kind: ProgressPhaseDone, Phase: PhaseInject,
 		SnapshotHit: rep.SnapshotHit, CyclesPerSec: rep.CyclesPerSec,
-		Msg: fmt.Sprintf("injected %d representatives in %v (%s cycles/s, %d clones%s): %v",
+		Msg: fmt.Sprintf("injected %d representatives in %v (%s cycles/s, %d clones%s; %s): %v",
 			rep.Injected, rep.Wall.Round(time.Millisecond),
-			siCount(rep.CyclesPerSec), rep.Clones, snapshotNote(rep.SnapshotHit), rep.Dist),
+			siCount(rep.CyclesPerSec), rep.Clones, snapshotNote(rep.SnapshotHit), handOffNote(rep.Work), rep.Dist),
 	})
 	return rep, nil
 }
