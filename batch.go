@@ -71,7 +71,7 @@ func StartBatch(ctx context.Context, workload string, opts ...Option) (*Batch, e
 	if cfg.Snapshots == nil {
 		cfg.Snapshots = NewSnapshotCache(0)
 	}
-	return &Batch{cfg: cfg, structures: structures, emit: sc.progress, inject: runReduced}, nil
+	return &Batch{cfg: cfg, structures: structures, emit: sc.progress, inject: runList}, nil
 }
 
 // Structures returns the batch's injection targets in report order.
@@ -155,13 +155,10 @@ func (b *Batch) aggregate(rep *BatchReport) {
 	rep.Variance = make([]VarianceReport, len(rep.Reports))
 	var avfBits float64
 	for i, r := range rep.Reports {
-		// The structure geometry comes from the session's analysis (no
-		// need to build a throwaway core for it).
-		a := b.sessions[i].art.Analysis
-		bits := a.Entries * a.EntryBytes * 8
 		if r.Cancelled > 0 {
 			continue
 		}
+		bits := b.sessions[i].art.structureBits()
 		rep.TotalBits += bits
 		avfBits += r.AVF * float64(bits)
 		rep.FIT += r.FIT

@@ -81,7 +81,6 @@ func TestConfigValidation(t *testing.T) {
 		"negative workers": WithWorkers(-2),
 		"negative faults":  WithFaults(-1),
 		"negative reps":    WithRepsPerGroup(-3),
-		"negative ckpts":   WithCheckpoints(-1),
 		"bad confidence":   WithSampling(1.5, 0),
 	} {
 		if _, err := Start(context.Background(), "sha", opt); err == nil {

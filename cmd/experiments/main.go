@@ -57,7 +57,7 @@ func main() {
 		structures = flag.String("structures", "", "comma-separated structure subset of RF,SQ,L1D (default: all three)")
 		seed       = flag.Int64("seed", 1, "fault sampling seed")
 		workers    = flag.Int("workers", 0, "injection parallelism (0 = all cores)")
-		strategy   = flag.String("strategy", "replay", "injection strategy for every campaign: replay, checkpointed, or forked")
+		strategy   = flag.String("strategy", "replay", "injection strategy for every campaign: replay or forked")
 		fullBase   = flag.Bool("full-baseline", false, "inject ACE-pruned faults too in accuracy experiments")
 		quiet      = flag.Bool("quiet", false, "suppress progress lines")
 		csvDir     = flag.String("csv", "", "also write machine-readable CSVs into this directory")

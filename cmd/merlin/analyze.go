@@ -84,9 +84,7 @@ func runAnalyze(args []string) int {
 			fmt.Fprintf(os.Stderr, "analyze: %s: %v\n", j.name, err)
 			return 1
 		}
-		core := runner.NewCore()
-		entries := core.StructureEntries(lifetime.StructRF)
-		entryBits := core.StructureEntryBits(lifetime.StructRF)
+		entries, entryBits := cfg.StructureGeometry(lifetime.StructRF)
 		log := golden.Tracer.Log(lifetime.StructRF)
 		dyn := lifetime.Build(log, lifetime.StructRF, entries, entryBits/8, golden.Result.Cycles)
 

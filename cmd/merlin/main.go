@@ -7,7 +7,7 @@
 //
 //	merlin -workload qsort -structure RF -faults 2000
 //	merlin -workload bzip2 -structure L1D -l1d 16384 -faults 5000 -baseline
-//	merlin -workload sha -structure SQ -strategy forked
+//	merlin -workload sha -structure SQ -strategy replay
 //	merlin -workload qsort -structure RF -cache ./merlind-cache
 //	merlin -workload qsort -structures RF,SQ,L1D -faults 2000
 //	merlin -list
@@ -17,12 +17,11 @@
 // entry, one checkpoint ladder), with per-structure reports bit-identical
 // to standalone runs and cross-structure AVF/FIT totals at the end.
 //
-// -strategy selects how injection runs reproduce the pre-fault execution
-// prefix: replay (from reset), checkpointed (from k frozen snapshots), or
-// forked (fork-on-fault scheduling off a single golden sweep). Outcomes
-// are bit-identical across strategies; only wall-clock differs.
-// -checkpoints implies -strategy checkpointed; combining it with an
-// explicit different strategy is an error.
+// -strategy selects how injection runs are simulated: forked (the default:
+// fork-on-fault scheduling off a single golden sweep, each run stopped
+// where it is decided) or replay (every run from reset to program end, the
+// assumption-free reference). Outcomes are bit-identical across
+// strategies; only wall-clock differs.
 //
 // -cache points at a golden-run artifact cache directory (shareable with a
 // running merlind): repeated one-shot invocations on the same workload and
@@ -87,8 +86,7 @@ func run() int {
 		reps       = flag.Int("reps", 1, "representatives injected per final group")
 		baseline   = flag.Bool("baseline", false, "also run the comprehensive baseline campaign for comparison")
 		workers    = flag.Int("workers", 0, "injection parallelism (0 = all cores)")
-		strategy   = flag.String("strategy", "replay", "injection strategy: replay, checkpointed, or forked (bit-identical outcomes, different wall-clock)")
-		ckpts      = flag.Int("checkpoints", 0, "snapshot count (>0 implies -strategy checkpointed)")
+		strategy   = flag.String("strategy", merlin.StrategyForked.String(), "injection strategy: forked, or replay, the slower reference (bit-identical outcomes, different wall-clock)")
 		cacheDir   = flag.String("cache", "", "golden-run artifact cache directory (empty disables; shareable with merlind)")
 		cpuProf    = flag.String("cpuprofile", "", "write a pprof CPU profile of the campaign to this file")
 		memProf    = flag.String("memprofile", "", "write a pprof heap profile (after the campaign) to this file")
@@ -154,28 +152,19 @@ func run() int {
 		}
 	}
 
+	strat, err := merlin.ParseStrategy(*strategy)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
 	opts := []merlin.Option{
+		merlin.WithStrategy(strat),
 		merlin.WithCPU(cpu.DefaultConfig().WithRF(*regs).WithSQ(*sq).WithL1D(*l1d)),
 		merlin.WithFaults(*faults),
 		merlin.WithSampling(*conf, *margin),
 		merlin.WithSeed(*seed),
 		merlin.WithRepsPerGroup(*reps),
 		merlin.WithWorkers(*workers),
-	}
-	// Only an explicitly spelled -strategy counts as explicit: the flag
-	// default must not turn -checkpoints into a conflict.
-	strategySet := false
-	flag.Visit(func(f *flag.Flag) { strategySet = strategySet || f.Name == "strategy" })
-	if strategySet {
-		strat, err := merlin.ParseStrategy(*strategy)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		opts = append(opts, merlin.WithStrategy(strat))
-	}
-	if *ckpts > 0 {
-		opts = append(opts, merlin.WithCheckpoints(*ckpts))
 	}
 	if *cacheDir != "" {
 		cache, err := merlin.OpenCache(*cacheDir)
@@ -230,14 +219,10 @@ func run() int {
 	if rep.CacheHit {
 		goldenSrc = " (served from artifact cache)"
 	}
-	snapSrc := ""
-	if rep.SnapshotHit {
-		snapSrc = ", snapshot cache hit"
-	}
 	fmt.Printf("  golden run: %d cycles%s; MeRLiN injection wall %v (serial %v)\n",
 		rep.GoldenCycles, goldenSrc, rep.Wall.Round(1000000), rep.Serial.Round(1000000))
-	fmt.Printf("  throughput: %.2fM cycles/s across workers; %d clones in %v%s\n",
-		rep.CyclesPerSec/1e6, rep.Clones, rep.CloneTime.Round(1000000), snapSrc)
+	fmt.Printf("  throughput: %.2fM cycles/s across workers; cloning took %v\n",
+		rep.CyclesPerSec/1e6, rep.CloneTime.Round(1000000))
 
 	if *baseline {
 		// The session reuses the golden run and fault list, so the

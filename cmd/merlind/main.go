@@ -9,7 +9,7 @@
 //	merlind -addr :7411 -cache ./merlind-cache &
 //	curl -s localhost:7411/healthz
 //	curl -s -X POST localhost:7411/campaigns \
-//	    -d '{"workload":"qsort","structure":"RF","faults":2000,"strategy":"forked"}'
+//	    -d '{"workload":"qsort","structure":"RF","faults":2000}'
 //	curl -s localhost:7411/campaigns/c000001            # status + report
 //	curl -sN localhost:7411/campaigns/c000001/events    # live NDJSON progress
 //	curl -s -X DELETE localhost:7411/campaigns/c000001  # cancel queued or running
@@ -23,7 +23,7 @@
 // a pure alias of /campaigns — any id resolves under either prefix:
 //
 //	curl -s -X POST localhost:7411/batches \
-//	    -d '{"workload":"qsort","structures":["RF","SQ","L1D"],"faults":2000,"strategy":"forked"}'
+//	    -d '{"workload":"qsort","structures":["RF","SQ","L1D"],"faults":2000}'
 //	curl -s localhost:7411/batches/b000002              # status + batch report
 //	curl -sN localhost:7411/batches/b000002/events      # NDJSON tagged by structure
 //	curl -s -X DELETE localhost:7411/batches/b000002    # cancel all structures

@@ -29,7 +29,6 @@ func main() {
 		merlin.WithStructures(merlin.RF, merlin.SQ, merlin.L1D),
 		merlin.WithFaults(2000), // per structure (paper: 60000)
 		merlin.WithSeed(42),
-		merlin.WithStrategy(merlin.StrategyForked),
 	)
 	if err != nil {
 		log.Fatal(err)

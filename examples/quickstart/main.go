@@ -29,10 +29,6 @@ func main() {
 		merlin.WithStructure(merlin.RF), // inject the physical integer register file
 		merlin.WithFaults(2000),         // initial statistical fault list (paper: 60000)
 		merlin.WithSeed(42),
-		// Fork per-fault clones off a single golden sweep instead of
-		// replaying every injection from reset; replay, checkpointed and
-		// forked classify every fault identically.
-		merlin.WithStrategy(merlin.StrategyForked),
 	)
 	if err != nil {
 		log.Fatal(err)

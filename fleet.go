@@ -2,8 +2,8 @@ package merlin
 
 // This file wires the daemon's injection executor and the campaign fleet:
 // the coordinator side (durable registry adapter, the outcome ledger every
-// record's structures inject through — resume from the checkpoint, shard
-// the pending fault groups over internal/fleet workers or run them
+// record's fault lists inject through — resume from the checkpoint, shard
+// the pending list indices over internal/fleet workers or run them
 // in-process, merge the outcome streams and work counters) and the worker
 // side (ServeWorker, which joins a coordinator, heartbeats, and executes
 // shard jobs). The coordinator is the only process that runs Preprocess and
@@ -68,24 +68,26 @@ func (a registryAdapter) List() ([]server.Record, error) {
 func (a registryAdapter) Delete(id string) error { return a.reg.Delete(id) }
 
 // ErrDeterminismViolation is the merge point's loudest failure: two
-// sources classified the same representative differently. MeRLiN's whole
-// fleet protocol rests on a rep's outcome being a pure function of the
+// sources classified the same fault differently. MeRLiN's whole
+// fleet protocol rests on a fault's outcome being a pure function of the
 // campaign request, so a contradiction means a worker (or the local
 // pipeline) is broken or Byzantine — the campaign must fail rather than
 // silently prefer either answer.
 var ErrDeterminismViolation = errors.New("merlin: determinism violation")
 
-// outcomeLedger is the merge point of one structure's injection: per-shard
+// outcomeLedger is the merge point of one fault list's injection: per-shard
 // outcome streams, resumed checkpoints and local shard runs all land here,
-// deduplicated by representative index (a rep that streamed just before
-// its worker died may be re-injected elsewhere; by determinism the
-// duplicate carries the same outcome, and the first write wins). A
+// deduplicated by index into the list — the wire's "rep"; the ledger does
+// not know whether the list is a reduction's representatives or a
+// comprehensive one (a fault that streamed just before its worker died may
+// be re-injected elsewhere; by determinism the duplicate carries the same
+// outcome, and the first write wins). A
 // duplicate carrying a *different* outcome trips the determinism
 // violation, which fails the campaign. Every fresh outcome is handed to
 // fresh — the progress stream and the durable checkpoint.
 type outcomeLedger struct {
 	mu        sync.Mutex
-	outcomes  []campaign.Outcome // indexed by rep; Cancelled = unclassified
+	outcomes  []campaign.Outcome // indexed like the list; Cancelled = unclassified
 	violation error
 	work      campaign.Work // summed over every executed shard, local and remote
 
@@ -109,7 +111,7 @@ func newOutcomeLedger(total int, structure string, emit func(CampaignEvent), fre
 
 // resume seeds the ledger with a previous incarnation's checkpointed
 // outcomes, returning how many applied. Checkpoint keys are offset by the
-// preceding structures' representative counts, so keys outside
+// preceding structures' list lengths, so keys outside
 // [offset, offset+len) belong to the record's other structures; those and
 // unknown outcome names are dropped — a corrupted checkpoint degrades to
 // re-injecting, never to a wrong report.
@@ -127,7 +129,7 @@ func (l *outcomeLedger) resume(resume map[int]string, offset int) int {
 	return n
 }
 
-// record merges one classified representative. Verbatim duplicates are
+// record merges one classified fault. Verbatim duplicates are
 // no-ops; a duplicate with a different outcome records a determinism
 // violation (surfaced by result) and is not merged.
 func (l *outcomeLedger) record(rep int, o campaign.Outcome) {
@@ -142,7 +144,7 @@ func (l *outcomeLedger) record(rep int, o campaign.Outcome) {
 		l.mu.Unlock()
 		l.fresh(rep, o)
 	case prev != o && l.violation == nil:
-		v := fmt.Errorf("%w: representative %d classified %q, then %q",
+		v := fmt.Errorf("%w: fault %d classified %q, then %q",
 			ErrDeterminismViolation, rep, prev.String(), o.String())
 		l.violation = v
 		l.mu.Unlock()
@@ -152,26 +154,24 @@ func (l *outcomeLedger) record(rep int, o campaign.Outcome) {
 	}
 }
 
-// pendingShards partitions the unclassified representatives into shards
-// along group boundaries: the reduction's deterministic whole-group
-// sharding, filtered down to what is still pending (resumed campaigns
-// only re-inject the remainder).
-func (l *outcomeLedger) pendingShards(red *Reduction, n int) [][]int {
+// pendingShards deals the unclassified indices, ascending, round-robin into
+// at most n shards (resumed campaigns only re-inject the remainder). The
+// ledger shards indices, not groups: every fault's run is independent and
+// Extrapolate reads the merged outcomes, so where a group's representatives
+// execute matters to nothing. Deterministic: the same pending set always
+// shards the same way, on any machine.
+func (l *outcomeLedger) pendingShards(n int) [][]int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var out [][]int
-	for _, shard := range red.ShardReps(n) {
-		var keep []int
-		for _, rep := range shard {
-			if l.outcomes[rep] == campaign.Cancelled {
-				keep = append(keep, rep)
-			}
-		}
-		if len(keep) > 0 {
-			out = append(out, keep)
+	shards := make([][]int, max(n, 1))
+	k := 0
+	for i, o := range l.outcomes {
+		if o == campaign.Cancelled {
+			shards[k%len(shards)] = append(shards[k%len(shards)], i)
+			k++
 		}
 	}
-	return out
+	return shards[:min(k, len(shards))]
 }
 
 // addWork sums one executed shard's work counters into the merged result.
@@ -194,8 +194,8 @@ func (l *outcomeLedger) result() (*campaign.Result, error) {
 
 // shardSpec is what a shard job's opaque Spec holds — Runner.Run's argument
 // list. Request is the record's submission, read only for what configures
-// the Runner and the plan (workload, core knobs, strategy/checkpoints,
-// workers; the coordinator already applied the sampling and grouping
+// the Runner and the plan (workload, core knobs, strategy, workers; the
+// coordinator already applied the sampling and grouping
 // knobs); Cycles, Insts, Output and ExcLog are the golden reference the
 // faults classify against (Insts, the instructions the golden run retired,
 // is what the hand-off's acceptance rule measures an interpreter-finished
@@ -218,11 +218,11 @@ func specDigest(spec []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// validate vets a decoded spec against the core it configures before
-// anything simulates: the spec is input from outside the process, and an
-// out-of-range flip would otherwise panic inside the simulator and be
-// recovered as a silently wrong Crash outcome.
-func (sp *shardSpec) validate(core *cpu.Core, reps []int) error {
+// validate vets a decoded spec against the core configuration it names
+// before anything simulates: the spec is input from outside the process,
+// and an out-of-range flip would otherwise panic inside the simulator and
+// be recovered as a silently wrong Crash outcome.
+func (sp *shardSpec) validate(cfg cpu.Config, reps []int) error {
 	if len(sp.Faults) != len(reps) {
 		return fmt.Errorf("merlin: shard spec carries %d faults for %d representatives", len(sp.Faults), len(reps))
 	}
@@ -230,7 +230,7 @@ func (sp *shardSpec) validate(core *cpu.Core, reps []int) error {
 		return fmt.Errorf("merlin: shard spec carries no golden instruction count")
 	}
 	for _, f := range sp.Faults {
-		entries, bits := core.StructureEntries(f.Structure), core.StructureEntryBits(f.Structure)
+		entries, bits := cfg.StructureGeometry(f.Structure)
 		switch {
 		case f.Entry < 0 || int(f.Entry) >= entries || f.Bit < 0 || int(f.Bit) >= bits:
 			return fmt.Errorf("merlin: shard fault %v is outside the configured geometry (%d entries x %d bits)", f, entries, bits)
@@ -243,48 +243,45 @@ func (sp *shardSpec) validate(core *cpu.Core, reps []int) error {
 
 // ledgerInjector is the daemon's injection executor, the one run path of
 // every record on every deployment: each structure of the record's batch
-// b classifies its reduced list through an outcome ledger — seeded from
-// the job's checkpoint (a restarted daemon re-injects only the remainder),
-// the pending representatives sharded along group boundaries and
-// dispatched over the pool's live workers (with none alive the shards run
-// in-process, which is exactly the single-node pipeline), lost workers'
-// reps requeued onto survivors, and every fresh outcome checkpointed
-// through the job. The merged Result is bit-identical to a plain
-// Runner.Run's in everything but the timing and work counters, because the
-// outcomes are.
+// b classifies the list it is handed through an outcome ledger — seeded
+// from the job's checkpoint (a restarted daemon re-injects only the
+// remainder), the pending indices dealt into shards and dispatched over
+// the pool's live workers (with none alive the shards run in-process,
+// which is exactly the single-node pipeline), lost workers' faults
+// requeued onto survivors, and every fresh outcome checkpointed through
+// the job. The merged Result is bit-identical to a plain Runner.Run's in
+// everything but the timing and work counters, because the outcomes are.
 //
 // Checkpoint keys stay one flat map[int]string per record: a structure's
-// representative indices are offset by the ReducedCount of the structures
-// before it in list order (Batch.Run injects in that order, so those
-// reductions exist by the time this one runs).
+// indices are offset by the ReducedCount of the structures before it in
+// list order (Batch.Run injects in that order, so those reductions exist
+// by the time this one runs).
 func ledgerInjector(b *Batch, job server.Job, emit func(CampaignEvent), pool *fleet.Pool, client *http.Client, stall time.Duration) injectFunc {
-	return func(ctx context.Context, s *Session, onOutcome func(int, Fault, Outcome)) (*campaign.Result, error) {
-		art := s.art
+	return func(ctx context.Context, art *Artifacts, list []Fault, onOutcome func(int, Fault, Outcome)) (*campaign.Result, error) {
 		structure := art.Config.Structure.String()
 		offset := 0
 		for _, prev := range b.sessions {
-			if prev == s {
+			if prev.art == art {
 				break
 			}
 			offset += prev.art.Red.ReducedCount()
 		}
-		reduced := art.Red.Reduced()
-		led := newOutcomeLedger(len(reduced), structure, emit, func(rep int, o campaign.Outcome) {
+		led := newOutcomeLedger(len(list), structure, emit, func(i int, o campaign.Outcome) {
 			if onOutcome != nil {
-				onOutcome(rep, reduced[rep], o)
+				onOutcome(i, list[i], o)
 			}
-			job.Checkpoint(map[int]string{offset + rep: o.String()})
+			job.Checkpoint(map[int]string{offset + i: o.String()})
 		})
 		if n := led.resume(job.Resume, offset); n > 0 {
 			emit(CampaignEvent{Type: "shard", Structure: structure,
-				Msg: fmt.Sprintf("%d of %d representatives already classified by checkpoint; injecting the remainder", n, len(reduced))})
+				Msg: fmt.Sprintf("%d of %d faults already classified by checkpoint; injecting the remainder", n, len(list))})
 		}
 
 		golden := &art.Golden.Result
 		subset := func(reps []int) []Fault {
 			faults := make([]Fault, len(reps))
 			for i, rep := range reps {
-				faults[i] = reduced[rep]
+				faults[i] = list[rep]
 			}
 			return faults
 		}
@@ -313,9 +310,9 @@ func ledgerInjector(b *Batch, job server.Job, emit func(CampaignEvent), pool *fl
 				}
 			},
 			Local: func(ctx context.Context, reps []int) error {
-				res, err := art.Runner.Run(ctx, subset(reps), golden, art.Config.plan(func(i int, _ Fault, o campaign.Outcome) {
+				res, err := runList(ctx, art, subset(reps), func(i int, _ Fault, o campaign.Outcome) {
 					led.record(reps[i], o)
-				}))
+				})
 				led.addWork(res.Work)
 				return err
 			},
@@ -325,9 +322,9 @@ func ledgerInjector(b *Batch, job server.Job, emit func(CampaignEvent), pool *fl
 		}
 
 		start := time.Now()
-		// Two shards per worker keep everyone busy even when group sizes
+		// Two shards per worker keep everyone busy even when run lengths
 		// skew, and give the work-stealing rounds units to requeue.
-		runErr := disp.Run(ctx, led.pendingShards(art.Red, max(1, 2*len(pool.Alive()))))
+		runErr := disp.Run(ctx, led.pendingShards(max(1, 2*len(pool.Alive()))))
 		// A determinism violation observed at the merge point outranks any
 		// dispatch error: the report cannot be trusted either way.
 		res, verr := led.result()
@@ -336,7 +333,7 @@ func ledgerInjector(b *Batch, job server.Job, emit func(CampaignEvent), pool *fl
 		}
 		res.Wall = time.Since(start)
 		if runErr == nil && res.Cancelled > 0 {
-			runErr = fmt.Errorf("merlin: fleet dispatch left %d representatives unclassified", res.Cancelled)
+			runErr = fmt.Errorf("merlin: fleet dispatch left %d faults unclassified", res.Cancelled)
 		}
 		return res, runErr
 	}
@@ -400,7 +397,7 @@ func WorkerShardRun(snapshots *SnapshotCache) fleet.ShardRunFunc {
 		if err != nil {
 			return nil, err
 		}
-		if err := spec.validate(runner.NewCore(), job.Reps); err != nil {
+		if err := spec.validate(sc.cfg.CPU, job.Reps); err != nil {
 			return nil, err
 		}
 		golden := &cpu.RunResult{Cycles: spec.Cycles, Output: spec.Output, ExcLog: spec.ExcLog,

@@ -19,6 +19,7 @@ import (
 	"merlin/internal/campaign"
 	"merlin/internal/cpu"
 	"merlin/internal/fleet"
+	"merlin/internal/server"
 )
 
 // normalizedReport strips the timing and locality counters that
@@ -388,7 +389,7 @@ func TestLedgerMismatchedDuplicate(t *testing.T) {
 	if !errors.Is(err, ErrDeterminismViolation) {
 		t.Fatalf("err = %v, want ErrDeterminismViolation", err)
 	}
-	for _, frag := range []string{"representative 0", `"Masked"`, `"SDC"`} {
+	for _, frag := range []string{"fault 0", `"Masked"`, `"SDC"`} {
 		if !strings.Contains(err.Error(), frag) {
 			t.Errorf("violation diagnostic %q lacks %q", err, frag)
 		}
@@ -412,10 +413,89 @@ func TestLedgerMismatchedDuplicate(t *testing.T) {
 	}
 }
 
+// TestPendingShards: the ledger deals list indices, not groups — round-robin,
+// which on a fresh list is what the reduction's whole-group sharding gave at
+// one representative per group — and on a resumed list only what is pending;
+// degenerate shard counts collapse to one shard or drop the empty ones.
+func TestPendingShards(t *testing.T) {
+	led := newOutcomeLedger(10, "RF", func(CampaignEvent) {}, func(int, campaign.Outcome) {})
+	if got, want := led.pendingShards(4), [][]int{{0, 4, 8}, {1, 5, 9}, {2, 6}, {3, 7}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("fresh list at n=4: %v, want %v", got, want)
+	}
+	// Keys are offset by the preceding structures' lists: 5 and 110 belong
+	// to other structures and apply to nothing here.
+	if n := led.resume(map[int]string{100: "Masked", 103: "SDC", 104: "Masked", 109: "Crash", 5: "Masked", 110: "SDC"}, 100); n != 4 {
+		t.Fatalf("resume applied %d outcomes, want 4", n)
+	}
+	for n, want := range map[int][][]int{
+		4:  {{1, 7}, {2, 8}, {5}, {6}},
+		0:  {{1, 2, 5, 6, 7, 8}},
+		20: {{1}, {2}, {5}, {6}, {7}, {8}},
+	} {
+		if got := led.pendingShards(n); !reflect.DeepEqual(got, want) {
+			t.Errorf("resumed list at n=%d: %v, want %v", n, got, want)
+		}
+	}
+	for _, i := range []int{1, 2, 5, 6, 7, 8} {
+		led.record(i, campaign.Masked)
+	}
+	if got := led.pendingShards(4); len(got) != 0 {
+		t.Errorf("fully classified list still shards: %v", got)
+	}
+}
+
+// TestBaselineThroughLedger: the ledger needs no group boundaries, so the
+// comprehensive list runs through it like any other — over an empty pool
+// (every shard in-process) Session.Baseline under the daemon's executor
+// equals the library's outcome for outcome, and every outcome was
+// checkpointed under its list index.
+func TestBaselineThroughLedger(t *testing.T) {
+	ctx := context.Background()
+	opts := []Option{WithFaults(300), WithSeed(9)}
+	want, err := startSession(t, "sha", append(opts, WithStructure(RF))...).Baseline(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	b, err := StartBatch(ctx, "sha", append(opts, WithStructures(RF))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	checkpointed := map[int]string{}
+	job := server.Job{ID: "c000001", Checkpoint: func(m map[int]string) {
+		mu.Lock()
+		defer mu.Unlock()
+		for k, v := range m {
+			checkpointed[k] = v
+		}
+	}}
+	b.inject = ledgerInjector(b, job, func(CampaignEvent) {}, fleet.NewPool(0), nil, 0)
+	if err := b.Preprocess(ctx); err != nil {
+		t.Fatal(err)
+	}
+	got, err := b.sessions[0].Baseline(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Outcomes, want.Outcomes) || got.Dist != want.Dist || got.AVF != want.AVF || got.FIT != want.FIT {
+		t.Fatalf("baseline through the ledger diverged from the library's:\nledger  %v\nlibrary %v", got.Dist, want.Dist)
+	}
+	if got.SimCycles == 0 || got.Clones == 0 {
+		t.Errorf("ledger baseline reports no work: %+v", got.Work)
+	}
+	for i, o := range want.Outcomes {
+		if checkpointed[i] != o.String() {
+			t.Fatalf("fault %d checkpointed as %q, classified %v", i, checkpointed[i], o)
+		}
+	}
+}
+
 // TestFleetShipsFaultsNotRecipe: a worker executes a shard holding only the
 // job. Campaigns over a two-worker fleet — one structure, a list, and
 // non-default grouping and core knobs the workers must not need to re-apply
-// — equal the library reference while the coordinator serves no artifact
+// (that request names no strategy: both sides resolve the default) — equal
+// the library reference while the coordinator serves no artifact
 // (the route is gone), the workers ask it for nothing at all, and the
 // fully remote campaigns still report the work they cost.
 func TestFleetShipsFaultsNotRecipe(t *testing.T) {
@@ -451,8 +531,8 @@ func TestFleetShipsFaultsNotRecipe(t *testing.T) {
 			[]Structure{RF}, []Option{WithStrategy(StrategyForked)}},
 		{"list", `{"workload":"sha","structures":["RF","SQ"],"faults":300,"seed":9,"strategy":"forked"}`,
 			[]Structure{RF, SQ}, []Option{WithStrategy(StrategyForked)}},
-		{"knobs", `{"workload":"sha","structure":"RF","faults":300,"seed":9,"checkpoints":4,"reps_per_group":2,"disable_byte_grouping":true,"phys_regs":128}`,
-			[]Structure{RF}, []Option{WithCheckpoints(4), WithRepsPerGroup(2), WithoutByteGrouping(), WithCPU(cpu.DefaultConfig().WithRF(128))}},
+		{"knobs", `{"workload":"sha","structure":"RF","faults":300,"seed":9,"reps_per_group":2,"disable_byte_grouping":true,"phys_regs":128}`,
+			[]Structure{RF}, []Option{WithRepsPerGroup(2), WithoutByteGrouping(), WithCPU(cpu.DefaultConfig().WithRF(128))}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := libraryReports(t, "sha", tc.structures, append(tc.opts, base...)...)

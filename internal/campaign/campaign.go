@@ -190,9 +190,9 @@ type Runner struct {
 	// 2 x GOMAXPROCS when Workers is also 0). Negative values are invalid.
 	MaxForks int
 	// Snapshots, when non-nil, serves checkpoint ladders across campaigns
-	// (the daemon's in-memory snapshot cache): on a hit the Checkpointed
-	// and Forked strategies skip the ladder rebuild entirely. Nil means
-	// every campaign builds its own ladder.
+	// (the daemon's in-memory snapshot cache): on a hit the Forked strategy
+	// skips the ladder rebuild entirely. Nil means every campaign builds
+	// its own ladder.
 	Snapshots SnapshotSource
 	// Pool recycles retired machine-clone shells across faults (and across
 	// campaigns run on this Runner). Nil means the first Run call

@@ -33,10 +33,10 @@ func TestSchedulerCancellation(t *testing.T) {
 		c.StructureEntries(lifetime.StructRF), 64, g.Result.Cycles, nFaults, 23)
 	ref := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{}))
 
-	for _, strat := range []Strategy{Replay, Checkpointed, Forked} {
+	for _, strat := range allStrategies {
 		ctx, cancel := context.WithCancel(context.Background())
 		var classified atomic.Int64
-		res, err := r.Run(ctx, faults, &g.Result, Plan{Strategy: strat, Checkpoints: 4,
+		res, err := r.Run(ctx, faults, &g.Result, Plan{Strategy: strat,
 			OnOutcome: func(idx int, f fault.Fault, o Outcome) {
 				if classified.Add(1) == cancelAfter {
 					cancel()
@@ -101,10 +101,10 @@ func TestSchedulerCancellationMultiWorker(t *testing.T) {
 	faults := sampling.Generate(lifetime.StructRF,
 		c.StructureEntries(lifetime.StructRF), 64, g.Result.Cycles, nFaults, 29)
 
-	for _, strat := range []Strategy{Replay, Checkpointed, Forked} {
+	for _, strat := range allStrategies {
 		ctx, cancel := context.WithCancel(context.Background())
 		var classified atomic.Int64
-		res, err := r.Run(ctx, faults, &g.Result, Plan{Strategy: strat, Checkpoints: 4,
+		res, err := r.Run(ctx, faults, &g.Result, Plan{Strategy: strat,
 			OnOutcome: func(idx int, f fault.Fault, o Outcome) {
 				if classified.Add(1) == cancelAfter {
 					cancel()
@@ -141,8 +141,8 @@ func TestPreCancelledContext(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, strat := range []Strategy{Replay, Checkpointed, Forked} {
-		res, err := r.Run(ctx, faults, &g.Result, Plan{Strategy: strat, Checkpoints: 3})
+	for _, strat := range allStrategies {
+		res, err := r.Run(ctx, faults, &g.Result, Plan{Strategy: strat})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%v: err = %v, want context.Canceled", strat, err)
 		}
@@ -183,7 +183,7 @@ func TestOutcomeTextRoundTrip(t *testing.T) {
 
 // TestStrategyTextRoundTrip: strategies marshal as their flag names.
 func TestStrategyTextRoundTrip(t *testing.T) {
-	for _, s := range []Strategy{Replay, Checkpointed, Forked} {
+	for _, s := range allStrategies {
 		text, err := s.MarshalText()
 		if err != nil {
 			t.Fatal(err)

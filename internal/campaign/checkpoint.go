@@ -10,13 +10,14 @@ import (
 )
 
 // CheckpointSet holds frozen machine snapshots at evenly spaced cycles of
-// the fault-free run. Injection runs clone the latest snapshot before
-// their fault cycle instead of replaying from reset — the run-acceleration
+// the fault-free run. RunFaultFrom clones the latest snapshot before a
+// fault's cycle instead of replaying from reset — the run-acceleration
 // technique of Chatzidimitriou & Gizopoulos (ISPASS 2016), which the paper
-// notes is orthogonal to (and combinable with) MeRLiN. The snapshots also
-// serve as the convergence ladder: a faulty continuation that becomes
-// masked-equivalent to the golden state at a snapshot cycle provably ends
-// with the golden outcome and stops simulating there.
+// notes is orthogonal to (and combinable with) MeRLiN; the Forked sweep
+// re-roots itself on them. The snapshots also serve as the convergence
+// ladder: a faulty continuation that becomes masked-equivalent to the
+// golden state at a snapshot cycle provably ends with the golden outcome
+// and stops simulating there.
 type CheckpointSet struct {
 	cycles []uint64
 	cores  []*cpu.Core // frozen; accessed read-only via Clone
@@ -59,16 +60,6 @@ func (r *Runner) BuildCheckpoints(k int, goldenCycles uint64) *CheckpointSet {
 		set.cores = append(set.cores, c.Clone())
 	}
 	return set
-}
-
-// Cycles returns a copy of the snapshot schedule (cycle 0 = reset state,
-// then the frozen mid-run cycles, ascending). The golden-run artifact
-// cache persists it so operators can inspect where a campaign's sync
-// points sit without rebuilding the snapshots.
-func (s *CheckpointSet) Cycles() []uint64 {
-	out := make([]uint64, len(s.cycles))
-	copy(out, s.cycles)
-	return out
 }
 
 // before returns the latest snapshot strictly usable for a fault injected

@@ -62,8 +62,9 @@ func TestCloneIsolation(t *testing.T) {
 	}
 }
 
-// TestCheckpointedCampaignIdentical: checkpoint-accelerated injection must
-// classify every fault exactly as from-reset re-execution does.
+// TestCheckpointedCampaignIdentical: checkpoint-accelerated injection
+// (RunFaultFrom over a six-snapshot set) must classify every fault of a
+// campaign's list exactly as from-reset re-execution does.
 func TestCheckpointedCampaignIdentical(t *testing.T) {
 	for _, wl := range []string{"sha", "qsort"} {
 		r := NewRunner(target(t, wl))
@@ -72,15 +73,14 @@ func TestCheckpointedCampaignIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := r.NewCore()
+		set := r.BuildCheckpoints(6, g.Result.Cycles)
 		for _, s := range []lifetime.StructureID{lifetime.StructRF, lifetime.StructSQ, lifetime.StructL1D} {
 			faults := sampling.Generate(s, c.StructureEntries(s), c.StructureEntryBits(s),
 				g.Result.Cycles, 60, 21)
 			plain := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{}))
-			fast := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{Strategy: Checkpointed, Checkpoints: 6}))
-			for i := range faults {
-				if plain.Outcomes[i] != fast.Outcomes[i] {
-					t.Errorf("%s/%v fault %v: replay %v vs checkpointed %v",
-						wl, s, faults[i], plain.Outcomes[i], fast.Outcomes[i])
+			for i, f := range faults {
+				if fast := r.RunFaultFrom(set, f, &g.Result); plain.Outcomes[i] != fast {
+					t.Errorf("%s/%v fault %v: replay %v vs checkpointed %v", wl, s, f, plain.Outcomes[i], fast)
 				}
 			}
 		}

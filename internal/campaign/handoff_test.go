@@ -208,8 +208,9 @@ var anchorCampaigns = []struct {
 // TestHandOffMatchesRunFault is the hand-off's differential: on the anchor's
 // eight campaigns, sampled faults — mostly ones the ACE-like analysis says
 // are read, the kind a MeRLiN campaign injects, plus some it says are dead —
-// classify under the Forked and Checkpointed plans exactly as the detailed
-// from-reset RunFault does, and the plans do hand runs off.
+// classify under the Forked plan, and started from the nearest of eight
+// rungs by RunFaultFrom, exactly as the detailed from-reset RunFault does,
+// and the plan does hand runs off.
 func TestHandOffMatchesRunFault(t *testing.T) {
 	live, dead := 120, 40
 	if testing.Short() || raceEnabled { // CI runs the full size in its no-race step
@@ -235,23 +236,22 @@ func TestHandOffMatchesRunFault(t *testing.T) {
 				faults = append(faults, f)
 			}
 		}
-		want := make([]Outcome, len(faults))
+		set := r.BuildCheckpoints(8, g.Result.Cycles)
+		res := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{Strategy: Forked}))
 		for i, f := range faults {
-			want[i] = r.RunFault(f, &g.Result)
-		}
-		for _, s := range []Strategy{Checkpointed, Forked} {
-			res := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{Strategy: s}))
-			for i, f := range faults {
-				if res.Outcomes[i] != want[i] {
-					t.Errorf("%s/%v %v fault %v: %v, RunFault %v", tc.wl, tc.s, s, f, res.Outcomes[i], want[i])
-				}
+			want := r.RunFault(f, &g.Result)
+			if res.Outcomes[i] != want {
+				t.Errorf("%s/%v fault %v: Forked %v, RunFault %v", tc.wl, tc.s, f, res.Outcomes[i], want)
 			}
-			if res.HandOffs == 0 {
-				t.Errorf("%s/%v %v: no run was handed off (%d live faults)", tc.wl, tc.s, s, nLive)
+			if from := r.RunFaultFrom(set, f, &g.Result); from != want {
+				t.Errorf("%s/%v fault %v: RunFaultFrom %v, RunFault %v", tc.wl, tc.s, f, from, want)
 			}
-			t.Logf("%s/%v %v: %d faults (%d read), %d handed off, %d attempts fell back, %d instructions interpreted, %d detailed cycles",
-				tc.wl, tc.s, s, len(faults), nLive, res.HandOffs, res.FellBack, res.InterpInsts, res.SimCycles)
 		}
+		if res.HandOffs == 0 {
+			t.Errorf("%s/%v: no run was handed off (%d live faults)", tc.wl, tc.s, nLive)
+		}
+		t.Logf("%s/%v: %d faults (%d read), %d handed off, %d attempts fell back, %d instructions interpreted, %d detailed cycles",
+			tc.wl, tc.s, len(faults), nLive, res.HandOffs, res.FellBack, res.InterpInsts, res.SimCycles)
 	}
 }
 

@@ -58,10 +58,10 @@ func TestRunFaultFromEarlyExitMatches(t *testing.T) {
 	}
 }
 
-// TestCheckpointedCancelledWallClock: a campaign cancelled before it
-// starts must still stamp Wall, so partial results always carry a
-// wall-clock (regression: the dead-on-arrival path returned Wall == 0).
-func TestCheckpointedCancelledWallClock(t *testing.T) {
+// TestDeadOnArrivalStampsWall: a campaign cancelled before it starts must
+// still stamp Wall, so partial results always carry a wall-clock
+// (regression: the dead-on-arrival path returned Wall == 0).
+func TestDeadOnArrivalStampsWall(t *testing.T) {
 	r := NewRunner(target(t, "sha"))
 	g, err := r.RunGolden()
 	if err != nil {
@@ -70,7 +70,7 @@ func TestCheckpointedCancelledWallClock(t *testing.T) {
 	faults := sampling.Generate(lifetime.StructRF, 256, 64, g.Result.Cycles, 10, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := r.Run(ctx, faults, &g.Result, Plan{Strategy: Checkpointed, Checkpoints: 4})
+	res, err := r.Run(ctx, faults, &g.Result, Plan{Strategy: Forked})
 	if err == nil {
 		t.Fatal("cancelled campaign returned no error")
 	}
@@ -108,8 +108,8 @@ func (s *mapSnapshotSource) GetOrBuild(key SnapshotKey, build func() *Checkpoint
 
 // TestSnapshotSourceSharing: with a SnapshotSource attached, repeat
 // campaigns reuse one ladder (SnapshotHit set, one build), outcomes stay
-// bit-identical, and both checkpointed and forked strategies share the
-// same cached sets per their distinct keys.
+// bit-identical, and a ladder of another snapshot count lives under its
+// own key.
 func TestSnapshotSourceSharing(t *testing.T) {
 	r := NewRunner(target(t, "sha"))
 	g, err := r.RunGolden()
@@ -123,18 +123,18 @@ func TestSnapshotSourceSharing(t *testing.T) {
 	src := &mapSnapshotSource{}
 	r.Snapshots = src
 	for round := 0; round < 2; round++ {
-		ck := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{Strategy: Checkpointed, Checkpoints: 4}))
+		_, ckHit := r.ladder(4, g.Result.Cycles)
 		fk := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{Strategy: Forked}))
-		if hit := round > 0; ck.SnapshotHit != hit || fk.SnapshotHit != hit {
-			t.Errorf("round %d: SnapshotHit ckpt=%v forked=%v, want %v", round, ck.SnapshotHit, fk.SnapshotHit, hit)
+		if hit := round > 0; ckHit != hit || fk.SnapshotHit != hit {
+			t.Errorf("round %d: SnapshotHit k=4 %v forked=%v, want %v", round, ckHit, fk.SnapshotHit, hit)
 		}
 		for i := range faults {
-			if ck.Outcomes[i] != want.Outcomes[i] || fk.Outcomes[i] != want.Outcomes[i] {
+			if fk.Outcomes[i] != want.Outcomes[i] {
 				t.Fatalf("round %d fault %d: outcomes diverge with shared snapshots", round, i)
 			}
 		}
 	}
-	if src.builds != 2 { // one ladder per (k, strategy) key: k=4 and ForkSyncPoints
+	if src.builds != 2 { // one ladder per snapshot count: k=4 and ForkSyncPoints
 		t.Errorf("ladder built %d times, want 2 (one per key)", src.builds)
 	}
 	if want.SnapshotHit {

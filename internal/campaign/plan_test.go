@@ -12,7 +12,7 @@ import (
 	"merlin/internal/sampling"
 )
 
-var allStrategies = []Strategy{Replay, Checkpointed, Forked}
+var allStrategies = []Strategy{Replay, Forked}
 
 // TestEmptyCampaignDoesNoWork: under every strategy and stop rule, a
 // campaign with nothing to inject (every sampled fault was ACE-masked)
@@ -55,7 +55,8 @@ func TestEmptyCampaignDoesNoWork(t *testing.T) {
 // TestPlansAgreeOnGeneratedKernels: on seeded stress kernels of every
 // class, Run under every strategy and worker count classifies each fault
 // exactly as the per-fault reference does — RunFault at program end,
-// RunFaultTruncated at a mid-run cut.
+// RunFaultTruncated at a mid-run cut — and so does RunFaultFrom, the
+// per-fault start from the nearest of eight rungs.
 func TestPlansAgreeOnGeneratedKernels(t *testing.T) {
 	ctx := context.Background()
 	for _, class := range gen.Classes() {
@@ -70,6 +71,7 @@ func TestPlansAgreeOnGeneratedKernels(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := r.NewCore()
+			set := r.BuildCheckpoints(8, g.Result.Cycles)
 			for _, st := range []lifetime.StructureID{lifetime.StructRF, lifetime.StructSQ, lifetime.StructL1D} {
 				sample := func(cycles uint64) []fault.Fault {
 					return sampling.Generate(st, c.StructureEntries(st), c.StructureEntryBits(st), cycles, 100, int64(seed))
@@ -80,6 +82,9 @@ func TestPlansAgreeOnGeneratedKernels(t *testing.T) {
 				for i := range full {
 					want[i] = r.RunFault(full[i], &g.Result)
 					wantCut[i] = r.RunFaultTruncated(cutFaults[i], tg)
+					if got := r.RunFaultFrom(set, full[i], &g.Result); got != want[i] {
+						t.Errorf("%s/%d/%v fault %v: RunFaultFrom %v, RunFault %v", class, seed, st, full[i], got, want[i])
+					}
 				}
 				for _, s := range allStrategies {
 					for _, workers := range []int{1, 4} {
@@ -120,14 +125,12 @@ func TestPlanWorkCounters(t *testing.T) {
 		interpInsts uint64
 	}
 	cold := map[Strategy]work{
-		Replay:       {1000, 6152243, false, 0, 0, 0},
-		Checkpointed: {1000, 689318, false, 32, 0, 314231},
-		Forked:       {1025, 134667, false, 57, 0, 506446},
+		Replay: {1000, 6152243, false, 0, 0, 0},
+		Forked: {1025, 134667, false, 57, 0, 506446},
 	}
 	warm := map[Strategy]work{
-		Replay:       cold[Replay], // no ladder to share
-		Checkpointed: {1000, 683839, true, 32, 0, 314231},
-		Forked:       {1025, 128750, true, 57, 0, 506446},
+		Replay: cold[Replay], // no ladder to share
+		Forked: {1025, 128750, true, 57, 0, 506446},
 	}
 	for _, shared := range []bool{false, true} {
 		r := NewRunner(target(t, "sha"))

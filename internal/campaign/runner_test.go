@@ -56,7 +56,7 @@ func TestOnOutcomeHook(t *testing.T) {
 		core.StructureEntryBits(lifetime.StructRF),
 		golden.Result.Cycles, 40, 7)
 
-	for _, strat := range []Strategy{Replay, Checkpointed, Forked} {
+	for _, strat := range allStrategies {
 		var mu sync.Mutex
 		seen := make(map[int]Outcome)
 		var hookFaults []fault.Fault
@@ -69,7 +69,7 @@ func TestOnOutcomeHook(t *testing.T) {
 			seen[idx] = o
 			hookFaults = append(hookFaults, f)
 		}
-		res := mustRun(t)(r.Run(context.Background(), faults, &golden.Result, Plan{Strategy: strat, Checkpoints: 4, OnOutcome: hook}))
+		res := mustRun(t)(r.Run(context.Background(), faults, &golden.Result, Plan{Strategy: strat, OnOutcome: hook}))
 
 		if len(seen) != len(faults) {
 			t.Fatalf("%v: hook saw %d faults, want %d", strat, len(seen), len(faults))

@@ -22,18 +22,14 @@ const (
 	// Replay re-executes every injection run from reset: O(F x avg_cycle)
 	// pre-fault simulation. The comprehensive, assumption-free baseline.
 	Replay Strategy = iota
-	// Checkpointed replays each injection from the nearest of k frozen
-	// mid-run snapshots (Chatzidimitriou & Gizopoulos, ISPASS 2016):
-	// O(F x avg_cycle/(k+1)) pre-fault simulation.
-	Checkpointed
 	// Forked drives one sweep core through the golden run exactly once
 	// and forks a clone per fault at its injection cycle: O(golden_cycles
-	// + F x clone) pre-fault work, the fastest of the three.
+	// + F x clone) pre-fault work.
 	Forked
 	numStrategies
 )
 
-var strategyNames = [numStrategies]string{"replay", "checkpointed", "forked"}
+var strategyNames = [numStrategies]string{"replay", "forked"}
 
 // String returns the flag-style lowercase name.
 func (s Strategy) String() string {
@@ -50,7 +46,7 @@ func ParseStrategy(name string) (Strategy, error) {
 			return Strategy(s), nil
 		}
 	}
-	return Replay, fmt.Errorf("unknown injection strategy %q (want replay, checkpointed, or forked)", name)
+	return Replay, fmt.Errorf("unknown injection strategy %q (want replay or forked)", name)
 }
 
 // MarshalText renders the flag-style name, so JSON carrying a Strategy
@@ -73,10 +69,6 @@ func (s *Strategy) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// DefaultCheckpoints is the snapshot count Run uses when the Checkpointed
-// strategy is selected without an explicit k.
-const DefaultCheckpoints = 8
-
 // ForkSyncPoints is the number of golden snapshots the Forked strategy
 // freezes along the run. They serve double duty: the sweep re-roots its
 // copy-on-write lineage at each one, and faulty continuations compare
@@ -90,15 +82,11 @@ const ForkSyncPoints = 24
 type Plan struct {
 	// Strategy picks the start snapshot and, with it, the early exit:
 	//
-	//	Replay        the reset state; no early exit
-	//	Checkpointed  the nearest of Checkpoints frozen snapshots; exit at
-	//	              the first later snapshot the run is masked-equivalent to
-	//	Forked        a clone off one sweep of the golden run, taken at the
-	//	              fault cycle; same exit over ForkSyncPoints snapshots
+	//	Replay  the reset state; no early exit
+	//	Forked  a clone off one sweep of the golden run, taken at the fault
+	//	        cycle; exit at the first of ForkSyncPoints later snapshots
+	//	        where the run is masked-equivalent or can be handed off
 	Strategy Strategy
-	// Checkpoints is the snapshot count of Checkpointed (<= 0 means
-	// DefaultCheckpoints); the other strategies ignore it.
-	Checkpoints int
 	// Cut, when non-nil, stops every run at the cut cycle and classifies by
 	// the truncated scheme of RunFaultTruncated instead of at program end.
 	// It replaces the golden argument of Run with Cut.Result; snapshots
@@ -115,22 +103,14 @@ type Plan struct {
 // and whether r.Snapshots served it. Replay's reset-only set is built inline:
 // it costs no simulation, so it never goes through the snapshot source.
 func (r *Runner) planLadder(plan Plan, goldenCycles uint64) (set *CheckpointSet, hit bool) {
-	switch plan.Strategy {
-	case Checkpointed:
-		k := plan.Checkpoints
-		if k <= 0 {
-			k = DefaultCheckpoints
-		}
-		return r.ladder(k, goldenCycles)
-	case Forked:
+	if plan.Strategy == Forked {
 		return r.ladder(ForkSyncPoints, goldenCycles)
-	default:
-		return r.BuildCheckpoints(0, goldenCycles), false
 	}
+	return r.BuildCheckpoints(0, goldenCycles), false
 }
 
 // job hands one fault to a worker; core is its ready pre-fault clone under
-// Forked and nil otherwise (the worker then clones the nearest snapshot).
+// Forked and nil under Replay (the worker then clones the reset state).
 type job struct {
 	idx  int
 	core *cpu.Core
@@ -213,7 +193,7 @@ func (r *Runner) Run(ctx context.Context, faults []fault.Fault, golden *cpu.RunR
 				f := faults[j.idx]
 				c := j.core
 				if c == nil {
-					c = m.clone(pool, ladder.before(f.Cycle))
+					c = m.clone(pool, ladder.cores[0])
 				}
 				from := c.Cycle()
 				o := r.inject(c, f, golden, ladder, plan.Cut, h)

@@ -31,11 +31,6 @@ type SnapshotSource interface {
 	GetOrBuild(key SnapshotKey, build func() *CheckpointSet) (set *CheckpointSet, hit bool)
 }
 
-// snapshotKey builds this runner's cache key for a k-snapshot ladder.
-func (r *Runner) snapshotKey(k int, goldenCycles uint64) SnapshotKey {
-	return SnapshotKey{Workload: r.Prog.Name, CPU: r.Cfg, K: k, GoldenCycles: goldenCycles}
-}
-
 // ladder returns the k-snapshot checkpoint set for a goldenCycles-long
 // run, served from r.Snapshots when one is attached (hit reports a served
 // set) and built fresh otherwise.
@@ -43,7 +38,8 @@ func (r *Runner) ladder(k int, goldenCycles uint64) (set *CheckpointSet, hit boo
 	if r.Snapshots == nil {
 		return r.BuildCheckpoints(k, goldenCycles), false
 	}
-	return r.Snapshots.GetOrBuild(r.snapshotKey(k, goldenCycles), func() *CheckpointSet {
+	key := SnapshotKey{Workload: r.Prog.Name, CPU: r.Cfg, K: k, GoldenCycles: goldenCycles}
+	return r.Snapshots.GetOrBuild(key, func() *CheckpointSet {
 		return r.BuildCheckpoints(k, goldenCycles)
 	})
 }

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"merlin/internal/fault"
@@ -36,8 +37,9 @@ func strategyFaultList(c interface {
 }
 
 // TestStrategyDifferential: for randomized fault lists over three
-// workloads (one per target structure), Replay, Checkpointed and Forked
-// must produce identical per-fault outcome slices.
+// workloads (one per target structure), Replay, Forked and the per-fault
+// start from a rung (RunFaultFrom) must produce identical per-fault
+// outcomes.
 func TestStrategyDifferential(t *testing.T) {
 	const k = 5
 	cases := []struct {
@@ -59,21 +61,20 @@ func TestStrategyDifferential(t *testing.T) {
 
 		ctx := context.Background()
 		replay := mustRun(t)(r.Run(ctx, faults, &g.Result, Plan{}))
-		ckpt := mustRun(t)(r.Run(ctx, faults, &g.Result, Plan{Strategy: Checkpointed, Checkpoints: k}))
 		forked := mustRun(t)(r.Run(ctx, faults, &g.Result, Plan{Strategy: Forked}))
 		for i := range faults {
-			if replay.Outcomes[i] != ckpt.Outcomes[i] {
-				t.Errorf("%s/%v fault %v: replay %v vs checkpointed %v",
-					tc.wl, tc.s, faults[i], replay.Outcomes[i], ckpt.Outcomes[i])
+			if from := r.RunFaultFrom(set, faults[i], &g.Result); replay.Outcomes[i] != from {
+				t.Errorf("%s/%v fault %v: replay %v vs from a rung %v",
+					tc.wl, tc.s, faults[i], replay.Outcomes[i], from)
 			}
 			if replay.Outcomes[i] != forked.Outcomes[i] {
 				t.Errorf("%s/%v fault %v: replay %v vs forked %v",
 					tc.wl, tc.s, faults[i], replay.Outcomes[i], forked.Outcomes[i])
 			}
 		}
-		if replay.Dist != forked.Dist || replay.Dist != ckpt.Dist {
-			t.Errorf("%s/%v: distributions diverge: replay %v ckpt %v forked %v",
-				tc.wl, tc.s, replay.Dist, ckpt.Dist, forked.Dist)
+		if replay.Dist != forked.Dist {
+			t.Errorf("%s/%v: distributions diverge: replay %v forked %v",
+				tc.wl, tc.s, replay.Dist, forked.Dist)
 		}
 		if forked.Serial <= 0 || forked.Wall <= 0 {
 			t.Error("forked timing not recorded")
@@ -144,11 +145,15 @@ func TestCheckpointBeforeCycleZero(t *testing.T) {
 
 // TestStrategyNames: the enum round-trips through its flag spelling.
 func TestStrategyNames(t *testing.T) {
-	for _, s := range []Strategy{Replay, Checkpointed, Forked} {
+	for _, s := range allStrategies {
 		got, err := ParseStrategy(s.String())
 		if err != nil || got != s {
 			t.Errorf("ParseStrategy(%q) = %v, %v", s.String(), got, err)
 		}
+	}
+	// The retired preset's name is refused with the two that remain listed.
+	if _, err := ParseStrategy("checkpointed"); err == nil || !strings.Contains(err.Error(), "want replay or forked") {
+		t.Errorf(`ParseStrategy("checkpointed") = %v, want an error listing replay and forked`, err)
 	}
 	if _, err := ParseStrategy("warp"); err == nil {
 		t.Error("ParseStrategy accepted an unknown name")

@@ -25,7 +25,10 @@
 // "What a cycle costs", lists the invariants this layout must keep.
 package cpu
 
-import "merlin/internal/mem"
+import (
+	"merlin/internal/lifetime"
+	"merlin/internal/mem"
+)
 
 // Config sizes the core. The zero value is not usable; start from
 // DefaultConfig.
@@ -111,6 +114,21 @@ func DefaultConfig() Config {
 
 		CommitWatchdog: 200_000,
 	}
+}
+
+// StructureGeometry returns how many injectable entries structure s has
+// under this configuration and the width of one entry in bits — the
+// coordinates of fault sampling and FlipBit, known without building a core.
+func (c Config) StructureGeometry(s lifetime.StructureID) (entries, entryBits int) {
+	switch s {
+	case lifetime.StructRF:
+		return c.PhysRegs, 64
+	case lifetime.StructSQ:
+		return c.SQEntries, 64
+	case lifetime.StructL1D:
+		return c.L1D.Sets() * c.L1D.Ways, c.L1D.LineSize * 8
+	}
+	return 0, 0
 }
 
 // WithRF returns the config with n physical integer registers.

@@ -435,26 +435,14 @@ func (c *Core) Result() RunResult {
 // StructureEntries returns how many injectable entries structure s has
 // under this core's configuration.
 func (c *Core) StructureEntries(s lifetime.StructureID) int {
-	switch s {
-	case lifetime.StructRF:
-		return c.Cfg.PhysRegs
-	case lifetime.StructSQ:
-		return c.Cfg.SQEntries
-	case lifetime.StructL1D:
-		return c.l1d.Entries()
-	}
-	return 0
+	entries, _ := c.Cfg.StructureGeometry(s)
+	return entries
 }
 
 // StructureEntryBits returns the entry width in bits of structure s.
 func (c *Core) StructureEntryBits(s lifetime.StructureID) int {
-	switch s {
-	case lifetime.StructRF, lifetime.StructSQ:
-		return 64
-	case lifetime.StructL1D:
-		return c.l1d.LineSize() * 8
-	}
-	return 0
+	_, entryBits := c.Cfg.StructureGeometry(s)
+	return entryBits
 }
 
 // FlipBit injects a single-bit transient fault into structure s: entry

@@ -133,8 +133,8 @@ func runAccuracy(ctx context.Context, o Options, wl string, z StructSize) (*Accu
 	}
 	ac.MerlinFull = red.Extrapolate(repOutcomes)
 
-	core := a.Runner.NewCore()
-	ac.StructBits = core.StructureEntries(z.Structure) * core.StructureEntryBits(z.Structure)
+	entries, entryBits := a.Config.CPU.StructureGeometry(z.Structure)
+	ac.StructBits = entries * entryBits
 	ac.BaselineFIT = ac.BaselineFull.FIT(ac.StructBits, merlin.RawFITPerBit)
 	ac.MerlinFIT = ac.MerlinFull.FIT(ac.StructBits, merlin.RawFITPerBit)
 	ac.ACELikeFIT = a.Analysis.AVF() * merlin.RawFITPerBit * float64(ac.StructBits)

@@ -39,7 +39,8 @@ type Options struct {
 	// Workers bounds injection parallelism (0 = GOMAXPROCS).
 	Workers int
 	// Strategy selects the injection scheduler every campaign of every
-	// table/figure uses: Replay (default), Checkpointed, or Forked.
+	// table/figure uses: Replay (the figures' default, passed explicitly
+	// to every session) or Forked.
 	// Outcomes are bit-identical across strategies, so any strategy
 	// reproduces the same tables; only wall-clock differs.
 	Strategy campaign.Strategy

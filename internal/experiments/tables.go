@@ -72,8 +72,7 @@ func Table4(ctx context.Context, o Options) (*Table4Result, error) {
 			return nil, err
 		}
 
-		core := runner.NewCore()
-		entries := core.StructureEntries(lifetime.StructRF)
+		entries, _ := runner.Cfg.StructureGeometry(lifetime.StructRF)
 		analysis := lifetime.BuildTruncated(tg.Tracer.Log(lifetime.StructRF),
 			lifetime.StructRF, entries, 8, cut)
 		faults := sampling.Generate(lifetime.StructRF, entries, 64, cut, o.Faults, o.Seed)

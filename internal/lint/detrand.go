@@ -9,7 +9,7 @@ import (
 
 // DetRand enforces that report-affecting packages draw randomness only
 // from explicit seeded state. MeRLiN's pruned-campaign-equals-full-
-// injection guarantee, forked/checkpointed/fleet bit-identity and the
+// injection guarantee, replay/forked/fleet bit-identity and the
 // sha256 artifact keys all assume a campaign is a pure function of
 // (workload, config, seed); one rand.Intn on the shared global source
 // makes the fault list depend on whatever else ran in the process.

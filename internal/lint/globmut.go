@@ -8,7 +8,7 @@ import (
 
 // GlobMut forbids mutable package-level state in report-affecting
 // packages. Every campaign guarantee — pruned-equals-full, bit-identical
-// replay/checkpointed/forked/fleet reports, content-addressed artifact
+// replay/forked/fleet reports, content-addressed artifact
 // reuse — assumes a campaign is a pure function of (workload, config,
 // seed). A package-level variable that any call can mutate makes results
 // depend on what else ran in the process: two campaigns in one daemon, a

@@ -1,6 +1,6 @@
 // Package lint implements merlinvet, the project-specific static-analysis
 // pass that machine-checks the invariants every campaign guarantee rests
-// on: bit-identical reports across replay/checkpointed/forked/fleet
+// on: bit-identical reports across replay/forked/fleet
 // execution, content-addressed artifact reuse (gob+sha256), and
 // reproducible pruning all require that no unseeded randomness, no
 // wall-clock reads and no map-iteration order ever leak into

@@ -3,7 +3,6 @@ package merlin
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -279,91 +278,5 @@ func TestReduceInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestShardReps: shards are whole groups, together they partition the
-// representative index space exactly, assignment is deterministic, and
-// degenerate shard counts behave (n<=1 collapses to one shard, n larger
-// than the group count drops the empty shards).
-func TestShardReps(t *testing.T) {
-	a := synthAnalysis(t)
-	var faults []fault.Fault
-	for e := int32(0); e < 3; e++ {
-		for b := int32(0); b < 64; b += 7 {
-			faults = append(faults, mkFault(e, b, 11+uint64(e)), mkFault(e, b, 22))
-		}
-	}
-	r := Reduce(a, faults, Options{RepsPerGroup: 2, ByteGrouping: true})
-	total := r.ReducedCount()
-	if total < 4 {
-		t.Fatalf("reduction too small to shard meaningfully: %d reps", total)
-	}
-
-	// Group boundaries in rep-index space, for the whole-group check.
-	groupOf := make([]int, total)
-	pos := 0
-	for gi, g := range r.Groups {
-		for range g.Reps {
-			groupOf[pos] = gi
-			pos++
-		}
-	}
-
-	for _, n := range []int{0, 1, 2, 3, total, total * 3} {
-		shards := r.ShardReps(n)
-		seen := make(map[int]int)
-		for si, shard := range shards {
-			if len(shard) == 0 {
-				t.Fatalf("n=%d: empty shard survived", n)
-			}
-			inShard := map[int]bool{}
-			for _, rep := range shard {
-				if rep < 0 || rep >= total {
-					t.Fatalf("n=%d: rep index %d out of range", n, rep)
-				}
-				if _, dup := seen[rep]; dup {
-					t.Fatalf("n=%d: rep %d assigned twice", n, rep)
-				}
-				seen[rep] = si
-				inShard[rep] = true
-			}
-			// Whole groups: every sibling rep of a shard member is in the
-			// same shard.
-			for _, rep := range shard {
-				for other, g := range groupOf {
-					if g == groupOf[rep] && !inShard[other] {
-						t.Fatalf("n=%d: group %d split across shards", n, g)
-					}
-				}
-			}
-		}
-		if len(seen) != total {
-			t.Fatalf("n=%d: shards cover %d of %d reps", n, len(seen), total)
-		}
-		if n <= 1 && len(shards) != 1 {
-			t.Fatalf("n=%d: got %d shards, want 1", n, len(shards))
-		}
-		if len(shards) > len(r.Groups) {
-			t.Fatalf("n=%d: %d shards exceed %d groups", n, len(shards), len(r.Groups))
-		}
-		// Determinism: same reduction, same sharding.
-		again := r.ShardReps(n)
-		if !reflect.DeepEqual(shards, again) {
-			t.Fatalf("n=%d: sharding not deterministic", n)
-		}
-	}
-
-	// Balance: with 2 shards over many similar groups, neither side should
-	// hold nearly everything.
-	two := r.ShardReps(2)
-	if len(two) == 2 {
-		small := len(two[0])
-		if len(two[1]) < small {
-			small = len(two[1])
-		}
-		if small == 0 || small*4 < total/2 {
-			t.Errorf("2-way shard badly unbalanced: %d/%d of %d", len(two[0]), len(two[1]), total)
-		}
 	}
 }

@@ -70,44 +70,6 @@ func (r *Reduction) ReducedCount() int {
 	return n
 }
 
-// ShardReps partitions the representative index space (positions in
-// Reduced() order, the coordinate system per-fault outcomes are keyed by)
-// into at most n shards along group boundaries. Groups are the natural
-// shard unit — each group's representatives can be injected anywhere and
-// their outcomes extrapolate independently — so a shard is a set of whole
-// groups. Assignment is greedy by representative count (each group goes
-// to the currently lightest shard), which balances shards even when
-// RepsPerGroup varies, and is deterministic: the same reduction always
-// shards the same way, on any machine. Empty shards are dropped, so the
-// result may have fewer than n entries.
-func (r *Reduction) ShardReps(n int) [][]int {
-	if n < 1 {
-		n = 1
-	}
-	shards := make([][]int, n)
-	pos := 0
-	for _, g := range r.Groups {
-		// Lightest shard wins; ties break to the lowest index.
-		best := 0
-		for i := 1; i < n; i++ {
-			if len(shards[i]) < len(shards[best]) {
-				best = i
-			}
-		}
-		for j := 0; j < len(g.Reps); j++ {
-			shards[best] = append(shards[best], pos+j)
-		}
-		pos += len(g.Reps)
-	}
-	out := shards[:0]
-	for _, s := range shards {
-		if len(s) > 0 {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // ACESpeedup is the fault-list reduction achieved by phase 1 alone
 // (the lower segment of the paper's Figs 8-10 bars).
 func (r *Reduction) ACESpeedup() float64 {

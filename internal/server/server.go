@@ -89,10 +89,10 @@ type Request struct {
 
 	// Workers bounds the campaign's injection parallelism.
 	Workers int `json:"workers,omitempty"`
-	// Strategy is "replay", "checkpointed" or "forked"; Checkpoints sets
-	// the snapshot count of "checkpointed".
-	Strategy    string `json:"strategy,omitempty"`
-	Checkpoints int    `json:"checkpoints,omitempty"`
+	// Strategy is "forked" (the default when empty) or "replay", the
+	// several-times slower assumption-free reference; reports are
+	// bit-identical either way.
+	Strategy string `json:"strategy,omitempty"`
 
 	// Core configuration knobs (paper Table 1 sweep points); 0 keeps the
 	// baseline configuration.

@@ -156,7 +156,7 @@ type Artifact struct {
 	Branches []lifetime.BranchRec
 
 	// CheckpointCycles is the snapshot schedule of the injection ladder
-	// (cycles at which the checkpointed/forked strategies freeze golden
+	// (cycles at which the forked strategy freezes golden
 	// state). Machine snapshots themselves are not serializable; the
 	// schedule lets a warm process rebuild them in one deterministic pass
 	// and lets operators see where a campaign's sync points sit.

@@ -22,7 +22,6 @@
 package merlin
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -75,17 +74,17 @@ type (
 	Work = campaign.Work
 )
 
-// Injection strategies, fastest last.
+// Injection strategies: the reference and the fast path.
 const (
-	// StrategyReplay re-executes every injection from reset.
+	// StrategyReplay re-executes every injection from reset, in detail to
+	// program end: the assumption-free reference.
 	StrategyReplay = campaign.Replay
-	// StrategyCheckpointed replays from the nearest of k frozen snapshots.
-	StrategyCheckpointed = campaign.Checkpointed
-	// StrategyForked forks per-fault clones off a single golden sweep.
+	// StrategyForked forks per-fault clones off a single golden sweep and
+	// stops each run where it is decided: the default.
 	StrategyForked = campaign.Forked
 )
 
-// ParseStrategy maps a flag value ("replay", "checkpointed", "forked",
+// ParseStrategy maps a flag value ("replay" or "forked",
 // case-insensitively) to a Strategy.
 func ParseStrategy(name string) (Strategy, error) { return campaign.ParseStrategy(name) }
 
@@ -131,8 +130,8 @@ type CacheStats = store.Stats
 func OpenCache(dir string) (*Cache, error) { return store.Open(dir) }
 
 // SnapshotCache is an in-memory, byte-budgeted LRU of checkpoint ladders
-// (the frozen machine snapshots the checkpointed and forked strategies
-// clone injection runs from). Campaigns sharing one SnapshotCache and
+// (the frozen machine snapshots the forked strategy roots its sweep on and
+// stops faulty runs at). Campaigns sharing one SnapshotCache and
 // agreeing on (workload, CPU config, golden cycles) reuse one immutable
 // ladder instead of each replaying the golden run to rebuild it — the
 // in-memory complement of the on-disk artifact Cache, which cannot hold
@@ -184,10 +183,10 @@ type Config struct {
 	// Workers bounds injection parallelism; 0 = GOMAXPROCS.
 	Workers int
 
-	// Strategy selects the injection strategy: StrategyReplay (default),
-	// StrategyCheckpointed, or StrategyForked. All three classify every
-	// fault identically; they differ only in how much of the pre-fault
-	// prefix is re-simulated.
+	// Strategy selects the injection strategy: StrategyForked (what Start
+	// resolves to without WithStrategy) or StrategyReplay. Both classify
+	// every fault identically; they differ only in how much of the run is
+	// simulated in detail.
 	Strategy Strategy
 
 	// StaticPrune enables the guestflow static pre-pruner: register-file
@@ -199,8 +198,6 @@ type Config struct {
 	// reports stay bit-identical to unpruned runs. Structures other than
 	// RF ignore the option (their entries hold no architectural registers).
 	StaticPrune bool
-	// Checkpoints > 0 sets the snapshot count of StrategyCheckpointed.
-	Checkpoints int
 
 	// Cache, when non-nil, short-circuits Preprocess: on a hit the golden
 	// run and ACE-like analysis are loaded instead of simulated (the
@@ -210,15 +207,15 @@ type Config struct {
 	Cache *Cache
 
 	// Snapshots, when non-nil, shares checkpoint ladders across campaigns:
-	// the checkpointed and forked strategies serve their frozen machine
-	// snapshots from it instead of rebuilding them per campaign. Create
+	// the forked strategy serves its frozen machine snapshots from it
+	// instead of rebuilding them per campaign. Create
 	// one with NewSnapshotCache; the daemon wires a process-wide instance.
 	Snapshots *SnapshotCache
 }
 
-// fillDefaults replaces zero knobs with their documented defaults. It does
-// not touch the strategy: Start resolves the checkpoints/strategy
-// implication explicitly.
+// fillDefaults replaces zero knobs with their documented defaults. The
+// strategy's zero value is a strategy (Replay), so its default is set
+// before the options apply (buildSessionConfig), not here.
 func (c Config) fillDefaults() Config {
 	if c.CPU.PhysRegs == 0 {
 		c.CPU = cpu.DefaultConfig()
@@ -250,8 +247,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("merlin: Workers is %d; want >= 0 (0 = all host cores)", c.Workers)
 	case c.RepsPerGroup < 0:
 		return fmt.Errorf("merlin: RepsPerGroup is %d; want >= 0 (0 = the paper's 1)", c.RepsPerGroup)
-	case c.Checkpoints < 0:
-		return fmt.Errorf("merlin: Checkpoints is %d; want >= 0", c.Checkpoints)
 	case c.Confidence <= 0 || c.Confidence >= 1:
 		return fmt.Errorf("merlin: Confidence %v outside (0, 1)", c.Confidence)
 	case c.ErrorMargin <= 0 || c.ErrorMargin >= 1:
@@ -324,13 +319,11 @@ func preprocessStructures(cfg Config, structures []Structure) ([]*Artifacts, err
 		return nil, err
 	}
 
-	core := runner.NewCore()
 	cycles := golden.Result.Cycles
 	out := make([]*Artifacts, len(structures))
 	traces := make([]store.StructureTrace, 0, len(structures))
 	for i, s := range structures {
-		entries := core.StructureEntries(s)
-		entryBits := core.StructureEntryBits(s)
+		entries, entryBits := cfg.CPU.StructureGeometry(s)
 		analysis := lifetime.Build(golden.Tracer.Log(s), s, entries, entryBits/8, cycles)
 		cfgS := cfg
 		cfgS.Structure = s
@@ -491,22 +484,28 @@ func (a *Artifacts) staticPrune() error {
 	return nil
 }
 
-// plan is the campaign's injection plan: the configured strategy and
-// checkpoint count plus the per-fault hook (nil for none).
+// plan is the campaign's injection plan: the configured strategy plus the
+// per-fault hook (nil for none).
 func (c Config) plan(onOutcome func(int, fault.Fault, campaign.Outcome)) campaign.Plan {
-	return campaign.Plan{Strategy: c.Strategy, Checkpoints: c.Checkpoints, OnOutcome: onOutcome}
+	return campaign.Plan{Strategy: c.Strategy, OnOutcome: onOutcome}
+}
+
+// structureBits is the storage the campaign's structure holds, entries x
+// entry width: what AVF scales to a FIT rate.
+func (a *Artifacts) structureBits() int {
+	entries, entryBits := a.Config.CPU.StructureGeometry(a.Config.Structure)
+	return entries * entryBits
 }
 
 // reportFrom assembles the campaign Report from a reduction and the
-// injection Result Session.Inject's executor returned — one Runner.Run by
-// default; under the daemon the ledger's merge of per-shard outcome
-// streams and resumed checkpoints. extrapolate selects the
+// Result the session's executor returned for the reduced list — one
+// Runner.Run by default; under the daemon the ledger's merge of per-shard
+// outcome streams and resumed checkpoints. extrapolate selects the
 // complete-campaign view (group extrapolation over the full initial list);
 // false leaves Dist as the raw distribution of the classified
 // representatives, the partial view of a cancelled or interrupted campaign.
 func (a *Artifacts) reportFrom(res *campaign.Result, extrapolate bool) *Report {
-	core := a.Runner.NewCore()
-	bits := core.StructureEntries(a.Config.Structure) * core.StructureEntryBits(a.Config.Structure)
+	bits := a.structureBits()
 	dist := res.Dist
 	if extrapolate {
 		dist = a.Red.Extrapolate(res.Outcomes)
@@ -538,13 +537,10 @@ func (a *Artifacts) reportFrom(res *campaign.Result, extrapolate bool) *Report {
 	}
 }
 
-// baseline is the comprehensive campaign behind Session.Baseline; it has
-// inject's cancellation contract.
-func (a *Artifacts) baseline(ctx context.Context, onOutcome func(int, fault.Fault, campaign.Outcome)) (*BaselineReport, error) {
-	res, err := a.Runner.Run(ctx, a.Faults, &a.Golden.Result, a.Config.plan(onOutcome))
-	core := a.Runner.NewCore()
-	bits := core.StructureEntries(a.Config.Structure) * core.StructureEntryBits(a.Config.Structure)
-	rep := &BaselineReport{
+// baselineFrom assembles the comprehensive campaign's report from the
+// Result the session's executor returned for the whole initial list.
+func (a *Artifacts) baselineFrom(res *campaign.Result) *BaselineReport {
+	return &BaselineReport{
 		Workload:     a.Config.Workload,
 		Structure:    a.Config.Structure,
 		GoldenCycles: a.Golden.Result.Cycles,
@@ -553,13 +549,12 @@ func (a *Artifacts) baseline(ctx context.Context, onOutcome func(int, fault.Faul
 		Outcomes:     res.Outcomes,
 		Dist:         res.Dist,
 		AVF:          res.Dist.AVF(),
-		FIT:          res.Dist.FIT(bits, RawFITPerBit),
+		FIT:          res.Dist.FIT(a.structureBits(), RawFITPerBit),
 		Wall:         res.Wall,
 		Work:         res.Work,
 		CyclesPerSec: res.CyclesPerSec(),
 		Artifacts:    a,
 	}
-	return rep, err
 }
 
 // Report is the outcome of one MeRLiN campaign.
@@ -634,17 +629,27 @@ func (r *Report) String() string {
 	return fmt.Sprintf(
 		"%s/%s: %d faults -> ACE-like %d masked (%.1fx) -> %d groups -> %d injected (%.1fx total)\n"+
 			"  dist: %v\n  AVF %.4f (ACE-like bound %.4f)  FIT %.3f (ACE-like %.3f)\n"+
-			"  injection: %d detailed cycles, %s",
+			"  injection: %s",
 		r.Workload, r.Structure, r.InitialFaults, r.ACEMasked, r.ACESpeedup,
 		r.FinalGroups, r.Injected, r.FinalSpeedup,
 		r.Dist, r.AVF, r.ACELikeAVF, r.FIT, r.ACELikeFIT,
-		r.SimCycles, handOffNote(r.Work))
+		workNote(r.Work))
 }
 
-// handOffNote renders a campaign's hand-off counters for the summaries.
-func handOffNote(w Work) string {
-	return fmt.Sprintf("%d runs handed off to the interpreter (%d attempts fell back, %d instructions interpreted)",
-		w.HandOffs, w.FellBack, w.InterpInsts)
+// workNote renders what an injection phase executed: the one formatter
+// behind Report.String and both phase-done messages. The hand-off counters
+// appear once a run reached a ladder rung and tried; a Replay campaign has
+// no rung to try at.
+func workNote(w Work) string {
+	s := fmt.Sprintf("%d detailed cycles, %d clones", w.SimCycles, w.Clones)
+	if w.SnapshotHit {
+		s += ", snapshot cache hit"
+	}
+	if w.HandOffs+w.FellBack > 0 {
+		s += fmt.Sprintf(", %d runs handed off to the interpreter (%d attempts fell back, %d instructions interpreted)",
+			w.HandOffs, w.FellBack, w.InterpInsts)
+	}
+	return s
 }
 
 // BaselineReport is the outcome of a comprehensive campaign.

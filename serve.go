@@ -261,9 +261,6 @@ func requestOptions(req CampaignRequest, cache *Cache, snapshots *SnapshotCache)
 		}
 		opts = append(opts, WithStrategy(strat))
 	}
-	if req.Checkpoints != 0 {
-		opts = append(opts, WithCheckpoints(req.Checkpoints))
-	}
 	return opts, nil
 }
 

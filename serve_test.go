@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"merlin/internal/store"
 )
 
 // daemon spins up the real campaign service (real pipeline, real cache)
@@ -275,8 +277,8 @@ func TestDaemonConcurrentEventStreams(t *testing.T) {
 	// Bounded per-campaign workers: a campaign defaulting to all host
 	// cores can starve the test harness (and the second submission) long
 	// enough for the first campaign to finish before the second starts.
-	idA := postCampaign(t, hs.URL, `{"workload":"sha","structure":"RF","faults":400,"seed":2,"workers":2}`)
-	idB := postCampaign(t, hs.URL, `{"workload":"qsort","structure":"RF","faults":400,"seed":2,"workers":2}`)
+	idA := postCampaign(t, hs.URL, `{"workload":"sha","structure":"RF","faults":400,"seed":2,"workers":2,"strategy":"replay"}`)
+	idB := postCampaign(t, hs.URL, `{"workload":"qsort","structure":"RF","faults":400,"seed":2,"workers":2,"strategy":"replay"}`)
 
 	type stream struct {
 		id     string
@@ -372,7 +374,7 @@ func TestDaemonCancelMidInjection(t *testing.T) {
 	// A large replay campaign on one worker: slow enough to catch
 	// mid-injection, instantly abandoned once cancelled.
 	id := postCampaign(t, hs.URL,
-		`{"workload":"sha","structure":"RF","faults":60000,"seed":1,"workers":1}`)
+		`{"workload":"sha","structure":"RF","faults":60000,"seed":1,"workers":1,"strategy":"replay"}`)
 
 	// Stream events until the first per-fault outcome proves the campaign
 	// is mid-injection, then DELETE it; keep draining to catch the
@@ -458,30 +460,60 @@ func TestDaemonCancelMidInjection(t *testing.T) {
 	}
 }
 
-// TestDaemonRejectsStrategyCheckpointConflict: the v2 validation surfaces
-// through the wire API — an explicit non-checkpointed strategy combined
-// with checkpoints is a 400 at submission.
-func TestDaemonRejectsStrategyCheckpointConflict(t *testing.T) {
-	hs := daemon(t, ServeOptions{})
-	resp, err := http.Post(hs.URL+"/campaigns", "application/json", strings.NewReader(
-		`{"workload":"sha","structure":"RF","strategy":"replay","checkpoints":4}`))
+// TestDaemonRefusesRetiredCheckpointed: the checkpointed preset is gone
+// from the wire. A submission carrying its knob is a 400 naming the field,
+// one naming the strategy a 400 listing the two that remain, and a record
+// an older daemon left interrupted under it resumes into that same named
+// failure instead of running something else.
+func TestDaemonRefusesRetiredCheckpointed(t *testing.T) {
+	reg, err := OpenRegistry(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("conflicting strategy/checkpoints: status %d, want 400", resp.StatusCode)
+	const old = `{"workload":"sha","structure":"RF","faults":50,"strategy":"checkpointed","checkpoints":4}`
+	if err := reg.Put(store.CampaignRecord{ID: "c000007", Kind: "campaign", Status: "running",
+		Request: []byte(old), Outcomes: map[int]string{0: "Masked"}}); err != nil {
+		t.Fatal(err)
+	}
+	hs := daemon(t, ServeOptions{Registry: reg})
+
+	for body, want := range map[string]string{
+		`{"workload":"sha","structure":"RF","faults":50,"checkpoints":4}`:           `unknown field "checkpoints"`,
+		`{"workload":"sha","structure":"RF","faults":50,"strategy":"checkpointed"}`: "want replay or forked",
+	} {
+		resp, err := http.Post(hs.URL+"/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(out.Error, want) {
+			t.Errorf("POST %s: status %d error %q (%v), want 400 containing %q", body, resp.StatusCode, out.Error, err, want)
+		}
 	}
 
-	// Checkpoints alone stays valid (implies the checkpointed strategy).
-	resp2, err := http.Post(hs.URL+"/campaigns", "application/json", strings.NewReader(
-		`{"workload":"sha","structure":"RF","faults":50,"checkpoints":4}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusAccepted {
-		t.Fatalf("checkpoints-only submit: status %d, want 202", resp2.StatusCode)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		resp, err := http.Get(hs.URL + "/campaigns/c000007")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st campaignStatus
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Status == "failed" && strings.Contains(st.Error, `"checkpointed" (want replay or forked)`) {
+			break
+		}
+		if st.Status != "queued" && st.Status != "running" || time.Now().After(deadline) {
+			t.Fatalf("restored checkpointed record: status %q error %q, want failed naming the strategy", st.Status, st.Error)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -570,7 +602,7 @@ func TestDaemonBatchCancelWholeBatch(t *testing.T) {
 	// Big enough for the second structure to still be mid-injection when
 	// the DELETE lands.
 	id := postCampaign(t, hs.URL,
-		`{"workload":"sha","structures":["RF","SQ"],"faults":60000,"seed":3,"workers":1}`)
+		`{"workload":"sha","structures":["RF","SQ"],"faults":60000,"seed":3,"workers":1,"strategy":"replay"}`)
 
 	// Stream until the first SQ outcome proves RF is finished and SQ is
 	// mid-injection, then DELETE; keep draining to the terminal event.

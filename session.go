@@ -20,17 +20,13 @@ import (
 // being silently patched.
 type Option func(*sessionConfig) error
 
-// sessionConfig accumulates options before validation. strategySet
-// records whether WithStrategy was given explicitly, which is what lets
-// Start distinguish "WithCheckpoints implies checkpointed" from
-// "WithStrategy(replay) + WithCheckpoints conflict". structures is the
+// sessionConfig accumulates options before validation. structures is the
 // batch target list of WithStructures, consumed by StartBatch and
 // rejected by Start.
 type sessionConfig struct {
-	cfg         Config
-	strategySet bool
-	structures  []Structure
-	progress    func(Progress)
+	cfg        Config
+	structures []Structure
+	progress   func(Progress)
 }
 
 // WithStructure selects the injection target (default RF).
@@ -139,32 +135,18 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithStrategy selects the injection strategy explicitly. All strategies
-// classify every fault identically; they differ only in how much of the
-// pre-fault prefix is re-simulated. Combining a non-checkpointed strategy
-// with WithCheckpoints is a Start-time error.
+// WithStrategy selects the injection strategy (default StrategyForked).
+// Both strategies classify every fault identically; StrategyReplay, the
+// assumption-free reference, simulates every run from reset to program end
+// and is several times slower.
 func WithStrategy(s Strategy) Option {
 	return func(o *sessionConfig) error {
 		switch s {
-		case StrategyReplay, StrategyCheckpointed, StrategyForked:
+		case StrategyReplay, StrategyForked:
 		default:
 			return fmt.Errorf("merlin: WithStrategy(%v): unknown strategy", s)
 		}
 		o.cfg.Strategy = s
-		o.strategySet = true
-		return nil
-	}
-}
-
-// WithCheckpoints sets the snapshot count of the checkpointed strategy
-// and — unless WithStrategy was given — implies StrategyCheckpointed; a
-// conflicting WithStrategy(StrategyReplay) (or Forked) fails Start.
-func WithCheckpoints(k int) Option {
-	return func(o *sessionConfig) error {
-		if k <= 0 {
-			return fmt.Errorf("merlin: WithCheckpoints(%d): want > 0", k)
-		}
-		o.cfg.Checkpoints = k
 		return nil
 	}
 }
@@ -179,9 +161,9 @@ func WithCache(c *Cache) Option {
 	}
 }
 
-// WithSnapshotCache attaches a shared checkpoint-ladder cache: the
-// checkpointed and forked strategies serve their frozen machine snapshots
-// from it instead of rebuilding them, so concurrent and repeat campaigns
+// WithSnapshotCache attaches a shared checkpoint-ladder cache: the forked
+// strategy serves its frozen machine snapshots from it instead of
+// rebuilding them, so concurrent and repeat campaigns
 // over one (workload, CPU config, golden cycles) pay the ladder build
 // once. Create one with NewSnapshotCache; the daemon wires a process-wide
 // instance into every campaign.
@@ -234,28 +216,29 @@ type Session struct {
 	inject injectFunc
 }
 
-// injectFunc is the injection executor underneath Session.Inject: it
-// classifies the session's reduced fault list — reporting each
-// representative through onOutcome (nil for none) with its reduced-list
-// index — and returns the campaign Result. On cancellation it returns the
-// partial Result together with ctx.Err(); a nil Result means injection
-// never started. The daemon swaps in its resumable, shardable ledger
-// (Batch.inject); everything else runs runReduced.
-type injectFunc func(ctx context.Context, s *Session, onOutcome func(int, Fault, Outcome)) (*campaign.Result, error)
+// injectFunc is the one injection executor underneath a Session: it
+// classifies faults — any list over a's golden run: Inject passes the
+// reduced list, Baseline the whole initial one — on a's Runner under a's
+// plan, reporting each fault through onOutcome (nil for none) with its
+// index in faults, and returns the campaign Result. What the list means
+// (extrapolate it, compare against it) is the caller's business. The
+// Result is never nil: on cancellation it is the partial one, returned
+// together with ctx.Err(). The daemon swaps in its resumable, shardable
+// ledger (Batch.inject); everything else runs runList.
+type injectFunc func(ctx context.Context, a *Artifacts, faults []Fault, onOutcome func(int, Fault, Outcome)) (*campaign.Result, error)
 
-// runReduced is the default executor: one Runner.Run over the whole
-// reduced list.
-func runReduced(ctx context.Context, s *Session, onOutcome func(int, Fault, Outcome)) (*campaign.Result, error) {
-	a := s.art
-	return a.Runner.Run(ctx, a.Red.Reduced(), &a.Golden.Result, a.Config.plan(onOutcome))
+// runList is the default executor: one Runner.Run over the whole list.
+func runList(ctx context.Context, a *Artifacts, faults []Fault, onOutcome func(int, Fault, Outcome)) (*campaign.Result, error) {
+	return a.Runner.Run(ctx, faults, &a.Golden.Result, a.Config.plan(onOutcome))
 }
 
-// buildSessionConfig applies the options, resolves the checkpoint/strategy
-// implication, verifies the workload exists, and returns the validated,
+// buildSessionConfig applies the options over the defaults that are not
+// zero values, verifies the workload exists, and returns the validated,
 // defaults-applied configuration. Start and StartBatch share it.
 func buildSessionConfig(workload string, opts []Option) (sessionConfig, error) {
 	var sc sessionConfig
 	sc.cfg.Workload = workload
+	sc.cfg.Strategy = StrategyForked
 	for _, opt := range opts {
 		if opt == nil {
 			continue
@@ -263,14 +246,6 @@ func buildSessionConfig(workload string, opts []Option) (sessionConfig, error) {
 		if err := opt(&sc); err != nil {
 			return sc, err
 		}
-	}
-	if sc.cfg.Checkpoints > 0 {
-		if sc.strategySet && sc.cfg.Strategy != StrategyCheckpointed {
-			return sc, fmt.Errorf(
-				"merlin: WithCheckpoints(%d) implies StrategyCheckpointed, conflicting with WithStrategy(%v)",
-				sc.cfg.Checkpoints, sc.cfg.Strategy)
-		}
-		sc.cfg.Strategy = StrategyCheckpointed
 	}
 	if _, err := workloads.Get(workload); err != nil {
 		return sc, err
@@ -297,7 +272,7 @@ func Start(ctx context.Context, workload string, opts ...Option) (*Session, erro
 	if len(sc.structures) > 0 {
 		return nil, fmt.Errorf("merlin: WithStructures is a batch option; use StartBatch (single campaigns take WithStructure)")
 	}
-	return &Session{cfg: sc.cfg, emit: sc.progress, inject: runReduced}, nil
+	return &Session{cfg: sc.cfg, emit: sc.progress, inject: runList}, nil
 }
 
 // Config returns the session's configuration after defaults were applied.
@@ -429,22 +404,25 @@ func (s *Session) Inject(ctx context.Context) (*Report, error) {
 		return nil, err
 	}
 	s.emitEvent(Progress{Kind: ProgressPhaseStart, Phase: PhaseInject})
-	res, err := s.inject(ctx, s, s.faultEmitter(PhaseInject))
-	if res == nil {
-		return nil, err
-	}
+	res, err := s.inject(ctx, s.art, s.art.Red.Reduced(), s.faultEmitter(PhaseInject))
 	rep := s.art.reportFrom(res, err == nil)
 	if err != nil {
 		return rep, err
 	}
-	s.emitEvent(Progress{
-		Kind: ProgressPhaseDone, Phase: PhaseInject,
-		SnapshotHit: rep.SnapshotHit, CyclesPerSec: rep.CyclesPerSec,
-		Msg: fmt.Sprintf("injected %d representatives in %v (%s cycles/s, %d clones%s; %s): %v",
-			rep.Injected, rep.Wall.Round(time.Millisecond),
-			siCount(rep.CyclesPerSec), rep.Clones, snapshotNote(rep.SnapshotHit), handOffNote(rep.Work), rep.Dist),
-	})
+	s.emitInjected(PhaseInject, "representatives", res, rep.Dist)
 	return rep, nil
+}
+
+// emitInjected reports an injection phase's completion: res classified its
+// list of what into dist.
+func (s *Session) emitInjected(phase Phase, what string, res *campaign.Result, dist Dist) {
+	s.emitEvent(Progress{
+		Kind: ProgressPhaseDone, Phase: phase,
+		SnapshotHit: res.SnapshotHit, CyclesPerSec: res.CyclesPerSec(),
+		Msg: fmt.Sprintf("injected %d %s in %v (%s cycles/s; %s): %v",
+			res.Injected, what, res.Wall.Round(time.Millisecond),
+			siCount(res.CyclesPerSec()), workNote(res.Work), dist),
+	})
 }
 
 // siCount renders a rate with an SI suffix for the phase summaries.
@@ -461,15 +439,6 @@ func siCount(v float64) string {
 	}
 }
 
-// snapshotNote annotates a phase summary when the checkpoint ladder was
-// served from the shared snapshot cache.
-func snapshotNote(hit bool) string {
-	if hit {
-		return ", snapshot cache hit"
-	}
-	return ""
-}
-
 // Run executes the full MeRLiN pipeline (Preprocess, Reduce, Inject) and
 // returns the campaign report. It shares Inject's cancellation contract.
 func (s *Session) Run(ctx context.Context) (*Report, error) {
@@ -477,26 +446,21 @@ func (s *Session) Run(ctx context.Context) (*Report, error) {
 }
 
 // Baseline injects the entire initial fault list (the comprehensive
-// campaign MeRLiN is compared against), reusing this session's
-// preprocessing products, so it does not repeat the golden run after Run.
-// It shares Inject's cancellation
-// contract: on cancellation the partial *BaselineReport is returned
-// together with ctx.Err().
+// campaign MeRLiN is compared against) through the executor Inject uses,
+// reusing this session's preprocessing products, so it does not repeat the
+// golden run after Run. It shares Inject's cancellation contract: on
+// cancellation the partial *BaselineReport is returned together with
+// ctx.Err().
 func (s *Session) Baseline(ctx context.Context) (*BaselineReport, error) {
 	if err := s.Preprocess(ctx); err != nil {
 		return nil, err
 	}
 	s.emitEvent(Progress{Kind: ProgressPhaseStart, Phase: PhaseBaseline})
-	rep, err := s.art.baseline(ctx, s.faultEmitter(PhaseBaseline))
+	res, err := s.inject(ctx, s.art, s.art.Faults, s.faultEmitter(PhaseBaseline))
+	rep := s.art.baselineFrom(res)
 	if err != nil {
 		return rep, err
 	}
-	s.emitEvent(Progress{
-		Kind: ProgressPhaseDone, Phase: PhaseBaseline,
-		SnapshotHit: rep.SnapshotHit, CyclesPerSec: rep.CyclesPerSec,
-		Msg: fmt.Sprintf("injected all %d faults in %v (%s cycles/s%s): %v",
-			rep.Faults, rep.Wall.Round(time.Millisecond),
-			siCount(rep.CyclesPerSec), snapshotNote(rep.SnapshotHit), rep.Dist),
-	})
+	s.emitInjected(PhaseBaseline, "faults", res, rep.Dist)
 	return rep, nil
 }

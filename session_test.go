@@ -4,45 +4,30 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"merlin/internal/campaign"
 )
 
-// TestStartOptionValidation: option conflicts and bad values fail Start,
-// and the checkpoints/strategy implication is explicit.
+// TestStartOptionValidation: bad option values fail Start, and the last
+// WithStrategy given wins.
 func TestStartOptionValidation(t *testing.T) {
 	ctx := context.Background()
 
-	// WithCheckpoints alone implies the checkpointed strategy.
-	s, err := Start(ctx, "sha", WithCheckpoints(6))
+	s, err := Start(ctx, "sha", WithStrategy(StrategyForked), WithStrategy(StrategyReplay))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg := s.Config(); cfg.Strategy != StrategyCheckpointed || cfg.Checkpoints != 6 {
-		t.Fatalf("WithCheckpoints(6): strategy %v checkpoints %d", cfg.Strategy, cfg.Checkpoints)
-	}
-
-	// Explicitly checkpointed + checkpoints is fine.
-	if _, err := Start(ctx, "sha", WithStrategy(StrategyCheckpointed), WithCheckpoints(4)); err != nil {
-		t.Fatalf("checkpointed + checkpoints rejected: %v", err)
-	}
-
-	// A conflicting explicit strategy is rejected, in either option order.
-	for name, opts := range map[string][]Option{
-		"replay then checkpoints": {WithStrategy(StrategyReplay), WithCheckpoints(4)},
-		"checkpoints then replay": {WithCheckpoints(4), WithStrategy(StrategyReplay)},
-		"forked + checkpoints":    {WithStrategy(StrategyForked), WithCheckpoints(4)},
-	} {
-		if _, err := Start(ctx, "sha", opts...); err == nil {
-			t.Errorf("%s: Start accepted the conflict", name)
-		}
+	if got := s.Config().Strategy; got != StrategyReplay {
+		t.Fatalf("WithStrategy(forked), WithStrategy(replay): strategy %v", got)
 	}
 
 	for name, opts := range map[string][]Option{
 		"negative faults":  {WithFaults(-1)},
-		"zero checkpoints": {WithCheckpoints(0)},
 		"negative workers": {WithWorkers(-2)},
 		"zero reps":        {WithRepsPerGroup(0)},
 		"bad confidence":   {WithSampling(1.5, 0.01)},
@@ -60,6 +45,69 @@ func TestStartOptionValidation(t *testing.T) {
 	cancel()
 	if _, err := Start(cancelled, "sha"); !errors.Is(err, context.Canceled) {
 		t.Errorf("Start on a cancelled context: %v", err)
+	}
+}
+
+// TestDefaultStrategyIsForked: the documented entry points run the fast
+// path without being asked — a library session, a batch, and a daemon
+// request that names no strategy — while the engine's zero Plan stays the
+// assumption-free reference.
+func TestDefaultStrategyIsForked(t *testing.T) {
+	ctx := context.Background()
+	if got := startSession(t, "sha").Config().Strategy; got != StrategyForked {
+		t.Errorf("Start without WithStrategy: %v", got)
+	}
+	b, err := StartBatch(ctx, "sha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.cfg.Strategy != StrategyForked {
+		t.Errorf("StartBatch without WithStrategy: %v", b.cfg.Strategy)
+	}
+	opts, err := requestOptions(CampaignRequest{Workload: "sha", Structure: "RF"}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := buildSessionConfig("sha", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.cfg.Strategy != StrategyForked {
+		t.Errorf("request without \"strategy\": %v", sc.cfg.Strategy)
+	}
+	if (campaign.Plan{}).Strategy != campaign.Replay {
+		t.Error("the zero Plan is no longer Replay")
+	}
+}
+
+// TestOneExecutorForBothLists: Inject and Baseline run through the
+// session's one injectFunc, which is handed the list itself — the reduced
+// one, then the whole initial one.
+func TestOneExecutorForBothLists(t *testing.T) {
+	ctx := context.Background()
+	s := preprocessed(t, "sha", WithStructure(RF), WithFaults(200), WithSeed(3))
+	var lists [][]Fault
+	s.inject = func(ctx context.Context, a *Artifacts, faults []Fault, onOutcome func(int, Fault, Outcome)) (*campaign.Result, error) {
+		if a != s.art {
+			t.Error("executor handed another session's artifacts")
+		}
+		lists = append(lists, faults)
+		return runList(ctx, a, faults, onOutcome)
+	}
+	rep, err := s.Inject(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := s.Baseline(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lists) != 2 || !reflect.DeepEqual(lists[0], s.art.Red.Reduced()) || !reflect.DeepEqual(lists[1], s.art.Faults) {
+		t.Fatalf("executor saw %d lists; want the reduced list from Inject, then the initial one from Baseline", len(lists))
+	}
+	if rep.Injected != len(lists[0]) || base.Faults != len(lists[1]) || len(base.Outcomes) != base.Faults {
+		t.Errorf("reports disagree with the lists: injected %d of %d, baseline %d of %d",
+			rep.Injected, len(lists[0]), base.Faults, len(lists[1]))
 	}
 }
 
