@@ -17,8 +17,8 @@ import (
 )
 
 // runAnalyze implements `merlin analyze`: run the guestflow static
-// dataflow engine (CFG recovery, dominators, liveness, reaching
-// definitions) over guest programs, cross-check its may-live bounds
+// dataflow engine (CFG recovery, may-liveness) over guest programs,
+// cross-check its may-live bounds
 // against the dynamic ACE tracer's vulnerable intervals, and report how
 // many sampled RF fault sites the static must-dead pre-pruner would
 // classify masked without a dynamic interval lookup.

@@ -111,8 +111,8 @@ func newOutcomeLedger(total int, structure string, emit func(CampaignEvent), fre
 
 // resume seeds the ledger with a previous incarnation's checkpointed
 // outcomes, returning how many applied. Checkpoint keys are offset by the
-// preceding structures' list lengths, so keys outside
-// [offset, offset+len) belong to the record's other structures; those and
+// preceding lists' lengths, so keys outside
+// [offset, offset+len) belong to the record's other lists; those and
 // unknown outcome names are dropped — a corrupted checkpoint degrades to
 // re-injecting, never to a wrong report.
 func (l *outcomeLedger) resume(resume map[int]string, offset int) int {
@@ -252,20 +252,16 @@ func (sp *shardSpec) validate(cfg cpu.Config, reps []int) error {
 // the job. The merged Result is bit-identical to a plain Runner.Run's in
 // everything but the timing and work counters, because the outcomes are.
 //
-// Checkpoint keys stay one flat map[int]string per record: a structure's
-// indices are offset by the ReducedCount of the structures before it in
-// list order (Batch.Run injects in that order, so those reductions exist
-// by the time this one runs).
-func ledgerInjector(b *Batch, job server.Job, emit func(CampaignEvent), pool *fleet.Pool, client *http.Client, stall time.Duration) injectFunc {
+// Checkpoint keys stay one flat map[int]string per record: a list's indices
+// are offset by the lengths of the lists this injector was handed before it
+// (a record's lists are injected one after another, in the same order by
+// the incarnation that resumes it).
+func ledgerInjector(job server.Job, emit func(CampaignEvent), pool *fleet.Pool, client *http.Client, stall time.Duration) injectFunc {
+	handed := 0
 	return func(ctx context.Context, art *Artifacts, list []Fault, onOutcome func(int, Fault, Outcome)) (*campaign.Result, error) {
 		structure := art.Config.Structure.String()
-		offset := 0
-		for _, prev := range b.sessions {
-			if prev.art == art {
-				break
-			}
-			offset += prev.art.Red.ReducedCount()
-		}
+		offset := handed
+		handed += len(list)
 		led := newOutcomeLedger(len(list), structure, emit, func(i int, o campaign.Outcome) {
 			if onOutcome != nil {
 				onOutcome(i, list[i], o)

@@ -447,47 +447,92 @@ func TestPendingShards(t *testing.T) {
 // TestBaselineThroughLedger: the ledger needs no group boundaries, so the
 // comprehensive list runs through it like any other — over an empty pool
 // (every shard in-process) Session.Baseline under the daemon's executor
-// equals the library's outcome for outcome, and every outcome was
-// checkpointed under its list index.
+// equals the library's outcome for outcome, every outcome was checkpointed
+// under its list index offset by the lists before it (no reduction exists
+// to size the offset by), and a second incarnation resumed from that
+// checkpoint injects nothing.
 func TestBaselineThroughLedger(t *testing.T) {
 	ctx := context.Background()
 	opts := []Option{WithFaults(300), WithSeed(9)}
-	want, err := startSession(t, "sha", append(opts, WithStructure(RF))...).Baseline(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, structures := range [][]Structure{{RF}, {RF, SQ}} {
+		t.Run(fmt.Sprint(structures), func(t *testing.T) {
+			var want []*BaselineReport
+			for _, s := range structures {
+				r, err := startSession(t, "sha", append(opts, WithStructure(s))...).Baseline(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, r)
+			}
+			// baselines runs every structure's comprehensive list through
+			// one ledger-backed batch and returns what it checkpointed.
+			baselines := func(resume map[int]string) ([]*BaselineReport, map[int]string) {
+				b, err := StartBatch(ctx, "sha", append(opts, WithStructures(structures...))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var mu sync.Mutex
+				checkpointed := map[int]string{}
+				job := server.Job{ID: "c000001", Resume: resume, Checkpoint: func(m map[int]string) {
+					mu.Lock()
+					defer mu.Unlock()
+					for k, v := range m {
+						checkpointed[k] = v
+					}
+				}}
+				b.inject = ledgerInjector(job, func(CampaignEvent) {}, fleet.NewPool(0), nil, 0)
+				if err := b.Preprocess(ctx); err != nil {
+					t.Fatal(err)
+				}
+				var got []*BaselineReport
+				for _, s := range b.sessions {
+					r, err := s.Baseline(ctx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got = append(got, r)
+				}
+				return got, checkpointed
+			}
+			same := func(got []*BaselineReport) {
+				t.Helper()
+				for i, g := range got {
+					w := want[i]
+					if !reflect.DeepEqual(g.Outcomes, w.Outcomes) || g.Dist != w.Dist || g.AVF != w.AVF || g.FIT != w.FIT {
+						t.Fatalf("%v baseline through the ledger diverged from the library's:\nledger  %v\nlibrary %v", structures[i], g.Dist, w.Dist)
+					}
+				}
+			}
 
-	b, err := StartBatch(ctx, "sha", append(opts, WithStructures(RF))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	checkpointed := map[int]string{}
-	job := server.Job{ID: "c000001", Checkpoint: func(m map[int]string) {
-		mu.Lock()
-		defer mu.Unlock()
-		for k, v := range m {
-			checkpointed[k] = v
-		}
-	}}
-	b.inject = ledgerInjector(b, job, func(CampaignEvent) {}, fleet.NewPool(0), nil, 0)
-	if err := b.Preprocess(ctx); err != nil {
-		t.Fatal(err)
-	}
-	got, err := b.sessions[0].Baseline(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Outcomes, want.Outcomes) || got.Dist != want.Dist || got.AVF != want.AVF || got.FIT != want.FIT {
-		t.Fatalf("baseline through the ledger diverged from the library's:\nledger  %v\nlibrary %v", got.Dist, want.Dist)
-	}
-	if got.SimCycles == 0 || got.Clones == 0 {
-		t.Errorf("ledger baseline reports no work: %+v", got.Work)
-	}
-	for i, o := range want.Outcomes {
-		if checkpointed[i] != o.String() {
-			t.Fatalf("fault %d checkpointed as %q, classified %v", i, checkpointed[i], o)
-		}
+			got, checkpointed := baselines(nil)
+			same(got)
+			offset := 0
+			for i, w := range want {
+				if got[i].SimCycles == 0 || got[i].Clones == 0 {
+					t.Errorf("%v ledger baseline reports no work: %+v", structures[i], got[i].Work)
+				}
+				for j, o := range w.Outcomes {
+					if checkpointed[offset+j] != o.String() {
+						t.Fatalf("%v fault %d checkpointed under key %d as %q, classified %v", structures[i], j, offset+j, checkpointed[offset+j], o)
+					}
+				}
+				offset += len(w.Outcomes)
+			}
+			if len(checkpointed) != offset {
+				t.Fatalf("%d checkpoint keys for %d faults: the structures' key ranges overlap", len(checkpointed), offset)
+			}
+
+			resumed, again := baselines(checkpointed)
+			same(resumed)
+			if len(again) != 0 {
+				t.Errorf("resumed from a complete checkpoint, yet %d faults were injected again", len(again))
+			}
+			for i, r := range resumed {
+				if r.SimCycles != 0 || r.Clones != 0 {
+					t.Errorf("%v resumed baseline spent work: %+v", structures[i], r.Work)
+				}
+			}
+		})
 	}
 }
 

@@ -140,23 +140,14 @@ func (d Dist) String() string {
 	return s
 }
 
-// Target describes one (workload, core configuration) combination. Init,
-// when non-nil, loads the workload's input data into fresh cores; it must
-// be deterministic.
+// Target describes one (workload, core configuration) combination.
 type Target struct {
 	Cfg  cpu.Config
 	Prog *isa.Program
-	Init func(*cpu.Core)
 }
 
-// NewCore builds a fresh initialised core for the target.
-func (t *Target) NewCore() *cpu.Core {
-	c := cpu.New(t.Cfg, t.Prog)
-	if t.Init != nil {
-		t.Init(c)
-	}
-	return c
-}
+// NewCore builds a fresh core for the target.
+func (t *Target) NewCore() *cpu.Core { return cpu.New(t.Cfg, t.Prog) }
 
 // Golden is the reference run: the architectural outcome plus (optionally)
 // the lifetime tracer of the ACE-like analysis.
@@ -193,7 +184,7 @@ type Runner struct {
 	// (the daemon's in-memory snapshot cache): on a hit the Forked strategy
 	// skips the ladder rebuild entirely. Nil means every campaign builds
 	// its own ladder.
-	Snapshots SnapshotSource
+	Snapshots *SnapshotCache
 	// Pool recycles retired machine-clone shells across faults (and across
 	// campaigns run on this Runner). Nil means the first Run call
 	// installs one; share a pool explicitly to recycle shells across
@@ -396,7 +387,7 @@ type Work struct {
 	FellBack    int64
 	InterpInsts uint64
 	// SnapshotHit reports that the checkpoint ladder was served by a
-	// SnapshotSource instead of rebuilt (always false for Replay, whose
+	// SnapshotCache instead of rebuilt (always false for Replay, whose
 	// reset-only ladder never goes through the source).
 	SnapshotHit bool
 }
@@ -459,22 +450,13 @@ func newResult(n int) *Result {
 // a locally cancelled campaign.
 func NewResultFrom(outcomes []Outcome) *Result {
 	res := &Result{Outcomes: outcomes}
-	for _, o := range outcomes {
-		if o == Cancelled {
-			res.Cancelled++
-			continue
-		}
-		res.Dist.Add(o)
-		res.Injected++
-	}
+	res.tally()
 	return res
 }
 
-// finalize aggregates the classified outcomes into Dist, counts the
-// cancelled remainder, and propagates ctx.Err() when the campaign was cut
-// short (a fully classified campaign returns nil even if ctx was cancelled
-// just after the last fault).
-func (res *Result) finalize(ctx context.Context) error {
+// tally aggregates the classified outcomes into Dist and counts the
+// cancelled remainder.
+func (res *Result) tally() {
 	res.Dist = Dist{}
 	res.Injected, res.Cancelled = 0, 0
 	for _, o := range res.Outcomes {
@@ -485,6 +467,13 @@ func (res *Result) finalize(ctx context.Context) error {
 		res.Dist.Add(o)
 		res.Injected++
 	}
+}
+
+// finalize tallies the outcomes and propagates ctx.Err() when the campaign
+// was cut short (a fully classified campaign returns nil even if ctx was
+// cancelled just after the last fault).
+func (res *Result) finalize(ctx context.Context) error {
+	res.tally()
 	if res.Cancelled > 0 {
 		return ctx.Err()
 	}

@@ -82,31 +82,7 @@ func TestDeadOnArrivalStampsWall(t *testing.T) {
 	}
 }
 
-// mapSnapshotSource is a test double for the daemon's snapshot cache.
-type mapSnapshotSource struct {
-	mu     sync.Mutex
-	sets   map[SnapshotKey]*CheckpointSet
-	calls  int
-	builds int
-}
-
-func (s *mapSnapshotSource) GetOrBuild(key SnapshotKey, build func() *CheckpointSet) (*CheckpointSet, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.calls++
-	if set, ok := s.sets[key]; ok {
-		return set, true
-	}
-	if s.sets == nil {
-		s.sets = make(map[SnapshotKey]*CheckpointSet)
-	}
-	set := build()
-	s.sets[key] = set
-	s.builds++
-	return set, false
-}
-
-// TestSnapshotSourceSharing: with a SnapshotSource attached, repeat
+// TestSnapshotSourceSharing: with a SnapshotCache attached, repeat
 // campaigns reuse one ladder (SnapshotHit set, one build), outcomes stay
 // bit-identical, and a ladder of another snapshot count lives under its
 // own key.
@@ -120,7 +96,7 @@ func TestSnapshotSourceSharing(t *testing.T) {
 	faults := strategyFaultList(c, lifetime.StructRF, g.Result.Cycles, 25, 11, nil)
 	want := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{}))
 
-	src := &mapSnapshotSource{}
+	src := NewSnapshotCache(0)
 	r.Snapshots = src
 	for round := 0; round < 2; round++ {
 		_, ckHit := r.ladder(4, g.Result.Cycles)
@@ -134,8 +110,8 @@ func TestSnapshotSourceSharing(t *testing.T) {
 			}
 		}
 	}
-	if src.builds != 2 { // one ladder per snapshot count: k=4 and ForkSyncPoints
-		t.Errorf("ladder built %d times, want 2 (one per key)", src.builds)
+	if builds := src.Stats().Misses; builds != 2 { // one ladder per snapshot count: k=4 and ForkSyncPoints
+		t.Errorf("ladder built %d times, want 2 (one per key)", builds)
 	}
 	if want.SnapshotHit {
 		t.Error("replay strategy must never report a snapshot hit")
@@ -147,7 +123,7 @@ func TestSnapshotSourceSharing(t *testing.T) {
 // outcomes; run under -race this exercises concurrent cloning of shared
 // frozen ladders end-to-end.
 func TestConcurrentCampaignsSharedSnapshots(t *testing.T) {
-	src := &mapSnapshotSource{}
+	src := NewSnapshotCache(0)
 	base := NewRunner(target(t, "sha"))
 	g, err := base.RunGolden()
 	if err != nil {

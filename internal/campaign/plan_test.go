@@ -16,7 +16,7 @@ var allStrategies = []Strategy{Replay, Forked}
 
 // TestEmptyCampaignDoesNoWork: under every strategy and stop rule, a
 // campaign with nothing to inject (every sampled fault was ACE-masked)
-// simulates nothing, clones nothing and never asks the SnapshotSource for a
+// simulates nothing, clones nothing and never asks the SnapshotCache for a
 // ladder; a non-empty truncated campaign carries the same Wall / Serial /
 // SimCycles stamps as a full-run one.
 func TestEmptyCampaignDoesNoWork(t *testing.T) {
@@ -29,7 +29,7 @@ func TestEmptyCampaignDoesNoWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := &mapSnapshotSource{}
+	src := NewSnapshotCache(0)
 	r.Snapshots = src
 	for _, s := range allStrategies {
 		for _, cut := range []*TruncatedGolden{nil, tg} {
@@ -40,8 +40,8 @@ func TestEmptyCampaignDoesNoWork(t *testing.T) {
 			}
 		}
 	}
-	if src.calls != 0 {
-		t.Errorf("empty campaigns asked the SnapshotSource for a ladder %d times", src.calls)
+	if st := src.Stats(); st.Hits+st.Misses != 0 {
+		t.Errorf("empty campaigns asked the SnapshotCache for a ladder %d times", st.Hits+st.Misses)
 	}
 
 	c := r.NewCore()
@@ -113,7 +113,7 @@ func TestPlansAgreeOnGeneratedKernels(t *testing.T) {
 // TestPlanWorkCounters pins the work each strategy does on sha/RF/1000
 // faults/seed 1 — machine clones, detailed cycles simulated, snapshot hit,
 // and what the hand-off did: runs the interpreter finished, attempts that
-// fell back, instructions interpreted — with and without a SnapshotSource
+// fell back, instructions interpreted — with and without a SnapshotCache
 // (cold, then warm). Replay has no rung and must never hand off.
 func TestPlanWorkCounters(t *testing.T) {
 	type work struct {
@@ -142,7 +142,7 @@ func TestPlanWorkCounters(t *testing.T) {
 		faults := sampling.Generate(lifetime.StructRF, c.StructureEntries(lifetime.StructRF),
 			c.StructureEntryBits(lifetime.StructRF), g.Result.Cycles, 1000, 1)
 		if shared {
-			r.Snapshots = &mapSnapshotSource{}
+			r.Snapshots = NewSnapshotCache(0)
 		}
 		rounds := []map[Strategy]work{cold}
 		if shared {

@@ -130,7 +130,7 @@ type job struct {
 // one, so faults clustering late in the run cannot hold thousands of
 // machine snapshots in memory.
 //
-// The ladder build (one golden-run replay, skipped on a SnapshotSource
+// The ladder build (one golden-run replay, skipped on a SnapshotCache
 // hit) and the sweep are shared pre-fault work, counted once in Wall,
 // Serial and SimCycles. An empty or already-cancelled campaign does
 // neither. Cancellation is observed between faults: no new fault is

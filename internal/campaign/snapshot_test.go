@@ -1,21 +1,20 @@
-package store
+package campaign
 
 import (
 	"sync"
 	"testing"
 
-	"merlin/internal/campaign"
 	"merlin/internal/cpu"
 	"merlin/internal/workloads"
 )
 
-func snapRunner(t *testing.T, workload string) (*campaign.Runner, uint64) {
+func snapRunner(t *testing.T, workload string) (*Runner, uint64) {
 	t.Helper()
 	w, err := workloads.Get(workload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := campaign.NewRunner(campaign.Target{Cfg: cpu.DefaultConfig(), Prog: w.Program()})
+	r := NewRunner(Target{Cfg: cpu.DefaultConfig(), Prog: w.Program()})
 	g, err := r.RunGolden()
 	if err != nil {
 		t.Fatal(err)
@@ -30,9 +29,9 @@ func TestSnapshotCacheHitMiss(t *testing.T) {
 	c := NewSnapshotCache(0)
 	r.Snapshots = c
 
-	key := campaign.SnapshotKey{Workload: "sha", CPU: r.Cfg, K: 4, GoldenCycles: cycles}
+	key := SnapshotKey{Workload: "sha", CPU: r.Cfg, K: 4, GoldenCycles: cycles}
 	builds := 0
-	build := func() *campaign.CheckpointSet {
+	build := func() *CheckpointSet {
 		builds++
 		return r.BuildCheckpoints(4, cycles)
 	}
@@ -63,23 +62,23 @@ func TestSnapshotCacheLRUBudget(t *testing.T) {
 	one := r.BuildCheckpoints(3, cycles)
 	c := NewSnapshotCache(one.MemBytes() + one.MemBytes()/2) // fits one, not two
 
-	keyK := func(k int) campaign.SnapshotKey {
-		return campaign.SnapshotKey{Workload: "sha", CPU: r.Cfg, K: k, GoldenCycles: cycles}
+	keyK := func(k int) SnapshotKey {
+		return SnapshotKey{Workload: "sha", CPU: r.Cfg, K: k, GoldenCycles: cycles}
 	}
-	c.GetOrBuild(keyK(3), func() *campaign.CheckpointSet { return r.BuildCheckpoints(3, cycles) })
-	c.GetOrBuild(keyK(5), func() *campaign.CheckpointSet { return r.BuildCheckpoints(5, cycles) })
+	c.GetOrBuild(keyK(3), func() *CheckpointSet { return r.BuildCheckpoints(3, cycles) })
+	c.GetOrBuild(keyK(5), func() *CheckpointSet { return r.BuildCheckpoints(5, cycles) })
 
 	st := c.Stats()
 	if st.Entries != 1 || st.Evictions != 1 {
 		t.Fatalf("after exceeding budget: %+v", st)
 	}
 	// The newest key must be the survivor: re-requesting it hits...
-	if _, hit := c.GetOrBuild(keyK(5), func() *campaign.CheckpointSet { t.Fatal("unexpected rebuild"); return nil }); !hit {
+	if _, hit := c.GetOrBuild(keyK(5), func() *CheckpointSet { t.Fatal("unexpected rebuild"); return nil }); !hit {
 		t.Error("most recent ladder was evicted")
 	}
 	// ...and the evicted one rebuilds.
 	rebuilt := false
-	if _, hit := c.GetOrBuild(keyK(3), func() *campaign.CheckpointSet {
+	if _, hit := c.GetOrBuild(keyK(3), func() *CheckpointSet {
 		rebuilt = true
 		return r.BuildCheckpoints(3, cycles)
 	}); hit || !rebuilt {
@@ -93,17 +92,17 @@ func TestSnapshotCacheLRUBudget(t *testing.T) {
 func TestSnapshotCacheConcurrentBuild(t *testing.T) {
 	r, cycles := snapRunner(t, "sha")
 	c := NewSnapshotCache(0)
-	key := campaign.SnapshotKey{Workload: "sha", CPU: r.Cfg, K: 6, GoldenCycles: cycles}
+	key := SnapshotKey{Workload: "sha", CPU: r.Cfg, K: 6, GoldenCycles: cycles}
 
 	var mu sync.Mutex
 	builds := 0
 	var wg sync.WaitGroup
-	sets := make([]*campaign.CheckpointSet, 8)
+	sets := make([]*CheckpointSet, 8)
 	for i := range sets {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			set, _ := c.GetOrBuild(key, func() *campaign.CheckpointSet {
+			set, _ := c.GetOrBuild(key, func() *CheckpointSet {
 				mu.Lock()
 				builds++
 				mu.Unlock()

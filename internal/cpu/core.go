@@ -346,14 +346,6 @@ func New(cfg Config, prog *isa.Program) *Core {
 	return c
 }
 
-// WriteData initialises simulated memory before the run starts (workload
-// inputs). It must not be called after Step.
-func (c *Core) WriteData(addr uint64, data []byte) {
-	assertf(c.cycle == 0, "WriteData after the run started")
-	assertf(c.dmem.InRange(addr, len(data)), "WriteData outside mapped memory: %#x+%d", addr, len(data))
-	c.dmem.WriteBytes(addr, data)
-}
-
 // AttachTracer enables lifetime tracking for the golden ACE-like run. The
 // initial architectural register values count as cycle-0 writes.
 func (c *Core) AttachTracer(t *lifetime.Tracer) {

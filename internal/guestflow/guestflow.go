@@ -1,6 +1,6 @@
 // Package guestflow is a static dataflow engine over decoded guest
-// programs (internal/isa): CFG recovery, dominator tree, reaching
-// definitions, and backward may/must-liveness per architectural register.
+// programs (internal/isa): CFG recovery and backward may-liveness per
+// architectural register.
 //
 // It exists as an independent, purely static second opinion on the
 // dynamic ACE-like lifetime analysis (internal/lifetime) that every
@@ -20,7 +20,7 @@
 // has an indirect jump but no labeled text targets, every instruction is
 // a successor. Over-approximating successors over-approximates may-live
 // sets, which keeps both consumers sound. All results are deterministic:
-// label-derived sets are sorted, and every fixpoint iterates in fixed
+// label-derived sets are sorted, and the fixpoint iterates in fixed
 // instruction order.
 package guestflow
 
@@ -71,43 +71,20 @@ func (s RegSet) String() string {
 // allRegs is the full architectural register set.
 const allRegs RegSet = (1 << isa.NumArchRegs) - 1
 
-// Def is one static definition site: instruction RIP writes register Reg.
-// The entry pseudo-definitions (the register values live at program entry)
-// carry RIP EntryDefRIP.
-type Def struct {
-	RIP int32
-	Reg int8
-}
-
-// EntryDefRIP marks the pseudo-definitions seeding every architectural
-// register at program entry. It matches lifetime.InitRip so governing-write
-// lookups translate directly.
-const EntryDefRIP int32 = -3
-
 // Analysis holds the static dataflow results for one program. Build one
 // with Analyze; all methods are read-only and safe for concurrent use.
 type Analysis struct {
 	Prog *isa.Program
 
-	succs [][]int32
-	preds [][]int32
-
+	succs     [][]int32
 	reachable []bool
-	idom      []int32 // immediate dominator per instruction; -1 = none/entry
 
 	use []RegSet // arch registers read by any µop of the instruction
 	def []RegSet // arch registers written by any µop of the instruction
 
-	mayIn   []RegSet
-	mayOut  []RegSet
-	mustIn  []RegSet
-	mustOut []RegSet
+	mayIn  []RegSet
+	mayOut []RegSet
 
-	defs    []Def
-	defsOf  [][]int32 // per instruction, indexes into defs (its own defs)
-	reachIn []uint64  // n * words bitset backing; reaching defs at entry of i
-
-	words    int     // bitset words per instruction
 	indirect []int32 // conservative successor set shared by every jalr
 }
 
@@ -118,25 +95,18 @@ func Analyze(p *isa.Program) *Analysis {
 	g := &Analysis{
 		Prog:      p,
 		succs:     make([][]int32, n),
-		preds:     make([][]int32, n),
 		reachable: make([]bool, n),
-		idom:      make([]int32, n),
 		use:       make([]RegSet, n),
 		def:       make([]RegSet, n),
 		mayIn:     make([]RegSet, n),
 		mayOut:    make([]RegSet, n),
-		mustIn:    make([]RegSet, n),
-		mustOut:   make([]RegSet, n),
-		defsOf:    make([][]int32, n),
 	}
 	if n == 0 {
 		return g
 	}
 	g.buildUseDef()
 	g.buildCFG()
-	g.buildDominators()
 	g.buildLiveness()
-	g.buildReachingDefs()
 	return g
 }
 
@@ -192,11 +162,6 @@ func (g *Analysis) buildCFG() {
 			add(int64(i) + 1)
 		}
 		g.succs[i] = ss
-	}
-	for i, ss := range g.succs {
-		for _, s := range ss {
-			g.preds[s] = append(g.preds[s], int32(i))
-		}
 	}
 	// Reachability from the entry point, over the conservative edges.
 	work := []int32{int32(g.Prog.Entry)}
@@ -257,206 +222,24 @@ func indirectTargets(p *isa.Program) []int32 {
 	return ts
 }
 
-// buildDominators computes immediate dominators over the reachable
-// subgraph with the Cooper-Harvey-Kennedy iterative algorithm on a
-// reverse-postorder numbering.
-func (g *Analysis) buildDominators() {
-	n := len(g.Prog.Text)
-	for i := range g.idom {
-		g.idom[i] = -1
-	}
-	entry := int32(g.Prog.Entry)
-	if g.Prog.Entry < 0 || g.Prog.Entry >= n || !g.reachable[entry] {
-		return
-	}
-	// Postorder DFS from entry.
-	post := make([]int32, 0, n)
-	order := make([]int32, n) // RPO number per node; -1 = unreachable
-	for i := range order {
-		order[i] = -1
-	}
-	type frame struct {
-		node int32
-		next int
-	}
-	visited := make([]bool, n)
-	stack := []frame{{entry, 0}}
-	visited[entry] = true
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.next < len(g.succs[f.node]) {
-			s := g.succs[f.node][f.next]
-			f.next++
-			if !visited[s] {
-				visited[s] = true
-				stack = append(stack, frame{s, 0})
-			}
-			continue
-		}
-		post = append(post, f.node)
-		stack = stack[:len(stack)-1]
-	}
-	rpo := make([]int32, len(post))
-	for i := range post {
-		node := post[len(post)-1-i]
-		rpo[i] = node
-		order[node] = int32(i)
-	}
-
-	intersect := func(a, b int32) int32 {
-		for a != b {
-			for order[a] > order[b] {
-				a = g.idom[a]
-			}
-			for order[b] > order[a] {
-				b = g.idom[b]
-			}
-		}
-		return a
-	}
-
-	g.idom[entry] = entry
-	for changed := true; changed; {
-		changed = false
-		for _, node := range rpo {
-			if node == entry {
-				continue
-			}
-			var newIdom int32 = -1
-			for _, p := range g.preds[node] {
-				if g.idom[p] == -1 {
-					continue
-				}
-				if newIdom == -1 {
-					newIdom = p
-				} else {
-					newIdom = intersect(p, newIdom)
-				}
-			}
-			if newIdom != -1 && g.idom[node] != newIdom {
-				g.idom[node] = newIdom
-				changed = true
-			}
-		}
-	}
-	g.idom[entry] = -1 // the entry dominates itself trivially; report none
-}
-
-// buildLiveness runs the backward may- and must-liveness fixpoints.
-// May-live: a register is may-live-out of i if some path from a successor
-// reads it before writing it. Must-live: every path reads it before
-// writing it (an instruction with no successors has an empty must-out;
-// unreachable instructions still get locally consistent sets, but only
-// reachable ones matter to the consumers).
+// buildLiveness runs the backward may-liveness fixpoint: a register is
+// may-live-out of i if some path from a successor reads it before writing
+// it. Unreachable instructions still get locally consistent sets, but only
+// reachable ones matter to the consumers.
 func (g *Analysis) buildLiveness() {
 	n := len(g.Prog.Text)
 	for changed := true; changed; {
 		changed = false
 		for i := n - 1; i >= 0; i-- {
-			var may RegSet
-			must := allRegs
-			if len(g.succs[i]) == 0 {
-				must = 0
-			}
+			var out RegSet
 			for _, s := range g.succs[i] {
-				may |= g.mayIn[s]
-				must &= g.mustIn[s]
+				out |= g.mayIn[s]
 			}
-			mayIn := g.use[i] | (may &^ g.def[i])
-			mustIn := g.use[i] | (must &^ g.def[i])
-			if may != g.mayOut[i] || must != g.mustOut[i] || mayIn != g.mayIn[i] || mustIn != g.mustIn[i] {
+			in := g.use[i] | (out &^ g.def[i])
+			if out != g.mayOut[i] || in != g.mayIn[i] {
 				changed = true
 			}
-			g.mayOut[i], g.mustOut[i] = may, must
-			g.mayIn[i], g.mustIn[i] = mayIn, mustIn
-		}
-	}
-}
-
-// buildReachingDefs runs the forward reaching-definitions fixpoint over
-// a dense def-site numbering: defs 0..15 are the entry pseudo-definitions
-// (initial register values), followed by one def per (instruction,
-// written register) in instruction order. The per-instruction IN sets
-// share one backing bitset allocation.
-func (g *Analysis) buildReachingDefs() {
-	n := len(g.Prog.Text)
-	g.defs = make([]Def, 0, n+isa.NumArchRegs)
-	for r := 0; r < isa.NumArchRegs; r++ {
-		g.defs = append(g.defs, Def{RIP: EntryDefRIP, Reg: int8(r)})
-	}
-	byReg := make([][]int32, isa.NumArchRegs) // def ids per register
-	for r := range byReg {
-		byReg[r] = []int32{int32(r)}
-	}
-	for i := range g.Prog.Text {
-		for r := 0; r < isa.NumArchRegs; r++ {
-			if g.def[i].Has(int8(r)) {
-				id := int32(len(g.defs))
-				g.defs = append(g.defs, Def{RIP: int32(i), Reg: int8(r)})
-				g.defsOf[i] = append(g.defsOf[i], id)
-				byReg[r] = append(byReg[r], id)
-			}
-		}
-	}
-	nd := len(g.defs)
-	g.words = (nd + 63) / 64
-	g.reachIn = make([]uint64, n*g.words)
-	out := make([]uint64, n*g.words)
-	tmp := make([]uint64, g.words)
-
-	// Entry block starts with the pseudo-definitions.
-	entry := g.Prog.Entry
-	if entry >= 0 && entry < n {
-		for r := 0; r < isa.NumArchRegs; r++ {
-			g.reachIn[entry*g.words+r/64] |= 1 << uint(r%64)
-		}
-	}
-
-	transfer := func(i int) bool {
-		in := g.reachIn[i*g.words : (i+1)*g.words]
-		copy(tmp, in)
-		// Kill every other def of the registers this instruction writes,
-		// then add its own defs.
-		for r := 0; r < isa.NumArchRegs; r++ {
-			if !g.def[i].Has(int8(r)) {
-				continue
-			}
-			for _, id := range byReg[r] {
-				tmp[id/64] &^= 1 << uint(id%64)
-			}
-		}
-		for _, id := range g.defsOf[i] {
-			tmp[id/64] |= 1 << uint(id%64)
-		}
-		o := out[i*g.words : (i+1)*g.words]
-		changed := false
-		for w := range tmp {
-			if o[w] != tmp[w] {
-				o[w] = tmp[w]
-				changed = true
-			}
-		}
-		return changed
-	}
-
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < n; i++ {
-			// IN = union of predecessor OUTs (plus the entry seeds).
-			in := g.reachIn[i*g.words : (i+1)*g.words]
-			for _, p := range g.preds[i] {
-				po := out[int(p)*g.words : (int(p)+1)*g.words]
-				for w := range in {
-					nv := in[w] | po[w]
-					if nv != in[w] {
-						in[w] = nv
-						changed = true
-					}
-				}
-			}
-			if transfer(i) {
-				changed = true
-			}
+			g.mayOut[i], g.mayIn[i] = out, in
 		}
 	}
 }
@@ -464,24 +247,11 @@ func (g *Analysis) buildReachingDefs() {
 // Succs returns i's CFG successors. The slice is shared; do not mutate.
 func (g *Analysis) Succs(i int) []int32 { return g.succs[i] }
 
-// Preds returns i's CFG predecessors. The slice is shared; do not mutate.
-func (g *Analysis) Preds(i int) []int32 { return g.preds[i] }
-
 // Reachable reports whether instruction i is reachable from the entry
 // point over the (conservative) CFG edges.
 func (g *Analysis) Reachable(i int) bool {
 	return i >= 0 && i < len(g.reachable) && g.reachable[i]
 }
-
-// Idom returns the immediate dominator of instruction i, or -1 for the
-// entry point and unreachable instructions.
-func (g *Analysis) Idom(i int) int32 { return g.idom[i] }
-
-// Use returns the architectural registers read by instruction i's µops.
-func (g *Analysis) Use(i int) RegSet { return g.use[i] }
-
-// Def returns the architectural registers written by instruction i's µops.
-func (g *Analysis) Def(i int) RegSet { return g.def[i] }
 
 // MayLiveIn returns the registers that may be read before being written
 // on some path starting at instruction i.
@@ -491,40 +261,10 @@ func (g *Analysis) MayLiveIn(i int) RegSet { return g.mayIn[i] }
 // on some path leaving instruction i.
 func (g *Analysis) MayLiveOut(i int) RegSet { return g.mayOut[i] }
 
-// MustLiveIn returns the registers read before being written on every
-// path starting at instruction i.
-func (g *Analysis) MustLiveIn(i int) RegSet { return g.mustIn[i] }
-
-// MustLiveOut returns the registers read before being written on every
-// path leaving instruction i.
-func (g *Analysis) MustLiveOut(i int) RegSet { return g.mustOut[i] }
-
 // MustDeadOut returns the registers provably dead leaving instruction i:
 // on every static path the value is overwritten before any read. Faults in
 // such a value are masked by construction.
 func (g *Analysis) MustDeadOut(i int) RegSet { return ^g.mayOut[i] & allRegs }
-
-// Defs returns the static definition-site table (entry pseudo-defs
-// first). The slice is shared; do not mutate.
-func (g *Analysis) Defs() []Def { return g.defs }
-
-// ReachingIn returns the def ids (indexes into Defs) reaching the entry
-// of instruction i, in ascending order.
-func (g *Analysis) ReachingIn(i int) []int32 {
-	var ids []int32
-	in := g.reachIn[i*g.words : (i+1)*g.words]
-	for w, b := range in {
-		for b != 0 {
-			ids = append(ids, int32(w*64+bits.TrailingZeros64(b)))
-			b &= b - 1
-		}
-	}
-	return ids
-}
-
-// IndirectTargets returns the conservative jalr successor set (nil when
-// the program has no indirect jumps). The slice is shared; do not mutate.
-func (g *Analysis) IndirectTargets() []int32 { return g.indirect }
 
 // Stats summarises the CFG and dataflow results for reporting.
 type Stats struct {
@@ -542,7 +282,7 @@ type Stats struct {
 
 // ComputeStats derives summary statistics from the analysis.
 func (g *Analysis) ComputeStats() Stats {
-	st := Stats{Instructions: len(g.Prog.Text), Defs: len(g.defs), IndirectFan: len(g.indirect)}
+	st := Stats{Instructions: len(g.Prog.Text), Defs: isa.NumArchRegs, IndirectFan: len(g.indirect)}
 	var live, dead, reach int
 	for i, in := range g.Prog.Text {
 		switch {
@@ -553,6 +293,7 @@ func (g *Analysis) ComputeStats() Stats {
 		case in.Op == isa.JALR:
 			st.IndirectOps++
 		}
+		st.Defs += g.def[i].Count()
 		for _, s := range g.succs[i] {
 			if int(s) <= i {
 				st.BackEdges++

@@ -58,10 +58,10 @@ func refMayLiveIn(g *Analysis, i int, r int8) bool {
 			return false
 		}
 		seen[n] = true
-		if g.Use(n).Has(r) {
+		if g.use[n].Has(r) {
 			return true
 		}
-		if g.Def(n).Has(r) {
+		if g.def[n].Has(r) {
 			return false
 		}
 		for _, s := range g.Succs(n) {
@@ -74,110 +74,9 @@ func refMayLiveIn(g *Analysis, i int, r int8) bool {
 	return dfs(i)
 }
 
-// refNotMustLiveIn witnesses the complement of must-liveness: a maximal
-// path from i (terminating, or cycling forever) that defines r or ends
-// without ever using r. Re-entering a node on the in-progress DFS stack
-// means a use-free cycle — an infinite path avoiding r — so must-liveness
-// fails. Memoised three-state DFS, again structurally unlike the bitset
-// fixpoint it checks.
-func refNotMustLiveIn(g *Analysis, i int, r int8) bool {
-	const (
-		unknown = iota
-		inProgress
-		yes
-		no
-	)
-	state := make([]int, len(g.Prog.Text))
-	var dfs func(n int) bool
-	dfs = func(n int) bool {
-		switch state[n] {
-		case inProgress:
-			return true // use-free cycle reached
-		case yes:
-			return true
-		case no:
-			return false
-		}
-		state[n] = inProgress
-		res := false
-		switch {
-		case g.Use(n).Has(r):
-			res = false // every extension of this path used r first
-		case g.Def(n).Has(r):
-			res = true
-		case len(g.Succs(n)) == 0:
-			res = true // terminated without using r
-		default:
-			for _, s := range g.Succs(n) {
-				if dfs(int(s)) {
-					res = true
-					break
-				}
-			}
-		}
-		if res {
-			state[n] = yes
-		} else {
-			state[n] = no
-		}
-		return res
-	}
-	return dfs(i)
-}
-
-// refReachesIn: definition d reaches the entry of target iff target is
-// reachable from d's def site (or the program entry for pseudo-defs)
-// without crossing another def of the same register.
-func refReachesIn(g *Analysis, d Def, target int) bool {
-	seen := make([]bool, len(g.Prog.Text))
-	var dfs func(n int) bool
-	dfs = func(n int) bool {
-		if seen[n] {
-			return false
-		}
-		seen[n] = true
-		if n == target {
-			return true
-		}
-		if g.Def(n).Has(d.Reg) {
-			return false
-		}
-		for _, s := range g.Succs(n) {
-			if dfs(int(s)) {
-				return true
-			}
-		}
-		return false
-	}
-	if d.RIP == EntryDefRIP {
-		return dfs(g.Prog.Entry)
-	}
-	if !g.Reachable(int(d.RIP)) {
-		// The fixpoint never propagates a def the program cannot execute.
-		return false
-	}
-	if int(d.RIP) == target {
-		// A def at target kills at the instruction, after its entry: it
-		// reaches target's entry only around a cycle.
-		for _, s := range g.Succs(int(d.RIP)) {
-			if dfs(int(s)) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, s := range g.Succs(int(d.RIP)) {
-		if dfs(int(s)) {
-			return true
-		}
-	}
-	return false
-}
-
-// checkAgainstReference compares the fixpoint liveness and reaching-defs
-// products against the path-based references on every reachable
-// instruction and register.
-func checkAgainstReference(t *testing.T, g *Analysis, reachingDefs bool) {
+// checkAgainstReference compares the fixpoint liveness against the
+// path-based reference on every reachable instruction and register.
+func checkAgainstReference(t *testing.T, g *Analysis) {
 	t.Helper()
 	for i := range g.Prog.Text {
 		if !g.Reachable(i) {
@@ -186,23 +85,6 @@ func checkAgainstReference(t *testing.T, g *Analysis, reachingDefs bool) {
 		for r := int8(0); r < isa.NumArchRegs; r++ {
 			if got, want := g.MayLiveIn(i).Has(r), refMayLiveIn(g, i, r); got != want {
 				t.Errorf("%s: may-live-in(%d, r%d) = %v, reference says %v", g.Prog.Name, i, r, got, want)
-			}
-			if got, want := g.MustLiveIn(i).Has(r), !refNotMustLiveIn(g, i, r); got != want {
-				t.Errorf("%s: must-live-in(%d, r%d) = %v, reference says %v", g.Prog.Name, i, r, got, want)
-			}
-		}
-		if !reachingDefs {
-			continue
-		}
-		got := make(map[int32]bool)
-		for _, id := range g.ReachingIn(i) {
-			got[id] = true
-		}
-		for id, d := range g.Defs() {
-			want := refReachesIn(g, d, i)
-			if got[int32(id)] != want {
-				t.Errorf("%s: reaching-in(%d) def #%d (rip=%d r%d) = %v, reference says %v",
-					g.Prog.Name, i, id, d.RIP, d.Reg, got[int32(id)], want)
 			}
 		}
 	}
@@ -244,34 +126,20 @@ func TestLivenessHandWritten(t *testing.T) {
 			t.Errorf("inst %d: may-live in/out = %s/%s, want %s/%s",
 				c.i, g.MayLiveIn(c.i), g.MayLiveOut(c.i), c.mayIn, c.mayOut)
 		}
-		// The diamond has no cycles and both arms agree on r3, so must-
-		// and may-liveness coincide everywhere here.
-		if g.MustLiveIn(c.i) != c.mayIn {
-			t.Errorf("inst %d: must-live-in = %s, want %s", c.i, g.MustLiveIn(c.i), c.mayIn)
-		}
-	}
-	// r1 is may-live but NOT must-live out of the branch arm split point:
-	// it dies on the taken arm. Out of instruction 2 the arms diverge on
-	// nothing (both still read r2), but r1 is used only on the
-	// fallthrough arm... which is instruction 3's use, making r1 may-live
-	// out of 2 via one arm only. Both sets above already assert the
-	// union; assert the intersection difference explicitly:
-	if got := g.MustLiveOut(2); got != set(2) {
-		t.Errorf("must-live-out(2) = %s, want %s (r1 dies on the taken arm)", got, set(2))
 	}
 	if got := g.MustDeadOut(6); !got.Has(3) {
 		t.Errorf("must-dead-out(6) = %s: r3 must be dead after its last read", got)
 	}
-	checkAgainstReference(t, g, true)
+	checkAgainstReference(t, g)
 }
 
 // TestLivenessLoop: a counted loop keeps its counter and accumulator
-// may- and must-live around the back edge.
+// may-live around the back edge.
 //
 //	0  li   r1, 10        counter
 //	1  li   r2, 0         accumulator
 //	2  add  r2, r2, r1    loop body
-//	3  add  r1, r1, r3    r3 never defined: entry pseudo-def feeds it
+//	3  add  r1, r1, r3    r3 never defined: its reset value feeds it
 //	4  bne  r1, r0 -> 2
 //	5  out  r2
 //	6  halt
@@ -287,13 +155,12 @@ func TestLivenessLoop(t *testing.T) {
 	if in := g.MayLiveIn(2); in != set(0, 1, 2, 3) {
 		t.Errorf("loop head may-live-in = %s, want %s", in, set(0, 1, 2, 3))
 	}
-	// r3 is live-in at entry (read but never written): the entry
-	// pseudo-def must reach the reader and r3 must be may-live-in at the
-	// program entry.
+	// r3 is live-in at entry (read but never written): it must be
+	// may-live-in at the program entry.
 	if !g.MayLiveIn(p.Entry).Has(3) {
 		t.Errorf("r3 read-before-write not live-in at entry: %s", g.MayLiveIn(p.Entry))
 	}
-	checkAgainstReference(t, g, true)
+	checkAgainstReference(t, g)
 }
 
 // TestCFGShape pins successor sets: taken+fallthrough for conditional
@@ -348,8 +215,8 @@ func TestJALRConservatism(t *testing.T) {
 	if fmt.Sprint(g.Succs(5)) != fmt.Sprint(want) {
 		t.Errorf("second jalr succs = %v, want %v", g.Succs(5), want)
 	}
-	if fmt.Sprint(g.IndirectTargets()) != fmt.Sprint(want) {
-		t.Errorf("IndirectTargets = %v, want %v", g.IndirectTargets(), want)
+	if fmt.Sprint(g.indirect) != fmt.Sprint(want) {
+		t.Errorf("indirect target set = %v, want %v", g.indirect, want)
 	}
 
 	// No labels, no calls: the only sound answer is "anywhere".
@@ -360,26 +227,7 @@ func TestJALRConservatism(t *testing.T) {
 	}
 }
 
-// TestDominators: on the diamond, the branch dominates both arms and the
-// join; neither arm dominates the join.
-func TestDominators(t *testing.T) {
-	p := prog("dom",
-		li(1, 0),
-		beq(1, 1, 3),
-		jal(isa.NoReg, 4), // fallthrough arm
-		jal(isa.NoReg, 4), // taken arm
-		halt(),            // join
-	)
-	g := Analyze(p)
-	wantIdom := []int32{-1, 0, 1, 1, 1}
-	for i, w := range wantIdom {
-		if g.Idom(i) != w {
-			t.Errorf("idom(%d) = %d, want %d", i, g.Idom(i), w)
-		}
-	}
-}
-
-// TestGeneratedKernelsAgainstReference runs the path-based references
+// TestGeneratedKernelsAgainstReference runs the path-based reference
 // over every generator class: real-sized programs with loops, stores,
 // atomics and forward-branch DAG bodies.
 func TestGeneratedKernelsAgainstReference(t *testing.T) {
@@ -387,9 +235,7 @@ func TestGeneratedKernelsAgainstReference(t *testing.T) {
 		for seed := uint64(1); seed <= 3; seed++ {
 			p := gen.Kernel(class, seed)
 			g := Analyze(p)
-			// Reaching-defs reference is O(defs * n^2); keep it to the
-			// smaller kernels.
-			checkAgainstReference(t, g, len(p.Text) <= 96)
+			checkAgainstReference(t, g)
 		}
 	}
 }
@@ -406,7 +252,7 @@ func TestStreamProgramsAgainstReference(t *testing.T) {
 	for _, in := range inputs {
 		p := gen.DecodeStream(in)
 		g := Analyze(p)
-		checkAgainstReference(t, g, len(p.Text) <= 96)
+		checkAgainstReference(t, g)
 	}
 }
 
@@ -418,9 +264,8 @@ func TestAnalyzeDeterministic(t *testing.T) {
 	p := gen.Kernel("mixed", 7)
 	a, b := Analyze(p), Analyze(p)
 	for i := range p.Text {
-		if a.MayLiveIn(i) != b.MayLiveIn(i) || a.MustLiveOut(i) != b.MustLiveOut(i) ||
-			fmt.Sprint(a.Succs(i)) != fmt.Sprint(b.Succs(i)) ||
-			fmt.Sprint(a.ReachingIn(i)) != fmt.Sprint(b.ReachingIn(i)) {
+		if a.MayLiveIn(i) != b.MayLiveIn(i) || a.MayLiveOut(i) != b.MayLiveOut(i) ||
+			fmt.Sprint(a.Succs(i)) != fmt.Sprint(b.Succs(i)) {
 			t.Fatalf("analysis of %s not deterministic at instruction %d", p.Name, i)
 		}
 	}

@@ -19,15 +19,11 @@ type Params struct {
 	ErrorMargin float64 // e.g. 0.0063
 }
 
-// The two configurations used throughout the paper: 60,000 faults
-// (99.8% / 0.63%) for the baseline comprehensive campaigns and 600,000
-// (99.8% / 0.19%) for the scaling study of §4.4.2.4.
-var (
-	//lint:allow globmut002 read-only preset mirroring the paper's Table 2; value type, copied at use sites, conventionally immutable
-	Baseline = Params{Confidence: 0.998, ErrorMargin: 0.0063}
-	//lint:allow globmut002 read-only preset mirroring the paper's Table 2; value type, copied at use sites, conventionally immutable
-	Scaled = Params{Confidence: 0.998, ErrorMargin: 0.0019}
-)
+// Baseline is the configuration of the paper's comprehensive campaigns:
+// 60,000 faults (99.8% / 0.63%).
+//
+//lint:allow globmut002 read-only preset mirroring the paper's Table 2; value type, copied at use sites, conventionally immutable
+var Baseline = Params{Confidence: 0.998, ErrorMargin: 0.0063}
 
 // zScore returns the two-sided normal quantile for confidence c, via the
 // Acklam rational approximation of the inverse normal CDF (|rel err| < 1e-9

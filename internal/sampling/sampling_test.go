@@ -26,7 +26,8 @@ func TestZScore(t *testing.T) {
 
 func TestPaperSampleSizes(t *testing.T) {
 	// §3.1.2: a 256-entry 64-bit register file over 100M cycles needs
-	// ~2,000 faults at (99%, 2.88%) and ~60,000 at (99.8%, 0.63%).
+	// ~2,000 faults at (99%, 2.88%), ~60,000 at (99.8%, 0.63%) and
+	// ~600,000 at (99.8%, 0.19%).
 	pop := Population(256, 64, 100_000_000)
 
 	n1 := Params{Confidence: 0.99, ErrorMargin: 0.0288}.SampleSize(pop)
@@ -37,7 +38,7 @@ func TestPaperSampleSizes(t *testing.T) {
 	if n2 < 59000 || n2 > 61500 {
 		t.Errorf("(99.8%%, 0.63%%) sample = %d, want ~60000", n2)
 	}
-	n3 := Scaled.SampleSize(pop)
+	n3 := Params{Confidence: 0.998, ErrorMargin: 0.0019}.SampleSize(pop) // §4.4.2.4 scaling study
 	if n3 < 590000 || n3 > 670000 {
 		t.Errorf("(99.8%%, 0.19%%) sample = %d, want ~600000+", n3)
 	}

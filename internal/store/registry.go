@@ -17,9 +17,6 @@ package store
 // atomic and crash-safe without a log format.
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -131,16 +128,10 @@ func (r *Registry) Put(rec CampaignRecord) error {
 	if !validID(rec.ID) {
 		return fmt.Errorf("store: invalid campaign id %q", rec.ID)
 	}
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(&rec); err != nil {
+	out, err := seal(recordMagic, &rec)
+	if err != nil {
 		return fmt.Errorf("store: encoding campaign record: %w", err)
 	}
-	sum := sha256.Sum256(body.Bytes())
-	out := make([]byte, 0, len(recordMagic)+len(sum)+body.Len())
-	out = append(out, recordMagic...)
-	out = append(out, sum[:]...)
-	out = append(out, body.Bytes()...)
-
 	if err := r.fs.WriteFileAtomic(r.recordPath(rec.ID), out); err != nil {
 		return err
 	}
@@ -173,8 +164,8 @@ func (r *Registry) Get(id string) (CampaignRecord, bool) {
 	if err != nil {
 		return CampaignRecord{}, false
 	}
-	rec, err := decodeRecord(raw)
-	if err != nil {
+	var rec CampaignRecord
+	if err := unseal(recordMagic, raw, &rec); err != nil {
 		r.errs.Add(1)
 		r.quarantine(id + ".campaign")
 		return CampaignRecord{}, false
@@ -203,8 +194,8 @@ func (r *Registry) List() ([]CampaignRecord, error) {
 			r.errs.Add(1)
 			continue
 		}
-		rec, err := decodeRecord(raw)
-		if err != nil || rec.ID+".campaign" != name {
+		var rec CampaignRecord
+		if err := unseal(recordMagic, raw, &rec); err != nil || rec.ID+".campaign" != name {
 			r.errs.Add(1)
 			r.quarantine(name)
 			continue
@@ -254,26 +245,4 @@ func (r *Registry) Stats() RegistryStats {
 		}
 	}
 	return st
-}
-
-// decodeRecord verifies magic and checksum and decodes the payload.
-func decodeRecord(raw []byte) (CampaignRecord, error) {
-	var rec CampaignRecord
-	if !bytes.HasPrefix(raw, recordMagic) {
-		return rec, fmt.Errorf("store: bad record magic or version")
-	}
-	raw = raw[len(recordMagic):]
-	if len(raw) < sha256.Size {
-		return rec, fmt.Errorf("store: truncated campaign record")
-	}
-	want := raw[:sha256.Size]
-	body := raw[sha256.Size:]
-	sum := sha256.Sum256(body)
-	if !bytes.Equal(sum[:], want) {
-		return rec, fmt.Errorf("store: record checksum mismatch")
-	}
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&rec); err != nil {
-		return rec, fmt.Errorf("store: decoding campaign record: %w", err)
-	}
-	return rec, nil
 }

@@ -26,6 +26,7 @@ import (
 	"encoding/gob"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -252,11 +253,8 @@ func (s *Store) Get(k Key) (*Artifact, bool) {
 		s.misses.Add(1)
 		return nil, false
 	}
-	a, err := decode(raw)
-	if err == nil && !artifactMatches(a, k) {
-		err = fmt.Errorf("store: artifact key mismatch")
-	}
-	if err != nil {
+	a := new(Artifact)
+	if err := unseal(fileMagic, raw, a); err != nil || !artifactMatches(a, k) {
 		s.errs.Add(1)
 		s.misses.Add(1)
 		return nil, false
@@ -289,9 +287,9 @@ func artifactMatches(a *Artifact, k Key) bool {
 // payloads are bit-identical by determinism) and readers never observe a
 // partial file.
 func (s *Store) Put(k Key, a *Artifact) error {
-	payload, err := encode(a)
+	payload, err := seal(fileMagic, a)
 	if err != nil {
-		return err
+		return fmt.Errorf("store: encoding artifact: %w", err)
 	}
 	if err := s.fs.WriteFileAtomic(s.path(k), payload); err != nil {
 		return err
@@ -322,38 +320,32 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// encode renders magic || sha256(gob) || gob.
-func encode(a *Artifact) ([]byte, error) {
+// seal renders magic || sha256(gob(v)) || gob(v): the one file layout of
+// the artifact cache and the campaign registry, each under its own magic.
+func seal(magic []byte, v any) ([]byte, error) {
 	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(a); err != nil {
-		return nil, fmt.Errorf("store: encoding artifact: %w", err)
+	if err := gob.NewEncoder(&body).Encode(v); err != nil {
+		return nil, err
 	}
 	sum := sha256.Sum256(body.Bytes())
-	out := make([]byte, 0, len(fileMagic)+len(sum)+body.Len())
-	out = append(out, fileMagic...)
+	out := make([]byte, 0, len(magic)+len(sum)+body.Len())
+	out = append(out, magic...)
 	out = append(out, sum[:]...)
-	out = append(out, body.Bytes()...)
-	return out, nil
+	return append(out, body.Bytes()...), nil
 }
 
-// decode verifies magic and checksum and decodes the payload.
-func decode(raw []byte) (*Artifact, error) {
-	if !bytes.HasPrefix(raw, fileMagic) {
-		return nil, fmt.Errorf("store: bad magic or version")
+// unseal verifies magic and checksum and decodes the payload into v.
+func unseal(magic, raw []byte, v any) error {
+	if !bytes.HasPrefix(raw, magic) {
+		return errors.New("bad magic or version")
 	}
-	raw = raw[len(fileMagic):]
+	raw = raw[len(magic):]
 	if len(raw) < sha256.Size {
-		return nil, fmt.Errorf("store: truncated artifact")
+		return errors.New("truncated")
 	}
-	want := raw[:sha256.Size]
-	body := raw[sha256.Size:]
-	sum := sha256.Sum256(body)
-	if !bytes.Equal(sum[:], want) {
-		return nil, fmt.Errorf("store: checksum mismatch")
+	want, body := raw[:sha256.Size], raw[sha256.Size:]
+	if sum := sha256.Sum256(body); !bytes.Equal(sum[:], want) {
+		return errors.New("checksum mismatch")
 	}
-	a := new(Artifact)
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(a); err != nil {
-		return nil, fmt.Errorf("store: decoding artifact: %w", err)
-	}
-	return a, nil
+	return gob.NewDecoder(bytes.NewReader(body)).Decode(v)
 }

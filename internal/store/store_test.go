@@ -301,3 +301,41 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestServesParentWrittenFiles: the on-disk layout did not move when the
+// two codecs became one — an artifact and a campaign record written by the
+// commit before that change (testdata/, Put of sampleArtifact and
+// sampleRecord there) are served by Get and List.
+func TestServesParentWrittenFiles(t *testing.T) {
+	place := func(dir, from, to string) {
+		t.Helper()
+		raw, err := os.ReadFile(filepath.Join("testdata", from))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, to), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	place(s.Dir(), "parent.artifact", filepath.Base(s.path(sampleKey())))
+	if got, ok := s.Get(sampleKey()); !ok || !reflect.DeepEqual(got, sampleArtifact()) {
+		t.Fatalf("parent-written artifact not served: ok=%v %+v", ok, got)
+	}
+
+	r, err := OpenRegistry(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	place(r.Dir(), "c000001.campaign", "c000001.campaign")
+	recs, err := r.List()
+	if err != nil || len(recs) != 1 || !reflect.DeepEqual(recs[0], sampleRecord("c000001")) {
+		t.Fatalf("parent-written record not listed: %v %+v", err, recs)
+	}
+	if got, ok := r.Get("c000001"); !ok || !reflect.DeepEqual(got, sampleRecord("c000001")) {
+		t.Fatalf("parent-written record not served: ok=%v %+v", ok, got)
+	}
+}

@@ -137,17 +137,17 @@ func OpenCache(dir string) (*Cache, error) { return store.Open(dir) }
 // in-memory complement of the on-disk artifact Cache, which cannot hold
 // machine snapshots because they are not serializable. Safe for
 // concurrent use; the daemon shares one across all campaigns.
-type SnapshotCache = store.SnapshotCache
+type SnapshotCache = campaign.SnapshotCache
 
 // SnapshotCacheStats is a point-in-time snapshot of snapshot-cache
 // effectiveness.
-type SnapshotCacheStats = store.SnapshotStats
+type SnapshotCacheStats = campaign.SnapshotStats
 
 // NewSnapshotCache returns a snapshot cache bounded to budgetBytes of
 // (conservatively estimated) resident snapshot memory; <= 0 means the
 // default budget (512 MB).
 func NewSnapshotCache(budgetBytes int64) *SnapshotCache {
-	return store.NewSnapshotCache(budgetBytes)
+	return campaign.NewSnapshotCache(budgetBytes)
 }
 
 // Config is the resolved configuration of one MeRLiN campaign: what Start
@@ -319,30 +319,23 @@ func preprocessStructures(cfg Config, structures []Structure) ([]*Artifacts, err
 		return nil, err
 	}
 
-	cycles := golden.Result.Cycles
 	out := make([]*Artifacts, len(structures))
-	traces := make([]store.StructureTrace, 0, len(structures))
 	for i, s := range structures {
 		entries, entryBits := cfg.CPU.StructureGeometry(s)
-		analysis := lifetime.Build(golden.Tracer.Log(s), s, entries, entryBits/8, cycles)
-		cfgS := cfg
-		cfgS.Structure = s
-		out[i] = &Artifacts{
-			Config:   cfgS,
-			Runner:   runner,
-			Golden:   golden,
-			Analysis: analysis,
-			Faults:   sampleFaults(cfgS, entries, entryBits, cycles),
-		}
-		traces = append(traces, store.StructureTrace{
-			Structure:  s,
-			Entries:    entries,
-			EntryBytes: entryBits / 8,
-			Events:     golden.Tracer.Log(s).Events,
-			Intervals:  analysis.Intervals,
-		})
+		analysis := lifetime.Build(golden.Tracer.Log(s), s, entries, entryBits/8, golden.Result.Cycles)
+		out[i] = newArtifacts(cfg, runner, golden, analysis, false)
 	}
 	if cfg.Cache != nil {
+		traces := make([]store.StructureTrace, len(out))
+		for i, a := range out {
+			traces[i] = store.StructureTrace{
+				Structure:  a.Analysis.Structure,
+				Entries:    a.Analysis.Entries,
+				EntryBytes: a.Analysis.EntryBytes,
+				Events:     golden.Tracer.Log(a.Analysis.Structure).Events,
+				Intervals:  a.Analysis.Intervals,
+			}
+		}
 		// Artifact traces are stored in canonical (ascending StructureID)
 		// order, matching the key's canonical structure set.
 		sort.Slice(traces, func(i, j int) bool { return traces[i].Structure < traces[j].Structure })
@@ -351,13 +344,31 @@ func preprocessStructures(cfg Config, structures []Structure) ([]*Artifacts, err
 			Structures:       traces,
 			Golden:           golden.Result,
 			Branches:         golden.Tracer.Branches,
-			CheckpointCycles: campaign.CheckpointSchedule(campaign.ForkSyncPoints, cycles),
+			CheckpointCycles: campaign.CheckpointSchedule(campaign.ForkSyncPoints, golden.Result.Cycles),
 		})
 		for _, a := range out {
 			a.CacheErr = cacheErr
 		}
 	}
 	return out, nil
+}
+
+// newArtifacts assembles one structure's Preprocess products — the one
+// place an *Artifacts is built, so a cache hit starts the same campaign a
+// miss does. analysis carries the structure and its geometry. The fault
+// list is regenerated rather than cached: sampling is deterministic in
+// (structure geometry, cycles, seed), and different campaigns over one
+// artifact want different lists.
+func newArtifacts(cfg Config, runner *campaign.Runner, golden *campaign.Golden, analysis *lifetime.Analysis, hit bool) *Artifacts {
+	cfg.Structure = analysis.Structure
+	return &Artifacts{
+		Config:   cfg,
+		Runner:   runner,
+		Golden:   golden,
+		Analysis: analysis,
+		Faults:   sampleFaults(cfg, analysis.Entries, analysis.EntryBytes*8, analysis.Cycles),
+		CacheHit: hit,
+	}
 }
 
 // newRunner builds the injection Runner of a campaign: the registered
@@ -371,11 +382,7 @@ func newRunner(cfg Config) (*campaign.Runner, error) {
 	}
 	runner := campaign.NewRunner(campaign.Target{Cfg: cfg.CPU, Prog: w.Program()})
 	runner.Workers = cfg.Workers
-	if cfg.Snapshots != nil {
-		// Explicit nil check: assigning a typed nil pointer would make the
-		// SnapshotSource interface non-nil and panic on use.
-		runner.Snapshots = cfg.Snapshots
-	}
+	runner.Snapshots = cfg.Snapshots
 	if err := runner.Validate(); err != nil {
 		return nil, err
 	}
@@ -383,9 +390,7 @@ func newRunner(cfg Config) (*campaign.Runner, error) {
 }
 
 // rehydrateArtifacts rebuilds the per-structure Preprocess products from a
-// cached artifact. The fault lists are regenerated rather than cached:
-// sampling is deterministic in (structure geometry, cycles, seed) — all
-// cached — and different campaigns over one artifact want different lists.
+// cached artifact.
 func rehydrateArtifacts(cfg Config, runner *campaign.Runner, structures []Structure, art *store.Artifact) ([]*Artifacts, error) {
 	var logs [lifetime.NumStructures]*lifetime.Log
 	for _, s := range structures {
@@ -403,18 +408,8 @@ func rehydrateArtifacts(cfg Config, runner *campaign.Runner, structures []Struct
 	}
 	out := make([]*Artifacts, len(structures))
 	for i, s := range structures {
-		tr, _ := art.Trace(s)
 		analysis, _ := art.Analysis(s)
-		cfgS := cfg
-		cfgS.Structure = s
-		out[i] = &Artifacts{
-			Config:   cfgS,
-			Runner:   runner,
-			Golden:   golden,
-			Analysis: analysis,
-			Faults:   sampleFaults(cfgS, tr.Entries, tr.EntryBytes*8, art.Golden.Cycles),
-			CacheHit: true,
-		}
+		out[i] = newArtifacts(cfg, runner, golden, analysis, true)
 	}
 	return out, nil
 }

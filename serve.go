@@ -335,7 +335,7 @@ func runCampaign(cache *Cache, snapshots *SnapshotCache, pool *fleet.Pool, stati
 		if err != nil {
 			return nil, err
 		}
-		b.inject = ledgerInjector(b, job, emit, pool, client, stall)
+		b.inject = ledgerInjector(job, emit, pool, client, stall)
 		// On cancellation Run returns a partial report together with
 		// ctx.Err(); both are handed to the service, which retains the
 		// report on the cancelled record — the structures that finished
