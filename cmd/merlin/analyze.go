@@ -86,7 +86,7 @@ func runAnalyze(args []string) int {
 		}
 		entries, entryBits := cfg.StructureGeometry(lifetime.StructRF)
 		log := golden.Tracer.Log(lifetime.StructRF)
-		dyn := lifetime.Build(log, lifetime.StructRF, entries, entryBits/8, golden.Result.Cycles)
+		dyn := golden.Tracer.Analysis(lifetime.StructRF)
 
 		// The timed region is exactly what WithStaticPrune adds to a
 		// campaign: the static analysis plus the per-fault prune pass.

@@ -150,7 +150,8 @@ type Target struct {
 func (t *Target) NewCore() *cpu.Core { return cpu.New(t.Cfg, t.Prog) }
 
 // Golden is the reference run: the architectural outcome plus (optionally)
-// the lifetime tracer of the ACE-like analysis.
+// the lifetime tracer of the ACE-like analysis, finished: Tracer.Analysis(s)
+// holds the vulnerable intervals of every tracked structure.
 type Golden struct {
 	Result cpu.RunResult
 	Tracer *lifetime.Tracer
@@ -291,6 +292,9 @@ func (r *Runner) RunGolden(track ...lifetime.StructureID) (*Golden, error) {
 	res := c.Run(r.GoldenBudget)
 	if res.Halt != cpu.HaltOK {
 		return nil, fmt.Errorf("campaign: golden run of %q ended with %v after %d cycles", r.Prog.Name, res.Halt, res.Cycles)
+	}
+	if tr != nil {
+		tr.Finish(false)
 	}
 	return &Golden{Result: res, Tracer: tr}, nil
 }

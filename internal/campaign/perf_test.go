@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -256,6 +257,56 @@ func BenchmarkMaskedEquivalent(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if !cpu.MaskedEquivalent(c, rung) {
 			b.Fatal("a clone is not masked-equivalent to its source")
+		}
+	}
+}
+
+// BenchmarkPreprocess is what phase 1 costs per simulated cycle: the golden
+// run of four workloads spanning 6K to 266K cycles, untraced and with each
+// structure traced through to its finished Analysis. The core is built
+// outside the timed region; B/cycle is everything the timed region
+// allocates, the retained event log included.
+func BenchmarkPreprocess(b *testing.B) {
+	modes := []struct {
+		name  string
+		track []lifetime.StructureID
+	}{
+		{"untraced", nil},
+		{"RF", []lifetime.StructureID{lifetime.StructRF}},
+		{"SQ", []lifetime.StructureID{lifetime.StructSQ}},
+		{"L1D", []lifetime.StructureID{lifetime.StructL1D}},
+	}
+	for _, name := range []string{"sha", "djpeg", "gcc", "omnetpp"} {
+		w := workloads.MustGet(name)
+		for _, mode := range modes {
+			b.Run(name+"/"+mode.name, func(b *testing.B) {
+				var cycles, bytes uint64
+				var before, after runtime.MemStats
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					c := w.NewCore(cpu.DefaultConfig())
+					var tr *lifetime.Tracer
+					if mode.track != nil {
+						tr = lifetime.NewTracer(mode.track...)
+						c.AttachTracer(tr)
+					}
+					runtime.ReadMemStats(&before)
+					b.StartTimer()
+					res := c.Run(DefaultGoldenBudget)
+					if tr != nil {
+						tr.Finish(false)
+						if tr.Analysis(mode.track[0]) == nil {
+							b.Fatal("no analysis")
+						}
+					}
+					b.StopTimer()
+					runtime.ReadMemStats(&after)
+					cycles += res.Cycles
+					bytes += after.TotalAlloc - before.TotalAlloc
+				}
+				b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
+				b.ReportMetric(float64(bytes)/float64(cycles), "B/cycle")
+			})
 		}
 	}
 }

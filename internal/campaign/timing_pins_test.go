@@ -115,13 +115,12 @@ func digestBranches(recs []lifetime.BranchRec) string {
 
 func tracedPin(t *testing.T, name string) tracePin {
 	t.Helper()
-	structs := []lifetime.StructureID{lifetime.StructRF, lifetime.StructSQ, lifetime.StructL1D}
-	g, err := NewRunner(target(t, name)).RunGolden(structs...)
+	g, err := NewRunner(target(t, name)).RunGolden(allStructures...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pin := tracePin{Events: map[string]string{}, Branches: digestBranches(g.Tracer.Branches)}
-	for _, s := range structs {
+	for _, s := range allStructures {
 		pin.Events[s.String()] = digestEvents(g.Tracer.Log(s).Events)
 	}
 	return pin

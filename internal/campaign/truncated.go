@@ -34,6 +34,9 @@ func (r *Runner) RunGoldenTruncated(cut uint64, track ...lifetime.StructureID) (
 		return nil, fmt.Errorf("campaign: truncated golden of %q ended early: %v after %d cycles", r.Prog.Name, res.Halt, res.Cycles)
 	}
 	c.FlushDataCaches()
+	if tr != nil {
+		tr.Finish(true) // after the flush: its writebacks read the lines they evict
+	}
 	return &TruncatedGolden{Cut: cut, Result: res, Hash: c.StateHash(), Tracer: tr}, nil
 }
 

@@ -304,6 +304,9 @@ func (c *Core) squashYounger(seq uint64) {
 			c.emitInvalidate(lifetime.StructSQ, int32(tail), 0xff)
 			c.sqLen--
 		}
+		if c.reads != nil {
+			c.dropReads(tIdx)
+		}
 		c.executing[tIdx>>6] &^= 1 << (uint(tIdx) & 63)
 		c.stats.SquashedUops++
 		c.robLen--

@@ -128,13 +128,11 @@ func (c *Core) drainStage() {
 	lat := c.dcacheWrite(s.addr, s.size, s.data, int32(s.drainRIP), s.drainUPC)
 	c.drainBusyUntil = c.cycle + uint64(lat)
 	if c.tracer != nil {
-		if l := c.tracer.Log(lifetime.StructSQ); l != nil {
-			l.Append(lifetime.Event{
-				Seq: c.tracer.NextSeq(), Cycle: c.cycle, CommitSeq: s.drainSeq,
-				Entry: int32(slot), Mask: maskRange(0, int(s.size)),
-				Kind: lifetime.EvRead, RIP: int32(s.drainRIP), UPC: s.drainUPC,
-			})
-		}
+		c.tracer.Emit(lifetime.StructSQ, lifetime.Event{
+			Cycle: c.cycle, CommitSeq: s.drainSeq,
+			Entry: int32(slot), Mask: maskRange(0, int(s.size)),
+			Kind: lifetime.EvRead, RIP: int32(s.drainRIP), UPC: s.drainUPC,
+		})
 	}
 	s.valid, s.addrOK, s.dataOK, s.committed = false, false, false, false
 	c.emitInvalidate(lifetime.StructSQ, int32(slot), 0xff)

@@ -67,23 +67,15 @@ const (
 	stDone
 )
 
-// pendingRead is a speculative structure read buffered against a ROB slot
-// and published to the lifetime tracer only if the reader commits (squashed
-// reads must not end vulnerable intervals; paper Fig 3).
-type pendingRead struct {
-	structID lifetime.StructureID
-	entry    int32
-	mask     uint64
-	cycle    uint64
-	seq      uint64
-}
-
-// uopReads is one ROB slot's row of the tracer-only side table: the reads
-// its current occupant has made so far. Only a traced golden run has the
-// table (AttachTracer allocates it); injection clones never carry it.
+// uopReads is one ROB slot's row of the tracer-only side table: the Seqs
+// the lifetime tracer reserved for the speculative structure reads its
+// current occupant has made so far. They become events only if the reader
+// commits (squashed reads must not end vulnerable intervals; paper Fig 3).
+// Only a traced golden run has the table (AttachTracer allocates it);
+// injection clones never carry it.
 type uopReads struct {
-	n uint8
-	r [4]pendingRead
+	n   uint8
+	seq [4]uint64
 }
 
 // maxROBEntries bounds Config.ROBEntries: the executing bitmap is a fixed
@@ -351,6 +343,7 @@ func New(cfg Config, prog *isa.Program) *Core {
 func (c *Core) AttachTracer(t *lifetime.Tracer) {
 	assertf(c.cycle == 0, "AttachTracer after the run started")
 	c.tracer = t
+	t.Attach(c.Cfg.StructureGeometry)
 	c.reads = make([]uopReads, len(c.rob))
 	// The L1D fill/evict hooks only ever feed the tracer, so only a traced
 	// core has them.
@@ -364,10 +357,8 @@ func (c *Core) AttachTracer(t *lifetime.Tracer) {
 			c.emitL1D(lifetime.EvInvalidate, set, way, ^uint64(0))
 		}
 	}
-	if l := t.Log(lifetime.StructRF); l != nil {
-		for p := 0; p < isa.NumArchRegs; p++ {
-			l.Append(lifetime.Event{Seq: t.NextSeq(), Cycle: 0, Entry: int32(p), Mask: 0xff, Kind: lifetime.EvWrite, RIP: lifetime.InitRip})
-		}
+	for p := 0; p < isa.NumArchRegs; p++ {
+		c.emitWrite(lifetime.StructRF, int32(p), 0xff, lifetime.InitRip, 0)
 	}
 }
 
@@ -545,34 +536,30 @@ func (c *Core) StateHash() uint64 {
 
 // --- lifetime event plumbing ---
 
+// emit hands an event of the current cycle to the tracer of a traced core.
+// It is kept out of line so that its callers, which an untraced core
+// reaches on every µop, stay small enough to inline.
+//
+//go:noinline
+func (c *Core) emit(s lifetime.StructureID, kind lifetime.EventKind, entry int32, mask uint64, rip int32, upc uint8) {
+	c.tracer.Emit(s, lifetime.Event{Cycle: c.cycle, Entry: entry, Mask: mask, Kind: kind, RIP: rip, UPC: upc})
+}
+
 // emitWrite records a write event stamped with the producing µop's static
 // location (rip, upc), so the guestflow cross-check and static pre-pruner
 // can reason about which architectural value a physical entry holds.
 func (c *Core) emitWrite(s lifetime.StructureID, entry int32, mask uint64, rip int32, upc uint8) {
-	if c.tracer == nil {
-		return
+	if c.tracer != nil {
+		c.emit(s, lifetime.EvWrite, entry, mask, rip, upc)
 	}
-	l := c.tracer.Log(s)
-	if l == nil {
-		return
-	}
-	l.Append(lifetime.Event{Seq: c.tracer.NextSeq(), Cycle: c.cycle, Entry: entry, Mask: mask, Kind: lifetime.EvWrite, RIP: rip, UPC: upc})
 }
 
 func (c *Core) emitL1D(kind lifetime.EventKind, set, way int, mask uint64) {
-	if c.tracer == nil {
-		return
-	}
-	l := c.tracer.Log(lifetime.StructL1D)
-	if l == nil {
-		return
-	}
-	entry := int32(set*c.l1d.Cfg.Ways + way)
 	rip := int32(0)
 	if kind == lifetime.EvWBRead {
 		rip = lifetime.WBRip
 	}
-	l.Append(lifetime.Event{Seq: c.tracer.NextSeq(), Cycle: c.cycle, Entry: entry, Mask: mask, Kind: kind, RIP: rip})
+	c.emit(lifetime.StructL1D, kind, int32(set*c.l1d.Cfg.Ways+way), mask, rip, 0)
 }
 
 // emitInvalidate records that an entry's contents left the structure
@@ -581,49 +568,51 @@ func (c *Core) emitL1D(kind lifetime.EventKind, set, way int, mask uint64) {
 // Without these events, truncated-run analysis (Table 4) would treat dead
 // storage as live at the cut.
 func (c *Core) emitInvalidate(s lifetime.StructureID, entry int32, mask uint64) {
-	if c.tracer == nil {
-		return
+	if c.tracer != nil {
+		c.emit(s, lifetime.EvInvalidate, entry, mask, 0, 0)
 	}
-	l := c.tracer.Log(s)
-	if l == nil {
-		return
-	}
-	l.Append(lifetime.Event{Seq: c.tracer.NextSeq(), Cycle: c.cycle, Entry: entry, Mask: mask, Kind: lifetime.EvInvalidate})
 }
 
 // freePhys returns a physical register to the free list, closing its
 // lifetime.
 func (c *Core) freePhys(p int16) {
 	c.freeList = append(c.freeList, p)
-	c.emitInvalidate(lifetime.StructRF, int32(p), 0xff)
+	if c.tracer != nil {
+		c.emit(lifetime.StructRF, lifetime.EvInvalidate, int32(p), 0xff, 0, 0)
+	}
 }
 
-// pendRead buffers a structure read against the reading µop's ROB slot; it
-// is published at commit and dropped on squash.
+// pendRead reserves a structure read against the reading µop's ROB slot; it
+// becomes an event at commit and is dropped on squash.
 func (c *Core) pendRead(slot int, s lifetime.StructureID, entry int32, mask uint64) {
-	if c.tracer == nil || c.tracer.Log(s) == nil {
+	if c.tracer == nil {
+		return
+	}
+	seq := c.tracer.Reserve(s, c.cycle, entry, mask)
+	if seq == 0 {
 		return
 	}
 	pr := &c.reads[slot]
-	assertf(int(pr.n) < len(pr.r), "too many pending reads on one µop")
-	pr.r[pr.n] = pendingRead{structID: s, entry: entry, mask: mask, cycle: c.cycle, seq: c.tracer.NextSeq()}
+	assertf(int(pr.n) < len(pr.seq), "too many pending reads on one µop")
+	pr.seq[pr.n] = seq
 	pr.n++
 }
 
-// flushReads publishes the buffered reads of the µop committing from slot
-// of a traced core.
+// flushReads publishes the reads of the µop committing from slot of a
+// traced core.
 func (c *Core) flushReads(slot int, e *robEntry) {
 	pr := &c.reads[slot]
-	for i := uint8(0); i < pr.n; i++ {
-		r := &pr.r[i]
-		l := c.tracer.Log(r.structID)
-		if l == nil {
-			continue
-		}
-		l.Append(lifetime.Event{
-			Seq: r.seq, Cycle: r.cycle, CommitSeq: e.seq, Entry: r.entry,
-			Mask: r.mask, Kind: lifetime.EvRead, RIP: int32(e.rip), UPC: c.uops[e.uop].UPC,
-		})
+	for _, seq := range pr.seq[:pr.n] {
+		c.tracer.Commit(seq, e.seq, int32(e.rip), c.uops[e.uop].UPC)
+	}
+}
+
+// dropReads forgets the reads of the µop squashed out of slot of a traced
+// core.
+func (c *Core) dropReads(slot int) {
+	pr := &c.reads[slot]
+	for _, seq := range pr.seq[:pr.n] {
+		c.tracer.Drop(seq)
 	}
 }
 

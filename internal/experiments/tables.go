@@ -72,10 +72,8 @@ func Table4(ctx context.Context, o Options) (*Table4Result, error) {
 			return nil, err
 		}
 
-		entries, _ := runner.Cfg.StructureGeometry(lifetime.StructRF)
-		analysis := lifetime.BuildTruncated(tg.Tracer.Log(lifetime.StructRF),
-			lifetime.StructRF, entries, 8, cut)
-		faults := sampling.Generate(lifetime.StructRF, entries, 64, cut, o.Faults, o.Seed)
+		analysis := tg.Tracer.Analysis(lifetime.StructRF)
+		faults := sampling.Generate(lifetime.StructRF, analysis.Entries, analysis.EntryBytes*8, cut, o.Faults, o.Seed)
 
 		baseRes, err := runner.Run(ctx, faults, nil, campaign.Plan{Cut: tg})
 		if err != nil {

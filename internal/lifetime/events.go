@@ -114,13 +114,24 @@ type Event struct {
 	UPC       uint8
 }
 
-// Log accumulates the events of one structure.
+// Log accumulates the events of one structure in arrival order: immediate
+// events as they happen, committed reads when their reader commits. Seq,
+// not position, is the occurrence order.
 type Log struct {
 	Events []Event
 }
 
-// Append adds an event.
-func (l *Log) Append(ev Event) { l.Events = append(l.Events, ev) }
+// Append adds an event. The backing array doubles: a golden run appends
+// millions of events, and append's quarter-step growth past 256 elements
+// copies the log five times over on its way up.
+func (l *Log) Append(ev Event) {
+	if len(l.Events) == cap(l.Events) {
+		grown := make([]Event, len(l.Events), max(1024, 2*cap(l.Events)))
+		copy(grown, l.Events)
+		l.Events = grown
+	}
+	l.Events = append(l.Events, ev)
+}
 
 // BranchRec is one committed control-flow decision, recorded for the
 // Relyzer control-equivalence comparison (§4.4.4).
@@ -131,19 +142,33 @@ type BranchRec struct {
 	Taken     bool
 }
 
-// Tracer collects the lifetime event logs of the structures tracked during
-// one fault-free run, plus the committed branch trace. A nil per-structure
-// log disables tracking of that structure.
+// Tracer observes the tracked structures during one fault-free run: it
+// records their lifetime event logs and the committed branch trace, and —
+// through the reorder window of window.go — derives their vulnerable
+// intervals while the run happens. A nil per-structure log disables
+// tracking of that structure.
 type Tracer struct {
-	seq      uint64
+	seq      uint64 // last Seq reserved
 	logs     [NumStructures]*Log
 	Branches []BranchRec
 	Cycles   uint64 // total run cycles; set by the run harness
+
+	// The reorder window (window.go): Seq q owns ring[q&(len(ring)-1)]
+	// while head <= q <= seq.
+	ring     []slot
+	head     uint64 // oldest Seq not yet applied to its machine
+	machines [NumStructures]*machine
+	analyses [NumStructures]*Analysis
+
+	// Deterministic work counters of the run.
+	Emitted    uint64 // events appended to the logs
+	Dropped    uint64 // reserved reads whose reader never committed
+	WindowPeak int    // most Seqs the window held at once
 }
 
 // NewTracer returns a tracer tracking the listed structures.
 func NewTracer(track ...StructureID) *Tracer {
-	t := &Tracer{}
+	t := &Tracer{head: 1}
 	for _, s := range track {
 		t.logs[s] = &Log{}
 	}
@@ -154,24 +179,15 @@ func NewTracer(track ...StructureID) *Tracer {
 // deserialization path of the artifact cache in internal/store): the event
 // logs, indexed by StructureID, plus the committed branch trace. Nil
 // entries leave that structure untracked, exactly as if NewTracer had
-// omitted it. The result serves every read-side Tracer use — Log,
-// Branches, re-running Build — exactly like the tracer that recorded the
-// run.
+// omitted it. The result serves the read-side uses of a recorded run — Log,
+// Branches, re-running Build — but holds no Analysis: the cache stores the
+// intervals themselves (Rehydrate).
 func RehydrateTracerLogs(logs [NumStructures]*Log, branches []BranchRec, cycles uint64) *Tracer {
 	return &Tracer{logs: logs, Branches: branches, Cycles: cycles}
 }
 
 // Log returns the event log for s, or nil if s is untracked.
 func (t *Tracer) Log(s StructureID) *Log { return t.logs[s] }
-
-// NextSeq reserves the next global occurrence sequence number. The core
-// calls it at the moment bits are physically read or written, even when the
-// event itself is only appended later (committed reads are buffered until
-// the reader commits).
-func (t *Tracer) NextSeq() uint64 {
-	t.seq++
-	return t.seq
-}
 
 // RecordBranch appends a committed branch outcome.
 func (t *Tracer) RecordBranch(commitSeq uint64, rip, target int32, taken bool) {

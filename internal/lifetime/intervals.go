@@ -30,7 +30,10 @@ type Analysis struct {
 	Cycles     uint64
 	Intervals  []Interval
 
-	index [][]int32 // (entry*EntryBytes+byte) -> interval ids, End ascending
+	// Byte i = entry*EntryBytes+byte is covered by the intervals
+	// indexIDs[indexOff[i]:indexOff[i+1]], End ascending.
+	indexOff []int32
+	indexIDs []int32
 }
 
 // EOFRip is the pseudo-RIP attributed to lifetimes still open when a
@@ -38,12 +41,11 @@ type Analysis struct {
 // cut, so it groups separately from any real reader.
 const EOFRip int32 = -2
 
-// Build derives the vulnerable intervals of structure s from its event log.
-// Events are replayed in occurrence order; a per-(entry, byte) state machine
-// opens a segment at each write, emits a vulnerable interval at each
-// committed read (chaining read-to-read intervals, per the paper's
-// modified ACE definition), and discards unread segments at overwrites,
-// invalidations and end of run.
+// Build derives the vulnerable intervals of structure s from its event
+// log: a copy of the events, sorted into occurrence (Seq) order, fed to the
+// same per-(entry, byte) state machine the Tracer's reorder window feeds
+// while the run happens. It is the offline reference of that online path
+// (Tracer.Analysis), and what analyses a log that outlived its tracer.
 func Build(log *Log, s StructureID, entries, entryBytes int, cycles uint64) *Analysis {
 	return build(log, s, entries, entryBytes, cycles, false)
 }
@@ -56,144 +58,151 @@ func BuildTruncated(log *Log, s StructureID, entries, entryBytes int, cycles uin
 }
 
 func build(log *Log, s StructureID, entries, entryBytes int, cycles uint64, openAsEOF bool) *Analysis {
-	a := &Analysis{
-		Structure:  s,
-		Entries:    entries,
-		EntryBytes: entryBytes,
-		Cycles:     cycles,
-	}
 	events := make([]Event, len(log.Events))
 	copy(events, log.Events)
 	sort.Slice(events, func(i, j int) bool { return events[i].Seq < events[j].Seq })
+	m := newMachine(s, entries, entryBytes)
+	for i := range events {
+		m.apply(&events[i])
+	}
+	return m.finish(cycles, openAsEOF)
+}
 
+// machine is the ACE-like state machine of one structure. Events must be
+// applied in Seq order — the order the bits were physically touched, not
+// the order readers commit: a younger reader may issue first and commit
+// second. It opens a segment at each write, emits a vulnerable interval at
+// each committed read (chaining read-to-read intervals, per the paper's
+// modified ACE definition), and discards unread segments at overwrites,
+// invalidations and end of run.
+type machine struct {
+	a         *Analysis
+	openStart []uint64 // per (entry, byte): start of the open segment
+	valid     []bool   // per (entry, byte): a segment is open
+	groups    byteGroups
+}
+
+func newMachine(s StructureID, entries, entryBytes int) *machine {
 	n := entries * entryBytes
-	openStart := make([]uint64, n)
-	valid := make([]bool, n)
+	return &machine{
+		a:         &Analysis{Structure: s, Entries: entries, EntryBytes: entryBytes},
+		openStart: make([]uint64, n),
+		valid:     make([]bool, n),
+	}
+}
 
-	// Scratch for merging bytes of one read event that share a segment start.
-	var starts [64]uint64
-	var masks [64]uint64
+// byteGroups merges the bytes of one entry that share a segment start into
+// one mask per start.
+type byteGroups struct {
+	n      int
+	starts [64]uint64
+	masks  [64]uint64
+}
 
-	for _, ev := range events {
-		base := int(ev.Entry) * entryBytes
-		switch ev.Kind {
-		case EvWrite:
-			m := ev.Mask
-			for m != 0 {
-				b := bits.TrailingZeros64(m)
-				m &= m - 1
-				openStart[base+b] = ev.Cycle
-				valid[base+b] = true
-			}
-		case EvInvalidate:
-			m := ev.Mask
-			for m != 0 {
-				b := bits.TrailingZeros64(m)
-				m &= m - 1
-				valid[base+b] = false
-			}
-		case EvRead, EvWBRead:
-			groups := 0
-			m := ev.Mask
-			for m != 0 {
-				b := bits.TrailingZeros64(m)
-				m &= m - 1
-				i := base + b
-				if !valid[i] {
-					continue // byte never written; nothing vulnerable
-				}
-				st := openStart[i]
-				openStart[i] = ev.Cycle // chain the next read-to-read interval
-				g := -1
-				for j := 0; j < groups; j++ {
-					if starts[j] == st {
-						g = j
-						break
-					}
-				}
-				if g < 0 {
-					g = groups
-					groups++
-					starts[g] = st
-					masks[g] = 0
-				}
-				masks[g] |= uint64(1) << b
-			}
-			for j := 0; j < groups; j++ {
-				if starts[j] >= ev.Cycle {
-					continue // zero-length (same-cycle write+read); not injectable
-				}
-				a.Intervals = append(a.Intervals, Interval{
-					Entry:  ev.Entry,
-					Mask:   masks[j],
-					Start:  starts[j],
-					End:    ev.Cycle,
-					EndSeq: ev.CommitSeq,
-					RIP:    ev.RIP,
-					UPC:    ev.UPC,
-				})
-			}
+func (g *byteGroups) add(start uint64, b int) {
+	for j := 0; j < g.n; j++ {
+		if g.starts[j] == start {
+			g.masks[j] |= 1 << uint(b)
+			return
 		}
 	}
-	if openAsEOF {
-		for e := 0; e < entries; e++ {
-			base := e * entryBytes
-			var starts [64]uint64
-			var masks [64]uint64
-			groups := 0
-			for b := 0; b < entryBytes; b++ {
-				if !valid[base+b] || openStart[base+b] >= cycles {
-					continue
-				}
-				st := openStart[base+b]
-				g := -1
-				for j := 0; j < groups; j++ {
-					if starts[j] == st {
-						g = j
-						break
-					}
-				}
-				if g < 0 {
-					g = groups
-					groups++
-					starts[g] = st
-					masks[g] = 0
-				}
-				masks[g] |= uint64(1) << b
+	g.starts[g.n], g.masks[g.n] = start, 1<<uint(b)
+	g.n++
+}
+
+func (m *machine) apply(ev *Event) {
+	base := int(ev.Entry) * m.a.EntryBytes
+	switch ev.Kind {
+	case EvWrite:
+		for mask := ev.Mask; mask != 0; mask &= mask - 1 {
+			i := base + bits.TrailingZeros64(mask)
+			m.openStart[i] = ev.Cycle
+			m.valid[i] = true
+		}
+	case EvInvalidate:
+		for mask := ev.Mask; mask != 0; mask &= mask - 1 {
+			m.valid[base+bits.TrailingZeros64(mask)] = false
+		}
+	case EvRead, EvWBRead:
+		g := &m.groups
+		g.n = 0
+		for mask := ev.Mask; mask != 0; mask &= mask - 1 {
+			b := bits.TrailingZeros64(mask)
+			if !m.valid[base+b] {
+				continue // byte never written; nothing vulnerable
 			}
-			for j := 0; j < groups; j++ {
-				a.Intervals = append(a.Intervals, Interval{
-					Entry: int32(e), Mask: masks[j], Start: starts[j],
-					End: cycles, EndSeq: ^uint64(0), RIP: EOFRip,
-				})
+			g.add(m.openStart[base+b], b)
+			m.openStart[base+b] = ev.Cycle // chain the next read-to-read interval
+		}
+		for j := 0; j < g.n; j++ {
+			if g.starts[j] >= ev.Cycle {
+				continue // zero-length (same-cycle write+read); not injectable
 			}
+			m.a.Intervals = append(m.a.Intervals, Interval{
+				Entry:  ev.Entry,
+				Mask:   g.masks[j],
+				Start:  g.starts[j],
+				End:    ev.Cycle,
+				EndSeq: ev.CommitSeq,
+				RIP:    ev.RIP,
+				UPC:    ev.UPC,
+			})
+		}
+	}
+}
+
+// finish closes the run at cycles and returns the indexed analysis; with
+// openAsEOF the segments still open become EOFRip intervals ending there.
+func (m *machine) finish(cycles uint64, openAsEOF bool) *Analysis {
+	a := m.a
+	a.Cycles = cycles
+	for e := 0; openAsEOF && e < a.Entries; e++ {
+		base := e * a.EntryBytes
+		g := &m.groups
+		g.n = 0
+		for b := 0; b < a.EntryBytes; b++ {
+			if m.valid[base+b] && m.openStart[base+b] < cycles {
+				g.add(m.openStart[base+b], b)
+			}
+		}
+		for j := 0; j < g.n; j++ {
+			a.Intervals = append(a.Intervals, Interval{
+				Entry: int32(e), Mask: g.masks[j], Start: g.starts[j],
+				End: cycles, EndSeq: ^uint64(0), RIP: EOFRip,
+			})
 		}
 	}
 	a.buildIndex()
 	return a
 }
 
+// buildIndex lays the per-(entry, byte) id lists out in one backing array:
+// a counting pass sizes each byte's run, a second pass fills it. Intervals
+// are emitted in Seq order and Seq order implies non-decreasing cycle, so
+// every run is End-ascending, which is what Find's binary search needs.
 func (a *Analysis) buildIndex() {
-	a.index = make([][]int32, a.Entries*a.EntryBytes)
-	for id, iv := range a.Intervals {
-		base := int(iv.Entry) * a.EntryBytes
-		m := iv.Mask
-		for m != 0 {
-			b := bits.TrailingZeros64(m)
-			m &= m - 1
-			a.index[base+b] = append(a.index[base+b], int32(id))
+	n := a.Entries * a.EntryBytes
+	a.indexOff = make([]int32, n+1)
+	for i := range a.Intervals {
+		iv := &a.Intervals[i]
+		base := int(iv.Entry)*a.EntryBytes + 1
+		for m := iv.Mask; m != 0; m &= m - 1 {
+			a.indexOff[base+bits.TrailingZeros64(m)]++
 		}
 	}
-	// Events were replayed in occurrence order, so each per-byte list is
-	// already End-ascending; verify the invariant in cheap builds.
-	for _, lst := range a.index {
-		for i := 1; i < len(lst); i++ {
-			if a.Intervals[lst[i-1]].End > a.Intervals[lst[i]].End {
-				sort.Slice(lst, func(x, y int) bool {
-					return a.Intervals[lst[x]].End < a.Intervals[lst[y]].End
-				})
-				break
-			}
+	for i := 0; i < n; i++ {
+		a.indexOff[i+1] += a.indexOff[i]
+	}
+	a.indexIDs = make([]int32, a.indexOff[n])
+	next := make([]int32, n)
+	copy(next, a.indexOff)
+	for id := range a.Intervals {
+		iv := &a.Intervals[id]
+		base := int(iv.Entry) * a.EntryBytes
+		for m := iv.Mask; m != 0; m &= m - 1 {
+			i := base + bits.TrailingZeros64(m)
+			a.indexIDs[next[i]] = int32(id)
+			next[i]++
 		}
 	}
 }
@@ -218,7 +227,8 @@ func Rehydrate(s StructureID, entries, entryBytes int, cycles uint64, intervals 
 // given byte of entry at cycle, or ok=false when the flip is provably
 // masked (the ACE-like pruning of MeRLiN's first phase).
 func (a *Analysis) Find(entry int32, byteIdx int, cycle uint64) (id int32, ok bool) {
-	lst := a.index[int(entry)*a.EntryBytes+byteIdx]
+	i := int(entry)*a.EntryBytes + byteIdx
+	lst := a.indexIDs[a.indexOff[i]:a.indexOff[i+1]]
 	lo := sort.Search(len(lst), func(i int) bool { return a.Intervals[lst[i]].End >= cycle })
 	if lo == len(lst) {
 		return 0, false

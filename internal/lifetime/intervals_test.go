@@ -188,6 +188,16 @@ func TestFindMatchesBruteForce(t *testing.T) {
 		Event{Kind: EvRead, Entry: 0, Mask: 0x80, Cycle: 40, RIP: 3},
 	)
 	a := Build(log, StructRF, 1, 8, 100)
+	// Find's binary search needs every byte's id run End-ascending; the
+	// index no longer re-sorts one that is not.
+	for i := 0; i+1 < len(a.indexOff); i++ {
+		run := a.indexIDs[a.indexOff[i]:a.indexOff[i+1]]
+		for j := 1; j < len(run); j++ {
+			if a.Intervals[run[j-1]].End > a.Intervals[run[j]].End {
+				t.Fatalf("byte %d: interval %d ends after interval %d", i, run[j-1], run[j])
+			}
+		}
+	}
 	brute := func(b int, cyc uint64) (int32, bool) {
 		for id, iv := range a.Intervals {
 			if iv.Mask&(1<<uint(b)) != 0 && iv.Start < cyc && cyc <= iv.End {

@@ -321,9 +321,7 @@ func preprocessStructures(cfg Config, structures []Structure) ([]*Artifacts, err
 
 	out := make([]*Artifacts, len(structures))
 	for i, s := range structures {
-		entries, entryBits := cfg.CPU.StructureGeometry(s)
-		analysis := lifetime.Build(golden.Tracer.Log(s), s, entries, entryBits/8, golden.Result.Cycles)
-		out[i] = newArtifacts(cfg, runner, golden, analysis, false)
+		out[i] = newArtifacts(cfg, runner, golden, golden.Tracer.Analysis(s), false)
 	}
 	if cfg.Cache != nil {
 		traces := make([]store.StructureTrace, len(out))

@@ -1,0 +1,5 @@
+//go:build race
+
+package merlin
+
+const raceEnabled = true

@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"merlin/internal/campaign"
+	"merlin/internal/workloads"
 )
 
 // TestStartOptionValidation: bad option values fail Start, and the last
@@ -282,5 +284,31 @@ func TestSessionBaselineReusesGolden(t *testing.T) {
 	}
 	if fresh.Dist != base.Dist {
 		t.Fatalf("fresh-session baseline %v != baseline after Run %v", fresh.Dist, base.Dist)
+	}
+}
+
+// TestPreprocessAllocBudget: what one cold gcc/RF Preprocess allocates. The
+// run is single-goroutine, so the figure repeats to the byte; the budget
+// sits between the 37.3 MB of the online analysis (two thirds of it the
+// retained event log and its doublings) and the 74.9 MB the copied, sorted,
+// quarter-step-grown log used to cost, so any of the three coming back
+// fails here.
+func TestPreprocessAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const budget = 45_000_000
+	workloads.MustGet("gcc").Program() // assembled once per process; not Preprocess's cost
+	s := startSession(t, "gcc", WithStructure(RF), WithFaults(2000), WithSeed(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := s.Preprocess(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("gcc/RF Preprocess allocated %.1f MB", float64(got)/1e6)
+	if got > budget {
+		t.Errorf("gcc/RF Preprocess allocated %d bytes, budget %d", got, budget)
 	}
 }
