@@ -17,6 +17,8 @@ package store
 // atomic and crash-safe without a log format.
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -128,11 +130,11 @@ func (r *Registry) Put(rec CampaignRecord) error {
 	if !validID(rec.ID) {
 		return fmt.Errorf("store: invalid campaign id %q", rec.ID)
 	}
-	out, err := seal(recordMagic, &rec)
-	if err != nil {
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(&rec); err != nil {
 		return fmt.Errorf("store: encoding campaign record: %w", err)
 	}
-	if err := r.fs.WriteFileAtomic(r.recordPath(rec.ID), out); err != nil {
+	if err := r.fs.WriteFileAtomic(r.recordPath(rec.ID), seal(recordMagic, body.Bytes())); err != nil {
 		return err
 	}
 	r.puts.Add(1)
@@ -164,8 +166,8 @@ func (r *Registry) Get(id string) (CampaignRecord, bool) {
 	if err != nil {
 		return CampaignRecord{}, false
 	}
-	var rec CampaignRecord
-	if err := unseal(recordMagic, raw, &rec); err != nil {
+	rec, err := decodeRecord(raw)
+	if err != nil {
 		r.errs.Add(1)
 		r.quarantine(id + ".campaign")
 		return CampaignRecord{}, false
@@ -194,8 +196,8 @@ func (r *Registry) List() ([]CampaignRecord, error) {
 			r.errs.Add(1)
 			continue
 		}
-		var rec CampaignRecord
-		if err := unseal(recordMagic, raw, &rec); err != nil || rec.ID+".campaign" != name {
+		rec, err := decodeRecord(raw)
+		if err != nil || rec.ID+".campaign" != name {
 			r.errs.Add(1)
 			r.quarantine(name)
 			continue
@@ -204,6 +206,15 @@ func (r *Registry) List() ([]CampaignRecord, error) {
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
 	return recs, nil
+}
+
+// decodeRecord opens a sealed record file.
+func decodeRecord(raw []byte) (rec CampaignRecord, err error) {
+	body, err := unseal(recordMagic, raw)
+	if err == nil {
+		err = gob.NewDecoder(bytes.NewReader(body)).Decode(&rec)
+	}
+	return rec, err
 }
 
 // Delete removes one record; deleting an absent record is a no-op.

@@ -13,17 +13,20 @@
 // is built on, extended across process lifetimes.
 //
 // Artifacts are addressed by the SHA-256 of the canonical encoding of
-// their Key, one file per artifact, written atomically (temp file +
-// rename) with an embedded payload checksum. A corrupt, truncated, or
-// version-skewed file is treated as a miss and rewritten, never returned.
-// The Store is safe for concurrent use by any number of goroutines and
-// processes sharing the directory.
+// their Key, one file per artifact, written atomically (temp file, fsync,
+// rename) as magic ‖ sha256(body) ‖ body. The body is a small gob header
+// followed by the event logs, intervals and branch trace packed as varint
+// deltas (codec.go): a hit must cost less than recomputing the golden run,
+// and a gob encoding of those arrays cost as much to write, and again as
+// much to read, as the run itself. A corrupt, truncated, or version-skewed file is treated
+// as a miss and rewritten, never returned. The Store is safe for
+// concurrent use by any number of goroutines and processes sharing the
+// directory.
 package store
 
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -44,9 +47,10 @@ import (
 // introduced multi-structure artifacts (one golden run carrying the
 // lifetime traces of every structure a batch campaign targets); version 3
 // stamps write events with the producing µop's (RIP, UPC) for the
-// guestflow static cross-check and pre-pruner. Older files read as a
-// clean miss and are recomputed.
-const formatVersion = 3
+// guestflow static cross-check and pre-pruner; version 4 replaces the
+// all-gob body with a gob header and hand-packed arrays (codec.go). Older
+// files read as a clean miss and are recomputed.
+const formatVersion = 4
 
 // Key identifies one golden-run artifact: everything the fault-free run
 // depends on. Fault list size, sampling seed, injection strategy and
@@ -135,7 +139,7 @@ type StructureTrace struct {
 // run plus one StructureTrace per traced structure (a single-structure
 // campaign stores one; a batch stores all of its targets, which is the
 // whole point — one golden run, every structure's trace). All fields are
-// plain values so the gob round trip is exact; Runner state and machine
+// plain values so the round trip is exact; Runner state and machine
 // snapshots are deliberately excluded (cores are rebuilt deterministically
 // from the workload program, which is cheap — it is the golden *run* that
 // is expensive).
@@ -253,8 +257,12 @@ func (s *Store) Get(k Key) (*Artifact, bool) {
 		s.misses.Add(1)
 		return nil, false
 	}
-	a := new(Artifact)
-	if err := unseal(fileMagic, raw, a); err != nil || !artifactMatches(a, k) {
+	body, err := unseal(fileMagic, raw)
+	var a *Artifact
+	if err == nil {
+		a, err = decodeArtifact(body)
+	}
+	if err != nil || !artifactMatches(a, k) {
 		s.errs.Add(1)
 		s.misses.Add(1)
 		return nil, false
@@ -287,11 +295,11 @@ func artifactMatches(a *Artifact, k Key) bool {
 // payloads are bit-identical by determinism) and readers never observe a
 // partial file.
 func (s *Store) Put(k Key, a *Artifact) error {
-	payload, err := seal(fileMagic, a)
+	body, err := encodeArtifact(a)
 	if err != nil {
 		return fmt.Errorf("store: encoding artifact: %w", err)
 	}
-	if err := s.fs.WriteFileAtomic(s.path(k), payload); err != nil {
+	if err := s.fs.WriteFileAtomic(s.path(k), seal(fileMagic, body)); err != nil {
 		return err
 	}
 	s.puts.Add(1)
@@ -320,32 +328,28 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// seal renders magic || sha256(gob(v)) || gob(v): the one file layout of
-// the artifact cache and the campaign registry, each under its own magic.
-func seal(magic []byte, v any) ([]byte, error) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(v); err != nil {
-		return nil, err
-	}
-	sum := sha256.Sum256(body.Bytes())
-	out := make([]byte, 0, len(magic)+len(sum)+body.Len())
+// seal renders magic ‖ sha256(body) ‖ body: the one file layout of the
+// artifact cache and the campaign registry, each under its own magic.
+func seal(magic, body []byte) []byte {
+	sum := sha256.Sum256(body)
+	out := make([]byte, 0, len(magic)+len(sum)+len(body))
 	out = append(out, magic...)
 	out = append(out, sum[:]...)
-	return append(out, body.Bytes()...), nil
+	return append(out, body...)
 }
 
-// unseal verifies magic and checksum and decodes the payload into v.
-func unseal(magic, raw []byte, v any) error {
+// unseal verifies magic and checksum and returns the body.
+func unseal(magic, raw []byte) ([]byte, error) {
 	if !bytes.HasPrefix(raw, magic) {
-		return errors.New("bad magic or version")
+		return nil, errors.New("bad magic or version")
 	}
 	raw = raw[len(magic):]
 	if len(raw) < sha256.Size {
-		return errors.New("truncated")
+		return nil, errors.New("truncated")
 	}
 	want, body := raw[:sha256.Size], raw[sha256.Size:]
 	if sum := sha256.Sum256(body); !bytes.Equal(sum[:], want) {
-		return errors.New("checksum mismatch")
+		return nil, errors.New("checksum mismatch")
 	}
-	return gob.NewDecoder(bytes.NewReader(body)).Decode(v)
+	return body, nil
 }

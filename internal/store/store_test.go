@@ -302,40 +302,68 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 }
 
-// TestServesParentWrittenFiles: the on-disk layout did not move when the
-// two codecs became one — an artifact and a campaign record written by the
-// commit before that change (testdata/, Put of sampleArtifact and
-// sampleRecord there) are served by Get and List.
-func TestServesParentWrittenFiles(t *testing.T) {
-	place := func(dir, from, to string) {
-		t.Helper()
-		raw, err := os.ReadFile(filepath.Join("testdata", from))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, to), raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
+// place copies testdata/from into dir as to.
+func place(t *testing.T, dir, from, to string) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", from))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := os.WriteFile(filepath.Join(dir, to), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServesParentWrittenFiles pins both on-disk layouts: an artifact
+// written at format 4 (testdata/v4.artifact, Put of sampleArtifact) and a
+// campaign record written before the two codecs became one
+// (testdata/c000001.campaign, Put of sampleRecord) are served by Get and
+// List.
+func TestServesParentWrittenFiles(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	place(s.Dir(), "parent.artifact", filepath.Base(s.path(sampleKey())))
+	place(t, s.Dir(), "v4.artifact", filepath.Base(s.path(sampleKey())))
 	if got, ok := s.Get(sampleKey()); !ok || !reflect.DeepEqual(got, sampleArtifact()) {
-		t.Fatalf("parent-written artifact not served: ok=%v %+v", ok, got)
+		t.Fatalf("format-4 artifact not served: ok=%v %+v", ok, got)
 	}
 
 	r, err := OpenRegistry(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	place(r.Dir(), "c000001.campaign", "c000001.campaign")
+	place(t, r.Dir(), "c000001.campaign", "c000001.campaign")
 	recs, err := r.List()
 	if err != nil || len(recs) != 1 || !reflect.DeepEqual(recs[0], sampleRecord("c000001")) {
 		t.Fatalf("parent-written record not listed: %v %+v", err, recs)
 	}
 	if got, ok := r.Get("c000001"); !ok || !reflect.DeepEqual(got, sampleRecord("c000001")) {
 		t.Fatalf("parent-written record not served: ok=%v %+v", ok, got)
+	}
+}
+
+// TestOldArtifactIsCleanMiss: the all-gob format-3 artifact of the same
+// sampleArtifact (testdata/v3.artifact) is one error and one miss — there
+// is no reader for it — and the next Put overwrites it.
+func TestOldArtifactIsCleanMiss(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := sampleKey()
+	place(t, s.Dir(), "v3.artifact", filepath.Base(s.path(k)))
+	if _, ok := s.Get(k); ok {
+		t.Fatal("format-3 artifact served by the format-4 reader")
+	}
+	if st := s.Stats(); st.Errors != 1 || st.Misses != 1 || st.Hits != 0 {
+		t.Fatalf("stats = %+v, want 1 error / 1 miss / 0 hits", st)
+	}
+	if err := s.Put(k, sampleArtifact()); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := s.Get(k)
+	if !ok || !reflect.DeepEqual(got, sampleArtifact()) {
+		t.Fatalf("Get after the overwriting Put: ok=%v %+v", ok, got)
 	}
 }
