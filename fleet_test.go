@@ -511,6 +511,9 @@ func TestBaselineThroughLedger(t *testing.T) {
 				if got[i].SimCycles == 0 || got[i].Clones == 0 {
 					t.Errorf("%v ledger baseline reports no work: %+v", structures[i], got[i].Work)
 				}
+				if got[i].DeadAtFlip != w.DeadAtFlip || w.DeadAtFlip == 0 {
+					t.Errorf("%v: %d faults dead at the flip through the ledger, %d in the library", structures[i], got[i].DeadAtFlip, w.DeadAtFlip)
+				}
 				for j, o := range w.Outcomes {
 					if checkpointed[offset+j] != o.String() {
 						t.Fatalf("%v fault %d checkpointed under key %d as %q, classified %v", structures[i], j, offset+j, checkpointed[offset+j], o)
@@ -528,7 +531,7 @@ func TestBaselineThroughLedger(t *testing.T) {
 				t.Errorf("resumed from a complete checkpoint, yet %d faults were injected again", len(again))
 			}
 			for i, r := range resumed {
-				if r.SimCycles != 0 || r.Clones != 0 {
+				if r.SimCycles != 0 || r.Clones != 0 || r.DeadAtFlip != 0 {
 					t.Errorf("%v resumed baseline spent work: %+v", structures[i], r.Work)
 				}
 			}

@@ -253,6 +253,7 @@ type runMetrics struct {
 
 	handOffs, fellBack atomic.Int64  // see Work
 	interpInsts        atomic.Uint64 // see Work
+	deadAtFlip         atomic.Int64  // see Work
 }
 
 // addHandOffs folds a retiring worker's hand-off counts in.
@@ -277,6 +278,7 @@ func (m *runMetrics) fill(res *Result) {
 	res.CloneTime = time.Duration(m.cloneNS.Load())
 	res.SimCycles = m.simCycles.Load()
 	res.HandOffs, res.FellBack, res.InterpInsts = m.handOffs.Load(), m.fellBack.Load(), m.interpInsts.Load()
+	res.DeadAtFlip = m.deadAtFlip.Load()
 }
 
 // RunGolden performs the fault-free reference run, tracking lifetimes of
@@ -390,6 +392,10 @@ type Work struct {
 	HandOffs    int64
 	FellBack    int64
 	InterpInsts uint64
+	// DeadAtFlip counts the faults the Forked sweep classified Masked at
+	// the fork because the flipped bit lay in dead storage (cpu.Core.Dead):
+	// no clone, no cycle.
+	DeadAtFlip int64
 	// SnapshotHit reports that the checkpoint ladder was served by a
 	// SnapshotCache instead of rebuilt (always false for Replay, whose
 	// reset-only ladder never goes through the source).
@@ -405,6 +411,7 @@ func (w *Work) Add(o Work) {
 	w.HandOffs += o.HandOffs
 	w.FellBack += o.FellBack
 	w.InterpInsts += o.InterpInsts
+	w.DeadAtFlip += o.DeadAtFlip
 	w.SnapshotHit = w.SnapshotHit || o.SnapshotHit
 }
 

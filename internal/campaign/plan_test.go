@@ -56,7 +56,8 @@ func TestEmptyCampaignDoesNoWork(t *testing.T) {
 // class, Run under every strategy and worker count classifies each fault
 // exactly as the per-fault reference does — RunFault at program end,
 // RunFaultTruncated at a mid-run cut — and so does RunFaultFrom, the
-// per-fault start from the nearest of eight rungs.
+// per-fault start from the nearest of eight rungs. A truncated run takes
+// no early exit, not even dead at the flip.
 func TestPlansAgreeOnGeneratedKernels(t *testing.T) {
 	ctx := context.Background()
 	for _, class := range gen.Classes() {
@@ -98,6 +99,9 @@ func TestPlansAgreeOnGeneratedKernels(t *testing.T) {
 						}
 					}
 					gotCut := mustRun(t)(r.Run(ctx, cutFaults, nil, Plan{Strategy: s, Cut: tg}))
+					if gotCut.DeadAtFlip != 0 {
+						t.Errorf("%s/%d/%v %v: a truncated run took %d early exits at the flip", class, seed, st, s, gotCut.DeadAtFlip)
+					}
 					for i := range cutFaults {
 						if gotCut.Outcomes[i] != wantCut[i] {
 							t.Errorf("%s/%d/%v %v fault %v: truncated Run %v, RunFaultTruncated %v",
@@ -112,9 +116,10 @@ func TestPlansAgreeOnGeneratedKernels(t *testing.T) {
 
 // TestPlanWorkCounters pins the work each strategy does on sha/RF/1000
 // faults/seed 1 — machine clones, detailed cycles simulated, snapshot hit,
-// and what the hand-off did: runs the interpreter finished, attempts that
-// fell back, instructions interpreted — with and without a SnapshotCache
-// (cold, then warm). Replay has no rung and must never hand off.
+// what the hand-off did (runs the interpreter finished, attempts that fell
+// back, instructions interpreted) and the faults classified dead at the
+// flip — with and without a SnapshotCache (cold, then warm). Replay has no
+// rung and no fork, so it never hands off and never decides at the flip.
 func TestPlanWorkCounters(t *testing.T) {
 	type work struct {
 		clones      int64
@@ -123,14 +128,15 @@ func TestPlanWorkCounters(t *testing.T) {
 		handOffs    int64
 		fellBack    int64
 		interpInsts uint64
+		deadAtFlip  int64
 	}
 	cold := map[Strategy]work{
-		Replay: {1000, 6152243, false, 0, 0, 0},
-		Forked: {1025, 134667, false, 57, 0, 506446},
+		Replay: {1000, 6152243, false, 0, 0, 0, 0},
+		Forked: {193, 33000, false, 52, 0, 457371, 832},
 	}
 	warm := map[Strategy]work{
 		Replay: cold[Replay], // no ladder to share
-		Forked: {1025, 128750, true, 57, 0, 506446},
+		Forked: {193, 27083, true, 52, 0, 457371, 832},
 	}
 	for _, shared := range []bool{false, true} {
 		r := NewRunner(target(t, "sha"))
@@ -154,7 +160,7 @@ func TestPlanWorkCounters(t *testing.T) {
 					continue // 1000 from-reset replays: once per runner is enough
 				}
 				res := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{Strategy: s}))
-				if got := (work{res.Clones, res.SimCycles, res.SnapshotHit, res.HandOffs, res.FellBack, res.InterpInsts}); got != want[s] {
+				if got := (work{res.Clones, res.SimCycles, res.SnapshotHit, res.HandOffs, res.FellBack, res.InterpInsts, res.DeadAtFlip}); got != want[s] {
 					t.Errorf("shared=%v round %d %v: work %+v, want %+v", shared, round, s, got, want[s])
 				}
 			}

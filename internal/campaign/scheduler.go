@@ -83,17 +83,21 @@ type Plan struct {
 	// Strategy picks the start snapshot and, with it, the early exit:
 	//
 	//	Replay  the reset state; no early exit
-	//	Forked  a clone off one sweep of the golden run, taken at the fault
-	//	        cycle; exit at the first of ForkSyncPoints later snapshots
-	//	        where the run is masked-equivalent or can be handed off
+	//	Forked  at the fork, a flip into dead storage (cpu.Core.Dead) is
+	//	        Masked with no clone; else a clone off one sweep of the
+	//	        golden run, taken at the fault cycle; exit at the first of
+	//	        ForkSyncPoints later snapshots where the run is
+	//	        masked-equivalent or can be handed off
 	Strategy Strategy
 	// Cut, when non-nil, stops every run at the cut cycle and classifies by
 	// the truncated scheme of RunFaultTruncated instead of at program end.
 	// It replaces the golden argument of Run with Cut.Result; snapshots
-	// then serve as starting points only (a truncated run has no early exit).
+	// then serve as starting points only (a truncated run has no early exit,
+	// not even at the fork).
 	Cut *TruncatedGolden
 	// OnOutcome, when non-nil, is called once per classified fault with the
-	// fault's index in the campaign's input list, from worker goroutines,
+	// fault's index in the campaign's input list, from worker goroutines and
+	// (for a fault dead at the flip) the goroutine feeding them,
 	// concurrently and in completion (not input) order; it must be safe
 	// for concurrent use and should return quickly.
 	OnOutcome func(idx int, f fault.Fault, o Outcome)
@@ -125,10 +129,12 @@ type job struct {
 // Under Forked a single sweep core steps through the golden run exactly
 // once, visiting the faults in ascending cycle order and handing a clone
 // to the workers at each fault cycle, so the shared prefix is simulated
-// once per campaign instead of once per fault. Live clones are capped at
-// MaxForks (default 2x workers): the sweep blocks until a worker retires
-// one, so faults clustering late in the run cannot hold thousands of
-// machine snapshots in memory.
+// once per campaign instead of once per fault. A fault whose bit lies in
+// dead storage at its cycle is dead at the flip: the sweep classifies it
+// Masked itself, with no clone (not under plan.Cut). Live clones are
+// capped at MaxForks (default 2x workers): the sweep blocks until a worker
+// retires one, so faults clustering late in the run cannot hold thousands
+// of machine snapshots in memory.
 //
 // The ladder build (one golden-run replay, skipped on a SnapshotCache
 // hit) and the sweep are shared pre-fault work, counted once in Wall,
@@ -180,6 +186,12 @@ func (r *Runner) Run(ctx context.Context, faults []fault.Fault, golden *cpu.RunR
 		}
 		order = fault.SortedIndices(faults) // the sweep only moves forward
 	}
+	record := func(idx int, o Outcome) {
+		res.Outcomes[idx] = o
+		if plan.OnOutcome != nil {
+			plan.OnOutcome(idx, faults[idx], o)
+		}
+	}
 	jobs := make(chan job)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -190,22 +202,18 @@ func (r *Runner) Run(ctx context.Context, faults []fault.Fault, golden *cpu.RunR
 			defer m.addHandOffs(h)
 			for j := range jobs {
 				t0 := time.Now()
-				f := faults[j.idx]
 				c := j.core
 				if c == nil {
 					c = m.clone(pool, ladder.cores[0])
 				}
 				from := c.Cycle()
-				o := r.inject(c, f, golden, ladder, plan.Cut, h)
+				o := r.inject(c, faults[j.idx], golden, ladder, plan.Cut, h)
 				m.simCycles.Add(c.Cycle() - from)
 				// A released shell is scrubbed by copy-over on reuse, so
 				// even a panicked run's shell is safe to recycle.
 				pool.Release(c)
-				res.Outcomes[j.idx] = o
 				serialNS.Add(int64(time.Since(t0)))
-				if plan.OnOutcome != nil {
-					plan.OnOutcome(j.idx, f, o)
-				}
+				record(j.idx, o)
 				if sw != nil {
 					<-sw.live
 				}
@@ -228,7 +236,16 @@ feed:
 		j := job{idx: n}
 		if sw != nil {
 			j.idx = order[n]
-			if j.core = sw.fork(faults[j.idx].Cycle, done); j.core == nil {
+			f := faults[j.idx]
+			sw.advance(f.Cycle)
+			// A flip into dead storage leaves the sweep core masked-equivalent
+			// to its flipped clone: Masked here, at no clone and no cycle.
+			if plan.Cut == nil && sw.core.Dead(f.Structure, int(f.Entry)) {
+				m.deadAtFlip.Add(1)
+				record(j.idx, Masked)
+				continue
+			}
+			if j.core = sw.fork(done); j.core == nil {
 				break feed
 			}
 		}
@@ -266,14 +283,12 @@ type sweep struct {
 	next   int    // first ladder snapshot not yet crossed
 }
 
-// fork advances the sweep to the pre-injection cycle of a fault at fc and
-// returns a clone of it once the clone budget has room, or nil when done
-// fires first (so a cancelled sweep never waits for a whole classification
-// to retire). Crossing a ladder snapshot, the sweep re-roots itself on a
-// clone of it — bit-identical state by determinism — so the copy-on-write
-// page pool the forks share with the ladder stays shallow and state
-// comparisons skip everything the segment never wrote.
-func (s *sweep) fork(fc uint64, done <-chan struct{}) *cpu.Core {
+// advance steps the sweep to the pre-injection cycle of a fault at fc.
+// Crossing a ladder snapshot, the sweep re-roots itself on a clone of it —
+// bit-identical state by determinism — so the copy-on-write page pool the
+// forks share with the ladder stays shallow and state comparisons skip
+// everything the segment never wrote.
+func (s *sweep) advance(fc uint64) {
 	root := -1
 	for s.next < len(s.ladder.cycles) && s.ladder.cycles[s.next] < fc {
 		root = s.next
@@ -288,6 +303,12 @@ func (s *sweep) fork(fc uint64, done <-chan struct{}) *cpu.Core {
 	for s.core.Cycle()+1 < fc && s.core.Halted() == cpu.Running {
 		s.core.Step()
 	}
+}
+
+// fork returns a clone of the advanced sweep once the clone budget has
+// room, or nil when done fires first (so a cancelled sweep never waits for
+// a whole classification to retire).
+func (s *sweep) fork(done <-chan struct{}) *cpu.Core {
 	select {
 	case s.live <- struct{}{}:
 		return s.m.clone(s.pool, s.core)

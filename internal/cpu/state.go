@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"slices"
 	"unsafe"
+
+	"merlin/internal/lifetime"
 )
 
 // StateEqual reports whether two cores of the same configuration and
@@ -57,7 +59,7 @@ func MaskedEquivalent(c, g *Core) bool {
 	// Store queue: data differences only in invalid slots.
 	for i := range c.sq {
 		a, b := c.sq[i], g.sq[i]
-		if a.data != b.data && !a.valid {
+		if a.data != b.data && c.sqDead(i) {
 			a.data, b.data = 0, 0
 		}
 		if a != b {
@@ -67,6 +69,26 @@ func MaskedEquivalent(c, g *Core) bool {
 	return c.l1d.EqualLive(g.l1d) && c.l1i.EqualLive(g.l1i) && c.l2.EqualLive(g.l2) &&
 		c.dmem.Equal(g.dmem) && c.imem.Equal(g.imem)
 }
+
+// Dead reports whether the data of entry of injectable structure s is dead
+// storage by MaskedEquivalent's rules — a free register, an invalid
+// store-queue slot, an invalid L1D line — so that a bit flipped there now
+// leaves the core masked-equivalent to its unflipped self: the fault is
+// Masked at the flip. It only reads the core.
+func (c *Core) Dead(s lifetime.StructureID, entry int) bool {
+	switch s {
+	case lifetime.StructRF:
+		return c.regDead(int16(entry))
+	case lifetime.StructSQ:
+		return c.sqDead(entry)
+	case lifetime.StructL1D:
+		return !c.l1d.Valid(entry)
+	}
+	return false
+}
+
+// sqDead reports whether store-queue slot i holds no live data.
+func (c *Core) sqDead(i int) bool { return !c.sq[i].valid }
 
 // regDead reports whether physical register p holds no live value: it is
 // on the free list and no in-flight ROB entry or rename scratch register

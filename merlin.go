@@ -69,8 +69,8 @@ type (
 	// execution prefix (bit-identical outcomes, different wall-clock).
 	Strategy = campaign.Strategy
 	// Work counts what an injection phase executed (Serial, Clones,
-	// CloneTime, SimCycles, HandOffs, FellBack, InterpInsts, SnapshotHit),
-	// summed over every shard of the campaign wherever it ran.
+	// CloneTime, SimCycles, HandOffs, FellBack, InterpInsts, DeadAtFlip,
+	// SnapshotHit), summed over every shard of the campaign wherever it ran.
 	Work = campaign.Work
 )
 
@@ -607,10 +607,11 @@ type Report struct {
 	// work plus every faulty continuation up to where it ended or was handed
 	// off), HandOffs, FellBack and InterpInsts (runs the architectural
 	// interpreter finished, hand-off attempts that returned to the detailed
-	// core, instructions interpreted) and SnapshotHit (the checkpoint ladder
-	// came from a shared SnapshotCache; always false for StrategyReplay). A
-	// daemon sums it over every shard of the campaign, in-process and remote
-	// alike.
+	// core, instructions interpreted), DeadAtFlip (faults classified Masked
+	// at the fork because the flip landed in dead storage) and SnapshotHit
+	// (the checkpoint ladder came from a shared SnapshotCache; always false
+	// for StrategyReplay). A daemon sums it over every shard of the
+	// campaign, in-process and remote alike.
 	Work
 	// CyclesPerSec divides SimCycles by Wall — the campaign's effective
 	// simulation throughput across all workers.
@@ -635,6 +636,9 @@ func (r *Report) String() string {
 // no rung to try at.
 func workNote(w Work) string {
 	s := fmt.Sprintf("%d detailed cycles, %d clones", w.SimCycles, w.Clones)
+	if w.DeadAtFlip > 0 {
+		s += fmt.Sprintf(", %d dead at the flip", w.DeadAtFlip)
+	}
 	if w.SnapshotHit {
 		s += ", snapshot cache hit"
 	}
