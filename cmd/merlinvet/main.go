@@ -1,21 +1,18 @@
 // Command merlinvet runs the project-specific static-analysis pass over
-// the module: five analyzers (detrand, walltime, maporder, testhook,
-// ctxflow) that machine-check the determinism and simulator invariants
-// every campaign guarantee rests on. See internal/lint for what each
-// analyzer enforces and why it is load-bearing for bit-identical
-// reports and content-addressed artifact reuse.
+// the whole module: three analyzers (detrand, walltime, maporder) that
+// machine-check the determinism invariants bit-identical reports and
+// content-addressed artifact reuse rest on. See internal/lint for what
+// each analyzer enforces and why no test can stand in for it.
 //
 // Usage:
 //
-//	merlinvet [-v] [-list] [packages]
+//	merlinvet [-v] [-list] [./...]
 //
-// With no arguments (or `./...`) the whole module is checked. Package
-// arguments restrict *reporting* to the named directories; the whole
-// module is still loaded so cross-package facts stay complete.
+// The whole module is always checked; `./...` is accepted for symmetry
+// with the go tool, and any other argument is a usage error.
 //
-// Exit status: 0 when clean; 1 on any finding, unused //lint:allow
-// directive or malformed directive; 2 when the module fails to load or
-// type-check.
+// Exit status: 0 when clean; 1 on any finding; 2 on a usage error or
+// when the module fails to load or type-check.
 package main
 
 import (
@@ -29,13 +26,17 @@ import (
 )
 
 func main() {
-	verbose := flag.Bool("v", false, "also print every suppressed finding and allowlisted wall-clock site")
+	verbose := flag.Bool("v", false, "also print every allowlisted wall-clock site")
 	list := flag.Bool("list", false, "list analyzers and their diagnostic codes, then exit")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: merlinvet [-v] [-list] [packages]\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: merlinvet [-v] [-list] [./...]\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
+	if args := flag.Args(); len(args) > 1 || len(args) == 1 && args[0] != "./..." {
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, a := range lint.Analyzers() {
@@ -44,19 +45,12 @@ func main() {
 		return
 	}
 
-	moduleDir, err := findModuleRoot()
+	moduleDir, err := lint.ModuleRoot(".")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "merlinvet:", err)
 		os.Exit(2)
 	}
-
-	only, err := reportScope(moduleDir, flag.Args())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "merlinvet:", err)
-		os.Exit(2)
-	}
-
-	res, err := lint.Run(moduleDir, lint.Analyzers(), only)
+	res, err := lint.Run(moduleDir, lint.Analyzers())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "merlinvet:", err)
 		os.Exit(2)
@@ -68,72 +62,18 @@ func main() {
 		}
 		return path
 	}
-
 	for _, d := range res.Findings {
 		fmt.Printf("%s:%d:%d: %s: %s\n", rel(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Code, d.Message)
 	}
-	for _, u := range res.Unused {
-		fmt.Printf("%s:%d:%d: %s: unused //lint:allow %s (%s): the finding it suppressed is gone — delete the directive\n",
-			rel(u.Pos.Filename), u.Pos.Line, u.Pos.Column, "lintdir001", u.Code, u.Reason)
-	}
 	if *verbose {
-		for _, s := range res.Suppressed {
-			d := s.Diagnostic
-			fmt.Printf("%s:%d: suppressed %s: %s (reason: %s)\n", rel(d.Pos.Filename), d.Pos.Line, d.Code, d.Message, s.Reason)
-		}
 		for _, a := range res.Allowlisted {
 			fmt.Printf("%s:%d: allowlisted %s in %s: %s\n", rel(a.Pos.Filename), a.Pos.Line, a.Code, a.Where, a.Reason)
 		}
 	}
 
-	fmt.Fprintf(os.Stderr, "merlinvet: %d packages, %d findings, %d suppressed by //lint:allow, %d allowlisted sites\n",
-		res.Packages, len(res.Findings)+len(res.Unused), len(res.Suppressed), len(res.Allowlisted))
+	fmt.Fprintf(os.Stderr, "merlinvet: %d packages, %d findings, %d allowlisted sites\n",
+		res.Packages, len(res.Findings), len(res.Allowlisted))
 	if !res.Clean() {
 		os.Exit(1)
 	}
-}
-
-// findModuleRoot walks up from the working directory to the enclosing
-// go.mod.
-func findModuleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("no go.mod found above %s", dir)
-		}
-		dir = parent
-	}
-}
-
-// reportScope converts package arguments into absolute directory
-// prefixes for filtering findings. `./...`, `all` or no arguments mean
-// the whole module.
-func reportScope(moduleDir string, args []string) ([]string, error) {
-	var only []string
-	for _, a := range args {
-		if a == "./..." || a == "all" {
-			return nil, nil
-		}
-		a = strings.TrimSuffix(a, "/...")
-		abs := a
-		if !filepath.IsAbs(a) {
-			wd, err := os.Getwd()
-			if err != nil {
-				return nil, err
-			}
-			abs = filepath.Join(wd, a)
-		}
-		if _, err := os.Stat(abs); err != nil {
-			return nil, fmt.Errorf("package argument %q: %w", a, err)
-		}
-		only = append(only, abs)
-	}
-	return only, nil
 }

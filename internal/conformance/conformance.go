@@ -131,7 +131,6 @@ func Run(prog *isa.Program, cfg Config) *Report {
 		if mask == 0 {
 			mask = 1 << 17
 		}
-		//lint:allow testhook001 conformance -selftest is the sanctioned sabotage path: it corrupts the core to prove the oracle catches it
 		core.SetResultMutator(func(seq uint64, op isa.Op, result uint64) uint64 {
 			if seq >= cfg.SabotageSeq {
 				return result ^ mask

@@ -21,31 +21,8 @@ var DetRand = &Analyzer{
 	Name:  "detrand",
 	Doc:   "no global or unseeded randomness in report-affecting packages",
 	Codes: []string{"detrand001", "detrand002", "detrand003"},
-	AppliesTo: inPaths(
-		"merlin/internal/cpu",
-		"merlin/internal/interp",
-		"merlin/internal/campaign",
-		"merlin/internal/sampling",
-		"merlin/internal/conformance/gen",
-		"merlin/internal/stats",
-		// Beyond the core six: everything else a report or artifact
-		// hash is derived from.
-		"merlin/internal/mem",
-		"merlin/internal/fault",
-		"merlin/internal/isa",
-		"merlin/internal/lifetime",
-		"merlin/internal/merlin",
-		"merlin/internal/guestflow",
-		"merlin/internal/experiments/relyzer",
-		"merlin/internal/workloads",
-		"merlin/internal/asm",
-		"merlin/internal/conformance",
-		// The chaos engine's whole contract is seeded determinism: its
-		// splitmix64 streams must never silently mix in global randomness.
-		"merlin/internal/chaos",
-		"merlin/internal/chaos/suite",
-	),
-	Run: runDetRand,
+	Scope: reportAffecting,
+	Run:   runDetRand,
 }
 
 // mathRandConstructors are the explicit-source constructors: building a

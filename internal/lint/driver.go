@@ -1,22 +1,12 @@
 package lint
 
-import (
-	"sort"
-	"strings"
-)
+import "sort"
 
-// Result is one merlinvet run over the module: surviving findings,
-// everything that was deliberately exempted (and why), and the
-// bookkeeping findings about the exemptions themselves.
+// Result is one merlinvet run over the module: the findings, and the
+// built-in exemptions that fired (with why).
 type Result struct {
-	// Findings are unsuppressed diagnostics — each one fails the run.
+	// Findings are the diagnostics — each one fails the run.
 	Findings []Diagnostic
-	// Suppressed are findings silenced by a //lint:allow directive,
-	// with the recorded reason.
-	Suppressed []SuppressedFinding
-	// Unused are //lint:allow directives that matched no finding;
-	// the driver treats them as findings (stale exemptions rot).
-	Unused []Directive
 	// Allowlisted are built-in analyzer exemptions that fired (e.g.
 	// walltime's Result.Wall stamping sites).
 	Allowlisted []AllowlistedSite
@@ -24,19 +14,14 @@ type Result struct {
 	Packages int
 }
 
-// Clean reports whether the run passes: no findings and no unused
-// directives.
+// Clean reports whether the run passes: no findings.
 func (r *Result) Clean() bool {
-	return len(r.Findings) == 0 && len(r.Unused) == 0
+	return len(r.Findings) == 0
 }
 
 // Run loads every package in the module rooted at moduleDir,
-// type-checks it, runs each analyzer over the packages in its scope,
-// and applies //lint:allow suppressions. only restricts *reporting* to
-// packages whose import path has one of the given prefixes (nil/empty
-// means everything); the whole module is always loaded and analyzed so
-// cross-package facts (testhook's hook set) stay complete.
-func Run(moduleDir string, analyzers []*Analyzer, only []string) (*Result, error) {
+// type-checks it, and runs each analyzer over the packages in its scope.
+func Run(moduleDir string, analyzers []*Analyzer) (*Result, error) {
 	loader, err := NewLoader(moduleDir)
 	if err != nil {
 		return nil, err
@@ -45,40 +30,22 @@ func Run(moduleDir string, analyzers []*Analyzer, only []string) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	res := RunPackages(loader, pkgs, analyzers, true)
-	if len(only) > 0 {
-		res.filter(only)
-	}
-	return res, nil
+	return RunPackages(loader, pkgs, analyzers, true), nil
 }
 
 // RunPackages runs the analyzers over already-loaded packages. When
-// scoped is true each analyzer's AppliesTo gates which packages it
+// scoped is true each analyzer's Scope gates which packages it
 // sees (the real-module behaviour); the fixture harness passes false
 // to drive an analyzer over any fixture package.
 func RunPackages(loader *Loader, pkgs []*Package, analyzers []*Analyzer, scoped bool) *Result {
 	res := &Result{Packages: len(pkgs)}
-	known := make(map[string]bool)
-	for _, a := range Analyzers() { // all codes are directive-valid, even when running a subset
-		for _, c := range a.Codes {
-			known[c] = true
-		}
-	}
 	for _, pkg := range pkgs {
-		var diags []Diagnostic
 		for _, a := range analyzers {
-			if scoped && a.AppliesTo != nil && !a.AppliesTo(pkg.Path) {
+			if scoped && a.Scope != nil && !a.Scope[pkg.Path] {
 				continue
 			}
-			pass := &Pass{Fset: loader.Fset, Pkg: pkg, All: pkgs, diags: &diags, allow: &res.Allowlisted}
-			a.Run(pass)
+			a.Run(&Pass{Fset: loader.Fset, Pkg: pkg, diags: &res.Findings, allow: &res.Allowlisted})
 		}
-		dirs, bad := collectDirectives(loader.Fset, pkg.Files, known)
-		kept, suppressed, unused := applySuppressions(dirs, diags)
-		res.Findings = append(res.Findings, kept...)
-		res.Findings = append(res.Findings, bad...)
-		res.Suppressed = append(res.Suppressed, suppressed...)
-		res.Unused = append(res.Unused, unused...)
 	}
 	sortDiagnostics(res.Findings)
 	sort.Slice(res.Allowlisted, func(i, j int) bool {
@@ -88,54 +55,5 @@ func RunPackages(loader *Loader, pkgs []*Package, analyzers []*Analyzer, scoped 
 		}
 		return a.Pos.Line < b.Pos.Line
 	})
-	sort.Slice(res.Unused, func(i, j int) bool {
-		a, b := res.Unused[i], res.Unused[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		return a.Pos.Line < b.Pos.Line
-	})
 	return res
-}
-
-// filter drops findings/suppressions whose file path does not fall
-// under any of the given directory prefixes (used for `merlinvet
-// ./internal/...`-style package arguments).
-func (r *Result) filter(prefixes []string) {
-	match := func(filename string) bool {
-		for _, p := range prefixes {
-			if p == "" || strings.HasPrefix(filename, p) {
-				return true
-			}
-		}
-		return false
-	}
-	keepD := r.Findings[:0]
-	for _, d := range r.Findings {
-		if match(d.Pos.Filename) {
-			keepD = append(keepD, d)
-		}
-	}
-	r.Findings = keepD
-	keepS := r.Suppressed[:0]
-	for _, s := range r.Suppressed {
-		if match(s.Diagnostic.Pos.Filename) {
-			keepS = append(keepS, s)
-		}
-	}
-	r.Suppressed = keepS
-	keepU := r.Unused[:0]
-	for _, u := range r.Unused {
-		if match(u.Pos.Filename) {
-			keepU = append(keepU, u)
-		}
-	}
-	r.Unused = keepU
-	keepA := r.Allowlisted[:0]
-	for _, a := range r.Allowlisted {
-		if match(a.Pos.Filename) {
-			keepA = append(keepA, a)
-		}
-	}
-	r.Allowlisted = keepA
 }

@@ -3,7 +3,6 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -15,147 +14,104 @@ import (
 //
 //	x := rand.Intn(10) // want "detrand001"
 //
-// says an *unsuppressed* finding matching the pattern must land on this
-// line, and
-//
-//	//lint:allow detrand001 fixture: deliberate
-//	x := rand.Int63n(5) // allowed "detrand001"
-//
-// says a finding must land here and be *suppressed* by the directive.
-// Every finding must be claimed by a marker and every marker must be
+// says a finding matching the pattern must land on this line. Every
+// finding must be claimed by a marker and every marker must be
 // satisfied, so a fixture fails both when an analyzer goes quiet (a
 // deleted sort guard must resurface as an unmatched want) and when it
 // overfires.
 
 // FixtureRoot is the import-path prefix fixture packages live under;
-// the harness mounts the testdata/src directory there so fixtures can
-// import each other (testhook's hook/use pair) while staying invisible
-// to the real module build.
+// the harness mounts the testdata/src directory there so fixtures stay
+// invisible to the real module build.
 const FixtureRoot = "merlinvet.test"
 
-var (
-	wantRx    = regexp.MustCompile(`// want "([^"]+)"`)
-	allowedRx = regexp.MustCompile(`// allowed "([^"]+)"`)
-)
+var wantRx = regexp.MustCompile(`// want "([^"]+)"`)
 
 type expectation struct {
-	file       string
-	line       int
-	rx         *regexp.Regexp
-	suppressed bool
-	matched    bool
+	file    string
+	line    int
+	rx      *regexp.Regexp
+	matched bool
 }
 
-// CheckFixture loads the fixture tree at dir (a directory under some
-// testdata/src), runs the analyzer over every package in it with
-// scoping bypassed, and verifies the findings against the fixture's
-// want/allowed markers. It returns one problem string per mismatch; an
-// empty slice means the fixture passed.
+// CheckFixture loads the fixture package at dir (a directory under some
+// testdata/src), runs the analyzer over it with scoping bypassed, and
+// verifies the findings against the fixture's want markers. It returns
+// one problem string per mismatch; an empty slice means the fixture
+// passed.
 func CheckFixture(dir string, a *Analyzer) ([]string, error) {
-	abs, err := filepath.Abs(dir)
+	loader, pkg, res, err := runFixture(dir, a)
 	if err != nil {
 		return nil, err
 	}
-	srcRoot := filepath.Dir(abs)
-	name := filepath.Base(abs)
-	moduleDir, err := moduleRootAbove(srcRoot)
-	if err != nil {
-		return nil, err
-	}
-	loader, err := NewLoader(moduleDir)
-	if err != nil {
-		return nil, err
-	}
-	loader.ExtraRoots = map[string]string{FixtureRoot: srcRoot}
-	pkgs, err := loader.LoadUnder(FixtureRoot + "/" + name)
-	if err != nil {
-		return nil, err
-	}
-	res := RunPackages(loader, pkgs, []*Analyzer{a}, false)
-
 	var exps []*expectation
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			fexps, err := parseExpectations(loader, f)
-			if err != nil {
-				return nil, err
-			}
-			exps = append(exps, fexps...)
+	for _, f := range pkg.Files {
+		fexps, err := parseExpectations(loader, f)
+		if err != nil {
+			return nil, err
 		}
+		exps = append(exps, fexps...)
 	}
 
 	var problems []string
-	claim := func(d Diagnostic, suppressed bool) {
+findings:
+	for _, d := range res.Findings {
 		text := d.Code + ": " + d.Message
 		for _, e := range exps {
-			if e.matched || e.suppressed != suppressed || e.file != d.Pos.Filename || e.line != d.Pos.Line || !e.rx.MatchString(text) {
-				continue
+			if !e.matched && e.file == d.Pos.Filename && e.line == d.Pos.Line && e.rx.MatchString(text) {
+				e.matched = true
+				continue findings
 			}
-			e.matched = true
-			return
 		}
-		kind := "finding"
-		if suppressed {
-			kind = "suppressed finding"
-		}
-		problems = append(problems, fmt.Sprintf("unexpected %s at %s:%d: %s", kind, filepath.Base(d.Pos.Filename), d.Pos.Line, text))
-	}
-	for _, d := range res.Findings {
-		claim(d, false)
-	}
-	for _, s := range res.Suppressed {
-		claim(s.Diagnostic, true)
+		problems = append(problems, fmt.Sprintf("unexpected finding at %s:%d: %s", filepath.Base(d.Pos.Filename), d.Pos.Line, text))
 	}
 	for _, e := range exps {
 		if !e.matched {
-			kind := "want"
-			if e.suppressed {
-				kind = "allowed"
-			}
-			problems = append(problems, fmt.Sprintf("unmatched // %s %q at %s:%d: the analyzer went quiet here", kind, e.rx, filepath.Base(e.file), e.line))
+			problems = append(problems, fmt.Sprintf("unmatched // want %q at %s:%d: the analyzer went quiet here", e.rx, filepath.Base(e.file), e.line))
 		}
-	}
-	for _, u := range res.Unused {
-		problems = append(problems, fmt.Sprintf("unused //lint:allow %s at %s:%d", u.Code, filepath.Base(u.Pos.Filename), u.Pos.Line))
 	}
 	sort.Strings(problems)
 	return problems, nil
 }
 
-// parseExpectations scans one fixture file's comments for want/allowed
-// markers.
+// parseExpectations scans one fixture file's comments for want markers.
 func parseExpectations(loader *Loader, f *ast.File) ([]*expectation, error) {
 	var exps []*expectation
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
 			pos := loader.Fset.Position(c.Pos())
-			for _, kind := range []struct {
-				rx         *regexp.Regexp
-				suppressed bool
-			}{{wantRx, false}, {allowedRx, true}} {
-				for _, m := range kind.rx.FindAllStringSubmatch(c.Text, -1) {
-					rx, err := regexp.Compile(m[1])
-					if err != nil {
-						return nil, fmt.Errorf("%s:%d: bad expectation pattern %q: %w", pos.Filename, pos.Line, m[1], err)
-					}
-					exps = append(exps, &expectation{file: pos.Filename, line: pos.Line, rx: rx, suppressed: kind.suppressed})
+			for _, m := range wantRx.FindAllStringSubmatch(c.Text, -1) {
+				rx, err := regexp.Compile(m[1])
+				if err != nil {
+					return nil, fmt.Errorf("%s:%d: bad expectation pattern %q: %w", pos.Filename, pos.Line, m[1], err)
 				}
+				exps = append(exps, &expectation{file: pos.Filename, line: pos.Line, rx: rx})
 			}
 		}
 	}
 	return exps, nil
 }
 
-// moduleRootAbove walks up from dir to the enclosing go.mod.
-func moduleRootAbove(dir string) (string, error) {
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("lint: no go.mod above fixture %s", dir)
-		}
-		dir = parent
+// runFixture loads the fixture package at dir, mounting its
+// testdata/src parent under FixtureRoot, and runs the analyzer over it
+// with scoping bypassed.
+func runFixture(dir string, a *Analyzer) (*Loader, *Package, *Result, error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, nil, nil, err
 	}
+	moduleDir, err := ModuleRoot(abs)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	loader, err := NewLoader(moduleDir)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	loader.ExtraRoots = map[string]string{FixtureRoot: filepath.Dir(abs)}
+	pkg, err := loader.Load(FixtureRoot + "/" + filepath.Base(abs))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return loader, pkg, RunPackages(loader, []*Package{pkg}, []*Analyzer{a}, false), nil
 }

@@ -1,40 +1,27 @@
 // Package lint implements merlinvet, the project-specific static-analysis
-// pass that machine-checks the invariants every campaign guarantee rests
-// on: bit-identical reports across replay/forked/fleet
-// execution, content-addressed artifact reuse (gob+sha256), and
-// reproducible pruning all require that no unseeded randomness, no
-// wall-clock reads and no map-iteration order ever leak into
-// report-affecting state, and that test-only sabotage hooks stay out of
-// production paths.
+// pass behind the campaign's bit-identity guarantee: replay/forked/fleet
+// reports, content-addressed artifact reuse and reproducible pruning all
+// require that no unseeded randomness, no wall-clock read and no
+// map-iteration order leak into report-affecting state.
 //
 // The package is stdlib-only (go/parser, go/ast, go/types + the source
 // importer); the module has zero dependencies and must stay that way.
-// Six analyzers run over every package in the module:
+// Three analyzers run over the module. Each guards against
+// nondeterminism that a run usually survives, or that never reaches a
+// report, so the bit-for-bit pins and differential suites cannot stand
+// in for it:
 //
 //	detrand   no global math/rand, crypto/rand, or wall-clock-seeded
 //	          sources in report-affecting packages
-//	walltime  no time.Now/Since/Until outside the allowlisted
-//	          wall-clock-metric sites (Result.Wall stamping, fleet
-//	          heartbeat/TTL clocks); built-in allowlist entries that no
-//	          longer match a real site are findings themselves
+//	walltime  no time.Now/Since/Until in report-affecting packages
+//	          outside the built-in allowlisted wall-clock-metric sites;
+//	          allowlist entries that no longer match a real site are
+//	          findings themselves
 //	maporder  no map iteration feeding slices, writers, encoders,
 //	          hashers or event emits without an intervening sort
-//	testhook  test-only hooks (doc-marked "test-only") referenced only
-//	          from _test.go files or explicitly allowed sites
-//	ctxflow   exported campaign/server/fleet entry points that loop
-//	          over faults or do network I/O take a context.Context
-//	          first and do not synthesize context.Background()
-//	globmut   no mutable package-level state in report-affecting
-//	          packages (mutated or exported package-level vars)
 //
-// Findings carry short codes (detrand001, ...) and can be suppressed at
-// a specific line with an explanation:
-//
-//	//lint:allow detrand001 fixture seed, never reaches a report
-//
-// The driver counts and prints every suppression, and reports unused or
-// malformed directives as findings in their own right, so the set of
-// deliberate exemptions stays audited.
+// walltime's allowlist is the only exemption mechanism: there are no
+// in-source suppression comments.
 package lint
 
 import (
@@ -72,10 +59,6 @@ type AllowlistedSite struct {
 type Pass struct {
 	Fset *token.FileSet
 	Pkg  *Package
-	// All holds every package loaded in this run, in sorted path order.
-	// Analyzers that need whole-program facts (testhook discovers
-	// doc-marked hooks anywhere in the module) read it.
-	All []*Package
 
 	diags *[]Diagnostic
 	allow *[]AllowlistedSite
@@ -105,29 +88,47 @@ func (p *Pass) Allowlisted(pos token.Pos, code, where, reason string) {
 type Analyzer struct {
 	Name string
 	Doc  string
-	// Codes lists every diagnostic code the analyzer can emit, for
-	// directive validation (//lint:allow of an unknown code is itself a
-	// finding).
+	// Codes lists every diagnostic code the analyzer can emit.
 	Codes []string
-	// AppliesTo reports whether the analyzer runs on the package with
-	// the given import path when driven over the real module. The
-	// fixture harness bypasses it.
-	AppliesTo func(pkgPath string) bool
-	Run       func(*Pass)
+	// Scope is the set of import paths the analyzer runs on when driven
+	// over the real module; nil means every package. The fixture harness
+	// bypasses it.
+	Scope map[string]bool
+	Run   func(*Pass)
 }
 
 // Analyzers returns every merlinvet analyzer in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DetRand, WallTime, MapOrder, TestHook, CtxFlow, GlobMut}
+	return []*Analyzer{DetRand, WallTime, MapOrder}
 }
 
-// inPaths returns an AppliesTo matcher for an exact import-path set.
-func inPaths(paths ...string) func(string) bool {
-	set := make(map[string]bool, len(paths))
-	for _, p := range paths {
-		set[p] = true
-	}
-	return func(pkgPath string) bool { return set[pkgPath] }
+// reportAffecting is the scope of detrand and walltime: every package a
+// report, an artifact hash or a merged fleet result is derived from.
+// internal/server is deliberately out of scope: event timestamps,
+// uptime and queue ages are wall-clock by design and never feed Report
+// bytes. cmd/* and examples/ are operator tooling.
+var reportAffecting = map[string]bool{
+	"merlin":                              true,
+	"merlin/internal/asm":                 true,
+	"merlin/internal/campaign":            true,
+	"merlin/internal/chaos":               true,
+	"merlin/internal/chaos/suite":         true,
+	"merlin/internal/conformance":         true,
+	"merlin/internal/conformance/gen":     true,
+	"merlin/internal/cpu":                 true,
+	"merlin/internal/experiments/relyzer": true,
+	"merlin/internal/fault":               true,
+	"merlin/internal/fleet":               true,
+	"merlin/internal/guestflow":           true,
+	"merlin/internal/interp":              true,
+	"merlin/internal/isa":                 true,
+	"merlin/internal/lifetime":            true,
+	"merlin/internal/mem":                 true,
+	"merlin/internal/merlin":              true,
+	"merlin/internal/sampling":            true,
+	"merlin/internal/stats":               true,
+	"merlin/internal/store":               true,
+	"merlin/internal/workloads":           true,
 }
 
 // --- shared AST/type helpers used by several analyzers ---
@@ -148,20 +149,6 @@ func funcObj(info *types.Info, e ast.Expr) *types.Func {
 	}
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
-}
-
-// isPkgFunc reports whether e resolves to the package-level function
-// pkgPath.name (not a method).
-func isPkgFunc(info *types.Info, e ast.Expr, pkgPath, name string) bool {
-	fn := funcObj(info, e)
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil || sig.Recv() != nil {
-		return false
-	}
-	return fn.Pkg().Path() == pkgPath && fn.Name() == name
 }
 
 // enclosingFuncName returns a short name for the innermost function

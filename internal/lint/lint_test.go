@@ -1,9 +1,6 @@
 package lint
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,9 +8,8 @@ import (
 )
 
 // TestFixtures drives every analyzer over its testdata fixture package
-// through the want/allowed expectation harness: each has at least one
-// true positive, at least one clean (not-flagged) idiom and at least
-// one suppressed-with-reason case.
+// through the want expectation harness: each has at least one true
+// positive and at least one clean (not-flagged) idiom.
 func TestFixtures(t *testing.T) {
 	for _, a := range Analyzers() {
 		a := a
@@ -36,11 +32,8 @@ func TestFixtures(t *testing.T) {
 func TestFixturesFailTheDriver(t *testing.T) {
 	for _, a := range Analyzers() {
 		res := fixtureResult(t, filepath.Join("testdata", "src", a.Name), a)
-		if len(res.Findings) == 0 {
+		if res.Clean() {
 			t.Errorf("%s: no findings on its violation fixture — merlinvet would exit 0", a.Name)
-		}
-		if len(res.Suppressed) == 0 {
-			t.Errorf("%s: no suppressed finding in fixture — //lint:allow path untested", a.Name)
 		}
 	}
 }
@@ -109,63 +102,22 @@ func TestSabotageSortGuardDeleted(t *testing.T) {
 	}
 }
 
-// TestSabotageHookFromNonTestFile is the acceptance sabotage check for
-// testhook: a fresh non-test file referencing a doc-marked test-only
-// hook, with no directive, must be caught.
-func TestSabotageHookFromNonTestFile(t *testing.T) {
-	dir := writeFixture(t, map[string]string{
-		"sab/hook/hook.go": `// Package hook defines a sabotage hook.
-package hook
-
-// Corrupt installs a test-only corruption hook.
-func Corrupt() {}
-`,
-		"sab/leak/leak.go": `// Package leak reaches the hook from production code.
-package leak
-
-import "merlinvet.test/sab/hook"
-
-func Oops() { hook.Corrupt() }
-`,
-	})
-	problems, err := CheckFixture(filepath.Join(dir, "sab"), TestHook)
-	if err != nil {
-		t.Fatal(err)
-	}
-	caught := false
-	for _, p := range problems {
-		if strings.Contains(p, "unexpected finding") && strings.Contains(p, "testhook001") {
-			caught = true
-		}
-	}
-	if !caught {
-		t.Errorf("test-only hook reference from a non-test file was not caught; problems: %q", problems)
-	}
-}
-
 // TestRealModuleClean is the driver test: merlinvet must run clean on
 // the module as committed — every invariant holds, every deliberate
-// exemption is directive- or allowlist-audited.
+// exemption is on walltime's built-in allowlist.
 func TestRealModuleClean(t *testing.T) {
-	res, err := Run(moduleRoot(t), Analyzers(), nil)
+	res, err := Run(moduleRoot(t), Analyzers())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range res.Findings {
 		t.Errorf("finding on real module: %s", d)
 	}
-	for _, u := range res.Unused {
-		t.Errorf("unused //lint:allow %s at %s:%d", u.Code, u.Pos.Filename, u.Pos.Line)
-	}
 	if res.Packages < 20 {
 		t.Errorf("only %d packages analyzed — loader lost most of the module", res.Packages)
 	}
-	// The audited exemption surface as committed: the conformance
-	// sabotage path and the shutdown drains (directives) and the
-	// Wall-stamp/heartbeat sites (allowlist).
-	if len(res.Suppressed) == 0 {
-		t.Error("no suppressed findings — the //lint:allow directives on the real tree stopped matching")
-	}
+	// The audited exemption surface as committed: the Wall-stamp and
+	// heartbeat sites on walltime's allowlist.
 	if len(res.Allowlisted) == 0 {
 		t.Error("no allowlisted sites — the walltime allowlist stopped matching Runner.Run")
 	}
@@ -173,7 +125,7 @@ func TestRealModuleClean(t *testing.T) {
 
 // TestScopedRunFindsViolations drives the full driver (scoping
 // included) over a synthetic module that violates detrand and walltime
-// inside report-affecting package paths, proving AppliesTo maps fixture
+// inside report-affecting package paths, proving Scope maps fixture
 // paths the same way the real tree is scoped.
 func TestScopedRunFindsViolations(t *testing.T) {
 	dir := t.TempDir()
@@ -205,7 +157,7 @@ import "time"
 
 func main() { _ = time.Now() }
 `)
-	res, err := Run(dir, Analyzers(), nil)
+	res, err := Run(dir, Analyzers())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,84 +184,27 @@ func main() { _ = time.Now() }
 	}
 }
 
-// TestDirectiveHygiene covers the directive bookkeeping findings:
-// missing reasons, unknown codes and stale (unused) directives are all
-// failures in their own right.
-func TestDirectiveHygiene(t *testing.T) {
-	src := `package p
-
-//lint:allow walltime001
-func A() {}
-
-//lint:allow nosuch001 a reason
-func B() {}
-
-//lint:allow walltime001 stale: nothing on the next line trips it
-func C() {}
-`
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	known := map[string]bool{"walltime001": true}
-	dirs, bad := collectDirectives(fset, []*ast.File{f}, known)
-	if len(bad) != 2 {
-		t.Fatalf("want 2 malformed-directive findings (missing reason, unknown code), got %d: %v", len(bad), bad)
-	}
-	for _, d := range bad {
-		if d.Code != directiveSyntax {
-			t.Errorf("malformed directive reported under %s, want %s", d.Code, directiveSyntax)
-		}
-	}
-	if len(dirs) != 1 {
-		t.Fatalf("want 1 well-formed directive, got %d", len(dirs))
-	}
-	_, _, unused := applySuppressions(dirs, nil)
-	if len(unused) != 1 {
-		t.Errorf("stale directive not reported unused: %v", unused)
-	}
-}
-
 // fixtureResult loads a testdata fixture and returns the raw Result
-// (for asserting on allowlist hits and suppression bookkeeping that
-// CheckFixture folds into pass/fail).
+// (for asserting on allowlist hits that CheckFixture folds into
+// pass/fail).
 func fixtureResult(t *testing.T, dir string, a *Analyzer) *Result {
 	t.Helper()
-	abs, err := filepath.Abs(dir)
+	_, _, res, err := runFixture(dir, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcRoot := filepath.Dir(abs)
-	moduleDir, err := moduleRootAbove(srcRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := NewLoader(moduleDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader.ExtraRoots = map[string]string{FixtureRoot: srcRoot}
-	pkgs, err := loader.LoadUnder(FixtureRoot + "/" + filepath.Base(abs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return RunPackages(loader, pkgs, []*Analyzer{a}, false)
+	return res
 }
 
 // moduleRoot locates the repository root from the test's working
 // directory (internal/lint).
 func moduleRoot(t *testing.T) string {
 	t.Helper()
-	root, err := moduleRootAbove(".")
-	if err == nil {
-		return root
-	}
-	abs, err := filepath.Abs("../..")
+	root, err := ModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return abs
+	return root
 }
 
 // writeFixture materializes an in-memory fixture tree under a temp

@@ -230,51 +230,28 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadUnder loads every package in the directory tree rooted at the
-// import path (which must resolve within the module or an extra root).
-func (l *Loader) LoadUnder(rootPath string) ([]*Package, error) {
-	rootDir := l.dirFor(rootPath)
-	if rootDir == "" {
-		return nil, fmt.Errorf("lint: %s is not a loadable root", rootPath)
-	}
-	var pkgs []*Package
-	err := filepath.WalkDir(rootDir, func(p string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		names, err := goSourceFiles(p)
-		if err != nil || len(names) == 0 {
-			return err
-		}
-		rel, err := filepath.Rel(rootDir, p)
-		if err != nil {
-			return err
-		}
-		path := rootPath
-		if rel != "." {
-			path = rootPath + "/" + filepath.ToSlash(rel)
-		}
-		pkg, err := l.load(path, p)
-		if err != nil {
-			return err
-		}
-		pkgs = append(pkgs, pkg)
-		return nil
-	})
+// ModuleRoot walks up from dir to the directory holding go.mod.
+func ModuleRoot(dir string) (string, error) {
+	dir, err := filepath.Abs(dir)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
-	return pkgs, nil
+	for {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return dir, nil
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			return "", fmt.Errorf("lint: no go.mod above %s", dir)
+		}
+		dir = parent
+	}
 }
 
 // goSourceFiles lists the non-test Go files of dir in sorted order.
 // Test files are out of scope by design: every invariant merlinvet
-// enforces is about production and simulation paths, and hooks/clocks
-// are explicitly fair game under test.
+// enforces is about production and simulation paths, and clocks and
+// unseeded randomness are fair game under test.
 func goSourceFiles(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

@@ -26,10 +26,10 @@ var MapOrder = &Analyzer{
 	Name:  "maporder",
 	Doc:   "no map-iteration order leaking into ordered output",
 	Codes: []string{"maporder001", "maporder002", "maporder003"},
-	// Ordering bugs matter anywhere in the module: reports, wire
-	// responses, CSV tables and CLI output all get diffed or hashed.
-	AppliesTo: func(pkgPath string) bool { return true },
-	Run:       runMapOrder,
+	// No Scope: ordering bugs matter anywhere in the module —
+	// reports, wire responses, CSV tables and CLI output all get diffed
+	// or hashed.
+	Run: runMapOrder,
 }
 
 // orderedWriteMethods are method names that externalize bytes in call

@@ -36,9 +36,3 @@ func ClockSeeded() *rand.Rand {
 func Hardware(p []byte) {
 	crand.Read(p)
 }
-
-// SuppressedGlobal is the deliberate, explained exemption.
-func SuppressedGlobal() int64 {
-	//lint:allow detrand001 fixture: deliberate global draw, never reaches a report
-	return rand.Int63n(5) // allowed "detrand001"
-}

@@ -1,6 +1,6 @@
 // Package maporder is the fixture for the maporder analyzer: map
 // iteration feeding ordered output is flagged unless an intervening
-// sort (or a //lint:allow) makes the order deterministic.
+// sort makes the order deterministic.
 package maporder
 
 import (
@@ -79,14 +79,4 @@ func EmitLoop(m map[string]int) {
 	for k := range m {
 		emitEvent(k) // want "maporder003"
 	}
-}
-
-// SuppressedCollect is the deliberate, explained exemption.
-func SuppressedCollect(m map[string]int) []string {
-	var keys []string
-	for k := range m {
-		//lint:allow maporder001 fixture: order is re-derived by the consumer
-		keys = append(keys, k) // allowed "maporder001"
-	}
-	return keys
 }

@@ -1,6 +1,5 @@
 // Package walltime is the fixture for the walltime analyzer: wall-clock
-// reads are flagged unless the site is allowlisted or carries a
-// //lint:allow with a reason.
+// reads are flagged unless the site is on the built-in allowlist.
 package walltime // want "walltime002"
 
 import "time"
@@ -9,14 +8,6 @@ import "time"
 func Stamp() time.Duration {
 	start := time.Now()      // want "walltime001"
 	return time.Since(start) // want "walltime001"
-}
-
-// Metric is the deliberate, explained exemption.
-func Metric() time.Duration {
-	//lint:allow walltime001 fixture: deliberate wall-clock metric stamp
-	start := time.Now() // allowed "walltime001"
-	//lint:allow walltime001 fixture: deliberate wall-clock metric stamp
-	return time.Since(start) // allowed "walltime001"
 }
 
 // AllowlistedMetric is exempted through the analyzer's built-in

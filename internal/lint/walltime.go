@@ -16,8 +16,8 @@ import (
 // schedulers, the clone-cost meter, the fleet's heartbeat/TTL liveness
 // clock — are enumerated in a built-in allowlist with a reason each;
 // the driver prints every allowlisted hit so the exemption set stays
-// visible. New sites need either an allowlist entry here or a
-// //lint:allow walltime001 line with a reason.
+// visible. A new metric site needs an allowlist entry here; there is no
+// other way to exempt one.
 //
 // The allowlist itself is checked for rot: an entry naming a function
 // with no wall-clock read left in it is a finding, because a stale
@@ -30,34 +30,8 @@ var WallTime = &Analyzer{
 	Name:  "walltime",
 	Doc:   "no wall-clock reads outside allowlisted metric sites",
 	Codes: []string{"walltime001", "walltime002"},
-	AppliesTo: inPaths(
-		"merlin",
-		"merlin/internal/cpu",
-		"merlin/internal/interp",
-		"merlin/internal/mem",
-		"merlin/internal/campaign",
-		"merlin/internal/sampling",
-		"merlin/internal/stats",
-		"merlin/internal/lifetime",
-		"merlin/internal/fault",
-		"merlin/internal/isa",
-		"merlin/internal/merlin",
-		"merlin/internal/guestflow",
-		"merlin/internal/experiments/relyzer",
-		"merlin/internal/workloads",
-		"merlin/internal/asm",
-		"merlin/internal/conformance",
-		"merlin/internal/conformance/gen",
-		"merlin/internal/fleet",
-		"merlin/internal/store",
-		"merlin/internal/chaos",
-		"merlin/internal/chaos/suite",
-		// internal/server is deliberately out of scope: event
-		// timestamps, uptime and queue ages are wall-clock by design
-		// and never feed Report bytes. cmd/* and examples/ are operator
-		// tooling.
-	),
-	Run: runWallTime,
+	Scope: reportAffecting,
+	Run:   runWallTime,
 }
 
 // wallClockFuncs are the time package reads that anchor to the wall.

@@ -21,8 +21,6 @@ type Params struct {
 
 // Baseline is the configuration of the paper's comprehensive campaigns:
 // 60,000 faults (99.8% / 0.63%).
-//
-//lint:allow globmut002 read-only preset mirroring the paper's Table 2; value type, copied at use sites, conventionally immutable
 var Baseline = Params{Confidence: 0.998, ErrorMargin: 0.0063}
 
 // zScore returns the two-sided normal quantile for confidence c, via the

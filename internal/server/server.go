@@ -472,7 +472,6 @@ func New(cfg Config) (*Server, error) {
 		cfg.MaxEventsPerCampaign = DefaultMaxEvents
 	}
 
-	//lint:allow ctxflow002 server root ctx: the daemon owns campaign lifetimes; DELETE cancels via the stored CancelFunc
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:       cfg,

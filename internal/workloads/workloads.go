@@ -52,7 +52,6 @@ func register(w *Workload) *Workload {
 	if _, dup := registry[w.Name]; dup {
 		panic("workloads: duplicate " + w.Name)
 	}
-	//lint:allow globmut001 package-init-time registration only (called from package-level var initializers); the registry is read-only after init
 	registry[w.Name] = w
 	return w
 }

@@ -195,7 +195,6 @@ func Serve(ctx context.Context, addr string, opt ServeOptions) error {
 // drain shuts a listener down gracefully under the drain deadline; the
 // coordinator and the worker share it.
 func drain(hs *http.Server) error {
-	//lint:allow ctxflow002 shutdown drain: the caller's ctx is already done, this bounds the drain
 	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	return hs.Shutdown(ctx)
@@ -273,7 +272,6 @@ func validateRequest(cache *Cache) func(CampaignRequest) error {
 		if err != nil {
 			return err
 		}
-		//lint:allow ctxflow002 synchronous option validation only; StartBatch simulates nothing at Start time
 		_, err = StartBatch(context.Background(), req.Workload, opts...)
 		return err
 	}
