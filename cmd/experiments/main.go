@@ -31,21 +31,16 @@ import (
 	"merlin/internal/experiments"
 )
 
-// csvOut, when set, receives machine-readable copies of the results.
-var csvOut string
-
-func writeCSV(name, content string) {
-	if csvOut == "" {
-		return
+// writeCSV writes a machine-readable copy of a result into dir as
+// name.csv; an empty dir writes nothing.
+func writeCSV(dir, name, content string) error {
+	if dir == "" {
+		return nil
 	}
-	if err := os.MkdirAll(csvOut, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments: csv:", err)
-		return
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
 	}
-	path := filepath.Join(csvOut, name+".csv")
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments: csv:", err)
-	}
+	return os.WriteFile(filepath.Join(dir, name+".csv"), []byte(content), 0o644)
 }
 
 func main() {
@@ -57,26 +52,16 @@ func main() {
 		structures = flag.String("structures", "", "comma-separated structure subset of RF,SQ,L1D (default: all three)")
 		seed       = flag.Int64("seed", 1, "fault sampling seed")
 		workers    = flag.Int("workers", 0, "injection parallelism (0 = all cores)")
-		strategy   = flag.String("strategy", "replay", "injection strategy for every campaign: replay or forked")
-		fullBase   = flag.Bool("full-baseline", false, "inject ACE-pruned faults too in accuracy experiments")
 		quiet      = flag.Bool("quiet", false, "suppress progress lines")
 		csvDir     = flag.String("csv", "", "also write machine-readable CSVs into this directory")
 	)
 	flag.Parse()
 
-	strat, err := merlin.ParseStrategy(*strategy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(2)
-	}
-
 	o := experiments.Options{
-		Faults:       *faults,
-		ScaleFactor:  *scale,
-		Seed:         *seed,
-		Workers:      *workers,
-		Strategy:     strat,
-		FullBaseline: *fullBase,
+		Faults:      *faults,
+		ScaleFactor: *scale,
+		Seed:        *seed,
+		Workers:     *workers,
 	}
 	if *workloads != "" {
 		o.Workloads = strings.Split(*workloads, ",")
@@ -95,26 +80,26 @@ func main() {
 	if !*quiet {
 		o.Log = os.Stderr
 	}
-	csvOut = *csvDir
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	if err := run(ctx, *experiment, o); err != nil {
+	if err := run(ctx, *experiment, o, *csvDir); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, name string, o experiments.Options) error {
+// run prints experiment name's result and, when csvDir is set, writes its
+// CSV there.
+func run(ctx context.Context, name string, o experiments.Options, csvDir string) error {
 	speedupFig := func(f func(context.Context, experiments.Options) (*experiments.SpeedupResult, error)) error {
 		r, err := f(ctx, o)
 		if err != nil {
 			return err
 		}
 		fmt.Println(r.Render())
-		writeCSV(strings.ToLower(strings.ReplaceAll(r.Figure, " ", "")), r.CSV())
-		return nil
+		return writeCSV(csvDir, strings.ToLower(strings.ReplaceAll(r.Figure, " ", "")), r.CSV())
 	}
 	accuracy := func(renders ...func(*experiments.AccuracyResult) string) error {
 		r, err := experiments.RunAccuracy(ctx, o)
@@ -124,8 +109,7 @@ func run(ctx context.Context, name string, o experiments.Options) error {
 		for _, render := range renders {
 			fmt.Println(render(r))
 		}
-		writeCSV("accuracy", r.CSV())
-		return nil
+		return writeCSV(csvDir, "accuracy", r.CSV())
 	}
 
 	switch name {
@@ -163,7 +147,7 @@ func run(ctx context.Context, name string, o experiments.Options) error {
 			return err
 		}
 		fmt.Println(r.Render())
-		writeCSV("fig13", r.CSV())
+		return writeCSV(csvDir, "fig13", r.CSV())
 	case "fig14":
 		return accuracy((*experiments.AccuracyResult).RenderFig14)
 	case "fig15":
@@ -181,19 +165,11 @@ func run(ctx context.Context, name string, o experiments.Options) error {
 		}
 		fmt.Println(r.Render())
 	case "speedups":
-		for _, f := range []func(context.Context, experiments.Options) (*experiments.SpeedupResult, error){
-			experiments.Fig8, experiments.Fig9, experiments.Fig10, experiments.Fig12,
-		} {
-			if err := speedupFig(f); err != nil {
+		for _, sub := range []string{"fig8", "fig9", "fig10", "fig12", "fig13"} {
+			if err := run(ctx, sub, o, csvDir); err != nil {
 				return err
 			}
 		}
-		r, err := experiments.Fig13(ctx, o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Render())
-		return nil
 	case "accuracy":
 		return accuracy(
 			(*experiments.AccuracyResult).RenderFig6,
@@ -208,7 +184,7 @@ func run(ctx context.Context, name string, o experiments.Options) error {
 		fmt.Println(experiments.Table1())
 		fmt.Println(experiments.Table3())
 		for _, sub := range []string{"speedups", "fig11", "accuracy", "table4", "ablation"} {
-			if err := run(ctx, sub, o); err != nil {
+			if err := run(ctx, sub, o, csvDir); err != nil {
 				return err
 			}
 		}

@@ -55,45 +55,49 @@ import (
 
 // main delegates to run so deferred profile writers execute before the
 // process exits with run's status code.
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(flag.NewFlagSet("merlin", flag.ExitOnError), os.Args[1:])) }
 
-func run() int {
+// run runs the subcommand args names, or else parses the campaign flags
+// from args into fs and runs one campaign.
+func run(fs *flag.FlagSet, args []string) int {
 	// Subcommands take over before campaign flag parsing; everything else
 	// is the original campaign interface.
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
+	if len(args) > 0 {
+		switch args[0] {
 		case "conformance":
-			return runConformance(os.Args[2:])
+			return runConformance(args[1:])
 		case "chaos":
-			return runChaos(os.Args[2:])
+			return runChaos(args[1:])
 		case "analyze":
-			return runAnalyze(os.Args[2:])
+			return runAnalyze(args[1:])
 		case "run":
-			return runProgram(os.Args[2:])
+			return runProgram(args[1:])
 		}
 	}
 	var (
-		workload   = flag.String("workload", "qsort", "workload name (see -list)")
-		structure  = flag.String("structure", "RF", "injection target: RF, SQ, or L1D")
-		structures = flag.String("structures", "", "comma-separated batch targets (e.g. RF,SQ,L1D): run one batch campaign whose structures share a single golden run; overrides -structure, incompatible with -baseline")
-		faults     = flag.Int("faults", 2000, "initial statistical fault list size (0 = derive from -confidence/-margin; the paper uses 60000)")
-		conf       = flag.Float64("confidence", 0.998, "statistical confidence level")
-		margin     = flag.Float64("margin", 0.0063, "statistical error margin")
-		seed       = flag.Int64("seed", 1, "fault sampling seed")
-		regs       = flag.Int("regs", 256, "physical integer registers (256/128/64)")
-		sq         = flag.Int("sq", 64, "store-queue (and load-queue) entries (64/32/16)")
-		l1d        = flag.Int("l1d", 32<<10, "L1 data cache bytes (65536/32768/16384)")
-		reps       = flag.Int("reps", 1, "representatives injected per final group")
-		baseline   = flag.Bool("baseline", false, "also run the comprehensive baseline campaign for comparison")
-		workers    = flag.Int("workers", 0, "injection parallelism (0 = all cores)")
-		strategy   = flag.String("strategy", merlin.StrategyForked.String(), "injection strategy: forked, or replay, the slower reference (bit-identical outcomes, different wall-clock)")
-		cacheDir   = flag.String("cache", "", "golden-run artifact cache directory (empty disables; shareable with merlind)")
-		cpuProf    = flag.String("cpuprofile", "", "write a pprof CPU profile of the campaign to this file")
-		memProf    = flag.String("memprofile", "", "write a pprof heap profile (after the campaign) to this file")
-		verbose    = flag.Bool("v", false, "print phase progress to stderr")
-		list       = flag.Bool("list", false, "list available workloads and exit")
+		workload   = fs.String("workload", "qsort", "workload name (see -list)")
+		structure  = fs.String("structure", "RF", "injection target: RF, SQ, or L1D")
+		structures = fs.String("structures", "", "comma-separated batch targets (e.g. RF,SQ,L1D): run one batch campaign whose structures share a single golden run; overrides -structure, incompatible with -baseline")
+		faults     = fs.Int("faults", 2000, "initial statistical fault list size (0 = derive from -confidence/-margin; the paper uses 60000)")
+		conf       = fs.Float64("confidence", 0.998, "statistical confidence level")
+		margin     = fs.Float64("margin", 0.0063, "statistical error margin")
+		seed       = fs.Int64("seed", 1, "fault sampling seed")
+		regs       = fs.Int("regs", 256, "physical integer registers (256/128/64)")
+		sq         = fs.Int("sq", 64, "store-queue (and load-queue) entries (64/32/16)")
+		l1d        = fs.Int("l1d", 32<<10, "L1 data cache bytes (65536/32768/16384)")
+		reps       = fs.Int("reps", 1, "representatives injected per final group")
+		baseline   = fs.Bool("baseline", false, "also run the comprehensive baseline campaign for comparison")
+		workers    = fs.Int("workers", 0, "injection parallelism (0 = all cores)")
+		strategy   = fs.String("strategy", merlin.StrategyForked.String(), "injection strategy: forked, or replay, the slower reference (bit-identical outcomes, different wall-clock)")
+		cacheDir   = fs.String("cache", "", "golden-run artifact cache directory (empty disables; shareable with merlind)")
+		cpuProf    = fs.String("cpuprofile", "", "write a pprof CPU profile of the campaign to this file")
+		memProf    = fs.String("memprofile", "", "write a pprof heap profile (after the campaign) to this file")
+		verbose    = fs.Bool("v", false, "print phase progress to stderr")
+		list       = fs.Bool("list", false, "list available workloads and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	// The heap-profile defer is registered before CPU profiling starts:
 	// defers run LIFO, so StopCPUProfile executes first and the GC +

@@ -3,7 +3,7 @@
 // groups by forward control-flow path with one random pilot per group,
 // while MeRLiN groups by (reader RIP, uPC, byte) with instance-diverse
 // representatives. This example measures both reductions against the
-// ground truth of injecting the entire post-ACE list.
+// comprehensive campaign's outcomes for the post-ACE list.
 //
 //	go run ./examples/relyzer_compare
 package main
@@ -30,7 +30,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := s.Preprocess(ctx); err != nil {
+	base, err := s.Baseline(ctx)
+	if err != nil {
 		log.Fatal(err)
 	}
 	red, err := s.Reduce()
@@ -39,31 +40,24 @@ func main() {
 	}
 	a := s.Artifacts()
 
-	// Ground truth: inject every fault that survives ACE-like pruning.
-	full := make([]merlin.Fault, len(red.HitFaults))
-	for i, fi := range red.HitFaults {
-		full[i] = a.Faults[fi]
-	}
-	fullRes, err := a.Runner.Run(ctx, full, &a.Golden.Result, campaign.Plan{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	outcomes := make([]merlin.Outcome, len(a.Faults))
-	for i, fi := range red.HitFaults {
-		outcomes[fi] = fullRes.Outcomes[i]
+	// Ground truth: the comprehensive outcomes of every fault that
+	// survives ACE-like pruning.
+	var truth merlin.Dist
+	for _, fi := range red.HitFaults {
+		truth.Add(base.Outcomes[fi])
 	}
 
 	show := func(name string, r *merlin.Reduction) {
 		var reps []merlin.Outcome
 		for _, g := range r.Groups {
 			for _, rep := range g.Reps {
-				reps = append(reps, outcomes[rep])
+				reps = append(reps, base.Outcomes[rep])
 			}
 		}
 		dist := r.PostACEExtrapolate(reps)
 		worst := 0.0
 		for o := merlin.Outcome(0); o < campaign.NumOutcomes; o++ {
-			d := 100 * (dist.Share(o) - fullRes.Dist.Share(o))
+			d := 100 * (dist.Share(o) - truth.Share(o))
 			if d < 0 {
 				d = -d
 			}
@@ -72,12 +66,12 @@ func main() {
 			}
 		}
 		fmt.Printf("%-22s injected %4d of %4d (%.1fx)  worst-class error %.2f pp\n",
-			name, r.ReducedCount(), len(full),
+			name, r.ReducedCount(), len(red.HitFaults),
 			float64(len(a.Faults))/float64(r.ReducedCount()), worst)
 		fmt.Printf("%-22s %v\n", "", dist)
 	}
 
-	fmt.Printf("ground truth (%d injections): %v\n\n", len(full), fullRes.Dist)
+	fmt.Printf("ground truth (%d injections): %v\n\n", len(red.HitFaults), truth)
 	show("MeRLiN", red)
 	rel := relyzer.Reduce(a.Analysis, a.Faults, a.Golden.Tracer.Branches, relyzer.DefaultDepth, seed)
 	show("Relyzer heuristic", rel)

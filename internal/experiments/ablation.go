@@ -6,12 +6,11 @@ import (
 
 	"merlin"
 
-	"merlin/internal/campaign"
 	reduction "merlin/internal/merlin"
 )
 
-// AblationRow is one grouping-policy variant evaluated against the full
-// post-ACE injection ground truth.
+// AblationRow is one grouping-policy variant evaluated against the
+// comprehensive campaign's post-ACE outcomes.
 type AblationRow struct {
 	Variant   string
 	Injected  int
@@ -66,35 +65,17 @@ func Ablation(ctx context.Context, o Options) (*AblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := s.Preprocess(ctx); err != nil {
-			return nil, err
-		}
-		a := s.Artifacts()
-		base := reduction.Prune(a.Analysis, a.Faults)
-		full := make([]merlin.Fault, len(base.HitFaults))
-		for i, fi := range base.HitFaults {
-			full[i] = a.Faults[fi]
-		}
-		fullRes, err := a.Runner.Run(ctx, full, &a.Golden.Result, campaign.Plan{Strategy: o.Strategy})
+		base, err := s.Baseline(ctx)
 		if err != nil {
 			return nil, err
 		}
-		outcomes := make([]campaign.Outcome, len(a.Faults))
-		for i, fi := range base.HitFaults {
-			outcomes[fi] = fullRes.Outcomes[i]
-		}
+		a := s.Artifacts()
 		totalInitial += len(a.Faults)
 
 		for i, v := range variants {
 			red := reduction.Reduce(a.Analysis, a.Faults, v.opts)
-			var reps []campaign.Outcome
-			for _, g := range red.Groups {
-				for _, rep := range g.Reps {
-					reps = append(reps, outcomes[rep])
-				}
-			}
-			dist := red.PostACEExtrapolate(reps)
-			in := reduction.Inaccuracy(dist, fullRes.Dist)
+			dist := red.PostACEExtrapolate(repOutcomes(red, base.Outcomes))
+			in := reduction.Inaccuracy(dist, postACE(red, base.Outcomes))
 			worst, sum := 0.0, 0.0
 			for _, d := range in {
 				if d > worst {

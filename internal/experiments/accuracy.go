@@ -14,9 +14,9 @@ import (
 )
 
 // AccuracyCampaign holds everything one (workload, structure-size)
-// campaign contributes to Figs 6, 7, 14, 15, 16 and 17: the full post-ACE
-// injection ground truth plus the MeRLiN and Relyzer-heuristic
-// reductions evaluated on it.
+// campaign contributes to Figs 6, 7, 14, 15, 16 and 17: the comprehensive
+// campaign's ground truth plus the MeRLiN report and the Relyzer-heuristic
+// reduction evaluated on it.
 type AccuracyCampaign struct {
 	Workload string
 	Size     string
@@ -26,21 +26,19 @@ type AccuracyCampaign struct {
 	ACEMasked     int
 	PostACE       int
 
-	// Ground truth: every post-ACE fault injected.
+	// Ground truth: the comprehensive outcomes of the post-ACE faults.
 	FullPostACE campaign.Dist
 	// MeRLiN: representatives only, extrapolated.
 	MerlinPostACE  campaign.Dist
 	MerlinInjected int
 	Homog          reduction.HomogeneityReport
 
-	// Full-list (Fig 15) distributions: ACE-pruned faults count as
-	// Masked (their soundness is verified by injection elsewhere),
-	// unless Options.FullBaseline re-injects them.
+	// Full-list (Fig 15) distributions: the comprehensive campaign over
+	// the whole initial list, and MeRLiN's report.
 	BaselineFull campaign.Dist
 	MerlinFull   campaign.Dist
 
 	// FIT accounting (Fig 16).
-	StructBits  int
 	BaselineFIT float64
 	MerlinFIT   float64
 	ACELikeFIT  float64
@@ -58,97 +56,44 @@ type AccuracyCampaign struct {
 	GroupNonMasked []int
 }
 
-// runAccuracy executes one campaign: golden+trace, reduce, inject the whole
-// post-ACE list once, and evaluate every method against it.
+// runAccuracy executes one campaign as a user would, Run for MeRLiN's
+// report and Baseline for the comprehensive one, and evaluates every method
+// against the baseline's per-fault outcomes.
 func runAccuracy(ctx context.Context, o Options, wl string, z StructSize) (*AccuracyCampaign, error) {
 	s, err := merlin.Start(ctx, wl, o.sessionOptions(z.Configure(defaultCPU()), z.Structure, o.Faults)...)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.Preprocess(ctx); err != nil {
+	rep, err := s.Run(ctx)
+	if err != nil {
 		return nil, err
 	}
-	red, err := s.Reduce()
+	base, err := s.Baseline(ctx)
 	if err != nil {
 		return nil, err
 	}
 	a := s.Artifacts()
-
-	// Ground truth: inject every fault that hit a vulnerable interval.
-	full := make([]merlin.Fault, len(red.HitFaults))
-	for i, fi := range red.HitFaults {
-		full[i] = a.Faults[fi]
-	}
-	fullRes, err := a.Runner.Run(ctx, full, &a.Golden.Result, campaign.Plan{Strategy: o.Strategy})
-	if err != nil {
-		return nil, err
-	}
-
-	// Outcomes indexed by the initial fault list.
-	outcomes := make([]campaign.Outcome, len(a.Faults))
-	for i, fi := range red.HitFaults {
-		outcomes[fi] = fullRes.Outcomes[i]
-	}
-
-	ac := &AccuracyCampaign{
-		Workload:      wl,
-		Size:          z.Label,
-		Struct:        z.Structure,
-		InitialFaults: len(a.Faults),
-		ACEMasked:     red.ACEMasked,
-		PostACE:       len(red.HitFaults),
-		FullPostACE:   fullRes.Dist,
-	}
-
-	// MeRLiN's view: representatives' outcomes extrapolated.
-	repOutcomes := make([]campaign.Outcome, 0, red.ReducedCount())
-	for _, g := range red.Groups {
-		for _, rep := range g.Reps {
-			repOutcomes = append(repOutcomes, outcomes[rep])
-		}
-	}
-	ac.MerlinPostACE = red.PostACEExtrapolate(repOutcomes)
-	ac.MerlinInjected = red.ReducedCount()
-	ac.Homog = red.Homogeneity(outcomes)
-
-	// Full-list distributions (Fig 15): pruned faults are Masked.
-	if o.FullBaseline {
-		pruned := make([]merlin.Fault, 0, red.ACEMasked)
-		for i, iv := range red.IntervalOf {
-			if iv < 0 {
-				pruned = append(pruned, a.Faults[i])
-			}
-		}
-		prunedRes, err := a.Runner.Run(ctx, pruned, &a.Golden.Result, campaign.Plan{Strategy: o.Strategy})
-		if err != nil {
-			return nil, err
-		}
-		ac.BaselineFull = fullRes.Dist
-		for _, oc := range prunedRes.Outcomes {
-			ac.BaselineFull.Add(oc)
-		}
-	} else {
-		ac.BaselineFull = fullRes.Dist
-		ac.BaselineFull.AddN(campaign.Masked, red.ACEMasked)
-	}
-	ac.MerlinFull = red.Extrapolate(repOutcomes)
-
-	entries, entryBits := a.Config.CPU.StructureGeometry(z.Structure)
-	ac.StructBits = entries * entryBits
-	ac.BaselineFIT = ac.BaselineFull.FIT(ac.StructBits, merlin.RawFITPerBit)
-	ac.MerlinFIT = ac.MerlinFull.FIT(ac.StructBits, merlin.RawFITPerBit)
-	ac.ACELikeFIT = a.Analysis.AVF() * merlin.RawFITPerBit * float64(ac.StructBits)
-
-	// Relyzer heuristic on the identical post-ACE list.
+	red, outcomes := a.Red, base.Outcomes
 	rel := relyzer.Reduce(a.Analysis, a.Faults, a.Golden.Tracer.Branches, relyzer.DefaultDepth, o.Seed)
-	relOutcomes := make([]campaign.Outcome, 0, rel.ReducedCount())
-	for _, g := range rel.Groups {
-		for _, rep := range g.Reps {
-			relOutcomes = append(relOutcomes, outcomes[rep])
-		}
+	ac := &AccuracyCampaign{
+		Workload:        wl,
+		Size:            z.Label,
+		Struct:          z.Structure,
+		InitialFaults:   rep.InitialFaults,
+		ACEMasked:       rep.ACEMasked,
+		PostACE:         rep.PostACE,
+		FullPostACE:     postACE(red, outcomes),
+		MerlinPostACE:   red.PostACEExtrapolate(rep.RepOutcomes),
+		MerlinInjected:  rep.Injected,
+		Homog:           red.Homogeneity(outcomes),
+		BaselineFull:    base.Dist,
+		MerlinFull:      rep.Dist,
+		BaselineFIT:     base.FIT,
+		MerlinFIT:       rep.FIT,
+		ACELikeFIT:      rep.ACELikeFIT,
+		RelyzerPostACE:  rel.PostACEExtrapolate(repOutcomes(rel, outcomes)),
+		RelyzerInjected: rel.ReducedCount(),
 	}
-	ac.RelyzerPostACE = rel.PostACEExtrapolate(relOutcomes)
-	ac.RelyzerInjected = rel.ReducedCount()
 	ac.RelyzerLargeGroups, ac.RelyzerSinglePilots = relyzer.SinglePilotLargeGroups(rel, 20)
 	ac.MerlinLargeGroups, ac.MerlinSinglePilots = relyzer.SinglePilotLargeGroups(red, 20)
 
@@ -166,6 +111,29 @@ func runAccuracy(ctx context.Context, o Options, wl string, z StructSize) (*Accu
 	return ac, nil
 }
 
+// postACE is the ground truth a reduction's post-ACE extrapolation is held
+// to: the comprehensive outcomes of the faults its pruning kept.
+func postACE(red *reduction.Reduction, outcomes []campaign.Outcome) campaign.Dist {
+	var d campaign.Dist
+	for _, fi := range red.HitFaults {
+		d.Add(outcomes[fi])
+	}
+	return d
+}
+
+// repOutcomes reads a reduction's representatives' outcomes, in Reduced()
+// order, out of the comprehensive campaign's: every reduction of one fault
+// list is evaluated against one Baseline.
+func repOutcomes(red *reduction.Reduction, outcomes []campaign.Outcome) []campaign.Outcome {
+	reps := make([]campaign.Outcome, 0, red.ReducedCount())
+	for _, g := range red.Groups {
+		for _, rep := range g.Reps {
+			reps = append(reps, outcomes[rep])
+		}
+	}
+	return reps
+}
+
 // AccuracyResult holds all accuracy campaigns plus the figure renderers.
 type AccuracyResult struct {
 	Faults    int
@@ -173,9 +141,9 @@ type AccuracyResult struct {
 }
 
 // RunAccuracy executes the accuracy campaigns: every MiBench workload on
-// every structure size, each with a full post-ACE injection. This is the
-// heavyweight experiment; Figs 6, 7, 14, 15, 16, 17 and the §4.4.5 report
-// all render from its result.
+// every structure size, each a MeRLiN campaign plus its comprehensive
+// baseline. This is the heavyweight experiment; Figs 6, 7, 14, 15, 16, 17
+// and the §4.4.5 report all render from its result.
 func RunAccuracy(ctx context.Context, o Options) (*AccuracyResult, error) {
 	o = o.withDefaults()
 	res := &AccuracyResult{Faults: o.Faults}

@@ -38,18 +38,8 @@ type Options struct {
 	Structures []lifetime.StructureID
 	// Workers bounds injection parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Strategy selects the injection scheduler every campaign of every
-	// table/figure uses: Replay (the figures' default, passed explicitly
-	// to every session) or Forked.
-	// Outcomes are bit-identical across strategies, so any strategy
-	// reproduces the same tables; only wall-clock differs.
-	Strategy campaign.Strategy
 	// Seed drives fault sampling.
 	Seed int64
-	// FullBaseline injects even the ACE-pruned faults in accuracy
-	// experiments instead of relying on the (separately verified)
-	// soundness of the pruning. Much slower.
-	FullBaseline bool
 	// Log receives progress lines (nil = quiet).
 	Log io.Writer
 }
@@ -70,8 +60,9 @@ func (o Options) logf(format string, args ...any) {
 	}
 }
 
-// sessionOptions maps experiment Options onto the v2 functional options
-// for one (core config, structure, fault budget) campaign.
+// sessionOptions maps experiment Options onto the session options for one
+// (core config, structure, fault budget) campaign; injection takes the
+// library's default strategy.
 func (o Options) sessionOptions(cpuCfg cpu.Config, s lifetime.StructureID, faults int) []merlin.Option {
 	return []merlin.Option{
 		merlin.WithCPU(cpuCfg),
@@ -79,7 +70,6 @@ func (o Options) sessionOptions(cpuCfg cpu.Config, s lifetime.StructureID, fault
 		merlin.WithFaults(faults),
 		merlin.WithSeed(o.Seed),
 		merlin.WithWorkers(o.Workers),
-		merlin.WithStrategy(o.Strategy),
 	}
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"merlin/internal/campaign"
@@ -13,6 +14,18 @@ import (
 func quick() Options {
 	return Options{Faults: 300, ScaleFactor: 4, Workloads: []string{"sha", "fft"}, Seed: 5}
 }
+
+// quickAccuracy and table4Small are computed once and shared with
+// TestFigurePins: the accuracy sweep and the truncated campaigns are the
+// package's slowest runs.
+var (
+	quickAccuracy = sync.OnceValues(func() (*AccuracyResult, error) {
+		return RunAccuracy(context.Background(), quick())
+	})
+	table4Small = sync.OnceValues(func() (*Table4Result, error) {
+		return Table4(context.Background(), Options{Faults: 120, Seed: 7})
+	})
+)
 
 func TestFig8Speedups(t *testing.T) {
 	r, err := Fig8(context.Background(), quick())
@@ -119,23 +132,21 @@ func TestAccuracySmall(t *testing.T) {
 }
 
 func TestFullBaselineAgreesWithAssumedACE(t *testing.T) {
-	// Injecting the pruned faults must produce the same distribution as
-	// assuming them Masked (the soundness the fast path relies on).
-	base := Options{Faults: 200, Workloads: []string{"fft"}, Seed: 6}
-	fullOpt := base
-	fullOpt.FullBaseline = true
-
-	z := allSizes()[1] // RF 128
-	a, err := runAccuracy(context.Background(), base, "fft", z)
+	// The comprehensive campaign injects the ACE-pruned faults too; each
+	// must come out Masked, the soundness MeRLiN's extrapolation relies on.
+	r, err := quickAccuracy()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runAccuracy(context.Background(), fullOpt, "fft", z)
-	if err != nil {
-		t.Fatal(err)
+	if len(r.Campaigns) != 18 { // 9 sizes x 2 workloads
+		t.Fatalf("campaigns = %d", len(r.Campaigns))
 	}
-	if a.BaselineFull != b.BaselineFull {
-		t.Errorf("assumed %v vs injected %v", a.BaselineFull, b.BaselineFull)
+	for _, c := range r.Campaigns {
+		assumed := c.FullPostACE
+		assumed.AddN(campaign.Masked, c.ACEMasked)
+		if c.BaselineFull != assumed {
+			t.Errorf("%s/%s: injected %v vs assumed %v", c.Workload, c.Size, c.BaselineFull, assumed)
+		}
 	}
 }
 
@@ -178,7 +189,7 @@ func TestTable3Magnitudes(t *testing.T) {
 }
 
 func TestTable4Small(t *testing.T) {
-	r, err := Table4(context.Background(), Options{Faults: 120, Seed: 7})
+	r, err := table4Small()
 	if err != nil {
 		t.Fatal(err)
 	}

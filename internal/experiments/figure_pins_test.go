@@ -29,7 +29,7 @@ func figurePins(t *testing.T) map[string][]string {
 
 	pin("table1", Table1())
 	pin("table3", Table3())
-	t4, err := Table4(ctx, Options{Faults: 120, Seed: 7})
+	t4, err := table4Small()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func figurePins(t *testing.T) map[string][]string {
 	}
 	pins["fig11.runs"] = runs
 
-	acc, err := RunAccuracy(ctx, o)
+	acc, err := quickAccuracy()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,10 +56,10 @@ func (r *SpeedupResult) Render() string {
 	return fmt.Sprintf("%s: %s\n%s", r.Figure, r.Title, t)
 }
 
-// reduceOnly runs phases 1-2 for one campaign (speedups need no
+// reduceOnly runs phases 1-2 for one campaign on cfg (speedups need no
 // injection), via a Session so the sweep is cancellable between phases.
-func reduceOnly(ctx context.Context, o Options, wl string, z StructSize, faults int) (SpeedupCell, error) {
-	s, err := merlin.Start(ctx, wl, o.sessionOptions(z.Configure(defaultCPU()), z.Structure, faults)...)
+func reduceOnly(ctx context.Context, o Options, wl string, cfg cpu.Config, z StructSize, faults int) (SpeedupCell, error) {
+	s, err := merlin.Start(ctx, wl, o.sessionOptions(cfg, z.Structure, faults)...)
 	if err != nil {
 		return SpeedupCell{}, err
 	}
@@ -103,7 +103,7 @@ func (o Options) speedupFigure(ctx context.Context, fig, title string, sizes []S
 	res := &SpeedupResult{Figure: fig, Title: title}
 	for _, z := range o.filterSizes(sizes) {
 		for _, wl := range o.workloadSet(suite) {
-			cell, err := reduceOnly(ctx, o, wl, z, o.Faults)
+			cell, err := reduceOnly(ctx, o, wl, z.Configure(defaultCPU()), z, o.Faults)
 			if err != nil {
 				return nil, fmt.Errorf("%s %s/%s: %w", fig, wl, z.Label, err)
 			}
@@ -144,24 +144,12 @@ func Fig12(ctx context.Context, o Options) (*SpeedupResult, error) {
 	})
 	for _, wl := range o.workloadSet("spec") {
 		for _, z := range targets {
-			s, err := merlin.Start(ctx, wl, o.sessionOptions(specConfig(), z.Structure, o.Faults)...)
-			if err == nil {
-				err = s.Preprocess(ctx)
-			}
+			cell, err := reduceOnly(ctx, o, wl, specConfig(), z, o.Faults)
 			if err != nil {
 				return nil, fmt.Errorf("Fig 12 %s/%s: %w", wl, z.Label, err)
 			}
-			red, err := s.Reduce()
-			if err != nil {
-				return nil, fmt.Errorf("Fig 12 %s/%s: %w", wl, z.Label, err)
-			}
-			o.logf("Fig 12 %-12s %-4s ACE %6.1fx final %7.1fx", wl, z.Label, red.ACESpeedup(), red.FinalSpeedup())
-			res.Cells = append(res.Cells, SpeedupCell{
-				Workload: wl, Size: z.Label,
-				Initial: len(s.Artifacts().Faults), PostACE: len(red.HitFaults),
-				Injected: red.ReducedCount(),
-				ACE:      red.ACESpeedup(), Final: red.FinalSpeedup(),
-			})
+			o.logf("Fig 12 %-12s %-4s ACE %6.1fx final %7.1fx", wl, z.Label, cell.ACE, cell.Final)
+			res.Cells = append(res.Cells, cell)
 		}
 	}
 	return res, nil
@@ -206,11 +194,11 @@ func Fig13(ctx context.Context, o Options) (*ScalingResult, error) {
 		var baseACE, baseFin, bigACE, bigFin []float64
 		var baseInj, bigInj int
 		for _, wl := range o.workloadSet("mibench") {
-			base, err := reduceOnly(ctx, o, wl, z, o.Faults)
+			base, err := reduceOnly(ctx, o, wl, z.Configure(defaultCPU()), z, o.Faults)
 			if err != nil {
 				return nil, err
 			}
-			big, err := reduceOnly(ctx, o, wl, z, o.Faults*o.ScaleFactor)
+			big, err := reduceOnly(ctx, o, wl, z.Configure(defaultCPU()), z, o.Faults*o.ScaleFactor)
 			if err != nil {
 				return nil, err
 			}
@@ -300,10 +288,9 @@ func Fig11(ctx context.Context, o Options) (*Fig11Result, error) {
 			continue
 		}
 		row := Fig11Row{Structure: s.String()}
-		var secSamples []float64
 		for _, z := range sizesFor(s) {
 			for _, wl := range o.workloadSet("mibench") {
-				cell, err := reduceOnly(ctx, o, wl, z, o.Faults)
+				cell, err := reduceOnly(ctx, o, wl, z.Configure(defaultCPU()), z, o.Faults)
 				if err != nil {
 					return nil, err
 				}
@@ -311,9 +298,13 @@ func Fig11(ctx context.Context, o Options) (*Fig11Result, error) {
 				row.MerlinRuns += cell.Injected
 			}
 		}
-		// Measure injection cost on one representative campaign.
-		sess, err := merlin.Start(ctx, o.workloadSet("mibench")[0],
-			o.sessionOptions(sizesFor(s)[1].Configure(defaultCPU()), s, 60)...)
+		// Measure injection cost on one representative campaign. The
+		// paper's per-injection cost is a full run from reset, which is
+		// what Replay pays; the default strategy's forked, early-exited
+		// runs would understate it.
+		opts := append(o.sessionOptions(sizesFor(s)[1].Configure(defaultCPU()), s, 60),
+			merlin.WithStrategy(merlin.StrategyReplay))
+		sess, err := merlin.Start(ctx, o.workloadSet("mibench")[0], opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -321,8 +312,7 @@ func Fig11(ctx context.Context, o Options) (*Fig11Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		secSamples = append(secSamples, br.Serial.Seconds()/float64(br.Faults))
-		row.SecPerRun = mean(secSamples)
+		row.SecPerRun = br.Serial.Seconds() / float64(br.Faults)
 		row.BaselineSeconds = row.SecPerRun * float64(row.BaselineRuns)
 		row.MerlinSeconds = row.SecPerRun * float64(row.MerlinRuns)
 		o.logf("Fig 11 %-4s: %d vs %d runs at %.4fs", row.Structure, row.BaselineRuns, row.MerlinRuns, row.SecPerRun)
