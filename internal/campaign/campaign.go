@@ -254,6 +254,7 @@ type runMetrics struct {
 	handOffs, fellBack atomic.Int64  // see Work
 	interpInsts        atomic.Uint64 // see Work
 	deadAtFlip         atomic.Int64  // see Work
+	overwritten        atomic.Int64  // see Work
 }
 
 // addHandOffs folds a retiring worker's hand-off counts in.
@@ -261,6 +262,7 @@ func (m *runMetrics) addHandOffs(h *handOff) {
 	m.handOffs.Add(h.handOffs)
 	m.fellBack.Add(h.fellBack)
 	m.interpInsts.Add(h.interpInsts)
+	m.overwritten.Add(h.overwritten)
 }
 
 // clone takes one metered snapshot of src through the pool.
@@ -278,7 +280,7 @@ func (m *runMetrics) fill(res *Result) {
 	res.CloneTime = time.Duration(m.cloneNS.Load())
 	res.SimCycles = m.simCycles.Load()
 	res.HandOffs, res.FellBack, res.InterpInsts = m.handOffs.Load(), m.fellBack.Load(), m.interpInsts.Load()
-	res.DeadAtFlip = m.deadAtFlip.Load()
+	res.DeadAtFlip, res.Overwritten = m.deadAtFlip.Load(), m.overwritten.Load()
 }
 
 // RunGolden performs the fault-free reference run, tracking lifetimes of
@@ -396,6 +398,10 @@ type Work struct {
 	// the fork because the flipped bit lay in dead storage (cpu.Core.Dead):
 	// no clone, no cycle.
 	DeadAtFlip int64
+	// Overwritten counts the faults classified Masked on the way to a rung
+	// because the flipped RF or SQ entry was overwritten or freed unread
+	// (cpu.Core.Watch).
+	Overwritten int64
 	// SnapshotHit reports that the checkpoint ladder was served by a
 	// SnapshotCache instead of rebuilt (always false for Replay, whose
 	// reset-only ladder never goes through the source).
@@ -412,6 +418,7 @@ func (w *Work) Add(o Work) {
 	w.FellBack += o.FellBack
 	w.InterpInsts += o.InterpInsts
 	w.DeadAtFlip += o.DeadAtFlip
+	w.Overwritten += o.Overwritten
 	w.SnapshotHit = w.SnapshotHit || o.SnapshotHit
 }
 

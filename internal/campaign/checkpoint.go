@@ -76,8 +76,9 @@ func (s *CheckpointSet) before(fc uint64) *cpu.Core {
 }
 
 // classifyAgainst runs faulty clone c (fault f already applied, injSeq the
-// core's RenameSeq at the flip) to its classification. At each golden
-// ladder snapshot past the injection cycle the continuation pauses. If its
+// core's RenameSeq at the flip) to its classification. A run whose
+// overwrite watch ends masked (cpu.Core.Watch) is Masked at that cycle. At
+// each golden ladder snapshot past the injection cycle the run pauses. If its
 // machine state is masked-equivalent to the fault-free state at that cycle
 // (identical up to provably dead storage, see cpu.MaskedEquivalent), the
 // rest of the run provably replays the golden run and the fault is Masked.
@@ -91,6 +92,10 @@ func (r *Runner) classifyAgainst(c *cpu.Core, f fault.Fault, injSeq uint64, gold
 		for i := sort.Search(len(ladder.cycles), func(i int) bool { return ladder.cycles[i] > c.Cycle() }); i < len(ladder.cycles); i++ {
 			for c.Cycle() < ladder.cycles[i] && c.Halted() == cpu.Running {
 				c.Step()
+				if c.Watch() == cpu.WatchMasked {
+					h.overwritten++
+					return Masked
+				}
 			}
 			if c.Halted() != cpu.Running {
 				break
@@ -108,12 +113,13 @@ func (r *Runner) classifyAgainst(c *cpu.Core, f fault.Fault, injSeq uint64, gold
 }
 
 // handOff is one worker's hand-off scratch: the interpreter it restarts
-// for every attempt, and what its attempts came to.
+// for every attempt, and what its attempts and watch exits came to.
 type handOff struct {
 	m           interp.Machine
 	handOffs    int64  // runs the interpreter classified
 	fellBack    int64  // attempts that returned to the detailed core
 	interpInsts uint64 // instructions interpreted, either way
+	overwritten int64  // runs the overwrite watch ended Masked
 }
 
 // handOffWait bounds the cycles a hand-off steps the detailed core waiting

@@ -259,7 +259,8 @@ func TestHandOffMatchesRunFault(t *testing.T) {
 // in any structure classifies through the ladder and the hand-off exactly
 // as the detailed from-reset run does. The seed corpus under testdata/fuzz
 // holds one input per way a run ends: handed off to each class, sure
-// Timeout, and the band that falls back.
+// Timeout, the band that falls back, and the overwrite watch's exit on the
+// RF and on the SQ.
 func FuzzHandOff(f *testing.F) {
 	f.Fuzz(func(t *testing.T, class uint8, seed uint64, structure uint8, entry, bit, cycle uint16) {
 		classes := gen.Classes()

@@ -117,9 +117,10 @@ func TestPlansAgreeOnGeneratedKernels(t *testing.T) {
 // TestPlanWorkCounters pins the work each strategy does on sha/RF/1000
 // faults/seed 1 — machine clones, detailed cycles simulated, snapshot hit,
 // what the hand-off did (runs the interpreter finished, attempts that fell
-// back, instructions interpreted) and the faults classified dead at the
-// flip — with and without a SnapshotCache (cold, then warm). Replay has no
-// rung and no fork, so it never hands off and never decides at the flip.
+// back, instructions interpreted), the faults classified dead at the flip
+// and those the overwrite watch decided — with and without a SnapshotCache
+// (cold, then warm). Replay has no rung and no fork, so it never hands off
+// and never decides at the flip or at an overwrite.
 func TestPlanWorkCounters(t *testing.T) {
 	type work struct {
 		clones      int64
@@ -129,14 +130,15 @@ func TestPlanWorkCounters(t *testing.T) {
 		fellBack    int64
 		interpInsts uint64
 		deadAtFlip  int64
+		overwritten int64
 	}
 	cold := map[Strategy]work{
-		Replay: {1000, 6152243, false, 0, 0, 0, 0},
-		Forked: {193, 33000, false, 52, 0, 457371, 832},
+		Replay: {1000, 6152243, false, 0, 0, 0, 0, 0},
+		Forked: {193, 20449, false, 52, 0, 457371, 832, 105},
 	}
 	warm := map[Strategy]work{
 		Replay: cold[Replay], // no ladder to share
-		Forked: {193, 27083, true, 52, 0, 457371, 832},
+		Forked: {193, 14532, true, 52, 0, 457371, 832, 105},
 	}
 	for _, shared := range []bool{false, true} {
 		r := NewRunner(target(t, "sha"))
@@ -160,7 +162,7 @@ func TestPlanWorkCounters(t *testing.T) {
 					continue // 1000 from-reset replays: once per runner is enough
 				}
 				res := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{Strategy: s}))
-				if got := (work{res.Clones, res.SimCycles, res.SnapshotHit, res.HandOffs, res.FellBack, res.InterpInsts, res.DeadAtFlip}); got != want[s] {
+				if got := (work{res.Clones, res.SimCycles, res.SnapshotHit, res.HandOffs, res.FellBack, res.InterpInsts, res.DeadAtFlip, res.Overwritten}); got != want[s] {
 					t.Errorf("shared=%v round %d %v: work %+v, want %+v", shared, round, s, got, want[s])
 				}
 			}

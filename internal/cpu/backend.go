@@ -51,6 +51,9 @@ func (c *Core) loadBlocked(e *robEntry) bool {
 	var s1 uint64
 	if e.src1 >= 0 {
 		s1 = c.regVal[e.src1]
+		if e.src1+1 == c.watch.reg {
+			c.watch = watch{end: WatchRead}
+		}
 	}
 	u := &c.uops[e.uop]
 	addr := s1 + uint64(u.Imm)
@@ -107,6 +110,9 @@ func (c *Core) execute(idx int) {
 		if traced {
 			c.pendRead(idx, lifetime.StructRF, int32(e.src2), 0xff)
 		}
+	}
+	if w := c.watch.reg - 1; w >= 0 && (e.src1 == w || e.src2 == w) {
+		c.watch = watch{end: WatchRead}
 	}
 	u := &c.uops[e.uop]
 	switch u.Kind {
@@ -181,6 +187,9 @@ func (c *Core) execute(idx int) {
 			s := &c.sq[e.sqSlot]
 			d := addr - s.addr
 			e.result = extend(s.data>>(8*d), size, u.Signed)
+			if e.sqSlot+1 == c.watch.sq {
+				c.watch = watch{end: WatchRead}
+			}
 			c.pendRead(idx, lifetime.StructSQ, int32(e.sqSlot), maskRange(int(d), int(size)))
 			e.doneAt = c.cycle + 2
 		default:
@@ -236,6 +245,9 @@ func (c *Core) complete(idx int) bool {
 	if e.physDest >= 0 {
 		c.regVal[e.physDest] = e.result
 		c.regReady[e.physDest] = true
+		if e.physDest+1 == c.watch.reg {
+			c.watch = watch{end: WatchMasked}
+		}
 		if c.tracer != nil {
 			c.emitWrite(lifetime.StructRF, int32(e.physDest), 0xff, int32(e.rip), c.uops[e.uop].UPC)
 		}
@@ -251,6 +263,9 @@ func (c *Core) complete(idx int) bool {
 		assertf(s.valid, "STD writeback to invalid SQ slot")
 		s.data = e.result
 		s.dataOK = true
+		if e.sqSlot+1 == c.watch.sq {
+			c.watch = watch{end: WatchMasked}
+		}
 		if c.tracer != nil {
 			c.emitWrite(lifetime.StructSQ, int32(e.sqSlot), maskRange(0, int(s.size)), int32(e.rip), c.uops[e.uop].UPC)
 		}
@@ -302,6 +317,7 @@ func (c *Core) squashYounger(seq uint64) {
 			s := &c.sq[tail]
 			s.valid, s.addrOK, s.dataOK = false, false, false
 			c.emitInvalidate(lifetime.StructSQ, int32(tail), 0xff)
+			c.watch.freed = c.watch.freed || tail+1 == int(c.watch.sq)
 			c.sqLen--
 		}
 		if c.reads != nil {

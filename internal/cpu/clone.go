@@ -85,6 +85,7 @@ func (c *Core) cloneInto(n *Core) {
 	n.traceW = nil
 	n.witness = nil
 	n.mutate = nil
+	n.watch = watch{}
 
 	if n.dmem == nil {
 		n.dmem = c.dmem.Clone()

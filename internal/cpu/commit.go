@@ -125,6 +125,9 @@ func (c *Core) drainStage() {
 		return
 	}
 	c.stats.Stores++
+	if slot+1 == int(c.watch.sq) {
+		c.watch = watch{end: WatchRead}
+	}
 	lat := c.dcacheWrite(s.addr, s.size, s.data, int32(s.drainRIP), s.drainUPC)
 	c.drainBusyUntil = c.cycle + uint64(lat)
 	if c.tracer != nil {

@@ -293,6 +293,7 @@ type Core struct {
 	reads  []uopReads // per ROB slot, allocated by AttachTracer
 	traceW io.Writer
 	stats  Stats
+	watch  watch // the overwrite watch (Watch): not machine state, not cloned
 }
 
 // New builds a core for prog with the given configuration. The program's
@@ -432,13 +433,15 @@ func (c *Core) StructureEntryBits(s lifetime.StructureID) int {
 // selects the physical slot (register, SQ slot, or cache (set,way) line)
 // and bit the flipped bit. The flip lands in the physical storage
 // regardless of the slot's current architectural meaning, exactly like a
-// particle strike.
+// particle strike. An RF or SQ flip arms the overwrite watch (Watch).
 func (c *Core) FlipBit(s lifetime.StructureID, entry, bit int) {
 	switch s {
 	case lifetime.StructRF:
 		c.regVal[entry] ^= 1 << uint(bit)
+		c.watch = watch{reg: int16(entry) + 1}
 	case lifetime.StructSQ:
 		c.sq[entry].data ^= 1 << uint(bit)
+		c.watch = watch{sq: int16(entry) + 1}
 	case lifetime.StructL1D:
 		c.l1d.FlipBit(entry, bit)
 	default:
@@ -577,9 +580,20 @@ func (c *Core) emitInvalidate(s lifetime.StructureID, entry int32, mask uint64) 
 // lifetime.
 func (c *Core) freePhys(p int16) {
 	c.freeList = append(c.freeList, p)
-	if c.tracer != nil {
-		c.emit(lifetime.StructRF, lifetime.EvInvalidate, int32(p), 0xff, 0, 0)
+	if c.tracer != nil || p+1 == c.watch.reg {
+		c.freed(p)
 	}
+}
+
+// freed tells the tracer and the overwrite watch that p was freed: out of
+// line, like emit (whose body it repeats), so freePhys stays inlinable.
+//
+//go:noinline
+func (c *Core) freed(p int16) {
+	if c.tracer != nil {
+		c.tracer.Emit(lifetime.StructRF, lifetime.Event{Cycle: c.cycle, Entry: int32(p), Mask: 0xff, Kind: lifetime.EvInvalidate})
+	}
+	c.watch.freed = c.watch.freed || p+1 == c.watch.reg
 }
 
 // pendRead reserves a structure read against the reading µop's ROB slot; it

@@ -113,7 +113,7 @@ var (
 		"output", "excLog", "committedInsts", "committedUops", "lastCommitAt",
 		"archRegs", "stats",
 	}
-	coreNotMachineState = []string{"witness", "mutate", "tracer", "reads", "traceW"}
+	coreNotMachineState = []string{"witness", "mutate", "watch", "tracer", "reads", "traceW"}
 )
 
 func TestCloneCoversEveryField(t *testing.T) {

@@ -87,6 +87,42 @@ func (c *Core) Dead(s lifetime.StructureID, entry int) bool {
 	return false
 }
 
+// WatchEnd is how the overwrite watch FlipBit arms on a flipped RF or SQ
+// entry ended. A core never armed, or flipped in the L1D, stays open.
+type WatchEnd uint8
+
+const (
+	WatchOpen   WatchEnd = iota // no port has touched the entry yet
+	WatchRead                   // a port read it first
+	WatchMasked                 // it was overwritten, or freed into dead storage, unread
+)
+
+// watch holds the watched register or SQ slot plus one (the zero value, a
+// clone's, watches nothing) and whether it was freed since Watch last ran.
+type watch struct {
+	reg, sq int16
+	freed   bool
+	end     WatchEnd
+}
+
+// Watch reports how the overwrite watch has ended so far. The core's ports
+// end it, never the lifetime analysis: any operand capture of the entry,
+// speculative or not, ends it WatchRead; a full overwrite (writeback, an
+// STD fill) ends it WatchMasked, and so does a free or invalidate after
+// which Dead still holds here (an entry allocated again is overwritten
+// before any read). Commit's ArchRegs copy is not a read: the commit that
+// frees the register rewrites it. At WatchMasked the core is masked-
+// equivalent to its fault-free twin (TestWatchMatchesMaskedEquivalent).
+func (c *Core) Watch() WatchEnd {
+	if w := &c.watch; w.freed {
+		w.freed = false
+		if w.reg > 0 && c.regDead(w.reg-1) || w.sq > 0 && c.sqDead(int(w.sq-1)) {
+			*w = watch{end: WatchMasked}
+		}
+	}
+	return c.watch.end
+}
+
 // sqDead reports whether store-queue slot i holds no live data.
 func (c *Core) sqDead(i int) bool { return !c.sq[i].valid }
 

@@ -70,7 +70,7 @@ type (
 	Strategy = campaign.Strategy
 	// Work counts what an injection phase executed (Serial, Clones,
 	// CloneTime, SimCycles, HandOffs, FellBack, InterpInsts, DeadAtFlip,
-	// SnapshotHit), summed over every shard of the campaign wherever it ran.
+	// Overwritten, SnapshotHit), summed over every shard wherever it ran.
 	Work = campaign.Work
 )
 
@@ -608,7 +608,8 @@ type Report struct {
 	// off), HandOffs, FellBack and InterpInsts (runs the architectural
 	// interpreter finished, hand-off attempts that returned to the detailed
 	// core, instructions interpreted), DeadAtFlip (faults classified Masked
-	// at the fork because the flip landed in dead storage) and SnapshotHit
+	// at the fork because the flip landed in dead storage), Overwritten
+	// (Masked as the flipped entry was overwritten unread) and SnapshotHit
 	// (the checkpoint ladder came from a shared SnapshotCache; always false
 	// for StrategyReplay). A daemon sums it over every shard of the
 	// campaign, in-process and remote alike.
@@ -638,6 +639,9 @@ func workNote(w Work) string {
 	s := fmt.Sprintf("%d detailed cycles, %d clones", w.SimCycles, w.Clones)
 	if w.DeadAtFlip > 0 {
 		s += fmt.Sprintf(", %d dead at the flip", w.DeadAtFlip)
+	}
+	if w.Overwritten > 0 {
+		s += fmt.Sprintf(", %d overwritten before a read", w.Overwritten)
 	}
 	if w.SnapshotHit {
 		s += ", snapshot cache hit"

@@ -280,8 +280,8 @@ func (s *Session) Config() Config { return s.cfg }
 
 // Artifacts exposes the preprocessing products (golden run, ACE-like
 // analysis, fault list); nil until Preprocess has run. It is the escape
-// hatch for studies that drive the Runner directly (e.g. injecting the
-// full post-ACE list as ground truth).
+// hatch for studies that reduce or inject lists their own way (ablations,
+// Relyzer, layer probes); the comprehensive campaign is Baseline.
 func (s *Session) Artifacts() *Artifacts { return s.art }
 
 func (s *Session) emitEvent(p Progress) {
