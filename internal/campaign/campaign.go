@@ -314,9 +314,9 @@ func (r *Runner) RunFault(f fault.Fault, golden *cpu.RunResult) Outcome {
 // inject is the one per-fault function behind Run and the RunFault*
 // drivers: step c (at or before the fault's pre-injection cycle) up to it,
 // flip the bit, and run to the stop rule — the cut when cut is non-nil,
-// else the first ladder snapshot where the run is masked-equivalent or the
-// interpreter can finish it through h (none for a nil or reset-only
-// ladder), else program end. Simulator panics are converted to Crash,
+// else the quiescence right after the flip or the first ladder snapshot
+// where the run is masked-equivalent or the interpreter can finish it
+// through h (none for a nil or reset-only ladder), else program end. Simulator panics are converted to Crash,
 // internal assertion failures to Assert.
 func (r *Runner) inject(c *cpu.Core, f fault.Fault, golden *cpu.RunResult, ladder *CheckpointSet, cut *TruncatedGolden, h *handOff) (out Outcome) {
 	defer func() {
@@ -398,9 +398,9 @@ type Work struct {
 	// the fork because the flipped bit lay in dead storage (cpu.Core.Dead):
 	// no clone, no cycle.
 	DeadAtFlip int64
-	// Overwritten counts the faults classified Masked on the way to a rung
-	// because the flipped RF or SQ entry was overwritten or freed unread
-	// (cpu.Core.Watch).
+	// Overwritten counts the faults classified Masked while their run
+	// waited for quiescence or walked to a rung, because the flipped RF or
+	// SQ entry was overwritten or freed unread (cpu.Core.Watch).
 	Overwritten int64
 	// SnapshotHit reports that the checkpoint ladder was served by a
 	// SnapshotCache instead of rebuilt (always false for Replay, whose

@@ -77,23 +77,26 @@ func (s *CheckpointSet) before(fc uint64) *cpu.Core {
 
 // classifyAgainst runs faulty clone c (fault f already applied, injSeq the
 // core's RenameSeq at the flip) to its classification. A run whose
-// overwrite watch ends masked (cpu.Core.Watch) is Masked at that cycle. At
-// each golden ladder snapshot past the injection cycle the run pauses. If its
+// overwrite watch ends masked (cpu.Core.Watch) is Masked at that cycle. On
+// a ladder with a rung past reset, the run is first handed off to the
+// interpreter (handOff) as soon as it is quiescent, a few cycles after the
+// flip whatever the program's length. A run the interpreter cannot decide
+// continues in detail and pauses at each later ladder snapshot. If its
 // machine state is masked-equivalent to the fault-free state at that cycle
 // (identical up to provably dead storage, see cpu.MaskedEquivalent), the
-// rest of the run provably replays the golden run and the fault is Masked.
-// Otherwise the run is handed off to the interpreter (handOff), and only a
-// run that can decide neither way continues in detail to the next
-// snapshot, and after the last one to program end, so outcomes are
-// bit-identical to a full replay. A nil ladder, or one with no snapshot
-// past the injection, is the detailed run alone; h may then be nil.
+// rest of the run provably replays the golden run and the fault is Masked;
+// otherwise the hand-off is tried again. Only a run that can decide
+// neither way continues to the next snapshot, and after the last one to
+// program end, so outcomes are bit-identical to a full replay. A nil or
+// reset-only ladder is the detailed run alone; h may then be nil.
 func (r *Runner) classifyAgainst(c *cpu.Core, f fault.Fault, injSeq uint64, golden *cpu.RunResult, ladder *CheckpointSet, h *handOff) Outcome {
-	if ladder != nil {
+	if ladder != nil && len(ladder.cycles) > 1 {
+		if o, ok := r.handOff(c, f, injSeq, golden, h); ok {
+			return o
+		}
 		for i := sort.Search(len(ladder.cycles), func(i int) bool { return ladder.cycles[i] > c.Cycle() }); i < len(ladder.cycles); i++ {
 			for c.Cycle() < ladder.cycles[i] && c.Halted() == cpu.Running {
-				c.Step()
-				if c.Watch() == cpu.WatchMasked {
-					h.overwritten++
+				if h.step(c) {
 					return Masked
 				}
 			}
@@ -127,6 +130,17 @@ type handOff struct {
 // anyway.
 const handOffWait = 128
 
+// step advances faulty core c one cycle and reports whether its overwrite
+// watch has ended masked, counting the exit.
+func (h *handOff) step(c *cpu.Core) bool {
+	c.Step()
+	if c.Watch() == cpu.WatchMasked {
+		h.overwritten++
+		return true
+	}
+	return false
+}
+
 // handOff tries to finish faulty core c's run on the architectural
 // interpreter. Once c is quiescent with respect to the fault
 // (cpu.Core.Quiescent), what is left of the run is a function of its
@@ -134,7 +148,8 @@ const handOffWait = 128
 // every retire by internal/conformance — computes without stepping cycles.
 // The core is stepped only while waiting, as a fall-back would step it, and
 // otherwise only read, so when ok is false the caller continues it as if
-// nothing had been tried. That happens when the core does
+// nothing had been tried. A wait that sees the overwrite watch end masked
+// decides the run Masked there. A hand-off falls back when the core does
 // not become quiescent within handOffWait cycles, when the flip sits in a
 // clean L1D line (cpu.Core.UnsettledByte) and the program loads the byte
 // again — a clean eviction may or may not have erased it by then — and when
@@ -148,7 +163,9 @@ const handOffWait = 128
 func (r *Runner) handOff(c *cpu.Core, f fault.Fault, injSeq uint64, golden *cpu.RunResult, h *handOff) (o Outcome, ok bool) {
 	pc, quiet := c.Quiescent(injSeq)
 	for n := 0; !quiet && n < handOffWait && c.Halted() == cpu.Running; n++ {
-		c.Step()
+		if h.step(c) {
+			return Masked, true
+		}
 		pc, quiet = c.Quiescent(injSeq)
 	}
 	limit := r.TimeoutFactor * golden.Cycles

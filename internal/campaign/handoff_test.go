@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"merlin/internal/asm"
@@ -133,13 +134,14 @@ func TestHandOffTraps(t *testing.T) {
 		// A flip in a clean line is not architectural: four conflicting
 		// fills evict the line, the re-read refills it clean, the detailed
 		// run is Masked. The interpreter's image holds the flipped byte, so
-		// the re-read must trip the watch and fall back.
+		// the re-read must trip the watch and fall back, both at the flip
+		// and at the rung.
 		name: "L1D flip in a clean line, evicted, then re-read",
 		src: l1dPrologue + delayLoop("spin", 600) +
 			"\tld r3, [r11+0x2000]\n\tld r4, [r11+0x4000]\n\tld r5, [r11+0x6000]\n\tld r6, [r11+0x8000]\n" +
 			delayLoop("settle", 300) + "\tld r1, [r11+0]\n\tout r1\n\thalt\n",
 		f:    fault.Fault{Structure: lifetime.StructL1D, Entry: 0, Bit: 2, Cycle: 300},
-		rung: 350, want: Masked, fellBack: 1,
+		rung: 350, want: Masked, fellBack: 2,
 	}, {
 		// ... and a store covering the flipped byte before any load ends
 		// the watch: the run is exact either way and hands off.
@@ -252,6 +254,72 @@ func TestHandOffMatchesRunFault(t *testing.T) {
 		}
 		t.Logf("%s/%v: %d faults (%d read), %d handed off, %d attempts fell back, %d instructions interpreted, %d detailed cycles",
 			tc.wl, tc.s, len(faults), nLive, res.HandOffs, res.FellBack, res.InterpInsts, res.SimCycles)
+	}
+}
+
+// TestHandOffAtQuiescence: a representative costs the same few detailed
+// cycles after its flip however long the program is. On the RF lists of
+// sha, gcc and omnetpp (266K cycles) and the L1D list of djpeg, 2,000
+// faults each, every ACE-vulnerable fault — the kind a MeRLiN campaign
+// injects — runs through inject over a ForkSyncPoints ladder. Where the
+// hand-off on the freshly flipped core decides the run (its first attempt),
+// inject must end at that same cycle with that outcome, within handOffWait
+// cycles of the flip instead of at the next rung. The post-flip detailed
+// cycles of all of them are logged beside golden/50, the cost of walking
+// to a rung. -short and -race check sha only.
+func TestHandOffAtQuiescence(t *testing.T) {
+	const n = 2000
+	lists := []struct {
+		wl string
+		s  lifetime.StructureID
+	}{{"sha", lifetime.StructRF}, {"gcc", lifetime.StructRF}, {"omnetpp", lifetime.StructRF}, {"djpeg", lifetime.StructL1D}}
+	if testing.Short() || raceEnabled {
+		lists = lists[:1]
+	}
+	for _, tc := range lists {
+		r := NewRunner(target(t, tc.wl))
+		g, err := r.RunGolden(tc.s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ladder := r.BuildCheckpoints(ForkSyncPoints, g.Result.Cycles)
+		c := r.NewCore()
+		faults := sampling.Generate(tc.s, c.StructureEntries(tc.s), c.StructureEntryBits(tc.s), g.Result.Cycles, n, 1)
+		ace := g.Tracer.Analysis(tc.s)
+		h := new(handOff)
+		var post []uint64
+		first := 0
+		for _, i := range fault.SortedIndices(faults) {
+			f := faults[i]
+			for c.Cycle()+1 < f.Cycle && c.Halted() == cpu.Running {
+				c.Step()
+			}
+			if _, vulnerable := ace.Find(f.Entry, f.Byte(), f.Cycle); !vulnerable || c.Halted() != cpu.Running {
+				continue
+			}
+			flip := c.Cycle()
+			probe := c.Clone()
+			probe.FlipBit(f.Structure, int(f.Entry), int(f.Bit))
+			want, decided := r.handOff(probe, f, probe.RenameSeq(), &g.Result, h)
+			run := c.Clone()
+			got := r.inject(run, f, &g.Result, ladder, nil, h)
+			post = append(post, run.Cycle()-flip)
+			if !decided {
+				continue
+			}
+			first++
+			if got != want || run.Cycle() != probe.Cycle() || run.Cycle()-flip > handOffWait {
+				t.Errorf("%s/%v fault %v: decided %v at its first attempt, %d cycles after the flip; inject says %v after %d (at most %d)",
+					tc.wl, tc.s, f, want, probe.Cycle()-flip, got, run.Cycle()-flip, handOffWait)
+			}
+		}
+		if first == 0 {
+			t.Errorf("%s/%v: no representative was decided at its first attempt", tc.wl, tc.s)
+			continue
+		}
+		slices.Sort(post)
+		t.Logf("%s/%v: %d representatives, %d decided at the first attempt; post-flip detailed cycles p50 %d p90 %d, golden/50 = %d",
+			tc.wl, tc.s, len(post), first, post[len(post)/2], post[len(post)*9/10], g.Result.Cycles/50)
 	}
 }
 

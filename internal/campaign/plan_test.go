@@ -134,11 +134,11 @@ func TestPlanWorkCounters(t *testing.T) {
 	}
 	cold := map[Strategy]work{
 		Replay: {1000, 6152243, false, 0, 0, 0, 0, 0},
-		Forked: {193, 20449, false, 52, 0, 457371, 832, 105},
+		Forked: {193, 14397, false, 69, 0, 533434, 832, 99},
 	}
 	warm := map[Strategy]work{
 		Replay: cold[Replay], // no ladder to share
-		Forked: {193, 14532, true, 52, 0, 457371, 832, 105},
+		Forked: {193, 8480, true, 69, 0, 533434, 832, 99},
 	}
 	for _, shared := range []bool{false, true} {
 		r := NewRunner(target(t, "sha"))

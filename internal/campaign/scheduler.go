@@ -85,10 +85,12 @@ type Plan struct {
 	//	Replay  the reset state; no early exit
 	//	Forked  at the fork, a flip into dead storage (cpu.Core.Dead) is
 	//	        Masked with no clone; else a clone off one sweep of the
-	//	        golden run, taken at the fault cycle; exit where the flipped
-	//	        RF or SQ entry is overwritten unread (cpu.Core.Watch), else
-	//	        at the first of ForkSyncPoints later snapshots where the run
-	//	        is masked-equivalent or can be handed off
+	//	        golden run, taken at the fault cycle, is handed off to the
+	//	        interpreter as soon as it is quiescent after the flip; exit
+	//	        where the flipped RF or SQ entry is overwritten unread
+	//	        (cpu.Core.Watch), else at the first of ForkSyncPoints later
+	//	        snapshots where the run is masked-equivalent or can be
+	//	        handed off
 	Strategy Strategy
 	// Cut, when non-nil, stops every run at the cut cycle and classifies by
 	// the truncated scheme of RunFaultTruncated instead of at program end.

@@ -633,8 +633,8 @@ func (r *Report) String() string {
 
 // workNote renders what an injection phase executed: the one formatter
 // behind Report.String and both phase-done messages. The hand-off counters
-// appear once a run reached a ladder rung and tried; a Replay campaign has
-// no rung to try at.
+// appear once a run tried a hand-off; a Replay campaign's ladder has no rung
+// past reset, so it never tries.
 func workNote(w Work) string {
 	s := fmt.Sprintf("%d detailed cycles, %d clones", w.SimCycles, w.Clones)
 	if w.DeadAtFlip > 0 {
