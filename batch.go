@@ -50,11 +50,10 @@ type Batch struct {
 // campaigns exactly as it would configure a standalone Session — in
 // particular WithSeed, so each structure's fault list is bit-identical to
 // the standalone session's. WithStructure is meaningless here and is
-// ignored in favor of the batch target list.
-//
-// When no WithSnapshotCache is given, the batch attaches a private
-// snapshot cache so its per-structure injections share one checkpoint
-// ladder instead of each rebuilding it.
+// ignored in favor of the batch target list. Every structure's injection
+// runs on the batch's one Runner, so they share one checkpoint ladder,
+// frozen during the shared golden run (or, on an artifact-cache hit,
+// served by WithSnapshotCache or replayed once).
 func StartBatch(ctx context.Context, workload string, opts ...Option) (*Batch, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -67,11 +66,7 @@ func StartBatch(ctx context.Context, workload string, opts ...Option) (*Batch, e
 	if len(structures) == 0 {
 		structures = AllStructures()
 	}
-	cfg := sc.cfg
-	if cfg.Snapshots == nil {
-		cfg.Snapshots = NewSnapshotCache(0)
-	}
-	return &Batch{cfg: cfg, structures: structures, emit: sc.progress, inject: runList}, nil
+	return &Batch{cfg: sc.cfg, structures: structures, emit: sc.progress, inject: runList}, nil
 }
 
 // Structures returns the batch's injection targets in report order.

@@ -2,8 +2,10 @@ package merlin
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
+	"merlin/internal/campaign"
 	"merlin/internal/cpu"
 )
 
@@ -86,5 +88,65 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := Start(context.Background(), "sha", opt); err == nil {
 			t.Errorf("%s: Start accepted the invalid option", name)
 		}
+	}
+}
+
+// TestColdAndWarmCampaignsDoSameWork: a cold session, whose golden run
+// froze the checkpoint ladder, and an artifact-cache-hit session of the
+// same spec, which has no golden run and replays the ladder once, report
+// the same campaign and the same work — Run, then Baseline off the same
+// ladder — except timings and SimCycles, which on the warm side carry
+// exactly the one ladder replay.
+func TestColdAndWarmCampaignsDoSameWork(t *testing.T) {
+	ctx := context.Background()
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := []Option{WithStructure(RF), WithFaults(300), WithSeed(11), WithCache(cache)}
+	cold, warm := startSession(t, "sha", opts...), startSession(t, "sha", opts...)
+	coldRep, err := cold.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmRep, err := warm.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if coldRep.CacheHit || !warmRep.CacheHit {
+		t.Fatalf("cache hits cold %v warm %v, want a miss then a hit", coldRep.CacheHit, warmRep.CacheHit)
+	}
+	coldBase, err := cold.Baseline(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmBase, err := warm.Baseline(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	replay := warm.Artifacts().Runner.BuildCheckpoints(campaign.ForkSyncPoints, warmRep.GoldenCycles).LastCycle()
+	if d := warmRep.SimCycles - coldRep.SimCycles; d != replay {
+		t.Errorf("warm Run simulated %d cycles more than cold, want the ladder replay's %d", d, replay)
+	}
+	if warmBase.SimCycles != coldBase.SimCycles {
+		t.Errorf("Baseline simulated %d cycles warm, %d cold: the warm session replayed its ladder twice", warmBase.SimCycles, coldBase.SimCycles)
+	}
+	sameWork := func(w *Work) {
+		w.Serial, w.CloneTime, w.SimCycles = 0, 0, 0
+	}
+	for _, r := range []*Report{coldRep, warmRep} {
+		sameWork(&r.Work)
+		r.Wall, r.CyclesPerSec, r.CacheHit = 0, 0, false
+	}
+	if !reflect.DeepEqual(coldRep, warmRep) {
+		t.Errorf("cold and warm reports differ:\ncold %+v\nwarm %+v", coldRep, warmRep)
+	}
+	for _, r := range []*BaselineReport{coldBase, warmBase} {
+		sameWork(&r.Work)
+		r.Wall, r.CyclesPerSec, r.Artifacts = 0, 0, nil
+	}
+	if !reflect.DeepEqual(coldBase, warmBase) {
+		t.Errorf("cold and warm baselines differ:\ncold %+v\nwarm %+v", coldBase, warmBase)
 	}
 }

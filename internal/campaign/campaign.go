@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -181,11 +182,17 @@ type Runner struct {
 	// (its memory bound). 0 means 2 x the *effective* worker count (i.e.
 	// 2 x GOMAXPROCS when Workers is also 0). Negative values are invalid.
 	MaxForks int
-	// Snapshots, when non-nil, serves checkpoint ladders across campaigns
-	// (the daemon's in-memory snapshot cache): on a hit the Forked strategy
-	// skips the ladder rebuild entirely. Nil means every campaign builds
-	// its own ladder.
+	// Snapshots, when non-nil, serves checkpoint ladders across Runners
+	// (the daemon's in-memory snapshot cache): a Runner that did not
+	// freeze its ladder during its own golden run asks it before replaying
+	// one, and a Runner that did seeds it. Nil means a Runner without a
+	// frozen ladder replays its own.
 	Snapshots *SnapshotCache
+	// FreezeLadder makes RunGolden freeze the Forked checkpoint ladder
+	// while the golden run steps (see freezer), so the ladder costs no
+	// pass of its own. NewRunner sets it; a Runner that only runs Replay
+	// campaigns clears it and freezes nothing.
+	FreezeLadder bool
 	// Pool recycles retired machine-clone shells across faults (and across
 	// campaigns run on this Runner). Nil means the first Run call
 	// installs one; share a pool explicitly to recycle shells across
@@ -196,6 +203,11 @@ type Runner struct {
 	// goldenRuns counts the fault-free reference runs this Runner has
 	// simulated; batch pipelines assert exactly one per shared golden.
 	goldenRuns atomic.Int64
+
+	// forked is the Runner's one Forked ladder (see forkLadder), guarded
+	// by ladderMu.
+	ladderMu sync.Mutex
+	forked   *runnerLadder
 }
 
 // GoldenRuns reports how many fault-free reference runs this Runner has
@@ -210,9 +222,10 @@ func (r *Runner) GoldenRuns() int64 { return r.goldenRuns.Load() }
 const DefaultGoldenBudget = 500_000_000
 
 // NewRunner returns a Runner with the paper's 3x timeout factor,
-// DefaultGoldenBudget, and Workers 0 (= all host cores at run time).
+// DefaultGoldenBudget, FreezeLadder set, and Workers 0 (= all host cores
+// at run time).
 func NewRunner(t Target) *Runner {
-	return &Runner{Target: t, TimeoutFactor: 3, GoldenBudget: DefaultGoldenBudget}
+	return &Runner{Target: t, TimeoutFactor: 3, GoldenBudget: DefaultGoldenBudget, FreezeLadder: true}
 }
 
 // Validate reports knob values the run methods would otherwise misread:
@@ -234,7 +247,7 @@ func (r *Runner) Validate() error {
 }
 
 // clonePool returns the Runner's shell pool, installing one on first use.
-// Run calls it once per campaign from the submitting goroutine, so lazy
+// RunGolden and Run call it from the submitting goroutine, so lazy
 // installation is race-free as long as a Runner's first campaigns do not
 // overlap.
 func (r *Runner) clonePool() *cpu.ClonePool {
@@ -284,7 +297,10 @@ func (m *runMetrics) fill(res *Result) {
 }
 
 // RunGolden performs the fault-free reference run, tracking lifetimes of
-// the given structures (none for plain baseline campaigns).
+// the given structures (none for plain baseline campaigns). With
+// FreezeLadder set, and no ladder yet, the run freezes the Forked
+// checkpoint ladder as it goes: the Runner keeps it for every Forked
+// campaign it runs, and seeds Snapshots with it.
 func (r *Runner) RunGolden(track ...lifetime.StructureID) (*Golden, error) {
 	r.goldenRuns.Add(1)
 	c := r.NewCore()
@@ -293,9 +309,19 @@ func (r *Runner) RunGolden(track ...lifetime.StructureID) (*Golden, error) {
 		tr = lifetime.NewTracer(track...)
 		c.AttachTracer(tr)
 	}
-	res := c.Run(r.GoldenBudget)
+	var res cpu.RunResult
+	var fr *freezer
+	if r.FreezeLadder && !r.hasLadder() {
+		fr = newFreezer(ForkSyncPoints, c, r.clonePool())
+		res = fr.run(c, r.GoldenBudget)
+	} else {
+		res = c.Run(r.GoldenBudget)
+	}
 	if res.Halt != cpu.HaltOK {
 		return nil, fmt.Errorf("campaign: golden run of %q ended with %v after %d cycles", r.Prog.Name, res.Halt, res.Cycles)
+	}
+	if fr != nil {
+		r.adoptLadder(fr.set, res.Cycles)
 	}
 	if tr != nil {
 		tr.Finish(false)
@@ -381,9 +407,10 @@ type Work struct {
 	Clones    int64
 	CloneTime time.Duration
 	// SimCycles is the total number of machine cycles actually simulated:
-	// shared pre-fault work (ladder builds, the forked sweep) plus every
-	// faulty continuation. Divided by Wall it yields the campaign's
-	// effective simulation throughput.
+	// shared pre-fault work (a ladder replay, when the Runner neither
+	// froze its ladder during the golden run nor was served one; the
+	// forked sweep) plus every faulty continuation. Divided by Wall it
+	// yields the campaign's effective simulation throughput.
 	SimCycles uint64
 	// HandOffs counts the faulty runs the architectural interpreter
 	// finished instead of the detailed core, FellBack the hand-off attempts
@@ -403,8 +430,8 @@ type Work struct {
 	// SQ entry was overwritten or freed unread (cpu.Core.Watch).
 	Overwritten int64
 	// SnapshotHit reports that the checkpoint ladder was served by a
-	// SnapshotCache instead of rebuilt (always false for Replay, whose
-	// reset-only ladder never goes through the source).
+	// SnapshotCache instead of frozen or replayed (always false for
+	// Replay, whose reset-only ladder never goes through the source).
 	SnapshotHit bool
 }
 

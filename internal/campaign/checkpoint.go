@@ -10,11 +10,11 @@ import (
 )
 
 // CheckpointSet holds frozen machine snapshots at evenly spaced cycles of
-// the fault-free run. RunFaultFrom clones the latest snapshot before a
-// fault's cycle instead of replaying from reset — the run-acceleration
-// technique of Chatzidimitriou & Gizopoulos (ISPASS 2016), which the paper
-// notes is orthogonal to (and combinable with) MeRLiN; the Forked sweep
-// re-roots itself on them. The snapshots also serve as the convergence
+// the fault-free run (CheckpointSchedule). RunFaultFrom clones the latest
+// snapshot before a fault's cycle instead of replaying from reset — the
+// run-acceleration technique of Chatzidimitriou & Gizopoulos (ISPASS
+// 2016), which the paper notes is orthogonal to (and combinable with)
+// MeRLiN; the Forked sweep re-roots itself on them. The snapshots also serve as the convergence
 // ladder: a faulty continuation that becomes masked-equivalent to the
 // golden state at a snapshot cycle provably ends with the golden outcome
 // and stops simulating there.
@@ -23,22 +23,38 @@ type CheckpointSet struct {
 	cores  []*cpu.Core // frozen; accessed read-only via Clone
 }
 
-// CheckpointSchedule returns the snapshot cycle schedule BuildCheckpoints
-// aims at for k snapshots over a goldenCycles-long run: the reset state at
-// cycle 0 plus k evenly spaced target cycles. The golden-run artifact
-// cache persists this schedule so operators can see where a campaign's
-// sync points sit without rebuilding the machine snapshots (which are not
-// serializable and are instead rebuilt deterministically in one pass).
+// ladderBase is the finest rung spacing of a checkpoint ladder: a run
+// shorter than (k+1) x ladderBase cycles gets its rungs ladderBase apart.
+const ladderBase = 256
+
+// CheckpointSchedule returns the snapshot cycle schedule of an at most
+// k-rung ladder over a goldenCycles-long run: the reset state at cycle 0,
+// then every multiple of a spacing s before the run ends, s the smallest
+// ladderBase x 2^j that leaves at most k of them. It is exactly the
+// schedule a freezing golden run ends with (see freezer), a rule that
+// needs no golden length up front, and the one BuildCheckpoints replays.
+// The golden-run artifact cache persists it so operators can see where a
+// campaign's sync points sit without rebuilding the machine snapshots
+// (which are not serializable and are instead rebuilt deterministically in
+// one pass).
 func CheckpointSchedule(k int, goldenCycles uint64) []uint64 {
-	s := make([]uint64, 1, k+1)
-	for i := 1; i <= k; i++ {
-		s = append(s, goldenCycles*uint64(i)/uint64(k+1))
+	last := max(goldenCycles, 1) - 1 // the last cycle the run is still going
+	s := uint64(ladderBase)
+	for last/s > uint64(k) {
+		s *= 2
 	}
-	return s
+	sched := make([]uint64, 1, last/s+1)
+	for c := s; c <= last; c += s {
+		sched = append(sched, c)
+	}
+	return sched
 }
 
-// BuildCheckpoints replays the fault-free run once, freezing k snapshots
-// (plus the reset state). The returned set is immutable and safe for
+// BuildCheckpoints replays the fault-free run once, freezing the
+// CheckpointSchedule(k, goldenCycles) snapshots (plus the reset state): the
+// ladder a freezing golden run of that length ends with, rebuilt when the
+// golden run was not simulated here (an artifact-cache hit) and no
+// SnapshotCache holds it. The returned set is immutable and safe for
 // concurrent use. Every snapshot is cloned off the same replay core, so
 // the whole set shares one copy-on-write lineage across memory pages and
 // cache sets: clones of one snapshot compare against another mostly by
@@ -60,6 +76,64 @@ func (r *Runner) BuildCheckpoints(k int, goldenCycles uint64) *CheckpointSet {
 		set.cores = append(set.cores, c.Clone())
 	}
 	return set
+}
+
+// freezer builds an at most k-rung ladder off a core while it runs, before
+// the run's length is known: a rung at every multiple of the spacing, and
+// whenever more than k accumulate, every other one is dropped and the
+// spacing doubled. Dropped rungs' shells go back to pool, where the
+// sweep's forks pick them up. The ladder it ends with is
+// BuildCheckpoints(k, cycles) for the run's length.
+type freezer struct {
+	k     int
+	every uint64
+	pool  *cpu.ClonePool
+	set   *CheckpointSet
+}
+
+// newFreezer starts a ladder at c's reset state.
+func newFreezer(k int, c *cpu.Core, pool *cpu.ClonePool) *freezer {
+	return &freezer{k: k, every: ladderBase, pool: pool,
+		set: &CheckpointSet{cycles: []uint64{0}, cores: []*cpu.Core{c.Clone()}}}
+}
+
+// run is c.Run(maxCycles), freezing the ladder's rungs on the way.
+func (f *freezer) run(c *cpu.Core, maxCycles uint64) cpu.RunResult {
+	for c.Halted() == cpu.Running {
+		next := (c.Cycle()/f.every + 1) * f.every
+		if next >= maxCycles {
+			break
+		}
+		for c.Cycle() < next && c.Halted() == cpu.Running {
+			c.Step()
+		}
+		if c.Halted() == cpu.Running {
+			f.freeze(c)
+		}
+	}
+	return c.Run(maxCycles)
+}
+
+// freeze adds a rung at c's cycle and thins the ladder back to k rungs.
+func (f *freezer) freeze(c *cpu.Core) {
+	s := f.set
+	s.cycles = append(s.cycles, c.Cycle())
+	s.cores = append(s.cores, f.pool.Clone(c))
+	if len(s.cycles)-1 <= f.k {
+		return
+	}
+	f.every *= 2
+	kept := 1 // the reset state stays
+	for i := 1; i < len(s.cycles); i++ {
+		if s.cycles[i]%f.every == 0 {
+			s.cycles[kept], s.cores[kept] = s.cycles[i], s.cores[i]
+			kept++
+		} else {
+			f.pool.Release(s.cores[i])
+		}
+	}
+	clear(s.cores[kept:])
+	s.cycles, s.cores = s.cycles[:kept], s.cores[:kept]
 }
 
 // before returns the latest snapshot strictly usable for a fault injected

@@ -3,11 +3,13 @@ package campaign
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"merlin/internal/cpu"
 	"merlin/internal/lifetime"
 	"merlin/internal/sampling"
+	"merlin/internal/workloads"
 )
 
 // TestCloneEquivalence: a cloned core stepped forward must behave exactly
@@ -103,6 +105,65 @@ func TestCheckpointEdgeCycles(t *testing.T) {
 		fast := r.RunFaultFrom(set, f, &g.Result)
 		if plain != fast {
 			t.Errorf("cycle %d: %v vs %v", cyc, plain, fast)
+		}
+	}
+}
+
+// TestGoldenLadderMatchesReplay: on every workload and both timing-pin
+// configurations, the ladder a traced (RF, SQ, L1D) golden run freezes as
+// it goes sits at CheckpointSchedule's cycles and each rung is state-equal
+// to the rung BuildCheckpoints replays there; and freezing leaves the
+// traced run itself unchanged — its result, every structure's intervals
+// and the branch trace match those of a golden run that froze nothing.
+// -short and -race check shortWorkloads only.
+func TestGoldenLadderMatchesReplay(t *testing.T) {
+	names := workloads.Names("")
+	if testing.Short() || raceEnabled {
+		names = shortWorkloads
+	}
+	for _, name := range names {
+		for _, tc := range timingConfigs {
+			id := name + "/" + tc.name
+			tgt := Target{Cfg: tc.cfg, Prog: workloads.MustGet(name).Program()}
+			frozen := NewRunner(tgt)
+			g, err := frozen.RunGolden(allStructures...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain := NewRunner(tgt)
+			plain.FreezeLadder = false
+			want, err := plain.RunGolden(allStructures...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plain.hasLadder() {
+				t.Fatalf("%s: a golden run without FreezeLadder froze a ladder", id)
+			}
+			if !reflect.DeepEqual(g.Result, want.Result) {
+				t.Errorf("%s: freezing changed the golden run's result", id)
+			}
+			for _, s := range allStructures {
+				if !reflect.DeepEqual(g.Tracer.Analysis(s).Intervals, want.Tracer.Analysis(s).Intervals) {
+					t.Errorf("%s/%v: freezing changed the intervals", id, s)
+				}
+			}
+			if !reflect.DeepEqual(g.Tracer.Branches, want.Tracer.Branches) {
+				t.Errorf("%s: freezing changed the branch trace", id)
+			}
+
+			ladder, _, _ := frozen.forkLadder(g.Result.Cycles)
+			replay := plain.BuildCheckpoints(ForkSyncPoints, g.Result.Cycles)
+			if sched := CheckpointSchedule(ForkSyncPoints, g.Result.Cycles); !slices.Equal(ladder.cycles, sched) || !slices.Equal(replay.cycles, sched) {
+				t.Fatalf("%s: frozen rungs at %v, replayed at %v, schedule %v", id, ladder.cycles, replay.cycles, sched)
+			}
+			if len(ladder.cycles) < 2 {
+				t.Errorf("%s: %d-cycle golden run froze no rung past reset", id, g.Result.Cycles)
+			}
+			for i, cyc := range ladder.cycles {
+				if !cpu.StateEqual(ladder.cores[i], replay.cores[i]) {
+					t.Errorf("%s: frozen rung at cycle %d differs from the replayed one", id, cyc)
+				}
+			}
 		}
 	}
 }

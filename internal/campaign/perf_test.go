@@ -83,27 +83,36 @@ func TestDeadOnArrivalStampsWall(t *testing.T) {
 	}
 }
 
-// TestSnapshotSourceSharing: with a SnapshotCache attached, repeat
-// campaigns reuse one ladder (SnapshotHit set, one build), outcomes stay
-// bit-identical, and a ladder of another snapshot count lives under its
-// own key.
+// TestSnapshotSourceSharing: a golden run on a Runner with a
+// SnapshotCache attached seeds the cache with the ladder it froze; a fresh
+// Runner of the same target, which ran no golden run, is then served that
+// ladder by every campaign (SnapshotHit set, no replay), the seeding Runner
+// uses its own, and outcomes stay bit-identical to Replay's.
 func TestSnapshotSourceSharing(t *testing.T) {
-	r := NewRunner(target(t, "sha"))
-	g, err := r.RunGolden()
+	src := NewSnapshotCache(0)
+	seed := NewRunner(target(t, "sha"))
+	seed.Snapshots = src
+	g, err := seed.RunGolden()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := r.NewCore()
+	c := seed.NewCore()
 	faults := strategyFaultList(c, lifetime.StructRF, g.Result.Cycles, 25, 11, nil)
-	want := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{}))
+	want := mustRun(t)(seed.Run(context.Background(), faults, &g.Result, Plan{}))
+	if want.SnapshotHit {
+		t.Error("replay strategy must never report a snapshot hit")
+	}
+	own := mustRun(t)(seed.Run(context.Background(), faults, &g.Result, Plan{Strategy: Forked}))
+	if own.SnapshotHit {
+		t.Error("the Runner that froze the ladder reported a snapshot hit")
+	}
 
-	src := NewSnapshotCache(0)
+	r := NewRunner(target(t, "sha"))
 	r.Snapshots = src
 	for round := 0; round < 2; round++ {
-		_, ckHit := r.ladder(4, g.Result.Cycles)
 		fk := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{Strategy: Forked}))
-		if hit := round > 0; ckHit != hit || fk.SnapshotHit != hit {
-			t.Errorf("round %d: SnapshotHit k=4 %v forked=%v, want %v", round, ckHit, fk.SnapshotHit, hit)
+		if !fk.SnapshotHit || fk.SimCycles != own.SimCycles {
+			t.Errorf("round %d: SnapshotHit %v SimCycles %d, want a hit at the frozen ladder's %d", round, fk.SnapshotHit, fk.SimCycles, own.SimCycles)
 		}
 		for i := range faults {
 			if fk.Outcomes[i] != want.Outcomes[i] {
@@ -111,11 +120,8 @@ func TestSnapshotSourceSharing(t *testing.T) {
 			}
 		}
 	}
-	if builds := src.Stats().Misses; builds != 2 { // one ladder per snapshot count: k=4 and ForkSyncPoints
-		t.Errorf("ladder built %d times, want 2 (one per key)", builds)
-	}
-	if want.SnapshotHit {
-		t.Error("replay strategy must never report a snapshot hit")
+	if st := src.Stats(); st.Misses != 1 || st.Entries != 1 {
+		t.Errorf("snapshot cache %+v, want the one seeded ladder", st)
 	}
 }
 

@@ -118,9 +118,13 @@ func TestPlansAgreeOnGeneratedKernels(t *testing.T) {
 // faults/seed 1 — machine clones, detailed cycles simulated, snapshot hit,
 // what the hand-off did (runs the interpreter finished, attempts that fell
 // back, instructions interpreted), the faults classified dead at the flip
-// and those the overwrite watch decided — with and without a SnapshotCache
-// (cold, then warm). Replay has no rung and no fork, so it never hands off
-// and never decides at the flip or at an overwrite.
+// and those the overwrite watch decided — on the Runner that froze its
+// ladder during the golden run (cold), on a Runner with no golden run of
+// its own that replays the ladder once and then reuses it (the
+// artifact-cache-hit path), and on one served by the SnapshotCache the cold
+// Runner seeded. Only the replay costs cycles: the cold Forked row's
+// SimCycles equal the snapshot-hit row's. Replay has no rung and no fork,
+// so it never hands off and never decides at the flip or at an overwrite.
 func TestPlanWorkCounters(t *testing.T) {
 	type work struct {
 		clones      int64
@@ -132,40 +136,43 @@ func TestPlanWorkCounters(t *testing.T) {
 		deadAtFlip  int64
 		overwritten int64
 	}
-	cold := map[Strategy]work{
-		Replay: {1000, 6152243, false, 0, 0, 0, 0, 0},
-		Forked: {193, 14397, false, 69, 0, 533434, 832, 99},
+	src := NewSnapshotCache(0)
+	cold := NewRunner(target(t, "sha"))
+	cold.Snapshots = src
+	g, err := cold.RunGolden()
+	if err != nil {
+		t.Fatal(err)
 	}
-	warm := map[Strategy]work{
-		Replay: cold[Replay], // no ladder to share
-		Forked: {193, 8480, true, 69, 0, 533434, 832, 99},
+	c := cold.NewCore()
+	faults := sampling.Generate(lifetime.StructRF, c.StructureEntries(lifetime.StructRF),
+		c.StructureEntryBits(lifetime.StructRF), g.Result.Cycles, 1000, 1)
+	replayed := NewRunner(target(t, "sha"))
+	served := NewRunner(target(t, "sha"))
+	served.Snapshots = src
+	rows := []struct {
+		name     string
+		r        *Runner
+		strategy Strategy
+		want     work
+	}{
+		{"replay", cold, Replay, work{1000, 6152243, false, 0, 0, 0, 0, 0}},
+		{"forked cold", cold, Forked, work{193, 8437, false, 69, 0, 533434, 832, 99}},
+		{"forked replayed", replayed, Forked, work{193, 14581, false, 69, 0, 533434, 832, 99}},
+		{"forked replayed again", replayed, Forked, work{193, 8437, false, 69, 0, 533434, 832, 99}},
+		{"forked snapshot hit", served, Forked, work{193, 8437, true, 69, 0, 533434, 832, 99}},
 	}
-	for _, shared := range []bool{false, true} {
-		r := NewRunner(target(t, "sha"))
-		g, err := r.RunGolden()
-		if err != nil {
-			t.Fatal(err)
+	got := map[string]work{}
+	for _, row := range rows {
+		res := mustRun(t)(row.r.Run(context.Background(), faults, &g.Result, Plan{Strategy: row.strategy}))
+		got[row.name] = work{res.Clones, res.SimCycles, res.SnapshotHit, res.HandOffs, res.FellBack, res.InterpInsts, res.DeadAtFlip, res.Overwritten}
+		if got[row.name] != row.want {
+			t.Errorf("%s: work %+v, want %+v", row.name, got[row.name], row.want)
 		}
-		c := r.NewCore()
-		faults := sampling.Generate(lifetime.StructRF, c.StructureEntries(lifetime.StructRF),
-			c.StructureEntryBits(lifetime.StructRF), g.Result.Cycles, 1000, 1)
-		if shared {
-			r.Snapshots = NewSnapshotCache(0)
-		}
-		rounds := []map[Strategy]work{cold}
-		if shared {
-			rounds = append(rounds, warm)
-		}
-		for round, want := range rounds {
-			for _, s := range allStrategies {
-				if s == Replay && shared && round == 0 {
-					continue // 1000 from-reset replays: once per runner is enough
-				}
-				res := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{Strategy: s}))
-				if got := (work{res.Clones, res.SimCycles, res.SnapshotHit, res.HandOffs, res.FellBack, res.InterpInsts, res.DeadAtFlip, res.Overwritten}); got != want[s] {
-					t.Errorf("shared=%v round %d %v: work %+v, want %+v", shared, round, s, got, want[s])
-				}
-			}
-		}
+	}
+	if cold, hit := got["forked cold"].simCycles, got["forked snapshot hit"].simCycles; cold != hit {
+		t.Errorf("cold Forked campaign simulated %d cycles, snapshot-hit one %d: the frozen ladder cost cycles", cold, hit)
+	}
+	if extra, want := got["forked replayed"].simCycles-got["forked cold"].simCycles, replayed.BuildCheckpoints(ForkSyncPoints, g.Result.Cycles).LastCycle(); extra != want {
+		t.Errorf("the ladder replay cost %d cycles, want its LastCycle %d", extra, want)
 	}
 }

@@ -69,8 +69,9 @@ func (s *Strategy) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// ForkSyncPoints is the number of golden snapshots the Forked strategy
-// freezes along the run. They serve double duty: the sweep re-roots its
+// ForkSyncPoints is the most golden snapshots the Forked strategy's
+// ladder holds past reset (CheckpointSchedule; the golden run freezes
+// them as it goes). They serve double duty: the sweep re-roots its
 // copy-on-write lineage at each one, and faulty continuations compare
 // their state against them to exit early once a fault provably converged
 // back to the golden run.
@@ -88,7 +89,7 @@ type Plan struct {
 	//	        golden run, taken at the fault cycle, is handed off to the
 	//	        interpreter as soon as it is quiescent after the flip; exit
 	//	        where the flipped RF or SQ entry is overwritten unread
-	//	        (cpu.Core.Watch), else at the first of ForkSyncPoints later
+	//	        (cpu.Core.Watch), else at the first of the ladder's later
 	//	        snapshots where the run is masked-equivalent or can be
 	//	        handed off
 	Strategy Strategy
@@ -106,14 +107,15 @@ type Plan struct {
 	OnOutcome func(idx int, f fault.Fault, o Outcome)
 }
 
-// planLadder returns the plan's checkpoint set for a goldenCycles-long run
-// and whether r.Snapshots served it. Replay's reset-only set is built inline:
-// it costs no simulation, so it never goes through the snapshot source.
-func (r *Runner) planLadder(plan Plan, goldenCycles uint64) (set *CheckpointSet, hit bool) {
+// planLadder returns the plan's checkpoint set for a goldenCycles-long run,
+// the cycles simulated to get it and whether r.Snapshots served it.
+// Replay's reset-only set is built inline: it costs no simulation, so it
+// never goes through the Runner's ladder.
+func (r *Runner) planLadder(plan Plan, goldenCycles uint64) (set *CheckpointSet, built uint64, hit bool) {
 	if plan.Strategy == Forked {
-		return r.ladder(ForkSyncPoints, goldenCycles)
+		return r.forkLadder(goldenCycles)
 	}
-	return r.BuildCheckpoints(0, goldenCycles), false
+	return r.BuildCheckpoints(0, goldenCycles), 0, false
 }
 
 // job hands one fault to a worker; core is its ready pre-fault clone under
@@ -139,13 +141,15 @@ type job struct {
 // retires one, so faults clustering late in the run cannot hold thousands
 // of machine snapshots in memory.
 //
-// The ladder build (one golden-run replay, skipped on a SnapshotCache
-// hit) and the sweep are shared pre-fault work, counted once in Wall,
-// Serial and SimCycles. An empty or already-cancelled campaign does
-// neither. Cancellation is observed between faults: no new fault is
-// dispatched once ctx is done, in-flight faults finish classification, the
-// rest stay marked Cancelled, and the partial Result is returned together
-// with ctx.Err().
+// The Forked ladder is the Runner's one ladder (forkLadder): frozen
+// during its golden run, or on a Runner that ran none (an artifact-cache
+// hit) served by a SnapshotCache or replayed by its first Forked campaign,
+// which alone counts that replay. The replay and the sweep are shared
+// pre-fault work, counted once in Wall, Serial and SimCycles. An empty or
+// already-cancelled campaign does neither. Cancellation is observed
+// between faults: no new fault is dispatched once ctx is done, in-flight
+// faults finish classification, the rest stay marked Cancelled, and the
+// partial Result is returned together with ctx.Err().
 func (r *Runner) Run(ctx context.Context, faults []fault.Fault, golden *cpu.RunResult, plan Plan) (*Result, error) {
 	res := newResult(len(faults))
 	start := time.Now()
@@ -167,10 +171,8 @@ func (r *Runner) Run(ctx context.Context, faults []fault.Fault, golden *cpu.RunR
 	var serialNS atomic.Int64
 	var m runMetrics
 	pool := r.clonePool()
-	ladder, hit := r.planLadder(plan, golden.Cycles)
-	if !hit {
-		m.simCycles.Add(ladder.LastCycle())
-	}
+	ladder, built, hit := r.planLadder(plan, golden.Cycles)
+	m.simCycles.Add(built)
 	res.SnapshotHit = hit
 	serialNS.Add(int64(time.Since(start)))
 

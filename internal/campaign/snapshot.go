@@ -10,8 +10,9 @@ import (
 // SnapshotKey identifies one checkpoint ladder: everything its machine
 // snapshots depend on. Two campaigns agreeing on the key — regardless of
 // fault list, seed, workers, or grouping knobs — can share one immutable
-// CheckpointSet, because BuildCheckpoints is deterministic in (workload
-// program, core configuration, snapshot count, golden length).
+// CheckpointSet, because the ladder, frozen or replayed, is deterministic
+// in (workload program, core configuration, snapshot count, golden
+// length).
 type SnapshotKey struct {
 	// Workload names the target program (Target.Prog.Name).
 	Workload string
@@ -23,17 +24,68 @@ type SnapshotKey struct {
 	GoldenCycles uint64
 }
 
-// ladder returns the k-snapshot checkpoint set for a goldenCycles-long
-// run, served from r.Snapshots when one is attached (hit reports a served
-// set) and built fresh otherwise.
-func (r *Runner) ladder(k int, goldenCycles uint64) (set *CheckpointSet, hit bool) {
-	if r.Snapshots == nil {
-		return r.BuildCheckpoints(k, goldenCycles), false
+// runnerLadder is a Runner's one Forked ladder: key says what it was
+// built for, hit that a SnapshotCache served it.
+type runnerLadder struct {
+	key SnapshotKey
+	set *CheckpointSet
+	hit bool
+}
+
+// ladderKey is the SnapshotKey of the Runner's Forked ladder over a
+// goldenCycles-long run.
+func (r *Runner) ladderKey(goldenCycles uint64) SnapshotKey {
+	return SnapshotKey{Workload: r.Prog.Name, CPU: r.Cfg, K: ForkSyncPoints, GoldenCycles: goldenCycles}
+}
+
+// hasLadder reports whether the Runner already holds its Forked ladder.
+func (r *Runner) hasLadder() bool {
+	r.ladderMu.Lock()
+	defer r.ladderMu.Unlock()
+	return r.forked != nil
+}
+
+// adoptLadder keeps set, frozen during a goldenCycles-long golden run, as
+// the Runner's ladder, and seeds Snapshots with it (a ladder Snapshots
+// already holds is kept instead: the two are state-equal).
+func (r *Runner) adoptLadder(set *CheckpointSet, goldenCycles uint64) {
+	key := r.ladderKey(goldenCycles)
+	if r.Snapshots != nil {
+		set, _ = r.Snapshots.GetOrBuild(key, func() *CheckpointSet { return set })
 	}
-	key := SnapshotKey{Workload: r.Prog.Name, CPU: r.Cfg, K: k, GoldenCycles: goldenCycles}
-	return r.Snapshots.GetOrBuild(key, func() *CheckpointSet {
-		return r.BuildCheckpoints(k, goldenCycles)
-	})
+	r.ladderMu.Lock()
+	defer r.ladderMu.Unlock()
+	if r.forked == nil {
+		r.forked = &runnerLadder{key: key, set: set}
+	}
+}
+
+// forkLadder returns the Forked ladder for a goldenCycles-long run, the
+// cycles simulated to get it, and whether r.Snapshots served it. The
+// Runner's own ladder — frozen during its golden run, or served or
+// replayed by its first campaign — costs nothing; any other is served by
+// r.Snapshots when one is attached and replayed by BuildCheckpoints
+// otherwise, and becomes the Runner's own when it has none.
+func (r *Runner) forkLadder(goldenCycles uint64) (set *CheckpointSet, built uint64, hit bool) {
+	key := r.ladderKey(goldenCycles)
+	r.ladderMu.Lock()
+	defer r.ladderMu.Unlock()
+	if l := r.forked; l != nil && l.key == key {
+		return l.set, 0, l.hit
+	}
+	build := func() *CheckpointSet { return r.BuildCheckpoints(ForkSyncPoints, goldenCycles) }
+	if r.Snapshots != nil {
+		set, hit = r.Snapshots.GetOrBuild(key, build)
+	} else {
+		set = build()
+	}
+	if !hit {
+		built = set.LastCycle()
+	}
+	if r.forked == nil {
+		r.forked = &runnerLadder{key: key, set: set, hit: hit}
+	}
+	return set, built, hit
 }
 
 // MemBytes is the set's resident-memory bound: the sum of its snapshots'
@@ -49,7 +101,7 @@ func (s *CheckpointSet) MemBytes() int64 {
 }
 
 // LastCycle returns the cycle of the latest snapshot (0 for a reset-only
-// set): the simulation work one ladder build performs.
+// set): the simulation work one BuildCheckpoints replay of it performs.
 func (s *CheckpointSet) LastCycle() uint64 {
 	return s.cycles[len(s.cycles)-1]
 }
@@ -59,14 +111,15 @@ func (s *CheckpointSet) LastCycle() uint64 {
 // configuration, small next to the daemon's working set.
 const DefaultSnapshotBudget = 512 << 20
 
-// SnapshotCache is a byte-budgeted LRU of checkpoint ladders: built
-// ladders stay in memory, keyed by everything they depend on, so concurrent
-// and repeat campaigns over the same (workload, CPU config, golden length)
-// share one immutable CheckpointSet and skip the rebuild (one golden-run
-// replay) entirely. A Runner with a non-nil Snapshots field asks it before
-// building a ladder. It is safe for concurrent use; concurrent
-// GetOrBuild calls for one key are deduplicated so the ladder is built
-// once and shared (every CheckpointSet is immutable and safe to clone
+// SnapshotCache is a byte-budgeted LRU of checkpoint ladders: ladders
+// stay in memory, keyed by everything they depend on, so concurrent and
+// repeat campaigns over the same (workload, CPU config, golden length)
+// share one immutable CheckpointSet. A Runner with a non-nil Snapshots
+// field seeds it with the ladder its golden run froze, and a Runner that
+// ran no golden run (an artifact-cache hit) asks it before replaying one
+// (BuildCheckpoints, one golden-length pass). It is safe for concurrent
+// use; concurrent GetOrBuild calls for one key are deduplicated so the
+// ladder is built once and shared (every CheckpointSet is immutable and safe to clone
 // from any number of goroutines).
 //
 // Sizes are estimated by CheckpointSet.MemBytes, a conservative

@@ -16,7 +16,10 @@ import "unsafe"
 // frozen snapshot concurrently — the checkpoint ladders rely on this.
 //
 // The lifetime tracer is not cloned: snapshots serve injection runs, which
-// are never traced. Cloning a core with an attached tracer panics.
+// are never traced. Clone of a traced core returns an untraced snapshot —
+// no tracer, no pending reads, no L1D fill/evict hooks — and leaves the
+// traced run itself unchanged, so the golden run can freeze its checkpoint
+// ladder as it goes.
 func (c *Core) Clone() *Core {
 	n := new(Core)
 	c.cloneInto(n)
@@ -31,7 +34,6 @@ func (c *Core) Clone() *Core {
 // queue records) is copied like any other, never rebuilt lazily on the
 // source, which other goroutines may be cloning. n must not be c.
 func (c *Core) cloneInto(n *Core) {
-	assertf(c.tracer == nil, "Clone of a traced core")
 	n.Cfg = c.Cfg
 	n.prog = c.prog
 	n.uops, n.uopFirst = c.uops, c.uopFirst // immutable, shared

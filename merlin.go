@@ -381,6 +381,7 @@ func newRunner(cfg Config) (*campaign.Runner, error) {
 	runner := campaign.NewRunner(campaign.Target{Cfg: cfg.CPU, Prog: w.Program()})
 	runner.Workers = cfg.Workers
 	runner.Snapshots = cfg.Snapshots
+	runner.FreezeLadder = cfg.Strategy == StrategyForked
 	if err := runner.Validate(); err != nil {
 		return nil, err
 	}

@@ -56,7 +56,7 @@ type Progress struct {
 
 	// SnapshotHit and CyclesPerSec are set on the inject/baseline
 	// ProgressPhaseDone event: whether the checkpoint ladder was served
-	// from a shared SnapshotCache (skipping the rebuild), and the
+	// from a shared SnapshotCache (skipping the replay), and the
 	// campaign's effective simulation throughput (simulated cycles per
 	// wall-clock second across all injection workers).
 	SnapshotHit  bool

@@ -161,11 +161,12 @@ func WithCache(c *Cache) Option {
 	}
 }
 
-// WithSnapshotCache attaches a shared checkpoint-ladder cache: the forked
-// strategy serves its frozen machine snapshots from it instead of
-// rebuilding them, so concurrent and repeat campaigns
-// over one (workload, CPU config, golden cycles) pay the ladder build
-// once. Create one with NewSnapshotCache; the daemon wires a process-wide
+// WithSnapshotCache attaches a shared checkpoint-ladder cache: a cold
+// campaign seeds it with the ladder its golden run froze, and a campaign
+// served by the artifact cache, which runs no golden run, takes its
+// ladder from it instead of replaying one, so concurrent and repeat
+// campaigns over one (workload, CPU config, golden cycles) pay for the
+// ladder once. Create one with NewSnapshotCache; the daemon wires a process-wide
 // instance into every campaign.
 func WithSnapshotCache(c *SnapshotCache) Option {
 	return func(o *sessionConfig) error {
