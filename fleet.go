@@ -353,7 +353,7 @@ type WorkerOptions struct {
 
 	// Cache is ignored: a worker executes shards holding nothing but the
 	// job and runs no golden run to cache. The field remains only because
-	// bench/http.go sets it (see ROADMAP 3a).
+	// bench/http.go sets it (see ROADMAP item 8(c)).
 	Cache *Cache
 	// SnapshotBudget bounds the worker's in-memory snapshot cache
 	// (0 = default 512 MB, negative disables), as in ServeOptions.

@@ -158,30 +158,22 @@ type Golden struct {
 	Tracer *lifetime.Tracer
 }
 
+// timeoutFactor bounds each faulty run at timeoutFactor x golden cycles,
+// past which the fault classifies as Timeout: the paper's 3.
+const timeoutFactor = 3
+
 // Runner executes injection campaigns for a target. The zero value is not
-// usable (it would run a zero-cycle golden run and time out every fault);
-// start from NewRunner, which fills every default below. Negative knob
-// values are configuration errors — call Validate before running a Runner
-// built from untrusted input (e.g. a service request) instead of relying
-// on them behaving like 0.
+// usable (it has no clone pool and would run a zero-cycle golden run);
+// start from NewRunner, which fills every default below.
 type Runner struct {
 	Target
-	// TimeoutFactor bounds each faulty run at TimeoutFactor x golden
-	// cycles, past which the fault classifies as Timeout. NewRunner sets
-	// the paper's 3; 0 is invalid (every run would time out immediately).
-	TimeoutFactor uint64
 	// Workers is Run's injection worker count. NewRunner leaves it 0, which
-	// means runtime.GOMAXPROCS(0) (all host cores) at run time. Negative
-	// values are invalid.
+	// means runtime.GOMAXPROCS(0) (all host cores) at run time.
 	Workers int
 	// GoldenBudget bounds the fault-free reference run; a golden run
 	// that exceeds it is an error, not a campaign result. NewRunner sets
-	// DefaultGoldenBudget; 0 is invalid.
+	// DefaultGoldenBudget.
 	GoldenBudget uint64
-	// MaxForks caps the in-flight machine clones of the Forked strategy
-	// (its memory bound). 0 means 2 x the *effective* worker count (i.e.
-	// 2 x GOMAXPROCS when Workers is also 0). Negative values are invalid.
-	MaxForks int
 	// Snapshots, when non-nil, serves checkpoint ladders across Runners
 	// (the daemon's in-memory snapshot cache): a Runner that did not
 	// freeze its ladder during its own golden run asks it before replaying
@@ -193,12 +185,10 @@ type Runner struct {
 	// pass of its own. NewRunner sets it; a Runner that only runs Replay
 	// campaigns clears it and freezes nothing.
 	FreezeLadder bool
-	// Pool recycles retired machine-clone shells across faults (and across
-	// campaigns run on this Runner). Nil means the first Run call
-	// installs one; share a pool explicitly to recycle shells across
-	// Runners of the same configuration. Like the other knobs, it must not
-	// be swapped while a campaign is running.
-	Pool *cpu.ClonePool
+
+	// pool recycles retired machine-clone shells across faults and
+	// across the campaigns run on this Runner.
+	pool *cpu.ClonePool
 
 	// goldenRuns counts the fault-free reference runs this Runner has
 	// simulated; batch pipelines assert exactly one per shared golden.
@@ -221,40 +211,10 @@ func (r *Runner) GoldenRuns() int64 { return r.goldenRuns.Load() }
 // configuration, small enough to catch a diverging program.
 const DefaultGoldenBudget = 500_000_000
 
-// NewRunner returns a Runner with the paper's 3x timeout factor,
-// DefaultGoldenBudget, FreezeLadder set, and Workers 0 (= all host cores
-// at run time).
+// NewRunner returns a Runner with its own clone pool, DefaultGoldenBudget,
+// FreezeLadder set, and Workers 0 (= all host cores at run time).
 func NewRunner(t Target) *Runner {
-	return &Runner{Target: t, TimeoutFactor: 3, GoldenBudget: DefaultGoldenBudget, FreezeLadder: true}
-}
-
-// Validate reports knob values the run methods would otherwise misread:
-// negative counts (which the "0 means default" convention would silently
-// treat as defaults) and zero budgets (which would classify every fault
-// Timeout or fail every golden run).
-func (r *Runner) Validate() error {
-	switch {
-	case r.Workers < 0:
-		return fmt.Errorf("campaign: Workers is %d; want >= 0 (0 = all host cores)", r.Workers)
-	case r.MaxForks < 0:
-		return fmt.Errorf("campaign: MaxForks is %d; want >= 0 (0 = 2x workers)", r.MaxForks)
-	case r.TimeoutFactor == 0:
-		return fmt.Errorf("campaign: TimeoutFactor is 0; every faulty run would classify Timeout (NewRunner sets 3)")
-	case r.GoldenBudget == 0:
-		return fmt.Errorf("campaign: GoldenBudget is 0; the golden run cannot make progress (NewRunner sets %d)", uint64(DefaultGoldenBudget))
-	}
-	return nil
-}
-
-// clonePool returns the Runner's shell pool, installing one on first use.
-// RunGolden and Run call it from the submitting goroutine, so lazy
-// installation is race-free as long as a Runner's first campaigns do not
-// overlap.
-func (r *Runner) clonePool() *cpu.ClonePool {
-	if r.Pool == nil {
-		r.Pool = cpu.NewClonePool(0)
-	}
-	return r.Pool
+	return &Runner{Target: t, GoldenBudget: DefaultGoldenBudget, FreezeLadder: true, pool: cpu.NewClonePool(0)}
 }
 
 // runMetrics accumulates Run's injection-phase performance counters;
@@ -312,7 +272,7 @@ func (r *Runner) RunGolden(track ...lifetime.StructureID) (*Golden, error) {
 	var res cpu.RunResult
 	var fr *freezer
 	if r.FreezeLadder && !r.hasLadder() {
-		fr = newFreezer(ForkSyncPoints, c, r.clonePool())
+		fr = newFreezer(ForkSyncPoints, c, r.pool)
 		res = fr.run(c, r.GoldenBudget)
 	} else {
 		res = c.Run(r.GoldenBudget)

@@ -185,7 +185,7 @@ func (r *Runner) classifyAgainst(c *cpu.Core, f fault.Fault, injSeq uint64, gold
 			}
 		}
 	}
-	res := c.Run(r.TimeoutFactor * golden.Cycles)
+	res := c.Run(timeoutFactor * golden.Cycles)
 	return Classify(res, golden)
 }
 
@@ -242,7 +242,7 @@ func (r *Runner) handOff(c *cpu.Core, f fault.Fault, injSeq uint64, golden *cpu.
 		}
 		pc, quiet = c.Quiescent(injSeq)
 	}
-	limit := r.TimeoutFactor * golden.Cycles
+	limit := timeoutFactor * golden.Cycles
 	if !quiet || c.Cycle() >= limit {
 		return 0, false
 	}

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"context"
-	"strings"
 	"sync"
 	"testing"
 
@@ -11,35 +10,6 @@ import (
 	"merlin/internal/lifetime"
 	"merlin/internal/sampling"
 )
-
-// TestValidate: negative counts and zero budgets are reported as errors
-// instead of being silently read as "use the default".
-func TestValidate(t *testing.T) {
-	base := func() *Runner { return NewRunner(target(t, "sha")) }
-
-	if err := base().Validate(); err != nil {
-		t.Fatalf("NewRunner defaults invalid: %v", err)
-	}
-
-	cases := []struct {
-		name   string
-		mutate func(*Runner)
-		want   string
-	}{
-		{"negative workers", func(r *Runner) { r.Workers = -1 }, "Workers"},
-		{"negative maxforks", func(r *Runner) { r.MaxForks = -4 }, "MaxForks"},
-		{"zero timeout factor", func(r *Runner) { r.TimeoutFactor = 0 }, "TimeoutFactor"},
-		{"zero golden budget", func(r *Runner) { r.GoldenBudget = 0 }, "GoldenBudget"},
-	}
-	for _, tc := range cases {
-		r := base()
-		tc.mutate(r)
-		err := r.Validate()
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: Validate() = %v, want error naming %s", tc.name, err, tc.want)
-		}
-	}
-}
 
 // TestOnOutcomeHook: every strategy reports each fault exactly once, with
 // the outcome it also records in the result, under concurrency.

@@ -136,9 +136,10 @@ type job struct {
 // to the workers at each fault cycle, so the shared prefix is simulated
 // once per campaign instead of once per fault. A fault whose bit lies in
 // dead storage at its cycle is dead at the flip: the sweep classifies it
-// Masked itself, with no clone (not under plan.Cut). Live clones are
-// capped at MaxForks (default 2x workers): the sweep blocks until a worker
-// retires one, so faults clustering late in the run cannot hold thousands
+// Masked itself, with no clone (not under plan.Cut). The job channel is
+// unbuffered and a worker releases its clone before it receives again, so
+// at most workers + 1 clones are live (one per worker and the one being
+// handed over): faults clustering late in the run cannot hold thousands
 // of machine snapshots in memory.
 //
 // The Forked ladder is the Runner's one ladder (forkLadder): frozen
@@ -170,7 +171,7 @@ func (r *Runner) Run(ctx context.Context, faults []fault.Fault, golden *cpu.RunR
 
 	var serialNS atomic.Int64
 	var m runMetrics
-	pool := r.clonePool()
+	pool := r.pool
 	ladder, built, hit := r.planLadder(plan, golden.Cycles)
 	m.simCycles.Add(built)
 	res.SnapshotHit = hit
@@ -179,13 +180,8 @@ func (r *Runner) Run(ctx context.Context, faults []fault.Fault, golden *cpu.RunR
 	var sw *sweep
 	var order []int // dispatch order; nil means input order
 	if plan.Strategy == Forked {
-		maxForks := r.MaxForks
-		if maxForks <= 0 {
-			maxForks = 2 * workers
-		}
 		sw = &sweep{
 			ladder: ladder, pool: pool, m: &m,
-			live: make(chan struct{}, maxForks),
 			core: m.clone(pool, ladder.cores[0]),
 			next: 1,
 		}
@@ -219,9 +215,6 @@ func (r *Runner) Run(ctx context.Context, faults []fault.Fault, golden *cpu.RunR
 				pool.Release(c)
 				serialNS.Add(int64(time.Since(t0)))
 				record(j.idx, o)
-				if sw != nil {
-					<-sw.live
-				}
 			}
 		}()
 	}
@@ -250,13 +243,12 @@ feed:
 				record(j.idx, Masked)
 				continue
 			}
-			if j.core = sw.fork(done); j.core == nil {
-				break feed
-			}
+			j.core = m.clone(pool, sw.core)
 		}
 		select {
 		case jobs <- j:
 		case <-done:
+			pool.Release(j.core) // nil under Replay
 			break feed
 		}
 	}
@@ -282,7 +274,6 @@ type sweep struct {
 	ladder *CheckpointSet
 	pool   *cpu.ClonePool
 	m      *runMetrics
-	live   chan struct{} // in-flight clone budget
 	core   *cpu.Core
 	from   uint64 // cycle core was last rooted at
 	next   int    // first ladder snapshot not yet crossed
@@ -307,18 +298,6 @@ func (s *sweep) advance(fc uint64) {
 	}
 	for s.core.Cycle()+1 < fc && s.core.Halted() == cpu.Running {
 		s.core.Step()
-	}
-}
-
-// fork returns a clone of the advanced sweep once the clone budget has
-// room, or nil when done fires first (so a cancelled sweep never waits for
-// a whole classification to retire).
-func (s *sweep) fork(done <-chan struct{}) *cpu.Core {
-	select {
-	case s.live <- struct{}{}:
-		return s.m.clone(s.pool, s.core)
-	case <-done:
-		return nil
 	}
 }
 

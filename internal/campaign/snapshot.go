@@ -11,15 +11,13 @@ import (
 // snapshots depend on. Two campaigns agreeing on the key — regardless of
 // fault list, seed, workers, or grouping knobs — can share one immutable
 // CheckpointSet, because the ladder, frozen or replayed, is deterministic
-// in (workload program, core configuration, snapshot count, golden
-// length).
+// in (workload program, core configuration, golden length): it always
+// holds ForkSyncPoints snapshots.
 type SnapshotKey struct {
 	// Workload names the target program (Target.Prog.Name).
 	Workload string
 	// CPU is the full core configuration.
 	CPU cpu.Config
-	// K is the snapshot count requested from BuildCheckpoints.
-	K int
 	// GoldenCycles is the fault-free run length the schedule spans.
 	GoldenCycles uint64
 }
@@ -35,7 +33,7 @@ type runnerLadder struct {
 // ladderKey is the SnapshotKey of the Runner's Forked ladder over a
 // goldenCycles-long run.
 func (r *Runner) ladderKey(goldenCycles uint64) SnapshotKey {
-	return SnapshotKey{Workload: r.Prog.Name, CPU: r.Cfg, K: ForkSyncPoints, GoldenCycles: goldenCycles}
+	return SnapshotKey{Workload: r.Prog.Name, CPU: r.Cfg, GoldenCycles: goldenCycles}
 }
 
 // hasLadder reports whether the Runner already holds its Forked ladder.

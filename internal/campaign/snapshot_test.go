@@ -29,7 +29,7 @@ func TestSnapshotCacheHitMiss(t *testing.T) {
 	c := NewSnapshotCache(0)
 	r.Snapshots = c
 
-	key := SnapshotKey{Workload: "sha", CPU: r.Cfg, K: 4, GoldenCycles: cycles}
+	key := SnapshotKey{Workload: "sha", CPU: r.Cfg, GoldenCycles: cycles}
 	builds := 0
 	build := func() *CheckpointSet {
 		builds++
@@ -62,8 +62,9 @@ func TestSnapshotCacheLRUBudget(t *testing.T) {
 	one := r.BuildCheckpoints(3, cycles)
 	c := NewSnapshotCache(one.MemBytes() + one.MemBytes()/2) // fits one, not two
 
+	// Two ladders of different sizes, keyed apart by GoldenCycles.
 	keyK := func(k int) SnapshotKey {
-		return SnapshotKey{Workload: "sha", CPU: r.Cfg, K: k, GoldenCycles: cycles}
+		return SnapshotKey{Workload: "sha", CPU: r.Cfg, GoldenCycles: cycles + uint64(k)}
 	}
 	c.GetOrBuild(keyK(3), func() *CheckpointSet { return r.BuildCheckpoints(3, cycles) })
 	c.GetOrBuild(keyK(5), func() *CheckpointSet { return r.BuildCheckpoints(5, cycles) })
@@ -92,7 +93,7 @@ func TestSnapshotCacheLRUBudget(t *testing.T) {
 func TestSnapshotCacheConcurrentBuild(t *testing.T) {
 	r, cycles := snapRunner(t, "sha")
 	c := NewSnapshotCache(0)
-	key := SnapshotKey{Workload: "sha", CPU: r.Cfg, K: 6, GoldenCycles: cycles}
+	key := SnapshotKey{Workload: "sha", CPU: r.Cfg, GoldenCycles: cycles}
 
 	var mu sync.Mutex
 	builds := 0

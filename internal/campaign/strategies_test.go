@@ -82,8 +82,9 @@ func TestStrategyDifferential(t *testing.T) {
 	}
 }
 
-// TestForkedBoundedPool: the scheduler must stay correct at the tightest
-// legal memory cap (one in-flight clone) and with constrained workers.
+// TestForkedBoundedPool: the scheduler must stay correct with one worker,
+// the fewest in-flight clones the sweep can have out (the worker's and the
+// one being handed over).
 func TestForkedBoundedPool(t *testing.T) {
 	r := NewRunner(target(t, "sha"))
 	g, err := r.RunGolden()
@@ -95,8 +96,7 @@ func TestForkedBoundedPool(t *testing.T) {
 		c.StructureEntries(lifetime.StructRF), 64, g.Result.Cycles, 40, 17)
 	want := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{}))
 
-	r.Workers = 2
-	r.MaxForks = 1
+	r.Workers = 1
 	got := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{Strategy: Forked}))
 	for i := range faults {
 		if want.Outcomes[i] != got.Outcomes[i] {

@@ -77,7 +77,6 @@ func (d *Divergence) String() string {
 type Config struct {
 	CPU       cpu.Config
 	MaxCycles uint64 // core cycle budget; 0 = 10M
-	MemDiffs  int    // max memory mismatches listed in one report; 0 = 8
 
 	// SabotageSeq, when non-zero, installs a test-only result mutator in
 	// the core (cpu.SetResultMutator) that XORs SabotageMask into every
@@ -184,7 +183,7 @@ func Run(prog *isa.Program, cfg Config) *Report {
 		return rep
 	}
 	if core.Halted() == cpu.HaltOK {
-		rep.Divergence = compareMemory(prog, core, ref, cfg.MemDiffs)
+		rep.Divergence = compareMemory(prog, core, ref)
 	}
 	return rep
 }
@@ -273,14 +272,14 @@ func compareLogs(prog *isa.Program, core *cpu.Core, ref *interp.Machine) *Diverg
 	return nil
 }
 
+// memDiffs is the most memory mismatches one report lists.
+const memDiffs = 8
+
 // compareMemory diffs the final architectural memory images page by page.
 // Draining the core's committed stores and flushing its caches first makes
 // its main memory the complete architectural image; untouched pages read
 // as zeros on both machines.
-func compareMemory(prog *isa.Program, core *cpu.Core, ref *interp.Machine, limit int) *Divergence {
-	if limit <= 0 {
-		limit = 8
-	}
+func compareMemory(prog *isa.Program, core *cpu.Core, ref *interp.Machine) *Divergence {
 	core.DrainPendingStores()
 	core.FlushDataCaches()
 	var diffs []string
@@ -289,7 +288,7 @@ func compareMemory(prog *isa.Program, core *cpu.Core, ref *interp.Machine, limit
 		if cp == nil && rp == nil {
 			continue
 		}
-		for i := 0; i < mem.PageSize && len(diffs) < limit; i++ {
+		for i := 0; i < mem.PageSize && len(diffs) < memDiffs; i++ {
 			var cb, rb byte
 			if cp != nil {
 				cb = cp[i]
@@ -301,7 +300,7 @@ func compareMemory(prog *isa.Program, core *cpu.Core, ref *interp.Machine, limit
 				diffs = append(diffs, fmt.Sprintf("[%#x] = %#02x, reference says %#02x", base+uint64(i), cb, rb))
 			}
 		}
-		if len(diffs) >= limit {
+		if len(diffs) >= memDiffs {
 			break
 		}
 	}

@@ -173,11 +173,11 @@ func TestMemoryDivergenceDetected(t *testing.T) {
 		return core, ref
 	}
 	coreA, refA := run(progA)
-	if d := compareMemory(progA, coreA, refA, 8); d != nil {
+	if d := compareMemory(progA, coreA, refA); d != nil {
 		t.Fatalf("matched runs reported a memory divergence: %v", d)
 	}
 	_, refB := run(progB)
-	d := compareMemory(progA, coreA, refB, 8)
+	d := compareMemory(progA, coreA, refB)
 	if d == nil {
 		t.Fatal("differing memory images not detected")
 	}

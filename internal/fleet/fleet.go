@@ -309,9 +309,6 @@ type Agent struct {
 	// Interval is the heartbeat period (0 = TTL/3 as reported by the
 	// coordinator's join response, falling back to 2s).
 	Interval time.Duration
-	// Client is the HTTP client for join/heartbeat calls (nil = a client
-	// with a 5s timeout).
-	Client *http.Client
 	// Logf, when non-nil, receives agent lifecycle log lines.
 	Logf func(format string, args ...any)
 }
@@ -322,12 +319,8 @@ func (a *Agent) logf(format string, args ...any) {
 	}
 }
 
-func (a *Agent) client() *http.Client {
-	if a.Client != nil {
-		return a.Client
-	}
-	return &http.Client{Timeout: 5 * time.Second}
-}
+// beatClient sends an Agent's join and heartbeat calls.
+var beatClient = &http.Client{Timeout: 5 * time.Second}
 
 // beat posts one join/heartbeat and returns the coordinator's TTL.
 func (a *Agent) beat(ctx context.Context, path string) (time.Duration, error) {
@@ -338,7 +331,7 @@ func (a *Agent) beat(ctx context.Context, path string) (time.Duration, error) {
 		return 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := a.client().Do(req)
+	resp, err := beatClient.Do(req)
 	if err != nil {
 		return 0, err
 	}

@@ -382,9 +382,6 @@ func newRunner(cfg Config) (*campaign.Runner, error) {
 	runner.Workers = cfg.Workers
 	runner.Snapshots = cfg.Snapshots
 	runner.FreezeLadder = cfg.Strategy == StrategyForked
-	if err := runner.Validate(); err != nil {
-		return nil, err
-	}
 	return runner, nil
 }
 
@@ -547,7 +544,6 @@ func (a *Artifacts) baselineFrom(res *campaign.Result) *BaselineReport {
 		Wall:         res.Wall,
 		Work:         res.Work,
 		CyclesPerSec: res.CyclesPerSec(),
-		Artifacts:    a,
 	}
 }
 
@@ -678,8 +674,4 @@ type BaselineReport struct {
 	Wall time.Duration
 	Work
 	CyclesPerSec float64
-
-	// Artifacts retains the preprocessing products so MeRLiN and the
-	// Relyzer heuristic can be evaluated on the identical fault list.
-	Artifacts *Artifacts
 }

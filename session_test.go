@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"merlin/internal/campaign"
 	"merlin/internal/workloads"
@@ -284,6 +285,35 @@ func TestSessionBaselineReusesGolden(t *testing.T) {
 	}
 	if fresh.Dist != base.Dist {
 		t.Fatalf("fresh-session baseline %v != baseline after Run %v", fresh.Dist, base.Dist)
+	}
+}
+
+// TestBaselineReportPinsNoRunner: a retained BaselineReport does not keep
+// its session's Runner alive, and with it the checkpoint ladder and clone
+// pool, once the session is dropped.
+func TestBaselineReportPinsNoRunner(t *testing.T) {
+	freed := make(chan struct{})
+	base := func() *BaselineReport {
+		s := startSession(t, "sha", WithStructure(RF), WithFaults(100), WithSeed(1))
+		base, err := s.Baseline(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(s.Artifacts().Runner, func(*campaign.Runner) { close(freed) })
+		return base
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-freed:
+			runtime.KeepAlive(base)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the session's Runner is still reachable 5 s after the session was dropped; the retained BaselineReport pins it")
+		}
 	}
 }
 
