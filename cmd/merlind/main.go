@@ -77,7 +77,7 @@ func main() {
 		queue     = flag.Int("queue", 0, "pending-campaign bound, beyond which submissions get 429 (0 = default 256)")
 		retain    = flag.Int("retain", 0, "finished campaigns kept queryable before the oldest are evicted (0 = default 1024)")
 		maxEvents = flag.Int("max-events", 0, "per-campaign event log cap before the oldest entries are dropped (0 = default 8192)")
-		snapMB    = flag.Int64("snapshot-budget", 0, "in-memory checkpoint-snapshot cache budget in MB, shared across campaigns (0 = default 512, negative disables)")
+		snapMB    = flag.Int64("snapshot-budget", 0, "in-memory checkpoint-snapshot cache budget in MB, shared across campaigns (<= 0 = default 512)")
 
 		join      = flag.String("join", "", "coordinator base URL: run as a fleet worker that joins it and executes shards, instead of as a coordinator")
 		advertise = flag.String("advertise", "", "base URL the coordinator reaches this worker at (worker; default http://127.0.0.1<addr>)")
@@ -87,10 +87,7 @@ func main() {
 	)
 	flag.Parse()
 
-	snapBudget := *snapMB
-	if snapBudget > 0 {
-		snapBudget <<= 20
-	}
+	snapBudget := *snapMB << 20 // <= 0 stays <= 0: the default budget
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 

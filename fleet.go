@@ -347,16 +347,13 @@ type WorkerOptions struct {
 	// empty derives "http://127.0.0.1<addr>" — fine for same-host fleets,
 	// set it explicitly across machines.
 	Advertise string
-	// Interval is the heartbeat period (0 = a third of the coordinator's
-	// TTL).
-	Interval time.Duration
 
 	// Cache is ignored: a worker executes shards holding nothing but the
 	// job and runs no golden run to cache. The field remains only because
 	// bench/http.go sets it (see ROADMAP item 8(c)).
 	Cache *Cache
 	// SnapshotBudget bounds the worker's in-memory snapshot cache
-	// (0 = default 512 MB, negative disables), as in ServeOptions.
+	// (<= 0 = default 512 MB), as in ServeOptions.
 	SnapshotBudget int64
 	// Logf, when non-nil, receives worker lifecycle log lines.
 	Logf func(format string, args ...any)
@@ -431,17 +428,12 @@ func ServeWorker(ctx context.Context, addr string, opt WorkerOptions) error {
 	if id == "" {
 		id = "worker-" + strings.TrimPrefix(strings.TrimPrefix(advertise, "http://"), "https://")
 	}
-	var snapshots *SnapshotCache
-	if opt.SnapshotBudget >= 0 {
-		snapshots = NewSnapshotCache(opt.SnapshotBudget)
-	}
 	agent := &fleet.Agent{
 		ID:          id,
 		Coordinator: coordinator,
 		Advertise:   advertise,
-		Interval:    opt.Interval,
 		Logf:        opt.Logf,
-		Run:         WorkerShardRun(snapshots),
+		Run:         WorkerShardRun(NewSnapshotCache(opt.SnapshotBudget)),
 	}
 
 	mux := http.NewServeMux()

@@ -413,6 +413,27 @@ func TestLedgerMismatchedDuplicate(t *testing.T) {
 	}
 }
 
+// TestDaemonFleetDisabled: a negative FleetTTL keeps the fleet endpoints
+// unmounted — nobody can join — while campaigns still run in-process; the
+// default TTL mounts them.
+func TestDaemonFleetDisabled(t *testing.T) {
+	const join = `{"id":"w1","addr":"http://127.0.0.1:1"}`
+	closed := daemon(t, ServeOptions{FleetTTL: -1})
+	resp, err := http.Post(closed.URL+"/fleet/join", "application/json", strings.NewReader(join))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("join with the fleet disabled: status %d, want 404", resp.StatusCode)
+	}
+	id := postCampaign(t, closed.URL, `{"workload":"sha","structure":"RF","faults":100}`)
+	campaignWait(t, closed.URL, id) // fails the test unless the record ends done
+
+	open := daemon(t, ServeOptions{FleetTTL: 0})
+	joinFleet(t, open.URL, "w1", "http://127.0.0.1:1")
+}
+
 // TestPendingShards: the ledger deals list indices, not groups — round-robin,
 // which on a fresh list is what the reduction's whole-group sharding gave at
 // one representative per group — and on a resumed list only what is pending;

@@ -49,26 +49,6 @@ func ParseStrategy(name string) (Strategy, error) {
 	return Replay, fmt.Errorf("unknown injection strategy %q (want replay or forked)", name)
 }
 
-// MarshalText renders the flag-style name, so JSON carrying a Strategy
-// reads "forked" instead of a bare int.
-func (s Strategy) MarshalText() ([]byte, error) {
-	if int(s) >= len(strategyNames) {
-		return nil, fmt.Errorf("cannot marshal unknown strategy %d", uint8(s))
-	}
-	return []byte(strategyNames[s]), nil
-}
-
-// UnmarshalText parses a strategy name case-insensitively, round-tripping
-// MarshalText.
-func (s *Strategy) UnmarshalText(text []byte) error {
-	v, err := ParseStrategy(string(text))
-	if err != nil {
-		return err
-	}
-	*s = v
-	return nil
-}
-
 // ForkSyncPoints is the most golden snapshots the Forked strategy's
 // ladder holds past reset (CheckpointSchedule; the golden run freezes
 // them as it goes). They serve double duty: the sweep re-roots its

@@ -433,7 +433,9 @@ func (a *Agent) Handler() http.Handler {
 
 // Dispatcher spreads shard jobs over a pool's live workers and steals
 // back the work of workers that die mid-shard. Pool, Job, OnOutcome and
-// Local are required.
+// Local are required. Each shard gets 2 remote attempts per round (200 ms
+// initial backoff) for 3 rounds, and one outcome line may be 1 MiB; a
+// shard still failing when the rounds run out runs Local.
 type Dispatcher struct {
 	// Pool supplies live workers each round.
 	Pool *Pool
@@ -453,12 +455,6 @@ type Dispatcher struct {
 	// attempts are exhausted. Calls are serialized by the Dispatcher.
 	Local func(ctx context.Context, reps []int) error
 
-	// Attempts bounds per-shard remote attempts per round (0 = 2);
-	// Backoff is the initial retry backoff (0 = 200ms); Rounds bounds
-	// dispatch rounds before falling back to Local (0 = 3).
-	Attempts int
-	Backoff  time.Duration
-	Rounds   int
 	// Client executes shard streams. Nil means a hardened default with
 	// dial/TLS/response-header timeouts but no overall timeout: shard
 	// streams are long-lived, so in-stream liveness comes from the
@@ -468,48 +464,45 @@ type Dispatcher struct {
 	// produces no line for this long is abandoned (its body closed), the
 	// worker removed and failure-noted, and the unclassified reps
 	// requeued — a stalled-but-heartbeating worker can no longer hold
-	// dispatch hostage. 0 = DefaultStallTimeout; negative disables.
+	// dispatch hostage. <= 0 = DefaultStallTimeout.
 	StallTimeout time.Duration
-	// PoisonBudget is the per-shard distinct-worker failure budget: a
-	// shard that has failed on this many different workers is poison-
-	// suspect (the shard kills workers, not the reverse). It runs Local
-	// once; a Local failure fails the campaign with ErrPoisonShard
-	// instead of looping rounds. 0 = DefaultPoisonBudget.
-	PoisonBudget int
-	// MaxLine bounds one NDJSON outcome line in bytes (0 = 1 MiB). An
-	// oversized line fails the shard with ErrOversizedOutcome — a named
-	// diagnostic and a requeue, not a generic scanner break.
-	MaxLine int
 	// Emit, when non-nil, receives dispatch lifecycle events for the
 	// campaign's event log ("shard", "requeue").
 	Emit func(typ, msg string)
 
+	// attempts, backoff, rounds and maxLine override the per-round remote
+	// attempts, the initial retry backoff, the dispatch rounds and the
+	// outcome line limit in bytes; 0 takes the defaults above.
+	attempts int
+	backoff  time.Duration
+	rounds   int
+	maxLine  int
+
 	localMu sync.Mutex
 }
 
-// Defaults for the Dispatcher's hardening knobs.
-const (
-	// DefaultStallTimeout is deliberately generous: representative
-	// injections take milliseconds to seconds, so minutes of total
-	// silence on an open stream means a wedged worker, not a slow one.
-	DefaultStallTimeout = 2 * time.Minute
-	DefaultPoisonBudget = 3
-)
+// DefaultStallTimeout is the progress watchdog's window, deliberately
+// generous: representative injections take milliseconds to seconds, so
+// minutes of total silence on an open stream means a wedged worker, not a
+// slow one.
+const DefaultStallTimeout = 2 * time.Minute
 
 // Named dispatch diagnostics. Wrapped (never returned bare) so callers
 // can errors.Is against the failure class.
 var (
 	// ErrShardStall marks a stream abandoned by the progress watchdog.
 	ErrShardStall = errors.New("fleet: shard stream stalled")
-	// ErrOversizedOutcome marks a single outcome line exceeding MaxLine.
+	// ErrOversizedOutcome marks a single outcome line over the 1 MiB
+	// limit: a named diagnostic and a requeue, not a generic scanner break.
 	ErrOversizedOutcome = errors.New("fleet: oversized outcome line")
 	// ErrMismatchedOutcome marks a worker contradicting its own
 	// classification of a rep within one stream: a determinism violation
 	// that fails the dispatch loudly — silently preferring either answer
 	// would bias the estimate.
 	ErrMismatchedOutcome = errors.New("fleet: mismatched duplicate outcome (determinism violation)")
-	// ErrPoisonShard marks a shard that failed on PoisonBudget distinct
-	// workers and then in the Local fallback.
+	// ErrPoisonShard marks a shard still failing when the dispatch rounds
+	// ran out that then failed in the Local fallback too; it names the
+	// distinct workers the shard failed on.
 	ErrPoisonShard = errors.New("fleet: poison shard")
 )
 
@@ -588,33 +581,24 @@ func (d *Dispatcher) runRemote(ctx context.Context, w WorkerInfo, reps []int) ([
 		// Built on a timer rather than wall-clock reads — there is no
 		// time.Now here for merlinvet to object to.
 		stall := d.StallTimeout
-		if stall == 0 {
+		if stall <= 0 {
 			stall = DefaultStallTimeout
 		}
 		var stalled atomic.Bool
-		var dog *time.Timer
-		if stall > 0 {
-			dog = time.AfterFunc(stall, func() {
-				stalled.Store(true)
-				resp.Body.Close()
-			})
-			defer dog.Stop()
-		}
+		dog := time.AfterFunc(stall, func() {
+			stalled.Store(true)
+			resp.Body.Close()
+		})
+		defer dog.Stop()
 
-		maxLine := d.MaxLine
-		if maxLine <= 0 {
+		maxLine := d.maxLine
+		if maxLine == 0 {
 			maxLine = 1 << 20
 		}
-		startBuf := 64 * 1024
-		if startBuf > maxLine {
-			startBuf = maxLine
-		}
 		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, startBuf), maxLine)
+		sc.Buffer(make([]byte, min(64*1024, maxLine)), maxLine)
 		for sc.Scan() {
-			if dog != nil {
-				dog.Reset(stall)
-			}
+			dog.Reset(stall)
 			var line streamLine
 			if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
 				return fmt.Errorf("fleet: bad outcome line from %s: %w", w.ID, err)
@@ -652,11 +636,11 @@ func (d *Dispatcher) runRemote(ctx context.Context, w WorkerInfo, reps []int) ([
 		return fmt.Errorf("fleet: stream from %s ended without done marker", w.ID)
 	}
 
-	attempts := d.Attempts
+	attempts := d.attempts
 	if attempts == 0 {
 		attempts = 2
 	}
-	backoff := d.Backoff
+	backoff := d.backoff
 	if backoff == 0 {
 		backoff = 200 * time.Millisecond
 	}
@@ -686,7 +670,7 @@ func (d *Dispatcher) runLocal(ctx context.Context, reps []int) error {
 
 // shardState tracks one shard across dispatch rounds: the reps still
 // unclassified and the distinct workers the shard has already failed on
-// (the poison-budget evidence).
+// (what pickWorker skips and ErrPoisonShard counts).
 type shardState struct {
 	reps     []int
 	failedOn map[string]bool
@@ -713,21 +697,16 @@ func pickWorker(alive []WorkerInfo, failedOn map[string]bool, i int) WorkerInfo 
 // pending shards run in-process, so a coordinator alone degrades to
 // exactly the single-node pipeline.
 //
-// Two failure classes cut the loop short, loudly. A shard that fails on
-// PoisonBudget distinct workers is poison-suspect: it gets exactly one
-// Local run, and a Local failure returns ErrPoisonShard instead of
-// burning the remaining rounds. And a worker contradicting its own
+// A shard still failing when the rounds run out runs Local, and a Local
+// failure there returns ErrPoisonShard: the shard kills workers and the
+// in-process injector alike. A worker contradicting its own
 // classification of a rep (ErrMismatchedOutcome) is a determinism
 // violation: no requeue could be trusted afterwards, so the dispatch
 // fails immediately.
 func (d *Dispatcher) Run(ctx context.Context, shards [][]int) error {
-	rounds := d.Rounds
+	rounds := d.rounds
 	if rounds == 0 {
 		rounds = 3
-	}
-	poison := d.PoisonBudget
-	if poison <= 0 {
-		poison = DefaultPoisonBudget
 	}
 	pending := make([]*shardState, 0, len(shards))
 	for _, reps := range shards {
@@ -744,7 +723,11 @@ func (d *Dispatcher) Run(ctx context.Context, shards [][]int) error {
 			for _, sh := range pending {
 				d.emit("shard", fmt.Sprintf("%d reps running locally", len(sh.reps)))
 				if err := d.runLocal(ctx, sh.reps); err != nil {
-					return err
+					if round < rounds || ctx.Err() != nil {
+						return err
+					}
+					return fmt.Errorf("%w: %d reps failed on %d distinct workers over %d rounds and in the local fallback: %v",
+						ErrPoisonShard, len(sh.reps), len(sh.failedOn), rounds, err)
 				}
 			}
 			return nil
@@ -790,18 +773,6 @@ func (d *Dispatcher) Run(ctx context.Context, shards [][]int) error {
 				d.emit("requeue", fmt.Sprintf("worker %s lost %d reps: %v; requeueing", w.ID, len(missing), err))
 				sh.reps = missing
 				sh.failedOn[w.ID] = true
-				if len(sh.failedOn) >= poison {
-					d.emit("shard", fmt.Sprintf("%d reps failed on %d distinct workers; poison-suspect, falling back to local", len(missing), len(sh.failedOn)))
-					if lerr := d.runLocal(ctx, missing); lerr != nil {
-						if ctx.Err() != nil {
-							setFatal(lerr)
-						} else {
-							setFatal(fmt.Errorf("%w: %d reps failed on %d distinct workers and in the local fallback: %v",
-								ErrPoisonShard, len(missing), len(sh.failedOn), lerr))
-						}
-					}
-					return
-				}
 				mu.Lock()
 				next = append(next, sh)
 				mu.Unlock()

@@ -145,7 +145,7 @@ func dispatcherFor(p *Pool, got *sync.Map, localReps *[][]int, localMu *sync.Mut
 			}
 			return nil
 		},
-		Backoff: 10 * time.Millisecond,
+		backoff: 10 * time.Millisecond,
 	}
 }
 
@@ -213,7 +213,7 @@ func TestDispatcherStealsFromDeadWorker(t *testing.T) {
 	var localReps [][]int
 	var localMu sync.Mutex
 	d := dispatcherFor(p, &got, &localReps, &localMu)
-	d.Attempts = 1 // first break requeues immediately
+	d.attempts = 1 // first break requeues immediately
 
 	var requeues atomic.Int64
 	d.Emit = func(typ, msg string) {
@@ -267,8 +267,8 @@ func TestDispatcherExhaustedRoundsFallBack(t *testing.T) {
 	var localReps [][]int
 	var localMu sync.Mutex
 	d := dispatcherFor(p, &got, &localReps, &localMu)
-	d.Attempts = 1
-	d.Rounds = 2
+	d.attempts = 1
+	d.rounds = 2
 
 	// The worker re-heartbeats between rounds (Remove would otherwise
 	// empty the pool and trigger the no-worker fallback, which is the
@@ -468,7 +468,7 @@ func TestDispatcherWatchdogStallRequeue(t *testing.T) {
 	var localReps [][]int
 	var localMu sync.Mutex
 	d := dispatcherFor(p, &got, &localReps, &localMu)
-	d.Attempts = 1
+	d.attempts = 1
 	d.StallTimeout = 100 * time.Millisecond
 
 	var stallRequeues atomic.Int64
@@ -521,8 +521,8 @@ func TestDispatcherOversizedOutcomeLine(t *testing.T) {
 	var localReps [][]int
 	var localMu sync.Mutex
 	d := dispatcherFor(p, &got, &localReps, &localMu)
-	d.Attempts = 1
-	d.MaxLine = 1024
+	d.attempts = 1
+	d.maxLine = 1024
 
 	var oversized atomic.Int64
 	d.Emit = func(typ, msg string) {
@@ -541,9 +541,10 @@ func TestDispatcherOversizedOutcomeLine(t *testing.T) {
 	}
 }
 
-// TestDispatcherPoisonShardFailsLoudly: a shard that fails on
-// PoisonBudget distinct workers gets one local run; when that fails too,
-// the campaign fails with ErrPoisonShard instead of looping rounds.
+// TestDispatcherPoisonShardFailsLoudly: a shard that fails on a
+// different worker in each of the default 3 rounds gets one local run;
+// when that fails too, the campaign fails with ErrPoisonShard, naming the
+// distinct workers.
 func TestDispatcherPoisonShardFailsLoudly(t *testing.T) {
 	var dieNow atomic.Int64 // every worker dies immediately, every time
 	workers := map[string]*httptest.Server{
@@ -564,10 +565,8 @@ func TestDispatcherPoisonShardFailsLoudly(t *testing.T) {
 		Local: func(ctx context.Context, reps []int) error {
 			return fmt.Errorf("injector rejects these reps")
 		},
-		Attempts:     1,
-		Backoff:      time.Millisecond,
-		Rounds:       10,
-		PoisonBudget: 3,
+		attempts: 1,
+		backoff:  time.Millisecond,
 		Emit: func(typ, _ string) {
 			if typ == "requeue" { // failed workers keep heartbeating back in
 				for id, hs := range workers {
@@ -608,7 +607,7 @@ func TestDispatcherMismatchedDuplicateFatal(t *testing.T) {
 	var localReps [][]int
 	var localMu sync.Mutex
 	d := dispatcherFor(p, &got, &localReps, &localMu)
-	d.Attempts = 1
+	d.attempts = 1
 
 	err := d.Run(context.Background(), [][]int{{0, 1}})
 	if !errors.Is(err, ErrMismatchedOutcome) {
@@ -644,7 +643,7 @@ func TestDispatcherBenignDuplicateTolerated(t *testing.T) {
 		Job:       func(reps []int) ShardJob { return ShardJob{Campaign: "c1", Reps: reps} },
 		OnOutcome: func(o Outcome) { outcomes.Add(1) },
 		Local:     func(ctx context.Context, reps []int) error { return nil },
-		Backoff:   time.Millisecond,
+		backoff:   time.Millisecond,
 	}
 	if err := d.Run(context.Background(), [][]int{{0, 1, 2}}); err != nil {
 		t.Fatal(err)

@@ -229,7 +229,7 @@ type Config struct {
 	// asynchronously in the queue.
 	Validate func(Request) error
 	// Stats, when non-nil, is merged key by key into GET /statsz (the
-	// daemon passes "cache", "snapshots", "registry" and "static_prune").
+	// daemon passes "cache", "snapshots" and "registry").
 	Stats func() map[string]any
 
 	// Routes, when non-nil, is called with the service mux so the daemon

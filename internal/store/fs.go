@@ -1,12 +1,14 @@
 package store
 
-// The cache and the registry touch the filesystem through the narrow FS
-// surface below instead of calling the os package directly. Production
-// code always runs on OSFS; the seam exists so a fault-injection harness
-// (internal/chaos) can substitute an implementation that tears writes,
-// fails renames, reports ENOSPC, or flips payload bits — the disk-failure
-// modes a durable coordinator must survive. The interface is deliberately
-// small: five operations cover every way store code touches disk.
+// The registry touches the filesystem through the narrow FS surface below
+// instead of calling the os package directly. Production code always runs
+// on OSFS; the seam exists so a fault-injection harness (internal/chaos)
+// can substitute an implementation that tears writes, fails renames,
+// reports ENOSPC, or flips payload bits — the disk-failure modes a durable
+// coordinator must survive. The interface is deliberately small: five
+// operations cover every way the registry touches disk. The artifact
+// cache, where a bad file only costs a recompute, calls os directly and
+// writes through OSFS.WriteFileAtomic.
 
 import (
 	"fmt"
@@ -14,8 +16,8 @@ import (
 	"path/filepath"
 )
 
-// FS is the filesystem surface the Store and Registry are written
-// against. Implementations must be safe for concurrent use.
+// FS is the filesystem surface the Registry is written against.
+// Implementations must be safe for concurrent use.
 type FS interface {
 	// ReadFile reads the whole file at path.
 	ReadFile(path string) ([]byte, error)

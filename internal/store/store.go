@@ -77,15 +77,15 @@ type Key struct {
 // requesting the same set in any order share one artifact.
 func NewKey(workload string, cpu cpu.Config, budget uint64, structures ...lifetime.StructureID) Key {
 	return Key{Workload: workload, CPU: cpu, Budget: budget,
-		Structures: CanonicalStructures(structures)}
+		Structures: canonicalStructures(structures)}
 }
 
-// CanonicalStructures returns the sorted, deduplicated copy of a
+// canonicalStructures returns the sorted, deduplicated copy of a
 // structure list: the canonical set form used by artifact keys. Invalid
 // ids (>= NumStructures) are dropped uniformly — they can never name a
 // traced structure, so keeping any of them would only mint unreachable
 // cache keys.
-func CanonicalStructures(structures []lifetime.StructureID) []lifetime.StructureID {
+func canonicalStructures(structures []lifetime.StructureID) []lifetime.StructureID {
 	out := make([]lifetime.StructureID, 0, len(structures))
 	seen := [lifetime.NumStructures]bool{}
 	for _, s := range structures {
@@ -104,7 +104,7 @@ func CanonicalStructures(structures []lifetime.StructureID) []lifetime.Structure
 // structure set is re-canonicalized here so hand-built keys address the
 // same artifact as NewKey-built ones.
 func (k Key) ID() string {
-	k.Structures = CanonicalStructures(k.Structures)
+	k.Structures = canonicalStructures(k.Structures)
 	b, err := json.Marshal(k)
 	if err != nil { // Key is a plain value type; this cannot fail
 		panic(fmt.Sprintf("store: encoding key: %v", err))
@@ -195,7 +195,7 @@ func (a *Artifact) structureSet() []lifetime.StructureID {
 	for i := range a.Structures {
 		ss[i] = a.Structures[i].Structure
 	}
-	return CanonicalStructures(ss)
+	return canonicalStructures(ss)
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness, served by the
@@ -213,7 +213,6 @@ type Stats struct {
 // Store is the on-disk cache. The zero value is not usable; call Open.
 type Store struct {
 	dir string
-	fs  FS
 
 	hits, misses, puts, errs atomic.Uint64
 }
@@ -221,20 +220,13 @@ type Store struct {
 // Open creates (if needed) and opens a cache rooted at dir on the real
 // filesystem.
 func Open(dir string) (*Store, error) {
-	return OpenOn(OSFS{}, dir)
-}
-
-// OpenOn creates (if needed) and opens a cache rooted at dir on the
-// given filesystem. Fault-injection harnesses pass a chaos FS here;
-// everything else uses Open.
-func OpenOn(fsys FS, dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty cache directory")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	return &Store{dir: dir, fs: fsys}, nil
+	return &Store{dir: dir}, nil
 }
 
 // Dir returns the cache root.
@@ -252,7 +244,7 @@ var fileMagic = []byte(fmt.Sprintf("merlin-artifact/%d\n", formatVersion))
 // key-mismatched file is a miss (ok=false), never an error: the caller's
 // recovery — recompute and Put — is identical in every case.
 func (s *Store) Get(k Key) (*Artifact, bool) {
-	raw, err := s.fs.ReadFile(s.path(k))
+	raw, err := os.ReadFile(s.path(k))
 	if err != nil {
 		s.misses.Add(1)
 		return nil, false
@@ -277,7 +269,7 @@ func artifactMatches(a *Artifact, k Key) bool {
 	if a.Workload != k.Workload {
 		return false
 	}
-	want := CanonicalStructures(k.Structures)
+	want := canonicalStructures(k.Structures)
 	got := a.structureSet()
 	if len(got) != len(want) {
 		return false
@@ -299,7 +291,7 @@ func (s *Store) Put(k Key, a *Artifact) error {
 	if err != nil {
 		return fmt.Errorf("store: encoding artifact: %w", err)
 	}
-	if err := s.fs.WriteFileAtomic(s.path(k), seal(fileMagic, body)); err != nil {
+	if err := (OSFS{}).WriteFileAtomic(s.path(k), seal(fileMagic, body)); err != nil {
 		return err
 	}
 	s.puts.Add(1)
@@ -315,7 +307,7 @@ func (s *Store) Stats() Stats {
 		Puts:   s.puts.Load(),
 		Errors: s.errs.Load(),
 	}
-	entries, _ := s.fs.ReadDir(s.dir)
+	entries, _ := os.ReadDir(s.dir)
 	for _, e := range entries {
 		if !strings.HasSuffix(e.Name(), ".artifact") {
 			continue

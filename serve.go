@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"merlin/internal/cpu"
@@ -59,8 +58,7 @@ type ServeOptions struct {
 	// SnapshotBudget bounds the in-memory snapshot cache that shares
 	// checkpoint ladders (frozen machine snapshots) across concurrent and
 	// repeat campaigns: on a warm golden-artifact hit, a campaign skips
-	// the ladder rebuild entirely. 0 means the default budget (512 MB);
-	// negative disables snapshot sharing.
+	// the ladder rebuild entirely. <= 0 means the default budget (512 MB).
 	SnapshotBudget int64
 
 	// Concurrency is how many records run at once, oldest first off one
@@ -103,7 +101,7 @@ type ServeOptions struct {
 	// FleetStallTimeout is the dispatcher's per-shard progress watchdog: a
 	// worker stream producing no outcome line for this long is abandoned
 	// and its remaining reps requeued, even while the worker heartbeats.
-	// 0 means the default (2 minutes); negative disables the watchdog.
+	// <= 0 means the default (2 minutes).
 	FleetStallTimeout time.Duration
 }
 
@@ -111,35 +109,22 @@ type ServeOptions struct {
 // service. Expose it over HTTP with (*Server).Handler; stop it with
 // (*Server).Close.
 func NewServer(opt ServeOptions) (*Server, error) {
-	var snapshots *SnapshotCache
-	if opt.SnapshotBudget >= 0 {
-		snapshots = NewSnapshotCache(opt.SnapshotBudget)
-	}
+	snapshots := NewSnapshotCache(opt.SnapshotBudget)
 	// The pool always exists — the dispatcher degrades to in-process
 	// execution on an empty one — but with the fleet disabled nothing can
 	// join it, because its endpoints are never mounted.
 	pool := fleet.NewPool(opt.FleetTTL)
-	// Running total of statically pre-pruned fault sites across every
-	// campaign this daemon ran, surfaced on /statsz. Local to the server
-	// instance (not package state), fed by the one run path's progress
-	// stream.
-	var staticPruned atomic.Int64
 	cfg := server.Config{
-		Run:                  runCampaign(opt.Cache, snapshots, pool, &staticPruned, opt.FleetClient, opt.FleetStallTimeout),
+		Run:                  runCampaign(opt.Cache, snapshots, pool, opt.FleetClient, opt.FleetStallTimeout),
 		Validate:             validateRequest(opt.Cache),
 		Concurrency:          opt.Concurrency,
 		QueueDepth:           opt.QueueDepth,
 		RetainFinished:       opt.RetainFinished,
 		MaxEventsPerCampaign: opt.MaxEventsPerCampaign,
 		Stats: func() map[string]any {
-			st := map[string]any{
-				"static_prune": map[string]int64{"static_pruned_faults": staticPruned.Load()},
-			}
+			st := map[string]any{"snapshots": snapshots.Stats()}
 			if opt.Cache != nil {
 				st["cache"] = opt.Cache.Stats()
-			}
-			if snapshots != nil {
-				st["snapshots"] = snapshots.Stats()
 			}
 			if opt.Registry != nil {
 				st["registry"] = opt.Registry.Stats()
@@ -316,7 +301,7 @@ func progressEvent(p Progress) (CampaignEvent, bool) {
 // "cancelled" terminal state. All records share the process-wide snapshot
 // cache, so repeat and concurrent campaigns (and the structures of one
 // list) reuse one frozen checkpoint ladder instead of each rebuilding it.
-func runCampaign(cache *Cache, snapshots *SnapshotCache, pool *fleet.Pool, staticPruned *atomic.Int64, client *http.Client, stall time.Duration) server.RunFunc {
+func runCampaign(cache *Cache, snapshots *SnapshotCache, pool *fleet.Pool, client *http.Client, stall time.Duration) server.RunFunc {
 	return func(ctx context.Context, job server.Job, emit func(CampaignEvent)) (any, error) {
 		req := job.Request
 		opts, err := requestOptions(req, cache, snapshots)
@@ -325,7 +310,6 @@ func runCampaign(cache *Cache, snapshots *SnapshotCache, pool *fleet.Pool, stati
 		}
 		opts = append(opts, WithProgress(func(p Progress) {
 			if ev, ok := progressEvent(p); ok {
-				staticPruned.Add(int64(ev.StaticPruned)) // nonzero on reduce events only
 				emit(ev)
 			}
 		}))

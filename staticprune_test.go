@@ -59,7 +59,7 @@ func mustRunSession(t *testing.T, ctx context.Context, wl string, opts ...Option
 }
 
 // TestStaticPruneProgress: the reduce phase-done event carries the prune
-// count so the CLI, NDJSON stream and /statsz all see the same number.
+// count so the CLI and the NDJSON stream see the same number.
 func TestStaticPruneProgress(t *testing.T) {
 	ctx := context.Background()
 	var got int
