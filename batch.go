@@ -5,7 +5,8 @@ package merlin
 // (§4.4) reports every workload per structure — RF, SQ and L1D columns of
 // the same campaign — and the structures share everything the fault lists
 // do not depend on: the golden run, its artifact-cache entry, the clone
-// pool and the checkpoint-snapshot ladder. StartBatch bundles them so the
+// pool and the reset state (or, with a snapshot cache, the checkpoint
+// ladder). StartBatch bundles them so the
 // expensive shared work is paid once instead of once per structure.
 
 import (
@@ -26,8 +27,8 @@ type VarianceReport = stats.Report
 // Batch is one multi-structure campaign over a shared golden run: every
 // structure in Structures gets its own Session (own fault list, own
 // reduction, own report), but phase 1 runs once — a single fault-free run
-// traces all structures, is cached under one artifact, and its checkpoint
-// ladder and clone pool are shared by every per-structure injection.
+// traces all structures, is cached under one artifact, and its reset state
+// and clone pool are shared by every per-structure injection.
 //
 // Like a Session, a Batch runs a single campaign and its methods must not
 // be called concurrently. The per-structure injection phases run
@@ -51,9 +52,10 @@ type Batch struct {
 // particular WithSeed, so each structure's fault list is bit-identical to
 // the standalone session's. WithStructure is meaningless here and is
 // ignored in favor of the batch target list. Every structure's injection
-// runs on the batch's one Runner, so they share one checkpoint ladder,
-// frozen during the shared golden run (or, on an artifact-cache hit,
-// served by WithSnapshotCache or replayed once).
+// runs on the batch's one Runner over the shared golden run; with
+// WithSnapshotCache they share one checkpoint ladder, frozen into the
+// cache during that golden run (or, on an artifact-cache hit, replayed
+// once into it).
 func StartBatch(ctx context.Context, workload string, opts ...Option) (*Batch, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

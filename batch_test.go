@@ -23,9 +23,7 @@ func batchOpts(extra ...Option) []Option {
 // reportSemantics strips a Report down to the fields that must be
 // bit-identical between a batch member and a standalone session: the
 // classification and everything derived from it. Timings (Wall,
-// CloneTime, ...) legitimately differ. SnapshotHit does not: a batch
-// member, like a standalone session, runs off the ladder its Runner froze
-// during the golden run, which the batch's structures share.
+// CloneTime, ...) legitimately differ.
 func reportSemantics(r *Report) Report {
 	return Report{
 		Workload:      r.Workload,

@@ -79,7 +79,6 @@ func runAnalyze(args []string) int {
 	)
 	for _, j := range jobs {
 		runner := campaign.NewRunner(campaign.Target{Cfg: cfg, Prog: j.prog})
-		runner.FreezeLadder = false // nothing is injected
 		golden, err := runner.RunGolden(lifetime.StructRF)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "analyze: %s: %v\n", j.name, err)

@@ -2,7 +2,11 @@ package main
 
 import (
 	"flag"
+	"strings"
 	"testing"
+
+	"merlin/internal/asm"
+	"merlin/internal/cpu"
 )
 
 // TestDefaultStrategyIsForked: merlin without -strategy runs the fast path,
@@ -18,5 +22,34 @@ func TestDefaultStrategyIsForked(t *testing.T) {
 	}
 	if fs.Lookup("checkpoints") != nil {
 		t.Error("-checkpoints is still a flag")
+	}
+}
+
+// TestCommitTrace: merlin run -trace prints one line per retired
+// instruction from the core's retire witness — never a squashed
+// wrong-path instruction, and not HALT, which does not retire.
+func TestCommitTrace(t *testing.T) {
+	p, err := asm.Assemble("tr", `
+		li r1, 3
+		out r1
+		halt
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	c := cpu.New(cpu.DefaultConfig(), p)
+	traceRetires(c, &buf)
+	if res := c.Run(10_000); res.Halt != cpu.HaltOK {
+		t.Fatal(res.Halt)
+	}
+	trace := buf.String()
+	for _, want := range []string{"li r1, 3", "out r1"} {
+		if !strings.Contains(trace, want) {
+			t.Errorf("trace missing %q:\n%s", want, trace)
+		}
+	}
+	if n := strings.Count(trace, "\n"); n != 2 || strings.Contains(trace, "halt") {
+		t.Errorf("trace has %d lines, want 2 and no halt:\n%s", n, trace)
 	}
 }

@@ -70,15 +70,13 @@ func runProgram(args []string) int {
 		for _, v := range res.Output {
 			fmt.Printf("%d\t(%#x)\n", int64(v), v)
 		}
-		fmt.Printf("-- halt: %v after %d instructions, %d exceptions\n",
-			[...]string{"ok", "crash-pagefault", "crash-badfetch", "crash-divzero", "step-limit"}[res.Halt],
-			res.Steps, len(res.ExcLog))
+		fmt.Printf("-- halt: %v after %d instructions, %d exceptions\n", res.Halt, res.Steps, len(res.ExcLog))
 		return 0
 	}
 
 	core := cpu.New(cpu.DefaultConfig().WithRF(*regs), prog)
 	if *trace {
-		core.SetCommitTrace(os.Stderr)
+		traceRetires(core, os.Stderr)
 	}
 	res := core.Run(*maxCycles)
 	for _, v := range res.Output {
@@ -99,4 +97,13 @@ func runProgram(args []string) int {
 			s.L1DStats.Writebacks)
 	}
 	return 0
+}
+
+// traceRetires streams one line per retired macro-instruction of c to w:
+// cycle, sequence number of its last µop, RIP and disassembly. HALT and
+// squashed wrong-path instructions do not retire and are not traced.
+func traceRetires(c *cpu.Core, w io.Writer) {
+	c.SetRetireWitness(func(ev cpu.RetireEvent) {
+		fmt.Fprintf(w, "%8d  #%-6d %4d: %s\n", c.Cycle(), ev.Seq, ev.RIP, ev.Inst)
+	})
 }

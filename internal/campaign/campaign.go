@@ -174,17 +174,12 @@ type Runner struct {
 	// that exceeds it is an error, not a campaign result. NewRunner sets
 	// DefaultGoldenBudget.
 	GoldenBudget uint64
-	// Snapshots, when non-nil, serves checkpoint ladders across Runners
-	// (the daemon's in-memory snapshot cache): a Runner that did not
-	// freeze its ladder during its own golden run asks it before replaying
-	// one, and a Runner that did seeds it. Nil means a Runner without a
-	// frozen ladder replays its own.
+	// Snapshots, when non-nil, holds the Forked checkpoint ladders Run
+	// jumps its sweep along (the daemon's and a fleet worker's in-memory
+	// snapshot cache): RunGolden freezes the ladder into it as the golden
+	// run steps, and Run is served the ladder or replays it once for every
+	// Runner sharing the cache. Nil means no ladder: Run sweeps from reset.
 	Snapshots *SnapshotCache
-	// FreezeLadder makes RunGolden freeze the Forked checkpoint ladder
-	// while the golden run steps (see freezer), so the ladder costs no
-	// pass of its own. NewRunner sets it; a Runner that only runs Replay
-	// campaigns clears it and freezes nothing.
-	FreezeLadder bool
 
 	// pool recycles retired machine-clone shells across faults and
 	// across the campaigns run on this Runner.
@@ -194,10 +189,10 @@ type Runner struct {
 	// simulated; batch pipelines assert exactly one per shared golden.
 	goldenRuns atomic.Int64
 
-	// forked is the Runner's one Forked ladder (see forkLadder), guarded
-	// by ladderMu.
-	ladderMu sync.Mutex
-	forked   *runnerLadder
+	// reset is the frozen reset state every Replay fault and every sweep
+	// without a ladder starts from (see resetState), guarded by resetMu.
+	resetMu sync.Mutex
+	reset   *cpu.Core
 }
 
 // GoldenRuns reports how many fault-free reference runs this Runner has
@@ -212,9 +207,24 @@ func (r *Runner) GoldenRuns() int64 { return r.goldenRuns.Load() }
 const DefaultGoldenBudget = 500_000_000
 
 // NewRunner returns a Runner with its own clone pool, DefaultGoldenBudget,
-// FreezeLadder set, and Workers 0 (= all host cores at run time).
+// no snapshot cache, and Workers 0 (= all host cores at run time).
 func NewRunner(t Target) *Runner {
-	return &Runner{Target: t, GoldenBudget: DefaultGoldenBudget, FreezeLadder: true, pool: cpu.NewClonePool(0)}
+	return &Runner{Target: t, GoldenBudget: DefaultGoldenBudget, pool: cpu.NewClonePool(0)}
+}
+
+// resetState returns the Runner's frozen reset state, cloning it the first
+// time off c, a core at reset (RunGolden's, before its first step), or off
+// a fresh core when c is nil (a Runner that ran no golden run).
+func (r *Runner) resetState(c *cpu.Core) *cpu.Core {
+	r.resetMu.Lock()
+	defer r.resetMu.Unlock()
+	if r.reset == nil {
+		if c == nil {
+			c = r.NewCore()
+		}
+		r.reset = c.Clone()
+	}
+	return r.reset
 }
 
 // runMetrics accumulates Run's injection-phase performance counters;
@@ -257,10 +267,10 @@ func (m *runMetrics) fill(res *Result) {
 }
 
 // RunGolden performs the fault-free reference run, tracking lifetimes of
-// the given structures (none for plain baseline campaigns). With
-// FreezeLadder set, and no ladder yet, the run freezes the Forked
-// checkpoint ladder as it goes: the Runner keeps it for every Forked
-// campaign it runs, and seeds Snapshots with it.
+// the given structures (none for plain baseline campaigns). It keeps the
+// reset state for Run, and with Snapshots set it freezes the Forked
+// checkpoint ladder as it goes and stores it there (a ladder the cache
+// already holds is kept instead: the two are state-equal).
 func (r *Runner) RunGolden(track ...lifetime.StructureID) (*Golden, error) {
 	r.goldenRuns.Add(1)
 	c := r.NewCore()
@@ -269,10 +279,11 @@ func (r *Runner) RunGolden(track ...lifetime.StructureID) (*Golden, error) {
 		tr = lifetime.NewTracer(track...)
 		c.AttachTracer(tr)
 	}
+	reset := r.resetState(c)
 	var res cpu.RunResult
 	var fr *freezer
-	if r.FreezeLadder && !r.hasLadder() {
-		fr = newFreezer(ForkSyncPoints, c, r.pool)
+	if r.Snapshots != nil {
+		fr = newFreezer(ForkSyncPoints, reset, r.pool)
 		res = fr.run(c, r.GoldenBudget)
 	} else {
 		res = c.Run(r.GoldenBudget)
@@ -281,7 +292,7 @@ func (r *Runner) RunGolden(track ...lifetime.StructureID) (*Golden, error) {
 		return nil, fmt.Errorf("campaign: golden run of %q ended with %v after %d cycles", r.Prog.Name, res.Halt, res.Cycles)
 	}
 	if fr != nil {
-		r.adoptLadder(fr.set, res.Cycles)
+		r.Snapshots.GetOrBuild(r.ladderKey(res.Cycles), func() *CheckpointSet { return fr.set })
 	}
 	if tr != nil {
 		tr.Finish(false)
@@ -300,11 +311,11 @@ func (r *Runner) RunFault(f fault.Fault, golden *cpu.RunResult) Outcome {
 // inject is the one per-fault function behind Run and the RunFault*
 // drivers: step c (at or before the fault's pre-injection cycle) up to it,
 // flip the bit, and run to the stop rule — the cut when cut is non-nil,
-// else the quiescence right after the flip or the first ladder snapshot
-// where the run is masked-equivalent or the interpreter can finish it
-// through h (none for a nil or reset-only ladder), else program end. Simulator panics are converted to Crash,
-// internal assertion failures to Assert.
-func (r *Runner) inject(c *cpu.Core, f fault.Fault, golden *cpu.RunResult, ladder *CheckpointSet, cut *TruncatedGolden, h *handOff) (out Outcome) {
+// else the overwrite watch's exit or the hand-off to the interpreter,
+// tried at quiescence right after the flip and again at each of the
+// ladder's rung cycles (none for nil rungs), else program end. Simulator
+// panics are converted to Crash, internal assertion failures to Assert.
+func (r *Runner) inject(c *cpu.Core, f fault.Fault, golden *cpu.RunResult, rungs []uint64, cut *TruncatedGolden, h *handOff) (out Outcome) {
 	defer func() {
 		if p := recover(); p != nil {
 			if _, ok := p.(*cpu.AssertError); ok {
@@ -321,7 +332,7 @@ func (r *Runner) inject(c *cpu.Core, f fault.Fault, golden *cpu.RunResult, ladde
 	if cut != nil {
 		return classifyTruncated(c, cut)
 	}
-	return r.classifyAgainst(c, f, c.RenameSeq(), golden, ladder, h)
+	return r.classifyAgainst(c, f, c.RenameSeq(), golden, rungs, h)
 }
 
 // Classify maps a completed faulty run to its fault-effect class.
@@ -367,10 +378,10 @@ type Work struct {
 	Clones    int64
 	CloneTime time.Duration
 	// SimCycles is the total number of machine cycles actually simulated:
-	// shared pre-fault work (a ladder replay, when the Runner neither
-	// froze its ladder during the golden run nor was served one; the
-	// forked sweep) plus every faulty continuation. Divided by Wall it
-	// yields the campaign's effective simulation throughput.
+	// shared pre-fault work (a ladder replay, when a SnapshotCache had to
+	// build the ladder; the forked sweep) plus every faulty continuation.
+	// Divided by Wall it yields the campaign's effective simulation
+	// throughput.
 	SimCycles uint64
 	// HandOffs counts the faulty runs the architectural interpreter
 	// finished instead of the detailed core, FellBack the hand-off attempts
@@ -386,12 +397,14 @@ type Work struct {
 	// no clone, no cycle.
 	DeadAtFlip int64
 	// Overwritten counts the faults classified Masked while their run
-	// waited for quiescence or walked to a rung, because the flipped RF or
-	// SQ entry was overwritten or freed unread (cpu.Core.Watch).
+	// waited for quiescence or walked to a rung cycle, because the flipped
+	// RF or SQ entry was overwritten or freed unread (cpu.Core.Watch).
 	Overwritten int64
-	// SnapshotHit reports that the checkpoint ladder was served by a
-	// SnapshotCache instead of frozen or replayed (always false for
-	// Replay, whose reset-only ladder never goes through the source).
+	// SnapshotHit reports that a SnapshotCache served the campaign's
+	// checkpoint ladder, so the campaign replayed none — also when its own
+	// golden run froze the ladder into the cache. With a cache it reads
+	// exactly "this campaign replayed no ladder"; without one there is no
+	// ladder and it is false, as it is for Replay.
 	SnapshotHit bool
 }
 

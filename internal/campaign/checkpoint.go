@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"slices"
 	"sort"
 
 	"merlin/internal/conformance"
@@ -14,10 +15,9 @@ import (
 // snapshot before a fault's cycle instead of replaying from reset — the
 // run-acceleration technique of Chatzidimitriou & Gizopoulos (ISPASS
 // 2016), which the paper notes is orthogonal to (and combinable with)
-// MeRLiN; the Forked sweep re-roots itself on them. The snapshots also serve as the convergence
-// ladder: a faulty continuation that becomes masked-equivalent to the
-// golden state at a snapshot cycle provably ends with the golden outcome
-// and stops simulating there.
+// MeRLiN — and a Forked sweep served one by a SnapshotCache jumps forward
+// to its rungs instead of stepping to them. A faulty continuation reads
+// only the rung cycles, which CheckpointSchedule gives without any set.
 type CheckpointSet struct {
 	cycles []uint64
 	cores  []*cpu.Core // frozen; accessed read-only via Clone
@@ -33,10 +33,10 @@ const ladderBase = 256
 // ladderBase x 2^j that leaves at most k of them. It is exactly the
 // schedule a freezing golden run ends with (see freezer), a rule that
 // needs no golden length up front, and the one BuildCheckpoints replays.
-// The golden-run artifact cache persists it so operators can see where a
-// campaign's sync points sit without rebuilding the machine snapshots
-// (which are not serializable and are instead rebuilt deterministically in
-// one pass).
+// Past reset, its cycles are where a Forked continuation retries the
+// hand-off, whether or not a ladder holds snapshots there. The golden-run
+// artifact cache persists it so operators can see where a campaign's sync
+// points sit.
 func CheckpointSchedule(k int, goldenCycles uint64) []uint64 {
 	last := max(goldenCycles, 1) - 1 // the last cycle the run is still going
 	s := uint64(ladderBase)
@@ -52,13 +52,12 @@ func CheckpointSchedule(k int, goldenCycles uint64) []uint64 {
 
 // BuildCheckpoints replays the fault-free run once, freezing the
 // CheckpointSchedule(k, goldenCycles) snapshots (plus the reset state): the
-// ladder a freezing golden run of that length ends with, rebuilt when the
-// golden run was not simulated here (an artifact-cache hit) and no
-// SnapshotCache holds it. The returned set is immutable and safe for
-// concurrent use. Every snapshot is cloned off the same replay core, so
-// the whole set shares one copy-on-write lineage across memory pages and
-// cache sets: clones of one snapshot compare against another mostly by
-// pointer.
+// ladder a freezing golden run of that length ends with, rebuilt by a
+// SnapshotCache that holds none for a campaign whose golden run was not
+// simulated (an artifact-cache hit). The returned set is immutable and
+// safe for concurrent use. Every snapshot is cloned off the same replay
+// core, so the whole set shares one copy-on-write lineage across memory
+// pages and cache sets.
 func (r *Runner) BuildCheckpoints(k int, goldenCycles uint64) *CheckpointSet {
 	c := r.NewCore()
 	set := &CheckpointSet{
@@ -91,10 +90,10 @@ type freezer struct {
 	set   *CheckpointSet
 }
 
-// newFreezer starts a ladder at c's reset state.
-func newFreezer(k int, c *cpu.Core, pool *cpu.ClonePool) *freezer {
+// newFreezer starts a ladder at reset, a frozen reset state.
+func newFreezer(k int, reset *cpu.Core, pool *cpu.ClonePool) *freezer {
 	return &freezer{k: k, every: ladderBase, pool: pool,
-		set: &CheckpointSet{cycles: []uint64{0}, cores: []*cpu.Core{c.Clone()}}}
+		set: &CheckpointSet{cycles: []uint64{0}, cores: []*cpu.Core{reset}}}
 }
 
 // run is c.Run(maxCycles), freezing the ladder's rungs on the way.
@@ -151,34 +150,29 @@ func (s *CheckpointSet) before(fc uint64) *cpu.Core {
 
 // classifyAgainst runs faulty clone c (fault f already applied, injSeq the
 // core's RenameSeq at the flip) to its classification. A run whose
-// overwrite watch ends masked (cpu.Core.Watch) is Masked at that cycle. On
-// a ladder with a rung past reset, the run is first handed off to the
-// interpreter (handOff) as soon as it is quiescent, a few cycles after the
-// flip whatever the program's length. A run the interpreter cannot decide
-// continues in detail and pauses at each later ladder snapshot. If its
-// machine state is masked-equivalent to the fault-free state at that cycle
-// (identical up to provably dead storage, see cpu.MaskedEquivalent), the
-// rest of the run provably replays the golden run and the fault is Masked;
-// otherwise the hand-off is tried again. Only a run that can decide
-// neither way continues to the next snapshot, and after the last one to
-// program end, so outcomes are bit-identical to a full replay. A nil or
-// reset-only ladder is the detailed run alone; h may then be nil.
-func (r *Runner) classifyAgainst(c *cpu.Core, f fault.Fault, injSeq uint64, golden *cpu.RunResult, ladder *CheckpointSet, h *handOff) Outcome {
-	if ladder != nil && len(ladder.cycles) > 1 {
+// overwrite watch ends masked (cpu.Core.Watch) is Masked at that cycle.
+// With rung cycles given, the run is first handed off to the interpreter
+// (handOff) as soon as it is quiescent, a few cycles after the flip
+// whatever the program's length. A run the interpreter cannot decide
+// continues in detail and tries the hand-off again at each later rung
+// cycle. Only a run that can decide neither way continues past the last
+// one to program end, so outcomes are bit-identical to a full replay. With
+// no rungs (Replay, RunFault) it is the detailed run alone; h may then be
+// nil.
+func (r *Runner) classifyAgainst(c *cpu.Core, f fault.Fault, injSeq uint64, golden *cpu.RunResult, rungs []uint64, h *handOff) Outcome {
+	if len(rungs) > 0 {
 		if o, ok := r.handOff(c, f, injSeq, golden, h); ok {
 			return o
 		}
-		for i := sort.Search(len(ladder.cycles), func(i int) bool { return ladder.cycles[i] > c.Cycle() }); i < len(ladder.cycles); i++ {
-			for c.Cycle() < ladder.cycles[i] && c.Halted() == cpu.Running {
+		next, _ := slices.BinarySearch(rungs, c.Cycle()+1)
+		for _, rung := range rungs[next:] {
+			for c.Cycle() < rung && c.Halted() == cpu.Running {
 				if h.step(c) {
 					return Masked
 				}
 			}
 			if c.Halted() != cpu.Running {
 				break
-			}
-			if cpu.MaskedEquivalent(c, ladder.cores[i]) {
-				return Masked
 			}
 			if o, ok := r.handOff(c, f, injSeq, golden, h); ok {
 				return o
@@ -263,17 +257,18 @@ func (r *Runner) handOff(c *cpu.Core, f fault.Fault, injSeq uint64, golden *cpu.
 		return 0, false
 	}
 	h.handOffs++
-	// The core's logs may share backing with the ladder's: compare the two
-	// halves in place instead of appending them.
+	// The core's logs may share backing with the snapshot it was cloned
+	// off: compare the two halves in place instead of appending them.
 	return classify(conformance.CoreHalt(res.Halt), c.Output(), res.Output, c.ExcLog(), res.ExcLog, golden), true
 }
 
 // RunFaultFrom injects f starting from the nearest checkpoint and
-// classifies against the golden run. Results are bit-identical to
-// RunFault: the snapshot is exactly the state a from-reset replay reaches,
-// and the continuation leaves the detailed core only where the rest of the
-// run is provably decided (see classifyAgainst), so a fault costs a few
-// inter-snapshot segments instead of the rest of the run.
+// classifies against the golden run, trying the hand-off at the set's rung
+// cycles. Results are bit-identical to RunFault: the snapshot is exactly
+// the state a from-reset replay reaches, and the continuation leaves the
+// detailed core only where the rest of the run is provably decided (see
+// classifyAgainst), so a fault costs a few inter-snapshot segments instead
+// of the rest of the run.
 func (r *Runner) RunFaultFrom(set *CheckpointSet, f fault.Fault, golden *cpu.RunResult) Outcome {
-	return r.inject(set.before(f.Cycle).Clone(), f, golden, set, nil, new(handOff))
+	return r.inject(set.before(f.Cycle).Clone(), f, golden, set.cycles[1:], nil, new(handOff))
 }

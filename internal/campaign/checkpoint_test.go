@@ -110,12 +110,13 @@ func TestCheckpointEdgeCycles(t *testing.T) {
 }
 
 // TestGoldenLadderMatchesReplay: on every workload and both timing-pin
-// configurations, the ladder a traced (RF, SQ, L1D) golden run freezes as
-// it goes sits at CheckpointSchedule's cycles and each rung is state-equal
-// to the rung BuildCheckpoints replays there; and freezing leaves the
-// traced run itself unchanged — its result, every structure's intervals
-// and the branch trace match those of a golden run that froze nothing.
-// -short and -race check shortWorkloads only.
+// configurations, the ladder a traced (RF, SQ, L1D) golden run freezes into
+// its Runner's SnapshotCache as it goes is the cache's one entry, sits at
+// CheckpointSchedule's cycles, and each rung is state-equal to the rung
+// BuildCheckpoints replays there; and freezing leaves the traced run
+// itself unchanged — its result, every structure's intervals and the
+// branch trace match those of a golden run without a cache, which freezes
+// nothing. -short and -race check shortWorkloads only.
 func TestGoldenLadderMatchesReplay(t *testing.T) {
 	names := workloads.Names("")
 	if testing.Short() || raceEnabled {
@@ -126,18 +127,15 @@ func TestGoldenLadderMatchesReplay(t *testing.T) {
 			id := name + "/" + tc.name
 			tgt := Target{Cfg: tc.cfg, Prog: workloads.MustGet(name).Program()}
 			frozen := NewRunner(tgt)
+			frozen.Snapshots = NewSnapshotCache(0)
 			g, err := frozen.RunGolden(allStructures...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			plain := NewRunner(tgt)
-			plain.FreezeLadder = false
 			want, err := plain.RunGolden(allStructures...)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if plain.hasLadder() {
-				t.Fatalf("%s: a golden run without FreezeLadder froze a ladder", id)
 			}
 			if !reflect.DeepEqual(g.Result, want.Result) {
 				t.Errorf("%s: freezing changed the golden run's result", id)
@@ -151,7 +149,10 @@ func TestGoldenLadderMatchesReplay(t *testing.T) {
 				t.Errorf("%s: freezing changed the branch trace", id)
 			}
 
-			ladder, _, _ := frozen.forkLadder(g.Result.Cycles)
+			ladder, hit := frozen.Snapshots.GetOrBuild(frozen.ladderKey(g.Result.Cycles), func() *CheckpointSet { return nil })
+			if st := frozen.Snapshots.Stats(); !hit || st.Misses != 1 || st.Entries != 1 {
+				t.Fatalf("%s: the golden run left the cache %+v (hit %v), want its one frozen ladder", id, st, hit)
+			}
 			replay := plain.BuildCheckpoints(ForkSyncPoints, g.Result.Cycles)
 			if sched := CheckpointSchedule(ForkSyncPoints, g.Result.Cycles); !slices.Equal(ladder.cycles, sched) || !slices.Equal(replay.cycles, sched) {
 				t.Fatalf("%s: frozen rungs at %v, replayed at %v, schedule %v", id, ladder.cycles, replay.cycles, sched)

@@ -63,8 +63,8 @@ func TestACEVulnerableIsLive(t *testing.T) {
 // never classified by the watch. For every workload, RF and SQ (the watch
 // does not arm on the L1D), one golden core walks a 2,000-fault list in
 // cycle order as the Forked sweep does, and every fault live at the flip is
-// classified by classifyAgainst on a flipped clone over a ForkSyncPoints
-// ladder; one whose run the watch ended (handOff.overwritten) must lie
+// classified by classifyAgainst on a flipped clone with a ForkSyncPoints
+// ladder's rung cycles; one whose run the watch ended (handOff.overwritten) must lie
 // outside every vulnerable interval. The share of the ACE-masked live
 // faults the watch decided is logged per list. -short and -race check
 // shortWorkloads only.
@@ -80,7 +80,7 @@ func TestACEVulnerableNeverOverwritten(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ladder := r.BuildCheckpoints(ForkSyncPoints, g.Result.Cycles)
+		rungs := CheckpointSchedule(ForkSyncPoints, g.Result.Cycles)[1:]
 		for _, s := range []lifetime.StructureID{lifetime.StructRF, lifetime.StructSQ} {
 			c := r.NewCore()
 			faults := sampling.Generate(s, c.StructureEntries(s), c.StructureEntryBits(s), g.Result.Cycles, n, 1)
@@ -97,7 +97,7 @@ func TestACEVulnerableNeverOverwritten(t *testing.T) {
 				}
 				_, vulnerable := ace.Find(f.Entry, f.Byte(), f.Cycle)
 				before := h.overwritten
-				r.inject(c.Clone(), f, &g.Result, ladder, nil, h)
+				r.inject(c.Clone(), f, &g.Result, rungs, nil, h)
 				switch {
 				case h.overwritten > before && vulnerable:
 					t.Errorf("%s/%v fault %v: ACE-vulnerable, but the overwrite watch classified it", name, s, f)

@@ -156,7 +156,7 @@ func TestHandOffTraps(t *testing.T) {
 			continue
 		}
 		set, h := rungAt(r, tc.rung), new(handOff)
-		got := r.inject(set.before(tc.f.Cycle).Clone(), tc.f, golden, set, nil, h)
+		got := r.inject(set.before(tc.f.Cycle).Clone(), tc.f, golden, set.cycles[1:], nil, h)
 		if got != tc.want || h.handOffs != tc.handOffs || h.fellBack != tc.fellBack {
 			t.Errorf("%s: %v with %d hand-offs and %d fall-backs, want %v with %d and %d",
 				tc.name, got, h.handOffs, h.fellBack, tc.want, tc.handOffs, tc.fellBack)
@@ -261,7 +261,8 @@ func TestHandOffMatchesRunFault(t *testing.T) {
 // cycles after its flip however long the program is. On the RF lists of
 // sha, gcc and omnetpp (266K cycles) and the L1D list of djpeg, 2,000
 // faults each, every ACE-vulnerable fault — the kind a MeRLiN campaign
-// injects — runs through inject over a ForkSyncPoints ladder. Where the
+// injects — runs through inject with a ForkSyncPoints ladder's rung cycles.
+// Where the
 // hand-off on the freshly flipped core decides the run (its first attempt),
 // inject must end at that same cycle with that outcome, within handOffWait
 // cycles of the flip instead of at the next rung. The post-flip detailed
@@ -282,7 +283,7 @@ func TestHandOffAtQuiescence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ladder := r.BuildCheckpoints(ForkSyncPoints, g.Result.Cycles)
+		rungs := CheckpointSchedule(ForkSyncPoints, g.Result.Cycles)[1:]
 		c := r.NewCore()
 		faults := sampling.Generate(tc.s, c.StructureEntries(tc.s), c.StructureEntryBits(tc.s), g.Result.Cycles, n, 1)
 		ace := g.Tracer.Analysis(tc.s)
@@ -302,7 +303,7 @@ func TestHandOffAtQuiescence(t *testing.T) {
 			probe.FlipBit(f.Structure, int(f.Entry), int(f.Bit))
 			want, decided := r.handOff(probe, f, probe.RenameSeq(), &g.Result, h)
 			run := c.Clone()
-			got := r.inject(run, f, &g.Result, ladder, nil, h)
+			got := r.inject(run, f, &g.Result, rungs, nil, h)
 			post = append(post, run.Cycle()-flip)
 			if !decided {
 				continue

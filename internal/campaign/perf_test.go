@@ -41,8 +41,9 @@ func TestPooledReplayMatchesRunFault(t *testing.T) {
 	}
 }
 
-// TestRunFaultFromEarlyExitMatches: RunFaultFrom's new masked-equivalence
-// ladder exit must classify exactly as a full from-reset replay.
+// TestRunFaultFromEarlyExitMatches: RunFaultFrom's early exits at and
+// between its rung cycles must classify exactly as a full from-reset
+// replay.
 func TestRunFaultFromEarlyExitMatches(t *testing.T) {
 	r := NewRunner(target(t, "qsort"))
 	g, err := r.RunGolden()
@@ -84,10 +85,11 @@ func TestDeadOnArrivalStampsWall(t *testing.T) {
 }
 
 // TestSnapshotSourceSharing: a golden run on a Runner with a
-// SnapshotCache attached seeds the cache with the ladder it froze; a fresh
-// Runner of the same target, which ran no golden run, is then served that
-// ladder by every campaign (SnapshotHit set, no replay), the seeding Runner
-// uses its own, and outcomes stay bit-identical to Replay's.
+// SnapshotCache attached seeds the cache with the ladder it froze; every
+// Forked campaign is then served that ladder (SnapshotHit set, no replay,
+// the same SimCycles) — the seeding Runner's own and every one of a fresh
+// Runner of the same target, which ran no golden run — the cache built it
+// once, and outcomes stay bit-identical to Replay's.
 func TestSnapshotSourceSharing(t *testing.T) {
 	src := NewSnapshotCache(0)
 	seed := NewRunner(target(t, "sha"))
@@ -103,8 +105,8 @@ func TestSnapshotSourceSharing(t *testing.T) {
 		t.Error("replay strategy must never report a snapshot hit")
 	}
 	own := mustRun(t)(seed.Run(context.Background(), faults, &g.Result, Plan{Strategy: Forked}))
-	if own.SnapshotHit {
-		t.Error("the Runner that froze the ladder reported a snapshot hit")
+	if !own.SnapshotHit {
+		t.Error("the Runner whose golden run froze the ladder did not report a snapshot hit")
 	}
 
 	r := NewRunner(target(t, "sha"))
@@ -120,8 +122,8 @@ func TestSnapshotSourceSharing(t *testing.T) {
 			}
 		}
 	}
-	if st := src.Stats(); st.Misses != 1 || st.Entries != 1 {
-		t.Errorf("snapshot cache %+v, want the one seeded ladder", st)
+	if st := src.Stats(); st.Misses != 1 || st.Entries != 1 || st.Hits != 3 {
+		t.Errorf("snapshot cache %+v, want the one seeded ladder served to all 3 Forked campaigns", st)
 	}
 }
 
@@ -195,9 +197,9 @@ const injectStepCycles = 2000
 
 // BenchmarkInjectStep is the inner loop of the lib_forked_l1d benchmark
 // workload without the campaign around it: pooled clone, 2,000 cycles of
-// simulation, the masked-equivalence check at the rung, release.
+// simulation, release.
 func BenchmarkInjectStep(b *testing.B) {
-	mid, rung := midRunDjpeg(b)
+	mid, _ := midRunDjpeg(b)
 	pool := cpu.NewClonePool(0)
 	pool.Release(pool.Clone(mid))
 	b.ReportAllocs()
@@ -206,9 +208,6 @@ func BenchmarkInjectStep(b *testing.B) {
 		c := pool.Clone(mid)
 		for s := 0; s < injectStepCycles; s++ {
 			c.Step()
-		}
-		if !cpu.MaskedEquivalent(c, rung) {
-			b.Fatal("fault-free continuation is not masked-equivalent to its rung")
 		}
 		pool.Release(c)
 	}

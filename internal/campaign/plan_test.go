@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"merlin/internal/conformance/gen"
@@ -10,6 +11,7 @@ import (
 	"merlin/internal/fault"
 	"merlin/internal/lifetime"
 	"merlin/internal/sampling"
+	"merlin/internal/workloads"
 )
 
 var allStrategies = []Strategy{Replay, Forked}
@@ -118,13 +120,16 @@ func TestPlansAgreeOnGeneratedKernels(t *testing.T) {
 // faults/seed 1 — machine clones, detailed cycles simulated, snapshot hit,
 // what the hand-off did (runs the interpreter finished, attempts that fell
 // back, instructions interpreted), the faults classified dead at the flip
-// and those the overwrite watch decided — on the Runner that froze its
-// ladder during the golden run (cold), on a Runner with no golden run of
-// its own that replays the ladder once and then reuses it (the
-// artifact-cache-hit path), and on one served by the SnapshotCache the cold
-// Runner seeded. Only the replay costs cycles: the cold Forked row's
-// SimCycles equal the snapshot-hit row's. Replay has no rung and no fork,
-// so it never hands off and never decides at the flip or at an overwrite.
+// and those the overwrite watch decided. Without a SnapshotCache the sweep
+// runs from reset, so a Runner that ran the golden run (cold) and one that
+// ran none (warm, the artifact-cache-hit path) do the same work. With a
+// cache, the Runner whose golden run froze the ladder into it and a fresh
+// Runner sharing it are both served; a Runner on a cache holding no ladder
+// replays it once, and its next campaign is served. The ladder only moves
+// the sweep: every Forked row's hand-off and exit counters are equal, and
+// the replay costs exactly the ladder's LastCycle. Replay has no rung and no
+// fork, so it never hands off and never decides at the flip or at an
+// overwrite.
 func TestPlanWorkCounters(t *testing.T) {
 	type work struct {
 		clones      int64
@@ -136,19 +141,25 @@ func TestPlanWorkCounters(t *testing.T) {
 		deadAtFlip  int64
 		overwritten int64
 	}
-	src := NewSnapshotCache(0)
 	cold := NewRunner(target(t, "sha"))
-	cold.Snapshots = src
 	g, err := cold.RunGolden()
 	if err != nil {
+		t.Fatal(err)
+	}
+	src := NewSnapshotCache(0)
+	seeded := NewRunner(target(t, "sha"))
+	seeded.Snapshots = src
+	if _, err := seeded.RunGolden(); err != nil {
 		t.Fatal(err)
 	}
 	c := cold.NewCore()
 	faults := sampling.Generate(lifetime.StructRF, c.StructureEntries(lifetime.StructRF),
 		c.StructureEntryBits(lifetime.StructRF), g.Result.Cycles, 1000, 1)
-	replayed := NewRunner(target(t, "sha"))
+	warm := NewRunner(target(t, "sha"))
 	served := NewRunner(target(t, "sha"))
 	served.Snapshots = src
+	replayed := NewRunner(target(t, "sha"))
+	replayed.Snapshots = NewSnapshotCache(0)
 	rows := []struct {
 		name     string
 		r        *Runner
@@ -156,10 +167,12 @@ func TestPlanWorkCounters(t *testing.T) {
 		want     work
 	}{
 		{"replay", cold, Replay, work{1000, 6152243, false, 0, 0, 0, 0, 0}},
-		{"forked cold", cold, Forked, work{193, 8437, false, 69, 0, 533434, 832, 99}},
+		{"forked cold", cold, Forked, work{169, 8602, false, 69, 0, 533434, 832, 99}},
+		{"forked warm", warm, Forked, work{169, 8602, false, 69, 0, 533434, 832, 99}},
+		{"forked seeded", seeded, Forked, work{193, 8437, true, 69, 0, 533434, 832, 99}},
+		{"forked served", served, Forked, work{193, 8437, true, 69, 0, 533434, 832, 99}},
 		{"forked replayed", replayed, Forked, work{193, 14581, false, 69, 0, 533434, 832, 99}},
-		{"forked replayed again", replayed, Forked, work{193, 8437, false, 69, 0, 533434, 832, 99}},
-		{"forked snapshot hit", served, Forked, work{193, 8437, true, 69, 0, 533434, 832, 99}},
+		{"forked replayed again", replayed, Forked, work{193, 8437, true, 69, 0, 533434, 832, 99}},
 	}
 	got := map[string]work{}
 	for _, row := range rows {
@@ -169,10 +182,86 @@ func TestPlanWorkCounters(t *testing.T) {
 			t.Errorf("%s: work %+v, want %+v", row.name, got[row.name], row.want)
 		}
 	}
-	if cold, hit := got["forked cold"].simCycles, got["forked snapshot hit"].simCycles; cold != hit {
-		t.Errorf("cold Forked campaign simulated %d cycles, snapshot-hit one %d: the frozen ladder cost cycles", cold, hit)
+	if cold, warm := got["forked cold"], got["forked warm"]; cold != warm {
+		t.Errorf("without a cache, the cold campaign did %+v and the warm one %+v", cold, warm)
 	}
-	if extra, want := got["forked replayed"].simCycles-got["forked cold"].simCycles, replayed.BuildCheckpoints(ForkSyncPoints, g.Result.Cycles).LastCycle(); extra != want {
+	if seeded, served := got["forked seeded"].simCycles, got["forked served"].simCycles; seeded != served {
+		t.Errorf("the seeding Runner's campaign simulated %d cycles, a served one %d: the frozen ladder cost cycles", seeded, served)
+	}
+	if extra, want := got["forked replayed"].simCycles-got["forked served"].simCycles, replayed.BuildCheckpoints(ForkSyncPoints, g.Result.Cycles).LastCycle(); extra != want {
 		t.Errorf("the ladder replay cost %d cycles, want its LastCycle %d", extra, want)
+	}
+}
+
+// TestLadderOnlyMovesTheSweep: a ladder served by a SnapshotCache lets the
+// Forked sweep jump forward to its rungs, and changes nothing else. On the
+// RF lists of sha and gcc and the L1D list of djpeg (whose runs retry the
+// hand-off at rung cycles) under both timing configurations, a Runner
+// whose golden run froze the ladder into its cache and a Runner with no
+// cache, which sweeps from reset, classify the same faults alike and
+// agree on every counter of what the continuations did: hand-offs,
+// fall-backs, instructions interpreted, dead at the flip, overwritten.
+// Only SimCycles, Clones and SnapshotHit may differ. Each list is mostly
+// faults the ACE-like analysis says are read, the kind a MeRLiN campaign
+// injects and the kind that hands off; on djpeg some must fall back and
+// retry. -short and -race check sha and djpeg on shorter lists.
+func TestLadderOnlyMovesTheSweep(t *testing.T) {
+	live, dead := 800, 200
+	lists := []struct {
+		wl string
+		s  lifetime.StructureID
+	}{{"sha", lifetime.StructRF}, {"djpeg", lifetime.StructL1D}, {"gcc", lifetime.StructRF}}
+	if testing.Short() || raceEnabled {
+		live, dead, lists = 100, 25, lists[:2]
+	}
+	for _, tc := range lists {
+		for _, cfg := range timingConfigs {
+			id := fmt.Sprintf("%s/%v/%s", tc.wl, tc.s, cfg.name)
+			tgt := Target{Cfg: cfg.cfg, Prog: workloads.MustGet(tc.wl).Program()}
+			plain := NewRunner(tgt)
+			g, err := plain.RunGolden(tc.s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			served := NewRunner(tgt)
+			served.Snapshots = NewSnapshotCache(0)
+			if _, err := served.RunGolden(); err != nil {
+				t.Fatal(err)
+			}
+			c := plain.NewCore()
+			entries, bits := c.StructureEntries(tc.s), c.StructureEntryBits(tc.s)
+			ace := g.Tracer.Analysis(tc.s)
+			var faults []fault.Fault
+			nLive, nDead := 0, 0
+			for _, f := range sampling.Generate(tc.s, entries, bits, g.Result.Cycles, 40*(live+dead), 3) {
+				if _, read := ace.Find(f.Entry, f.Byte(), f.Cycle); read && nLive < live {
+					nLive++
+					faults = append(faults, f)
+				} else if !read && nDead < dead {
+					nDead++
+					faults = append(faults, f)
+				}
+			}
+			want := mustRun(t)(plain.Run(context.Background(), faults, &g.Result, Plan{Strategy: Forked}))
+			got := mustRun(t)(served.Run(context.Background(), faults, &g.Result, Plan{Strategy: Forked}))
+			if !got.SnapshotHit || want.SnapshotHit {
+				t.Fatalf("%s: SnapshotHit %v with the frozen ladder, %v without a cache", id, got.SnapshotHit, want.SnapshotHit)
+			}
+			if !slices.Equal(got.Outcomes, want.Outcomes) {
+				t.Errorf("%s: outcomes differ with a served ladder", id)
+			}
+			counters := func(w Work) [5]int64 {
+				return [5]int64{w.HandOffs, w.FellBack, int64(w.InterpInsts), w.DeadAtFlip, w.Overwritten}
+			}
+			if counters(got.Work) != counters(want.Work) {
+				t.Errorf("%s: hand-offs, fall-backs, interpreted, dead at the flip, overwritten %v with a served ladder, %v without",
+					id, counters(got.Work), counters(want.Work))
+			}
+			if tc.s == lifetime.StructL1D && want.FellBack == 0 {
+				t.Errorf("%s: no hand-off fell back, so no run retried at a rung cycle", id)
+			}
+			t.Logf("%s: %d faults (%d read), %d handed off, %d fell back; %d/%d detailed cycles and %d/%d clones with/without the ladder",
+				id, len(faults), nLive, want.HandOffs, want.FellBack, got.SimCycles, want.SimCycles, got.Clones, want.Clones)
+		}
 	}
 }

@@ -92,7 +92,7 @@ func TestNoRecoveredRuntimePanic(t *testing.T) {
 					c.Step()
 				}
 				c.FlipBit(f.Structure, int(f.Entry), int(f.Bit))
-				r.classifyAgainst(c, f, c.RenameSeq(), &g.Result, set, new(handOff))
+				r.classifyAgainst(c, f, c.RenameSeq(), &g.Result, set.cycles[1:], new(handOff))
 			}()
 		}
 	}

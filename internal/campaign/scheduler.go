@@ -49,12 +49,11 @@ func ParseStrategy(name string) (Strategy, error) {
 	return Replay, fmt.Errorf("unknown injection strategy %q (want replay or forked)", name)
 }
 
-// ForkSyncPoints is the most golden snapshots the Forked strategy's
-// ladder holds past reset (CheckpointSchedule; the golden run freezes
-// them as it goes). They serve double duty: the sweep re-roots its
-// copy-on-write lineage at each one, and faulty continuations compare
-// their state against them to exit early once a fault provably converged
-// back to the golden run.
+// ForkSyncPoints is the most rungs the Forked strategy's ladder has past
+// reset (CheckpointSchedule). Faulty continuations retry the hand-off at
+// each rung cycle; where a SnapshotCache holds the ladder's snapshots, the
+// sweep also jumps forward to them and re-roots its copy-on-write lineage
+// there.
 const ForkSyncPoints = 24
 
 // Plan says how one campaign reproduces each fault's pre-fault prefix and
@@ -69,9 +68,8 @@ type Plan struct {
 	//	        golden run, taken at the fault cycle, is handed off to the
 	//	        interpreter as soon as it is quiescent after the flip; exit
 	//	        where the flipped RF or SQ entry is overwritten unread
-	//	        (cpu.Core.Watch), else at the first of the ladder's later
-	//	        snapshots where the run is masked-equivalent or can be
-	//	        handed off
+	//	        (cpu.Core.Watch), else at the first later rung cycle where
+	//	        the run can be handed off
 	Strategy Strategy
 	// Cut, when non-nil, stops every run at the cut cycle and classifies by
 	// the truncated scheme of RunFaultTruncated instead of at program end.
@@ -85,17 +83,6 @@ type Plan struct {
 	// concurrently and in completion (not input) order; it must be safe
 	// for concurrent use and should return quickly.
 	OnOutcome func(idx int, f fault.Fault, o Outcome)
-}
-
-// planLadder returns the plan's checkpoint set for a goldenCycles-long run,
-// the cycles simulated to get it and whether r.Snapshots served it.
-// Replay's reset-only set is built inline: it costs no simulation, so it
-// never goes through the Runner's ladder.
-func (r *Runner) planLadder(plan Plan, goldenCycles uint64) (set *CheckpointSet, built uint64, hit bool) {
-	if plan.Strategy == Forked {
-		return r.forkLadder(goldenCycles)
-	}
-	return r.BuildCheckpoints(0, goldenCycles), 0, false
 }
 
 // job hands one fault to a worker; core is its ready pre-fault clone under
@@ -122,15 +109,16 @@ type job struct {
 // handed over): faults clustering late in the run cannot hold thousands
 // of machine snapshots in memory.
 //
-// The Forked ladder is the Runner's one ladder (forkLadder): frozen
-// during its golden run, or on a Runner that ran none (an artifact-cache
-// hit) served by a SnapshotCache or replayed by its first Forked campaign,
-// which alone counts that replay. The replay and the sweep are shared
-// pre-fault work, counted once in Wall, Serial and SimCycles. An empty or
-// already-cancelled campaign does neither. Cancellation is observed
-// between faults: no new fault is dispatched once ctx is done, in-flight
-// faults finish classification, the rest stay marked Cancelled, and the
-// partial Result is returned together with ctx.Err().
+// With r.Snapshots set, the Forked sweep jumps forward along the ladder the
+// cache serves (frozen by a golden run, or replayed once per cache after an
+// artifact-cache hit, by the campaign that alone counts the replay); without
+// it, the sweep and every Replay fault start from the Runner's frozen reset
+// state. The replay and the sweep are shared pre-fault work, counted once
+// in Wall, Serial and SimCycles. An empty or already-cancelled campaign
+// does neither. Cancellation is observed between faults: no new fault is
+// dispatched once ctx is done, in-flight faults finish classification, the
+// rest stay marked Cancelled, and the partial Result is returned together
+// with ctx.Err().
 func (r *Runner) Run(ctx context.Context, faults []fault.Fault, golden *cpu.RunResult, plan Plan) (*Result, error) {
 	res := newResult(len(faults))
 	start := time.Now()
@@ -152,9 +140,24 @@ func (r *Runner) Run(ctx context.Context, faults []fault.Fault, golden *cpu.RunR
 	var serialNS atomic.Int64
 	var m runMetrics
 	pool := r.pool
-	ladder, built, hit := r.planLadder(plan, golden.Cycles)
-	m.simCycles.Add(built)
-	res.SnapshotHit = hit
+	// ladder holds the sweep's start and the rungs it may jump to; rungs
+	// are the cycles a continuation retries the hand-off at.
+	var ladder *CheckpointSet
+	var rungs []uint64
+	if plan.Strategy == Forked {
+		rungs = CheckpointSchedule(ForkSyncPoints, golden.Cycles)[1:]
+		if r.Snapshots != nil {
+			ladder, res.SnapshotHit = r.Snapshots.GetOrBuild(r.ladderKey(golden.Cycles), func() *CheckpointSet {
+				return r.BuildCheckpoints(ForkSyncPoints, golden.Cycles)
+			})
+			if !res.SnapshotHit {
+				m.simCycles.Add(ladder.LastCycle())
+			}
+		}
+	}
+	if ladder == nil {
+		ladder = &CheckpointSet{cycles: []uint64{0}, cores: []*cpu.Core{r.resetState(nil)}}
+	}
 	serialNS.Add(int64(time.Since(start)))
 
 	var sw *sweep
@@ -188,7 +191,7 @@ func (r *Runner) Run(ctx context.Context, faults []fault.Fault, golden *cpu.RunR
 					c = m.clone(pool, ladder.cores[0])
 				}
 				from := c.Cycle()
-				o := r.inject(c, faults[j.idx], golden, ladder, plan.Cut, h)
+				o := r.inject(c, faults[j.idx], golden, rungs, plan.Cut, h)
 				m.simCycles.Add(c.Cycle() - from)
 				// A released shell is scrubbed by copy-over on reuse, so
 				// even a panicked run's shell is safe to recycle.
@@ -260,10 +263,10 @@ type sweep struct {
 }
 
 // advance steps the sweep to the pre-injection cycle of a fault at fc.
-// Crossing a ladder snapshot, the sweep re-roots itself on a clone of it —
-// bit-identical state by determinism — so the copy-on-write page pool the
-// forks share with the ladder stays shallow and state comparisons skip
-// everything the segment never wrote.
+// Past a ladder snapshot (a reset-only ladder has none), the sweep jumps
+// to a clone of the latest one instead of stepping there — bit-identical
+// state by determinism — which also keeps the copy-on-write page pool the
+// forks share with the ladder shallow.
 func (s *sweep) advance(fc uint64) {
 	root := -1
 	for s.next < len(s.ladder.cycles) && s.ladder.cycles[s.next] < fc {

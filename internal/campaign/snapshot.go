@@ -22,68 +22,10 @@ type SnapshotKey struct {
 	GoldenCycles uint64
 }
 
-// runnerLadder is a Runner's one Forked ladder: key says what it was
-// built for, hit that a SnapshotCache served it.
-type runnerLadder struct {
-	key SnapshotKey
-	set *CheckpointSet
-	hit bool
-}
-
 // ladderKey is the SnapshotKey of the Runner's Forked ladder over a
 // goldenCycles-long run.
 func (r *Runner) ladderKey(goldenCycles uint64) SnapshotKey {
 	return SnapshotKey{Workload: r.Prog.Name, CPU: r.Cfg, GoldenCycles: goldenCycles}
-}
-
-// hasLadder reports whether the Runner already holds its Forked ladder.
-func (r *Runner) hasLadder() bool {
-	r.ladderMu.Lock()
-	defer r.ladderMu.Unlock()
-	return r.forked != nil
-}
-
-// adoptLadder keeps set, frozen during a goldenCycles-long golden run, as
-// the Runner's ladder, and seeds Snapshots with it (a ladder Snapshots
-// already holds is kept instead: the two are state-equal).
-func (r *Runner) adoptLadder(set *CheckpointSet, goldenCycles uint64) {
-	key := r.ladderKey(goldenCycles)
-	if r.Snapshots != nil {
-		set, _ = r.Snapshots.GetOrBuild(key, func() *CheckpointSet { return set })
-	}
-	r.ladderMu.Lock()
-	defer r.ladderMu.Unlock()
-	if r.forked == nil {
-		r.forked = &runnerLadder{key: key, set: set}
-	}
-}
-
-// forkLadder returns the Forked ladder for a goldenCycles-long run, the
-// cycles simulated to get it, and whether r.Snapshots served it. The
-// Runner's own ladder — frozen during its golden run, or served or
-// replayed by its first campaign — costs nothing; any other is served by
-// r.Snapshots when one is attached and replayed by BuildCheckpoints
-// otherwise, and becomes the Runner's own when it has none.
-func (r *Runner) forkLadder(goldenCycles uint64) (set *CheckpointSet, built uint64, hit bool) {
-	key := r.ladderKey(goldenCycles)
-	r.ladderMu.Lock()
-	defer r.ladderMu.Unlock()
-	if l := r.forked; l != nil && l.key == key {
-		return l.set, 0, l.hit
-	}
-	build := func() *CheckpointSet { return r.BuildCheckpoints(ForkSyncPoints, goldenCycles) }
-	if r.Snapshots != nil {
-		set, hit = r.Snapshots.GetOrBuild(key, build)
-	} else {
-		set = build()
-	}
-	if !hit {
-		built = set.LastCycle()
-	}
-	if r.forked == nil {
-		r.forked = &runnerLadder{key: key, set: set, hit: hit}
-	}
-	return set, built, hit
 }
 
 // MemBytes is the set's resident-memory bound: the sum of its snapshots'
@@ -113,12 +55,13 @@ const DefaultSnapshotBudget = 512 << 20
 // stay in memory, keyed by everything they depend on, so concurrent and
 // repeat campaigns over the same (workload, CPU config, golden length)
 // share one immutable CheckpointSet. A Runner with a non-nil Snapshots
-// field seeds it with the ladder its golden run froze, and a Runner that
-// ran no golden run (an artifact-cache hit) asks it before replaying one
-// (BuildCheckpoints, one golden-length pass). It is safe for concurrent
-// use; concurrent GetOrBuild calls for one key are deduplicated so the
-// ladder is built once and shared (every CheckpointSet is immutable and safe to clone
-// from any number of goroutines).
+// field freezes its golden run's ladder straight into it, and every Forked
+// campaign on such a Runner gets its ladder from it — served, or, after an
+// artifact-cache hit skipped the golden run, replayed once
+// (BuildCheckpoints, one golden-length pass) and shared. It is safe for
+// concurrent use; concurrent GetOrBuild calls for one key are deduplicated
+// so the ladder is built once and shared (every CheckpointSet is immutable
+// and safe to clone from any number of goroutines).
 //
 // Sizes are estimated by CheckpointSet.MemBytes, a conservative
 // (over-counting) bound, so heavy multi-tenant traffic cannot hold

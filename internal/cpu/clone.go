@@ -84,7 +84,6 @@ func (c *Core) cloneInto(n *Core) {
 	n.stats = c.stats
 	n.tracer = nil
 	n.reads = nil
-	n.traceW = nil
 	n.witness = nil
 	n.mutate = nil
 	n.watch = watch{}

@@ -69,9 +69,6 @@ func (c *Core) commitStage() {
 		if e.last {
 			c.committedInsts++
 		}
-		if c.traceW != nil {
-			c.traceCommit(e)
-		}
 		if c.tracer != nil {
 			c.flushReads(c.robHead, e)
 		}

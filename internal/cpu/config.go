@@ -69,11 +69,11 @@ type Config struct {
 	LocalHistTable  int // entries of the per-PC history table
 	LocalPredTable  int // entries of the local pattern table
 	GlobalPredTable int // entries of the gshare table and chooser
-
-	// CommitWatchdog raises a simulator assertion if no µop commits for
-	// this many cycles; a healthy core never triggers it.
-	CommitWatchdog uint64
 }
+
+// commitWatchdog raises a simulator assertion if no µop commits for this
+// many cycles; a healthy core never triggers it.
+const commitWatchdog = 200_000
 
 // DefaultConfig returns the paper's baseline configuration (Table 1):
 // out-of-order x86-style core, 256 integer physical registers, 32-entry
@@ -111,8 +111,6 @@ func DefaultConfig() Config {
 		LocalHistTable:  1024,
 		LocalPredTable:  1024,
 		GlobalPredTable: 4096,
-
-		CommitWatchdog: 200_000,
 	}
 }
 

@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"fmt"
-	"io"
 	"math/bits"
 
 	"merlin/internal/isa"
@@ -291,7 +290,6 @@ type Core struct {
 
 	tracer *lifetime.Tracer
 	reads  []uopReads // per ROB slot, allocated by AttachTracer
-	traceW io.Writer
 	stats  Stats
 	watch  watch // the overwrite watch (Watch): not machine state, not cloned
 }
@@ -385,7 +383,7 @@ func (c *Core) Step() {
 	c.issueStage()
 	c.renameStage()
 	c.fetchStage()
-	if c.cycle-c.lastCommitAt > c.Cfg.CommitWatchdog {
+	if c.cycle-c.lastCommitAt > commitWatchdog {
 		assertf(false, "commit starvation: no commit since cycle %d", c.lastCommitAt)
 	}
 }
@@ -645,17 +643,4 @@ func ringAdd(i, k, n int) int {
 		i -= n
 	}
 	return i
-}
-
-// SetCommitTrace streams one line per committed macro-instruction to w:
-// cycle, sequence number, RIP and disassembly. Intended for debugging
-// workloads and the pipeline itself (merlin run -trace); unset (nil) in
-// campaigns.
-func (c *Core) SetCommitTrace(w io.Writer) { c.traceW = w }
-
-func (c *Core) traceCommit(e *robEntry) {
-	if !e.last {
-		return
-	}
-	fmt.Fprintf(c.traceW, "%8d  #%-6d %4d: %s\n", c.cycle, e.seq, e.rip, c.prog.Text[e.rip])
 }

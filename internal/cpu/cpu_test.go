@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"merlin/internal/asm"
@@ -745,33 +744,6 @@ func TestRegisterReuseAcrossRename(t *testing.T) {
 	}
 	if res.Halt != HaltOK || res.Output[0] != want {
 		t.Fatalf("halt=%v out=%v want=%d", res.Halt, res.Output, want)
-	}
-}
-
-func TestCommitTrace(t *testing.T) {
-	p, err := asm.Assemble("tr", `
-		li r1, 3
-		out r1
-		halt
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	c := New(DefaultConfig(), p)
-	c.SetCommitTrace(&buf)
-	if res := c.Run(10_000); res.Halt != HaltOK {
-		t.Fatal(res.Halt)
-	}
-	trace := buf.String()
-	for _, want := range []string{"li r1, 3", "out r1"} {
-		if !strings.Contains(trace, want) {
-			t.Errorf("trace missing %q:\n%s", want, trace)
-		}
-	}
-	// Squashed wrong-path instructions must never appear in the trace.
-	if n := strings.Count(trace, "\n"); n != 2 {
-		t.Errorf("trace has %d lines, want 2 (halt commits without tracing)\n%s", n, trace)
 	}
 }
 

@@ -1,7 +1,6 @@
 package cpu
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"slices"
@@ -113,7 +112,7 @@ var (
 		"output", "excLog", "committedInsts", "committedUops", "lastCommitAt",
 		"archRegs", "stats",
 	}
-	coreNotMachineState = []string{"witness", "mutate", "watch", "tracer", "reads", "traceW"}
+	coreNotMachineState = []string{"witness", "mutate", "watch", "tracer", "reads"}
 )
 
 func TestCloneCoversEveryField(t *testing.T) {
@@ -144,7 +143,6 @@ func TestCloneCoversEveryField(t *testing.T) {
 	shell.mutate = func(_ uint64, _ isa.Op, r uint64) uint64 { return r }
 	shell.tracer = lifetime.NewTracer(lifetime.StructRF)
 	shell.reads = make([]uopReads, len(shell.rob))
-	shell.traceW = new(bytes.Buffer)
 	src.cloneInto(shell)
 
 	field := func(c *Core, name string) reflect.Value {

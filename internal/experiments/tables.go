@@ -61,7 +61,6 @@ func Table4(ctx context.Context, o Options) (*Table4Result, error) {
 		}
 		runner := campaign.NewRunner(campaign.Target{Cfg: specConfig(), Prog: w.Program()})
 		runner.Workers = o.Workers
-		runner.FreezeLadder = false // Table 4 replays from reset
 		full, err := runner.RunGolden()
 		if err != nil {
 			return nil, err

@@ -143,8 +143,9 @@ type Event struct {
 	CacheHit *bool `json:"cache_hit,omitempty"`
 
 	// Inject events: whether the shared snapshot cache served the
-	// checkpoint ladder (skipping its rebuild), and the campaign's
-	// effective simulation throughput in cycles per wall-clock second.
+	// checkpoint ladder, so the campaign replayed none — also when its own
+	// golden run froze the ladder there — and the campaign's effective
+	// simulation throughput in cycles per wall-clock second.
 	SnapshotHit  *bool   `json:"snapshot_hit,omitempty"`
 	CyclesPerSec float64 `json:"cycles_per_sec,omitempty"`
 

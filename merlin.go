@@ -130,10 +130,11 @@ type CacheStats = store.Stats
 func OpenCache(dir string) (*Cache, error) { return store.Open(dir) }
 
 // SnapshotCache is an in-memory, byte-budgeted LRU of checkpoint ladders
-// (the frozen machine snapshots the forked strategy roots its sweep on and
-// stops faulty runs at). Campaigns sharing one SnapshotCache and
-// agreeing on (workload, CPU config, golden cycles) reuse one immutable
-// ladder instead of each replaying the golden run to rebuild it — the
+// (the frozen machine snapshots the forked strategy's sweep jumps forward
+// to). Campaigns sharing one SnapshotCache and agreeing on (workload, CPU
+// config, golden cycles) reuse one immutable ladder, frozen by a golden
+// run or replayed once, instead of each replaying the golden run to
+// rebuild it — the
 // in-memory complement of the on-disk artifact Cache, which cannot hold
 // machine snapshots because they are not serializable. Safe for
 // concurrent use; the daemon shares one across all campaigns.
@@ -206,10 +207,11 @@ type Config struct {
 	// (Workload, CPU) pair. Open one with OpenCache.
 	Cache *Cache
 
-	// Snapshots, when non-nil, shares checkpoint ladders across campaigns:
-	// the forked strategy serves its frozen machine snapshots from it
-	// instead of rebuilding them per campaign. Create
-	// one with NewSnapshotCache; the daemon wires a process-wide instance.
+	// Snapshots, when non-nil, shares checkpoint ladders across forked
+	// campaigns: the golden run freezes its machine snapshots into it and
+	// the sweep jumps along them. Nil means no ladder: the sweep runs from
+	// reset. Create one with NewSnapshotCache; the daemon wires a
+	// process-wide instance.
 	Snapshots *SnapshotCache
 }
 
@@ -380,8 +382,9 @@ func newRunner(cfg Config) (*campaign.Runner, error) {
 	}
 	runner := campaign.NewRunner(campaign.Target{Cfg: cfg.CPU, Prog: w.Program()})
 	runner.Workers = cfg.Workers
-	runner.Snapshots = cfg.Snapshots
-	runner.FreezeLadder = cfg.Strategy == StrategyForked
+	if cfg.Strategy == StrategyForked { // Replay has no ladder to freeze or share
+		runner.Snapshots = cfg.Snapshots
+	}
 	return runner, nil
 }
 
@@ -607,8 +610,10 @@ type Report struct {
 	// core, instructions interpreted), DeadAtFlip (faults classified Masked
 	// at the fork because the flip landed in dead storage), Overwritten
 	// (Masked as the flipped entry was overwritten unread) and SnapshotHit
-	// (the checkpoint ladder came from a shared SnapshotCache; always false
-	// for StrategyReplay). A daemon sums it over every shard of the
+	// (a shared SnapshotCache served the checkpoint ladder, so the campaign
+	// replayed none — also when its own golden run froze it there; false
+	// without a cache and for StrategyReplay). A daemon sums it over every
+	// shard of the
 	// campaign, in-process and remote alike.
 	Work
 	// CyclesPerSec divides SimCycles by Wall — the campaign's effective
@@ -630,8 +635,8 @@ func (r *Report) String() string {
 
 // workNote renders what an injection phase executed: the one formatter
 // behind Report.String and both phase-done messages. The hand-off counters
-// appear once a run tried a hand-off; a Replay campaign's ladder has no rung
-// past reset, so it never tries.
+// appear once a run tried a hand-off; a Replay campaign has no rung cycle,
+// so it never tries.
 func workNote(w Work) string {
 	s := fmt.Sprintf("%d detailed cycles, %d clones", w.SimCycles, w.Clones)
 	if w.DeadAtFlip > 0 {

@@ -55,8 +55,9 @@ type Progress struct {
 	CacheErr error
 
 	// SnapshotHit and CyclesPerSec are set on the inject/baseline
-	// ProgressPhaseDone event: whether the checkpoint ladder was served
-	// from a shared SnapshotCache (skipping the replay), and the
+	// ProgressPhaseDone event: whether a shared SnapshotCache served the
+	// checkpoint ladder, so the campaign replayed none (Work.SnapshotHit),
+	// and the
 	// campaign's effective simulation throughput (simulated cycles per
 	// wall-clock second across all injection workers).
 	SnapshotHit  bool

@@ -57,8 +57,9 @@ type ServeOptions struct {
 
 	// SnapshotBudget bounds the in-memory snapshot cache that shares
 	// checkpoint ladders (frozen machine snapshots) across concurrent and
-	// repeat campaigns: on a warm golden-artifact hit, a campaign skips
-	// the ladder rebuild entirely. <= 0 means the default budget (512 MB).
+	// repeat campaigns: a golden run freezes its ladder into it, so a
+	// campaign skips the ladder rebuild whether or not the golden-artifact
+	// cache served it. <= 0 means the default budget (512 MB).
 	SnapshotBudget int64
 
 	// Concurrency is how many records run at once, oldest first off one

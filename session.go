@@ -161,13 +161,15 @@ func WithCache(c *Cache) Option {
 	}
 }
 
-// WithSnapshotCache attaches a shared checkpoint-ladder cache: a cold
-// campaign seeds it with the ladder its golden run froze, and a campaign
-// served by the artifact cache, which runs no golden run, takes its
-// ladder from it instead of replaying one, so concurrent and repeat
-// campaigns over one (workload, CPU config, golden cycles) pay for the
-// ladder once. Create one with NewSnapshotCache; the daemon wires a process-wide
-// instance into every campaign.
+// WithSnapshotCache attaches a shared checkpoint-ladder cache to a forked
+// campaign: its golden run freezes the ladder into the cache, and a
+// campaign served by the artifact cache, which runs no golden run, takes
+// the ladder from it (replaying it once if no campaign left one there), so
+// concurrent and repeat campaigns over one (workload, CPU config, golden
+// cycles) pay for the ladder once and their sweeps jump along it. Without
+// one, a campaign has no ladder: its sweep runs from reset. Create one
+// with NewSnapshotCache; the daemon wires a process-wide instance into
+// every campaign.
 func WithSnapshotCache(c *SnapshotCache) Option {
 	return func(o *sessionConfig) error {
 		o.cfg.Snapshots = c
