@@ -39,7 +39,7 @@ type VarianceReport = stats.Report
 type Batch struct {
 	cfg        Config // shared knobs; Structure is set per session
 	structures []Structure
-	emit       func(Progress)
+	emit       func(CampaignEvent)
 
 	inject   injectFunc // every session's injection executor
 	sessions []*Session // one per structure, sharing the golden run
@@ -78,9 +78,9 @@ func (b *Batch) Structures() []Structure {
 
 // emitBatch reports one batch-level progress event (no structure tag: it
 // spans every structure of the batch).
-func (b *Batch) emitBatch(p Progress) {
+func (b *Batch) emitBatch(ev CampaignEvent) {
 	if b.emit != nil {
-		b.emit(p)
+		b.emit(ev)
 	}
 }
 
@@ -105,7 +105,7 @@ func (b *Batch) Preprocess(ctx context.Context) error {
 }
 
 // Run executes the whole batch: the shared Preprocess, then every
-// structure's Reduce and Inject in Structures order, and aggregates the
+// structure's Reduce and injection in Structures order, and aggregates the
 // per-structure reports. Injection observes ctx between faults; on
 // cancellation Run returns ctx.Err() together with the partial
 // *BatchReport — finished structures carry complete reports, the
@@ -125,7 +125,7 @@ func (b *Batch) Run(ctx context.Context) (*BatchReport, error) {
 	}
 	var runErr error
 	for _, s := range b.sessions {
-		r, err := s.Inject(ctx)
+		r, err := s.Run(ctx)
 		if r != nil {
 			rep.Reports = append(rep.Reports, r)
 		}
@@ -138,7 +138,7 @@ func (b *Batch) Run(ctx context.Context) (*BatchReport, error) {
 	rep.Wall = time.Since(start)
 	b.aggregate(rep)
 	if runErr == nil {
-		b.emitBatch(Progress{Kind: ProgressPhaseDone, Phase: PhaseBatch, Msg: rep.summary()})
+		b.emitBatch(CampaignEvent{Type: "batch", Msg: rep.summary()})
 	}
 	return rep, runErr
 }

@@ -178,14 +178,14 @@ func TestBatchSharedArtifactCache(t *testing.T) {
 // none (they span all structures).
 func TestBatchProgressTagging(t *testing.T) {
 	var mu sync.Mutex
-	var events []Progress
+	var events []CampaignEvent
 	ctx := context.Background()
 	b, err := StartBatch(ctx, "sha", batchOpts(
 		WithStructures(RF, SQ),
-		WithProgress(func(p Progress) {
+		WithProgress(func(ev CampaignEvent) {
 			mu.Lock()
 			defer mu.Unlock()
-			events = append(events, p)
+			events = append(events, ev)
 		}))...)
 	if err != nil {
 		t.Fatal(err)
@@ -199,13 +199,13 @@ func TestBatchProgressTagging(t *testing.T) {
 	tagged := map[string]int{}
 	var batchDone, sharedPre bool
 	for _, p := range events {
-		switch {
-		case p.Kind == ProgressFault:
+		switch p.Type {
+		case "fault":
 			if p.Structure != "RF" && p.Structure != "SQ" {
 				t.Fatalf("fault event tagged %q, want RF or SQ", p.Structure)
 			}
 			tagged[p.Structure]++
-		case p.Phase == PhasePreprocess && p.Kind == ProgressPhaseDone:
+		case "preprocess":
 			sharedPre = true
 			if p.Structure != "" {
 				t.Fatalf("shared preprocess event tagged %q, want untagged", p.Structure)
@@ -213,7 +213,7 @@ func TestBatchProgressTagging(t *testing.T) {
 			if !strings.Contains(p.Msg, "2 structures") {
 				t.Fatalf("preprocess summary %q does not mention the structure count", p.Msg)
 			}
-		case p.Phase == PhaseBatch:
+		case "batch":
 			batchDone = true
 			if p.Structure != "" {
 				t.Fatalf("batch summary tagged %q, want untagged", p.Structure)
@@ -238,8 +238,8 @@ func TestBatchCancellation(t *testing.T) {
 	b, err := StartBatch(ctx, "sha",
 		WithStructures(RF, SQ, L1D),
 		WithFaults(4000), WithSeed(7), WithWorkers(1),
-		WithProgress(func(p Progress) {
-			if p.Kind == ProgressFault && seen.Add(1) == 3 {
+		WithProgress(func(ev CampaignEvent) {
+			if ev.Type == "fault" && seen.Add(1) == 3 {
 				cancel()
 			}
 		}))

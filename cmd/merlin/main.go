@@ -179,9 +179,9 @@ func run(fs *flag.FlagSet, args []string) int {
 		opts = append(opts, merlin.WithCache(cache))
 	}
 	if *verbose {
-		opts = append(opts, merlin.WithProgress(func(p merlin.Progress) {
-			if p.Kind == merlin.ProgressPhaseDone {
-				fmt.Fprintf(os.Stderr, "merlin: %s: %s\n", p.Phase, p.Msg)
+		opts = append(opts, merlin.WithProgress(func(ev merlin.CampaignEvent) {
+			if ev.Type != "fault" {
+				fmt.Fprintf(os.Stderr, "merlin: %s: %s\n", ev.Type, ev.Msg)
 			}
 		}))
 	}
@@ -246,9 +246,13 @@ func run(fs *flag.FlagSet, args []string) int {
 		fmt.Printf("baseline (%d injections): %v\n  AVF %.4f FIT %.3f; wall %v (serial %v)\n",
 			base.Faults, base.Dist, base.AVF, base.FIT,
 			base.Wall.Round(1000000), base.Serial.Round(1000000))
-		fmt.Printf("observed speedup: %.1fx fewer injections, %.1fx less injection time\n",
-			float64(base.Faults)/float64(rep.Injected),
-			base.Serial.Seconds()/rep.Serial.Seconds())
+		if rep.Injected == 0 {
+			fmt.Println("observed speedup: none to compute, MeRLiN injected no fault (every fault was pruned)")
+		} else {
+			fmt.Printf("observed speedup: %.1fx fewer injections, %.1fx less injection time\n",
+				float64(base.Faults)/float64(rep.Injected),
+				base.Serial.Seconds()/rep.Serial.Seconds())
+		}
 	}
 	return 0
 }

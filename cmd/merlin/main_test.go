@@ -2,6 +2,8 @@ package main
 
 import (
 	"flag"
+	"io"
+	"os"
 	"strings"
 	"testing"
 
@@ -51,5 +53,33 @@ func TestCommitTrace(t *testing.T) {
 	}
 	if n := strings.Count(trace, "\n"); n != 2 || strings.Contains(trace, "halt") {
 		t.Errorf("trace has %d lines, want 2 and no halt:\n%s", n, trace)
+	}
+}
+
+// TestBaselineSpeedupWhenNothingInjected: when the reduction prunes every
+// fault, -baseline says MeRLiN injected nothing instead of printing the
+// infinite ratios of a division by zero.
+func TestBaselineSpeedupWhenNothingInjected(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	code := run(flag.NewFlagSet("merlin", flag.ContinueOnError),
+		[]string{"-workload", "sha", "-structure", "SQ", "-faults", "3", "-baseline"})
+	os.Stdout = stdout
+	w.Close()
+	got := <-out
+	if code != 0 {
+		t.Fatalf("merlin -baseline exited %d:\n%s", code, got)
+	}
+	if !strings.Contains(got, "MeRLiN injected no fault") || strings.Contains(got, "Inf") {
+		t.Errorf("speedup line of an empty reduced campaign:\n%s", got)
 	}
 }

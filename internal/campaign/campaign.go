@@ -397,8 +397,8 @@ type Work struct {
 	// no clone, no cycle.
 	DeadAtFlip int64
 	// Overwritten counts the faults classified Masked while their run
-	// waited for quiescence or walked to a rung cycle, because the flipped
-	// RF or SQ entry was overwritten or freed unread (cpu.Core.Watch).
+	// waited for quiescence before a hand-off, because the flipped RF or
+	// SQ entry was overwritten or freed unread (cpu.Core.Watch).
 	Overwritten int64
 	// SnapshotHit reports that a SnapshotCache served the campaign's
 	// checkpoint ladder, so the campaign replayed none — also when its own

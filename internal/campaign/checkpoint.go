@@ -149,16 +149,14 @@ func (s *CheckpointSet) before(fc uint64) *cpu.Core {
 }
 
 // classifyAgainst runs faulty clone c (fault f already applied, injSeq the
-// core's RenameSeq at the flip) to its classification. A run whose
-// overwrite watch ends masked (cpu.Core.Watch) is Masked at that cycle.
-// With rung cycles given, the run is first handed off to the interpreter
-// (handOff) as soon as it is quiescent, a few cycles after the flip
-// whatever the program's length. A run the interpreter cannot decide
-// continues in detail and tries the hand-off again at each later rung
-// cycle. Only a run that can decide neither way continues past the last
-// one to program end, so outcomes are bit-identical to a full replay. With
-// no rungs (Replay, RunFault) it is the detailed run alone; h may then be
-// nil.
+// core's RenameSeq at the flip) to its classification. With rung cycles
+// given, the run is first handed off to the interpreter (handOff) as soon
+// as it is quiescent, a few cycles after the flip whatever the program's
+// length. A run the interpreter cannot decide continues in detail and
+// tries the hand-off again at each later rung cycle. Only a run that can
+// decide neither way continues past the last one to program end, so
+// outcomes are bit-identical to a full replay. With no rungs (Replay,
+// RunFault) it is the detailed run alone; h may then be nil.
 func (r *Runner) classifyAgainst(c *cpu.Core, f fault.Fault, injSeq uint64, golden *cpu.RunResult, rungs []uint64, h *handOff) Outcome {
 	if len(rungs) > 0 {
 		if o, ok := r.handOff(c, f, injSeq, golden, h); ok {
@@ -167,9 +165,7 @@ func (r *Runner) classifyAgainst(c *cpu.Core, f fault.Fault, injSeq uint64, gold
 		next, _ := slices.BinarySearch(rungs, c.Cycle()+1)
 		for _, rung := range rungs[next:] {
 			for c.Cycle() < rung && c.Halted() == cpu.Running {
-				if h.step(c) {
-					return Masked
-				}
+				c.Step()
 			}
 			if c.Halted() != cpu.Running {
 				break
@@ -198,17 +194,6 @@ type handOff struct {
 // anyway.
 const handOffWait = 128
 
-// step advances faulty core c one cycle and reports whether its overwrite
-// watch has ended masked, counting the exit.
-func (h *handOff) step(c *cpu.Core) bool {
-	c.Step()
-	if c.Watch() == cpu.WatchMasked {
-		h.overwritten++
-		return true
-	}
-	return false
-}
-
 // handOff tries to finish faulty core c's run on the architectural
 // interpreter. Once c is quiescent with respect to the fault
 // (cpu.Core.Quiescent), what is left of the run is a function of its
@@ -231,7 +216,9 @@ func (h *handOff) step(c *cpu.Core) bool {
 func (r *Runner) handOff(c *cpu.Core, f fault.Fault, injSeq uint64, golden *cpu.RunResult, h *handOff) (o Outcome, ok bool) {
 	pc, quiet := c.Quiescent(injSeq)
 	for n := 0; !quiet && n < handOffWait && c.Halted() == cpu.Running; n++ {
-		if h.step(c) {
+		c.Step()
+		if c.Watch() == cpu.WatchMasked {
+			h.overwritten++
 			return Masked, true
 		}
 		pc, quiet = c.Quiescent(injSeq)

@@ -6,7 +6,7 @@
 // The package is deliberately pipeline-agnostic: it knows how to queue,
 // schedule, observe and serve campaigns, but the campaign itself is an
 // injected RunFunc (the root merlin package wires in Preprocess → Reduce →
-// Inject, plus the golden-run artifact cache). That keeps the dependency
+// injection, plus the golden-run artifact cache). That keeps the dependency
 // direction clean — server never imports the simulator — and makes the
 // scheduling and streaming machinery testable with synthetic pipelines.
 //
@@ -113,8 +113,10 @@ type Event struct {
 	Seq  int       `json:"seq"`
 	Time time.Time `json:"time"`
 	// Type is "queued", "started", "preprocess", "reduce", "fault",
-	// "inject", "batch", "done", "failed", "cancelled" — plus the
-	// durability and fleet lifecycle markers: "resumed" (re-enqueued from
+	// "inject", "batch", "done", "failed", "cancelled" — plus "baseline",
+	// which is library-only (Session.Baseline's done event; no record
+	// runs a baseline), and the durability and fleet lifecycle
+	// markers: "resumed" (re-enqueued from
 	// the registry after a restart), "restored" (terminal record reloaded
 	// from the registry), "interrupted" (shutdown left the record
 	// resumable), "truncated" (synthetic: the stream's ?from fell into the
@@ -131,7 +133,7 @@ type Event struct {
 	// Msg is a human-readable summary (phase events).
 	Msg string `json:"msg,omitempty"`
 
-	// Fault events: the fault's index in the reduced list, its
+	// Fault events: the fault's index in the injected list, its
 	// description, and its outcome class. Index is always serialized
 	// (index 0 is a valid fault, not an absent field).
 	Index   int    `json:"index"`
@@ -142,10 +144,10 @@ type Event struct {
 	// this campaign.
 	CacheHit *bool `json:"cache_hit,omitempty"`
 
-	// Inject events: whether the shared snapshot cache served the
-	// checkpoint ladder, so the campaign replayed none — also when its own
-	// golden run froze the ladder there — and the campaign's effective
-	// simulation throughput in cycles per wall-clock second.
+	// Inject and baseline events: whether the shared snapshot cache
+	// served the checkpoint ladder, so the campaign replayed none — also
+	// when its own golden run froze the ladder there — and the campaign's
+	// effective simulation throughput in cycles per wall-clock second.
 	SnapshotHit  *bool   `json:"snapshot_hit,omitempty"`
 	CyclesPerSec float64 `json:"cycles_per_sec,omitempty"`
 

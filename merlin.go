@@ -12,13 +12,13 @@
 //
 // The three phases of the paper's Fig 2 map to Session.Preprocess (golden
 // run + ACE-like analysis + initial fault list), Session.Reduce (two-step
-// grouping) and Session.Inject (representative injection + extrapolated
-// classification). Session.Run chains all three.
+// grouping) and Session.Run (representative injection + extrapolated
+// classification), which runs the first two if they have not run yet.
 //
 // The primary API is the Session: merlin.Start(ctx, workload, opts...)
 // validates a campaign built from functional options and returns a
-// Session whose phase methods are context-aware and report typed Progress
-// events.
+// Session whose phase methods are context-aware and report CampaignEvent
+// progress records.
 package merlin
 
 import (
@@ -275,7 +275,7 @@ type Artifacts struct {
 
 	// Premasked marks the faults the guestflow static pre-pruner proved
 	// masked (nil unless Config.StaticPrune ran); StaticPruned is its
-	// true-count, surfaced through Progress and the Report.
+	// true-count, surfaced through the reduce event and the Report.
 	Premasked    []bool
 	StaticPruned int
 

@@ -56,7 +56,7 @@ func TestPipelinePhases(t *testing.T) {
 	if err := s.Preprocess(ctx); err != nil || s.Artifacts() != a {
 		t.Errorf("second Preprocess re-ran phase 1 (err %v)", err)
 	}
-	rep, err := s.Inject(ctx)
+	rep, err := s.Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,9 +45,6 @@ type Server = server.Server
 // CampaignRequest is the wire form of one campaign submission.
 type CampaignRequest = server.Request
 
-// CampaignEvent is one entry of a campaign's streamed progress log.
-type CampaignEvent = server.Event
-
 // ServeOptions configures the campaign service.
 type ServeOptions struct {
 	// Cache is the golden-run artifact cache shared by every campaign
@@ -263,34 +260,6 @@ func validateRequest(cache *Cache) func(CampaignRequest) error {
 	}
 }
 
-// progressEvent maps one typed progress event onto the service's wire
-// event log, carrying the structure tag through (batch logs interleave
-// several structures). Phase-start events are internal pacing and not
-// logged.
-func progressEvent(p Progress) (CampaignEvent, bool) {
-	switch p.Kind {
-	case ProgressPhaseDone:
-		switch p.Phase {
-		case PhasePreprocess:
-			hit := p.CacheHit
-			return CampaignEvent{Type: "preprocess", Structure: p.Structure, CacheHit: &hit, Msg: p.Msg}, true
-		case PhaseReduce:
-			return CampaignEvent{Type: "reduce", Structure: p.Structure, Msg: p.Msg,
-				StaticPruned: p.StaticPruned}, true
-		case PhaseBatch:
-			return CampaignEvent{Type: "batch", Msg: p.Msg}, true
-		default:
-			snapHit := p.SnapshotHit
-			return CampaignEvent{Type: "inject", Structure: p.Structure, Msg: p.Msg,
-				SnapshotHit: &snapHit, CyclesPerSec: p.CyclesPerSec}, true
-		}
-	case ProgressFault:
-		return CampaignEvent{Type: "fault", Structure: p.Structure, Index: p.Index,
-			Fault: p.Fault.String(), Outcome: p.Outcome.String()}, true
-	}
-	return CampaignEvent{}, false
-}
-
 // runCampaign adapts the batch API to the service's RunFunc — the one run
 // path of every record on every deployment: StartBatch over the record's
 // structure list, its progress stream forwarded to the event log, every
@@ -309,11 +278,7 @@ func runCampaign(cache *Cache, snapshots *SnapshotCache, pool *fleet.Pool, clien
 		if err != nil {
 			return nil, err
 		}
-		opts = append(opts, WithProgress(func(p Progress) {
-			if ev, ok := progressEvent(p); ok {
-				emit(ev)
-			}
-		}))
+		opts = append(opts, WithProgress(emit))
 		b, err := StartBatch(ctx, req.Workload, opts...)
 		if err != nil {
 			return nil, err

@@ -2,11 +2,14 @@ package merlin
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -591,6 +594,79 @@ func TestDaemonBatchEndToEnd(t *testing.T) {
 	}
 	if !sawBatch {
 		t.Fatal("event stream carried no batch summary event")
+	}
+}
+
+// TestDaemonLogIsTheProgressStream: the daemon's NDJSON log of a record
+// carries the very records a WithProgress subscriber to StartBatch with
+// the same options receives. The log adds lifecycle and shard markers,
+// which are filtered out; fault events arrive in completion order, so the
+// streams compare as multisets, with the wall-clock figures (time, the
+// inject and batch summaries' durations and rates) masked.
+func TestDaemonLogIsTheProgressStream(t *testing.T) {
+	req := CampaignRequest{Workload: "sha", Structures: []string{"RF", "SQ"}, Faults: 100, Seed: 5}
+	opts, err := requestOptions(req, nil, NewSnapshotCache(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var library []CampaignEvent
+	ctx := context.Background()
+	b, err := StartBatch(ctx, req.Workload, append(opts, WithProgress(func(ev CampaignEvent) {
+		mu.Lock()
+		defer mu.Unlock()
+		library = append(library, ev)
+	}))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	hs := daemon(t, ServeOptions{})
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := postCampaign(t, hs.URL, string(body))
+	batchWait(t, hs.URL, id)
+	logged := campaignEvents(t, hs.URL, id)
+
+	timing := regexp.MustCompile(`in [^ ]+ \([^ ]+ cycles/s;|done in [^:]+:`)
+	multiset := func(evs []CampaignEvent) map[string]int {
+		m := map[string]int{}
+		for _, ev := range evs {
+			switch ev.Type {
+			case "preprocess", "reduce", "fault", "inject", "batch":
+			default:
+				continue
+			}
+			ev.Seq, ev.Time, ev.CyclesPerSec = 0, time.Time{}, 0
+			ev.Msg = timing.ReplaceAllString(ev.Msg, "<timing>")
+			line, err := json.Marshal(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m[string(line)]++
+		}
+		return m
+	}
+	got, want := multiset(logged), multiset(library)
+	if countEvents(logged, "fault") == 0 || countEvents(logged, "batch") != 1 {
+		t.Fatalf("daemon log carried %d fault and %d batch events", countEvents(logged, "fault"), countEvents(logged, "batch"))
+	}
+	if !reflect.DeepEqual(got, want) {
+		for line, n := range want {
+			if got[line] != n {
+				t.Errorf("library x%d, daemon x%d: %s", n, got[line], line)
+			}
+		}
+		for line, n := range got {
+			if _, ok := want[line]; !ok {
+				t.Errorf("daemon only x%d: %s", n, line)
+			}
+		}
 	}
 }
 

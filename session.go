@@ -2,7 +2,8 @@ package merlin
 
 // This file is the public campaign API: merlin.Start builds a Session from
 // functional options, and the Session exposes the pipeline phases as
-// context-aware, cancellable methods with a unified typed progress stream.
+// context-aware, cancellable methods with one progress stream, whose
+// records are the campaign service's wire events.
 
 import (
 	"context"
@@ -12,6 +13,7 @@ import (
 
 	"merlin/internal/campaign"
 	"merlin/internal/cpu"
+	"merlin/internal/server"
 	"merlin/internal/workloads"
 )
 
@@ -26,7 +28,7 @@ type Option func(*sessionConfig) error
 type sessionConfig struct {
 	cfg        Config
 	structures []Structure
-	progress   func(Progress)
+	progress   func(CampaignEvent)
 }
 
 // WithStructure selects the injection target (default RF).
@@ -190,9 +192,20 @@ func WithStaticPrune() Option {
 	}
 }
 
-// WithProgress subscribes fn to the Session's typed progress stream. See
-// Progress for the concurrency contract.
-func WithProgress(fn func(Progress)) Option {
+// CampaignEvent is one record of a campaign's progress stream: what a
+// WithProgress subscriber receives and, as NDJSON, what the campaign
+// service logs. A Session emits "preprocess" (CacheHit), "reduce"
+// (StaticPruned), "inject" or "baseline" (SnapshotHit, CyclesPerSec) when
+// a phase is done, each with a one-line Msg, and one "fault" (Index,
+// Fault, Outcome) per classified fault; a Batch adds a "batch" summary.
+// Fault events are emitted from injection worker goroutines, concurrently
+// and in completion (not input) order — a WithProgress callback must be
+// safe for concurrent use and should return quickly.
+type CampaignEvent = server.Event
+
+// WithProgress subscribes fn to the Session's progress stream (see
+// CampaignEvent).
+func WithProgress(fn func(CampaignEvent)) Option {
 	return func(o *sessionConfig) error {
 		o.progress = fn
 		return nil
@@ -203,16 +216,16 @@ func WithProgress(fn func(Progress)) Option {
 // the configuration, and the phase methods run the pipeline under a
 // caller-supplied context, so a campaign can be cancelled or deadlined
 // between (and, for injection, within) phases. Phases are idempotent —
-// Preprocess and Reduce memoize their products, and Inject/Baseline
-// auto-run any phase not yet executed — so Run(ctx) and an explicit
-// Preprocess/Reduce/Inject sequence are interchangeable.
+// Preprocess and Reduce memoize their products, and Run/Baseline auto-run
+// any phase not yet executed — so Run(ctx) alone and Run after an
+// explicit Preprocess/Reduce are interchangeable.
 //
 // A Session runs a single campaign; its methods must not be called
 // concurrently with each other. (The injection phase parallelizes
 // internally regardless.)
 type Session struct {
 	cfg  Config
-	emit func(Progress)
+	emit func(CampaignEvent)
 
 	art *Artifacts // phase products; art.Red memoizes the reduction
 
@@ -220,7 +233,7 @@ type Session struct {
 }
 
 // injectFunc is the one injection executor underneath a Session: it
-// classifies faults — any list over a's golden run: Inject passes the
+// classifies faults — any list over a's golden run: Run passes the
 // reduced list, Baseline the whole initial one — on a's Runner under a's
 // plan, reporting each fault through onOutcome (nil for none) with its
 // index in faults, and returns the campaign Result. What the list means
@@ -287,21 +300,22 @@ func (s *Session) Config() Config { return s.cfg }
 // Relyzer, layer probes); the comprehensive campaign is Baseline.
 func (s *Session) Artifacts() *Artifacts { return s.art }
 
-func (s *Session) emitEvent(p Progress) {
+// emitEvent reports one event of the session, tagged with its structure.
+func (s *Session) emitEvent(ev CampaignEvent) {
 	if s.emit != nil {
-		p.Structure = s.cfg.Structure.String()
-		s.emit(p)
+		ev.Structure = s.cfg.Structure.String()
+		s.emit(ev)
 	}
 }
 
 // faultEmitter adapts the progress stream to the campaign plan's
 // per-fault hook; nil when no subscriber is attached.
-func (s *Session) faultEmitter(phase Phase) func(int, Fault, Outcome) {
+func (s *Session) faultEmitter() func(int, Fault, Outcome) {
 	if s.emit == nil {
 		return nil
 	}
 	return func(idx int, f Fault, o Outcome) {
-		s.emitEvent(Progress{Kind: ProgressFault, Phase: phase, Index: idx, Fault: f, Outcome: o})
+		s.emitEvent(CampaignEvent{Type: "fault", Index: idx, Fault: f.String(), Outcome: o.String()})
 	}
 }
 
@@ -326,11 +340,10 @@ func (s *Session) Preprocess(ctx context.Context) error {
 // session is the one-structure case: the context gate, one
 // preprocessStructures over the target list, and the phase's progress
 // events through emit.
-func preprocess(ctx context.Context, cfg Config, structures []Structure, emit func(Progress)) ([]*Artifacts, error) {
+func preprocess(ctx context.Context, cfg Config, structures []Structure, emit func(CampaignEvent)) ([]*Artifacts, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	emit(Progress{Kind: ProgressPhaseStart, Phase: PhasePreprocess})
 	arts, err := preprocessStructures(cfg, structures)
 	if err != nil {
 		return nil, err
@@ -354,9 +367,9 @@ func preprocess(ctx context.Context, cfg Config, structures []Structure, emit fu
 		parts[i] = fmt.Sprintf("%v (%d vulnerable intervals, %d faults sampled)",
 			a.Config.Structure, len(a.Analysis.Intervals), len(a.Faults))
 	}
-	emit(Progress{
-		Kind: ProgressPhaseDone, Phase: PhasePreprocess,
-		CacheHit: a.CacheHit, CacheErr: a.CacheErr,
+	hit := a.CacheHit
+	emit(CampaignEvent{
+		Type: "preprocess", CacheHit: &hit,
 		Msg: fmt.Sprintf("%s: %d cycles; %s", src, a.Golden.Result.Cycles, strings.Join(parts, ", ")),
 	})
 	return arts, nil
@@ -371,7 +384,6 @@ func (s *Session) Reduce() (*Reduction, error) {
 	if s.art.Red != nil {
 		return s.art.Red, nil
 	}
-	s.emitEvent(Progress{Kind: ProgressPhaseStart, Phase: PhaseReduce})
 	if s.cfg.StaticPrune {
 		if err := s.art.staticPrune(); err != nil {
 			return nil, err
@@ -383,45 +395,41 @@ func (s *Session) Reduce() (*Reduction, error) {
 	if s.art.StaticPruned > 0 {
 		msg += fmt.Sprintf(" (%d statically pre-pruned)", s.art.StaticPruned)
 	}
-	s.emitEvent(Progress{
-		Kind: ProgressPhaseDone, Phase: PhaseReduce,
-		StaticPruned: s.art.StaticPruned,
-		Msg:          msg,
-	})
+	s.emitEvent(CampaignEvent{Type: "reduce", StaticPruned: s.art.StaticPruned, Msg: msg})
 	return red, nil
 }
 
-// Inject runs phase 3: the representatives of the reduced fault list are
-// injected and their outcomes extrapolated over the full initial list.
-// Earlier phases run automatically if they have not yet.
+// Run executes the full MeRLiN pipeline and returns the campaign report:
+// phase 3 — the representatives of the reduced fault list are injected
+// and their outcomes extrapolated over the full initial list — after
+// Preprocess and Reduce, which run first if they have not yet.
 //
-// Injection observes ctx between faults. On cancellation Inject returns
+// Injection observes ctx between faults. On cancellation Run returns
 // ctx.Err() together with a partial *Report: Dist then holds the raw
 // (unextrapolated) distribution of the representatives classified before
 // the cut and Cancelled counts the representatives never injected.
-func (s *Session) Inject(ctx context.Context) (*Report, error) {
+func (s *Session) Run(ctx context.Context) (*Report, error) {
 	if err := s.Preprocess(ctx); err != nil {
 		return nil, err
 	}
 	if _, err := s.Reduce(); err != nil {
 		return nil, err
 	}
-	s.emitEvent(Progress{Kind: ProgressPhaseStart, Phase: PhaseInject})
-	res, err := s.inject(ctx, s.art, s.art.Red.Reduced(), s.faultEmitter(PhaseInject))
+	res, err := s.inject(ctx, s.art, s.art.Red.Reduced(), s.faultEmitter())
 	rep := s.art.reportFrom(res, err == nil)
 	if err != nil {
 		return rep, err
 	}
-	s.emitInjected(PhaseInject, "representatives", res, rep.Dist)
+	s.emitInjected("inject", "representatives", res, rep.Dist)
 	return rep, nil
 }
 
-// emitInjected reports an injection phase's completion: res classified its
-// list of what into dist.
-func (s *Session) emitInjected(phase Phase, what string, res *campaign.Result, dist Dist) {
-	s.emitEvent(Progress{
-		Kind: ProgressPhaseDone, Phase: phase,
-		SnapshotHit: res.SnapshotHit, CyclesPerSec: res.CyclesPerSec(),
+// emitInjected reports an injection phase's completion (event type typ):
+// res classified its list of what into dist.
+func (s *Session) emitInjected(typ, what string, res *campaign.Result, dist Dist) {
+	snap := res.SnapshotHit
+	s.emitEvent(CampaignEvent{
+		Type: typ, SnapshotHit: &snap, CyclesPerSec: res.CyclesPerSec(),
 		Msg: fmt.Sprintf("injected %d %s in %v (%s cycles/s; %s): %v",
 			res.Injected, what, res.Wall.Round(time.Millisecond),
 			siCount(res.CyclesPerSec()), workNote(res.Work), dist),
@@ -442,28 +450,21 @@ func siCount(v float64) string {
 	}
 }
 
-// Run executes the full MeRLiN pipeline (Preprocess, Reduce, Inject) and
-// returns the campaign report. It shares Inject's cancellation contract.
-func (s *Session) Run(ctx context.Context) (*Report, error) {
-	return s.Inject(ctx)
-}
-
 // Baseline injects the entire initial fault list (the comprehensive
-// campaign MeRLiN is compared against) through the executor Inject uses,
+// campaign MeRLiN is compared against) through the executor Run uses,
 // reusing this session's preprocessing products, so it does not repeat the
-// golden run after Run. It shares Inject's cancellation contract: on
+// golden run after Run. It shares Run's cancellation contract: on
 // cancellation the partial *BaselineReport is returned together with
 // ctx.Err().
 func (s *Session) Baseline(ctx context.Context) (*BaselineReport, error) {
 	if err := s.Preprocess(ctx); err != nil {
 		return nil, err
 	}
-	s.emitEvent(Progress{Kind: ProgressPhaseStart, Phase: PhaseBaseline})
-	res, err := s.inject(ctx, s.art, s.art.Faults, s.faultEmitter(PhaseBaseline))
+	res, err := s.inject(ctx, s.art, s.art.Faults, s.faultEmitter())
 	rep := s.art.baselineFrom(res)
 	if err != nil {
 		return rep, err
 	}
-	s.emitInjected(PhaseBaseline, "faults", res, rep.Dist)
+	s.emitInjected("baseline", "faults", res, rep.Dist)
 	return rep, nil
 }

@@ -83,7 +83,7 @@ func TestDefaultStrategyIsForked(t *testing.T) {
 	}
 }
 
-// TestOneExecutorForBothLists: Inject and Baseline run through the
+// TestOneExecutorForBothLists: Run and Baseline run through the
 // session's one injectFunc, which is handed the list itself — the reduced
 // one, then the whole initial one.
 func TestOneExecutorForBothLists(t *testing.T) {
@@ -97,7 +97,7 @@ func TestOneExecutorForBothLists(t *testing.T) {
 		lists = append(lists, faults)
 		return runList(ctx, a, faults, onOutcome)
 	}
-	rep, err := s.Inject(ctx)
+	rep, err := s.Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestOneExecutorForBothLists(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(lists) != 2 || !reflect.DeepEqual(lists[0], s.art.Red.Reduced()) || !reflect.DeepEqual(lists[1], s.art.Faults) {
-		t.Fatalf("executor saw %d lists; want the reduced list from Inject, then the initial one from Baseline", len(lists))
+		t.Fatalf("executor saw %d lists; want the reduced list from Run, then the initial one from Baseline", len(lists))
 	}
 	if rep.Injected != len(lists[0]) || base.Faults != len(lists[1]) || len(base.Outcomes) != base.Faults {
 		t.Errorf("reports disagree with the lists: injected %d of %d, baseline %d of %d",
@@ -114,18 +114,19 @@ func TestOneExecutorForBothLists(t *testing.T) {
 	}
 }
 
-// TestSessionProgressStream: the typed stream carries phase transitions,
-// the cache outcome and one event per injected fault, in phase order.
+// TestSessionProgressStream: the stream carries one event per finished
+// phase, in phase order, with the cache outcome, and one event per
+// injected fault, every event tagged with the session's structure.
 func TestSessionProgressStream(t *testing.T) {
 	var mu sync.Mutex
-	var events []Progress
+	var events []CampaignEvent
 	ctx := context.Background()
 	s, err := Start(ctx, "sha",
 		WithStructure(RF), WithFaults(200), WithSeed(3),
-		WithProgress(func(p Progress) {
+		WithProgress(func(ev CampaignEvent) {
 			mu.Lock()
 			defer mu.Unlock()
-			events = append(events, p)
+			events = append(events, ev)
 		}))
 	if err != nil {
 		t.Fatal(err)
@@ -139,23 +140,26 @@ func TestSessionProgressStream(t *testing.T) {
 	defer mu.Unlock()
 	var phases []string
 	faults := 0
-	for _, p := range events {
-		switch p.Kind {
-		case ProgressPhaseStart:
-			phases = append(phases, "start:"+string(p.Phase))
-		case ProgressPhaseDone:
-			phases = append(phases, "done:"+string(p.Phase))
-			if p.Phase == PhasePreprocess && p.Msg == "" {
-				t.Error("preprocess done event without summary")
-			}
-		case ProgressFault:
+	for _, ev := range events {
+		if ev.Structure != "RF" {
+			t.Fatalf("event tagged %q, want RF: %+v", ev.Structure, ev)
+		}
+		switch ev.Type {
+		case "fault":
 			faults++
-			if p.Phase != PhaseInject || p.Outcome >= Cancelled {
-				t.Fatalf("bad fault event: %+v", p)
+			if o, err := ParseOutcome(ev.Outcome); err != nil || o == Cancelled || ev.Fault == "" {
+				t.Fatalf("bad fault event: %+v", ev)
 			}
+		case "preprocess":
+			if ev.Msg == "" || ev.CacheHit == nil {
+				t.Errorf("preprocess event without summary or cache outcome: %+v", ev)
+			}
+			fallthrough
+		default:
+			phases = append(phases, ev.Type)
 		}
 	}
-	want := "start:preprocess,done:preprocess,start:reduce,done:reduce,start:inject,done:inject"
+	want := "preprocess,reduce,inject"
 	if got := strings.Join(phases, ","); got != want {
 		t.Fatalf("phase events = %s, want %s", got, want)
 	}
@@ -172,8 +176,8 @@ func TestSessionInjectCancellation(t *testing.T) {
 	var seen atomic.Int64
 	s, err := Start(ctx, "sha",
 		WithStructure(RF), WithFaults(4000), WithSeed(7), WithWorkers(1),
-		WithProgress(func(p Progress) {
-			if p.Kind == ProgressFault && seen.Add(1) == 3 {
+		WithProgress(func(ev CampaignEvent) {
+			if ev.Type == "fault" && seen.Add(1) == 3 {
 				cancel()
 			}
 		}))

@@ -58,16 +58,16 @@ func mustRunSession(t *testing.T, ctx context.Context, wl string, opts ...Option
 	return rep
 }
 
-// TestStaticPruneProgress: the reduce phase-done event carries the prune
+// TestStaticPruneProgress: the reduce event carries the prune
 // count so the CLI and the NDJSON stream see the same number.
 func TestStaticPruneProgress(t *testing.T) {
 	ctx := context.Background()
 	var got int
 	s, err := Start(ctx, "qsort",
 		WithStructure(RF), WithFaults(200), WithSeed(3), WithStaticPrune(),
-		WithProgress(func(p Progress) {
-			if p.Kind == ProgressPhaseDone && p.Phase == PhaseReduce {
-				got = p.StaticPruned
+		WithProgress(func(ev CampaignEvent) {
+			if ev.Type == "reduce" {
+				got = ev.StaticPruned
 			}
 		}))
 	if err != nil {
