@@ -130,8 +130,8 @@ func TestArtifactCodecBudget(t *testing.T) {
 // TestColdCachePreprocessAllocBudget is TestPreprocessAllocBudget with a
 // fresh cache attached: the golden run, its analysis and the artifact
 // write. It was 72.6 MB with the all-gob body of format 3, 42.2 MB with
-// format 4, and is 46.8 MB now that the golden run freezes the checkpoint
-// ladder as it goes.
+// format 4, and 46.8 MB while the golden run froze the checkpoint ladder as
+// it went; it is 42.6 MB now that the golden run freezes nothing.
 func TestColdCachePreprocessAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")

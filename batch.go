@@ -6,8 +6,8 @@ package merlin
 // the same campaign — and the structures share everything the fault lists
 // do not depend on: the golden run, its artifact-cache entry, the clone
 // pool and the reset state (or, with a snapshot cache, the checkpoint
-// ladder). StartBatch bundles them so the
-// expensive shared work is paid once instead of once per structure.
+// ladder the first structure's sweep freezes). StartBatch bundles them so
+// the expensive shared work is paid once instead of once per structure.
 
 import (
 	"context"
@@ -54,8 +54,8 @@ type Batch struct {
 // ignored in favor of the batch target list. Every structure's injection
 // runs on the batch's one Runner over the shared golden run; with
 // WithSnapshotCache they share one checkpoint ladder, frozen into the
-// cache during that golden run (or, on an artifact-cache hit, replayed
-// once into it).
+// cache by the first structure's sweep (unless the cache already held
+// it), so later structures jump along it.
 func StartBatch(ctx context.Context, workload string, opts ...Option) (*Batch, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -63,19 +63,9 @@ func main() {
 		Seed:        *seed,
 		Workers:     *workers,
 	}
-	if *workloads != "" {
-		o.Workloads = strings.Split(*workloads, ",")
-	}
-	for _, name := range strings.Split(*structures, ",") {
-		if name == "" {
-			continue
-		}
-		s, err := merlin.ParseStructure(name)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(2)
-		}
-		o.Structures = append(o.Structures, s)
+	if err := subsets(&o, *workloads, *structures); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(2)
 	}
 	if !*quiet {
 		o.Log = os.Stderr
@@ -88,6 +78,27 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
+}
+
+// subsets sets o's workload and structure subsets from the comma-separated
+// -workloads and -structures values, trimming the spaces around each name.
+func subsets(o *experiments.Options, workloads, structures string) error {
+	for _, name := range strings.Split(workloads, ",") {
+		if name = strings.TrimSpace(name); name != "" {
+			o.Workloads = append(o.Workloads, name)
+		}
+	}
+	for _, name := range strings.Split(structures, ",") {
+		if name = strings.TrimSpace(name); name == "" {
+			continue
+		}
+		s, err := merlin.ParseStructure(name)
+		if err != nil {
+			return err
+		}
+		o.Structures = append(o.Structures, s)
+	}
+	return nil
 }
 
 // run prints experiment name's result and, when csvDir is set, writes its

@@ -4,10 +4,28 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"merlin"
 	"merlin/internal/experiments"
 )
+
+// TestSubsetsTrimSpaces: -workloads and -structures take names with spaces
+// around the commas, as merlin -structures does, and an unknown structure
+// is still an error.
+func TestSubsetsTrimSpaces(t *testing.T) {
+	var o experiments.Options
+	if err := subsets(&o, "sha, qsort ", " RF, SQ"); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(o.Workloads, []string{"sha", "qsort"}) || !slices.Equal(o.Structures, []merlin.Structure{merlin.RF, merlin.SQ}) {
+		t.Errorf("subsets gave workloads %q, structures %v", o.Workloads, o.Structures)
+	}
+	if err := subsets(&experiments.Options{}, "", "RF, ROB"); err == nil {
+		t.Error("an unknown structure parsed")
+	}
+}
 
 // TestSpeedupsWriteCSV: -experiment speedups -csv DIR leaves one CSV per
 // figure it runs, Fig 13's included.

@@ -266,7 +266,7 @@ func ledgerInjector(job server.Job, emit func(CampaignEvent), pool *fleet.Pool, 
 			if onOutcome != nil {
 				onOutcome(i, list[i], o)
 			}
-			job.Checkpoint(map[int]string{offset + i: o.String()})
+			job.Checkpoint(offset+i, o.String())
 		})
 		if n := led.resume(job.Resume, offset); n > 0 {
 			emit(CampaignEvent{Type: "shard", Structure: structure,

@@ -494,12 +494,10 @@ func TestBaselineThroughLedger(t *testing.T) {
 				}
 				var mu sync.Mutex
 				checkpointed := map[int]string{}
-				job := server.Job{ID: "c000001", Resume: resume, Checkpoint: func(m map[int]string) {
+				job := server.Job{ID: "c000001", Resume: resume, Checkpoint: func(k int, v string) {
 					mu.Lock()
 					defer mu.Unlock()
-					for k, v := range m {
-						checkpointed[k] = v
-					}
+					checkpointed[k] = v
 				}}
 				b.inject = ledgerInjector(job, func(CampaignEvent) {}, fleet.NewPool(0), nil, 0)
 				if err := b.Preprocess(ctx); err != nil {

@@ -176,9 +176,9 @@ type Runner struct {
 	GoldenBudget uint64
 	// Snapshots, when non-nil, holds the Forked checkpoint ladders Run
 	// jumps its sweep along (the daemon's and a fleet worker's in-memory
-	// snapshot cache): RunGolden freezes the ladder into it as the golden
-	// run steps, and Run is served the ladder or replays it once for every
-	// Runner sharing the cache. Nil means no ladder: Run sweeps from reset.
+	// snapshot cache): Run is served the ladder, or on a miss its sweep
+	// freezes the ladder as it goes and stores it for every Runner sharing
+	// the cache. Nil means no ladder: Run sweeps from reset.
 	Snapshots *SnapshotCache
 
 	// pool recycles retired machine-clone shells across faults and
@@ -190,7 +190,7 @@ type Runner struct {
 	goldenRuns atomic.Int64
 
 	// reset is the frozen reset state every Replay fault and every sweep
-	// without a ladder starts from (see resetState), guarded by resetMu.
+	// not served a ladder starts from (see resetState), guarded by resetMu.
 	resetMu sync.Mutex
 	reset   *cpu.Core
 }
@@ -213,8 +213,9 @@ func NewRunner(t Target) *Runner {
 }
 
 // resetState returns the Runner's frozen reset state, cloning it the first
-// time off c, a core at reset (RunGolden's, before its first step), or off
-// a fresh core when c is nil (a Runner that ran no golden run).
+// time off c, a core at reset (RunGolden's, before its first step, which
+// saves a Runner with a golden run a fresh core), or off a fresh core when
+// c is nil (a Runner that ran no golden run).
 func (r *Runner) resetState(c *cpu.Core) *cpu.Core {
 	r.resetMu.Lock()
 	defer r.resetMu.Unlock()
@@ -268,9 +269,7 @@ func (m *runMetrics) fill(res *Result) {
 
 // RunGolden performs the fault-free reference run, tracking lifetimes of
 // the given structures (none for plain baseline campaigns). It keeps the
-// reset state for Run, and with Snapshots set it freezes the Forked
-// checkpoint ladder as it goes and stores it there (a ladder the cache
-// already holds is kept instead: the two are state-equal).
+// reset state for Run.
 func (r *Runner) RunGolden(track ...lifetime.StructureID) (*Golden, error) {
 	r.goldenRuns.Add(1)
 	c := r.NewCore()
@@ -279,20 +278,10 @@ func (r *Runner) RunGolden(track ...lifetime.StructureID) (*Golden, error) {
 		tr = lifetime.NewTracer(track...)
 		c.AttachTracer(tr)
 	}
-	reset := r.resetState(c)
-	var res cpu.RunResult
-	var fr *freezer
-	if r.Snapshots != nil {
-		fr = newFreezer(ForkSyncPoints, reset, r.pool)
-		res = fr.run(c, r.GoldenBudget)
-	} else {
-		res = c.Run(r.GoldenBudget)
-	}
+	r.resetState(c)
+	res := c.Run(r.GoldenBudget)
 	if res.Halt != cpu.HaltOK {
 		return nil, fmt.Errorf("campaign: golden run of %q ended with %v after %d cycles", r.Prog.Name, res.Halt, res.Cycles)
-	}
-	if fr != nil {
-		r.Snapshots.GetOrBuild(r.ladderKey(res.Cycles), func() *CheckpointSet { return fr.set })
 	}
 	if tr != nil {
 		tr.Finish(false)
@@ -378,8 +367,8 @@ type Work struct {
 	Clones    int64
 	CloneTime time.Duration
 	// SimCycles is the total number of machine cycles actually simulated:
-	// shared pre-fault work (a ladder replay, when a SnapshotCache had to
-	// build the ladder; the forked sweep) plus every faulty continuation.
+	// shared pre-fault work (the forked sweep, on a SnapshotCache miss
+	// stepped on to the ladder's last rung) plus every faulty continuation.
 	// Divided by Wall it yields the campaign's effective simulation
 	// throughput.
 	SimCycles uint64
@@ -401,10 +390,9 @@ type Work struct {
 	// SQ entry was overwritten or freed unread (cpu.Core.Watch).
 	Overwritten int64
 	// SnapshotHit reports that a SnapshotCache served the campaign's
-	// checkpoint ladder, so the campaign replayed none — also when its own
-	// golden run froze the ladder into the cache. With a cache it reads
-	// exactly "this campaign replayed no ladder"; without one there is no
-	// ladder and it is false, as it is for Replay.
+	// checkpoint ladder, so its sweep jumped along the rungs. It is false
+	// on a miss, where the sweep froze the ladder as it passed the rungs,
+	// without a cache, where there is no ladder, and for Replay.
 	SnapshotHit bool
 }
 

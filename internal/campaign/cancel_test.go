@@ -126,6 +126,43 @@ func TestSchedulerCancellationMultiWorker(t *testing.T) {
 	}
 }
 
+// TestCancelledSweepPublishesNoLadder: a Forked campaign cancelled on a
+// cold SnapshotCache stores no ladder, since its sweep stopped short of the
+// rungs past the cancellation point, so the next campaign misses too and
+// stores the whole ladder.
+func TestCancelledSweepPublishesNoLadder(t *testing.T) {
+	r := NewRunner(target(t, "sha"))
+	r.Workers = 1
+	r.Snapshots = NewSnapshotCache(0)
+	g, err := r.RunGolden()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := r.NewCore()
+	faults := sampling.Generate(lifetime.StructRF,
+		c.StructureEntries(lifetime.StructRF), 64, g.Result.Cycles, 60, 23)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var classified atomic.Int64
+	_, err = r.Run(ctx, faults, &g.Result, Plan{Strategy: Forked,
+		OnOutcome: func(int, fault.Fault, Outcome) {
+			if classified.Add(1) == 10 {
+				cancel()
+			}
+		}})
+	cancel()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if st := r.Snapshots.Stats(); st.Entries != 0 || st.Misses != 1 {
+		t.Fatalf("a cancelled campaign left the cache %+v, want one miss and no ladder", st)
+	}
+	res := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{Strategy: Forked}))
+	if st := r.Snapshots.Stats(); res.SnapshotHit || st.Entries != 1 || st.Misses != 2 {
+		t.Errorf("the next campaign hit %v and left the cache %+v, want a second miss storing the ladder", res.SnapshotHit, st)
+	}
+}
+
 // TestPreCancelledContext: a context cancelled before the campaign starts
 // must classify nothing and still return a consistent (all-cancelled)
 // partial result.

@@ -109,61 +109,60 @@ func TestCheckpointEdgeCycles(t *testing.T) {
 	}
 }
 
-// TestGoldenLadderMatchesReplay: on every workload and both timing-pin
-// configurations, the ladder a traced (RF, SQ, L1D) golden run freezes into
-// its Runner's SnapshotCache as it goes is the cache's one entry, sits at
-// CheckpointSchedule's cycles, and each rung is state-equal to the rung
-// BuildCheckpoints replays there; and freezing leaves the traced run
-// itself unchanged — its result, every structure's intervals and the
-// branch trace match those of a golden run without a cache, which freezes
-// nothing. -short and -race check shortWorkloads only.
-func TestGoldenLadderMatchesReplay(t *testing.T) {
+// TestSweepLadderMatchesReplay: on every workload and both timing-pin
+// configurations, a Forked campaign on a cold SnapshotCache leaves the
+// cache exactly one entry, the ladder its sweep froze: its rungs sit at
+// CheckpointSchedule's cycles and each is state-equal to the rung
+// BuildCheckpoints replays there. The campaign's faults all lie in the
+// first half of the run, so the sweep freezes the later rungs after its
+// last fault. Its outcomes equal those of a campaign without a cache, and
+// the next campaign on the cache is served the ladder. -short and -race
+// check shortWorkloads only.
+func TestSweepLadderMatchesReplay(t *testing.T) {
 	names := workloads.Names("")
 	if testing.Short() || raceEnabled {
 		names = shortWorkloads
 	}
+	ctx := context.Background()
 	for _, name := range names {
 		for _, tc := range timingConfigs {
 			id := name + "/" + tc.name
-			tgt := Target{Cfg: tc.cfg, Prog: workloads.MustGet(name).Program()}
-			frozen := NewRunner(tgt)
-			frozen.Snapshots = NewSnapshotCache(0)
-			g, err := frozen.RunGolden(allStructures...)
+			plain := NewRunner(Target{Cfg: tc.cfg, Prog: workloads.MustGet(name).Program()})
+			g, err := plain.RunGolden()
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain := NewRunner(tgt)
-			want, err := plain.RunGolden(allStructures...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(g.Result, want.Result) {
-				t.Errorf("%s: freezing changed the golden run's result", id)
-			}
-			for _, s := range allStructures {
-				if !reflect.DeepEqual(g.Tracer.Analysis(s).Intervals, want.Tracer.Analysis(s).Intervals) {
-					t.Errorf("%s/%v: freezing changed the intervals", id, s)
-				}
-			}
-			if !reflect.DeepEqual(g.Tracer.Branches, want.Tracer.Branches) {
-				t.Errorf("%s: freezing changed the branch trace", id)
-			}
+			c := plain.NewCore()
+			faults := sampling.Generate(lifetime.StructRF, c.StructureEntries(lifetime.StructRF),
+				c.StructureEntryBits(lifetime.StructRF), g.Result.Cycles/2, 20, 5)
+			want := mustRun(t)(plain.Run(ctx, faults, &g.Result, Plan{Strategy: Forked}))
 
-			ladder, hit := frozen.Snapshots.GetOrBuild(frozen.ladderKey(g.Result.Cycles), func() *CheckpointSet { return nil })
-			if st := frozen.Snapshots.Stats(); !hit || st.Misses != 1 || st.Entries != 1 {
-				t.Fatalf("%s: the golden run left the cache %+v (hit %v), want its one frozen ladder", id, st, hit)
+			cold := NewRunner(plain.Target)
+			cold.Snapshots = NewSnapshotCache(0)
+			got := mustRun(t)(cold.Run(ctx, faults, &g.Result, Plan{Strategy: Forked}))
+			if got.SnapshotHit || !slices.Equal(got.Outcomes, want.Outcomes) {
+				t.Errorf("%s: a cold-cache campaign hit %v, outcomes equal to no cache's %v", id, got.SnapshotHit, slices.Equal(got.Outcomes, want.Outcomes))
 			}
+			if st := cold.Snapshots.Stats(); st.Misses != 1 || st.Entries != 1 {
+				t.Fatalf("%s: the sweep left the cache %+v, want its one frozen ladder", id, st)
+			}
+			ladder := cold.Snapshots.Get(cold.ladderKey(g.Result.Cycles))
 			replay := plain.BuildCheckpoints(ForkSyncPoints, g.Result.Cycles)
 			if sched := CheckpointSchedule(ForkSyncPoints, g.Result.Cycles); !slices.Equal(ladder.cycles, sched) || !slices.Equal(replay.cycles, sched) {
 				t.Fatalf("%s: frozen rungs at %v, replayed at %v, schedule %v", id, ladder.cycles, replay.cycles, sched)
 			}
 			if len(ladder.cycles) < 2 {
-				t.Errorf("%s: %d-cycle golden run froze no rung past reset", id, g.Result.Cycles)
+				t.Errorf("%s: %d-cycle run froze no rung past reset", id, g.Result.Cycles)
 			}
 			for i, cyc := range ladder.cycles {
 				if !cpu.StateEqual(ladder.cores[i], replay.cores[i]) {
 					t.Errorf("%s: frozen rung at cycle %d differs from the replayed one", id, cyc)
 				}
+			}
+
+			again := mustRun(t)(cold.Run(ctx, faults, &g.Result, Plan{Strategy: Forked}))
+			if !again.SnapshotHit || !slices.Equal(again.Outcomes, want.Outcomes) {
+				t.Errorf("%s: the next campaign hit %v, outcomes equal to no cache's %v", id, again.SnapshotHit, slices.Equal(again.Outcomes, want.Outcomes))
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -84,12 +85,14 @@ func TestDeadOnArrivalStampsWall(t *testing.T) {
 	}
 }
 
-// TestSnapshotSourceSharing: a golden run on a Runner with a
-// SnapshotCache attached seeds the cache with the ladder it froze; every
-// Forked campaign is then served that ladder (SnapshotHit set, no replay,
-// the same SimCycles) — the seeding Runner's own and every one of a fresh
-// Runner of the same target, which ran no golden run — the cache built it
-// once, and outcomes stay bit-identical to Replay's.
+// TestSnapshotSourceSharing: the first Forked campaign on a SnapshotCache
+// misses, and its sweep freezes the ladder into the cache as it goes,
+// stepping on to the last rung after the list's last fault; every later
+// Forked campaign is served that ladder (SnapshotHit set, the same
+// SimCycles) — the freezing Runner's next one and every one of a fresh
+// Runner of the same target, which ran no golden run. The cache holds one
+// ladder, and outcomes stay bit-identical to Replay's. On this sparse
+// 25-fault sha/RF list the miss simulates 6,197 cycles and a hit 2,267.
 func TestSnapshotSourceSharing(t *testing.T) {
 	src := NewSnapshotCache(0)
 	seed := NewRunner(target(t, "sha"))
@@ -104,17 +107,24 @@ func TestSnapshotSourceSharing(t *testing.T) {
 	if want.SnapshotHit {
 		t.Error("replay strategy must never report a snapshot hit")
 	}
-	own := mustRun(t)(seed.Run(context.Background(), faults, &g.Result, Plan{Strategy: Forked}))
-	if !own.SnapshotHit {
-		t.Error("the Runner whose golden run froze the ladder did not report a snapshot hit")
+	if st := src.Stats(); st.Hits+st.Misses != 0 {
+		t.Errorf("a golden run and a Replay campaign asked the cache for a ladder: %+v", st)
+	}
+	const missCycles, hitCycles = 6197, 2267
+	miss := mustRun(t)(seed.Run(context.Background(), faults, &g.Result, Plan{Strategy: Forked}))
+	if miss.SnapshotHit || miss.SimCycles != missCycles {
+		t.Errorf("first Forked campaign: SnapshotHit %v SimCycles %d, want a miss at %d", miss.SnapshotHit, miss.SimCycles, missCycles)
+	}
+	if !slices.Equal(miss.Outcomes, want.Outcomes) {
+		t.Error("the campaign that froze the ladder diverges from Replay")
 	}
 
 	r := NewRunner(target(t, "sha"))
 	r.Snapshots = src
-	for round := 0; round < 2; round++ {
-		fk := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{Strategy: Forked}))
-		if !fk.SnapshotHit || fk.SimCycles != own.SimCycles {
-			t.Errorf("round %d: SnapshotHit %v SimCycles %d, want a hit at the frozen ladder's %d", round, fk.SnapshotHit, fk.SimCycles, own.SimCycles)
+	for round, run := range []*Runner{seed, r, r} {
+		fk := mustRun(t)(run.Run(context.Background(), faults, &g.Result, Plan{Strategy: Forked}))
+		if !fk.SnapshotHit || fk.SimCycles != hitCycles {
+			t.Errorf("round %d: SnapshotHit %v SimCycles %d, want a hit at %d", round, fk.SnapshotHit, fk.SimCycles, hitCycles)
 		}
 		for i := range faults {
 			if fk.Outcomes[i] != want.Outcomes[i] {
@@ -123,14 +133,15 @@ func TestSnapshotSourceSharing(t *testing.T) {
 		}
 	}
 	if st := src.Stats(); st.Misses != 1 || st.Entries != 1 || st.Hits != 3 {
-		t.Errorf("snapshot cache %+v, want the one seeded ladder served to all 3 Forked campaigns", st)
+		t.Errorf("snapshot cache %+v, want the one frozen ladder served to the 3 later Forked campaigns", st)
 	}
 }
 
 // TestConcurrentCampaignsSharedSnapshots: concurrent campaigns over one
-// Runner configuration and one shared source must agree with the serial
-// outcomes; run under -race this exercises concurrent cloning of shared
-// frozen ladders end-to-end.
+// Runner configuration and one shared cache must agree with the serial
+// outcomes and leave the cache one ladder; run under -race this exercises
+// concurrent misses racing to store their frozen ladders and concurrent
+// cloning of a shared one end-to-end.
 func TestConcurrentCampaignsSharedSnapshots(t *testing.T) {
 	src := NewSnapshotCache(0)
 	base := NewRunner(target(t, "sha"))
@@ -160,6 +171,9 @@ func TestConcurrentCampaignsSharedSnapshots(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	if st := src.Stats(); st.Entries != 1 || st.Hits+st.Misses != uint64(len(outcomes)) {
+		t.Errorf("snapshot cache %+v after %d campaigns, want one ladder", st, len(outcomes))
+	}
 	for i, res := range outcomes {
 		if res == nil {
 			continue

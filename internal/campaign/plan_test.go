@@ -122,14 +122,13 @@ func TestPlansAgreeOnGeneratedKernels(t *testing.T) {
 // back, instructions interpreted), the faults classified dead at the flip
 // and those the overwrite watch decided. Without a SnapshotCache the sweep
 // runs from reset, so a Runner that ran the golden run (cold) and one that
-// ran none (warm, the artifact-cache-hit path) do the same work. With a
-// cache, the Runner whose golden run froze the ladder into it and a fresh
-// Runner sharing it are both served; a Runner on a cache holding no ladder
-// replays it once, and its next campaign is served. The ladder only moves
-// the sweep: every Forked row's hand-off and exit counters are equal, and
-// the replay costs exactly the ladder's LastCycle. Replay has no rung and no
-// fork, so it never hands off and never decides at the flip or at an
-// overwrite.
+// ran none (warm, the artifact-cache-hit path) do the same work. On a cache
+// holding no ladder the sweep does that work too and freezes the ladder as
+// it passes the rungs, one clone each; the Runner's next campaign and a
+// fresh Runner sharing the cache are served it. The ladder only moves the
+// sweep: every Forked row's hand-off and exit counters are equal. Replay
+// has no rung and no fork, so it never hands off and never decides at the
+// flip or at an overwrite.
 func TestPlanWorkCounters(t *testing.T) {
 	type work struct {
 		clones      int64
@@ -146,20 +145,14 @@ func TestPlanWorkCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := NewSnapshotCache(0)
-	seeded := NewRunner(target(t, "sha"))
-	seeded.Snapshots = src
-	if _, err := seeded.RunGolden(); err != nil {
-		t.Fatal(err)
-	}
 	c := cold.NewCore()
 	faults := sampling.Generate(lifetime.StructRF, c.StructureEntries(lifetime.StructRF),
 		c.StructureEntryBits(lifetime.StructRF), g.Result.Cycles, 1000, 1)
 	warm := NewRunner(target(t, "sha"))
+	cached := NewRunner(target(t, "sha"))
+	cached.Snapshots = NewSnapshotCache(0)
 	served := NewRunner(target(t, "sha"))
-	served.Snapshots = src
-	replayed := NewRunner(target(t, "sha"))
-	replayed.Snapshots = NewSnapshotCache(0)
+	served.Snapshots = cached.Snapshots
 	rows := []struct {
 		name     string
 		r        *Runner
@@ -169,10 +162,9 @@ func TestPlanWorkCounters(t *testing.T) {
 		{"replay", cold, Replay, work{1000, 6152243, false, 0, 0, 0, 0, 0}},
 		{"forked cold", cold, Forked, work{169, 8602, false, 69, 0, 533434, 832, 99}},
 		{"forked warm", warm, Forked, work{169, 8602, false, 69, 0, 533434, 832, 99}},
-		{"forked seeded", seeded, Forked, work{193, 8437, true, 69, 0, 533434, 832, 99}},
+		{"forked miss", cached, Forked, work{193, 8602, false, 69, 0, 533434, 832, 99}},
+		{"forked hit", cached, Forked, work{193, 8437, true, 69, 0, 533434, 832, 99}},
 		{"forked served", served, Forked, work{193, 8437, true, 69, 0, 533434, 832, 99}},
-		{"forked replayed", replayed, Forked, work{193, 14581, false, 69, 0, 533434, 832, 99}},
-		{"forked replayed again", replayed, Forked, work{193, 8437, true, 69, 0, 533434, 832, 99}},
 	}
 	got := map[string]work{}
 	for _, row := range rows {
@@ -185,26 +177,28 @@ func TestPlanWorkCounters(t *testing.T) {
 	if cold, warm := got["forked cold"], got["forked warm"]; cold != warm {
 		t.Errorf("without a cache, the cold campaign did %+v and the warm one %+v", cold, warm)
 	}
-	if seeded, served := got["forked seeded"].simCycles, got["forked served"].simCycles; seeded != served {
-		t.Errorf("the seeding Runner's campaign simulated %d cycles, a served one %d: the frozen ladder cost cycles", seeded, served)
+	rungs := int64(len(CheckpointSchedule(ForkSyncPoints, g.Result.Cycles)) - 1)
+	if extra := got["forked miss"].clones - got["forked cold"].clones; extra != rungs {
+		t.Errorf("freezing the ladder took %d clones, want one per rung past reset, %d", extra, rungs)
 	}
-	if extra, want := got["forked replayed"].simCycles-got["forked served"].simCycles, replayed.BuildCheckpoints(ForkSyncPoints, g.Result.Cycles).LastCycle(); extra != want {
-		t.Errorf("the ladder replay cost %d cycles, want its LastCycle %d", extra, want)
+	if hit, served := got["forked hit"], got["forked served"]; hit != served {
+		t.Errorf("the freezing Runner's next campaign did %+v, a fresh Runner served the ladder %+v", hit, served)
 	}
 }
 
-// TestLadderOnlyMovesTheSweep: a ladder served by a SnapshotCache lets the
-// Forked sweep jump forward to its rungs, and changes nothing else. On the
-// RF lists of sha and gcc and the L1D list of djpeg (whose runs retry the
-// hand-off at rung cycles) under both timing configurations, a Runner
-// whose golden run froze the ladder into its cache and a Runner with no
-// cache, which sweeps from reset, classify the same faults alike and
-// agree on every counter of what the continuations did: hand-offs,
-// fall-backs, instructions interpreted, dead at the flip, overwritten.
-// Only SimCycles, Clones and SnapshotHit may differ. Each list is mostly
-// faults the ACE-like analysis says are read, the kind a MeRLiN campaign
-// injects and the kind that hands off; on djpeg some must fall back and
-// retry. -short and -race check sha and djpeg on shorter lists.
+// TestLadderOnlyMovesTheSweep: a SnapshotCache lets the Forked sweep
+// freeze a ladder's rungs on a miss and jump forward to them on a hit, and
+// changes nothing else. On the RF lists of sha and gcc and the L1D list of
+// djpeg (whose runs retry the hand-off at rung cycles) under both timing
+// configurations, a Runner with no cache, which sweeps from reset, and a
+// Runner with a cache, whose first campaign freezes the ladder and whose
+// second is served it, classify the same faults alike and agree on every
+// counter of what the continuations did: hand-offs, fall-backs,
+// instructions interpreted, dead at the flip, overwritten. Only SimCycles,
+// Clones and SnapshotHit may differ. Each list is mostly faults the
+// ACE-like analysis says are read, the kind a MeRLiN campaign injects and
+// the kind that hands off; on djpeg some must fall back and retry. -short
+// and -race check sha and djpeg on shorter lists.
 func TestLadderOnlyMovesTheSweep(t *testing.T) {
 	live, dead := 800, 200
 	lists := []struct {
@@ -223,11 +217,8 @@ func TestLadderOnlyMovesTheSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			served := NewRunner(tgt)
-			served.Snapshots = NewSnapshotCache(0)
-			if _, err := served.RunGolden(); err != nil {
-				t.Fatal(err)
-			}
+			cached := NewRunner(tgt)
+			cached.Snapshots = NewSnapshotCache(0)
 			c := plain.NewCore()
 			entries, bits := c.StructureEntries(tc.s), c.StructureEntryBits(tc.s)
 			ace := g.Tracer.Analysis(tc.s)
@@ -243,19 +234,22 @@ func TestLadderOnlyMovesTheSweep(t *testing.T) {
 				}
 			}
 			want := mustRun(t)(plain.Run(context.Background(), faults, &g.Result, Plan{Strategy: Forked}))
-			got := mustRun(t)(served.Run(context.Background(), faults, &g.Result, Plan{Strategy: Forked}))
-			if !got.SnapshotHit || want.SnapshotHit {
-				t.Fatalf("%s: SnapshotHit %v with the frozen ladder, %v without a cache", id, got.SnapshotHit, want.SnapshotHit)
-			}
-			if !slices.Equal(got.Outcomes, want.Outcomes) {
-				t.Errorf("%s: outcomes differ with a served ladder", id)
-			}
 			counters := func(w Work) [5]int64 {
 				return [5]int64{w.HandOffs, w.FellBack, int64(w.InterpInsts), w.DeadAtFlip, w.Overwritten}
 			}
-			if counters(got.Work) != counters(want.Work) {
-				t.Errorf("%s: hand-offs, fall-backs, interpreted, dead at the flip, overwritten %v with a served ladder, %v without",
-					id, counters(got.Work), counters(want.Work))
+			var got *Result
+			for _, hit := range []bool{false, true} {
+				got = mustRun(t)(cached.Run(context.Background(), faults, &g.Result, Plan{Strategy: Forked}))
+				if got.SnapshotHit != hit || want.SnapshotHit {
+					t.Fatalf("%s: SnapshotHit %v on a cache that holds a ladder: %v; %v without a cache", id, got.SnapshotHit, hit, want.SnapshotHit)
+				}
+				if !slices.Equal(got.Outcomes, want.Outcomes) {
+					t.Errorf("%s: outcomes differ with a cache that holds a ladder: %v", id, hit)
+				}
+				if counters(got.Work) != counters(want.Work) {
+					t.Errorf("%s: hand-offs, fall-backs, interpreted, dead at the flip, overwritten %v with a cache that holds a ladder: %v, %v without",
+						id, counters(got.Work), hit, counters(want.Work))
+				}
 			}
 			if tc.s == lifetime.StructL1D && want.FellBack == 0 {
 				t.Errorf("%s: no hand-off fell back, so no run retried at a rung cycle", id)

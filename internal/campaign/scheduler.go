@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -53,7 +54,8 @@ func ParseStrategy(name string) (Strategy, error) {
 // reset (CheckpointSchedule). Faulty continuations retry the hand-off at
 // each rung cycle; where a SnapshotCache holds the ladder's snapshots, the
 // sweep also jumps forward to them and re-roots its copy-on-write lineage
-// there.
+// there, and where it holds none, the sweep freezes them for the next
+// campaign.
 const ForkSyncPoints = 24
 
 // Plan says how one campaign reproduces each fault's pre-fault prefix and
@@ -110,15 +112,16 @@ type job struct {
 // of machine snapshots in memory.
 //
 // With r.Snapshots set, the Forked sweep jumps forward along the ladder the
-// cache serves (frozen by a golden run, or replayed once per cache after an
-// artifact-cache hit, by the campaign that alone counts the replay); without
-// it, the sweep and every Replay fault start from the Runner's frozen reset
-// state. The replay and the sweep are shared pre-fault work, counted once
-// in Wall, Serial and SimCycles. An empty or already-cancelled campaign
-// does neither. Cancellation is observed between faults: no new fault is
-// dispatched once ctx is done, in-flight faults finish classification, the
-// rest stay marked Cancelled, and the partial Result is returned together
-// with ctx.Err().
+// cache serves. On a miss it starts from the Runner's frozen reset state,
+// as without a cache, and clones its core at each rung cycle it passes,
+// stepping on to the last rung after the last fault; a campaign that was
+// not cancelled stores that ladder in the cache. Every Replay fault starts
+// from the reset state. The sweep is shared pre-fault work, counted once
+// in Wall, Serial and SimCycles; an empty or already-cancelled campaign
+// does none and asks the cache nothing. Cancellation is observed between
+// faults: no new fault is dispatched once ctx is done, in-flight faults
+// finish classification, the rest stay marked Cancelled, and the partial
+// Result is returned together with ctx.Err().
 func (r *Runner) Run(ctx context.Context, faults []fault.Fault, golden *cpu.RunResult, plan Plan) (*Result, error) {
 	res := newResult(len(faults))
 	start := time.Now()
@@ -140,36 +143,35 @@ func (r *Runner) Run(ctx context.Context, faults []fault.Fault, golden *cpu.RunR
 	var serialNS atomic.Int64
 	var m runMetrics
 	pool := r.pool
-	// ladder holds the sweep's start and the rungs it may jump to; rungs
-	// are the cycles a continuation retries the hand-off at.
+	// ladder holds the sweep's start and the rungs it may jump to: served
+	// by the cache, or the reset state alone.
 	var ladder *CheckpointSet
-	var rungs []uint64
-	if plan.Strategy == Forked {
-		rungs = CheckpointSchedule(ForkSyncPoints, golden.Cycles)[1:]
-		if r.Snapshots != nil {
-			ladder, res.SnapshotHit = r.Snapshots.GetOrBuild(r.ladderKey(golden.Cycles), func() *CheckpointSet {
-				return r.BuildCheckpoints(ForkSyncPoints, golden.Cycles)
-			})
-			if !res.SnapshotHit {
-				m.simCycles.Add(ladder.LastCycle())
-			}
-		}
+	var rungs []uint64 // the cycles a continuation retries the hand-off at
+	key := r.ladderKey(golden.Cycles)
+	if plan.Strategy == Forked && r.Snapshots != nil {
+		ladder = r.Snapshots.Get(key)
+		res.SnapshotHit = ladder != nil
 	}
 	if ladder == nil {
 		ladder = &CheckpointSet{cycles: []uint64{0}, cores: []*cpu.Core{r.resetState(nil)}}
 	}
-	serialNS.Add(int64(time.Since(start)))
-
 	var sw *sweep
 	var order []int // dispatch order; nil means input order
 	if plan.Strategy == Forked {
+		rungs = CheckpointSchedule(ForkSyncPoints, golden.Cycles)[1:]
 		sw = &sweep{
 			ladder: ladder, pool: pool, m: &m,
 			core: m.clone(pool, ladder.cores[0]),
 			next: 1,
 		}
+		if r.Snapshots != nil && !res.SnapshotHit {
+			sw.frozen = &CheckpointSet{cycles: []uint64{0}, cores: []*cpu.Core{ladder.cores[0]}}
+			sw.freeze = rungs
+		}
 		order = fault.SortedIndices(faults) // the sweep only moves forward
 	}
+	serialNS.Add(int64(time.Since(start)))
+
 	record := func(idx int, o Outcome) {
 		res.Outcomes[idx] = o
 		if plan.OnOutcome != nil {
@@ -237,6 +239,10 @@ feed:
 	}
 	close(jobs)
 	if sw != nil {
+		if sw.frozen != nil && ctx.Err() == nil {
+			sw.freezeBefore(math.MaxUint64)
+			r.Snapshots.Put(key, sw.frozen)
+		}
 		sw.meter()
 		serialNS.Add(int64(time.Since(t0)))
 	}
@@ -260,13 +266,18 @@ type sweep struct {
 	core   *cpu.Core
 	from   uint64 // cycle core was last rooted at
 	next   int    // first ladder snapshot not yet crossed
+	// frozen, on a SnapshotCache miss, is the ladder the sweep freezes as
+	// it goes, and freeze the rung cycles it has yet to pass.
+	frozen *CheckpointSet
+	freeze []uint64
 }
 
 // advance steps the sweep to the pre-injection cycle of a fault at fc.
 // Past a ladder snapshot (a reset-only ladder has none), the sweep jumps
 // to a clone of the latest one instead of stepping there — bit-identical
 // state by determinism — which also keeps the copy-on-write page pool the
-// forks share with the ladder shallow.
+// forks share with the ladder shallow. On a miss it freezes the rungs it
+// passes instead.
 func (s *sweep) advance(fc uint64) {
 	root := -1
 	for s.next < len(s.ladder.cycles) && s.ladder.cycles[s.next] < fc {
@@ -279,8 +290,22 @@ func (s *sweep) advance(fc uint64) {
 		s.core = s.m.clone(s.pool, s.ladder.cores[root])
 		s.from = s.core.Cycle()
 	}
+	s.freezeBefore(fc)
 	for s.core.Cycle()+1 < fc && s.core.Halted() == cpu.Running {
 		s.core.Step()
+	}
+}
+
+// freezeBefore steps the sweep to each rung cycle before fc it has yet to
+// pass and adds a clone of its core there to the frozen ladder.
+func (s *sweep) freezeBefore(fc uint64) {
+	for len(s.freeze) > 0 && s.freeze[0] < fc {
+		for s.core.Cycle() < s.freeze[0] && s.core.Halted() == cpu.Running {
+			s.core.Step()
+		}
+		s.frozen.cycles = append(s.frozen.cycles, s.core.Cycle())
+		s.frozen.cores = append(s.frozen.cores, s.m.clone(s.pool, s.core))
+		s.freeze = s.freeze[1:]
 	}
 }
 

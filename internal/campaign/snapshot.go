@@ -10,9 +10,10 @@ import (
 // SnapshotKey identifies one checkpoint ladder: everything its machine
 // snapshots depend on. Two campaigns agreeing on the key — regardless of
 // fault list, seed, workers, or grouping knobs — can share one immutable
-// CheckpointSet, because the ladder, frozen or replayed, is deterministic
-// in (workload program, core configuration, golden length): it always
-// holds ForkSyncPoints snapshots.
+// CheckpointSet, because the ladder, frozen by a sweep or replayed, is
+// deterministic in (workload program, core configuration, golden length):
+// it holds the reset state and at most ForkSyncPoints rungs past it, at
+// CheckpointSchedule's cycles.
 type SnapshotKey struct {
 	// Workload names the target program (Target.Prog.Name).
 	Workload string
@@ -40,12 +41,6 @@ func (s *CheckpointSet) MemBytes() int64 {
 	return n
 }
 
-// LastCycle returns the cycle of the latest snapshot (0 for a reset-only
-// set): the simulation work one BuildCheckpoints replay of it performs.
-func (s *CheckpointSet) LastCycle() uint64 {
-	return s.cycles[len(s.cycles)-1]
-}
-
 // DefaultSnapshotBudget bounds the resident bytes of cached checkpoint
 // ladders: roughly a handful of full-size ladders on the paper's baseline
 // configuration, small next to the daemon's working set.
@@ -54,29 +49,27 @@ const DefaultSnapshotBudget = 512 << 20
 // SnapshotCache is a byte-budgeted LRU of checkpoint ladders: ladders
 // stay in memory, keyed by everything they depend on, so concurrent and
 // repeat campaigns over the same (workload, CPU config, golden length)
-// share one immutable CheckpointSet. A Runner with a non-nil Snapshots
-// field freezes its golden run's ladder straight into it, and every Forked
-// campaign on such a Runner gets its ladder from it — served, or, after an
-// artifact-cache hit skipped the golden run, replayed once
-// (BuildCheckpoints, one golden-length pass) and shared. It is safe for
-// concurrent use; concurrent GetOrBuild calls for one key are deduplicated
-// so the ladder is built once and shared (every CheckpointSet is immutable
-// and safe to clone from any number of goroutines).
+// share one immutable CheckpointSet. Every Forked campaign on a Runner
+// with a non-nil Snapshots field looks its ladder up here; on a miss its
+// sweep freezes the ladder as it passes the rungs and stores it once the
+// campaign finishes uncancelled. It is safe for concurrent use: misses
+// racing on one key each freeze a ladder, they are state-equal, and the
+// first Put stays (every CheckpointSet is immutable and safe to clone
+// from any number of goroutines).
 //
 // Sizes are estimated by CheckpointSet.MemBytes, a conservative
 // (over-counting) bound, so heavy multi-tenant traffic cannot hold
 // unbounded snapshots: the least-recently-used ladders are dropped once
-// the budget is exceeded. The most recently built ladder is always
+// the budget is exceeded. The most recently stored ladder is always
 // retained even if it alone exceeds the budget — repeat campaigns must be
 // able to hit. Evicted sets still in use by running campaigns stay valid;
 // eviction only drops the cache's reference.
 type SnapshotCache struct {
-	mu       sync.Mutex
-	budget   int64
-	bytes    int64
-	entries  map[SnapshotKey]*snapEntry
-	order    *list.List // front = most recently used
-	inflight map[SnapshotKey]*snapBuild
+	mu      sync.Mutex
+	budget  int64
+	bytes   int64
+	entries map[SnapshotKey]*snapEntry
+	order   *list.List // front = most recently used
 
 	hits, misses, evictions uint64
 }
@@ -88,13 +81,6 @@ type snapEntry struct {
 	elem  *list.Element
 }
 
-// snapBuild tracks one in-progress ladder build; latecomers wait on done
-// and share the result instead of building their own.
-type snapBuild struct {
-	done chan struct{}
-	set  *CheckpointSet
-}
-
 // NewSnapshotCache returns a cache bounded to budget resident bytes;
 // budget <= 0 means DefaultSnapshotBudget.
 func NewSnapshotCache(budget int64) *SnapshotCache {
@@ -102,75 +88,40 @@ func NewSnapshotCache(budget int64) *SnapshotCache {
 		budget = DefaultSnapshotBudget
 	}
 	return &SnapshotCache{
-		budget:   budget,
-		entries:  make(map[SnapshotKey]*snapEntry),
-		order:    list.New(),
-		inflight: make(map[SnapshotKey]*snapBuild),
+		budget:  budget,
+		entries: make(map[SnapshotKey]*snapEntry),
+		order:   list.New(),
 	}
 }
 
-// GetOrBuild returns the cached ladder for key, joining an in-progress
-// build when one is underway, and otherwise builds, caches and returns it.
-// hit reports that the caller was served without triggering a rebuild of
-// its own. If the builder a waiter joined panicked (or produced nil), the
-// waiter retries — becoming the next builder itself rather than handing a
-// nil set to a scheduler.
-func (c *SnapshotCache) GetOrBuild(key SnapshotKey, build func() *CheckpointSet) (*CheckpointSet, bool) {
-	for {
-		c.mu.Lock()
-		if e, ok := c.entries[key]; ok {
-			c.order.MoveToFront(e.elem)
-			c.hits++
-			c.mu.Unlock()
-			return e.set, true
-		}
-		if b, ok := c.inflight[key]; ok {
-			c.mu.Unlock()
-			<-b.done
-			if b.set != nil {
-				c.mu.Lock()
-				c.hits++
-				c.mu.Unlock()
-				return b.set, true
-			}
-			continue // the build died; race to become the next builder
-		}
-		b := &snapBuild{done: make(chan struct{})}
-		c.inflight[key] = b
-		c.misses++
-		c.mu.Unlock()
-		return c.runBuild(key, b, build)
-	}
-}
-
-// runBuild executes one ladder build outside the lock (construction
-// replays a golden run and must not serialize unrelated campaigns) and
-// publishes the result. On a panic the inflight slot is cleared with
-// b.set still nil — waiters retry — and the panic propagates to the
-// building campaign, which records it as failed.
-func (c *SnapshotCache) runBuild(key SnapshotKey, b *snapBuild, build func() *CheckpointSet) (*CheckpointSet, bool) {
-	defer func() {
-		c.mu.Lock()
-		delete(c.inflight, key)
-		c.mu.Unlock()
-		close(b.done)
-	}()
-	set := build()
-	b.set = set
-	if set == nil {
-		return nil, false
-	}
-
+// Get returns the cached ladder for key, counting a hit, or nil, counting
+// a miss.
+func (c *SnapshotCache) Get(key SnapshotKey) *CheckpointSet {
 	c.mu.Lock()
-	if _, ok := c.entries[key]; !ok { // a racing builder may have stored first
-		e := &snapEntry{key: key, set: set, bytes: set.MemBytes()}
-		e.elem = c.order.PushFront(e)
-		c.entries[key] = e
-		c.bytes += e.bytes
-		c.evictLocked()
+	defer c.mu.Unlock()
+	e, ok := c.entries[key]
+	if !ok {
+		c.misses++
+		return nil
 	}
-	c.mu.Unlock()
-	return set, false
+	c.order.MoveToFront(e.elem)
+	c.hits++
+	return e.set
+}
+
+// Put stores set under key and evicts down to the budget. A key the cache
+// already holds keeps its ladder: the first Put wins.
+func (c *SnapshotCache) Put(key SnapshotKey, set *CheckpointSet) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.entries[key]; ok {
+		return
+	}
+	e := &snapEntry{key: key, set: set, bytes: set.MemBytes()}
+	e.elem = c.order.PushFront(e)
+	c.entries[key] = e
+	c.bytes += e.bytes
+	c.evictLocked()
 }
 
 // evictLocked drops least-recently-used ladders until the cache fits its
@@ -189,8 +140,8 @@ func (c *SnapshotCache) evictLocked() {
 // SnapshotStats is a point-in-time snapshot of cache effectiveness,
 // served by the daemon's /statsz endpoint.
 type SnapshotStats struct {
-	Hits      uint64 `json:"hits"`      // ladders served without a rebuild
-	Misses    uint64 `json:"misses"`    // ladders built (once per unique key)
+	Hits      uint64 `json:"hits"`      // campaigns served a ladder
+	Misses    uint64 `json:"misses"`    // campaigns whose sweep froze one
 	Evictions uint64 `json:"evictions"` // ladders dropped by the byte budget
 	Entries   int    `json:"entries"`   // ladders currently cached
 	Bytes     int64  `json:"bytes"`     // estimated resident bytes (conservative)

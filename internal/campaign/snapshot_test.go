@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"sync"
 	"testing"
 
 	"merlin/internal/cpu"
@@ -22,32 +21,29 @@ func snapRunner(t *testing.T, workload string) (*Runner, uint64) {
 	return r, g.Result.Cycles
 }
 
-// TestSnapshotCacheHitMiss: first build misses, repeats hit and return the
-// identical immutable set; stats track both.
+// TestSnapshotCacheHitMiss: a Get before any Put misses; after a Put,
+// Gets hit and return the identical immutable set, and a second Put under
+// the same key keeps the first set; stats track both.
 func TestSnapshotCacheHitMiss(t *testing.T) {
 	r, cycles := snapRunner(t, "sha")
 	c := NewSnapshotCache(0)
-	r.Snapshots = c
-
 	key := SnapshotKey{Workload: "sha", CPU: r.Cfg, GoldenCycles: cycles}
-	builds := 0
-	build := func() *CheckpointSet {
-		builds++
-		return r.BuildCheckpoints(4, cycles)
-	}
 
-	set1, hit := c.GetOrBuild(key, build)
-	if hit || set1 == nil || builds != 1 {
-		t.Fatalf("first GetOrBuild: hit=%v builds=%d", hit, builds)
+	if set := c.Get(key); set != nil {
+		t.Fatal("an empty cache served a ladder")
 	}
-	set2, hit := c.GetOrBuild(key, build)
-	if !hit || set2 != set1 || builds != 1 {
-		t.Fatalf("second GetOrBuild: hit=%v same=%v builds=%d", hit, set2 == set1, builds)
+	set1 := r.BuildCheckpoints(4, cycles)
+	c.Put(key, set1)
+	c.Put(key, r.BuildCheckpoints(4, cycles))
+	for i := 0; i < 2; i++ {
+		if set := c.Get(key); set != set1 {
+			t.Fatalf("Get %d after Put: got %p, want the first Put's set %p", i, set, set1)
+		}
 	}
 
 	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 || st.Bytes <= 0 {
-		t.Errorf("stats after hit+miss: %+v", st)
+	if st.Hits != 2 || st.Misses != 1 || st.Entries != 1 || st.Bytes <= 0 {
+		t.Errorf("stats after 1 miss and 2 hits: %+v", st)
 	}
 	if st.Bytes != set1.MemBytes() {
 		t.Errorf("accounted bytes %d != set estimate %d", st.Bytes, set1.MemBytes())
@@ -66,59 +62,19 @@ func TestSnapshotCacheLRUBudget(t *testing.T) {
 	keyK := func(k int) SnapshotKey {
 		return SnapshotKey{Workload: "sha", CPU: r.Cfg, GoldenCycles: cycles + uint64(k)}
 	}
-	c.GetOrBuild(keyK(3), func() *CheckpointSet { return r.BuildCheckpoints(3, cycles) })
-	c.GetOrBuild(keyK(5), func() *CheckpointSet { return r.BuildCheckpoints(5, cycles) })
+	c.Put(keyK(3), one)
+	c.Put(keyK(5), r.BuildCheckpoints(5, cycles))
 
 	st := c.Stats()
 	if st.Entries != 1 || st.Evictions != 1 {
 		t.Fatalf("after exceeding budget: %+v", st)
 	}
-	// The newest key must be the survivor: re-requesting it hits...
-	if _, hit := c.GetOrBuild(keyK(5), func() *CheckpointSet { t.Fatal("unexpected rebuild"); return nil }); !hit {
+	// The newest key must be the survivor...
+	if c.Get(keyK(5)) == nil {
 		t.Error("most recent ladder was evicted")
 	}
-	// ...and the evicted one rebuilds.
-	rebuilt := false
-	if _, hit := c.GetOrBuild(keyK(3), func() *CheckpointSet {
-		rebuilt = true
-		return r.BuildCheckpoints(3, cycles)
-	}); hit || !rebuilt {
-		t.Error("evicted ladder was not rebuilt")
-	}
-}
-
-// TestSnapshotCacheConcurrentBuild: concurrent GetOrBuild calls for one
-// key must produce exactly one build, with latecomers reporting hits on
-// the shared set.
-func TestSnapshotCacheConcurrentBuild(t *testing.T) {
-	r, cycles := snapRunner(t, "sha")
-	c := NewSnapshotCache(0)
-	key := SnapshotKey{Workload: "sha", CPU: r.Cfg, GoldenCycles: cycles}
-
-	var mu sync.Mutex
-	builds := 0
-	var wg sync.WaitGroup
-	sets := make([]*CheckpointSet, 8)
-	for i := range sets {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			set, _ := c.GetOrBuild(key, func() *CheckpointSet {
-				mu.Lock()
-				builds++
-				mu.Unlock()
-				return r.BuildCheckpoints(6, cycles)
-			})
-			sets[i] = set
-		}(i)
-	}
-	wg.Wait()
-	if builds != 1 {
-		t.Fatalf("concurrent GetOrBuild built %d ladders, want 1", builds)
-	}
-	for i, set := range sets {
-		if set != sets[0] {
-			t.Fatalf("caller %d received a different set", i)
-		}
+	// ...and the evicted one misses.
+	if c.Get(keyK(3)) != nil {
+		t.Error("evicted ladder was served")
 	}
 }

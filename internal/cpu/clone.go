@@ -18,8 +18,7 @@ import "unsafe"
 // The lifetime tracer is not cloned: snapshots serve injection runs, which
 // are never traced. Clone of a traced core returns an untraced snapshot —
 // no tracer, no pending reads, no L1D fill/evict hooks — and leaves the
-// traced run itself unchanged, so the golden run can freeze its checkpoint
-// ladder as it goes.
+// traced run itself unchanged.
 func (c *Core) Clone() *Core {
 	n := new(Core)
 	c.cloneInto(n)

@@ -145,9 +145,9 @@ type Event struct {
 	CacheHit *bool `json:"cache_hit,omitempty"`
 
 	// Inject and baseline events: whether the shared snapshot cache
-	// served the checkpoint ladder, so the campaign replayed none — also
-	// when its own golden run froze the ladder there — and the campaign's
-	// effective simulation throughput in cycles per wall-clock second.
+	// served the checkpoint ladder (false on a miss, where the campaign's
+	// sweep froze the ladder as it went), and the campaign's effective
+	// simulation throughput in cycles per wall-clock second.
 	SnapshotHit  *bool   `json:"snapshot_hit,omitempty"`
 	CyclesPerSec float64 `json:"cycles_per_sec,omitempty"`
 
@@ -173,12 +173,12 @@ type Job struct {
 	// correct by determinism, just slower.
 	Resume map[int]string
 
-	// Checkpoint, never nil, merges newly classified outcomes into the
-	// record's durable state. The server persists them (throttled) through
-	// its registry when one is configured, so a crashed or restarted
-	// coordinator resumes from the last checkpoint instead of restarting.
-	// Safe for concurrent use.
-	Checkpoint func(outcomes map[int]string)
+	// Checkpoint, never nil, merges one newly classified outcome (key as
+	// in Resume) into the record's durable state. The server persists the
+	// outcomes (throttled) through its registry when one is configured, so
+	// a crashed or restarted coordinator resumes from the last checkpoint
+	// instead of restarting. Safe for concurrent use.
+	Checkpoint func(key int, outcome string)
 }
 
 // RunFunc executes one campaign: it returns the JSON-marshalable report,
@@ -666,27 +666,22 @@ func (s *Server) run(c *campaign) {
 	c.append(Event{Type: "started", Msg: fmt.Sprintf("campaign %s running", c.id)})
 	s.persist(c)
 
-	// Checkpoint merges classified outcomes into the record and persists
-	// them, throttled so a fast campaign does not turn every fault into a
-	// disk write; the first checkpoint lands immediately so even short
-	// campaigns are resumable.
+	// Checkpoint merges a classified outcome into the record and persists
+	// the record, throttled so a fast campaign does not turn every fault
+	// into a disk write; the first checkpoint lands immediately so even
+	// short campaigns are resumable.
 	var ckptMu sync.Mutex
 	var lastPersist time.Time
 	job := Job{
 		ID:      c.id,
 		Request: c.req,
 		Resume:  resume,
-		Checkpoint: func(outcomes map[int]string) {
-			if len(outcomes) == 0 {
-				return
-			}
+		Checkpoint: func(key int, outcome string) {
 			c.mu.Lock()
 			if c.outcomes == nil {
-				c.outcomes = make(map[int]string, len(outcomes))
+				c.outcomes = make(map[int]string)
 			}
-			for k, v := range outcomes {
-				c.outcomes[k] = v
-			}
+			c.outcomes[key] = outcome
 			c.mu.Unlock()
 			if s.cfg.Registry == nil {
 				return

@@ -1107,7 +1107,7 @@ func TestCheckpointPersistsOutcomes(t *testing.T) {
 	gate := make(chan struct{})
 	ckpt := make(chan struct{}, 1)
 	run := func(ctx context.Context, job Job, emit func(Event)) (any, error) {
-		job.Checkpoint(map[int]string{0: "Masked"})
+		job.Checkpoint(0, "Masked")
 		select {
 		case ckpt <- struct{}{}:
 		default:
@@ -1117,7 +1117,7 @@ func TestCheckpointPersistsOutcomes(t *testing.T) {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		job.Checkpoint(map[int]string{1: "SDC"})
+		job.Checkpoint(1, "SDC")
 		return map[string]any{"ok": true}, nil
 	}
 	_, hs := newTestServer(t, Config{Run: run, Concurrency: 1, Registry: reg})
@@ -1151,7 +1151,7 @@ func TestShutdownLeavesResumableRecord(t *testing.T) {
 	reg := newFakeRegistry()
 	started := make(chan struct{}, 1)
 	run := func(ctx context.Context, job Job, emit func(Event)) (any, error) {
-		job.Checkpoint(map[int]string{0: "Masked"})
+		job.Checkpoint(0, "Masked")
 		select {
 		case started <- struct{}{}:
 		default:

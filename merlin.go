@@ -132,12 +132,12 @@ func OpenCache(dir string) (*Cache, error) { return store.Open(dir) }
 // SnapshotCache is an in-memory, byte-budgeted LRU of checkpoint ladders
 // (the frozen machine snapshots the forked strategy's sweep jumps forward
 // to). Campaigns sharing one SnapshotCache and agreeing on (workload, CPU
-// config, golden cycles) reuse one immutable ladder, frozen by a golden
-// run or replayed once, instead of each replaying the golden run to
-// rebuild it — the
-// in-memory complement of the on-disk artifact Cache, which cannot hold
-// machine snapshots because they are not serializable. Safe for
-// concurrent use; the daemon shares one across all campaigns.
+// config, golden cycles) reuse one immutable ladder: on a miss a forked
+// campaign's sweep freezes it as it goes, at no extra replay, and later
+// campaigns jump along it — the in-memory complement of the on-disk
+// artifact Cache, which cannot hold machine snapshots because they are not
+// serializable. Safe for concurrent use; the daemon shares one across all
+// campaigns.
 type SnapshotCache = campaign.SnapshotCache
 
 // SnapshotCacheStats is a point-in-time snapshot of snapshot-cache
@@ -208,9 +208,9 @@ type Config struct {
 	Cache *Cache
 
 	// Snapshots, when non-nil, shares checkpoint ladders across forked
-	// campaigns: the golden run freezes its machine snapshots into it and
-	// the sweep jumps along them. Nil means no ladder: the sweep runs from
-	// reset. Create one with NewSnapshotCache; the daemon wires a
+	// campaigns: on a miss the sweep freezes its machine snapshots into it,
+	// and on a hit the sweep jumps along them. Nil means no ladder: the
+	// sweep runs from reset. Create one with NewSnapshotCache; the daemon wires a
 	// process-wide instance.
 	Snapshots *SnapshotCache
 }
@@ -610,11 +610,10 @@ type Report struct {
 	// core, instructions interpreted), DeadAtFlip (faults classified Masked
 	// at the fork because the flip landed in dead storage), Overwritten
 	// (Masked as the flipped entry was overwritten unread) and SnapshotHit
-	// (a shared SnapshotCache served the checkpoint ladder, so the campaign
-	// replayed none — also when its own golden run froze it there; false
+	// (a shared SnapshotCache served the checkpoint ladder; false on a
+	// miss, where the campaign's sweep froze the ladder into the cache,
 	// without a cache and for StrategyReplay). A daemon sums it over every
-	// shard of the
-	// campaign, in-process and remote alike.
+	// shard of the campaign, in-process and remote alike.
 	Work
 	// CyclesPerSec divides SimCycles by Wall — the campaign's effective
 	// simulation throughput across all workers.

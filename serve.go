@@ -54,9 +54,10 @@ type ServeOptions struct {
 
 	// SnapshotBudget bounds the in-memory snapshot cache that shares
 	// checkpoint ladders (frozen machine snapshots) across concurrent and
-	// repeat campaigns: a golden run freezes its ladder into it, so a
-	// campaign skips the ladder rebuild whether or not the golden-artifact
-	// cache served it. <= 0 means the default budget (512 MB).
+	// repeat campaigns: the first forked campaign on a key freezes its
+	// ladder into it as its sweep goes, and later ones jump along it,
+	// whether or not the golden-artifact cache served them. <= 0 means the
+	// default budget (512 MB).
 	SnapshotBudget int64
 
 	// Concurrency is how many records run at once, oldest first off one

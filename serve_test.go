@@ -160,12 +160,12 @@ func TestDaemonCacheHitOnResubmit(t *testing.T) {
 }
 
 // TestDaemonSnapshotHitOnResubmit is the snapshot-cache acceptance test:
-// the first campaign's golden run freezes the checkpoint ladder into the
-// daemon's snapshot cache, so it replays none and reports a hit, and with
-// a warm golden-artifact cache a repeat campaign skips the ladder rebuild
-// too — visible as the report's SnapshotHit, the inject event's
-// snapshot_hit field, and the /statsz counters (one ladder built, both
-// campaigns served) — while producing a bit-identical Dist. It runs on
+// the first campaign misses the daemon's snapshot cache and its sweep
+// freezes the checkpoint ladder into it, and a repeat campaign, served by
+// the golden-artifact cache, jumps along that ladder — visible as the
+// report's SnapshotHit, the inject event's snapshot_hit field, and the
+// /statsz counters (one miss, one hit, one ladder) — while producing a
+// bit-identical Dist. It runs on
 // a plain daemon and on one with a durable registry: every deployment
 // runs the one ledger path, so both report the work counters and the two
 // repeat reports are equal in everything but wall-clock.
@@ -188,8 +188,8 @@ func TestDaemonSnapshotHitOnResubmit(t *testing.T) {
 			const body = `{"workload":"sha","structure":"RF","faults":300,"seed":9,"strategy":"forked"}`
 			firstID := postCampaign(t, hs.URL, body)
 			_, first := campaignWait(t, hs.URL, firstID)
-			if !first.SnapshotHit {
-				t.Fatal("first campaign replayed the ladder its own golden run froze into the cache")
+			if first.SnapshotHit {
+				t.Fatal("first campaign was served a ladder by an empty snapshot cache")
 			}
 
 			secondID := postCampaign(t, hs.URL, body)
@@ -198,7 +198,7 @@ func TestDaemonSnapshotHitOnResubmit(t *testing.T) {
 				t.Fatal("second campaign missed the artifact cache")
 			}
 			if !second.SnapshotHit {
-				t.Fatal("second identical campaign rebuilt the checkpoint ladder despite a warm snapshot cache")
+				t.Fatal("second identical campaign was not served the ladder the first one froze")
 			}
 			if second.Dist != first.Dist {
 				t.Fatalf("Dist not bit-identical across snapshot hit:\nfirst  %v\nsecond %v", first.Dist, second.Dist)
@@ -255,8 +255,8 @@ func TestDaemonSnapshotHitOnResubmit(t *testing.T) {
 			if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
 				t.Fatal(err)
 			}
-			if stats.Snapshots.Hits != 2 || stats.Snapshots.Misses != 1 || stats.Snapshots.Entries != 1 {
-				t.Fatalf("snapshot stats = %+v, want 1 ladder built and 1 entry, served to 2 campaigns", stats.Snapshots)
+			if stats.Snapshots.Hits != 1 || stats.Snapshots.Misses != 1 || stats.Snapshots.Entries != 1 {
+				t.Fatalf("snapshot stats = %+v, want 1 miss freezing the 1 entry, served to 1 campaign", stats.Snapshots)
 			}
 			if stats.Snapshots.Bytes <= 0 || stats.Snapshots.Budget <= 0 {
 				t.Fatalf("snapshot stats missing byte accounting: %+v", stats.Snapshots)

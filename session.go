@@ -164,12 +164,12 @@ func WithCache(c *Cache) Option {
 }
 
 // WithSnapshotCache attaches a shared checkpoint-ladder cache to a forked
-// campaign: its golden run freezes the ladder into the cache, and a
-// campaign served by the artifact cache, which runs no golden run, takes
-// the ladder from it (replaying it once if no campaign left one there), so
+// campaign: on a miss its sweep freezes the ladder into the cache as it
+// passes the rungs, at no replay of its own, and on a hit, with or without
+// an artifact-cache hit, its sweep jumps along the cached ladder, so
 // concurrent and repeat campaigns over one (workload, CPU config, golden
-// cycles) pay for the ladder once and their sweeps jump along it. Without
-// one, a campaign has no ladder: its sweep runs from reset. Create one
+// cycles) share one ladder. Without one, a campaign has no ladder: its
+// sweep runs from reset. Create one
 // with NewSnapshotCache; the daemon wires a process-wide instance into
 // every campaign.
 func WithSnapshotCache(c *SnapshotCache) Option {

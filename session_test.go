@@ -323,11 +323,11 @@ func TestBaselineReportPinsNoRunner(t *testing.T) {
 
 // TestPreprocessAllocBudget: what one cold gcc/RF Preprocess allocates. The
 // run is single-goroutine, so the figure repeats to the byte; the budget
-// sits between the 41.8 MB of the online analysis plus the checkpoint
-// ladder the golden run freezes (37.3 MB without the ladder, two thirds of
-// it the retained event log and its doublings) and the 74.9 MB the copied,
-// sorted, quarter-step-grown log used to cost, so any of the three coming
-// back fails here.
+// sits between the 37.6 MB of the online analysis (two thirds of it the
+// retained event log and its doublings; 41.8 MB while the golden run froze
+// a checkpoint ladder) and the 74.9 MB the copied, sorted,
+// quarter-step-grown log used to cost, so any of the three coming back
+// fails here.
 func TestPreprocessAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
