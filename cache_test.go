@@ -75,21 +75,6 @@ func TestCacheKeySeparation(t *testing.T) {
 	}
 }
 
-// TestConfigValidation: negative knobs reach the user as errors, not as
-// silently applied defaults.
-func TestConfigValidation(t *testing.T) {
-	for name, opt := range map[string]Option{
-		"negative workers": WithWorkers(-2),
-		"negative faults":  WithFaults(-1),
-		"negative reps":    WithRepsPerGroup(-3),
-		"bad confidence":   WithSampling(1.5, 0),
-	} {
-		if _, err := Start(context.Background(), "sha", opt); err == nil {
-			t.Errorf("%s: Start accepted the invalid option", name)
-		}
-	}
-}
-
 // TestColdAndWarmCampaignsDoSameWork: a cold session, which ran the golden
 // run, and an artifact-cache-hit session of the same spec, which ran none,
 // report the same campaign and the same work — Run, then Baseline — except

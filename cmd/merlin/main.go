@@ -85,7 +85,6 @@ func run(fs *flag.FlagSet, args []string) int {
 		regs       = fs.Int("regs", 256, "physical integer registers (256/128/64)")
 		sq         = fs.Int("sq", 64, "store-queue (and load-queue) entries (64/32/16)")
 		l1d        = fs.Int("l1d", 32<<10, "L1 data cache bytes (65536/32768/16384)")
-		reps       = fs.Int("reps", 1, "representatives injected per final group")
 		baseline   = fs.Bool("baseline", false, "also run the comprehensive baseline campaign for comparison")
 		workers    = fs.Int("workers", 0, "injection parallelism (0 = all cores)")
 		strategy   = fs.String("strategy", merlin.StrategyForked.String(), "injection strategy: forked, or replay, the slower reference (bit-identical outcomes, different wall-clock)")
@@ -167,7 +166,6 @@ func run(fs *flag.FlagSet, args []string) int {
 		merlin.WithFaults(*faults),
 		merlin.WithSampling(*conf, *margin),
 		merlin.WithSeed(*seed),
-		merlin.WithRepsPerGroup(*reps),
 		merlin.WithWorkers(*workers),
 	}
 	if *cacheDir != "" {

@@ -30,8 +30,7 @@
 //
 // Campaigns that share (workload, core config, structure set) reuse one
 // golden run: the first campaign pays for Preprocess, every later one —
-// different fault budget, seed, strategy, grouping ablation — skips it
-// entirely.
+// different fault budget, seed or strategy — skips it entirely.
 //
 // Campaigns are first-class, interruptible objects: DELETE cancels a
 // queued campaign instantly and stops a running one between injections

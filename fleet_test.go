@@ -601,8 +601,8 @@ func TestFleetShipsFaultsNotRecipe(t *testing.T) {
 			[]Structure{RF}, []Option{WithStrategy(StrategyForked)}},
 		{"list", `{"workload":"sha","structures":["RF","SQ"],"faults":300,"seed":9,"strategy":"forked"}`,
 			[]Structure{RF, SQ}, []Option{WithStrategy(StrategyForked)}},
-		{"knobs", `{"workload":"sha","structure":"RF","faults":300,"seed":9,"reps_per_group":2,"disable_byte_grouping":true,"phys_regs":128}`,
-			[]Structure{RF}, []Option{WithRepsPerGroup(2), WithoutByteGrouping(), WithCPU(cpu.DefaultConfig().WithRF(128))}},
+		{"knobs", `{"workload":"sha","structure":"RF","faults":300,"seed":9,"phys_regs":128}`,
+			[]Structure{RF}, []Option{WithCPU(cpu.DefaultConfig().WithRF(128))}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := libraryReports(t, "sha", tc.structures, append(tc.opts, base...)...)

@@ -42,6 +42,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -56,7 +57,9 @@ import (
 // Request is the wire form of one campaign submission (the JSON body of
 // POST /campaigns and POST /batches). Zero fields mean "use the pipeline
 // default"; negative values are rejected at submission time by the
-// injected Validate hook.
+// injected Validate hook. Unknown fields — including ones the service has
+// removed — fail a POST with 400 and a restored queued or running record
+// with "failed".
 type Request struct {
 	// Workload is the registered benchmark name (required).
 	Workload string `json:"workload"`
@@ -75,11 +78,6 @@ type Request struct {
 	ErrorMargin float64 `json:"error_margin,omitempty"`
 	// Seed drives fault sampling.
 	Seed int64 `json:"seed,omitempty"`
-
-	// RepsPerGroup injects extra representatives per final group;
-	// DisableByteGrouping turns off grouping step 2 (ablations).
-	RepsPerGroup        int  `json:"reps_per_group,omitempty"`
-	DisableByteGrouping bool `json:"disable_byte_grouping,omitempty"`
 
 	// StaticPrune enables the guestflow static pre-pruner: provably
 	// masked register-file fault sites are classified before reduction,
@@ -516,8 +514,10 @@ func recSeq(id string) uint64 {
 // are re-enqueued as queued with their checkpointed outcomes — a
 // coordinator restart resumes in-flight campaigns instead of forgetting
 // them. Unreadable records were already skipped by the registry; a
-// record that no longer fits the queue fails visibly rather than silently
-// vanishing.
+// queued or running record whose request no longer decodes as a Request
+// (a field the service has since removed) or that no longer fits the
+// queue fails visibly rather than silently re-running without the field
+// or vanishing.
 func (s *Server) restore() {
 	recs, err := s.cfg.Registry.List()
 	if err != nil {
@@ -533,8 +533,13 @@ func (s *Server) restore() {
 		if n := recSeq(rec.ID); n > s.nextID {
 			s.nextID = n
 		}
+		// Decoded as strictly as a POST body. Known fields are filled even
+		// when an unknown one fails the decode, so a terminal record
+		// restores regardless (a zero request still restores its shell).
 		var req Request
-		json.Unmarshal(rec.Request, &req) // a zero request still restores the record shell
+		dec := json.NewDecoder(bytes.NewReader(rec.Request))
+		dec.DisallowUnknownFields()
+		decErr := dec.Decode(&req)
 		c := &campaign{
 			id:        rec.ID,
 			kind:      rec.Kind,
@@ -561,6 +566,12 @@ func (s *Server) restore() {
 			}
 			c.appendLocked(Event{Type: "restored",
 				Msg: fmt.Sprintf("restored from registry (%s)", rec.Status)})
+			continue
+		}
+		if decErr != nil {
+			msg := "restore: " + decErr.Error()
+			c.finishLocked(StatusFailed, nil, msg, Event{Type: "failed", Msg: msg})
+			s.persist(c)
 			continue
 		}
 		// Queued or interrupted mid-run: back to the queue, carrying the

@@ -1099,6 +1099,37 @@ func TestRegistryRestore(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesUnknownRequestField: a registry request carrying a
+// field Request no longer has is decoded as strictly as a POST body. A
+// running record with one becomes failed, naming the field, and is
+// persisted that way instead of re-running without it; a done record with
+// the same request still restores with its report.
+func TestRestoreRefusesUnknownRequestField(t *testing.T) {
+	reg := newFakeRegistry()
+	old := []byte(`{"workload":"sha","structure":"RF","faults":2,"reps_per_group":2}`)
+	reg.Put(Record{ID: "c000001", Kind: KindCampaign, Status: StatusDone,
+		Request: old, Report: []byte(`{"workload":"sha","injected":2}`)})
+	reg.Put(Record{ID: "c000002", Kind: KindCampaign, Status: StatusRunning,
+		Request: old, Outcomes: map[int]string{0: "Masked"}})
+
+	p := &fakePipeline{}
+	_, hs := newTestServer(t, Config{Run: p.run, Concurrency: 1, Registry: reg})
+
+	const want = `unknown field "reps_per_group"`
+	st := getStatus(t, hs.URL, "c000002")
+	if st.Status != StatusFailed || !strings.Contains(st.Error, want) {
+		t.Fatalf("restored running record: status %q error %q, want failed naming %s", st.Status, st.Error, want)
+	}
+	if rec, _ := reg.get("c000002"); rec.Status != StatusFailed || !strings.Contains(rec.Error, want) {
+		t.Fatalf("persisted record = %+v, want failed naming %s", rec, want)
+	}
+
+	st = getStatus(t, hs.URL, "c000001")
+	if rep, ok := st.Report.(map[string]any); st.Status != StatusDone || !ok || rep["workload"] != "sha" {
+		t.Fatalf("restored done record: status %q report %#v", st.Status, st.Report)
+	}
+}
+
 // TestCheckpointPersistsOutcomes: Job.Checkpoint merges outcomes into the
 // record and persists them promptly (first write immediate), so a crash
 // right after leaves a resumable record.

@@ -153,7 +153,8 @@ func NewSnapshotCache(budgetBytes int64) *SnapshotCache {
 
 // Config is the resolved configuration of one MeRLiN campaign: what Start
 // built from its options, with defaults applied, as Session.Config and
-// Artifacts.Config return it.
+// Artifacts.Config return it. It holds only knobs the product sets;
+// grouping is always the paper's (see Artifacts.Reduce).
 type Config struct {
 	// Workload names a registered benchmark (see Workloads).
 	Workload string
@@ -173,13 +174,6 @@ type Config struct {
 	// Seed drives fault sampling (and nothing else; the simulator is
 	// deterministic).
 	Seed int64
-
-	// RepsPerGroup >1 injects extra representatives per final group
-	// (accuracy/cost ablation); 0 or 1 reproduces the paper.
-	RepsPerGroup int
-	// DisableByteGrouping turns off step 2 of the grouping algorithm
-	// (ablation).
-	DisableByteGrouping bool
 
 	// Workers bounds injection parallelism; 0 = GOMAXPROCS.
 	Workers int
@@ -228,17 +222,15 @@ func (c Config) fillDefaults() Config {
 	if c.ErrorMargin == 0 {
 		c.ErrorMargin = sampling.Baseline.ErrorMargin
 	}
-	if c.RepsPerGroup == 0 {
-		c.RepsPerGroup = 1
-	}
 	return c
 }
 
 // validate rejects knob values the pipeline would otherwise silently
 // misread (applied after fillDefaults, so zeros have already been replaced
-// by documented defaults and anything invalid left is a caller error).
-// Campaign requests arriving over the daemon's HTTP API funnel through
-// this same check.
+// by documented defaults and anything invalid left is a caller error). It
+// is the one check of the options' values: buildSessionConfig calls it
+// after the batch target list, and campaign requests arriving over the
+// daemon's HTTP API funnel through the same path.
 func (c Config) validate() error {
 	switch {
 	case c.Structure >= lifetime.NumStructures:
@@ -247,8 +239,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("merlin: Faults is %d; want >= 0 (0 = derive from Confidence/ErrorMargin)", c.Faults)
 	case c.Workers < 0:
 		return fmt.Errorf("merlin: Workers is %d; want >= 0 (0 = all host cores)", c.Workers)
-	case c.RepsPerGroup < 0:
-		return fmt.Errorf("merlin: RepsPerGroup is %d; want >= 0 (0 = the paper's 1)", c.RepsPerGroup)
+	case c.Strategy != StrategyReplay && c.Strategy != StrategyForked:
+		return fmt.Errorf("merlin: unknown strategy %v", c.Strategy)
 	case c.Confidence <= 0 || c.Confidence >= 1:
 		return fmt.Errorf("merlin: Confidence %v outside (0, 1)", c.Confidence)
 	case c.ErrorMargin <= 0 || c.ErrorMargin >= 1:
@@ -382,9 +374,7 @@ func newRunner(cfg Config) (*campaign.Runner, error) {
 	}
 	runner := campaign.NewRunner(campaign.Target{Cfg: cfg.CPU, Prog: w.Program()})
 	runner.Workers = cfg.Workers
-	if cfg.Strategy == StrategyForked { // Replay has no ladder to freeze or share
-		runner.Snapshots = cfg.Snapshots
-	}
+	runner.Snapshots = cfg.Snapshots
 	return runner, nil
 }
 
@@ -426,13 +416,12 @@ func sampleFaults(cfg Config, entries, entryBits int, cycles uint64) []fault.Fau
 }
 
 // Reduce runs phase 2: ACE-like pruning plus the two-step grouping
-// algorithm, populating a.Red.
+// algorithm with the paper's one representative per final group,
+// populating a.Red. Grouping variants are a study, not a campaign knob:
+// see experiments -experiment ablation.
 func (a *Artifacts) Reduce() *reduction.Reduction {
-	opts := reduction.Options{
-		RepsPerGroup: a.Config.RepsPerGroup,
-		ByteGrouping: !a.Config.DisableByteGrouping,
-		Premasked:    a.Premasked,
-	}
+	opts := reduction.DefaultOptions()
+	opts.Premasked = a.Premasked
 	a.Red = reduction.Reduce(a.Analysis, a.Faults, opts)
 	return a.Red
 }

@@ -228,12 +228,6 @@ func requestOptions(req CampaignRequest, cache *Cache, snapshots *SnapshotCache)
 		WithCache(cache),
 		WithSnapshotCache(snapshots),
 	)
-	if req.RepsPerGroup != 0 {
-		opts = append(opts, WithRepsPerGroup(req.RepsPerGroup))
-	}
-	if req.DisableByteGrouping {
-		opts = append(opts, WithoutByteGrouping())
-	}
 	if req.StaticPrune {
 		opts = append(opts, WithStaticPrune())
 	}

@@ -465,26 +465,33 @@ func TestDaemonCancelMidInjection(t *testing.T) {
 	}
 }
 
-// TestDaemonRefusesRetiredCheckpointed: the checkpointed preset is gone
-// from the wire. A submission carrying its knob is a 400 naming the field,
-// one naming the strategy a 400 listing the two that remain, and a record
-// an older daemon left interrupted under it resumes into that same named
-// failure instead of running something else.
+// TestDaemonRefusesRetiredCheckpointed: the checkpointed preset and the
+// grouping-ablation knobs are gone from the wire. A submission carrying a
+// removed field is a 400 naming the field, one naming the checkpointed
+// strategy a 400 listing the two that remain, and a record an older daemon
+// left interrupted with a removed field fails at restore naming it instead
+// of running something else.
 func TestDaemonRefusesRetiredCheckpointed(t *testing.T) {
 	reg, err := OpenRegistry(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	const old = `{"workload":"sha","structure":"RF","faults":50,"strategy":"checkpointed","checkpoints":4}`
-	if err := reg.Put(store.CampaignRecord{ID: "c000007", Kind: "campaign", Status: "running",
-		Request: []byte(old), Outcomes: map[int]string{0: "Masked"}}); err != nil {
-		t.Fatal(err)
+	interrupted := map[string]string{
+		"c000007": `{"workload":"sha","structure":"RF","faults":50,"strategy":"checkpointed","checkpoints":4}`,
+		"c000008": `{"workload":"sha","structure":"RF","faults":50,"disable_byte_grouping":true}`,
+	}
+	for id, old := range interrupted {
+		if err := reg.Put(store.CampaignRecord{ID: id, Kind: "campaign", Status: "running",
+			Request: []byte(old), Outcomes: map[int]string{0: "Masked"}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	hs := daemon(t, ServeOptions{Registry: reg})
 
 	for body, want := range map[string]string{
 		`{"workload":"sha","structure":"RF","faults":50,"checkpoints":4}`:           `unknown field "checkpoints"`,
 		`{"workload":"sha","structure":"RF","faults":50,"strategy":"checkpointed"}`: "want replay or forked",
+		`{"workload":"sha","structure":"RF","faults":50,"reps_per_group":2}`:        `unknown field "reps_per_group"`,
 	} {
 		resp, err := http.Post(hs.URL+"/campaigns", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -500,9 +507,11 @@ func TestDaemonRefusesRetiredCheckpointed(t *testing.T) {
 		}
 	}
 
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		resp, err := http.Get(hs.URL + "/campaigns/c000007")
+	for id, want := range map[string]string{
+		"c000007": `unknown field "checkpoints"`,
+		"c000008": `unknown field "disable_byte_grouping"`,
+	} {
+		resp, err := http.Get(hs.URL + "/campaigns/" + id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -512,13 +521,9 @@ func TestDaemonRefusesRetiredCheckpointed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Status == "failed" && strings.Contains(st.Error, `"checkpointed" (want replay or forked)`) {
-			break
+		if st.Status != "failed" || !strings.Contains(st.Error, want) {
+			t.Errorf("restored record %s: status %q error %q, want failed naming %s", id, st.Status, st.Error, want)
 		}
-		if st.Status != "queued" && st.Status != "running" || time.Now().After(deadline) {
-			t.Fatalf("restored checkpointed record: status %q error %q, want failed naming the strategy", st.Status, st.Error)
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -8,6 +8,7 @@ package merlin
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -17,10 +18,11 @@ import (
 	"merlin/internal/workloads"
 )
 
-// Option configures a Session at Start time: each knob is an explicit,
-// validated setter, and conflicting combinations fail Start instead of
-// being silently patched.
-type Option func(*sessionConfig) error
+// Option configures a Session at Start time. Each option only sets its
+// knob; Start and StartBatch validate the assembled configuration once
+// (buildSessionConfig), so a bad value or a conflicting combination fails
+// there instead of being silently patched.
+type Option func(*sessionConfig)
 
 // sessionConfig accumulates options before validation. structures is the
 // batch target list of WithStructures, consumed by StartBatch and
@@ -33,108 +35,57 @@ type sessionConfig struct {
 
 // WithStructure selects the injection target (default RF).
 func WithStructure(s Structure) Option {
-	return func(o *sessionConfig) error {
-		o.cfg.Structure = s
-		return nil
-	}
+	return func(o *sessionConfig) { o.cfg.Structure = s }
 }
 
 // WithStructures selects the injection targets of a batch campaign, in
-// report order; duplicates are dropped. It is a StartBatch option — Start
-// runs a single-structure campaign and rejects it (use WithStructure
-// there). StartBatch without WithStructures targets all structures.
+// report order; duplicates are dropped, and the list must not be empty. It
+// is a StartBatch option — Start runs a single-structure campaign and
+// rejects it (use WithStructure there). StartBatch without WithStructures
+// targets all structures.
 func WithStructures(ss ...Structure) Option {
-	return func(o *sessionConfig) error {
-		if len(ss) == 0 {
-			return fmt.Errorf("merlin: WithStructures: want at least one structure")
-		}
-		var out []Structure
-		seen := [NumStructures]bool{}
+	return func(o *sessionConfig) {
+		// Non-nil even when empty: an empty list is an error, not "all".
+		o.structures = make([]Structure, 0, len(ss))
 		for _, s := range ss {
-			if s >= NumStructures {
-				return fmt.Errorf("merlin: WithStructures: unknown structure %d", s)
-			}
-			if !seen[s] {
-				seen[s] = true
-				out = append(out, s)
+			if !slices.Contains(o.structures, s) {
+				o.structures = append(o.structures, s)
 			}
 		}
-		o.structures = out
-		return nil
 	}
 }
 
 // WithCPU sets the core configuration (default: the paper's Table 1
 // baseline).
 func WithCPU(c cpu.Config) Option {
-	return func(o *sessionConfig) error {
-		o.cfg.CPU = c
-		return nil
-	}
+	return func(o *sessionConfig) { o.cfg.CPU = c }
 }
 
 // WithFaults sets the initial statistical fault list size directly;
 // without it the size derives from the sampling parameters.
 func WithFaults(n int) Option {
-	return func(o *sessionConfig) error {
-		if n < 0 {
-			return fmt.Errorf("merlin: WithFaults(%d): want >= 0", n)
-		}
-		o.cfg.Faults = n
-		return nil
-	}
+	return func(o *sessionConfig) { o.cfg.Faults = n }
 }
 
 // WithSampling sets the statistical confidence and error margin that size
 // the fault list when WithFaults is not given (defaults 0.998 / 0.0063,
 // the paper's 60K-fault setup).
 func WithSampling(confidence, errorMargin float64) Option {
-	return func(o *sessionConfig) error {
+	return func(o *sessionConfig) {
 		o.cfg.Confidence = confidence
 		o.cfg.ErrorMargin = errorMargin
-		return nil
 	}
 }
 
 // WithSeed drives fault sampling (and nothing else; the simulator is
 // deterministic).
 func WithSeed(seed int64) Option {
-	return func(o *sessionConfig) error {
-		o.cfg.Seed = seed
-		return nil
-	}
-}
-
-// WithRepsPerGroup injects n representatives per final group instead of
-// the paper's 1 (accuracy/cost ablation).
-func WithRepsPerGroup(n int) Option {
-	return func(o *sessionConfig) error {
-		if n < 1 {
-			return fmt.Errorf("merlin: WithRepsPerGroup(%d): want >= 1", n)
-		}
-		o.cfg.RepsPerGroup = n
-		return nil
-	}
-}
-
-// WithoutByteGrouping disables step 2 of the grouping algorithm
-// (ablation).
-func WithoutByteGrouping() Option {
-	return func(o *sessionConfig) error {
-		o.cfg.DisableByteGrouping = true
-		return nil
-	}
+	return func(o *sessionConfig) { o.cfg.Seed = seed }
 }
 
 // WithWorkers bounds injection parallelism (default: all host cores).
 func WithWorkers(n int) Option {
-	return func(o *sessionConfig) error {
-		if n < 0 {
-			return fmt.Errorf("merlin: WithWorkers(%d): want >= 0 (0 = all host cores)", n)
-		}
-		o.cfg.Workers = n
-		return nil
-	}
+	return func(o *sessionConfig) { o.cfg.Workers = n }
 }
 
 // WithStrategy selects the injection strategy (default StrategyForked).
@@ -142,25 +93,14 @@ func WithWorkers(n int) Option {
 // assumption-free reference, simulates every run from reset to program end
 // and is several times slower.
 func WithStrategy(s Strategy) Option {
-	return func(o *sessionConfig) error {
-		switch s {
-		case StrategyReplay, StrategyForked:
-		default:
-			return fmt.Errorf("merlin: WithStrategy(%v): unknown strategy", s)
-		}
-		o.cfg.Strategy = s
-		return nil
-	}
+	return func(o *sessionConfig) { o.cfg.Strategy = s }
 }
 
 // WithCache attaches a golden-run artifact cache: Preprocess is served
 // from it when a previous campaign already profiled the same (workload,
 // core config, structure). Open one with OpenCache.
 func WithCache(c *Cache) Option {
-	return func(o *sessionConfig) error {
-		o.cfg.Cache = c
-		return nil
-	}
+	return func(o *sessionConfig) { o.cfg.Cache = c }
 }
 
 // WithSnapshotCache attaches a shared checkpoint-ladder cache to a forked
@@ -173,10 +113,7 @@ func WithCache(c *Cache) Option {
 // with NewSnapshotCache; the daemon wires a process-wide instance into
 // every campaign.
 func WithSnapshotCache(c *SnapshotCache) Option {
-	return func(o *sessionConfig) error {
-		o.cfg.Snapshots = c
-		return nil
-	}
+	return func(o *sessionConfig) { o.cfg.Snapshots = c }
 }
 
 // WithStaticPrune enables the guestflow static pre-pruner: register-file
@@ -186,10 +123,7 @@ func WithSnapshotCache(c *SnapshotCache) Option {
 // fails Reduce loudly — so reports are bit-identical to unpruned runs.
 // Non-RF structures ignore the option.
 func WithStaticPrune() Option {
-	return func(o *sessionConfig) error {
-		o.cfg.StaticPrune = true
-		return nil
-	}
+	return func(o *sessionConfig) { o.cfg.StaticPrune = true }
 }
 
 // CampaignEvent is one record of a campaign's progress stream: what a
@@ -206,10 +140,7 @@ type CampaignEvent = server.Event
 // WithProgress subscribes fn to the Session's progress stream (see
 // CampaignEvent).
 func WithProgress(fn func(CampaignEvent)) Option {
-	return func(o *sessionConfig) error {
-		o.progress = fn
-		return nil
-	}
+	return func(o *sessionConfig) { o.progress = fn }
 }
 
 // Session is one MeRLiN campaign as a first-class object: Start validates
@@ -250,27 +181,30 @@ func runList(ctx context.Context, a *Artifacts, faults []Fault, onOutcome func(i
 
 // buildSessionConfig applies the options over the defaults that are not
 // zero values, verifies the workload exists, and returns the validated,
-// defaults-applied configuration. Start and StartBatch share it.
+// defaults-applied configuration. Start and StartBatch share it, and it is
+// the one place campaign options are checked.
 func buildSessionConfig(workload string, opts []Option) (sessionConfig, error) {
 	var sc sessionConfig
 	sc.cfg.Workload = workload
 	sc.cfg.Strategy = StrategyForked
 	for _, opt := range opts {
-		if opt == nil {
-			continue
-		}
-		if err := opt(&sc); err != nil {
-			return sc, err
+		if opt != nil {
+			opt(&sc)
 		}
 	}
 	if _, err := workloads.Get(workload); err != nil {
 		return sc, err
 	}
-	sc.cfg = sc.cfg.fillDefaults()
-	if err := sc.cfg.validate(); err != nil {
-		return sc, err
+	if sc.structures != nil && len(sc.structures) == 0 {
+		return sc, fmt.Errorf("merlin: WithStructures: want at least one structure")
 	}
-	return sc, nil
+	for _, s := range sc.structures {
+		if s >= NumStructures {
+			return sc, fmt.Errorf("merlin: WithStructures: unknown structure %d", s)
+		}
+	}
+	sc.cfg = sc.cfg.fillDefaults()
+	return sc, sc.cfg.validate()
 }
 
 // Start validates workload and options and returns a Session ready to

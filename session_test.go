@@ -16,8 +16,9 @@ import (
 	"merlin/internal/workloads"
 )
 
-// TestStartOptionValidation: bad option values fail Start, and the last
-// WithStrategy given wins.
+// TestStartOptionValidation: bad option values fail Start (options only
+// set; buildSessionConfig is the one check), and the last WithStrategy
+// given wins.
 func TestStartOptionValidation(t *testing.T) {
 	ctx := context.Background()
 
@@ -32,9 +33,9 @@ func TestStartOptionValidation(t *testing.T) {
 	for name, opts := range map[string][]Option{
 		"negative faults":  {WithFaults(-1)},
 		"negative workers": {WithWorkers(-2)},
-		"zero reps":        {WithRepsPerGroup(0)},
 		"bad confidence":   {WithSampling(1.5, 0.01)},
 		"bad strategy":     {WithStrategy(Strategy(99))},
+		"bad structure":    {WithStructure(Structure(9))},
 	} {
 		if _, err := Start(ctx, "sha", opts...); err == nil {
 			t.Errorf("%s: Start accepted the option", name)
