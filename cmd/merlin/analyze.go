@@ -88,8 +88,8 @@ func runAnalyze(args []string) int {
 		log := golden.Tracer.Log(lifetime.StructRF)
 		dyn := golden.Tracer.Analysis(lifetime.StructRF)
 
-		// The timed region is exactly what WithStaticPrune adds to a
-		// campaign: the static analysis plus the per-fault prune pass.
+		// The timed region is the static analysis plus the per-fault
+		// prune pass over the sampled sites.
 		t0 := time.Now()
 		g := guestflow.Analyze(j.prog)
 		sites := sampling.Generate(lifetime.StructRF, entries, entryBits,

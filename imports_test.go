@@ -9,7 +9,9 @@ import (
 // TestLibraryImportGraph guards what a library user compiles: package
 // merlin's non-test dependencies are the paper's pipeline plus the daemon
 // and fleet, never the chaos engine (operator tooling behind `merlin
-// chaos`) or the figure scaffolding under internal/experiments. And
+// chaos`), the figure scaffolding under internal/experiments, or the
+// guest static analysis (an oracle behind `merlin analyze`, not a
+// pruning path of the campaign). And
 // internal/store holds values, not machinery: it never imports the
 // injection engine.
 func TestLibraryImportGraph(t *testing.T) {
@@ -18,7 +20,7 @@ func TestLibraryImportGraph(t *testing.T) {
 		t.Fatalf("go list -deps: %v", err)
 	}
 	for _, dep := range strings.Fields(string(out)) {
-		for _, banned := range []string{"merlin/internal/chaos", "merlin/internal/experiments"} {
+		for _, banned := range []string{"merlin/internal/chaos", "merlin/internal/experiments", "merlin/internal/guestflow"} {
 			if dep == banned || strings.HasPrefix(dep, banned+"/") {
 				t.Errorf("package merlin depends on %s", dep)
 			}

@@ -547,8 +547,8 @@ func (c *Core) emit(s lifetime.StructureID, kind lifetime.EventKind, entry int32
 }
 
 // emitWrite records a write event stamped with the producing µop's static
-// location (rip, upc), so the guestflow cross-check and static pre-pruner
-// can reason about which architectural value a physical entry holds.
+// location (rip, upc), so guestflow's CrossCheck and PruneRF can reason
+// about which architectural value a physical entry holds.
 func (c *Core) emitWrite(s lifetime.StructureID, entry int32, mask uint64, rip int32, upc uint8) {
 	if c.tracer != nil {
 		c.emit(s, lifetime.EvWrite, entry, mask, rip, upc)

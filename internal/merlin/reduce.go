@@ -97,43 +97,22 @@ type Options struct {
 	// ByteGrouping enables step 2 (on for MeRLiN; off reproduces a pure
 	// step-1 grouping for ablations).
 	ByteGrouping bool
-	// Premasked, when non-nil, marks faults the static pre-pruner
-	// (internal/guestflow) already proved masked: phase 1 skips the
-	// interval lookup for them and classifies them ACE-masked directly.
-	// The caller must guarantee every premasked fault is also dynamically
-	// masked (the session pipeline cross-verifies before reducing) — under
-	// that invariant the reduction is bit-identical to an unpruned run,
-	// just cheaper. Length must match the fault list when non-nil.
-	Premasked []bool
 }
 
 // DefaultOptions returns the paper's configuration.
 func DefaultOptions() Options { return Options{RepsPerGroup: 1, ByteGrouping: true} }
 
-// Prune runs phase 1 only: the ACE-like pruning that classifies faults
-// outside vulnerable intervals as Masked without injection. Both MeRLiN's
-// grouping and the Relyzer-heuristic comparison start from its output.
+// Prune runs phase 1: the ACE-like pruning that looks every fault up in
+// the vulnerable intervals and classifies the ones outside all of them as
+// Masked without injection. It is the one pruning pass: Reduce's grouping
+// and the Relyzer-heuristic comparison both start from its output.
 func Prune(a *lifetime.Analysis, faults []fault.Fault) *Reduction {
-	return prune(a, faults, nil)
-}
-
-// prune is Prune with the static pre-pruner's verdicts: premasked faults
-// skip the interval lookup and classify masked directly, which is
-// bit-identical to the lookup path as long as every premasked fault is
-// dynamically masked too (the session pipeline verifies that invariant
-// before calling down here).
-func prune(a *lifetime.Analysis, faults []fault.Fault, premasked []bool) *Reduction {
 	r := &Reduction{
 		Structure:  a.Structure,
 		Faults:     faults,
 		IntervalOf: make([]int32, len(faults)),
 	}
 	for i, f := range faults {
-		if premasked != nil && premasked[i] {
-			r.IntervalOf[i] = -1
-			r.ACEMasked++
-			continue
-		}
 		if id, ok := a.Find(f.Entry, f.Byte(), f.Cycle); ok {
 			r.IntervalOf[i] = id
 			r.HitFaults = append(r.HitFaults, int32(i))
@@ -151,7 +130,7 @@ func Reduce(a *lifetime.Analysis, faults []fault.Fault, opts Options) *Reduction
 	if opts.RepsPerGroup < 1 {
 		opts.RepsPerGroup = 1
 	}
-	r := prune(a, faults, opts.Premasked)
+	r := Prune(a, faults)
 
 	// Phase 2, step 1: group by the (RIP, uPC) of the interval's reader.
 	step1 := make(map[GroupKey][]int32)

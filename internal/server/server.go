@@ -79,12 +79,6 @@ type Request struct {
 	// Seed drives fault sampling.
 	Seed int64 `json:"seed,omitempty"`
 
-	// StaticPrune enables the guestflow static pre-pruner: provably
-	// masked register-file fault sites are classified before reduction,
-	// cross-verified against the dynamic analysis so reports stay
-	// bit-identical to unpruned runs.
-	StaticPrune bool `json:"static_prune,omitempty"`
-
 	// Workers bounds the campaign's injection parallelism.
 	Workers int `json:"workers,omitempty"`
 	// Strategy is "forked" (the default when empty) or "replay", the
@@ -132,9 +126,9 @@ type Event struct {
 	Msg string `json:"msg,omitempty"`
 
 	// Fault events: the fault's index in the injected list, its
-	// description, and its outcome class. Index is always serialized
-	// (index 0 is a valid fault, not an absent field).
-	Index   int    `json:"index"`
+	// description, and its outcome class. Index is set on fault events
+	// only, so index 0 still serializes and no other event carries it.
+	Index   *int   `json:"index,omitempty"`
 	Fault   string `json:"fault,omitempty"`
 	Outcome string `json:"outcome,omitempty"`
 
@@ -148,11 +142,6 @@ type Event struct {
 	// simulation throughput in cycles per wall-clock second.
 	SnapshotHit  *bool   `json:"snapshot_hit,omitempty"`
 	CyclesPerSec float64 `json:"cycles_per_sec,omitempty"`
-
-	// Reduce events: how many fault sites the guestflow static pre-pruner
-	// classified masked without a dynamic interval lookup (0 unless the
-	// request asked for static_prune).
-	StaticPruned int `json:"static_pruned,omitempty"`
 }
 
 // Job is one unit of work handed to the RunFunc: the submitted request

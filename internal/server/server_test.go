@@ -51,7 +51,7 @@ func (p *fakePipeline) run(ctx context.Context, job Job, emit func(Event)) (any,
 					return nil, ctx.Err()
 				}
 			}
-			emit(Event{Type: "fault", Structure: structure, Index: i,
+			emit(Event{Type: "fault", Structure: structure, Index: &i,
 				Fault: fmt.Sprintf("%s-fault-%d", req.Workload, i), Outcome: "Masked"})
 		}
 	}

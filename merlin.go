@@ -29,7 +29,6 @@ import (
 	"merlin/internal/campaign"
 	"merlin/internal/cpu"
 	"merlin/internal/fault"
-	"merlin/internal/guestflow"
 	"merlin/internal/lifetime"
 	reduction "merlin/internal/merlin"
 	"merlin/internal/sampling"
@@ -184,16 +183,6 @@ type Config struct {
 	// simulated in detail.
 	Strategy Strategy
 
-	// StaticPrune enables the guestflow static pre-pruner: register-file
-	// fault sites landing in statically must-dead windows (the governing
-	// write's value is overwritten before any read on every path) are
-	// classified masked before Reduce, skipping their dynamic interval
-	// lookups. Every statically pruned fault is cross-verified against the
-	// dynamic analysis — a disagreement aborts the campaign loudly — so
-	// reports stay bit-identical to unpruned runs. Structures other than
-	// RF ignore the option (their entries hold no architectural registers).
-	StaticPrune bool
-
 	// Cache, when non-nil, short-circuits Preprocess: on a hit the golden
 	// run and ACE-like analysis are loaded instead of simulated (the
 	// campaign's outcomes are bit-identical either way); on a miss they
@@ -264,12 +253,6 @@ type Artifacts struct {
 	Faults []fault.Fault
 	// Red is the fault-list reduction; nil until Reduce runs.
 	Red *reduction.Reduction
-
-	// Premasked marks the faults the guestflow static pre-pruner proved
-	// masked (nil unless Config.StaticPrune ran); StaticPruned is its
-	// true-count, surfaced through the reduce event and the Report.
-	Premasked    []bool
-	StaticPruned int
 
 	// CacheHit reports that Golden and Analysis were loaded from
 	// Config.Cache instead of simulated: Preprocess skipped the golden
@@ -415,56 +398,13 @@ func sampleFaults(cfg Config, entries, entryBits int, cycles uint64) []fault.Fau
 	return sampling.Generate(cfg.Structure, entries, entryBits, cycles, n, cfg.Seed)
 }
 
-// Reduce runs phase 2: ACE-like pruning plus the two-step grouping
-// algorithm with the paper's one representative per final group,
-// populating a.Red. Grouping variants are a study, not a campaign knob:
-// see experiments -experiment ablation.
+// Reduce runs phase 2: ACE-like pruning against the dynamic vulnerable
+// intervals plus the two-step grouping algorithm with the paper's one
+// representative per final group, populating a.Red. Grouping variants
+// are a study, not a campaign knob: see experiments -experiment ablation.
 func (a *Artifacts) Reduce() *reduction.Reduction {
-	opts := reduction.DefaultOptions()
-	opts.Premasked = a.Premasked
-	a.Red = reduction.Reduce(a.Analysis, a.Faults, opts)
+	a.Red = reduction.Reduce(a.Analysis, a.Faults, reduction.DefaultOptions())
 	return a.Red
-}
-
-// staticPrune runs the guestflow static pre-pruner over the campaign's
-// fault list, populating Premasked/StaticPruned. Only register-file
-// campaigns carry architectural values, so other structures are a no-op.
-// Before any verdict is used, every statically pruned fault is
-// cross-verified against the dynamic ACE-like analysis: a fault the
-// static analysis calls must-dead but the dynamic analysis finds inside a
-// vulnerable interval means one of the two engines is wrong, and the
-// campaign fails loudly instead of risking a silently different report.
-func (a *Artifacts) staticPrune() error {
-	if a.Config.Structure != RF {
-		return nil
-	}
-	log := a.Golden.Tracer.Log(lifetime.StructRF)
-	if log == nil {
-		return fmt.Errorf("merlin: static prune requested but the golden run carries no RF event log")
-	}
-	g := guestflow.Analyze(a.Runner.Prog)
-	premasked, _ := guestflow.PruneRF(g, log, a.Faults)
-	for i, pm := range premasked {
-		if !pm {
-			continue
-		}
-		f := a.Faults[i]
-		if id, ok := a.Analysis.Find(f.Entry, f.Byte(), f.Cycle); ok {
-			iv := a.Analysis.Intervals[id]
-			return fmt.Errorf("merlin: static/dynamic liveness disagreement on %s fault %d (entry=%d bit=%d cycle=%d): "+
-				"statically must-dead, but dynamically vulnerable in (%d,%d] read by rip=%d upc=%d — "+
-				"one of internal/guestflow or internal/lifetime is wrong; run `merlin analyze -crosscheck -workload %s`",
-				a.Config.Structure, i, f.Entry, f.Bit, f.Cycle, iv.Start, iv.End, iv.RIP, iv.UPC, a.Config.Workload)
-		}
-	}
-	a.Premasked = premasked
-	a.StaticPruned = 0
-	for _, pm := range premasked {
-		if pm {
-			a.StaticPruned++
-		}
-	}
-	return nil
 }
 
 // plan is the campaign's injection plan: the configured strategy plus the
@@ -499,7 +439,6 @@ func (a *Artifacts) reportFrom(res *campaign.Result, extrapolate bool) *Report {
 		GoldenCycles:  a.Golden.Result.Cycles,
 		InitialFaults: len(a.Faults),
 		ACEMasked:     a.Red.ACEMasked,
-		StaticPruned:  a.StaticPruned,
 		PostACE:       len(a.Red.HitFaults),
 		Injected:      res.Injected,
 		Cancelled:     res.Cancelled,
@@ -551,10 +490,6 @@ type Report struct {
 	// ACEMasked counts faults pruned as provably masked by the ACE-like
 	// analysis (phase 1).
 	ACEMasked int
-	// StaticPruned counts the ACEMasked faults classified by the guestflow
-	// static pre-pruner without a dynamic interval lookup (0 unless the
-	// campaign ran with WithStaticPrune; always a subset of ACEMasked).
-	StaticPruned int
 	// PostACE counts faults surviving the ACE-like pruning.
 	PostACE int
 	// Injected counts the group representatives actually injected.

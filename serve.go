@@ -228,9 +228,6 @@ func requestOptions(req CampaignRequest, cache *Cache, snapshots *SnapshotCache)
 		WithCache(cache),
 		WithSnapshotCache(snapshots),
 	)
-	if req.StaticPrune {
-		opts = append(opts, WithStaticPrune())
-	}
 	if req.Strategy != "" {
 		strat, err := ParseStrategy(req.Strategy)
 		if err != nil {

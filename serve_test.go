@@ -465,12 +465,12 @@ func TestDaemonCancelMidInjection(t *testing.T) {
 	}
 }
 
-// TestDaemonRefusesRetiredCheckpointed: the checkpointed preset and the
-// grouping-ablation knobs are gone from the wire. A submission carrying a
-// removed field is a 400 naming the field, one naming the checkpointed
-// strategy a 400 listing the two that remain, and a record an older daemon
-// left interrupted with a removed field fails at restore naming it instead
-// of running something else.
+// TestDaemonRefusesRetiredCheckpointed: the checkpointed preset, the
+// grouping-ablation knobs and the static pre-pruner are gone from the
+// wire. A submission carrying a removed field is a 400 naming the field,
+// one naming the checkpointed strategy a 400 listing the two that remain,
+// and a record an older daemon left interrupted with a removed field
+// fails at restore naming it instead of running something else.
 func TestDaemonRefusesRetiredCheckpointed(t *testing.T) {
 	reg, err := OpenRegistry(t.TempDir())
 	if err != nil {
@@ -479,6 +479,7 @@ func TestDaemonRefusesRetiredCheckpointed(t *testing.T) {
 	interrupted := map[string]string{
 		"c000007": `{"workload":"sha","structure":"RF","faults":50,"strategy":"checkpointed","checkpoints":4}`,
 		"c000008": `{"workload":"sha","structure":"RF","faults":50,"disable_byte_grouping":true}`,
+		"c000009": `{"workload":"sha","structure":"RF","faults":50,"static_prune":true}`,
 	}
 	for id, old := range interrupted {
 		if err := reg.Put(store.CampaignRecord{ID: id, Kind: "campaign", Status: "running",
@@ -492,6 +493,7 @@ func TestDaemonRefusesRetiredCheckpointed(t *testing.T) {
 		`{"workload":"sha","structure":"RF","faults":50,"checkpoints":4}`:           `unknown field "checkpoints"`,
 		`{"workload":"sha","structure":"RF","faults":50,"strategy":"checkpointed"}`: "want replay or forked",
 		`{"workload":"sha","structure":"RF","faults":50,"reps_per_group":2}`:        `unknown field "reps_per_group"`,
+		`{"workload":"sha","structure":"RF","faults":50,"static_prune":true}`:       `unknown field "static_prune"`,
 	} {
 		resp, err := http.Post(hs.URL+"/campaigns", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -510,6 +512,7 @@ func TestDaemonRefusesRetiredCheckpointed(t *testing.T) {
 	for id, want := range map[string]string{
 		"c000007": `unknown field "checkpoints"`,
 		"c000008": `unknown field "disable_byte_grouping"`,
+		"c000009": `unknown field "static_prune"`,
 	} {
 		resp, err := http.Get(hs.URL + "/campaigns/" + id)
 		if err != nil {
@@ -607,7 +610,8 @@ func TestDaemonBatchEndToEnd(t *testing.T) {
 // the same options receives. The log adds lifecycle and shard markers,
 // which are filtered out; fault events arrive in completion order, so the
 // streams compare as multisets, with the wall-clock figures (time, the
-// inject and batch summaries' durations and rates) masked.
+// inject and batch summaries' durations and rates) masked. On the wire,
+// only fault lines carry "index".
 func TestDaemonLogIsTheProgressStream(t *testing.T) {
 	req := CampaignRequest{Workload: "sha", Structures: []string{"RF", "SQ"}, Faults: 100, Seed: 5}
 	opts, err := requestOptions(req, nil, NewSnapshotCache(0))
@@ -637,6 +641,32 @@ func TestDaemonLogIsTheProgressStream(t *testing.T) {
 	id := postCampaign(t, hs.URL, string(body))
 	batchWait(t, hs.URL, id)
 	logged := campaignEvents(t, hs.URL, id)
+
+	// On the wire, "index" belongs to fault lines only, index 0 included.
+	resp, err := http.Get(hs.URL + "/campaigns/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	zeros := 0
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 64*1024), 1<<20)
+	for sc.Scan() {
+		var line map[string]any
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			t.Fatalf("bad event line %q: %v", sc.Text(), err)
+		}
+		idx, has := line["index"]
+		if has != (line["type"] == "fault") {
+			t.Errorf("index present=%v on a %v line: %s", has, line["type"], sc.Text())
+		}
+		if idx == 0.0 {
+			zeros++
+		}
+	}
+	if zeros != len(req.Structures) {
+		t.Errorf("%d fault lines carry index 0, want one per structure (%d)", zeros, len(req.Structures))
+	}
 
 	timing := regexp.MustCompile(`in [^ ]+ \([^ ]+ cycles/s;|done in [^:]+:`)
 	multiset := func(evs []CampaignEvent) map[string]int {

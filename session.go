@@ -116,22 +116,17 @@ func WithSnapshotCache(c *SnapshotCache) Option {
 	return func(o *sessionConfig) { o.cfg.Snapshots = c }
 }
 
-// WithStaticPrune enables the guestflow static pre-pruner: register-file
-// fault sites in statically must-dead windows are classified masked
-// before Reduce, skipping their dynamic interval lookups. Every pruned
-// fault is cross-verified against the dynamic analysis — a disagreement
-// fails Reduce loudly — so reports are bit-identical to unpruned runs.
-// Non-RF structures ignore the option.
-func WithStaticPrune() Option {
-	return func(o *sessionConfig) { o.cfg.StaticPrune = true }
-}
+// WithStaticPrune has no effect: Reduce prunes with the dynamic ACE-like
+// intervals alone. It remains only because bench/probes.go calls it, and
+// goes with the next benchmark refresh (ROADMAP item 8(b)).
+func WithStaticPrune() Option { return func(*sessionConfig) {} }
 
 // CampaignEvent is one record of a campaign's progress stream: what a
 // WithProgress subscriber receives and, as NDJSON, what the campaign
-// service logs. A Session emits "preprocess" (CacheHit), "reduce"
-// (StaticPruned), "inject" or "baseline" (SnapshotHit, CyclesPerSec) when
-// a phase is done, each with a one-line Msg, and one "fault" (Index,
-// Fault, Outcome) per classified fault; a Batch adds a "batch" summary.
+// service logs. A Session emits "preprocess" (CacheHit), "reduce",
+// "inject" or "baseline" (SnapshotHit, CyclesPerSec) when a phase is
+// done, each with a one-line Msg, and one "fault" (Index, Fault, Outcome)
+// per classified fault; a Batch adds a "batch" summary.
 // Fault events are emitted from injection worker goroutines, concurrently
 // and in completion (not input) order — a WithProgress callback must be
 // safe for concurrent use and should return quickly.
@@ -249,7 +244,7 @@ func (s *Session) faultEmitter() func(int, Fault, Outcome) {
 		return nil
 	}
 	return func(idx int, f Fault, o Outcome) {
-		s.emitEvent(CampaignEvent{Type: "fault", Index: idx, Fault: f.String(), Outcome: o.String()})
+		s.emitEvent(CampaignEvent{Type: "fault", Index: &idx, Fault: f.String(), Outcome: o.String()})
 	}
 }
 
@@ -318,18 +313,10 @@ func (s *Session) Reduce() (*Reduction, error) {
 	if s.art.Red != nil {
 		return s.art.Red, nil
 	}
-	if s.cfg.StaticPrune {
-		if err := s.art.staticPrune(); err != nil {
-			return nil, err
-		}
-	}
 	red := s.art.Reduce()
 	msg := fmt.Sprintf("%d faults -> %d ACE-masked -> %d groups -> %d representatives",
 		len(s.art.Faults), red.ACEMasked, len(red.Groups), red.ReducedCount())
-	if s.art.StaticPruned > 0 {
-		msg += fmt.Sprintf(" (%d statically pre-pruned)", s.art.StaticPruned)
-	}
-	s.emitEvent(CampaignEvent{Type: "reduce", StaticPruned: s.art.StaticPruned, Msg: msg})
+	s.emitEvent(CampaignEvent{Type: "reduce", Msg: msg})
 	return red, nil
 }
 
