@@ -23,7 +23,6 @@ func writtenArtifact(arts []*Artifacts) *store.Artifact {
 			Structure:  a.Analysis.Structure,
 			Entries:    a.Analysis.Entries,
 			EntryBytes: a.Analysis.EntryBytes,
-			Events:     g.Tracer.Log(a.Analysis.Structure).Events,
 			Intervals:  a.Analysis.Intervals,
 		}
 	}
@@ -96,15 +95,16 @@ func TestArtifactRoundTripWorkloads(t *testing.T) {
 // TestArtifactCodecBudget pins what the gcc/RF golden artifact costs the
 // cache: its exact size on disk, and what one Put plus one Get allocate
 // (single goroutine, so the figure repeats to the byte; the budget leaves
-// ~20% headroom). The all-gob body of format 3 was 4,402,959 bytes and
-// cost 55.1 MB to write and read back.
+// ~20% headroom over 2.91 MB). The all-gob body of format 3 was 4,402,959
+// bytes and cost 55.1 MB to write and read back; format 4, which still
+// carried the event log, 2,149,228 bytes and 18.0 MB.
 func TestArtifactCodecBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	const (
-		wantBytes = 2_149_228
-		budget    = 22_000_000
+		wantBytes = 297_306
+		budget    = 3_500_000
 	)
 	arts, cache, key := coldPreprocess(t, "gcc", cpu.DefaultConfig(), RF)
 	if st := cache.Stats(); st.Bytes != wantBytes {
@@ -130,13 +130,15 @@ func TestArtifactCodecBudget(t *testing.T) {
 // TestColdCachePreprocessAllocBudget is TestPreprocessAllocBudget with a
 // fresh cache attached: the golden run, its analysis and the artifact
 // write. It was 72.6 MB with the all-gob body of format 3, 42.2 MB with
-// format 4, and 46.8 MB while the golden run froze the checkpoint ladder as
-// it went; it is 42.6 MB now that the golden run freezes nothing.
+// format 4, 46.8 MB while the golden run froze the checkpoint ladder as it
+// went and 42.6 MB once it froze nothing; it is 13.3 MB now that the
+// golden run records no event log and the artifact carries none, so the
+// budget fails if either comes back.
 func TestColdCachePreprocessAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	const budget = 50_000_000
+	const budget = 20_000_000
 	workloads.MustGet("gcc").Program() // assembled once per process; not Preprocess's cost
 	cache, err := OpenCache(t.TempDir())
 	if err != nil {

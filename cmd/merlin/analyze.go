@@ -85,7 +85,7 @@ func runAnalyze(args []string) int {
 			return 1
 		}
 		entries, entryBits := cfg.StructureGeometry(lifetime.StructRF)
-		log := golden.Tracer.Log(lifetime.StructRF)
+		log := golden.Tracer.Log(lifetime.StructRF) // replays the golden run once
 		dyn := golden.Tracer.Analysis(lifetime.StructRF)
 
 		// The timed region is the static analysis plus the per-fault

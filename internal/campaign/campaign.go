@@ -151,8 +151,9 @@ type Target struct {
 func (t *Target) NewCore() *cpu.Core { return cpu.New(t.Cfg, t.Prog) }
 
 // Golden is the reference run: the architectural outcome plus (optionally)
-// the lifetime tracer of the ACE-like analysis, finished: Tracer.Analysis(s)
-// holds the vulnerable intervals of every tracked structure.
+// the lifetime tracer of the ACE-like analysis, finished: after RunGolden,
+// Tracer.Analysis(s) holds the vulnerable intervals of every tracked
+// structure, and Tracer.Log(s) replays the run for its event log.
 type Golden struct {
 	Result cpu.RunResult
 	Tracer *lifetime.Tracer
@@ -196,9 +197,10 @@ type Runner struct {
 }
 
 // GoldenRuns reports how many fault-free reference runs this Runner has
-// simulated (RunGolden calls). Campaigns sharing one Runner over a single
-// golden run — the batch pipeline — observe 1 here no matter how many
-// structures they inject; an artifact-cache hit leaves it at 0.
+// simulated (RunGolden calls; a golden tracer's log replay is not one).
+// Campaigns sharing one Runner over a single golden run — the batch
+// pipeline — observe 1 here no matter how many structures they inject; an
+// artifact-cache hit leaves it at 0.
 func (r *Runner) GoldenRuns() int64 { return r.goldenRuns.Load() }
 
 // DefaultGoldenBudget is NewRunner's bound on the fault-free reference
@@ -268,14 +270,15 @@ func (m *runMetrics) fill(res *Result) {
 }
 
 // RunGolden performs the fault-free reference run, tracking lifetimes of
-// the given structures (none for plain baseline campaigns). It keeps the
-// reset state for Run.
+// the given structures (none for plain baseline campaigns) with a golden
+// tracer: Tracer.Analysis(s) is ready, and Tracer.Log(s) replays the run
+// the first time it is asked for. It keeps the reset state for Run.
 func (r *Runner) RunGolden(track ...lifetime.StructureID) (*Golden, error) {
 	r.goldenRuns.Add(1)
 	c := r.NewCore()
 	var tr *lifetime.Tracer
 	if len(track) > 0 {
-		tr = lifetime.NewTracer(track...)
+		tr = lifetime.NewGoldenTracer(r.replay(), track...)
 		c.AttachTracer(tr)
 	}
 	r.resetState(c)
@@ -287,6 +290,30 @@ func (r *Runner) RunGolden(track ...lifetime.StructureID) (*Golden, error) {
 		tr.Finish(false)
 	}
 	return &Golden{Result: res, Tracer: tr}, nil
+}
+
+// CachedGolden is the Golden of a run RunGolden made earlier, rebuilt
+// from what the artifact cache keeps of it: the result and the committed
+// branch trace. Its tracer holds no Analysis (the cache keeps the
+// intervals) and, like RunGolden's, replays the run on the first Log call.
+func (r *Runner) CachedGolden(res cpu.RunResult, branches []lifetime.BranchRec, track ...lifetime.StructureID) *Golden {
+	tr := lifetime.NewGoldenTracer(r.replay(), track...)
+	tr.Branches, tr.Cycles = branches, res.Cycles
+	return &Golden{Result: res, Tracer: tr}
+}
+
+// replay returns a golden tracer's replay: the fault-free run from a fresh
+// core, traced by the tracer it is handed. It counts in no GoldenRuns and
+// leaves the reset state alone, and it holds the target and budget, not
+// the Runner, so a retained Golden pins no clone pool or reset state.
+func (r *Runner) replay() func(*lifetime.Tracer) {
+	t, budget := r.Target, r.GoldenBudget
+	return func(tr *lifetime.Tracer) {
+		c := t.NewCore()
+		c.AttachTracer(tr)
+		c.Run(budget)
+		tr.Finish(false)
+	}
 }
 
 // RunFault re-executes the program from reset with f injected and

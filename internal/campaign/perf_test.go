@@ -282,9 +282,9 @@ func BenchmarkMaskedEquivalent(b *testing.B) {
 
 // BenchmarkPreprocess is what phase 1 costs per simulated cycle: the golden
 // run of four workloads spanning 6K to 266K cycles, untraced and with each
-// structure traced through to its finished Analysis. The core is built
-// outside the timed region; B/cycle is everything the timed region
-// allocates, the retained event log included.
+// structure traced by a golden tracer (no event log) through to its
+// finished Analysis. The core is built outside the timed region; B/cycle
+// is everything the timed region allocates.
 func BenchmarkPreprocess(b *testing.B) {
 	modes := []struct {
 		name  string
@@ -306,7 +306,7 @@ func BenchmarkPreprocess(b *testing.B) {
 					c := w.NewCore(cpu.DefaultConfig())
 					var tr *lifetime.Tracer
 					if mode.track != nil {
-						tr = lifetime.NewTracer(mode.track...)
+						tr = lifetime.NewGoldenTracer(func(*lifetime.Tracer) { b.Fatal("replayed") }, mode.track...)
 						c.AttachTracer(tr)
 					}
 					runtime.ReadMemStats(&before)

@@ -8,6 +8,7 @@ package lifetime
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // StructureID names a fault-injection / lifetime-tracking target.
@@ -143,13 +144,15 @@ type BranchRec struct {
 }
 
 // Tracer observes the tracked structures during one fault-free run: it
-// records their lifetime event logs and the committed branch trace, and —
-// through the reorder window of window.go — derives their vulnerable
-// intervals while the run happens. A nil per-structure log disables
-// tracking of that structure.
+// records the committed branch trace and — through the reorder window of
+// window.go — derives their vulnerable intervals while the run happens. A
+// recording tracer (NewTracer) also keeps every structure's lifetime event
+// log; a golden tracer (NewGoldenTracer) keeps none, and replays the run
+// the first time a log is asked for.
 type Tracer struct {
 	seq      uint64 // last Seq reserved
-	logs     [NumStructures]*Log
+	track    [NumStructures]bool
+	logs     [NumStructures]*Log // nil: tracked but not recorded, or untracked
 	Branches []BranchRec
 	Cycles   uint64 // total run cycles; set by the run harness
 
@@ -160,34 +163,61 @@ type Tracer struct {
 	machines [NumStructures]*machine
 	analyses [NumStructures]*Analysis
 
+	// A golden tracer's logs: the first Log call runs replay once on a
+	// recording tracer of the same structures and keeps it as replayed.
+	replay     func(*Tracer)
+	replayOnce sync.Once
+	replayed   *Tracer
+
 	// Deterministic work counters of the run.
-	Emitted    uint64 // events appended to the logs
+	Emitted    uint64 // events resolved
 	Dropped    uint64 // reserved reads whose reader never committed
 	WindowPeak int    // most Seqs the window held at once
 }
 
-// NewTracer returns a tracer tracking the listed structures.
+// NewTracer returns a tracer tracking and recording the listed structures:
+// Log(s) is the event log of the run it observed.
 func NewTracer(track ...StructureID) *Tracer {
 	t := &Tracer{head: 1}
 	for _, s := range track {
+		t.track[s] = true
 		t.logs[s] = &Log{}
 	}
 	return t
 }
 
-// RehydrateTracerLogs reconstructs a Tracer from a cached golden trace (the
-// deserialization path of the artifact cache in internal/store): the event
-// logs, indexed by StructureID, plus the committed branch trace. Nil
-// entries leave that structure untracked, exactly as if NewTracer had
-// omitted it. The result serves the read-side uses of a recorded run — Log,
-// Branches, re-running Build — but holds no Analysis: the cache stores the
-// intervals themselves (Rehydrate).
-func RehydrateTracerLogs(logs [NumStructures]*Log, branches []BranchRec, cycles uint64) *Tracer {
-	return &Tracer{logs: logs, Branches: branches, Cycles: cycles}
+// NewGoldenTracer returns a tracer tracking the listed structures without
+// recording their event logs, which a golden run would append millions of
+// events to and nothing on the campaign path reads. The first Log call
+// calls replay with a NewTracer of the same structures — replay must run
+// the same deterministic program from reset with it attached — and Log
+// serves that tracer's logs from then on, to any number of goroutines.
+func NewGoldenTracer(replay func(*Tracer), track ...StructureID) *Tracer {
+	t := &Tracer{head: 1, replay: replay}
+	for _, s := range track {
+		t.track[s] = true
+	}
+	return t
 }
 
-// Log returns the event log for s, or nil if s is untracked.
-func (t *Tracer) Log(s StructureID) *Log { return t.logs[s] }
+// Log returns the event log for s, or nil if s is untracked. On a golden
+// tracer the first call replays the run.
+func (t *Tracer) Log(s StructureID) *Log {
+	if t.replay == nil || !t.track[s] {
+		return t.logs[s]
+	}
+	t.replayOnce.Do(func() {
+		var track []StructureID
+		for s, on := range t.track {
+			if on {
+				track = append(track, StructureID(s))
+			}
+		}
+		t.replayed = NewTracer(track...)
+		t.replay(t.replayed)
+	})
+	return t.replayed.logs[s]
+}
 
 // RecordBranch appends a committed branch outcome.
 func (t *Tracer) RecordBranch(commitSeq uint64, rip, target int32, taken bool) {

@@ -28,7 +28,7 @@ type slot struct {
 func (t *Tracer) Attach(geometry func(StructureID) (entries, entryBits int)) {
 	t.ring = make([]slot, 256)
 	for s := StructureID(0); s < NumStructures; s++ {
-		if t.logs[s] != nil {
+		if t.track[s] {
 			entries, entryBits := geometry(s)
 			t.machines[s] = newMachine(s, entries, entryBits/8)
 		}
@@ -61,16 +61,18 @@ func (t *Tracer) grow() {
 // assigns ev.Seq. Events of untracked structures are ignored, and cost the
 // caller no more than this check: Emit and Reserve inline.
 func (t *Tracer) Emit(s StructureID, ev Event) {
-	if l := t.logs[s]; l != nil {
-		t.emit(s, l, ev)
+	if t.track[s] {
+		t.emit(s, ev)
 	}
 }
 
-func (t *Tracer) emit(s StructureID, l *Log, ev Event) {
+func (t *Tracer) emit(s StructureID, ev Event) {
 	sl := t.reserve()
 	ev.Seq = t.seq
 	sl.ev, sl.s, sl.state = ev, s, slotResolved
-	l.Append(ev)
+	if l := t.logs[s]; l != nil {
+		l.Append(ev)
+	}
 	t.Emitted++
 	t.drain()
 }
@@ -79,7 +81,7 @@ func (t *Tracer) emit(s StructureID, l *Log, ev Event) {
 // entry now, and returns the Seq that Commit or Drop must resolve — or 0,
 // which no event carries, when s is untracked.
 func (t *Tracer) Reserve(s StructureID, cycle uint64, entry int32, mask uint64) uint64 {
-	if t.logs[s] == nil {
+	if !t.track[s] {
 		return 0
 	}
 	return t.reserveRead(s, cycle, entry, mask)
@@ -106,7 +108,9 @@ func (t *Tracer) Commit(seq, commitSeq uint64, rip int32, upc uint8) {
 	sl := t.pending(seq)
 	sl.ev.CommitSeq, sl.ev.RIP, sl.ev.UPC = commitSeq, rip, upc
 	sl.state = slotResolved
-	t.logs[sl.s].Append(sl.ev)
+	if l := t.logs[sl.s]; l != nil {
+		l.Append(sl.ev)
+	}
 	t.Emitted++
 	t.drain()
 }
@@ -157,5 +161,5 @@ func (t *Tracer) Finish(openAsEOF bool) {
 
 // Analysis returns the vulnerable intervals of s derived during the run —
 // equal to Build (BuildTruncated) of Log(s) — or nil before Finish, for an
-// untracked structure, and on a tracer rehydrated from the cache.
+// untracked structure, and on a tracer that observed no run.
 func (t *Tracer) Analysis(s StructureID) *Analysis { return t.analyses[s] }

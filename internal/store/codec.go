@@ -1,23 +1,22 @@
 package store
 
-// This file is the artifact body of formatVersion 4. A gob header carries
+// This file is the artifact body of formatVersion 5. A gob header carries
 // the small, irregular parts of an Artifact — the workload, the golden
 // result, the checkpoint schedule, each trace's structure and geometry,
-// and the length of every bulk array — and the three bulk arrays follow it
-// packed by hand: each structure's event log and intervals, in header
-// order, then the branch trace.
+// and the length of every bulk array — and the bulk arrays follow it
+// packed by hand: each structure's intervals, in header order, then the
+// branch trace. The event logs are not stored (StructureTrace.Events).
 //
-//	body     = uvarint(len(header)) ‖ gob(header) ‖ (events ‖ intervals)* ‖ branches
-//	event    = Δseq Δcycle commitSeq entry mask rip kind upc
+//	body     = uvarint(len(header)) ‖ gob(header) ‖ intervals* ‖ branches
 //	interval = entry mask Δstart Δend ΔendSeq rip upc
 //	branch   = ΔcommitSeq rip target taken
 //
 // Δ is the zigzag varint of the wrapping difference from the same field of
-// the previous element (0 before the first): the log arrives nearly in Seq
-// order and the intervals in End order, so a delta is a byte or two, and
+// the previous element (0 before the first): the intervals arrive in End
+// order and the branches in commit order, so a delta is a byte or two, and
 // any uint64 sequence, backwards steps included, still round-trips. rip and
-// target are zigzag varints (the pseudo-RIPs are negative); kind, upc and
-// taken are one raw byte; the rest are plain uvarints.
+// target are zigzag varints (the pseudo-RIPs are negative); upc and taken
+// are one raw byte; the rest are plain uvarints.
 //
 // The header stays gob: it is under a kilobyte, and a field added to
 // cpu.RunResult reaches the file without a codec change. The registry's
@@ -52,12 +51,11 @@ type artifactHeader struct {
 type traceHeader struct {
 	Structure           lifetime.StructureID
 	Entries, EntryBytes int
-	Events, Intervals   int
+	Intervals           int
 }
 
 // The fewest bytes an encoded element can take: one per field.
 const (
-	minEventBytes    = 8
 	minIntervalBytes = 7
 	minBranchBytes   = 4
 )
@@ -80,12 +78,12 @@ func encodeArtifact(a *Artifact) ([]byte, error) {
 	}
 	h := artifactHeader{Workload: a.Workload, Golden: a.Golden, CheckpointCycles: a.CheckpointCycles,
 		Structures: make([]traceHeader, len(a.Structures)), Branches: length(a.Branches)}
-	// A little over what the workloads' elements take (~11 B an event), so
-	// the body is allocated once.
+	// A little over what the workloads' elements take, so the body is
+	// allocated once.
 	size := 6 * len(a.Branches)
 	for i, t := range a.Structures {
-		h.Structures[i] = traceHeader{t.Structure, t.Entries, t.EntryBytes, length(t.Events), length(t.Intervals)}
-		size += 12*len(t.Events) + 14*len(t.Intervals)
+		h.Structures[i] = traceHeader{t.Structure, t.Entries, t.EntryBytes, length(t.Intervals)}
+		size += 14 * len(t.Intervals)
 	}
 	var hdr bytes.Buffer
 	if err := gob.NewEncoder(&hdr).Encode(&h); err != nil {
@@ -95,16 +93,6 @@ func encodeArtifact(a *Artifact) ([]byte, error) {
 	b = binary.AppendUvarint(b, uint64(hdr.Len()))
 	b = append(b, hdr.Bytes()...)
 	for _, t := range a.Structures {
-		var prev lifetime.Event
-		for _, e := range t.Events {
-			b = binary.AppendVarint(b, int64(e.Seq-prev.Seq))
-			b = binary.AppendVarint(b, int64(e.Cycle-prev.Cycle))
-			b = binary.AppendUvarint(b, e.CommitSeq)
-			b = binary.AppendUvarint(b, uint64(uint32(e.Entry)))
-			b = binary.AppendUvarint(b, e.Mask)
-			b = binary.AppendVarint(b, int64(e.RIP))
-			b, prev = append(b, byte(e.Kind), e.UPC), e
-		}
 		var prevIv lifetime.Interval
 		for _, iv := range t.Intervals {
 			b = binary.AppendUvarint(b, uint64(uint32(iv.Entry)))
@@ -156,13 +144,6 @@ func decodeArrays(h *artifactHeader, rest []byte) (*Artifact, error) {
 	r := reader{b: rest}
 	for _, th := range h.Structures {
 		t := StructureTrace{Structure: th.Structure, Entries: th.Entries, EntryBytes: th.EntryBytes}
-		t.Events = makeFit[lifetime.Event](&r, th.Events, minEventBytes)
-		var seq, cycle uint64
-		for i := range t.Events {
-			seq, cycle = seq+uint64(r.varint()), cycle+uint64(r.varint())
-			t.Events[i] = lifetime.Event{Seq: seq, Cycle: cycle, CommitSeq: r.uvarint(), Entry: int32(r.uvarint()),
-				Mask: r.uvarint(), RIP: int32(r.varint()), Kind: lifetime.EventKind(r.raw()), UPC: r.raw()}
-		}
 		t.Intervals = makeFit[lifetime.Interval](&r, th.Intervals, minIntervalBytes)
 		var start, end, endSeq uint64
 		for i := range t.Intervals {

@@ -24,20 +24,15 @@ func extremeArtifact() *Artifact {
 		Workload: "extremes",
 		Structures: []StructureTrace{{
 			Structure: lifetime.StructRF, Entries: 1, EntryBytes: 8,
-			Events: []lifetime.Event{
-				{Seq: top, Cycle: top - 1, CommitSeq: top, Entry: math.MaxInt32, Mask: ^uint64(0), RIP: lifetime.InitRip, Kind: lifetime.EvWrite, UPC: 255},
-				{Seq: 0, Cycle: 0, Entry: math.MinInt32, Mask: 0, RIP: lifetime.WBRip, Kind: lifetime.EvWBRead},
-				{Seq: top / 2, Cycle: 1 << 63, CommitSeq: 1, Entry: -1, Mask: 1, RIP: math.MinInt32, Kind: lifetime.EventKind(255)},
-				{Seq: top / 2, Cycle: 1 << 63, Entry: 0, Mask: 0x80, RIP: math.MaxInt32, Kind: lifetime.EvInvalidate},
-			},
 			Intervals: []lifetime.Interval{
 				{Entry: -1, Mask: ^uint64(0), Start: top, End: 0, EndSeq: top, RIP: lifetime.EOFRip, UPC: 255},
 				{Entry: math.MaxInt32, Mask: 0, Start: 0, End: top, EndSeq: 0, RIP: lifetime.WBRip},
+				{Entry: math.MinInt32, Mask: 1, Start: top / 2, End: 1 << 63, EndSeq: 1, RIP: lifetime.InitRip},
 			},
 		}, {
-			Structure: lifetime.StructSQ, Events: []lifetime.Event{}, Intervals: nil,
+			Structure: lifetime.StructSQ, Intervals: nil,
 		}, {
-			Structure: lifetime.StructL1D, Events: nil, Intervals: []lifetime.Interval{},
+			Structure: lifetime.StructL1D, Intervals: []lifetime.Interval{},
 		}},
 		Golden: cpu.RunResult{Halt: cpu.HaltOK, Cycles: top},
 		Branches: []lifetime.BranchRec{
@@ -96,8 +91,7 @@ func TestArtifactBodyRejects(t *testing.T) {
 		t.Fatal("header length past the end decoded")
 	}
 	for name, h := range map[string]*artifactHeader{
-		"events":    {Structures: []traceHeader{{Events: 1 << 40}}},
-		"intervals": {Structures: []traceHeader{{Events: -1, Intervals: 1 << 40}}},
+		"intervals": {Structures: []traceHeader{{Intervals: 1 << 40}}},
 		"branches":  {Branches: 1 << 40},
 		"negative":  {Branches: -2},
 		"traces":    {Structures: make([]traceHeader, lifetime.NumStructures+1)},
@@ -129,7 +123,7 @@ func splitHeader(body []byte) (*artifactHeader, []byte, bool) {
 
 // FuzzArtifactBody: decoding arbitrary bytes never panics, and the packed
 // arrays never allocate more than 8x the bytes they are decoded from (an
-// element takes at least 4-8 bytes on disk and 24-48 in memory). The gob
+// element takes at least 4-7 bytes on disk and 24-48 in memory). The gob
 // header is encoding/gob's to bound: it allocates at most one lying length,
 // capped at 10 MiB, before it fails. A body that decodes re-encodes to one
 // that decodes to an equal artifact. The seeds are the sealed sha/RF golden

@@ -1,8 +1,10 @@
 // Package store is the golden-run artifact cache: a content-addressed,
 // on-disk repository of everything MeRLiN's Preprocess phase (paper Fig 2)
 // derives from one fault-free run — the architectural golden result, the
-// lifetime event trace, the ACE-like vulnerable intervals, and the
-// checkpoint schedule of the injection ladder.
+// committed branch trace, the ACE-like vulnerable intervals, and the
+// checkpoint schedule of the injection ladder. The lifetime event logs are
+// not kept: nothing on the campaign path reads them, and a golden tracer
+// replays the run for whoever does.
 //
 // The cache exists because Preprocess is the expensive, *reusable* part of
 // a campaign: the golden run and its analysis depend only on (workload,
@@ -15,10 +17,10 @@
 // Artifacts are addressed by the SHA-256 of the canonical encoding of
 // their Key, one file per artifact, written atomically (temp file, fsync,
 // rename) as magic ‖ sha256(body) ‖ body. The body is a small gob header
-// followed by the event logs, intervals and branch trace packed as varint
-// deltas (codec.go): a hit must cost less than recomputing the golden run,
-// and a gob encoding of those arrays cost as much to write, and again as
-// much to read, as the run itself. A corrupt, truncated, or version-skewed file is treated
+// followed by the intervals and branch trace packed as varint deltas
+// (codec.go): a hit must cost less than recomputing the golden run, and a
+// gob encoding of the bulk arrays cost as much to write, and again as much
+// to read, as the run itself. A corrupt, truncated, or version-skewed file is treated
 // as a miss and rewritten, never returned. The Store is safe for
 // concurrent use by any number of goroutines and processes sharing the
 // directory.
@@ -48,9 +50,10 @@ import (
 // lifetime traces of every structure a batch campaign targets); version 3
 // stamps write events with the producing µop's (RIP, UPC) for the
 // guestflow static cross-check and pre-pruner; version 4 replaces the
-// all-gob body with a gob header and hand-packed arrays (codec.go). Older
-// files read as a clean miss and are recomputed.
-const formatVersion = 4
+// all-gob body with a gob header and hand-packed arrays (codec.go);
+// version 5 drops the event logs. Older files read as a clean miss and are
+// recomputed.
+const formatVersion = 5
 
 // Key identifies one golden-run artifact: everything the fault-free run
 // depends on. Fault list size, sampling seed, injection strategy and
@@ -64,9 +67,9 @@ type Key struct {
 	CPU cpu.Config
 	// Budget is the golden-run cycle budget (Runner.GoldenBudget).
 	Budget uint64
-	// Structures are the traced injection targets; the lifetime event
-	// logs and intervals are per-structure, and a batch campaign's single
-	// golden run carries all of them. The set is canonicalized (sorted,
+	// Structures are the traced injection targets; the intervals are
+	// per-structure, and a batch campaign's single golden run carries all
+	// of them. The set is canonicalized (sorted,
 	// deduplicated) by NewKey and again inside ID, so request order never
 	// splits the cache.
 	Structures []lifetime.StructureID
@@ -113,9 +116,8 @@ func (k Key) ID() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// StructureTrace is the per-structure slice of an artifact: the raw
-// lifetime event log of one structure plus its derived vulnerable
-// intervals and geometry.
+// StructureTrace is the per-structure slice of an artifact: the derived
+// vulnerable intervals of one structure and its geometry.
 type StructureTrace struct {
 	// Structure names the traced injection target.
 	Structure lifetime.StructureID
@@ -126,8 +128,11 @@ type StructureTrace struct {
 	Entries    int
 	EntryBytes int
 
-	// Events is the structure's golden trace: the raw lifetime event log,
-	// from which the analysis can be re-derived bit-identically.
+	// Events is not stored: Put never writes it and Get always returns it
+	// nil. The event log comes from the golden tracer's replay
+	// (lifetime.Tracer.Log). The field stays only for the benchmark
+	// harness, which still sets it, and goes with its refresh (ROADMAP
+	// item 8).
 	Events []lifetime.Event
 
 	// Intervals are the derived ACE-like vulnerable intervals, stored so

@@ -22,10 +22,6 @@ func sampleArtifact() *Artifact {
 			Structure:  lifetime.StructRF,
 			Entries:    256,
 			EntryBytes: 64,
-			Events: []lifetime.Event{
-				{Seq: 1, Cycle: 10, Entry: 3, Mask: 0xff, Kind: lifetime.EvWrite},
-				{Seq: 2, Cycle: 20, CommitSeq: 5, Entry: 3, Mask: 0xff, RIP: 42, Kind: lifetime.EvRead, UPC: 1},
-			},
 			Intervals: []lifetime.Interval{
 				{Entry: 3, Mask: 0xff, Start: 10, End: 20, EndSeq: 5, RIP: 42, UPC: 1},
 			},
@@ -209,9 +205,6 @@ func TestMultiStructureRoundTrip(t *testing.T) {
 		Structure:  lifetime.StructSQ,
 		Entries:    64,
 		EntryBytes: 8,
-		Events: []lifetime.Event{
-			{Seq: 3, Cycle: 30, Entry: 1, Mask: 0x0f, Kind: lifetime.EvWrite},
-		},
 		Intervals: []lifetime.Interval{
 			{Entry: 1, Mask: 0x0f, Start: 30, End: 40, EndSeq: 9, RIP: 50},
 		},
@@ -314,8 +307,36 @@ func place(t *testing.T, dir, from, to string) {
 	}
 }
 
+// TestEventsAreNotStored: an event log handed to Put is not written, and
+// Get serves the trace without one.
+func TestEventsAreNotStored(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := sampleKey()
+	withEvents := sampleArtifact()
+	withEvents.Structures[0].Events = []lifetime.Event{
+		{Seq: 1, Cycle: 10, Entry: 3, Mask: 0xff, Kind: lifetime.EvWrite},
+		{Seq: 2, Cycle: 20, CommitSeq: 5, Entry: 3, Mask: 0xff, RIP: 42, Kind: lifetime.EvRead, UPC: 1},
+	}
+	if err := s.Put(k, withEvents); err != nil {
+		t.Fatal(err)
+	}
+	size := s.Stats().Bytes
+	if err := s.Put(k, sampleArtifact()); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Bytes != size {
+		t.Errorf("the file with an event log is %d bytes, without one %d", size, st.Bytes)
+	}
+	if got, ok := s.Get(k); !ok || !reflect.DeepEqual(got, sampleArtifact()) {
+		t.Fatalf("Get served ok=%v %+v, want the artifact without events", ok, got)
+	}
+}
+
 // TestServesParentWrittenFiles pins both on-disk layouts: an artifact
-// written at format 4 (testdata/v4.artifact, Put of sampleArtifact) and a
+// written at format 5 (testdata/v5.artifact, Put of sampleArtifact) and a
 // campaign record written before the two codecs became one
 // (testdata/c000001.campaign, Put of sampleRecord) are served by Get and
 // List.
@@ -324,9 +345,9 @@ func TestServesParentWrittenFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	place(t, s.Dir(), "v4.artifact", filepath.Base(s.path(sampleKey())))
+	place(t, s.Dir(), "v5.artifact", filepath.Base(s.path(sampleKey())))
 	if got, ok := s.Get(sampleKey()); !ok || !reflect.DeepEqual(got, sampleArtifact()) {
-		t.Fatalf("format-4 artifact not served: ok=%v %+v", ok, got)
+		t.Fatalf("format-5 artifact not served: ok=%v %+v", ok, got)
 	}
 
 	r, err := OpenRegistry(t.TempDir())
@@ -343,27 +364,30 @@ func TestServesParentWrittenFiles(t *testing.T) {
 	}
 }
 
-// TestOldArtifactIsCleanMiss: the all-gob format-3 artifact of the same
-// sampleArtifact (testdata/v3.artifact) is one error and one miss — there
-// is no reader for it — and the next Put overwrites it.
+// TestOldArtifactIsCleanMiss: the all-gob format-3 artifact and the
+// format-4 artifact with event logs, each of the same sampleArtifact
+// (testdata/v3.artifact, testdata/v4.artifact), are one error and one miss
+// — there is no reader for either — and the next Put overwrites them.
 func TestOldArtifactIsCleanMiss(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := sampleKey()
-	place(t, s.Dir(), "v3.artifact", filepath.Base(s.path(k)))
-	if _, ok := s.Get(k); ok {
-		t.Fatal("format-3 artifact served by the format-4 reader")
-	}
-	if st := s.Stats(); st.Errors != 1 || st.Misses != 1 || st.Hits != 0 {
-		t.Fatalf("stats = %+v, want 1 error / 1 miss / 0 hits", st)
-	}
-	if err := s.Put(k, sampleArtifact()); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := s.Get(k)
-	if !ok || !reflect.DeepEqual(got, sampleArtifact()) {
-		t.Fatalf("Get after the overwriting Put: ok=%v %+v", ok, got)
+	for _, file := range []string{"v3.artifact", "v4.artifact"} {
+		s, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := sampleKey()
+		place(t, s.Dir(), file, filepath.Base(s.path(k)))
+		if _, ok := s.Get(k); ok {
+			t.Fatalf("%s served by the format-%d reader", file, formatVersion)
+		}
+		if st := s.Stats(); st.Errors != 1 || st.Misses != 1 || st.Hits != 0 {
+			t.Fatalf("%s: stats = %+v, want 1 error / 1 miss / 0 hits", file, st)
+		}
+		if err := s.Put(k, sampleArtifact()); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := s.Get(k)
+		if !ok || !reflect.DeepEqual(got, sampleArtifact()) {
+			t.Fatalf("%s: Get after the overwriting Put: ok=%v %+v", file, ok, got)
+		}
 	}
 }

@@ -307,7 +307,6 @@ func preprocessStructures(cfg Config, structures []Structure) ([]*Artifacts, err
 				Structure:  a.Analysis.Structure,
 				Entries:    a.Analysis.Entries,
 				EntryBytes: a.Analysis.EntryBytes,
-				Events:     golden.Tracer.Log(a.Analysis.Structure).Events,
 				Intervals:  a.Analysis.Intervals,
 			}
 		}
@@ -364,23 +363,15 @@ func newRunner(cfg Config) (*campaign.Runner, error) {
 // rehydrateArtifacts rebuilds the per-structure Preprocess products from a
 // cached artifact.
 func rehydrateArtifacts(cfg Config, runner *campaign.Runner, structures []Structure, art *store.Artifact) ([]*Artifacts, error) {
-	var logs [lifetime.NumStructures]*lifetime.Log
-	for _, s := range structures {
-		tr, ok := art.Trace(s)
+	golden := runner.CachedGolden(art.Golden, art.Branches, structures...)
+	out := make([]*Artifacts, len(structures))
+	for i, s := range structures {
+		analysis, ok := art.Analysis(s)
 		if !ok {
 			// Get verified the structure set, so this is unreachable; fail
 			// loudly rather than serving a half-rehydrated campaign.
 			return nil, fmt.Errorf("merlin: cached artifact is missing the %v trace", s)
 		}
-		logs[s] = &lifetime.Log{Events: tr.Events}
-	}
-	golden := &campaign.Golden{
-		Result: art.Golden,
-		Tracer: lifetime.RehydrateTracerLogs(logs, art.Branches, art.Golden.Cycles),
-	}
-	out := make([]*Artifacts, len(structures))
-	for i, s := range structures {
-		analysis, _ := art.Analysis(s)
 		out[i] = newArtifacts(cfg, runner, golden, analysis, true)
 	}
 	return out, nil
