@@ -78,22 +78,27 @@ func runAnalyze(args []string) int {
 		start                       = time.Now()
 	)
 	for _, j := range jobs {
-		runner := campaign.NewRunner(campaign.Target{Cfg: cfg, Prog: j.prog})
-		golden, err := runner.RunGolden(lifetime.StructRF)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "analyze: %s: %v\n", j.name, err)
+		// One detailed run, recording the RF event log as it goes: a
+		// campaign's golden tracer would replay the run for it.
+		tr := lifetime.NewTracer(lifetime.StructRF)
+		core := cpu.New(cfg, j.prog)
+		core.AttachTracer(tr)
+		golden := core.Run(campaign.DefaultGoldenBudget)
+		if golden.Halt != cpu.HaltOK {
+			fmt.Fprintf(os.Stderr, "analyze: %s: golden run ended with %v after %d cycles\n", j.name, golden.Halt, golden.Cycles)
 			return 1
 		}
+		tr.Finish(false)
 		entries, entryBits := cfg.StructureGeometry(lifetime.StructRF)
-		log := golden.Tracer.Log(lifetime.StructRF) // replays the golden run once
-		dyn := golden.Tracer.Analysis(lifetime.StructRF)
+		log := tr.Log(lifetime.StructRF)
+		dyn := tr.Analysis(lifetime.StructRF)
 
 		// The timed region is the static analysis plus the per-fault
 		// prune pass over the sampled sites.
 		t0 := time.Now()
 		g := guestflow.Analyze(j.prog)
 		sites := sampling.Generate(lifetime.StructRF, entries, entryBits,
-			golden.Result.Cycles, *faults, *seed)
+			golden.Cycles, *faults, *seed)
 		premasked, ps := guestflow.PruneRF(g, log, sites)
 		analysisWall += time.Since(t0)
 

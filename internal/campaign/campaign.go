@@ -194,6 +194,11 @@ type Runner struct {
 	// not served a ladder starts from (see resetState), guarded by resetMu.
 	resetMu sync.Mutex
 	reset   *cpu.Core
+
+	// track holds the golden checkpoints of the hand-off's convergence
+	// exit, fetched by the first hand-off (goldenTrack).
+	trackOnce sync.Once
+	track     *goldenTrack
 }
 
 // GoldenRuns reports how many fault-free reference runs this Runner has
@@ -241,6 +246,7 @@ type runMetrics struct {
 	interpInsts        atomic.Uint64 // see Work
 	deadAtFlip         atomic.Int64  // see Work
 	overwritten        atomic.Int64  // see Work
+	converged          atomic.Int64  // see Work
 }
 
 // addHandOffs folds a retiring worker's hand-off counts in.
@@ -249,6 +255,7 @@ func (m *runMetrics) addHandOffs(h *handOff) {
 	m.fellBack.Add(h.fellBack)
 	m.interpInsts.Add(h.interpInsts)
 	m.overwritten.Add(h.overwritten)
+	m.converged.Add(h.converged)
 }
 
 // clone takes one metered snapshot of src through the pool.
@@ -266,7 +273,7 @@ func (m *runMetrics) fill(res *Result) {
 	res.CloneTime = time.Duration(m.cloneNS.Load())
 	res.SimCycles = m.simCycles.Load()
 	res.HandOffs, res.FellBack, res.InterpInsts = m.handOffs.Load(), m.fellBack.Load(), m.interpInsts.Load()
-	res.DeadAtFlip, res.Overwritten = m.deadAtFlip.Load(), m.overwritten.Load()
+	res.DeadAtFlip, res.Overwritten, res.Converged = m.deadAtFlip.Load(), m.overwritten.Load(), m.converged.Load()
 }
 
 // RunGolden performs the fault-free reference run, tracking lifetimes of
@@ -416,6 +423,11 @@ type Work struct {
 	// waited for quiescence before a hand-off, because the flipped RF or
 	// SQ entry was overwritten or freed unread (cpu.Core.Watch).
 	Overwritten int64
+	// Converged counts the handed-off runs the interpreter stopped at a
+	// golden checkpoint because their state equalled the golden run's
+	// there, so the rest of the run was known (Runner.interpret). They
+	// count in HandOffs too.
+	Converged int64
 	// SnapshotHit reports that a SnapshotCache served the campaign's
 	// checkpoint ladder, so its sweep jumped along the rungs. It is false
 	// on a miss, where the sweep froze the ladder as it passed the rungs,
@@ -434,6 +446,7 @@ func (w *Work) Add(o Work) {
 	w.InterpInsts += o.InterpInsts
 	w.DeadAtFlip += o.DeadAtFlip
 	w.Overwritten += o.Overwritten
+	w.Converged += o.Converged
 	w.SnapshotHit = w.SnapshotHit || o.SnapshotHit
 }
 

@@ -127,6 +127,7 @@ type handOff struct {
 	fellBack    int64  // attempts that returned to the detailed core
 	interpInsts uint64 // instructions interpreted, either way
 	overwritten int64  // runs the overwrite watch ended Masked
+	converged   int64  // hand-offs the convergence exit decided
 }
 
 // handOffWait bounds the cycles a hand-off steps the detailed core waiting
@@ -153,6 +154,9 @@ const handOffWait = 128
 // to end in time only if the core could spend twice the golden run's
 // cycles per instruction on them (the one judgement here that is measured,
 // by the differential tests, not proved); anything in between falls back.
+// A run whose state meets the golden run's at a golden checkpoint stops
+// there (interpret): its result is then known exactly, and the same rules
+// judge it.
 func (r *Runner) handOff(c *cpu.Core, f fault.Fault, injSeq uint64, golden *cpu.RunResult, h *handOff) (o Outcome, ok bool) {
 	pc, quiet := c.Quiescent(injSeq)
 	for n := 0; !quiet && n < handOffWait && c.Halted() == cpu.Running; n++ {
@@ -172,18 +176,24 @@ func (r *Runner) handOff(c *cpu.Core, f fault.Fault, injSeq uint64, golden *cpu.
 	if addr, unsettled := c.UnsettledByte(f.Structure, int(f.Entry), int(f.Bit)); unsettled {
 		h.m.Watch(addr)
 	}
-	h.m.Run(uint64(c.Cfg.CommitWidth) * rem)
-	res := h.m.Result()
-	h.interpInsts += res.Steps
+	res, converged := r.interpret(c, golden, h, uint64(c.Cfg.CommitWidth)*rem)
+	h.interpInsts += h.m.Steps()
 	switch {
 	case res.Halt == interp.StepLimit:
 		h.handOffs++
+		if converged {
+			h.converged++
+		}
 		return Timeout, true
 	case res.Halt == interp.WatchTrip, res.Steps > rem*golden.Stats.CommittedInsts/(2*golden.Cycles):
 		h.fellBack++
 		return 0, false
 	}
 	h.handOffs++
+	if converged {
+		h.converged++
+		return Masked, true
+	}
 	// The core's logs may share backing with the snapshot it was cloned
 	// off: compare the two halves in place instead of appending them.
 	return classify(conformance.CoreHalt(res.Halt), c.Output(), res.Output, c.ExcLog(), res.ExcLog, golden), true

@@ -89,6 +89,20 @@ func delayLoop(label string, n int) string {
 	return fmt.Sprintf("\tli r2, %d\n%s:\n\taddi r2, r2, -1\n\tbne r2, r12, %s\n", n, label, label)
 }
 
+// strayStore is the stray-store scenario of TestHandOffTraps after queued
+// stores to cold lines of page 0x40000: the flipped word at 0x40000,
+// loaded, offsets a store by 0x20000; the registers it passed through are
+// reset and the word and the golden store's target rewritten, and only the
+// end reads the stray store's target.
+func strayStore(queued int) string {
+	src := "\tli r12, 0\n\tli r11, 0x40000\n\tli r7, 77\n\tld r1, [r11+0]\n" + delayLoop("spin", 600)
+	for i := 1; i <= queued; i++ {
+		src += fmt.Sprintf("\tsd [r11+%d], r7\n", 64*i)
+	}
+	return src + "\tld r4, [r11+0]\n\tadd r5, r11, r4\n\tsd [r5+8], r7\n\tsd [r11+8], r7\n\tsd [r11+0], r12\n\tli r4, 0\n\tli r5, 0\n" +
+		delayLoop("settle", 3000) + "\tld r1, [r11+0x20008]\n\tout r1\n\thalt\n"
+}
+
 // TestHandOffTraps pins the hand-off's extraction traps, one scenario each,
 // built so that the wrong extraction yields a different class than the
 // detailed run's. Each injects one fault before a single rung and checks
@@ -149,6 +163,25 @@ func TestHandOffTraps(t *testing.T) {
 		src:  l1dPrologue + delayLoop("spin", 600) + "\tsd [r11+0], r7\n\tld r1, [r11+0]\n\tout r1\n\thalt\n",
 		f:    fault.Fault{Structure: lifetime.StructL1D, Entry: 0, Bit: 2, Cycle: 300},
 		rung: 350, want: Masked, handOffs: 1,
+	}, {
+		// The convergence exit compares the pages the faulty core stored to
+		// before the hand-off. The flipped word, loaded after the first
+		// hand-off fell back, moves a store to page 0x60000, which the
+		// golden run reads only at its end; registers and page 0x40000 then
+		// rejoin the golden run before the rung. Compared only on the pages
+		// either run mapped, the rung's hand-off would converge: Masked.
+		// Here the stray store has drained by the rung ...
+		name: "stray store drained before the hand-off",
+		src:  strayStore(0),
+		f:    fault.Fault{Structure: lifetime.StructL1D, Entry: 0, Bit: 17, Cycle: 300},
+		rung: 1500, want: SDC, handOffs: 1, fellBack: 1,
+	}, {
+		// ... and here fourteen stores to cold lines ahead of it keep it
+		// committed in the store queue at the rung.
+		name: "stray store queued at the hand-off",
+		src:  strayStore(14),
+		f:    fault.Fault{Structure: lifetime.StructL1D, Entry: 0, Bit: 17, Cycle: 300},
+		rung: 950, want: SDC, handOffs: 1, fellBack: 1,
 	}} {
 		r, golden := trapKernel(t, tc.name, tc.src)
 		if got := r.RunFault(tc.f, golden); got != tc.want {

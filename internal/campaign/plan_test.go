@@ -119,8 +119,9 @@ func TestPlansAgreeOnGeneratedKernels(t *testing.T) {
 // TestPlanWorkCounters pins the work each strategy does on sha/RF/1000
 // faults/seed 1 — machine clones, detailed cycles simulated, snapshot hit,
 // what the hand-off did (runs the interpreter finished, attempts that fell
-// back, instructions interpreted), the faults classified dead at the flip
-// and those the overwrite watch decided. Without a SnapshotCache the sweep
+// back, instructions interpreted), the faults classified dead at the flip,
+// those the overwrite watch decided and the hand-offs the convergence exit
+// decided. Without a SnapshotCache the sweep
 // runs from reset, so a Runner that ran the golden run (cold) and one that
 // ran none (warm, the artifact-cache-hit path) do the same work. On a cache
 // holding no ladder the sweep does that work too and freezes the ladder as
@@ -139,6 +140,7 @@ func TestPlanWorkCounters(t *testing.T) {
 		interpInsts uint64
 		deadAtFlip  int64
 		overwritten int64
+		converged   int64
 	}
 	cold := NewRunner(target(t, "sha"))
 	g, err := cold.RunGolden()
@@ -159,17 +161,17 @@ func TestPlanWorkCounters(t *testing.T) {
 		strategy Strategy
 		want     work
 	}{
-		{"replay", cold, Replay, work{1000, 6152243, false, 0, 0, 0, 0, 0}},
-		{"forked cold", cold, Forked, work{169, 8602, false, 69, 0, 533434, 832, 99}},
-		{"forked warm", warm, Forked, work{169, 8602, false, 69, 0, 533434, 832, 99}},
-		{"forked miss", cached, Forked, work{193, 8602, false, 69, 0, 533434, 832, 99}},
-		{"forked hit", cached, Forked, work{193, 8437, true, 69, 0, 533434, 832, 99}},
-		{"forked served", served, Forked, work{193, 8437, true, 69, 0, 533434, 832, 99}},
+		{"replay", cold, Replay, work{1000, 6152243, false, 0, 0, 0, 0, 0, 0}},
+		{"forked cold", cold, Forked, work{169, 8602, false, 69, 0, 127949, 832, 99, 49}},
+		{"forked warm", warm, Forked, work{169, 8602, false, 69, 0, 127949, 832, 99, 49}},
+		{"forked miss", cached, Forked, work{193, 8602, false, 69, 0, 127949, 832, 99, 49}},
+		{"forked hit", cached, Forked, work{193, 8437, true, 69, 0, 127949, 832, 99, 49}},
+		{"forked served", served, Forked, work{193, 8437, true, 69, 0, 127949, 832, 99, 49}},
 	}
 	got := map[string]work{}
 	for _, row := range rows {
 		res := mustRun(t)(row.r.Run(context.Background(), faults, &g.Result, Plan{Strategy: row.strategy}))
-		got[row.name] = work{res.Clones, res.SimCycles, res.SnapshotHit, res.HandOffs, res.FellBack, res.InterpInsts, res.DeadAtFlip, res.Overwritten}
+		got[row.name] = work{res.Clones, res.SimCycles, res.SnapshotHit, res.HandOffs, res.FellBack, res.InterpInsts, res.DeadAtFlip, res.Overwritten, res.Converged}
 		if got[row.name] != row.want {
 			t.Errorf("%s: work %+v, want %+v", row.name, got[row.name], row.want)
 		}
@@ -194,7 +196,7 @@ func TestPlanWorkCounters(t *testing.T) {
 // Runner with a cache, whose first campaign freezes the ladder and whose
 // second is served it, classify the same faults alike and agree on every
 // counter of what the continuations did: hand-offs, fall-backs,
-// instructions interpreted, dead at the flip, overwritten. Only SimCycles,
+// instructions interpreted, dead at the flip, overwritten, converged. Only SimCycles,
 // Clones and SnapshotHit may differ. Each list is mostly faults the
 // ACE-like analysis says are read, the kind a MeRLiN campaign injects and
 // the kind that hands off; on djpeg some must fall back and retry. -short
@@ -234,8 +236,8 @@ func TestLadderOnlyMovesTheSweep(t *testing.T) {
 				}
 			}
 			want := mustRun(t)(plain.Run(context.Background(), faults, &g.Result, Plan{Strategy: Forked}))
-			counters := func(w Work) [5]int64 {
-				return [5]int64{w.HandOffs, w.FellBack, int64(w.InterpInsts), w.DeadAtFlip, w.Overwritten}
+			counters := func(w Work) [6]int64 {
+				return [6]int64{w.HandOffs, w.FellBack, int64(w.InterpInsts), w.DeadAtFlip, w.Overwritten, w.Converged}
 			}
 			var got *Result
 			for _, hit := range []bool{false, true} {
@@ -247,7 +249,7 @@ func TestLadderOnlyMovesTheSweep(t *testing.T) {
 					t.Errorf("%s: outcomes differ with a cache that holds a ladder: %v", id, hit)
 				}
 				if counters(got.Work) != counters(want.Work) {
-					t.Errorf("%s: hand-offs, fall-backs, interpreted, dead at the flip, overwritten %v with a cache that holds a ladder: %v, %v without",
+					t.Errorf("%s: hand-offs, fall-backs, interpreted, dead at the flip, overwritten, converged %v with a cache that holds a ladder: %v, %v without",
 						id, counters(got.Work), hit, counters(want.Work))
 				}
 			}

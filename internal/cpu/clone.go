@@ -81,6 +81,7 @@ func (c *Core) cloneInto(n *Core) {
 	n.archRegs = c.archRegs
 
 	n.stats = c.stats
+	n.stored = c.stored
 	n.tracer = nil
 	n.reads = nil
 	n.witness = nil

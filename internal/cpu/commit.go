@@ -125,6 +125,9 @@ func (c *Core) drainStage() {
 	if slot+1 == int(c.watch.sq) {
 		c.watch = watch{end: WatchRead}
 	}
+	if c.stored.armed {
+		c.stored.pages.addStore(s.addr, s.size)
+	}
 	lat := c.dcacheWrite(s.addr, s.size, s.data, int32(s.drainRIP), s.drainUPC)
 	c.drainBusyUntil = c.cycle + uint64(lat)
 	if c.tracer != nil {

@@ -292,6 +292,9 @@ type Core struct {
 	reads  []uopReads // per ROB slot, allocated by AttachTracer
 	stats  Stats
 	watch  watch // the overwrite watch (Watch): not machine state, not cloned
+	// stored is the set of pages a faulty run changed since FlipBit
+	// (StoredPages); a golden run never arms it.
+	stored storeTracker
 }
 
 // New builds a core for prog with the given configuration. The program's
@@ -431,8 +434,10 @@ func (c *Core) StructureEntryBits(s lifetime.StructureID) int {
 // selects the physical slot (register, SQ slot, or cache (set,way) line)
 // and bit the flipped bit. The flip lands in the physical storage
 // regardless of the slot's current architectural meaning, exactly like a
-// particle strike. An RF or SQ flip arms the overwrite watch (Watch).
+// particle strike. An RF or SQ flip arms the overwrite watch (Watch), and
+// every flip arms the stored-page tracker (StoredPages).
 func (c *Core) FlipBit(s lifetime.StructureID, entry, bit int) {
+	c.stored = storeTracker{armed: true}
 	switch s {
 	case lifetime.StructRF:
 		c.regVal[entry] ^= 1 << uint(bit)
@@ -442,6 +447,10 @@ func (c *Core) FlipBit(s lifetime.StructureID, entry, bit int) {
 		c.watch = watch{sq: int16(entry) + 1}
 	case lifetime.StructL1D:
 		c.l1d.FlipBit(entry, bit)
+		// An invalid line's bytes are all overwritten by its next fill.
+		if line, valid, _ := c.l1d.EntryLine(entry); valid {
+			c.stored.pages.Add(line)
+		}
 	default:
 		assertf(false, "FlipBit: unknown structure %d", s)
 	}

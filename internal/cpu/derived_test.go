@@ -110,7 +110,7 @@ var (
 		"decodeQ", "dqHead", "dqTail", "pred",
 		"curTemps", "tempAcc", "curTempCount", "lastSQ",
 		"output", "excLog", "committedInsts", "committedUops", "lastCommitAt",
-		"archRegs", "stats",
+		"archRegs", "stats", "stored",
 	}
 	coreNotMachineState = []string{"witness", "mutate", "watch", "tracer", "reads"}
 )

@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"math/bits"
+
 	"merlin/internal/isa"
 	"merlin/internal/lifetime"
 	"merlin/internal/mem"
@@ -121,4 +123,62 @@ func (c *Core) UnsettledByte(s lifetime.StructureID, entry, bit int) (addr uint6
 		below = p[addr&(mem.PageSize-1)]
 	}
 	return addr, c.l1d.PeekEntryData(entry)[bit/8] != below
+}
+
+// PageSet is a set of data-memory pages, one bit per mem.PageSize page
+// below isa.MemTop. It holds no pointer, so a Core carries one by value
+// and copying it allocates nothing.
+type PageSet [isa.MemTop / mem.PageSize / 64]uint64
+
+// Add puts the page holding addr in the set; an address at or above
+// isa.MemTop has no page and is ignored.
+func (s *PageSet) Add(addr uint64) {
+	if p := addr / mem.PageSize; p/64 < uint64(len(s)) {
+		s[p/64] |= 1 << (p % 64)
+	}
+}
+
+// addStore puts the pages a size-byte store at addr writes in the set.
+func (s *PageSet) addStore(addr uint64, size uint8) {
+	s.Add(addr)
+	s.Add(addr + uint64(size) - 1)
+}
+
+// All calls f with the base address of every page in the set, ascending,
+// until f returns false; it reports whether f never did.
+func (s *PageSet) All(f func(base uint64) bool) bool {
+	for w, word := range s {
+		for ; word != 0; word &= word - 1 {
+			if !f(uint64(w*64+bits.TrailingZeros64(word)) * mem.PageSize) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// storeTracker records the pages committed stores wrote since FlipBit
+// armed it, as they drain to the data cache.
+type storeTracker struct {
+	armed bool
+	pages PageSet
+}
+
+// StoredPages returns the data pages on which a faulty core's committed
+// memory image can differ from what the fault-free run made of them: the
+// page of the L1D line FlipBit flipped, if valid then, and the pages of
+// every store drained since the flip or committed and still queued. Every
+// other page holds only what the run stored before the flip, so a
+// hand-off's convergence exit compares these pages and those either
+// interpreter run mapped, and nothing else. ok is false on a core FlipBit
+// never armed.
+func (c *Core) StoredPages() (pages PageSet, ok bool) {
+	if !c.stored.armed {
+		return pages, false
+	}
+	pages = c.stored.pages
+	for i, slot := 0, c.sqHead; i < c.sqLen && c.sq[slot].committed; i, slot = i+1, ringNext(slot, len(c.sq)) {
+		pages.addStore(c.sq[slot].addr, c.sq[slot].size)
+	}
+	return pages, true
 }

@@ -63,6 +63,10 @@ func (c *Core) ArchRegs() [isa.NumArchRegs]uint64 { return c.archRegs }
 // callers must not mutate it.
 func (c *Core) Output() []uint64 { return c.output }
 
+// CommittedInsts returns the number of macro-instructions retired so far
+// (HALT is not counted).
+func (c *Core) CommittedInsts() uint64 { return c.committedInsts }
+
 // ExcLog returns the committed recoverable-exception log so far. The
 // slice is live; callers must not mutate it.
 func (c *Core) ExcLog() []uint32 { return c.excLog }

@@ -72,11 +72,12 @@ type Machine struct {
 	regs [isa.NumArchRegs]uint64
 	// pages is the page table of the whole mapped range: an access costs
 	// one index, not a map lookup. A nil slot is a page not touched yet; the
-	// first touch fills it from src (zeros without one). free holds the
-	// buffers of earlier runs for Reset to reuse.
-	pages [isa.MemTop >> pageBits]*[pageSize]byte
-	free  []*[pageSize]byte
-	src   PageSource
+	// first touch fills it from src (zeros without one) and appends its base
+	// to touched. free holds the buffers of earlier runs for Reset to reuse.
+	pages   [isa.MemTop >> pageBits]*[pageSize]byte
+	touched []uint64
+	free    []*[pageSize]byte
+	src     PageSource
 	// A load touching the byte at watch stops the machine while watching;
 	// a store covering it ends the watch.
 	watch    uint64
@@ -115,19 +116,21 @@ func NewMachine(prog *isa.Program) *Machine {
 // except its buffers, so a worker resetting one Machine per run allocates
 // nothing once the buffers have grown.
 func (m *Machine) Reset(prog *isa.Program, pc int64, regs [isa.NumArchRegs]uint64, src PageSource) {
-	for i, p := range m.pages {
-		if p != nil {
-			m.free = append(m.free, p)
-			m.pages[i] = nil
-		}
+	for _, base := range m.touched {
+		m.free = append(m.free, m.pages[base>>pageBits])
+		m.pages[base>>pageBits] = nil
 	}
-	*m = Machine{prog: prog, regs: regs, free: m.free, src: src, out: m.out[:0], exc: m.exc[:0], pc: pc}
+	*m = Machine{prog: prog, regs: regs, touched: m.touched[:0], free: m.free, src: src, out: m.out[:0], exc: m.exc[:0], pc: pc}
 }
 
 // Watch makes the next load that touches the byte at addr stop the machine
 // with WatchTrip instead of executing; a store covering the byte first ends
 // the watch.
 func (m *Machine) Watch(addr uint64) { m.watch, m.watching = addr, true }
+
+// Watching reports whether the byte Watch named is still watched: no store
+// has covered it yet.
+func (m *Machine) Watching() bool { return m.watching }
 
 // PC returns the index of the next instruction to execute.
 func (m *Machine) PC() int64 { return m.pc }
@@ -169,6 +172,15 @@ func (m *Machine) PageData(addr uint64) []byte {
 	return m.pages[addr>>pageBits][:]
 }
 
+// Page returns the 4KB page at the page-aligned base addr, which must be
+// below isa.MemTop, read-only: mapped from the PageSource on first touch,
+// as a load would map it.
+func (m *Machine) Page(addr uint64) []byte { return m.page(addr)[:] }
+
+// Touched returns the base addresses of the pages the run has mapped, in
+// the order it first touched them (live slice, do not mutate).
+func (m *Machine) Touched() []uint64 { return m.touched }
+
 // Result snapshots the architectural outcome so far. If the machine is
 // still running, the halt cause reads StepLimit.
 func (m *Machine) Result() Result {
@@ -202,6 +214,7 @@ func (m *Machine) fill(addr uint64) *[pageSize]byte {
 		*p = [pageSize]byte{}
 	}
 	m.pages[addr>>pageBits] = p
+	m.touched = append(m.touched, addr&^(pageSize-1))
 	return p
 }
 
@@ -459,6 +472,29 @@ loop:
 	if halt != StepLimit {
 		m.halt, m.done = halt, true
 	}
+}
+
+// Access returns, as bit masks over the architectural registers, the
+// registers executing in may read (both source fields, whatever the
+// opcode) and those it always writes when it does not crash: its
+// destination, for the opcodes whose case in Run sets it.
+func Access(in *isa.Inst) (reads, writes uint16) {
+	for _, r := range [...]int8{in.Rs1, in.Rs2} {
+		if r >= 0 {
+			reads |= 1 << r
+		}
+	}
+	switch in.Op {
+	case isa.ADD, isa.ADDI, isa.SUB, isa.AND, isa.ANDI, isa.OR, isa.ORI, isa.XOR, isa.XORI,
+		isa.SLL, isa.SLLI, isa.SRL, isa.SRLI, isa.SRA, isa.SRAI, isa.MUL, isa.MULI,
+		isa.SLT, isa.SLTI, isa.SLTU, isa.LI, isa.JAL, isa.JALR,
+		isa.LD, isa.LW, isa.LWU, isa.LH, isa.LHU, isa.LB, isa.LBU, isa.LDADD, isa.LDXOR,
+		isa.DIV, isa.REM:
+		if in.Rd >= 0 {
+			writes = 1 << in.Rd
+		}
+	}
+	return reads, writes
 }
 
 // Run executes prog architecturally for at most maxSteps instructions.

@@ -3,6 +3,7 @@ package interp_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand/v2"
 	"slices"
 	"testing"
 
@@ -152,5 +153,85 @@ func TestRunMatchesStep(t *testing.T) {
 	}
 	for _, s := range starts {
 		checkRunMatchesStep(t, s)
+	}
+}
+
+// TestRunBoundary pins where Run stops, which the hand-off's convergence
+// exit predicts: HALT is not counted, and it executes only while fewer
+// than maxSteps instructions have run, so a run with exactly maxSteps
+// instructions left before its HALT ends StepLimit.
+func TestRunBoundary(t *testing.T) {
+	prog := asm.MustAssemble("boundary", "\tli r1, 7\n\tout r1\n\thalt\n")
+	for _, tc := range []struct {
+		maxSteps uint64
+		halt     interp.HaltReason
+		steps    uint64
+	}{
+		{1, interp.StepLimit, 1},
+		{2, interp.StepLimit, 2},
+		{3, interp.HaltOK, 2},
+		{100, interp.HaltOK, 2},
+	} {
+		m := interp.NewMachine(prog)
+		m.Run(tc.maxSteps)
+		if res := m.Result(); res.Halt != tc.halt || res.Steps != tc.steps || m.Done() != (tc.halt == interp.HaltOK) {
+			t.Errorf("Run(%d): %v after %d instructions (done %v), want %v after %d",
+				tc.maxSteps, res.Halt, res.Steps, m.Done(), tc.halt, tc.steps)
+		}
+	}
+}
+
+// TestAccessCoversRun holds Access to what Step does, on every opcode with
+// random operand fields and register values: a register outside the read
+// mask changes nothing the instruction does, a register in the write mask
+// comes out the same whatever it held before, and a register in neither
+// is left alone. The hand-off's convergence exit marks a register dead at
+// a golden checkpoint from these masks.
+func TestAccessCoversRun(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	reg := func() int8 { return int8(rng.IntN(isa.NumArchRegs+1)) - 1 } // NoReg or a register
+	val := func() uint64 {
+		if rng.IntN(2) == 0 {
+			return isa.DataBase + 8*rng.Uint64N(64)
+		}
+		return rng.Uint64()
+	}
+	for op := isa.NOP; op <= isa.HALT; op++ {
+		for trial := 0; trial < 200; trial++ {
+			in := isa.Inst{Op: op, Rd: reg(), Rs1: reg(), Rs2: reg(), Imm: int64(rng.IntN(64)) - 8}
+			prog := &isa.Program{Name: "access", Text: []isa.Inst{in, {Op: isa.HALT, Rd: isa.NoReg, Rs1: isa.NoReg, Rs2: isa.NoReg}}}
+			reads, writes := interp.Access(&in)
+			var a, b [isa.NumArchRegs]uint64
+			for r := range a {
+				a[r], b[r] = val(), val()
+				if reads&(1<<r) != 0 {
+					b[r] = a[r]
+				}
+			}
+			var ma, mb interp.Machine
+			ma.Reset(prog, 0, a, nil)
+			mb.Reset(prog, 0, b, nil)
+			ma.Step()
+			mb.Step()
+			ra, rb := ma.Result(), mb.Result()
+			aAddr, aSize, aData, aOK := ma.LastStore()
+			bAddr, bSize, bData, bOK := mb.LastStore()
+			if ma.PC() != mb.PC() || ra.Halt != rb.Halt || ra.Steps != rb.Steps ||
+				!slices.Equal(ra.Output, rb.Output) || !slices.Equal(ra.ExcLog, rb.ExcLog) ||
+				aAddr != bAddr || aSize != bSize || aData != bData || aOK != bOK {
+				t.Fatalf("%v: registers outside the read mask %016b changed what it did", in, reads)
+			}
+			if ra.Halt != interp.StepLimit && ra.Halt != interp.HaltOK {
+				writes = 0 // a crashing instruction writes nothing
+			}
+			for r, v := range ma.Regs() {
+				switch {
+				case (reads|writes)&(1<<r) != 0 && v != mb.Regs()[r]:
+					t.Fatalf("%v: r%d came out %#x and %#x (reads %016b, writes %016b)", in, r, v, mb.Regs()[r], reads, writes)
+				case (reads|writes)&(1<<r) == 0 && v != a[r]:
+					t.Fatalf("%v: r%d changed outside the masks (reads %016b, writes %016b)", in, r, reads, writes)
+				}
+			}
+		}
 	}
 }

@@ -122,16 +122,20 @@ type Log struct {
 	Events []Event
 }
 
-// Append adds an event. The backing array doubles: a golden run appends
-// millions of events, and append's quarter-step growth past 256 elements
-// copies the log five times over on its way up.
-func (l *Log) Append(ev Event) {
-	if len(l.Events) == cap(l.Events) {
-		grown := make([]Event, len(l.Events), max(1024, 2*cap(l.Events)))
-		copy(grown, l.Events)
-		l.Events = grown
+// Append adds an event. The backing array doubles (grow).
+func (l *Log) Append(ev Event) { l.Events = append(grow(l.Events), ev) }
+
+// grow returns s with room for one more element, doubling a full backing
+// array. A golden run appends millions of events and up to a million
+// intervals, and append's quarter-step growth past 256 elements copies
+// such a slice about five times over on its way up.
+func grow[T any](s []T) []T {
+	if len(s) < cap(s) {
+		return s
 	}
-	l.Events = append(l.Events, ev)
+	grown := make([]T, len(s), max(1024, 2*cap(s)))
+	copy(grown, s)
+	return grown
 }
 
 // BranchRec is one committed control-flow decision, recorded for the
@@ -221,5 +225,5 @@ func (t *Tracer) Log(s StructureID) *Log {
 
 // RecordBranch appends a committed branch outcome.
 func (t *Tracer) RecordBranch(commitSeq uint64, rip, target int32, taken bool) {
-	t.Branches = append(t.Branches, BranchRec{CommitSeq: commitSeq, RIP: rip, Target: target, Taken: taken})
+	t.Branches = append(grow(t.Branches), BranchRec{CommitSeq: commitSeq, RIP: rip, Target: target, Taken: taken})
 }

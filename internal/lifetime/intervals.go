@@ -138,7 +138,7 @@ func (m *machine) apply(ev *Event) {
 			if g.starts[j] >= ev.Cycle {
 				continue // zero-length (same-cycle write+read); not injectable
 			}
-			m.a.Intervals = append(m.a.Intervals, Interval{
+			m.a.Intervals = append(grow(m.a.Intervals), Interval{
 				Entry:  ev.Entry,
 				Mask:   g.masks[j],
 				Start:  g.starts[j],

@@ -68,8 +68,9 @@ type (
 	// execution prefix (bit-identical outcomes, different wall-clock).
 	Strategy = campaign.Strategy
 	// Work counts what an injection phase executed (Serial, Clones,
-	// CloneTime, SimCycles, HandOffs, FellBack, InterpInsts, DeadAtFlip,
-	// Overwritten, SnapshotHit), summed over every shard wherever it ran.
+	// CloneTime, SimCycles, HandOffs, FellBack, InterpInsts, Converged,
+	// DeadAtFlip, Overwritten, SnapshotHit), summed over every shard
+	// wherever it ran.
 	Work = campaign.Work
 )
 
@@ -522,7 +523,8 @@ type Report struct {
 	// work plus every faulty continuation up to where it ended or was handed
 	// off), HandOffs, FellBack and InterpInsts (runs the architectural
 	// interpreter finished, hand-off attempts that returned to the detailed
-	// core, instructions interpreted), DeadAtFlip (faults classified Masked
+	// core, instructions interpreted), Converged (handed-off runs stopped
+	// where they rejoined the golden run), DeadAtFlip (faults classified Masked
 	// at the fork because the flip landed in dead storage), Overwritten
 	// (Masked as the flipped entry was overwritten unread) and SnapshotHit
 	// (a shared SnapshotCache served the checkpoint ladder; false on a
@@ -558,6 +560,9 @@ func workNote(w Work) string {
 	}
 	if w.Overwritten > 0 {
 		s += fmt.Sprintf(", %d overwritten before a read", w.Overwritten)
+	}
+	if w.Converged > 0 {
+		s += fmt.Sprintf(", %d converged with the golden run", w.Converged)
 	}
 	if w.SnapshotHit {
 		s += ", snapshot cache hit"

@@ -323,16 +323,18 @@ func TestBaselineReportPinsNoRunner(t *testing.T) {
 }
 
 // TestPreprocessAllocBudget: what one cold gcc/RF Preprocess allocates. The
-// run is single-goroutine, so the figure repeats to the byte. It is 12.4 MB
-// now that the golden run records no event log; the budget sits below the
-// 37.6 MB the retained log and its doublings cost (41.8 MB while the golden
-// run froze a checkpoint ladder, 74.9 MB when the log was copied, sorted
-// and grown by quarter steps), so any of them coming back fails here.
+// run is single-goroutine, so the figure repeats to the byte. It is 7.0 MB
+// now that the golden run records no event log and the interval and branch
+// slices double as they grow; the budget sits below the 12.4 MB their
+// quarter-step growth cost and the 37.6 MB the retained log and its
+// doublings cost (41.8 MB while the golden run froze a checkpoint ladder,
+// 74.9 MB when the log was copied, sorted and grown by quarter steps), so
+// any of them coming back fails here.
 func TestPreprocessAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	const budget = 20_000_000
+	const budget = 10_000_000
 	workloads.MustGet("gcc").Program() // assembled once per process; not Preprocess's cost
 	s := startSession(t, "gcc", WithStructure(RF), WithFaults(2000), WithSeed(1))
 	var before, after runtime.MemStats
