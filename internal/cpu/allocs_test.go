@@ -10,12 +10,13 @@ import (
 )
 
 // TestStepSteadyStateAllocs: stepping a core allocates nothing of its own.
-// On a New-built, never-cloned sha core (so no cache set or memory page is
-// left to privatise) past the middle of its run, the allocations of 2,000
-// Steps must be exactly those the machine's growing *results* explain: a
-// data page touched for the first time, or the committed output or
-// exception log outgrowing its array. The count is deterministic, so the
-// comparison is exact; on sha the window holds none of the three.
+// On a New-built, never-cloned sha core past the middle of its run, the
+// allocations of 2,000 Steps must be exactly those the machine's growing
+// *results* explain: a data page touched for the first time, a cache set
+// first touched (its tags privatised off the shared zero generation: the
+// block and its lines, two allocations), a set's bytes first written (one),
+// or the committed output or exception log outgrowing its array. The count
+// is deterministic, so the comparison is exact.
 func TestStepSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -29,9 +30,10 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 	for c.Cycle()+window < total/2 {
 		c.Step()
 	}
-	type growth struct{ pages, outCap, excCap int }
+	type growth struct{ pages, setTags, setBytes, outCap, excCap int }
 	observe := func() growth {
 		g := growth{outCap: cap(c.Output()), excCap: cap(c.ExcLog())}
+		g.setTags, g.setBytes = c.PrivateSets()
 		for addr := uint64(isa.DataBase); addr < isa.MemTop; addr += mem.PageSize {
 			if c.PageData(addr) != nil {
 				g.pages++
@@ -51,6 +53,7 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("measured window ended at cycle %d of %d, halted %v: not mid-run", c.Cycle(), total, c.Halted())
 	}
 	want := after.pages - before.pages
+	want += 2*(after.setTags-before.setTags) + after.setBytes - before.setBytes
 	if after.outCap != before.outCap {
 		want++
 	}

@@ -352,7 +352,7 @@ func (c *Core) dcacheRead(slot int, addr uint64, size uint8) (uint64, int) {
 		n := min(remaining, c.l1d.LineSize()-off)
 		entry, l := c.l1d.Access(addr, n, false, c.cycle)
 		lat += l
-		data := c.l1d.EntryData(entry)
+		data := c.l1d.PeekEntryData(entry)
 		for i := 0; i < n; i++ {
 			val |= uint64(data[off+i]) << shift
 			shift += 8

@@ -1,6 +1,9 @@
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // CacheConfig sizes a set-associative cache.
 type CacheConfig struct {
@@ -55,12 +58,25 @@ const (
 
 // setBlock is the copy-on-write unit of a Cache: one set's line metadata
 // and data bytes. A block referenced from a frozen generation is never
-// mutated — a cache privatises the block before its first write (true-LRU
-// makes every access a metadata write, so a touched set is always private).
+// mutated. Tags and bytes privatise separately: true-LRU makes every access
+// a metadata write, so a touched set always gets its own lines, but its data
+// keeps aliasing the frozen bytes it was privatised from until the first
+// write to them (a fill, WriteLine, EntryData or FlipBit).
 type setBlock struct {
-	lines []line // ways entries
-	data  []byte // ways*lineSize bytes
+	lines   []line // ways entries
+	data    []byte // ways*lineSize bytes
+	ownData bool   // data was copied for this block; false while it aliases frozen bytes
 }
+
+// chunkSets is the fan-out of a frozen generation's two-level table: a top
+// table of chunks, each holding chunkSets set pointers. A freeze copies the
+// top table and only the chunks that hold a set privatised since the last.
+const (
+	chunkBits = 5
+	chunkSets = 1 << chunkBits
+)
+
+type chunk [chunkSets]*setBlock
 
 // Cache is one level of a write-back, write-allocate cache with true-LRU
 // replacement. The data array is physically modelled: EntryData/FlipBit
@@ -70,9 +86,11 @@ type setBlock struct {
 //
 // Storage is copy-on-write at set granularity, mirroring Memory's page
 // scheme: Clone freezes the current blocks into a shared generation
-// referenced by both caches, and each side privatises a set only when it
-// next touches it. Frozen generations are never mutated, so a frozen
-// snapshot may be cloned and read concurrently by many injection workers.
+// referenced by both caches, and each side privatises a set's tags when it
+// next touches it and the set's bytes when it next writes them. A new cache
+// starts on its geometry's zero generation, shared process-wide. Frozen
+// generations are never mutated, so a frozen snapshot may be cloned and
+// read concurrently by many injection workers.
 type Cache struct {
 	Cfg   CacheConfig
 	Stats CacheStats
@@ -83,8 +101,8 @@ type Cache struct {
 	offBits  uint
 	idxBits  uint
 	priv     []*setBlock // per-set private (writable) blocks; nil = read via shared
-	shared   []*setBlock // frozen generation, possibly shared with clones
-	nPriv    int         // non-nil entries of priv (Clone fast path)
+	touched  []int32     // the sets with a private block, in privatisation order; cap sets
+	shared   []*chunk    // frozen generation, possibly shared with clones
 	below    Backend
 	lruClock uint64
 
@@ -92,6 +110,31 @@ type Cache struct {
 	// when a victim leaves. Hooks may be nil.
 	OnFill  func(set, way int, cycle uint64)
 	OnEvict func(set, way int, kind EvictKind, cycle uint64)
+}
+
+type geometry struct{ sets, ways, lineSz int }
+
+// zeroGens holds one zero generation per geometry: every set all-invalid
+// and all-zero. It is built on first use and never written.
+var zeroGens sync.Map // geometry -> []*chunk
+
+// zeroGeneration returns the geometry's zero generation. Its sets are all
+// one immutable block, so it costs one set's bytes whatever the set count.
+func zeroGeneration(g geometry) []*chunk {
+	if z, ok := zeroGens.Load(g); ok {
+		return z.([]*chunk)
+	}
+	b := &setBlock{lines: make([]line, g.ways), data: make([]byte, g.ways*g.lineSz)}
+	ch := new(chunk)
+	for i := range ch {
+		ch[i] = b
+	}
+	top := make([]*chunk, (g.sets+chunkSets-1)/chunkSets)
+	for i := range top {
+		top[i] = ch
+	}
+	z, _ := zeroGens.LoadOrStore(g, top)
+	return z.([]*chunk)
 }
 
 // NewCache builds a cache over the given next level. It panics on invalid
@@ -111,24 +154,16 @@ func NewCache(cfg CacheConfig, below Backend) *Cache {
 	}
 	for c.idxBits = 0; 1<<c.idxBits < c.sets; c.idxBits++ {
 	}
-	// One arena for the initial generation: blocks are value-disjoint
-	// slices of two backing arrays, so a fresh cache costs three
-	// allocations regardless of set count.
-	lines := make([]line, c.sets*c.ways)
-	data := make([]byte, cfg.Size)
-	blocks := make([]setBlock, c.sets)
-	c.priv = make([]*setBlock, c.sets)
-	way := c.ways
-	wayBytes := c.ways * c.lineSz
-	for s := 0; s < c.sets; s++ {
-		blocks[s] = setBlock{
-			lines: lines[s*way : (s+1)*way : (s+1)*way],
-			data:  data[s*wayBytes : (s+1)*wayBytes : (s+1)*wayBytes],
-		}
-		c.priv[s] = &blocks[s]
-	}
-	c.nPriv = c.sets
+	c.shared = zeroGeneration(geometry{c.sets, c.ways, c.lineSz})
+	c.newPrivate()
 	return c
+}
+
+// newPrivate allocates the private slot table and its set list at full
+// capacity, so privatising a set never grows the list.
+func (c *Cache) newPrivate() {
+	c.priv = make([]*setBlock, c.sets)
+	c.touched = make([]int32, 0, c.sets)
 }
 
 // blockRO returns set s's block for reading: the private copy if this
@@ -137,25 +172,44 @@ func (c *Cache) blockRO(s int) *setBlock {
 	if b := c.priv[s]; b != nil {
 		return b
 	}
-	return c.shared[s]
+	return c.shared[s>>chunkBits][s&(chunkSets-1)]
 }
 
-// blockRW returns a private, writable block for set s, privatising the
-// frozen copy on first touch after a Clone.
+// blockRW returns set s's private block, privatising the frozen one's
+// lines on first touch after a Clone. Its data may still alias the frozen
+// bytes: a caller writing them goes through ownData first.
 func (c *Cache) blockRW(s int) *setBlock {
 	if b := c.priv[s]; b != nil {
 		return b
 	}
-	src := c.shared[s]
-	b := &setBlock{
-		lines: make([]line, c.ways),
-		data:  make([]byte, c.ways*c.lineSz),
-	}
+	src := c.shared[s>>chunkBits][s&(chunkSets-1)]
+	b := &setBlock{lines: make([]line, c.ways), data: src.data}
 	copy(b.lines, src.lines)
-	copy(b.data, src.data)
 	c.priv[s] = b
-	c.nPriv++
+	c.touched = append(c.touched, int32(s))
 	return b
+}
+
+// ownData makes private block b's data bytes its own, copying them off the
+// frozen block they alias on the first write.
+func (c *Cache) ownData(b *setBlock) {
+	if !b.ownData {
+		d := make([]byte, c.ways*c.lineSz)
+		copy(d, b.data)
+		b.data, b.ownData = d, true
+	}
+}
+
+// PrivateSets reports how many sets this cache has privatised since it was
+// built or last frozen: tags counts the sets with their own lines, bytes
+// those of them whose data has been written too.
+func (c *Cache) PrivateSets() (tags, bytes int) {
+	for _, s := range c.touched {
+		if c.priv[s].ownData {
+			bytes++
+		}
+	}
+	return len(c.touched), bytes
 }
 
 // lineData returns way w's data bytes within a block.
@@ -170,18 +224,21 @@ func (c *Cache) Entries() int { return c.sets * c.ways }
 // LineSize returns the line size in bytes.
 func (c *Cache) LineSize() int { return c.lineSz }
 
-// EntryData returns the live data bytes of an entry (a (set, way) slot).
-// The returned slice aliases the cache's private storage; the entry's set
-// is privatised, so writes through it never reach a shared snapshot. Use
-// PeekEntryData for read-only access that leaves sharing intact.
+// EntryData returns the live data bytes of an entry (a (set, way) slot)
+// for writing. The returned slice aliases the cache's private storage; the
+// entry's set and its bytes are privatised, so writes through it never
+// reach a shared snapshot. Use PeekEntryData for read-only access that
+// leaves sharing intact.
 func (c *Cache) EntryData(entry int) []byte {
-	return c.lineData(c.blockRW(entry/c.ways), entry%c.ways)
+	b := c.blockRW(entry / c.ways)
+	c.ownData(b)
+	return c.lineData(b, entry%c.ways)
 }
 
 // PeekEntryData returns the entry's data bytes read-only: the slice may
 // alias a frozen generation shared with other caches and must not be
-// written. State hashing and equality checks use it so that comparing
-// snapshots never breaks their sharing.
+// written. Loads, state hashing and equality checks use it so that reading
+// never copies a set's bytes.
 func (c *Cache) PeekEntryData(entry int) []byte {
 	return c.lineData(c.blockRO(entry/c.ways), entry%c.ways)
 }
@@ -256,6 +313,7 @@ func (c *Cache) fill(b *setBlock, set, way int, tag uint64, cycle uint64) int {
 			c.OnEvict(set, way, kind, cycle)
 		}
 	}
+	c.ownData(b)
 	lat += c.below.ReadLine(c.lineAddr(set, tag), c.lineData(b, way), cycle)
 	ln.valid, ln.dirty, ln.tag = true, false, tag
 	if c.OnFill != nil {
@@ -308,7 +366,7 @@ func (c *Cache) Offset(addr uint64) int { return int(addr) & (c.lineSz - 1) }
 // another cache (e.g. L2 under L1).
 func (c *Cache) ReadLine(addr uint64, dst []byte, cycle uint64) int {
 	e, lat := c.Access(addr, c.lineSz, false, cycle)
-	copy(dst, c.EntryData(e))
+	copy(dst, c.PeekEntryData(e))
 	return lat
 }
 
@@ -321,7 +379,8 @@ func (c *Cache) WriteLine(addr uint64, src []byte, cycle uint64) int {
 
 // FlushAll writes every dirty line back to the level below. Used at program
 // end so that memory holds the final architectural state. Sets with no
-// dirty line are left untouched (and unprivatised).
+// dirty line are left untouched (and unprivatised); a flushed set's tags
+// are privatised to clear the dirty bits, its bytes are only read.
 func (c *Cache) FlushAll(cycle uint64) {
 	for s := 0; s < c.sets; s++ {
 		ro := c.blockRO(s)

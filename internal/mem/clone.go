@@ -1,5 +1,7 @@
 package mem
 
+import "slices"
+
 // freeze folds any private pages into a frozen pool shared with future
 // clones. A frozen pool is never mutated (later freezes build a fresh
 // merged pool), which keeps snapshots safe for concurrent readers: calling
@@ -75,32 +77,42 @@ func (m *Memory) ResidentBytes() int64 {
 // future clones. Like Memory.freeze, it is a read-only no-op on an
 // already-frozen cache, so frozen snapshots clone concurrently without
 // synchronisation. Private blocks are donated to the generation by
-// pointer: a freeze costs O(sets) pointer copies, never a byte copy.
+// pointer: a freeze copies the top table and each chunk holding a private
+// set, O(touched chunks) pointers, never a byte.
 func (c *Cache) freeze() {
-	if c.nPriv == 0 && c.shared != nil {
+	if len(c.touched) == 0 {
 		return
 	}
-	merged := make([]*setBlock, c.sets)
-	copy(merged, c.shared)
-	for s, b := range c.priv {
-		if b != nil {
-			merged[s] = b
+	top := slices.Clone(c.shared)
+	for _, s := range c.touched {
+		i := s >> chunkBits
+		if top[i] == c.shared[i] {
+			ch := *c.shared[i]
+			top[i] = &ch
 		}
+		top[i][s&(chunkSets-1)] = c.priv[s]
 	}
-	c.shared = merged
-	c.priv = make([]*setBlock, c.sets)
-	c.nPriv = 0
+	c.dropPrivate()
+	c.shared = top
+}
+
+// dropPrivate forgets every private block, clearing only the listed slots.
+func (c *Cache) dropPrivate() {
+	for _, s := range c.touched {
+		c.priv[s] = nil
+	}
+	c.touched = c.touched[:0]
 }
 
 // Clone returns a copy-on-write snapshot of the cache wired to the given
 // next level: the current set blocks are frozen into a generation shared
 // by both caches, and each side privatises a set only when it next touches
 // it. Cloning a frozen snapshot (one not written since its last Clone)
-// costs O(sets) pointer slots and no byte copies. Event hooks are not
-// copied; the owner must re-attach them.
+// copies no set pointer and no byte. Event hooks are not copied; the owner
+// must re-attach them.
 func (c *Cache) Clone(below Backend) *Cache {
 	c.freeze()
-	return &Cache{
+	n := &Cache{
 		Cfg:      c.Cfg,
 		Stats:    c.Stats,
 		sets:     c.sets,
@@ -108,17 +120,19 @@ func (c *Cache) Clone(below Backend) *Cache {
 		ways:     c.ways,
 		offBits:  c.offBits,
 		idxBits:  c.idxBits,
-		priv:     make([]*setBlock, c.sets),
 		shared:   c.shared,
 		below:    below,
 		lruClock: c.lruClock,
 	}
+	n.newPrivate()
+	return n
 }
 
 // CloneInto is Clone targeting an existing Cache shell of identical
 // geometry (a retired clone being recycled by a pool): the shell's private
-// slot slice is reused. Every field of n is overwritten by copy-over;
-// hooks are cleared for the owner to re-attach.
+// slot table is reused, clearing only the slots it lists. Every field of n
+// is overwritten by copy-over; hooks are cleared for the owner to
+// re-attach.
 func (c *Cache) CloneInto(n *Cache, below Backend) {
 	c.freeze()
 	n.Cfg = c.Cfg
@@ -126,11 +140,10 @@ func (c *Cache) CloneInto(n *Cache, below Backend) {
 	n.sets, n.lineSz, n.ways = c.sets, c.lineSz, c.ways
 	n.offBits, n.idxBits = c.offBits, c.idxBits
 	if len(n.priv) == c.sets {
-		clear(n.priv)
+		n.dropPrivate()
 	} else {
-		n.priv = make([]*setBlock, c.sets)
+		n.newPrivate()
 	}
-	n.nPriv = 0
 	n.shared = c.shared
 	n.below = below
 	n.lruClock = c.lruClock
@@ -138,13 +151,12 @@ func (c *Cache) CloneInto(n *Cache, below Backend) {
 }
 
 // Reset drops every set-block reference — privatised and shared — while
-// keeping the private slot slice for reuse, and detaches the hooks and
+// keeping the private slot table for reuse, and detaches the hooks and
 // backend. Like Memory.Reset it leaves the cache unusable until the next
 // CloneInto: its purpose is to stop an idle pooled shell from pinning the
 // blocks and generations of the campaign that retired it.
 func (c *Cache) Reset() {
-	clear(c.priv)
-	c.nPriv = 0
+	c.dropPrivate()
 	c.shared = nil
 	c.below = nil
 	c.OnFill, c.OnEvict = nil, nil

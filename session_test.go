@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"merlin/internal/campaign"
+	"merlin/internal/cpu"
 	"merlin/internal/workloads"
 )
 
@@ -323,10 +324,12 @@ func TestBaselineReportPinsNoRunner(t *testing.T) {
 }
 
 // TestPreprocessAllocBudget: what one cold gcc/RF Preprocess allocates. The
-// run is single-goroutine, so the figure repeats to the byte. It is 7.0 MB
-// now that the golden run records no event log and the interval and branch
-// slices double as they grow; the budget sits below the 12.4 MB their
-// quarter-step growth cost and the 37.6 MB the retained log and its
+// run is single-goroutine, so the figure repeats to the byte. It is 5.4 MB
+// now that a new core's caches start on the shared zero generation, the
+// golden run records no event log and the interval and branch slices
+// double as they grow; the budget sits below the 7.0 MB it was while each
+// new core built and cleared its own 1.4 MB of cache sets, the 12.4 MB the
+// slices' quarter-step growth cost and the 37.6 MB the retained log and its
 // doublings cost (41.8 MB while the golden run froze a checkpoint ladder,
 // 74.9 MB when the log was copied, sorted and grown by quarter steps), so
 // any of them coming back fails here.
@@ -334,8 +337,10 @@ func TestPreprocessAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	const budget = 10_000_000
-	workloads.MustGet("gcc").Program() // assembled once per process; not Preprocess's cost
+	const budget = 6_500_000
+	// Assembled, and the caches' zero generations built, once per process:
+	// not Preprocess's cost.
+	workloads.MustGet("gcc").NewCore(cpu.DefaultConfig())
 	s := startSession(t, "gcc", WithStructure(RF), WithFaults(2000), WithSeed(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -347,5 +352,39 @@ func TestPreprocessAllocBudget(t *testing.T) {
 	t.Logf("gcc/RF Preprocess allocated %.1f MB", float64(got)/1e6)
 	if got > budget {
 		t.Errorf("gcc/RF Preprocess allocated %d bytes, budget %d", got, budget)
+	}
+}
+
+// TestCampaignAllocBudget: what one sha/RF/2000 campaign allocates from
+// Start through Run and Baseline on one worker (the benchmark's
+// audit_baseline campaign), after a first campaign has built what a process
+// builds once (the program, the golden track, the zero generations). One
+// worker makes the figure repeat to the byte. It is 2.8 MB now that a clone
+// copies only the cache state it writes; it was 6.7 MB while every new core
+// built its own cache sets, a read hit copied its set's bytes and every
+// freeze rebuilt a table of every set.
+func TestCampaignAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const budget = 3_500_000
+	campaign := func() {
+		s := startSession(t, "sha", WithStructure(RF), WithFaults(2000), WithSeed(1), WithWorkers(1))
+		if _, err := s.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Baseline(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	campaign()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	campaign()
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("sha/RF/2000 Run+Baseline allocated %.2f MB", float64(got)/1e6)
+	if got > budget {
+		t.Errorf("sha/RF/2000 Run+Baseline allocated %d bytes, budget %d", got, budget)
 	}
 }
