@@ -7,7 +7,6 @@ import (
 	"sort"
 	"testing"
 
-	"merlin/internal/campaign"
 	"merlin/internal/cpu"
 	"merlin/internal/store"
 	"merlin/internal/workloads"
@@ -16,7 +15,6 @@ import (
 // writtenArtifact rebuilds, from the products preprocessStructures
 // returned, the artifact it files for them on a cache miss.
 func writtenArtifact(arts []*Artifacts) *store.Artifact {
-	g := arts[0].Golden
 	traces := make([]store.StructureTrace, len(arts))
 	for i, a := range arts {
 		traces[i] = store.StructureTrace{
@@ -28,11 +26,9 @@ func writtenArtifact(arts []*Artifacts) *store.Artifact {
 	}
 	sort.Slice(traces, func(i, j int) bool { return traces[i].Structure < traces[j].Structure })
 	return &store.Artifact{
-		Workload:         arts[0].Config.Workload,
-		Structures:       traces,
-		Golden:           g.Result,
-		Branches:         g.Tracer.Branches,
-		CheckpointCycles: campaign.CheckpointSchedule(campaign.ForkSyncPoints, g.Result.Cycles),
+		Workload:   arts[0].Config.Workload,
+		Structures: traces,
+		Golden:     arts[0].Golden.Result,
 	}
 }
 
@@ -95,16 +91,18 @@ func TestArtifactRoundTripWorkloads(t *testing.T) {
 // TestArtifactCodecBudget pins what the gcc/RF golden artifact costs the
 // cache: its exact size on disk, and what one Put plus one Get allocate
 // (single goroutine, so the figure repeats to the byte; the budget leaves
-// ~20% headroom over 2.91 MB). The all-gob body of format 3 was 4,402,959
+// ~20% headroom over 2.44 MB). The all-gob body of format 3 was 4,402,959
 // bytes and cost 55.1 MB to write and read back; format 4, which still
-// carried the event log, 2,149,228 bytes and 18.0 MB.
+// carried the event log, 2,149,228 bytes and 18.0 MB; format 5, which
+// still carried the branch trace and checkpoint schedule, 297,306 bytes
+// and 2.91 MB.
 func TestArtifactCodecBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	const (
-		wantBytes = 297_306
-		budget    = 3_500_000
+		wantBytes = 248_791
+		budget    = 2_950_000
 	)
 	arts, cache, key := coldPreprocess(t, "gcc", cpu.DefaultConfig(), RF)
 	if st := cache.Stats(); st.Bytes != wantBytes {
@@ -133,9 +131,10 @@ func TestArtifactCodecBudget(t *testing.T) {
 // format 4, 46.8 MB while the golden run froze the checkpoint ladder as it
 // went, 42.6 MB once it froze nothing and 13.3 MB once the golden run
 // recorded no event log and the artifact carried none, 7.9 MB once the
-// interval and branch slices doubled as they grow; it is 6.3 MB now that a
-// new core's caches start on the shared zero generation, so the budget
-// fails if any of them comes back.
+// interval and branch slices doubled as they grow, 6.3 MB once a new
+// core's caches started on the shared zero generation; it is 5.4 MB now
+// that the golden run records no branch trace and the artifact carries
+// none, so the budget fails if any of the larger costs comes back.
 func TestColdCachePreprocessAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")

@@ -73,7 +73,7 @@ func main() {
 
 	fmt.Printf("ground truth (%d injections): %v\n\n", len(red.HitFaults), truth)
 	show("MeRLiN", red)
-	rel := relyzer.Reduce(a.Analysis, a.Faults, a.Golden.Tracer.Branches, relyzer.DefaultDepth, seed)
+	rel := relyzer.Reduce(a.Analysis, a.Faults, a.Golden.Tracer.BranchTrace(), relyzer.DefaultDepth, seed)
 	show("Relyzer heuristic", rel)
 
 	large, single := relyzer.SinglePilotLargeGroups(rel, 20)

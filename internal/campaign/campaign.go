@@ -278,8 +278,8 @@ func (m *runMetrics) fill(res *Result) {
 
 // RunGolden performs the fault-free reference run, tracking lifetimes of
 // the given structures (none for plain baseline campaigns) with a golden
-// tracer: Tracer.Analysis(s) is ready, and Tracer.Log(s) replays the run
-// the first time it is asked for. It keeps the reset state for Run.
+// tracer: Tracer.Analysis(s) is ready, and Tracer.Log(s) and
+// Tracer.BranchTrace() replay the run the first time either is asked for. It keeps the reset state for Run.
 func (r *Runner) RunGolden(track ...lifetime.StructureID) (*Golden, error) {
 	r.goldenRuns.Add(1)
 	c := r.NewCore()
@@ -300,12 +300,12 @@ func (r *Runner) RunGolden(track ...lifetime.StructureID) (*Golden, error) {
 }
 
 // CachedGolden is the Golden of a run RunGolden made earlier, rebuilt
-// from what the artifact cache keeps of it: the result and the committed
-// branch trace. Its tracer holds no Analysis (the cache keeps the
-// intervals) and, like RunGolden's, replays the run on the first Log call.
-func (r *Runner) CachedGolden(res cpu.RunResult, branches []lifetime.BranchRec, track ...lifetime.StructureID) *Golden {
+// from what the artifact cache keeps of it: the result. Its tracer holds
+// no Analysis (the cache keeps the intervals) and, like RunGolden's,
+// replays the run on the first Log or BranchTrace call.
+func (r *Runner) CachedGolden(res cpu.RunResult, track ...lifetime.StructureID) *Golden {
 	tr := lifetime.NewGoldenTracer(r.replay(), track...)
-	tr.Branches, tr.Cycles = branches, res.Cycles
+	tr.Cycles = res.Cycles
 	return &Golden{Result: res, Tracer: tr}
 }
 

@@ -57,7 +57,7 @@ func TestGoldenRun(t *testing.T) {
 			t.Errorf("no %v events", s)
 		}
 	}
-	if len(g2.Tracer.Branches) == 0 {
+	if len(g2.Tracer.BranchTrace()) == 0 {
 		t.Error("no committed branches recorded")
 	}
 }

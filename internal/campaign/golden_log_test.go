@@ -10,12 +10,13 @@ import (
 	"merlin/internal/lifetime"
 )
 
-// TestGoldenLogOnDemand: a golden tracer records no event log, yet
-// Tracer.Log serves the log a recording tracer (lifetime.NewTracer) keeps
-// of the same run, event for event — from a fresh RunGolden and from a
-// CachedGolden of its result alike, to two goroutines asking at once. On
-// the fresh run, Build of the replayed log is the analysis derived online.
-// The replay is no golden run: GoldenRuns still reads 1 and 0.
+// TestGoldenLogOnDemand: a golden tracer records no event log and no
+// branch trace, yet Tracer.Log and Tracer.BranchTrace serve the log and
+// branch trace a recording tracer (lifetime.NewTracer) keeps of the same
+// run, record for record — from a fresh RunGolden and from a CachedGolden
+// of its result alike, to two goroutines asking at once. On the fresh run,
+// Build of the replayed log is the analysis derived online. The replay is
+// no golden run: GoldenRuns still reads 1 and 0.
 func TestGoldenLogOnDemand(t *testing.T) {
 	for _, name := range []string{"sha", "djpeg"} {
 		for _, track := range [][]lifetime.StructureID{{lifetime.StructRF}, allStructures} {
@@ -32,7 +33,7 @@ func TestGoldenLogOnDemand(t *testing.T) {
 				t.Fatal(err)
 			}
 			hit := NewRunner(tgt)
-			cached := hit.CachedGolden(g.Result, g.Tracer.Branches, track...)
+			cached := hit.CachedGolden(g.Result, track...)
 			for _, tc := range []struct {
 				label  string
 				golden *Golden
@@ -42,6 +43,7 @@ func TestGoldenLogOnDemand(t *testing.T) {
 				label := name + "/" + tc.label
 				tr := tc.golden.Tracer
 				var logs [2][lifetime.NumStructures]*lifetime.Log
+				var branches [2][]lifetime.BranchRec
 				var wg sync.WaitGroup
 				for i := range logs {
 					wg.Add(1)
@@ -50,9 +52,19 @@ func TestGoldenLogOnDemand(t *testing.T) {
 						for s := range lifetime.NumStructures {
 							logs[i][s] = tr.Log(s)
 						}
+						branches[i] = tr.BranchTrace()
 					}()
 				}
 				wg.Wait()
+				if len(branches[0]) == 0 || &branches[0][0] != &branches[1][0] {
+					t.Errorf("%s: the two goroutines were served different branch traces", label)
+				}
+				if !reflect.DeepEqual(branches[0], ref.Branches) {
+					t.Fatalf("%s of %v: replayed branch trace differs from the recording tracer's", label, track)
+				}
+				if tr.Branches != nil {
+					t.Errorf("%s: the golden tracer recorded %d branches of its own", label, len(tr.Branches))
+				}
 				for s := range lifetime.NumStructures {
 					want := ref.Log(s)
 					if logs[0][s] != logs[1][s] {
@@ -71,7 +83,7 @@ func TestGoldenLogOnDemand(t *testing.T) {
 					}
 				}
 				if got := tc.runner.GoldenRuns(); got != tc.runs {
-					t.Errorf("%s: GoldenRuns = %d after the Log calls, want %d", label, got, tc.runs)
+					t.Errorf("%s: GoldenRuns = %d after the Log and BranchTrace calls, want %d", label, got, tc.runs)
 				}
 			}
 		}

@@ -9,7 +9,7 @@ import (
 
 // SnapshotKey identifies one checkpoint ladder: everything its machine
 // snapshots depend on. Two campaigns agreeing on the key — regardless of
-// fault list, seed, workers, or grouping knobs — can share one immutable
+// structure, fault list, seed or workers — can share one immutable
 // CheckpointSet, because the ladder, frozen by a sweep or replayed, is
 // deterministic in (workload program, core configuration, golden length):
 // it holds the reset state and at most ForkSyncPoints rungs past it, at

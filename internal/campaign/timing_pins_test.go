@@ -119,7 +119,7 @@ func tracedPin(t *testing.T, name string) tracePin {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pin := tracePin{Events: map[string]string{}, Branches: digestBranches(g.Tracer.Branches)}
+	pin := tracePin{Events: map[string]string{}, Branches: digestBranches(g.Tracer.BranchTrace())}
 	for _, s := range allStructures {
 		pin.Events[s.String()] = digestEvents(g.Tracer.Log(s).Events)
 	}

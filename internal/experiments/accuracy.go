@@ -74,7 +74,7 @@ func runAccuracy(ctx context.Context, o Options, wl string, z StructSize) (*Accu
 	}
 	a := s.Artifacts()
 	red, outcomes := a.Red, base.Outcomes
-	rel := relyzer.Reduce(a.Analysis, a.Faults, a.Golden.Tracer.Branches, relyzer.DefaultDepth, o.Seed)
+	rel := relyzer.Reduce(a.Analysis, a.Faults, a.Golden.Tracer.BranchTrace(), relyzer.DefaultDepth, o.Seed)
 	ac := &AccuracyCampaign{
 		Workload:        wl,
 		Size:            z.Label,

@@ -147,18 +147,18 @@ type BranchRec struct {
 	Taken     bool
 }
 
-// Tracer observes the tracked structures during one fault-free run: it
-// records the committed branch trace and — through the reorder window of
-// window.go — derives their vulnerable intervals while the run happens. A
-// recording tracer (NewTracer) also keeps every structure's lifetime event
-// log; a golden tracer (NewGoldenTracer) keeps none, and replays the run
-// the first time a log is asked for.
+// Tracer observes the tracked structures during one fault-free run: through
+// the reorder window of window.go it derives their vulnerable intervals
+// while the run happens. A recording tracer (NewTracer) also keeps every
+// structure's lifetime event log and the committed branch trace; a golden
+// tracer (NewGoldenTracer) keeps neither, and replays the run the first
+// time either is asked for.
 type Tracer struct {
 	seq      uint64 // last Seq reserved
 	track    [NumStructures]bool
 	logs     [NumStructures]*Log // nil: tracked but not recorded, or untracked
-	Branches []BranchRec
-	Cycles   uint64 // total run cycles; set by the run harness
+	Branches []BranchRec         // a recording tracer's; nil on a golden one (BranchTrace)
+	Cycles   uint64              // total run cycles; set by the run harness
 
 	// The reorder window (window.go): Seq q owns ring[q&(len(ring)-1)]
 	// while head <= q <= seq.
@@ -167,8 +167,9 @@ type Tracer struct {
 	machines [NumStructures]*machine
 	analyses [NumStructures]*Analysis
 
-	// A golden tracer's logs: the first Log call runs replay once on a
-	// recording tracer of the same structures and keeps it as replayed.
+	// A golden tracer's logs and branch trace: the first Log or
+	// BranchTrace call runs replay once on a recording tracer of the same
+	// structures and keeps it as replayed.
 	replay     func(*Tracer)
 	replayOnce sync.Once
 	replayed   *Tracer
@@ -191,11 +192,12 @@ func NewTracer(track ...StructureID) *Tracer {
 }
 
 // NewGoldenTracer returns a tracer tracking the listed structures without
-// recording their event logs, which a golden run would append millions of
-// events to and nothing on the campaign path reads. The first Log call
-// calls replay with a NewTracer of the same structures — replay must run
-// the same deterministic program from reset with it attached — and Log
-// serves that tracer's logs from then on, to any number of goroutines.
+// recording their event logs or the branch trace, which a golden run would
+// append millions of records to and nothing on the campaign path reads.
+// The first Log or BranchTrace call calls replay with a NewTracer of the
+// same structures — replay must run the same deterministic program from
+// reset with it attached — and both serve that tracer's records from then
+// on, to any number of goroutines.
 func NewGoldenTracer(replay func(*Tracer), track ...StructureID) *Tracer {
 	t := &Tracer{head: 1, replay: replay}
 	for _, s := range track {
@@ -210,6 +212,21 @@ func (t *Tracer) Log(s StructureID) *Log {
 	if t.replay == nil || !t.track[s] {
 		return t.logs[s]
 	}
+	return t.recorded().logs[s]
+}
+
+// BranchTrace returns the committed branch trace of the run. On a golden
+// tracer the first call replays the run (the same replay as Log's).
+func (t *Tracer) BranchTrace() []BranchRec {
+	if t.replay == nil {
+		return t.Branches
+	}
+	return t.recorded().Branches
+}
+
+// recorded returns the recording tracer of a golden tracer's replay,
+// running the replay on the first call.
+func (t *Tracer) recorded() *Tracer {
 	t.replayOnce.Do(func() {
 		var track []StructureID
 		for s, on := range t.track {
@@ -220,10 +237,14 @@ func (t *Tracer) Log(s StructureID) *Log {
 		t.replayed = NewTracer(track...)
 		t.replay(t.replayed)
 	})
-	return t.replayed.logs[s]
+	return t.replayed
 }
 
-// RecordBranch appends a committed branch outcome.
+// RecordBranch appends a committed branch outcome; a golden tracer keeps
+// none (BranchTrace).
 func (t *Tracer) RecordBranch(commitSeq uint64, rip, target int32, taken bool) {
+	if t.replay != nil {
+		return
+	}
 	t.Branches = append(grow(t.Branches), BranchRec{CommitSeq: commitSeq, RIP: rip, Target: target, Taken: taken})
 }

@@ -757,7 +757,7 @@ func (s *Server) Submit(req Request) (string, error) {
 		}
 	}
 	if s.ctx.Err() != nil {
-		return "", fmt.Errorf("server: shutting down")
+		return "", errShuttingDown
 	}
 
 	kind, prefix := KindCampaign, "c"
@@ -856,6 +856,10 @@ func (s *Server) evictFinishedLocked() []string {
 // ErrQueueFull is returned (and served as 429) when the bounded pending
 // queue cannot take another campaign.
 var ErrQueueFull = fmt.Errorf("server: campaign queue full, retry later")
+
+// errShuttingDown is returned (and served as 503) once Close has begun: a
+// submission then has no runner to take it, but the next incarnation will.
+var errShuttingDown = errors.New("server: shutting down, retry later")
 
 // badRequestError marks a submission-time validation failure (served 400).
 type badRequestError struct{ err error }
@@ -1000,6 +1004,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case err == ErrQueueFull:
 		w.Header().Set("Retry-After", "5")
 		writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": err.Error()})
+	case err == errShuttingDown:
+		w.Header().Set("Retry-After", "5")
+		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
 	default:
 		code := http.StatusInternalServerError
 		var bad *badRequestError

@@ -314,6 +314,34 @@ func TestEventStreamResume(t *testing.T) {
 	}
 }
 
+// TestSubmitDuringShutdown: a submission that arrives once Close has begun
+// is refused with 503 and Retry-After, as an overload is with 429, and
+// leaves no campaign record behind.
+func TestSubmitDuringShutdown(t *testing.T) {
+	p := &fakePipeline{}
+	s, hs := newTestServer(t, Config{Run: p.run})
+	s.Close()
+
+	body, _ := json.Marshal(Request{Workload: "sha", Structure: "RF", Faults: 1})
+	resp, err := http.Post(hs.URL+"/campaigns", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("submit after Close: status %d, want 503", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("503 without Retry-After")
+	}
+	s.mu.Lock()
+	n := len(s.campaigns)
+	s.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("%d campaign records after a refused submission, want 0", n)
+	}
+}
+
 // TestBoundedQueueSheds: submissions past the pending bound are refused
 // with 429 and leave no campaign record behind.
 func TestBoundedQueueSheds(t *testing.T) {

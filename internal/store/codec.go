@@ -1,22 +1,23 @@
 package store
 
-// This file is the artifact body of formatVersion 5. A gob header carries
+// This file is the artifact body of formatVersion 6. A gob header carries
 // the small, irregular parts of an Artifact — the workload, the golden
-// result, the checkpoint schedule, each trace's structure and geometry,
-// and the length of every bulk array — and the bulk arrays follow it
-// packed by hand: each structure's intervals, in header order, then the
-// branch trace. The event logs are not stored (StructureTrace.Events).
+// result, each trace's structure and geometry, and the length of each
+// trace's intervals — and the intervals follow it packed by hand, one
+// structure after another in header order. Nothing else is stored: not
+// the event logs (StructureTrace.Events), the branch trace
+// (Artifact.Branches) or the checkpoint schedule
+// (Artifact.CheckpointCycles).
 //
-//	body     = uvarint(len(header)) ‖ gob(header) ‖ intervals* ‖ branches
+//	body     = uvarint(len(header)) ‖ gob(header) ‖ intervals*
 //	interval = entry mask Δstart Δend ΔendSeq rip upc
-//	branch   = ΔcommitSeq rip target taken
 //
 // Δ is the zigzag varint of the wrapping difference from the same field of
-// the previous element (0 before the first): the intervals arrive in End
-// order and the branches in commit order, so a delta is a byte or two, and
-// any uint64 sequence, backwards steps included, still round-trips. rip and
-// target are zigzag varints (the pseudo-RIPs are negative); upc and taken
-// are one raw byte; the rest are plain uvarints.
+// the previous interval (0 before the first): the intervals arrive in End
+// order, so a delta is a byte or two, and any uint64 sequence, backwards
+// steps included, still round-trips. rip is a zigzag varint (the
+// pseudo-RIPs are negative); upc is one raw byte; the rest are plain
+// uvarints.
 //
 // The header stays gob: it is under a kilobyte, and a field added to
 // cpu.RunResult reaches the file without a codec change. The registry's
@@ -37,15 +38,12 @@ import (
 	"merlin/internal/lifetime"
 )
 
-// artifactHeader is the gob-encoded head of an artifact body. The lengths
-// of the packed arrays are -1 for a nil slice, so their round trip keeps
-// nil and empty apart.
+// artifactHeader is the gob-encoded head of an artifact body. An interval
+// count is -1 for a nil slice, so the round trip keeps nil and empty apart.
 type artifactHeader struct {
-	Workload         string
-	Golden           cpu.RunResult
-	CheckpointCycles []uint64
-	Structures       []traceHeader
-	Branches         int
+	Workload   string
+	Golden     cpu.RunResult
+	Structures []traceHeader
 }
 
 type traceHeader struct {
@@ -54,11 +52,8 @@ type traceHeader struct {
 	Intervals           int
 }
 
-// The fewest bytes an encoded element can take: one per field.
-const (
-	minIntervalBytes = 7
-	minBranchBytes   = 4
-)
+// The fewest bytes an encoded interval can take: one per field.
+const minIntervalBytes = 7
 
 // errCorrupt is every way a body can fail to decode. An artifact traces at
 // most one of each structure, so more traces than structures is one too.
@@ -76,11 +71,10 @@ func encodeArtifact(a *Artifact) ([]byte, error) {
 	if len(a.Structures) > int(lifetime.NumStructures) {
 		return nil, errCorrupt
 	}
-	h := artifactHeader{Workload: a.Workload, Golden: a.Golden, CheckpointCycles: a.CheckpointCycles,
-		Structures: make([]traceHeader, len(a.Structures)), Branches: length(a.Branches)}
-	// A little over what the workloads' elements take, so the body is
+	h := artifactHeader{Workload: a.Workload, Golden: a.Golden, Structures: make([]traceHeader, len(a.Structures))}
+	// A little over what the workloads' intervals take, so the body is
 	// allocated once.
-	size := 6 * len(a.Branches)
+	var size int
 	for i, t := range a.Structures {
 		h.Structures[i] = traceHeader{t.Structure, t.Entries, t.EntryBytes, length(t.Intervals)}
 		size += 14 * len(t.Intervals)
@@ -104,21 +98,11 @@ func encodeArtifact(a *Artifact) ([]byte, error) {
 			b, prevIv = append(b, iv.UPC), iv
 		}
 	}
-	var commitSeq uint64
-	for _, br := range a.Branches {
-		b = binary.AppendVarint(b, int64(br.CommitSeq-commitSeq))
-		b = binary.AppendVarint(b, int64(br.RIP))
-		b = binary.AppendVarint(b, int64(br.Target))
-		b, commitSeq = append(b, 0), br.CommitSeq
-		if br.Taken {
-			b[len(b)-1] = 1
-		}
-	}
 	return b, nil
 }
 
 // decodeArtifact parses a body written by encodeArtifact: the length-framed
-// gob header, then the packed arrays behind it (decodeArrays).
+// gob header, then the packed intervals behind it (decodeArrays).
 func decodeArtifact(body []byte) (*Artifact, error) {
 	n, k := binary.Uvarint(body)
 	if k <= 0 || n > uint64(len(body)-k) {
@@ -132,7 +116,7 @@ func decodeArtifact(body []byte) (*Artifact, error) {
 	return decodeArrays(h, body[k+int(n):])
 }
 
-// decodeArrays unpacks the arrays the header announces from rest, which
+// decodeArrays unpacks the intervals the header announces from rest, which
 // they must use up exactly. A value wider than its field (an Entry or RIP
 // past 32 bits) is truncated as a conversion would; the artifact that
 // results re-encodes to a body that decodes to it again.
@@ -140,11 +124,11 @@ func decodeArrays(h *artifactHeader, rest []byte) (*Artifact, error) {
 	if len(h.Structures) > int(lifetime.NumStructures) {
 		return nil, errCorrupt
 	}
-	a := &Artifact{Workload: h.Workload, Golden: h.Golden, CheckpointCycles: h.CheckpointCycles}
+	a := &Artifact{Workload: h.Workload, Golden: h.Golden}
 	r := reader{b: rest}
 	for _, th := range h.Structures {
 		t := StructureTrace{Structure: th.Structure, Entries: th.Entries, EntryBytes: th.EntryBytes}
-		t.Intervals = makeFit[lifetime.Interval](&r, th.Intervals, minIntervalBytes)
+		t.Intervals = makeIntervals(&r, th.Intervals)
 		var start, end, endSeq uint64
 		for i := range t.Intervals {
 			iv := &t.Intervals[i]
@@ -154,31 +138,25 @@ func decodeArrays(h *artifactHeader, rest []byte) (*Artifact, error) {
 		}
 		a.Structures = append(a.Structures, t)
 	}
-	a.Branches = makeFit[lifetime.BranchRec](&r, h.Branches, minBranchBytes)
-	var commitSeq uint64
-	for i := range a.Branches {
-		commitSeq += uint64(r.varint())
-		a.Branches[i] = lifetime.BranchRec{CommitSeq: commitSeq, RIP: int32(r.varint()), Target: int32(r.varint()), Taken: r.raw() != 0}
-	}
 	if r.bad || r.off != len(r.b) {
 		return nil, errCorrupt
 	}
 	return a, nil
 }
 
-// makeFit makes the n elements a header announced (-1: a nil slice), but
-// only if the bytes left could hold n elements of at least size bytes.
-func makeFit[T any](r *reader, n, size int) []T {
-	if n < -1 || n > (len(r.b)-r.off)/size {
+// makeIntervals makes the n intervals a header announced (-1: a nil
+// slice), but only if the bytes left could hold n of them.
+func makeIntervals(r *reader, n int) []lifetime.Interval {
+	if n < -1 || n > (len(r.b)-r.off)/minIntervalBytes {
 		r.fail()
 	}
 	if n < 0 || r.bad {
 		return nil
 	}
-	return make([]T, n)
+	return make([]lifetime.Interval, n)
 }
 
-// reader consumes the packed arrays from b[off:]. Reading past the end
+// reader consumes the packed intervals from b[off:]. Reading past the end
 // sets bad and moves off to the end, so every later read fails too.
 type reader struct {
 	b   []byte

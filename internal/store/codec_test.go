@@ -15,8 +15,8 @@ import (
 	"merlin/internal/lifetime"
 )
 
-// extremeArtifact exercises every corner of the packed arrays: values at
-// both ends of their ranges, deltas that run backwards and wrap, every
+// extremeArtifact exercises every corner of the packed intervals: values
+// at both ends of their ranges, deltas that run backwards and wrap, every
 // pseudo-RIP, nil next to empty.
 func extremeArtifact() *Artifact {
 	const top = ^uint64(0)
@@ -35,10 +35,6 @@ func extremeArtifact() *Artifact {
 			Structure: lifetime.StructL1D, Intervals: []lifetime.Interval{},
 		}},
 		Golden: cpu.RunResult{Halt: cpu.HaltOK, Cycles: top},
-		Branches: []lifetime.BranchRec{
-			{CommitSeq: top, RIP: math.MinInt32, Target: -1, Taken: true},
-			{CommitSeq: 0, RIP: math.MaxInt32, Target: lifetime.InitRip},
-		},
 	}
 }
 
@@ -49,13 +45,10 @@ func TestArtifactExtremes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noBranches := sampleArtifact()
-	noBranches.Branches = []lifetime.BranchRec{}
 	for name, a := range map[string]*Artifact{
 		"extremes":       extremeArtifact(),
 		"no structures":  {Workload: "qsort"},
 		"nil everywhere": {Workload: "qsort", Structures: []StructureTrace{{Structure: lifetime.StructRF}}},
-		"empty branches": noBranches,
 	} {
 		k := Key{Workload: a.Workload, Structures: a.structureSet()}
 		if err := s.Put(k, a); err != nil {
@@ -70,10 +63,10 @@ func TestArtifactExtremes(t *testing.T) {
 
 // TestArtifactBodyRejects: a body cut anywhere, or with a byte added, is
 // an error, never a panic or a partial artifact; so are a header length
-// that claims more than the body holds and array lengths that claim more
-// than the bytes left could hold (refused before the slice is made), and an
-// artifact with more traces than there are structures is refused on the way
-// in.
+// that claims more than the body holds and interval counts that claim more
+// than the bytes left could hold, or are negative (refused before the slice
+// is made), and an artifact with more traces than there are structures is
+// refused on the way in.
 func TestArtifactBodyRejects(t *testing.T) {
 	body, err := encodeArtifact(extremeArtifact())
 	if err != nil {
@@ -92,8 +85,7 @@ func TestArtifactBodyRejects(t *testing.T) {
 	}
 	for name, h := range map[string]*artifactHeader{
 		"intervals": {Structures: []traceHeader{{Intervals: 1 << 40}}},
-		"branches":  {Branches: 1 << 40},
-		"negative":  {Branches: -2},
+		"negative":  {Structures: []traceHeader{{Intervals: -2}}},
 		"traces":    {Structures: make([]traceHeader, lifetime.NumStructures+1)},
 	} {
 		if _, err := decodeArrays(h, body); err == nil {
@@ -122,8 +114,8 @@ func splitHeader(body []byte) (*artifactHeader, []byte, bool) {
 }
 
 // FuzzArtifactBody: decoding arbitrary bytes never panics, and the packed
-// arrays never allocate more than 8x the bytes they are decoded from (an
-// element takes at least 4-7 bytes on disk and 24-48 in memory). The gob
+// intervals never allocate more than 8x the bytes they are decoded from (an
+// interval takes at least 7 bytes on disk and 48 in memory). The gob
 // header is encoding/gob's to bound: it allocates at most one lying length,
 // capped at 10 MiB, before it fails. A body that decodes re-encodes to one
 // that decodes to an equal artifact. The seeds are the sealed sha/RF golden
@@ -161,7 +153,7 @@ func FuzzArtifactBody(f *testing.F) {
 				least = min(least, after.TotalAlloc-before.TotalAlloc)
 			}
 			if least > uint64(8*len(rest)+slack) {
-				t.Fatalf("%d bytes of packed arrays allocated %d bytes", len(rest), least)
+				t.Fatalf("%d bytes of packed intervals allocated %d bytes", len(rest), least)
 			}
 		}
 		if err != nil {

@@ -1,27 +1,27 @@
 // Package store is the golden-run artifact cache: a content-addressed,
-// on-disk repository of everything MeRLiN's Preprocess phase (paper Fig 2)
-// derives from one fault-free run — the architectural golden result, the
-// committed branch trace, the ACE-like vulnerable intervals, and the
-// checkpoint schedule of the injection ladder. The lifetime event logs are
-// not kept: nothing on the campaign path reads them, and a golden tracer
-// replays the run for whoever does.
+// on-disk repository of what a campaign reads of MeRLiN's Preprocess phase
+// (paper Fig 2) — the architectural golden result and the ACE-like
+// vulnerable intervals of one fault-free run. The lifetime event logs and
+// the committed branch trace are not kept: nothing on the campaign path
+// reads them, and a golden tracer replays the run for whoever does.
 //
 // The cache exists because Preprocess is the expensive, *reusable* part of
 // a campaign: the golden run and its analysis depend only on (workload,
-// core configuration, cycle budget, structure), never on the fault list,
-// seed, strategy, or grouping knobs. A service answering "re-run RF with a
-// different fault budget" therefore skips the golden run entirely on every
-// campaign after the first — the amortization the paper's speedup argument
-// is built on, extended across process lifetimes.
+// core configuration, cycle budget, structures), never on the fault list
+// (its size, confidence and margin), seed, strategy or worker count. A
+// service answering "re-run RF with a different fault budget" therefore
+// skips the golden run entirely on every campaign after the first — the
+// amortization the paper's speedup argument is built on, extended across
+// process lifetimes.
 //
 // Artifacts are addressed by the SHA-256 of the canonical encoding of
 // their Key, one file per artifact, written atomically (temp file, fsync,
 // rename) as magic ‖ sha256(body) ‖ body. The body is a small gob header
-// followed by the intervals and branch trace packed as varint deltas
-// (codec.go): a hit must cost less than recomputing the golden run, and a
-// gob encoding of the bulk arrays cost as much to write, and again as much
-// to read, as the run itself. A corrupt, truncated, or version-skewed file is treated
-// as a miss and rewritten, never returned. The Store is safe for
+// followed by the intervals packed as varint deltas (codec.go): a hit must
+// cost less than recomputing the golden run, and a gob encoding of the
+// intervals cost as much to write, and again as much to read, as the run
+// itself. A corrupt, truncated, or version-skewed file is treated as a
+// miss and rewritten, never returned. The Store is safe for
 // concurrent use by any number of goroutines and processes sharing the
 // directory.
 package store
@@ -51,14 +51,16 @@ import (
 // stamps write events with the producing µop's (RIP, UPC) for the
 // guestflow static cross-check and pre-pruner; version 4 replaces the
 // all-gob body with a gob header and hand-packed arrays (codec.go);
-// version 5 drops the event logs. Older files read as a clean miss and are
+// version 5 drops the event logs; version 6 drops the branch trace and the
+// checkpoint schedule. Older files read as a clean miss and are
 // recomputed.
-const formatVersion = 5
+const formatVersion = 6
 
 // Key identifies one golden-run artifact: everything the fault-free run
-// depends on. Fault list size, sampling seed, injection strategy and
-// grouping options are deliberately absent — campaigns differing only in
-// those share the artifact.
+// depends on. The fault list (its size, confidence and margin), the
+// sampling seed, the injection strategy and the worker count are
+// deliberately absent — campaigns differing only in those share the
+// artifact.
 type Key struct {
 	// Workload is the registered benchmark name.
 	Workload string
@@ -144,10 +146,10 @@ type StructureTrace struct {
 // run plus one StructureTrace per traced structure (a single-structure
 // campaign stores one; a batch stores all of its targets, which is the
 // whole point — one golden run, every structure's trace). All fields are
-// plain values so the round trip is exact; Runner state and machine
-// snapshots are deliberately excluded (cores are rebuilt deterministically
-// from the workload program, which is cheap — it is the golden *run* that
-// is expensive).
+// plain values so the round trip of the stored ones is exact; Runner
+// state and machine snapshots are deliberately excluded (cores are rebuilt
+// deterministically from the workload program, which is cheap — it is the
+// golden *run* that is expensive).
 type Artifact struct {
 	// Workload echoes the key for human inspection of cache directories;
 	// Get verifies it (and the structure set) matches the requested key.
@@ -161,15 +163,13 @@ type Artifact struct {
 	// classification reference of every injection.
 	Golden cpu.RunResult
 
-	// Branches is the committed branch trace (the Relyzer
-	// control-equivalence comparison input).
-	Branches []lifetime.BranchRec
-
-	// CheckpointCycles is the snapshot schedule of the injection ladder
-	// (cycles at which the forked strategy freezes golden
-	// state). Machine snapshots themselves are not serializable; the
-	// schedule lets a warm process rebuild them in one deterministic pass
-	// and lets operators see where a campaign's sync points sit.
+	// Branches and CheckpointCycles are not stored: Put never writes them
+	// and Get always returns them nil. The branch trace comes from the
+	// golden tracer's replay (lifetime.Tracer.BranchTrace), and no
+	// campaign reads a checkpoint schedule back. The fields stay only for
+	// the benchmark harness, which still sets them, and go with its
+	// refresh (ROADMAP item 8).
+	Branches         []lifetime.BranchRec
 	CheckpointCycles []uint64
 }
 

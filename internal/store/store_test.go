@@ -32,10 +32,6 @@ func sampleArtifact() *Artifact {
 			Output: []uint64{1, 2, 3, 0xdeadbeef},
 			ExcLog: []uint32{7, 9},
 		},
-		Branches: []lifetime.BranchRec{
-			{CommitSeq: 5, RIP: 42, Target: 43, Taken: true},
-		},
-		CheckpointCycles: []uint64{0, 4096, 8192},
 	}
 }
 
@@ -307,8 +303,9 @@ func place(t *testing.T, dir, from, to string) {
 	}
 }
 
-// TestEventsAreNotStored: an event log handed to Put is not written, and
-// Get serves the trace without one.
+// TestEventsAreNotStored: an event log, a branch trace and a checkpoint
+// schedule handed to Put are not written, and Get serves the artifact
+// without them.
 func TestEventsAreNotStored(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -320,6 +317,8 @@ func TestEventsAreNotStored(t *testing.T) {
 		{Seq: 1, Cycle: 10, Entry: 3, Mask: 0xff, Kind: lifetime.EvWrite},
 		{Seq: 2, Cycle: 20, CommitSeq: 5, Entry: 3, Mask: 0xff, RIP: 42, Kind: lifetime.EvRead, UPC: 1},
 	}
+	withEvents.Branches = []lifetime.BranchRec{{CommitSeq: 5, RIP: 42, Target: 43, Taken: true}}
+	withEvents.CheckpointCycles = []uint64{0, 4096, 8192}
 	if err := s.Put(k, withEvents); err != nil {
 		t.Fatal(err)
 	}
@@ -328,15 +327,15 @@ func TestEventsAreNotStored(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.Bytes != size {
-		t.Errorf("the file with an event log is %d bytes, without one %d", size, st.Bytes)
+		t.Errorf("the file with an event log, branches and a schedule is %d bytes, without them %d", size, st.Bytes)
 	}
 	if got, ok := s.Get(k); !ok || !reflect.DeepEqual(got, sampleArtifact()) {
-		t.Fatalf("Get served ok=%v %+v, want the artifact without events", ok, got)
+		t.Fatalf("Get served ok=%v %+v, want the artifact without events, branches or schedule", ok, got)
 	}
 }
 
 // TestServesParentWrittenFiles pins both on-disk layouts: an artifact
-// written at format 5 (testdata/v5.artifact, Put of sampleArtifact) and a
+// written at format 6 (testdata/v6.artifact, Put of sampleArtifact) and a
 // campaign record written before the two codecs became one
 // (testdata/c000001.campaign, Put of sampleRecord) are served by Get and
 // List.
@@ -345,9 +344,9 @@ func TestServesParentWrittenFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	place(t, s.Dir(), "v5.artifact", filepath.Base(s.path(sampleKey())))
+	place(t, s.Dir(), "v6.artifact", filepath.Base(s.path(sampleKey())))
 	if got, ok := s.Get(sampleKey()); !ok || !reflect.DeepEqual(got, sampleArtifact()) {
-		t.Fatalf("format-5 artifact not served: ok=%v %+v", ok, got)
+		t.Fatalf("format-6 artifact not served: ok=%v %+v", ok, got)
 	}
 
 	r, err := OpenRegistry(t.TempDir())
@@ -364,12 +363,13 @@ func TestServesParentWrittenFiles(t *testing.T) {
 	}
 }
 
-// TestOldArtifactIsCleanMiss: the all-gob format-3 artifact and the
-// format-4 artifact with event logs, each of the same sampleArtifact
-// (testdata/v3.artifact, testdata/v4.artifact), are one error and one miss
-// — there is no reader for either — and the next Put overwrites them.
+// TestOldArtifactIsCleanMiss: the all-gob format-3 artifact, the format-4
+// artifact with event logs and the format-5 artifact with a branch trace
+// and checkpoint schedule, each of the sampleArtifact of its day
+// (testdata/v3.artifact, v4.artifact, v5.artifact), are one error and one
+// miss — there is no reader for any — and the next Put overwrites them.
 func TestOldArtifactIsCleanMiss(t *testing.T) {
-	for _, file := range []string{"v3.artifact", "v4.artifact"} {
+	for _, file := range []string{"v3.artifact", "v4.artifact", "v5.artifact"} {
 		s, err := Open(t.TempDir())
 		if err != nil {
 			t.Fatal(err)

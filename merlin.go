@@ -114,10 +114,10 @@ const (
 const RawFITPerBit = 0.01
 
 // Cache is a golden-run artifact cache: an on-disk, content-addressed
-// repository of Preprocess products (golden result, lifetime trace,
-// ACE-like vulnerable intervals, checkpoint schedule) keyed by (workload,
-// core config, cycle budget, structure). Campaigns that share those —
-// regardless of fault count, seed, strategy, or grouping knobs — reuse one
+// repository of Preprocess products (golden result and ACE-like
+// vulnerable intervals) keyed by (workload, core config, cycle budget,
+// structures). Campaigns that share those — regardless of fault list
+// (count, confidence, margin), seed, strategy or workers — reuse one
 // golden run across processes. Safe for concurrent use; share one Cache
 // across all campaigns of a process (the daemon does).
 type Cache = store.Store
@@ -315,11 +315,9 @@ func preprocessStructures(cfg Config, structures []Structure) ([]*Artifacts, err
 		// order, matching the key's canonical structure set.
 		sort.Slice(traces, func(i, j int) bool { return traces[i].Structure < traces[j].Structure })
 		cacheErr := cfg.Cache.Put(key, &store.Artifact{
-			Workload:         cfg.Workload,
-			Structures:       traces,
-			Golden:           golden.Result,
-			Branches:         golden.Tracer.Branches,
-			CheckpointCycles: campaign.CheckpointSchedule(campaign.ForkSyncPoints, golden.Result.Cycles),
+			Workload:   cfg.Workload,
+			Structures: traces,
+			Golden:     golden.Result,
 		})
 		for _, a := range out {
 			a.CacheErr = cacheErr
@@ -364,7 +362,7 @@ func newRunner(cfg Config) (*campaign.Runner, error) {
 // rehydrateArtifacts rebuilds the per-structure Preprocess products from a
 // cached artifact.
 func rehydrateArtifacts(cfg Config, runner *campaign.Runner, structures []Structure, art *store.Artifact) ([]*Artifacts, error) {
-	golden := runner.CachedGolden(art.Golden, art.Branches, structures...)
+	golden := runner.CachedGolden(art.Golden, structures...)
 	out := make([]*Artifacts, len(structures))
 	for i, s := range structures {
 		analysis, ok := art.Analysis(s)

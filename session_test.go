@@ -324,10 +324,11 @@ func TestBaselineReportPinsNoRunner(t *testing.T) {
 }
 
 // TestPreprocessAllocBudget: what one cold gcc/RF Preprocess allocates. The
-// run is single-goroutine, so the figure repeats to the byte. It is 5.4 MB
+// run is single-goroutine, so the figure repeats to the byte. It is 4.7 MB
 // now that a new core's caches start on the shared zero generation, the
-// golden run records no event log and the interval and branch slices
-// double as they grow; the budget sits below the 7.0 MB it was while each
+// golden run records no event log or branch trace and the interval slices
+// double as they grow (5.4 MB while it recorded the branch trace); the
+// budget sits below the 7.0 MB it was while each
 // new core built and cleared its own 1.4 MB of cache sets, the 12.4 MB the
 // slices' quarter-step growth cost and the 37.6 MB the retained log and its
 // doublings cost (41.8 MB while the golden run froze a checkpoint ladder,
