@@ -132,15 +132,19 @@ func TestArtifactCodecBudget(t *testing.T) {
 // went, 42.6 MB once it froze nothing and 13.3 MB once the golden run
 // recorded no event log and the artifact carried none, 7.9 MB once the
 // interval and branch slices doubled as they grow, 6.3 MB once a new
-// core's caches started on the shared zero generation; it is 5.4 MB now
-// that the golden run records no branch trace and the artifact carries
-// none, so the budget fails if any of the larger costs comes back.
+// core's caches started on the shared zero generation, 5.4 MB once the
+// golden run recorded no branch trace and the artifact carried none; it is
+// 2.9 MB now that each interval is stored once and the RF index keeps one
+// id run per register, so the budget fails if any of the larger costs
+// comes back.
 func TestColdCachePreprocessAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	const budget = 10_000_000
-	workloads.MustGet("gcc").Program() // assembled once per process; not Preprocess's cost
+	const budget = 3_700_000
+	// The program assembled and the spare interval chunks built once per
+	// process: not Preprocess's cost.
+	preprocessed(t, "gcc", WithStructure(RF), WithFaults(2000), WithSeed(1))
 	cache, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"os"
 	"reflect"
+	"sync"
 	"testing"
 
 	"merlin/internal/lifetime"
@@ -115,6 +116,52 @@ func TestIntervalPins(t *testing.T) {
 	for key, w := range want {
 		if g := got[key]; !reflect.DeepEqual(g, w) {
 			t.Errorf("%s:\n got  %+v\n want %+v", key, g, w)
+		}
+	}
+}
+
+// TestConcurrentGoldenAnalyses: golden runs on concurrent goroutines take
+// the chunks their intervals go into from one process-wide spare list and
+// give them back. Twice over, three workloads each tracing RF, SQ and L1D
+// run at once, and every analysis must pin as its workload's solo run
+// does. CI runs it under the race detector.
+func TestConcurrentGoldenAnalyses(t *testing.T) {
+	names := []string{"sha", "djpeg", "gcc"}
+	targets := map[string]Target{}
+	for _, name := range names {
+		targets[name] = target(t, name)
+	}
+	pins := func(name string) map[lifetime.StructureID]intervalPin {
+		g, err := NewRunner(targets[name]).RunGolden(allStructures...)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		out := map[lifetime.StructureID]intervalPin{}
+		for _, s := range allStructures {
+			out[s] = pinIntervals(g.Tracer.Analysis(s))
+		}
+		return out
+	}
+	solo := map[string]map[lifetime.StructureID]intervalPin{}
+	for _, name := range names {
+		solo[name] = pins(name)
+	}
+	for round := range 2 {
+		got := make([]map[lifetime.StructureID]intervalPin, len(names))
+		var wg sync.WaitGroup
+		for i, name := range names {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = pins(name)
+			}()
+		}
+		wg.Wait()
+		for i, name := range names {
+			if !reflect.DeepEqual(got[i], solo[name]) {
+				t.Errorf("round %d, %s:\n got  %+v\n solo %+v", round, name, got[i], solo[name])
+			}
 		}
 	}
 }

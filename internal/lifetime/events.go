@@ -126,9 +126,9 @@ type Log struct {
 func (l *Log) Append(ev Event) { l.Events = append(grow(l.Events), ev) }
 
 // grow returns s with room for one more element, doubling a full backing
-// array. A golden run appends millions of events and up to a million
-// intervals, and append's quarter-step growth past 256 elements copies
-// such a slice about five times over on its way up.
+// array. A recorded run appends millions of events, and append's
+// quarter-step growth past 256 elements copies such a slice about five
+// times over on its way up.
 func grow[T any](s []T) []T {
 	if len(s) < cap(s) {
 		return s

@@ -3,6 +3,7 @@ package lifetime
 import (
 	"math/bits"
 	"sort"
+	"sync"
 )
 
 // Interval is one ACE-like vulnerable interval (paper §3.1.1): the bytes in
@@ -22,7 +23,7 @@ type Interval struct {
 }
 
 // Analysis holds the vulnerable intervals of one structure for one program
-// run, with a per-(entry, byte) index for O(log n) fault lookup.
+// run, with an index for O(log n) fault lookup.
 type Analysis struct {
 	Structure  StructureID
 	Entries    int
@@ -30,10 +31,13 @@ type Analysis struct {
 	Cycles     uint64
 	Intervals  []Interval
 
-	// Byte i = entry*EntryBytes+byte is covered by the intervals
-	// indexIDs[indexOff[i]:indexOff[i+1]], End ascending.
+	// Byte b of entry e is covered by the intervals
+	// indexIDs[indexOff[k]:indexOff[k+1]], End ascending, where k is e
+	// when perEntry (every interval covers its whole entry) and
+	// e*EntryBytes+b otherwise.
 	indexOff []int32
 	indexIDs []int32
+	perEntry bool
 }
 
 // EOFRip is the pseudo-RIP attributed to lifetimes still open when a
@@ -43,8 +47,8 @@ const EOFRip int32 = -2
 
 // Build derives the vulnerable intervals of structure s from its event
 // log: a copy of the events, sorted into occurrence (Seq) order, fed to the
-// same per-(entry, byte) state machine the Tracer's reorder window feeds
-// while the run happens. It is the offline reference of that online path
+// same state machine the Tracer's reorder window feeds while the run
+// happens. It is the offline reference of that online path
 // (Tracer.Analysis), and what analyses a log that outlived its tracer.
 func Build(log *Log, s StructureID, entries, entryBytes int, cycles uint64) *Analysis {
 	return build(log, s, entries, entryBytes, cycles, false)
@@ -75,19 +79,110 @@ func build(log *Log, s StructureID, entries, entryBytes int, cycles uint64, open
 // each committed read (chaining read-to-read intervals, per the paper's
 // modified ACE definition), and discards unread segments at overwrites,
 // invalidations and end of run.
+//
+// The state is per (entry, byte), but an entry whose bytes all agree —
+// all open since one start, or all closed — keeps it once: an event on
+// the whole entry then costs O(1) and emits at most one whole-entry
+// interval. Nearly every RF event covers its whole register. An event on
+// part of an entry splits it into per-byte state; a whole-entry write or
+// invalidate joins it again.
 type machine struct {
-	a         *Analysis
-	openStart []uint64 // per (entry, byte): start of the open segment
-	valid     []bool   // per (entry, byte): a segment is open
+	a     *Analysis
+	whole uint64 // the mask of every byte of an entry
+
+	// Per entry: its state, and while it is entryOpen the start of the
+	// segment all its bytes have open.
+	state []uint8
+	start []uint64
+
+	// Per (entry, byte) of a split entry: the start of the byte's open
+	// segment, and whether one is open.
+	openStart []uint64
+	valid     []bool
 	groups    byteGroups
+
+	// The n intervals emitted so far, chunkLen to a chunk.
+	chunks []*chunk
+	n      int
 }
+
+// The states of an entry.
+const (
+	entryClosed uint8 = iota // no byte has a segment open
+	entryOpen                // every byte has the segment since start open
+	entrySplit               // per-byte state
+)
 
 func newMachine(s StructureID, entries, entryBytes int) *machine {
 	n := entries * entryBytes
 	return &machine{
 		a:         &Analysis{Structure: s, Entries: entries, EntryBytes: entryBytes},
+		whole:     wholeMask(entryBytes),
+		state:     make([]uint8, entries),
+		start:     make([]uint64, entries),
 		openStart: make([]uint64, n),
 		valid:     make([]bool, n),
+	}
+}
+
+// wholeMask is the mask of every byte of an entry of entryBytes bytes (a
+// shift by 64 is 0, so a 64-byte line's is all ones).
+func wholeMask(entryBytes int) uint64 { return uint64(1)<<uint(entryBytes) - 1 }
+
+// A machine emits its intervals into chunks, and finish copies them out
+// once into an exact-size Analysis.Intervals: a doubling slice allocates
+// about twice their size on its way up, and ends up to twice too large.
+// The chunks go back to spare for any machine of the process to reuse.
+// spare keeps at most maxSpare (12 MB, more than the largest built-in
+// analysis fills); a sync.Pool would drop them at garbage collections, and
+// what a run allocates would no longer repeat to the byte.
+const (
+	chunkLen = 1024
+	maxSpare = 256
+)
+
+type chunk [chunkLen]Interval
+
+var spare struct {
+	sync.Mutex
+	chunks []*chunk
+}
+
+func newChunk() *chunk {
+	spare.Lock()
+	defer spare.Unlock()
+	n := len(spare.chunks)
+	if n == 0 {
+		return new(chunk)
+	}
+	c := spare.chunks[n-1]
+	spare.chunks[n-1] = nil
+	spare.chunks = spare.chunks[:n-1]
+	return c
+}
+
+func recycle(chunks []*chunk) {
+	spare.Lock()
+	defer spare.Unlock()
+	keep := min(len(chunks), maxSpare-len(spare.chunks))
+	spare.chunks = append(spare.chunks, chunks[:keep]...)
+}
+
+func (m *machine) push(iv Interval) {
+	if m.n%chunkLen == 0 {
+		m.chunks = append(m.chunks, newChunk())
+	}
+	m.chunks[m.n/chunkLen][m.n%chunkLen] = iv
+	m.n++
+}
+
+// emit records the interval the read ev ends on the bytes in mask, open
+// since start — unless it is zero-length (a same-cycle write and read),
+// which no flip can hit.
+func (m *machine) emit(ev *Event, mask, start uint64) {
+	if start < ev.Cycle {
+		m.push(Interval{Entry: ev.Entry, Mask: mask, Start: start, End: ev.Cycle,
+			EndSeq: ev.CommitSeq, RIP: ev.RIP, UPC: ev.UPC})
 	}
 }
 
@@ -111,7 +206,24 @@ func (g *byteGroups) add(start uint64, b int) {
 }
 
 func (m *machine) apply(ev *Event) {
-	base := int(ev.Entry) * m.a.EntryBytes
+	e := ev.Entry
+	switch {
+	case ev.Mask != m.whole:
+		m.split(e)
+	case ev.Kind == EvWrite:
+		m.state[e], m.start[e] = entryOpen, ev.Cycle
+		return
+	case ev.Kind == EvInvalidate:
+		m.state[e] = entryClosed
+		return
+	case m.state[e] == entryClosed:
+		return // a read of bytes never written: nothing vulnerable
+	case m.state[e] == entryOpen:
+		m.emit(ev, m.whole, m.start[e])
+		m.start[e] = ev.Cycle // chain the next read-to-read interval
+		return
+	}
+	base := int(e) * m.a.EntryBytes
 	switch ev.Kind {
 	case EvWrite:
 		for mask := ev.Mask; mask != 0; mask &= mask - 1 {
@@ -135,20 +247,22 @@ func (m *machine) apply(ev *Event) {
 			m.openStart[base+b] = ev.Cycle // chain the next read-to-read interval
 		}
 		for j := 0; j < g.n; j++ {
-			if g.starts[j] >= ev.Cycle {
-				continue // zero-length (same-cycle write+read); not injectable
-			}
-			m.a.Intervals = append(grow(m.a.Intervals), Interval{
-				Entry:  ev.Entry,
-				Mask:   g.masks[j],
-				Start:  g.starts[j],
-				End:    ev.Cycle,
-				EndSeq: ev.CommitSeq,
-				RIP:    ev.RIP,
-				UPC:    ev.UPC,
-			})
+			m.emit(ev, g.masks[j], g.starts[j])
 		}
 	}
+}
+
+// split hands entry e's state to each of its bytes, unless they have it.
+func (m *machine) split(e int32) {
+	if m.state[e] == entrySplit {
+		return
+	}
+	base := int(e) * m.a.EntryBytes
+	for b := base; b < base+m.a.EntryBytes; b++ {
+		m.openStart[b] = m.start[e]
+		m.valid[b] = m.state[e] == entryOpen
+	}
+	m.state[e] = entrySplit
 }
 
 // finish closes the run at cycles and returns the indexed analysis; with
@@ -157,6 +271,7 @@ func (m *machine) finish(cycles uint64, openAsEOF bool) *Analysis {
 	a := m.a
 	a.Cycles = cycles
 	for e := 0; openAsEOF && e < a.Entries; e++ {
+		m.split(int32(e))
 		base := e * a.EntryBytes
 		g := &m.groups
 		g.n = 0
@@ -166,28 +281,48 @@ func (m *machine) finish(cycles uint64, openAsEOF bool) *Analysis {
 			}
 		}
 		for j := 0; j < g.n; j++ {
-			a.Intervals = append(a.Intervals, Interval{
+			m.push(Interval{
 				Entry: int32(e), Mask: g.masks[j], Start: g.starts[j],
 				End: cycles, EndSeq: ^uint64(0), RIP: EOFRip,
 			})
 		}
 	}
+	if m.n > 0 {
+		a.Intervals = make([]Interval, m.n)
+		for i, c := range m.chunks {
+			copy(a.Intervals[i*chunkLen:], c[:])
+		}
+	}
+	recycle(m.chunks)
+	m.chunks = nil
 	a.buildIndex()
 	return a
 }
 
-// buildIndex lays the per-(entry, byte) id lists out in one backing array:
-// a counting pass sizes each byte's run, a second pass fills it. Intervals
-// are emitted in Seq order and Seq order implies non-decreasing cycle, so
+// buildIndex lays the id lists out in one backing array: a counting pass
+// sizes each run, a second pass fills it. When every interval covers its
+// whole entry, as every RF interval does, one run per entry serves all of
+// its bytes; otherwise each (entry, byte) has its own. Intervals are
+// emitted in Seq order and Seq order implies non-decreasing cycle, so
 // every run is End-ascending, which is what Find's binary search needs.
 func (a *Analysis) buildIndex() {
-	n := a.Entries * a.EntryBytes
+	whole := wholeMask(a.EntryBytes)
+	a.perEntry = true
+	for i := range a.Intervals {
+		if a.Intervals[i].Mask != whole {
+			a.perEntry = false
+			break
+		}
+	}
+	n := a.Entries
+	if !a.perEntry {
+		n *= a.EntryBytes
+	}
 	a.indexOff = make([]int32, n+1)
 	for i := range a.Intervals {
-		iv := &a.Intervals[i]
-		base := int(iv.Entry)*a.EntryBytes + 1
-		for m := iv.Mask; m != 0; m &= m - 1 {
-			a.indexOff[base+bits.TrailingZeros64(m)]++
+		base, keys := a.indexKeys(&a.Intervals[i])
+		for ; keys != 0; keys &= keys - 1 {
+			a.indexOff[base+1+bits.TrailingZeros64(keys)]++
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -197,19 +332,27 @@ func (a *Analysis) buildIndex() {
 	next := make([]int32, n)
 	copy(next, a.indexOff)
 	for id := range a.Intervals {
-		iv := &a.Intervals[id]
-		base := int(iv.Entry) * a.EntryBytes
-		for m := iv.Mask; m != 0; m &= m - 1 {
-			i := base + bits.TrailingZeros64(m)
+		base, keys := a.indexKeys(&a.Intervals[id])
+		for ; keys != 0; keys &= keys - 1 {
+			i := base + bits.TrailingZeros64(keys)
 			a.indexIDs[next[i]] = int32(id)
 			next[i]++
 		}
 	}
 }
 
+// indexKeys returns the index runs an interval belongs to, as the first
+// run of its entry and a mask of runs from there.
+func (a *Analysis) indexKeys(iv *Interval) (base int, keys uint64) {
+	if a.perEntry {
+		return int(iv.Entry), 1
+	}
+	return int(iv.Entry) * a.EntryBytes, iv.Mask
+}
+
 // Rehydrate reconstructs an Analysis from previously derived intervals —
 // the deserialization path of the golden-run artifact cache
-// (internal/store). The per-byte lookup index is rebuilt; the result is
+// (internal/store). The lookup index is rebuilt; the result is
 // indistinguishable from the Build that originally produced the intervals.
 func Rehydrate(s StructureID, entries, entryBytes int, cycles uint64, intervals []Interval) *Analysis {
 	a := &Analysis{
@@ -227,7 +370,10 @@ func Rehydrate(s StructureID, entries, entryBytes int, cycles uint64, intervals 
 // given byte of entry at cycle, or ok=false when the flip is provably
 // masked (the ACE-like pruning of MeRLiN's first phase).
 func (a *Analysis) Find(entry int32, byteIdx int, cycle uint64) (id int32, ok bool) {
-	i := int(entry)*a.EntryBytes + byteIdx
+	i := int(entry)
+	if !a.perEntry {
+		i = i*a.EntryBytes + byteIdx
+	}
 	lst := a.indexIDs[a.indexOff[i]:a.indexOff[i+1]]
 	lo := sort.Search(len(lst), func(i int) bool { return a.Intervals[lst[i]].End >= cycle })
 	if lo == len(lst) {

@@ -176,44 +176,71 @@ func TestAVF(t *testing.T) {
 }
 
 // Property: for any fault position, Find agrees with a brute-force interval
-// scan.
+// scan — with partial masks, which index every (entry, byte), and with
+// whole-entry masks only, which index every entry once.
 func TestFindMatchesBruteForce(t *testing.T) {
-	log := mkLog(
-		Event{Kind: EvWrite, Entry: 0, Mask: 0x3f, Cycle: 3},
-		Event{Kind: EvRead, Entry: 0, Mask: 0x0f, Cycle: 9, RIP: 1},
-		Event{Kind: EvWrite, Entry: 0, Mask: 0xf0, Cycle: 12},
-		Event{Kind: EvRead, Entry: 0, Mask: 0xff, Cycle: 21, RIP: 2},
-		Event{Kind: EvInvalidate, Entry: 0, Mask: 0xff, Cycle: 25},
-		Event{Kind: EvWrite, Entry: 0, Mask: 0xff, Cycle: 30},
-		Event{Kind: EvRead, Entry: 0, Mask: 0x80, Cycle: 40, RIP: 3},
-	)
-	a := Build(log, StructRF, 1, 8, 100)
-	// Find's binary search needs every byte's id run End-ascending; the
-	// index no longer re-sorts one that is not.
-	for i := 0; i+1 < len(a.indexOff); i++ {
-		run := a.indexIDs[a.indexOff[i]:a.indexOff[i+1]]
-		for j := 1; j < len(run); j++ {
-			if a.Intervals[run[j-1]].End > a.Intervals[run[j]].End {
-				t.Fatalf("byte %d: interval %d ends after interval %d", i, run[j-1], run[j])
+	for _, tc := range []struct {
+		name     string
+		log      *Log
+		perEntry bool
+	}{
+		{"partial", mkLog(
+			Event{Kind: EvWrite, Entry: 0, Mask: 0x3f, Cycle: 3},
+			Event{Kind: EvRead, Entry: 0, Mask: 0x0f, Cycle: 9, RIP: 1},
+			Event{Kind: EvWrite, Entry: 0, Mask: 0xf0, Cycle: 12},
+			Event{Kind: EvRead, Entry: 0, Mask: 0xff, Cycle: 21, RIP: 2},
+			Event{Kind: EvInvalidate, Entry: 0, Mask: 0xff, Cycle: 25},
+			Event{Kind: EvWrite, Entry: 0, Mask: 0xff, Cycle: 30},
+			Event{Kind: EvRead, Entry: 0, Mask: 0x80, Cycle: 40, RIP: 3},
+			Event{Kind: EvWrite, Entry: 1, Mask: 0xff, Cycle: 4},
+			Event{Kind: EvRead, Entry: 1, Mask: 0x01, Cycle: 14, RIP: 4},
+		), false},
+		{"whole", mkLog(
+			Event{Kind: EvWrite, Entry: 0, Mask: 0xff, Cycle: 3},
+			Event{Kind: EvRead, Entry: 0, Mask: 0xff, Cycle: 9, RIP: 1},
+			Event{Kind: EvWrite, Entry: 1, Mask: 0xff, Cycle: 10},
+			Event{Kind: EvRead, Entry: 0, Mask: 0xff, Cycle: 21, RIP: 2},
+			Event{Kind: EvWBRead, Entry: 1, Mask: 0xff, Cycle: 22, RIP: WBRip},
+			Event{Kind: EvInvalidate, Entry: 0, Mask: 0xff, Cycle: 25},
+			Event{Kind: EvRead, Entry: 0, Mask: 0xff, Cycle: 27, RIP: 3},
+			Event{Kind: EvWrite, Entry: 0, Mask: 0xff, Cycle: 30},
+			Event{Kind: EvRead, Entry: 1, Mask: 0xff, Cycle: 33, RIP: 4},
+			Event{Kind: EvRead, Entry: 0, Mask: 0xff, Cycle: 40, RIP: 5},
+		), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := Build(tc.log, StructRF, 2, 8, 100)
+			if a.perEntry != tc.perEntry {
+				t.Fatalf("perEntry = %v, want %v", a.perEntry, tc.perEntry)
 			}
-		}
-	}
-	brute := func(b int, cyc uint64) (int32, bool) {
-		for id, iv := range a.Intervals {
-			if iv.Mask&(1<<uint(b)) != 0 && iv.Start < cyc && cyc <= iv.End {
-				return int32(id), true
+			// Find's binary search needs every id run End-ascending; the
+			// index does not re-sort one that is not.
+			for i := 0; i+1 < len(a.indexOff); i++ {
+				run := a.indexIDs[a.indexOff[i]:a.indexOff[i+1]]
+				for j := 1; j < len(run); j++ {
+					if a.Intervals[run[j-1]].End > a.Intervals[run[j]].End {
+						t.Fatalf("run %d: interval %d ends after interval %d", i, run[j-1], run[j])
+					}
+				}
 			}
-		}
-		return 0, false
-	}
-	f := func(b uint8, cyc uint16) bool {
-		bi := int(b % 8)
-		cy := uint64(cyc % 50)
-		gotID, gotOK := a.Find(0, bi, cy)
-		wantID, wantOK := brute(bi, cy)
-		return gotOK == wantOK && (!gotOK || gotID == wantID)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
+			brute := func(e int32, b int, cyc uint64) (int32, bool) {
+				for id, iv := range a.Intervals {
+					if iv.Entry == e && iv.Mask&(1<<uint(b)) != 0 && iv.Start < cyc && cyc <= iv.End {
+						return int32(id), true
+					}
+				}
+				return 0, false
+			}
+			f := func(e, b uint8, cyc uint16) bool {
+				ei, bi := int32(e%2), int(b%8)
+				cy := uint64(cyc % 50)
+				gotID, gotOK := a.Find(ei, bi, cy)
+				wantID, wantOK := brute(ei, bi, cy)
+				return gotOK == wantOK && (!gotOK || gotID == wantID)
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }

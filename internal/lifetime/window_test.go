@@ -13,9 +13,9 @@ type pendingRead struct {
 // FuzzReorderWindow drives the tracer's emit/reserve/commit/drop calls from
 // a byte string over a tiny geometry — commits in any order, drops, reads
 // left pending at the end, ring growth while the window straddles the
-// ring's wrap — against a reference that knows nothing of the window: the
-// driver's own record of the events that resolved, handed to the offline
-// Build, which sorts them by Seq.
+// ring's wrap, whole-entry masks half the time — against a reference that
+// knows nothing of the window: the driver's own record of the events that
+// resolved, handed to the offline Build, which sorts them by Seq.
 func FuzzReorderWindow(f *testing.F) {
 	f.Add([]byte{0, 0x00, 0xff, 0x30, 0x01, 0x43, 0x00}) // write, read, commit
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -48,6 +48,9 @@ func FuzzReorderWindow(f *testing.F) {
 			s := StructureID(op >> 4 % 3)
 			entries, _ := geometry(s)
 			entry, mask := int32(int(arg>>6)%entries), uint64(arg)|1
+			if arg&0x20 != 0 {
+				mask = 0xff // the whole entry, as nearly every RF event is
+			}
 			switch op & 15 {
 			case 0, 1:
 				emit(s, Event{Cycle: tr.Cycles, Entry: entry, Mask: mask, Kind: EvWrite, RIP: int32(arg)})

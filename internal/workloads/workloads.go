@@ -10,6 +10,8 @@ package workloads
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"merlin/internal/asm"
@@ -148,37 +150,30 @@ func genWords(seed uint64, n int, limit uint64) []uint64 {
 }
 
 // byteData renders a labelled .byte block.
-func byteData(label string, vals []byte) string {
-	s := label + ":\n"
-	for i := 0; i < len(vals); i += 16 {
-		end := min(i+16, len(vals))
-		s += "\t.byte "
-		for j := i; j < end; j++ {
-			if j > i {
-				s += ", "
-			}
-			s += fmt.Sprintf("%d", vals[j])
-		}
-		s += "\n"
-	}
-	return s
-}
+func byteData(label string, vals []byte) string { return dataBlock(label, ".byte", 16, vals) }
 
 // wordData renders a labelled .word block.
-func wordData(label string, vals []uint64) string {
-	s := label + ":\n"
-	for i := 0; i < len(vals); i += 4 {
-		end := min(i+4, len(vals))
-		s += "\t.word "
-		for j := i; j < end; j++ {
-			if j > i {
-				s += ", "
-			}
-			s += fmt.Sprintf("%d", int64(vals[j]))
+func wordData(label string, vals []uint64) string { return dataBlock(label, ".word", 4, vals) }
+
+// dataBlock renders vals under label, perLine to a directive line, words
+// as signed. The sources bake inputs of up to tens of thousands of values,
+// so it writes into one growing buffer rather than concatenating strings.
+func dataBlock[T byte | uint64](label, directive string, perLine int, vals []T) string {
+	var b strings.Builder
+	b.WriteString(label + ":\n")
+	lead := "\t" + directive + " "
+	for i, v := range vals {
+		if i%perLine == 0 {
+			b.WriteString(lead)
+		} else {
+			b.WriteString(", ")
 		}
-		s += "\n"
+		b.WriteString(strconv.FormatInt(int64(v), 10))
+		if i%perLine == perLine-1 || i == len(vals)-1 {
+			b.WriteByte('\n')
+		}
 	}
-	return s
+	return b.String()
 }
 
 // mix is the order-sensitive checksum used by the kernels' output stages:
@@ -205,4 +200,4 @@ func sortedSignature(vals []uint64) []uint64 {
 }
 
 // itoa renders a constant for splicing into assembly sources.
-func itoa(v int) string { return fmt.Sprintf("%d", v) }
+func itoa(v int) string { return strconv.Itoa(v) }

@@ -2,8 +2,10 @@ package workloads
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
+	"merlin/internal/asm"
 	"merlin/internal/cpu"
 )
 
@@ -66,5 +68,25 @@ func TestSuites(t *testing.T) {
 	}
 	if _, err := Get("nonexistent"); err == nil {
 		t.Error("Get of unknown workload must fail")
+	}
+}
+
+// TestAssembleAllocBudget: generating and assembling all twenty sources —
+// what a process's first Program call on each pays — allocates about 1.5
+// MB. It was 169 MB while byteData and wordData built their blocks by
+// string concatenation, which copies the block so far at every value.
+func TestAssembleAllocBudget(t *testing.T) {
+	const budget = 5_000_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, name := range Names("") {
+		w := MustGet(name)
+		asm.MustAssemble(w.Name, w.source())
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("assembling all %d workloads allocated %.1f MB", len(Names("")), float64(got)/1e6)
+	if got > budget {
+		t.Errorf("assembling all workloads allocated %d bytes, budget %d", got, budget)
 	}
 }

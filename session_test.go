@@ -13,8 +13,6 @@ import (
 	"time"
 
 	"merlin/internal/campaign"
-	"merlin/internal/cpu"
-	"merlin/internal/workloads"
 )
 
 // TestStartOptionValidation: bad option values fail Start (options only
@@ -324,24 +322,24 @@ func TestBaselineReportPinsNoRunner(t *testing.T) {
 }
 
 // TestPreprocessAllocBudget: what one cold gcc/RF Preprocess allocates. The
-// run is single-goroutine, so the figure repeats to the byte. It is 4.7 MB
-// now that a new core's caches start on the shared zero generation, the
-// golden run records no event log or branch trace and the interval slices
-// double as they grow (5.4 MB while it recorded the branch trace); the
-// budget sits below the 7.0 MB it was while each
-// new core built and cleared its own 1.4 MB of cache sets, the 12.4 MB the
-// slices' quarter-step growth cost and the 37.6 MB the retained log and its
-// doublings cost (41.8 MB while the golden run froze a checkpoint ladder,
-// 74.9 MB when the log was copied, sorted and grown by quarter steps), so
-// any of them coming back fails here.
+// run is single-goroutine, so the figure repeats to the byte. It is 2.2 MB
+// now that each interval is stored once, into recycled chunks and then an
+// exact-size slice, and the RF index keeps one id run per register (4.7
+// MB while the interval slice doubled as it grew and the index kept one
+// run per byte); the budget sits below that and below the 7.0 MB it was
+// while each new core built and cleared its own 1.4 MB of cache sets, the
+// 12.4 MB the slices' quarter-step growth cost and the 37.6 MB the
+// retained log and its doublings cost (41.8 MB while the golden run froze
+// a checkpoint ladder, 74.9 MB when the log was copied, sorted and grown
+// by quarter steps), so any of them coming back fails here.
 func TestPreprocessAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	const budget = 6_500_000
-	// Assembled, and the caches' zero generations built, once per process:
-	// not Preprocess's cost.
-	workloads.MustGet("gcc").NewCore(cpu.DefaultConfig())
+	const budget = 3_000_000
+	// The program assembled, the caches' zero generations and the spare
+	// interval chunks built, once per process: not Preprocess's cost.
+	preprocessed(t, "gcc", WithStructure(RF), WithFaults(2000), WithSeed(1))
 	s := startSession(t, "gcc", WithStructure(RF), WithFaults(2000), WithSeed(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -360,15 +358,18 @@ func TestPreprocessAllocBudget(t *testing.T) {
 // Start through Run and Baseline on one worker (the benchmark's
 // audit_baseline campaign), after a first campaign has built what a process
 // builds once (the program, the golden track, the zero generations). One
-// worker makes the figure repeat to the byte. It is 2.8 MB now that a clone
-// copies only the cache state it writes; it was 6.7 MB while every new core
-// built its own cache sets, a read hit copied its set's bytes and every
-// freeze rebuilt a table of every set.
+// worker makes the figure repeat to the byte. It is 2.12 MB now that the
+// golden run stores each interval once and indexes each RF interval once;
+// it was 2.71 MB while the interval slice doubled as it grew and the index
+// kept one id run per byte, 2.8 MB before the golden run stopped recording
+// the branch trace, and 6.7 MB while every new core built its own cache
+// sets, a read hit copied its set's bytes and every freeze rebuilt a table
+// of every set.
 func TestCampaignAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	const budget = 3_500_000
+	const budget = 2_600_000
 	campaign := func() {
 		s := startSession(t, "sha", WithStructure(RF), WithFaults(2000), WithSeed(1), WithWorkers(1))
 		if _, err := s.Run(context.Background()); err != nil {
