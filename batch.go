@@ -5,8 +5,8 @@ package merlin
 // (§4.4) reports every workload per structure — RF, SQ and L1D columns of
 // the same campaign — and the structures share everything the fault lists
 // do not depend on: the golden run, its artifact-cache entry, the clone
-// pool and the reset state (or, with a snapshot cache, the checkpoint
-// ladder the first structure's sweep freezes). StartBatch bundles them so
+// pool and the ladder the golden run froze (or, with a snapshot cache, the
+// checkpoint ladder the first structure's walkers freeze). StartBatch bundles them so
 // the expensive shared work is paid once instead of once per structure.
 
 import (
@@ -54,8 +54,8 @@ type Batch struct {
 // ignored in favor of the batch target list. Every structure's injection
 // runs on the batch's one Runner over the shared golden run; with
 // WithSnapshotCache they share one checkpoint ladder, frozen into the
-// cache by the first structure's sweep (unless the cache already held
-// it), so later structures jump along it.
+// cache by the first structure's walkers (unless the cache already held
+// it), so later structures' walks are cut at its rungs.
 func StartBatch(ctx context.Context, workload string, opts ...Option) (*Batch, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

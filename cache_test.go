@@ -78,57 +78,67 @@ func TestCacheKeySeparation(t *testing.T) {
 // TestColdAndWarmCampaignsDoSameWork: a cold session, which ran the golden
 // run, and an artifact-cache-hit session of the same spec, which ran none,
 // report the same campaign and the same work — Run, then Baseline — except
-// timings. With no snapshot cache neither has a checkpoint ladder: both
-// sweep from reset, so SimCycles are equal.
+// timings. At one worker neither has a checkpoint ladder: both walk from
+// reset, so they agree on every counter. At two workers the cold session's
+// golden run froze rungs, so its Forked walk is cut into segments: it may
+// take more clones (one per segment), simulates no more cycles, and agrees
+// on everything else.
 func TestColdAndWarmCampaignsDoSameWork(t *testing.T) {
 	ctx := context.Background()
-	cache, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := []Option{WithStructure(RF), WithFaults(300), WithSeed(11), WithCache(cache)}
-	cold, warm := startSession(t, "sha", opts...), startSession(t, "sha", opts...)
-	coldRep, err := cold.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmRep, err := warm.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if coldRep.CacheHit || !warmRep.CacheHit {
-		t.Fatalf("cache hits cold %v warm %v, want a miss then a hit", coldRep.CacheHit, warmRep.CacheHit)
-	}
-	coldBase, err := cold.Baseline(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmBase, err := warm.Baseline(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, workers := range []int{1, 2} {
+		cache, err := OpenCache(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := []Option{WithStructure(RF), WithFaults(300), WithSeed(11), WithCache(cache), WithWorkers(workers)}
+		cold, warm := startSession(t, "sha", opts...), startSession(t, "sha", opts...)
+		coldRep, err := cold.Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warmRep, err := warm.Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if coldRep.CacheHit || !warmRep.CacheHit {
+			t.Fatalf("%d workers: cache hits cold %v warm %v, want a miss then a hit", workers, coldRep.CacheHit, warmRep.CacheHit)
+		}
+		coldBase, err := cold.Baseline(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warmBase, err := warm.Baseline(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	if warmRep.SimCycles != coldRep.SimCycles {
-		t.Errorf("Run simulated %d cycles warm, %d cold", warmRep.SimCycles, coldRep.SimCycles)
-	}
-	if warmBase.SimCycles != coldBase.SimCycles {
-		t.Errorf("Baseline simulated %d cycles warm, %d cold", warmBase.SimCycles, coldBase.SimCycles)
-	}
-	sameWork := func(w *Work) {
-		w.Serial, w.CloneTime = 0, 0
-	}
-	for _, r := range []*Report{coldRep, warmRep} {
-		sameWork(&r.Work)
-		r.Wall, r.CyclesPerSec, r.CacheHit = 0, 0, false
-	}
-	if !reflect.DeepEqual(coldRep, warmRep) {
-		t.Errorf("cold and warm reports differ:\ncold %+v\nwarm %+v", coldRep, warmRep)
-	}
-	for _, r := range []*BaselineReport{coldBase, warmBase} {
-		sameWork(&r.Work)
-		r.Wall, r.CyclesPerSec = 0, 0
-	}
-	if !reflect.DeepEqual(coldBase, warmBase) {
-		t.Errorf("cold and warm baselines differ:\ncold %+v\nwarm %+v", coldBase, warmBase)
+		// sameWork clears the timings and, at two workers, checks what the
+		// segments may move and clears it too.
+		sameWork := func(what string, cold, warm *Work) {
+			if workers > 1 {
+				if cold.SimCycles > warm.SimCycles || cold.Clones < warm.Clones {
+					t.Errorf("%s: cold simulated %d cycles in %d clones, warm %d in %d: the rungs added cycles or saved clones",
+						what, cold.SimCycles, cold.Clones, warm.SimCycles, warm.Clones)
+				}
+				cold.SimCycles, warm.SimCycles, cold.Clones, warm.Clones = 0, 0, 0, 0
+			}
+			for _, w := range []*Work{cold, warm} {
+				w.Serial, w.CloneTime = 0, 0
+			}
+		}
+		sameWork("Run", &coldRep.Work, &warmRep.Work)
+		for _, r := range []*Report{coldRep, warmRep} {
+			r.Wall, r.CyclesPerSec, r.CacheHit = 0, 0, false
+		}
+		if !reflect.DeepEqual(coldRep, warmRep) {
+			t.Errorf("%d workers: cold and warm reports differ:\ncold %+v\nwarm %+v", workers, coldRep, warmRep)
+		}
+		sameWork("Baseline", &coldBase.Work, &warmBase.Work)
+		for _, r := range []*BaselineReport{coldBase, warmBase} {
+			r.Wall, r.CyclesPerSec = 0, 0
+		}
+		if !reflect.DeepEqual(coldBase, warmBase) {
+			t.Errorf("%d workers: cold and warm baselines differ:\ncold %+v\nwarm %+v", workers, coldBase, warmBase)
+		}
 	}
 }

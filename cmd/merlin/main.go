@@ -18,7 +18,7 @@
 // to standalone runs and cross-structure AVF/FIT totals at the end.
 //
 // -strategy selects how injection runs are simulated: forked (the default:
-// fork-on-fault scheduling off a single golden sweep, each run stopped
+// fork-on-fault scheduling off one walk of the golden run, each run stopped
 // where it is decided) or replay (every run from reset to program end, the
 // assumption-free reference). Outcomes are bit-identical across
 // strategies; only wall-clock differs.

@@ -7,6 +7,7 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -175,11 +176,12 @@ type Runner struct {
 	// that exceeds it is an error, not a campaign result. NewRunner sets
 	// DefaultGoldenBudget.
 	GoldenBudget uint64
-	// Snapshots, when non-nil, holds the Forked checkpoint ladders Run
-	// jumps its sweep along (the daemon's and a fleet worker's in-memory
-	// snapshot cache): Run is served the ladder, or on a miss its sweep
-	// freezes the ladder as it goes and stores it for every Runner sharing
-	// the cache. Nil means no ladder: Run sweeps from reset.
+	// Snapshots, when non-nil, holds the ForkSyncPoints-rung Forked
+	// checkpoint ladders Run cuts its walk at (the daemon's and a fleet
+	// worker's in-memory snapshot cache): Run is served the ladder, or on a
+	// miss its walkers freeze the ladder as they go and store it for every
+	// Runner sharing the cache. Nil means Run walks from the Runner's own
+	// ladder (see RunGolden).
 	Snapshots *SnapshotCache
 
 	// pool recycles retired machine-clone shells across faults and
@@ -190,10 +192,12 @@ type Runner struct {
 	// simulated; batch pipelines assert exactly one per shared golden.
 	goldenRuns atomic.Int64
 
-	// reset is the frozen reset state every Replay fault and every sweep
-	// not served a ladder starts from (see resetState), guarded by resetMu.
-	resetMu sync.Mutex
-	reset   *cpu.Core
+	// ladder is the Runner's own frozen ladder, guarded by ladderMu: the
+	// reset state every Replay fault starts from, and the rungs RunGolden
+	// froze, which a Forked Run not served a ladder cuts its walk at (see
+	// frozenLadder).
+	ladderMu sync.Mutex
+	ladder   *CheckpointSet
 
 	// track holds the golden checkpoints of the hand-off's convergence
 	// exit, fetched by the first hand-off (goldenTrack).
@@ -219,20 +223,24 @@ func NewRunner(t Target) *Runner {
 	return &Runner{Target: t, GoldenBudget: DefaultGoldenBudget, pool: cpu.NewClonePool(0)}
 }
 
-// resetState returns the Runner's frozen reset state, cloning it the first
-// time off c, a core at reset (RunGolden's, before its first step, which
-// saves a Runner with a golden run a fresh core), or off a fresh core when
-// c is nil (a Runner that ran no golden run).
-func (r *Runner) resetState(c *cpu.Core) *cpu.Core {
-	r.resetMu.Lock()
-	defer r.resetMu.Unlock()
-	if r.reset == nil {
-		if c == nil {
-			c = r.NewCore()
-		}
-		r.reset = c.Clone()
+// frozenLadder returns the Runner's own ladder: RunGolden's, or for a
+// Runner that ran no golden run the reset state alone, cloned off a fresh
+// core the first time.
+func (r *Runner) frozenLadder() *CheckpointSet {
+	r.ladderMu.Lock()
+	defer r.ladderMu.Unlock()
+	if r.ladder == nil {
+		r.ladder = &CheckpointSet{cycles: []uint64{0}, cores: []*cpu.Core{r.NewCore().Clone()}}
 	}
-	return r.reset
+	return r.ladder
+}
+
+// workers is the number of injection workers a Run uses at most.
+func (r *Runner) workers() int {
+	if r.Workers > 0 {
+		return r.Workers
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // runMetrics accumulates Run's injection-phase performance counters;
@@ -279,7 +287,16 @@ func (m *runMetrics) fill(res *Result) {
 // RunGolden performs the fault-free reference run, tracking lifetimes of
 // the given structures (none for plain baseline campaigns) with a golden
 // tracer: Tracer.Analysis(s) is ready, and Tracer.Log(s) and
-// Tracer.BranchTrace() replay the run the first time either is asked for. It keeps the reset state for Run.
+// Tracer.BranchTrace() replay the run the first time either is asked for.
+//
+// The first RunGolden of a Runner also freezes the Runner's ladder as the
+// run steps: the reset state and, with more than one worker, the
+// CheckpointSchedule(2 x workers, cycles) rungs (ForkSyncPoints at most),
+// where Run cuts a Forked walk into segments the workers walk in
+// parallel. At one worker it freezes the reset state alone. A rung is a
+// copy-on-write clone of the golden core, about 118 KB on the default core
+// (its predictor tables are 75 KB of that), so a retained Runner pins
+// about 0.5 MB of rungs at two workers and 2.8 MB at most.
 func (r *Runner) RunGolden(track ...lifetime.StructureID) (*Golden, error) {
 	r.goldenRuns.Add(1)
 	c := r.NewCore()
@@ -288,8 +305,25 @@ func (r *Runner) RunGolden(track ...lifetime.StructureID) (*Golden, error) {
 		tr = lifetime.NewGoldenTracer(r.replay(), track...)
 		c.AttachTracer(tr)
 	}
-	r.resetState(c)
-	res := c.Run(r.GoldenBudget)
+	r.ladderMu.Lock()
+	fresh := r.ladder == nil
+	r.ladderMu.Unlock()
+	var res cpu.RunResult
+	if fresh {
+		k := min(2*r.workers(), ForkSyncPoints)
+		if k == 2 {
+			k = 0 // one worker walks one segment
+		}
+		f := newFreezer(k, c, r.pool)
+		res = f.run(c, r.GoldenBudget)
+		r.ladderMu.Lock()
+		if r.ladder == nil { // the first ladder stays
+			r.ladder = f.set
+		}
+		r.ladderMu.Unlock()
+	} else {
+		res = c.Run(r.GoldenBudget)
+	}
 	if res.Halt != cpu.HaltOK {
 		return nil, fmt.Errorf("campaign: golden run of %q ended with %v after %d cycles", r.Prog.Name, res.Halt, res.Cycles)
 	}
@@ -311,8 +345,8 @@ func (r *Runner) CachedGolden(res cpu.RunResult, track ...lifetime.StructureID) 
 
 // replay returns a golden tracer's replay: the fault-free run from a fresh
 // core, traced by the tracer it is handed. It counts in no GoldenRuns and
-// leaves the reset state alone, and it holds the target and budget, not
-// the Runner, so a retained Golden pins no clone pool or reset state.
+// leaves the ladder alone, and it holds the target and budget, not
+// the Runner, so a retained Golden pins no clone pool or ladder.
 func (r *Runner) replay() func(*lifetime.Tracer) {
 	t, budget := r.Target, r.GoldenBudget
 	return func(tr *lifetime.Tracer) {
@@ -401,8 +435,9 @@ type Work struct {
 	Clones    int64
 	CloneTime time.Duration
 	// SimCycles is the total number of machine cycles actually simulated:
-	// shared pre-fault work (the forked sweep, on a SnapshotCache miss
-	// stepped on to the ladder's last rung) plus every faulty continuation.
+	// shared pre-fault work (the Forked walk of the golden run, on a
+	// SnapshotCache miss stepped on to each segment's last rung) plus every
+	// faulty continuation.
 	// Divided by Wall it yields the campaign's effective simulation
 	// throughput.
 	SimCycles uint64
@@ -415,7 +450,7 @@ type Work struct {
 	HandOffs    int64
 	FellBack    int64
 	InterpInsts uint64
-	// DeadAtFlip counts the faults the Forked sweep classified Masked at
+	// DeadAtFlip counts the faults the Forked walkers classified Masked at
 	// the fork because the flipped bit lay in dead storage (cpu.Core.Dead):
 	// no clone, no cycle.
 	DeadAtFlip int64
@@ -429,9 +464,9 @@ type Work struct {
 	// count in HandOffs too.
 	Converged int64
 	// SnapshotHit reports that a SnapshotCache served the campaign's
-	// checkpoint ladder, so its sweep jumped along the rungs. It is false
-	// on a miss, where the sweep froze the ladder as it passed the rungs,
-	// without a cache, where there is no ladder, and for Replay.
+	// checkpoint ladder, so its walk was cut at those rungs. It is false on
+	// a miss, where the walkers froze the ladder as they passed the rungs,
+	// without a cache, and for Replay.
 	SnapshotHit bool
 }
 

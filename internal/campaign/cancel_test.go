@@ -127,7 +127,7 @@ func TestSchedulerCancellationMultiWorker(t *testing.T) {
 }
 
 // TestCancelledSweepPublishesNoLadder: a Forked campaign cancelled on a
-// cold SnapshotCache stores no ladder, since its sweep stopped short of the
+// cold SnapshotCache stores no ladder, since its walk stopped short of the
 // rungs past the cancellation point, so the next campaign misses too and
 // stores the whole ladder.
 func TestCancelledSweepPublishesNoLadder(t *testing.T) {

@@ -15,9 +15,10 @@ import (
 // snapshot before a fault's cycle instead of replaying from reset — the
 // run-acceleration technique of Chatzidimitriou & Gizopoulos (ISPASS
 // 2016), which the paper notes is orthogonal to (and combinable with)
-// MeRLiN — and a Forked sweep served one by a SnapshotCache jumps forward
-// to its rungs instead of stepping to them. A faulty continuation reads
-// only the rung cycles, which CheckpointSchedule gives without any set.
+// MeRLiN — and a Forked campaign cuts its walk of the golden run at the
+// rungs of one, so each segment starts from a clone of its rung instead of
+// stepping there. A faulty continuation reads only the rung cycles, which
+// CheckpointSchedule gives without any set.
 type CheckpointSet struct {
 	cycles []uint64
 	cores  []*cpu.Core // frozen; accessed read-only via Clone
@@ -31,11 +32,13 @@ const ladderBase = 256
 // k-rung ladder over a goldenCycles-long run: the reset state at cycle 0,
 // then every multiple of a spacing s before the run ends, s the smallest
 // ladderBase x 2^j that leaves at most k of them. It is exactly the
-// schedule a Forked sweep freezes on a SnapshotCache miss and the one
-// BuildCheckpoints replays. Past reset, its cycles are where a Forked
+// schedule a freezing golden run ends with (see freezer), a rule that needs
+// no golden length up front, the one a Forked campaign's walkers freeze on
+// a SnapshotCache miss (k = ForkSyncPoints), and the one BuildCheckpoints
+// replays. Schedules of one run nest: every rung of a k-rung schedule is a
+// rung of any schedule with more. Past reset, its cycles are where a Forked
 // continuation retries the hand-off, whether or not a ladder holds
-// snapshots there. The golden-run artifact cache persists it so operators
-// can see where a campaign's sync points sit.
+// snapshots there.
 func CheckpointSchedule(k int, goldenCycles uint64) []uint64 {
 	last := max(goldenCycles, 1) - 1 // the last cycle the run is still going
 	s := uint64(ladderBase)
@@ -50,9 +53,9 @@ func CheckpointSchedule(k int, goldenCycles uint64) []uint64 {
 }
 
 // BuildCheckpoints replays the fault-free run once, freezing the
-// CheckpointSchedule(k, goldenCycles) snapshots (plus the reset state): at
-// k = ForkSyncPoints, the ladder a Forked sweep freezes on a SnapshotCache
-// miss, and the reference that ladder is tested against. The returned set
+// CheckpointSchedule(k, goldenCycles) snapshots (plus the reset state): the
+// reference the ladders a golden run and a Forked campaign's walkers freeze
+// are tested against. The returned set
 // is immutable and safe for concurrent use. Every snapshot is cloned off
 // the same replay core, so the whole set shares one copy-on-write lineage
 // across memory pages and cache sets.
@@ -73,6 +76,69 @@ func (r *Runner) BuildCheckpoints(k int, goldenCycles uint64) *CheckpointSet {
 		set.cores = append(set.cores, c.Clone())
 	}
 	return set
+}
+
+// freezer builds an at most k-rung ladder off a core while it runs, before
+// the run's length is known: a rung at every multiple of the spacing, and
+// whenever more than k accumulate, every other one is dropped and the
+// spacing doubled. Dropped rungs' shells go back to pool, where the
+// campaign's forks pick them up. The ladder it ends with is
+// BuildCheckpoints(k, cycles) for the run's length.
+type freezer struct {
+	k     int
+	every uint64
+	pool  *cpu.ClonePool
+	set   *CheckpointSet
+}
+
+// newFreezer starts a ladder at c's reset state.
+func newFreezer(k int, c *cpu.Core, pool *cpu.ClonePool) *freezer {
+	return &freezer{k: k, every: ladderBase, pool: pool,
+		set: &CheckpointSet{cycles: []uint64{0}, cores: []*cpu.Core{c.Clone()}}}
+}
+
+// run is c.Run(maxCycles), freezing the ladder's rungs on the way.
+func (f *freezer) run(c *cpu.Core, maxCycles uint64) cpu.RunResult {
+	for c.Halted() == cpu.Running {
+		next := (c.Cycle()/f.every + 1) * f.every
+		if next >= maxCycles {
+			break
+		}
+		for c.Cycle() < next && c.Halted() == cpu.Running {
+			c.Step()
+		}
+		if c.Halted() == cpu.Running {
+			f.freeze(c)
+		}
+	}
+	return c.Run(maxCycles)
+}
+
+// freeze adds a rung at c's cycle, a multiple of the spacing. A full
+// ladder is thinned first, the spacing doubled, and c's cycle frozen only
+// if it is a multiple of the new one, so the ladder never holds more than
+// k rungs and never clones a rung the thinning would drop.
+func (f *freezer) freeze(c *cpu.Core) {
+	s := f.set
+	if len(s.cycles)-1 == f.k {
+		f.every *= 2
+		kept := 1 // the reset state stays
+		for i := 1; i < len(s.cycles); i++ {
+			if s.cycles[i]%f.every == 0 {
+				s.cycles[kept], s.cores[kept] = s.cycles[i], s.cores[i]
+				kept++
+			} else {
+				f.pool.Release(s.cores[i])
+			}
+		}
+		clear(s.cores[kept:])
+		s.cycles, s.cores = s.cycles[:kept], s.cores[:kept]
+		if c.Cycle()%f.every != 0 {
+			return
+		}
+	}
+	s.cycles = append(s.cycles, c.Cycle())
+	s.cores = append(s.cores, f.pool.Clone(c))
 }
 
 // before returns the latest snapshot strictly usable for a fault injected

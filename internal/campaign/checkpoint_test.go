@@ -111,10 +111,10 @@ func TestCheckpointEdgeCycles(t *testing.T) {
 
 // TestSweepLadderMatchesReplay: on every workload and both timing-pin
 // configurations, a Forked campaign on a cold SnapshotCache leaves the
-// cache exactly one entry, the ladder its sweep froze: its rungs sit at
+// cache exactly one entry, the ladder its walk froze: its rungs sit at
 // CheckpointSchedule's cycles and each is state-equal to the rung
 // BuildCheckpoints replays there. The campaign's faults all lie in the
-// first half of the run, so the sweep freezes the later rungs after its
+// first half of the run, so the walker freezes the later rungs after its
 // last fault. Its outcomes equal those of a campaign without a cache, and
 // the next campaign on the cache is served the ladder. -short and -race
 // check shortWorkloads only.

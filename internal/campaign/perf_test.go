@@ -86,17 +86,19 @@ func TestDeadOnArrivalStampsWall(t *testing.T) {
 }
 
 // TestSnapshotSourceSharing: the first Forked campaign on a SnapshotCache
-// misses, and its sweep freezes the ladder into the cache as it goes,
-// stepping on to the last rung after the list's last fault; every later
+// misses, and its walkers freeze the ladder into the cache as they go, each
+// stepping on to its segment's last rung after its last fault; every later
 // Forked campaign is served that ladder (SnapshotHit set, the same
 // SimCycles) — the freezing Runner's next one and every one of a fresh
 // Runner of the same target, which ran no golden run. The cache holds one
 // ladder, and outcomes stay bit-identical to Replay's. On this sparse
-// 25-fault sha/RF list the miss simulates 6,197 cycles and a hit 2,267.
+// 25-fault sha/RF list at two workers the miss, walking the four segments
+// between the golden run's rungs, simulates 5,783 cycles (6,197 from reset
+// in one walk) and a hit 2,267.
 func TestSnapshotSourceSharing(t *testing.T) {
 	src := NewSnapshotCache(0)
 	seed := NewRunner(target(t, "sha"))
-	seed.Snapshots = src
+	seed.Snapshots, seed.Workers = src, 2
 	g, err := seed.RunGolden()
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +112,7 @@ func TestSnapshotSourceSharing(t *testing.T) {
 	if st := src.Stats(); st.Hits+st.Misses != 0 {
 		t.Errorf("a golden run and a Replay campaign asked the cache for a ladder: %+v", st)
 	}
-	const missCycles, hitCycles = 6197, 2267
+	const missCycles, hitCycles = 5783, 2267
 	miss := mustRun(t)(seed.Run(context.Background(), faults, &g.Result, Plan{Strategy: Forked}))
 	if miss.SnapshotHit || miss.SimCycles != missCycles {
 		t.Errorf("first Forked campaign: SnapshotHit %v SimCycles %d, want a miss at %d", miss.SnapshotHit, miss.SimCycles, missCycles)
@@ -120,7 +122,7 @@ func TestSnapshotSourceSharing(t *testing.T) {
 	}
 
 	r := NewRunner(target(t, "sha"))
-	r.Snapshots = src
+	r.Snapshots, r.Workers = src, 2
 	for round, run := range []*Runner{seed, r, r} {
 		fk := mustRun(t)(run.Run(context.Background(), faults, &g.Result, Plan{Strategy: Forked}))
 		if !fk.SnapshotHit || fk.SimCycles != hitCycles {

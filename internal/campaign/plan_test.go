@@ -117,19 +117,20 @@ func TestPlansAgreeOnGeneratedKernels(t *testing.T) {
 }
 
 // TestPlanWorkCounters pins the work each strategy does on sha/RF/1000
-// faults/seed 1 — machine clones, detailed cycles simulated, snapshot hit,
-// what the hand-off did (runs the interpreter finished, attempts that fell
-// back, instructions interpreted), the faults classified dead at the flip,
-// those the overwrite watch decided and the hand-offs the convergence exit
-// decided. Without a SnapshotCache the sweep
-// runs from reset, so a Runner that ran the golden run (cold) and one that
-// ran none (warm, the artifact-cache-hit path) do the same work. On a cache
-// holding no ladder the sweep does that work too and freezes the ladder as
-// it passes the rungs, one clone each; the Runner's next campaign and a
-// fresh Runner sharing the cache are served it. The ladder only moves the
-// sweep: every Forked row's hand-off and exit counters are equal. Replay
-// has no rung and no fork, so it never hands off and never decides at the
-// flip or at an overwrite.
+// faults/seed 1 at two workers — machine clones, detailed cycles simulated,
+// snapshot hit, what the hand-off did (runs the interpreter finished,
+// attempts that fell back, instructions interpreted), the faults
+// classified dead at the flip, those the overwrite watch decided and the
+// hand-offs the convergence exit decided. A Runner that ran the golden run
+// (cold) froze three rungs, so its Forked walk is four segments, each
+// cloning its rung; one that ran none (warm, the artifact-cache-hit path)
+// walks from reset in one. On a cache holding no ladder the walk freezes
+// the ladder as it passes the rungs, one clone each (none where a segment
+// starts on one); the Runner's next campaign and a fresh Runner sharing
+// the cache are served it. The ladder only moves the walk: every Forked
+// row's hand-off and exit counters are equal. Replay has no rung and no
+// fork, so it never hands off and never decides at the flip or at an
+// overwrite.
 func TestPlanWorkCounters(t *testing.T) {
 	type work struct {
 		clones      int64
@@ -142,7 +143,12 @@ func TestPlanWorkCounters(t *testing.T) {
 		overwritten int64
 		converged   int64
 	}
-	cold := NewRunner(target(t, "sha"))
+	runner := func(cache *SnapshotCache) *Runner {
+		r := NewRunner(target(t, "sha"))
+		r.Workers, r.Snapshots = 2, cache
+		return r
+	}
+	cold := runner(nil)
 	g, err := cold.RunGolden()
 	if err != nil {
 		t.Fatal(err)
@@ -150,11 +156,13 @@ func TestPlanWorkCounters(t *testing.T) {
 	c := cold.NewCore()
 	faults := sampling.Generate(lifetime.StructRF, c.StructureEntries(lifetime.StructRF),
 		c.StructureEntryBits(lifetime.StructRF), g.Result.Cycles, 1000, 1)
-	warm := NewRunner(target(t, "sha"))
-	cached := NewRunner(target(t, "sha"))
-	cached.Snapshots = NewSnapshotCache(0)
-	served := NewRunner(target(t, "sha"))
-	served.Snapshots = cached.Snapshots
+	warm := runner(nil)
+	cached := runner(NewSnapshotCache(0))
+	served := runner(cached.Snapshots)
+	coldCached := runner(NewSnapshotCache(0))
+	if _, err := coldCached.RunGolden(); err != nil {
+		t.Fatal(err)
+	}
 	rows := []struct {
 		name     string
 		r        *Runner
@@ -162,11 +170,12 @@ func TestPlanWorkCounters(t *testing.T) {
 		want     work
 	}{
 		{"replay", cold, Replay, work{1000, 6152243, false, 0, 0, 0, 0, 0, 0}},
-		{"forked cold", cold, Forked, work{169, 8602, false, 69, 0, 127949, 832, 99, 49}},
+		{"forked cold", cold, Forked, work{172, 8595, false, 69, 0, 127949, 832, 99, 49}},
 		{"forked warm", warm, Forked, work{169, 8602, false, 69, 0, 127949, 832, 99, 49}},
 		{"forked miss", cached, Forked, work{193, 8602, false, 69, 0, 127949, 832, 99, 49}},
 		{"forked hit", cached, Forked, work{193, 8437, true, 69, 0, 127949, 832, 99, 49}},
 		{"forked served", served, Forked, work{193, 8437, true, 69, 0, 127949, 832, 99, 49}},
+		{"forked cold miss", coldCached, Forked, work{193, 8595, false, 69, 0, 127949, 832, 99, 49}},
 	}
 	got := map[string]work{}
 	for _, row := range rows {
@@ -176,28 +185,35 @@ func TestPlanWorkCounters(t *testing.T) {
 			t.Errorf("%s: work %+v, want %+v", row.name, got[row.name], row.want)
 		}
 	}
-	if cold, warm := got["forked cold"], got["forked warm"]; cold != warm {
-		t.Errorf("without a cache, the cold campaign did %+v and the warm one %+v", cold, warm)
-	}
 	rungs := int64(len(CheckpointSchedule(ForkSyncPoints, g.Result.Cycles)) - 1)
-	if extra := got["forked miss"].clones - got["forked cold"].clones; extra != rungs {
-		t.Errorf("freezing the ladder took %d clones, want one per rung past reset, %d", extra, rungs)
+	goldenRungs := int64(len(cold.frozenLadder().cycles) - 1)
+	if goldenRungs != 3 {
+		t.Errorf("the golden run froze %d rungs at two workers, want 3", goldenRungs)
+	}
+	for _, pair := range [][2]string{{"forked warm", "forked miss"}, {"forked cold", "forked cold miss"}} {
+		want := rungs
+		if pair[0] == "forked cold" {
+			want -= goldenRungs // the segments start on them
+		}
+		if extra := got[pair[1]].clones - got[pair[0]].clones; extra != want {
+			t.Errorf("%s: freezing the ladder took %d clones, want one per rung past reset no segment starts on, %d", pair[1], extra, want)
+		}
 	}
 	if hit, served := got["forked hit"], got["forked served"]; hit != served {
 		t.Errorf("the freezing Runner's next campaign did %+v, a fresh Runner served the ladder %+v", hit, served)
 	}
 }
 
-// TestLadderOnlyMovesTheSweep: a SnapshotCache lets the Forked sweep
-// freeze a ladder's rungs on a miss and jump forward to them on a hit, and
+// TestLadderOnlyMovesTheSweep: a SnapshotCache lets the Forked walkers
+// freeze a ladder's rungs on a miss and cut the walk at them on a hit, and
 // changes nothing else. On the RF lists of sha and gcc and the L1D list of
 // djpeg (whose runs retry the hand-off at rung cycles) under both timing
-// configurations, a Runner with no cache, which sweeps from reset, and a
-// Runner with a cache, whose first campaign freezes the ladder and whose
-// second is served it, classify the same faults alike and agree on every
-// counter of what the continuations did: hand-offs, fall-backs,
-// instructions interpreted, dead at the flip, overwritten, converged. Only SimCycles,
-// Clones and SnapshotHit may differ. Each list is mostly faults the
+// configurations, a Runner with no cache, which walks from its golden
+// run's rungs, and a Runner with a cache, whose first campaign freezes the
+// ladder and whose second is served it, classify the same faults alike and
+// agree on every counter of what the continuations did: hand-offs,
+// fall-backs, instructions interpreted, dead at the flip, overwritten,
+// converged. Only SimCycles, Clones and SnapshotHit may differ. Each list is mostly faults the
 // ACE-like analysis says are read, the kind a MeRLiN campaign injects and
 // the kind that hands off; on djpeg some must fall back and retry. -short
 // and -race check sha and djpeg on shorter lists.

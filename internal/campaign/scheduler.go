@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,9 +22,9 @@ const (
 	// Replay re-executes every injection run from reset: O(F x avg_cycle)
 	// pre-fault simulation. The comprehensive, assumption-free baseline.
 	Replay Strategy = iota
-	// Forked drives one sweep core through the golden run exactly once
-	// and forks a clone per fault at its injection cycle: O(golden_cycles
-	// + F x clone) pre-fault work.
+	// Forked walks the golden run once, in segments between checkpoint
+	// rungs that the workers walk in parallel, and forks a clone per fault
+	// at its injection cycle: O(golden_cycles + F x clone) pre-fault work.
 	Forked
 	numStrategies
 )
@@ -52,10 +51,9 @@ func ParseStrategy(name string) (Strategy, error) {
 
 // ForkSyncPoints is the most rungs the Forked strategy's ladder has past
 // reset (CheckpointSchedule). Faulty continuations retry the hand-off at
-// each rung cycle; where a SnapshotCache holds the ladder's snapshots, the
-// sweep also jumps forward to them and re-roots its copy-on-write lineage
-// there, and where it holds none, the sweep freezes them for the next
-// campaign.
+// each rung cycle; where a SnapshotCache holds the ladder's snapshots, Run
+// also cuts its walk of the golden run at them, and where it holds none,
+// the walkers freeze them for the next campaign.
 const ForkSyncPoints = 24
 
 // Plan says how one campaign reproduces each fault's pre-fault prefix and
@@ -66,7 +64,7 @@ type Plan struct {
 	//
 	//	Replay  the reset state; no early exit
 	//	Forked  at the fork, a flip into dead storage (cpu.Core.Dead) is
-	//	        Masked with no clone; else a clone off one sweep of the
+	//	        Masked with no clone; else a clone off one walk of the
 	//	        golden run, taken at the fault cycle, is handed off to the
 	//	        interpreter as soon as it is quiescent after the flip; exit
 	//	        where the flipped RF or SQ entry is overwritten unread
@@ -80,18 +78,10 @@ type Plan struct {
 	// not even at the fork).
 	Cut *TruncatedGolden
 	// OnOutcome, when non-nil, is called once per classified fault with the
-	// fault's index in the campaign's input list, from worker goroutines and
-	// (for a fault dead at the flip) the goroutine feeding them,
+	// fault's index in the campaign's input list, from worker goroutines,
 	// concurrently and in completion (not input) order; it must be safe
 	// for concurrent use and should return quickly.
 	OnOutcome func(idx int, f fault.Fault, o Outcome)
-}
-
-// job hands one fault to a worker; core is its ready pre-fault clone under
-// Forked and nil under Replay (the worker then clones the reset state).
-type job struct {
-	idx  int
-	core *cpu.Core
 }
 
 // Run injects every fault in faults and classifies it against golden, in
@@ -100,28 +90,36 @@ type job struct {
 // RunFault (RunFaultTruncated with plan.Cut) reference; strategies differ
 // only in how much of the golden run is re-simulated per fault.
 //
-// Under Forked a single sweep core steps through the golden run exactly
-// once, visiting the faults in ascending cycle order and handing a clone
-// to the workers at each fault cycle, so the shared prefix is simulated
-// once per campaign instead of once per fault. A fault whose bit lies in
-// dead storage at its cycle is dead at the flip: the sweep classifies it
-// Masked itself, with no clone (not under plan.Cut). The job channel is
-// unbuffered and a worker releases its clone before it receives again, so
-// at most workers + 1 clones are live (one per worker and the one being
-// handed over): faults clustering late in the run cannot hold thousands
-// of machine snapshots in memory.
+// Under Forked the golden run is walked once per campaign, not once per
+// fault, in segments: the cycle-sorted list is cut at the rungs of the
+// best ladder at hand — the ForkSyncPoints-rung one r.Snapshots serves,
+// else the Runner's own (the rungs RunGolden froze), else the reset state
+// alone, which makes one segment — and each worker takes the next segment
+// in cycle order, clones its rung and steps the clone (the walker) through
+// the segment's faults. At each fault cycle it forks a clone off the
+// walker and hands it to an idle worker; when no worker is idle it parks
+// the rest of its walk for the first worker that becomes idle, itself
+// included, and classifies the fork itself. A worker resumes a parked walk
+// before it starts a new segment, and one with no segment left resumes
+// the others' walks or classifies their forks. A fault whose bit lies in
+// dead storage at its cycle is dead at the flip: the walker classifies it
+// Masked itself, with no clone (not under plan.Cut). Each worker holds at
+// most one walk and one fork, so at most the ladder's rungs plus 2 x
+// workers clones are live: faults clustering late in the run cannot hold
+// thousands of machine snapshots in memory. Replay has no walk: each worker takes the next fault in list
+// order and starts it from a clone of the reset state.
 //
-// With r.Snapshots set, the Forked sweep jumps forward along the ladder the
-// cache serves. On a miss it starts from the Runner's frozen reset state,
-// as without a cache, and clones its core at each rung cycle it passes,
-// stepping on to the last rung after the last fault; a campaign that was
-// not cancelled stores that ladder in the cache. Every Replay fault starts
-// from the reset state. The sweep is shared pre-fault work, counted once
-// in Wall, Serial and SimCycles; an empty or already-cancelled campaign
-// does none and asks the cache nothing. Cancellation is observed between
-// faults: no new fault is dispatched once ctx is done, in-flight faults
-// finish classification, the rest stay marked Cancelled, and the partial
-// Result is returned together with ctx.Err().
+// On a SnapshotCache miss each walker also freezes a clone at each
+// CheckpointSchedule(ForkSyncPoints, cycles) rung inside its segment,
+// stepping on past its last fault to the segment's last rung, and a
+// campaign that was not cancelled stores the ladder once every segment is
+// done. The walks are shared pre-fault work, counted once in Serial and
+// SimCycles; an empty or already-cancelled campaign does none and asks
+// the cache nothing. OnOutcome is called in completion order, from the
+// workers. Cancellation is observed between faults: no fault is forked or
+// started once ctx is done, forks already taken finish classification,
+// the rest stay marked Cancelled, and the partial Result is returned
+// together with ctx.Err().
 func (r *Runner) Run(ctx context.Context, faults []fault.Fault, golden *cpu.RunResult, plan Plan) (*Result, error) {
 	res := newResult(len(faults))
 	start := time.Now()
@@ -132,184 +130,266 @@ func (r *Runner) Run(ctx context.Context, faults []fault.Fault, golden *cpu.RunR
 	if plan.Cut != nil {
 		golden = &plan.Cut.Result
 	}
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	s := &scheduler{
+		r: r, faults: faults, golden: golden, plan: plan, res: res,
+		pool: r.pool, done: ctx.Done(), forks: make(chan fork),
 	}
-	if workers > len(faults) {
-		workers = len(faults)
-	}
-
-	var serialNS atomic.Int64
-	var m runMetrics
-	pool := r.pool
-	// ladder holds the sweep's start and the rungs it may jump to: served
-	// by the cache, or the reset state alone.
-	var ladder *CheckpointSet
-	var rungs []uint64 // the cycles a continuation retries the hand-off at
-	key := r.ladderKey(golden.Cycles)
-	if plan.Strategy == Forked && r.Snapshots != nil {
-		ladder = r.Snapshots.Get(key)
-		res.SnapshotHit = ladder != nil
-	}
-	if ladder == nil {
-		ladder = &CheckpointSet{cycles: []uint64{0}, cores: []*cpu.Core{r.resetState(nil)}}
-	}
-	var sw *sweep
-	var order []int // dispatch order; nil means input order
+	ladder := r.frozenLadder()
+	var key SnapshotKey
+	var freeze []uint64 // the rungs to freeze, on a SnapshotCache miss
 	if plan.Strategy == Forked {
-		rungs = CheckpointSchedule(ForkSyncPoints, golden.Cycles)[1:]
-		sw = &sweep{
-			ladder: ladder, pool: pool, m: &m,
-			core: m.clone(pool, ladder.cores[0]),
-			next: 1,
+		sched := CheckpointSchedule(ForkSyncPoints, golden.Cycles)
+		s.rungs = sched[1:]
+		if r.Snapshots != nil {
+			key = r.ladderKey(golden.Cycles)
+			if cached := r.Snapshots.Get(key); cached != nil {
+				ladder, res.SnapshotHit = cached, true
+			} else {
+				freeze = sched
+			}
 		}
-		if r.Snapshots != nil && !res.SnapshotHit {
-			sw.frozen = &CheckpointSet{cycles: []uint64{0}, cores: []*cpu.Core{ladder.cores[0]}}
-			sw.freeze = rungs
-		}
-		order = fault.SortedIndices(faults) // the sweep only moves forward
+		// A walker only moves forward.
+		s.segs = cutSegments(ladder, faults, fault.SortedIndices(faults), freeze)
+		s.open.Store(int64(len(s.segs)))
+		s.parked = make(chan *segment, len(s.segs))
 	}
-	serialNS.Add(int64(time.Since(start)))
+	workers := min(r.workers(), len(faults))
+	s.serialNS.Add(int64(time.Since(start)))
 
-	record := func(idx int, o Outcome) {
-		res.Outcomes[idx] = o
-		if plan.OnOutcome != nil {
-			plan.OnOutcome(idx, faults[idx], o)
-		}
-	}
-	jobs := make(chan job)
+	var next atomic.Int64 // the next Replay fault
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			h := new(handOff)
-			defer m.addHandOffs(h)
-			for j := range jobs {
-				t0 := time.Now()
-				c := j.core
-				if c == nil {
-					c = m.clone(pool, ladder.cores[0])
+			defer s.m.addHandOffs(h)
+			// Serial is the time each worker is busy: walking (with the
+			// fork it classifies itself) or classifying a fork it was
+			// handed or a Replay fault.
+			if s.segs == nil {
+				// Replay: each worker takes the next fault and starts it
+				// from a clone of the reset state.
+				for i := next.Add(1) - 1; i < int64(len(faults)) && !s.cancelled(); i = next.Add(1) - 1 {
+					t0 := time.Now()
+					s.classify(fork{int(i), s.m.clone(s.pool, ladder.cores[0])}, h)
+					s.serialNS.Add(int64(time.Since(t0)))
 				}
-				from := c.Cycle()
-				o := r.inject(c, faults[j.idx], golden, rungs, plan.Cut, h)
-				m.simCycles.Add(c.Cycle() - from)
-				// A released shell is scrubbed by copy-over on reuse, so
-				// even a panicked run's shell is safe to recycle.
-				pool.Release(c)
-				serialNS.Add(int64(time.Since(t0)))
-				record(j.idx, o)
+				return
+			}
+			for {
+				sg, f, ok := s.task()
+				if !ok {
+					return
+				}
+				t0 := time.Now()
+				if sg != nil {
+					s.walk(sg, h)
+				} else {
+					s.classify(f, h)
+				}
+				s.serialNS.Add(int64(time.Since(t0)))
 			}
 		}()
 	}
-
-	t0 := time.Now()
-	done := ctx.Done()
-feed:
-	for n := range faults {
-		// Non-blocking cancellation check first: when a worker is ready to
-		// receive AND ctx is done, a bare two-case select would pick at
-		// random and could keep dispatching past cancellation.
-		select {
-		case <-done:
-			break feed
-		default:
-		}
-		j := job{idx: n}
-		if sw != nil {
-			j.idx = order[n]
-			f := faults[j.idx]
-			sw.advance(f.Cycle)
-			// A flip into dead storage leaves the sweep core masked-equivalent
-			// to its flipped clone: Masked here, at no clone and no cycle.
-			if plan.Cut == nil && sw.core.Dead(f.Structure, int(f.Entry)) {
-				m.deadAtFlip.Add(1)
-				record(j.idx, Masked)
-				continue
-			}
-			j.core = m.clone(pool, sw.core)
-		}
-		select {
-		case jobs <- j:
-		case <-done:
-			pool.Release(j.core) // nil under Replay
-			break feed
-		}
-	}
-	close(jobs)
-	if sw != nil {
-		if sw.frozen != nil && ctx.Err() == nil {
-			sw.freezeBefore(math.MaxUint64)
-			r.Snapshots.Put(key, sw.frozen)
-		}
-		sw.meter()
-		serialNS.Add(int64(time.Since(t0)))
-	}
 	wg.Wait()
-	if sw != nil {
-		pool.Release(sw.core)
+	if freeze != nil && ctx.Err() == nil {
+		set := new(CheckpointSet)
+		for _, sg := range s.segs {
+			set.cycles = append(set.cycles, sg.frozen.cycles...)
+			set.cores = append(set.cores, sg.frozen.cores...)
+		}
+		r.Snapshots.Put(key, set)
 	}
 
 	res.Wall = time.Since(start)
-	res.Serial = time.Duration(serialNS.Load())
-	m.fill(res)
+	res.Serial = time.Duration(s.serialNS.Load())
+	s.m.fill(res)
 	return res, res.finalize(ctx)
 }
 
-// sweep is the Forked start source: one core advanced through the golden
-// run, forked at each fault cycle.
-type sweep struct {
-	ladder *CheckpointSet
+// scheduler is one Run's shared state.
+type scheduler struct {
+	r      *Runner
+	faults []fault.Fault
+	golden *cpu.RunResult
+	plan   Plan
+	res    *Result
 	pool   *cpu.ClonePool
-	m      *runMetrics
-	core   *cpu.Core
-	from   uint64 // cycle core was last rooted at
-	next   int    // first ladder snapshot not yet crossed
-	// frozen, on a SnapshotCache miss, is the ladder the sweep freezes as
-	// it goes, and freeze the rung cycles it has yet to pass.
-	frozen *CheckpointSet
+	done   <-chan struct{}
+	rungs  []uint64 // the cycles a continuation retries the hand-off at
+
+	// Forked only: the segments, those not yet started from segs[started:],
+	// the walks parked by a walker classifying a fork itself, and the forks
+	// handed to idle workers. open counts the segments not finished; the
+	// walker that finishes the last closes parked and forks.
+	segs    []segment
+	started atomic.Int64
+	parked  chan *segment
+	forks   chan fork
+	open    atomic.Int64
+
+	m        runMetrics
+	serialNS atomic.Int64
+}
+
+// fork is one faulty run handed from a walker to an idle worker: the
+// fault's index in the campaign's list and its pre-fault clone.
+type fork struct {
+	idx  int
+	core *cpu.Core
+}
+
+// segment is one stretch of the golden run, walked by one worker at a
+// time: from a clone of its rung, start, through its faults (indices in
+// cycle order), freezing the rung cycles in freeze on a SnapshotCache
+// miss. A parked walk resumes at faults[pos] with its walker w.
+type segment struct {
+	start  *cpu.Core
+	faults []int
 	freeze []uint64
+	frozen CheckpointSet // what the walker froze
+	w      *cpu.Core
+	pos    int
 }
 
-// advance steps the sweep to the pre-injection cycle of a fault at fc.
-// Past a ladder snapshot (a reset-only ladder has none), the sweep jumps
-// to a clone of the latest one instead of stepping there — bit-identical
-// state by determinism — which also keeps the copy-on-write page pool the
-// forks share with the ladder shallow. On a miss it freezes the rungs it
-// passes instead.
-func (s *sweep) advance(fc uint64) {
-	root := -1
-	for s.next < len(s.ladder.cycles) && s.ladder.cycles[s.next] < fc {
-		root = s.next
-		s.next++
-	}
-	if root >= 0 {
-		s.meter()
-		s.pool.Release(s.core)
-		s.core = s.m.clone(s.pool, s.ladder.cores[root])
-		s.from = s.core.Cycle()
-	}
-	s.freezeBefore(fc)
-	for s.core.Cycle()+1 < fc && s.core.Halted() == cpu.Running {
-		s.core.Step()
-	}
-}
-
-// freezeBefore steps the sweep to each rung cycle before fc it has yet to
-// pass and adds a clone of its core there to the frozen ladder.
-func (s *sweep) freezeBefore(fc uint64) {
-	for len(s.freeze) > 0 && s.freeze[0] < fc {
-		for s.core.Cycle() < s.freeze[0] && s.core.Halted() == cpu.Running {
-			s.core.Step()
+// cutSegments deals the faults, in order, and the rung cycles to freeze
+// to the stretches between ladder's rungs: a fault goes to the latest rung
+// not after its pre-injection cycle (a fault at cycle 0 to the reset
+// state), a rung cycle to the latest rung not after it. Stretches given
+// neither are left out.
+func cutSegments(ladder *CheckpointSet, faults []fault.Fault, order []int, freeze []uint64) []segment {
+	var segs []segment
+	lo, flo := 0, 0
+	for i, core := range ladder.cores {
+		hi, fhi := len(order), len(freeze)
+		if i+1 < len(ladder.cycles) {
+			end := ladder.cycles[i+1]
+			for hi = lo; hi < len(order) && max(faults[order[hi]].Cycle, 1)-1 < end; hi++ {
+			}
+			for fhi = flo; fhi < len(freeze) && freeze[fhi] < end; fhi++ {
+			}
 		}
-		s.frozen.cycles = append(s.frozen.cycles, s.core.Cycle())
-		s.frozen.cores = append(s.frozen.cores, s.m.clone(s.pool, s.core))
-		s.freeze = s.freeze[1:]
+		if hi > lo || fhi > flo {
+			segs = append(segs, segment{start: core, faults: order[lo:hi], freeze: freeze[flo:fhi]})
+		}
+		lo, flo = hi, fhi
+	}
+	return segs
+}
+
+// task returns a worker's next piece of Forked work: a parked walk first,
+// so at most one walk per worker is under way, else the next segment not
+// started, else whichever of a parked walk or a handed-over fork comes
+// first. ok is false once every segment is finished.
+func (s *scheduler) task() (sg *segment, f fork, ok bool) {
+	select {
+	case sg, ok = <-s.parked:
+		return sg, f, ok
+	default:
+	}
+	if i := s.started.Add(1) - 1; i < int64(len(s.segs)) {
+		return &s.segs[i], f, true
+	}
+	select {
+	case sg, ok = <-s.parked:
+		return sg, f, ok
+	case f, ok = <-s.forks:
+		return nil, f, ok
 	}
 }
 
-// meter counts the cycles the sweep simulated since it was last rooted.
-func (s *sweep) meter() {
-	s.m.simCycles.Add(s.core.Cycle() - s.from)
+// walk continues sg's walk: it clones sg's rung the first time, then steps
+// the clone, the walker, to each fault's pre-injection cycle, where it
+// classifies a fault dead at the flip and forks a clone for any other. A
+// fork goes to a worker idle in task; when none is, the walk is parked for
+// the first worker that is, and the fork classified here.
+func (s *scheduler) walk(sg *segment, h *handOff) {
+	cancelled := s.cancelled()
+	if sg.w == nil && !cancelled {
+		sg.w = s.m.clone(s.pool, sg.start)
+	}
+	for ; sg.pos < len(sg.faults) && !cancelled; cancelled = s.cancelled() {
+		w, idx := sg.w, sg.faults[sg.pos]
+		sg.pos++
+		flt := s.faults[idx]
+		s.freezeBefore(sg, w, flt.Cycle)
+		for w.Cycle()+1 < flt.Cycle && w.Halted() == cpu.Running {
+			w.Step()
+		}
+		// A flip into dead storage leaves the walker masked-equivalent to
+		// its flipped clone: Masked here, at no clone and no cycle.
+		if s.plan.Cut == nil && w.Dead(flt.Structure, int(flt.Entry)) {
+			s.m.deadAtFlip.Add(1)
+			s.record(idx, Masked)
+			continue
+		}
+		f := fork{idx, s.m.clone(s.pool, w)}
+		select {
+		case s.forks <- f:
+		default:
+			s.parked <- sg // buffered for every segment: never blocks
+			s.classify(f, h)
+			return
+		}
+	}
+	if w := sg.w; w != nil {
+		if !cancelled {
+			s.freezeBefore(sg, w, math.MaxUint64)
+		}
+		s.m.simCycles.Add(w.Cycle() - sg.start.Cycle())
+		s.pool.Release(w)
+		sg.w = nil
+	}
+	if s.open.Add(-1) == 0 {
+		close(s.parked)
+		close(s.forks)
+	}
+}
+
+// cancelled reports whether the campaign's context is done.
+func (s *scheduler) cancelled() bool {
+	select {
+	case <-s.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// freezeBefore steps walker w to each of sg's rung cycles before fc it has
+// yet to pass and freezes a clone of it there; a rung at sg's own start is
+// sg's start snapshot itself.
+func (s *scheduler) freezeBefore(sg *segment, w *cpu.Core, fc uint64) {
+	for len(sg.freeze) > 0 && sg.freeze[0] < fc {
+		for w.Cycle() < sg.freeze[0] && w.Halted() == cpu.Running {
+			w.Step()
+		}
+		rung := sg.start
+		if w.Cycle() != rung.Cycle() {
+			rung = s.m.clone(s.pool, w)
+		}
+		sg.frozen.cycles = append(sg.frozen.cycles, w.Cycle())
+		sg.frozen.cores = append(sg.frozen.cores, rung)
+		sg.freeze = sg.freeze[1:]
+	}
+}
+
+// classify finishes fork f's faulty run and records its outcome.
+func (s *scheduler) classify(f fork, h *handOff) {
+	from := f.core.Cycle()
+	o := s.r.inject(f.core, s.faults[f.idx], s.golden, s.rungs, s.plan.Cut, h)
+	s.m.simCycles.Add(f.core.Cycle() - from)
+	// A released shell is scrubbed by copy-over on reuse, so even a
+	// panicked run's shell is safe to recycle.
+	s.pool.Release(f.core)
+	s.record(f.idx, o)
+}
+
+// record stores fault idx's outcome and reports it to plan.OnOutcome.
+func (s *scheduler) record(idx int, o Outcome) {
+	s.res.Outcomes[idx] = o
+	if s.plan.OnOutcome != nil {
+		s.plan.OnOutcome(idx, s.faults[idx], o)
+	}
 }

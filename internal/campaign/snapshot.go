@@ -10,7 +10,7 @@ import (
 // SnapshotKey identifies one checkpoint ladder: everything its machine
 // snapshots depend on. Two campaigns agreeing on the key — regardless of
 // structure, fault list, seed or workers — can share one immutable
-// CheckpointSet, because the ladder, frozen by a sweep or replayed, is
+// CheckpointSet, because the ladder, frozen by a walk or replayed, is
 // deterministic in (workload program, core configuration, golden length):
 // it holds the reset state and at most ForkSyncPoints rungs past it, at
 // CheckpointSchedule's cycles.
@@ -51,7 +51,7 @@ const DefaultSnapshotBudget = 512 << 20
 // repeat campaigns over the same (workload, CPU config, golden length)
 // share one immutable CheckpointSet. Every Forked campaign on a Runner
 // with a non-nil Snapshots field looks its ladder up here; on a miss its
-// sweep freezes the ladder as it passes the rungs and stores it once the
+// walkers freeze the ladder as they pass the rungs and store it once the
 // campaign finishes uncancelled. It is safe for concurrent use: misses
 // racing on one key each freeze a ladder, they are state-equal, and the
 // first Put stays (every CheckpointSet is immutable and safe to clone
@@ -141,7 +141,7 @@ func (c *SnapshotCache) evictLocked() {
 // served by the daemon's /statsz endpoint.
 type SnapshotStats struct {
 	Hits      uint64 `json:"hits"`      // campaigns served a ladder
-	Misses    uint64 `json:"misses"`    // campaigns whose sweep froze one
+	Misses    uint64 `json:"misses"`    // campaigns whose walkers froze one
 	Evictions uint64 `json:"evictions"` // ladders dropped by the byte budget
 	Entries   int    `json:"entries"`   // ladders currently cached
 	Bytes     int64  `json:"bytes"`     // estimated resident bytes (conservative)

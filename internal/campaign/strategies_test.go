@@ -83,8 +83,8 @@ func TestStrategyDifferential(t *testing.T) {
 }
 
 // TestForkedBoundedPool: the scheduler must stay correct with one worker,
-// the fewest in-flight clones the sweep can have out (the worker's and the
-// one being handed over).
+// the fewest in-flight clones it can have out (the worker's walker and the
+// fork it classifies itself).
 func TestForkedBoundedPool(t *testing.T) {
 	r := NewRunner(target(t, "sha"))
 	g, err := r.RunGolden()

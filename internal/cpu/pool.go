@@ -68,9 +68,10 @@ func (p *ClonePool) Clone(src *Core) *Core {
 // caller must not use c afterwards: its slices will back a future clone.
 // Shells beyond the per-key bound are dropped for the GC. Retained
 // shells have their copy-on-write state stripped first, so an idle pool
-// holds only fixed-size microarchitectural arrays — never the privatised
-// cache blocks or frozen snapshot lineage of the campaign that retired
-// them.
+// holds fixed-size microarchitectural arrays and each cache's recycled
+// blocks (at most one per set, none ever frozen, reused by the next clone
+// that privatises a set) — never the frozen snapshot lineage of the
+// campaign that retired them.
 func (p *ClonePool) Release(c *Core) {
 	if c == nil {
 		return
@@ -85,9 +86,9 @@ func (p *ClonePool) Release(c *Core) {
 }
 
 // dropSnapshotState releases every reference a retired shell holds into
-// shared copy-on-write state (memory pages, cache blocks and their frozen
-// generations), keeping only the allocations cloneInto will reuse. The
-// shell is unusable until its next cloneInto.
+// shared copy-on-write state (memory pages and the caches' frozen
+// generations), keeping only the allocations cloneInto and the next run
+// will reuse. The shell is unusable until its next cloneInto.
 func (c *Core) dropSnapshotState() {
 	c.dmem.Reset()
 	c.imem.Reset()

@@ -1,6 +1,9 @@
 package fault
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"merlin/internal/lifetime"
@@ -97,5 +100,31 @@ func TestSortedIndices(t *testing.T) {
 	}
 	if order[identical[0]] != 1 || order[identical[1]] != 4 {
 		t.Error("identical faults must keep their original relative order")
+	}
+}
+
+// TestSortedIndicesMatchesSliceStable: on random lists dense in cycle
+// ties (and in whole duplicates), SortedIndices returns exactly the order
+// a reflective sort.SliceStable by Less gives.
+func TestSortedIndicesMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		faults := make([]Fault, rng.Intn(300))
+		for i := range faults {
+			faults[i] = Fault{
+				Structure: lifetime.StructureID(rng.Intn(3)),
+				Entry:     int32(rng.Intn(4)),
+				Bit:       int32(rng.Intn(4)),
+				Cycle:     uint64(rng.Intn(20)),
+			}
+		}
+		want := make([]int, len(faults))
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(i, j int) bool { return Less(faults[want[i]], faults[want[j]]) })
+		if got := SortedIndices(faults); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: SortedIndices %v, sort.SliceStable %v", trial, got, want)
+		}
 	}
 }

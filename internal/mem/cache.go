@@ -62,10 +62,18 @@ const (
 // a metadata write, so a touched set always gets its own lines, but its data
 // keeps aliasing the frozen bytes it was privatised from until the first
 // write to them (a fill, WriteLine, EntryData or FlipBit).
+//
+// A block that was never frozen is its cache's alone, so when the cache is
+// recycled (CloneInto onto it, or Reset) the block goes to the cache's free
+// list, and the next set it privatises reuses its lines and, once written,
+// its byte buffer: a pooled clone re-privatising as many sets as its shell
+// had allocates nothing for them. A frozen block is never recycled.
 type setBlock struct {
-	lines   []line // ways entries
-	data    []byte // ways*lineSize bytes
-	ownData bool   // data was copied for this block; false while it aliases frozen bytes
+	lines   []line    // ways entries
+	data    []byte    // ways*lineSize bytes
+	ownData bool      // data is buf; false while it aliases frozen bytes
+	buf     []byte    // the block's own byte buffer, once it has one
+	next    *setBlock // the next block on its cache's free list
 }
 
 // chunkSets is the fan-out of a frozen generation's two-level table: a top
@@ -101,7 +109,8 @@ type Cache struct {
 	offBits  uint
 	idxBits  uint
 	priv     []*setBlock // per-set private (writable) blocks; nil = read via shared
-	touched  []int32     // the sets with a private block, in privatisation order; cap sets
+	touched  []int32     // the sets with a private block, in privatisation order; cap sets; nil while priv is noPrivate's
+	free     *setBlock   // recycled never-frozen blocks, reused by blockRW
 	shared   []*chunk    // frozen generation, possibly shared with clones
 	below    Backend
 	lruClock uint64
@@ -155,12 +164,27 @@ func NewCache(cfg CacheConfig, below Backend) *Cache {
 	for c.idxBits = 0; 1<<c.idxBits < c.sets; c.idxBits++ {
 	}
 	c.shared = zeroGeneration(geometry{c.sets, c.ways, c.lineSz})
-	c.newPrivate()
+	c.priv, c.touched = noPrivate(c.sets), nil
 	return c
 }
 
-// newPrivate allocates the private slot table and its set list at full
-// capacity, so privatising a set never grows the list.
+// noPrivates holds one all-nil private slot table per set count, shared
+// by every cache that has not privatised a set since it was built or
+// cloned, and never written: a snapshot that is only ever cloned from (a
+// checkpoint rung) allocates no slot table of its own.
+var noPrivates sync.Map // sets -> []*setBlock
+
+// noPrivate returns the shared all-nil slot table of sets sets.
+func noPrivate(sets int) []*setBlock {
+	if p, ok := noPrivates.Load(sets); ok {
+		return p.([]*setBlock)
+	}
+	p, _ := noPrivates.LoadOrStore(sets, make([]*setBlock, sets))
+	return p.([]*setBlock)
+}
+
+// newPrivate allocates the cache's own private slot table and its set
+// list at full capacity, so privatising a set never grows the list.
 func (c *Cache) newPrivate() {
 	c.priv = make([]*setBlock, c.sets)
 	c.touched = make([]int32, 0, c.sets)
@@ -182,21 +206,32 @@ func (c *Cache) blockRW(s int) *setBlock {
 	if b := c.priv[s]; b != nil {
 		return b
 	}
+	if c.touched == nil {
+		c.newPrivate() // leave the shared all-nil table before writing a slot
+	}
 	src := c.shared[s>>chunkBits][s&(chunkSets-1)]
-	b := &setBlock{lines: make([]line, c.ways), data: src.data}
+	b := c.free
+	if b != nil {
+		c.free, b.next = b.next, nil
+	} else {
+		b = &setBlock{lines: make([]line, c.ways)}
+	}
 	copy(b.lines, src.lines)
+	b.data, b.ownData = src.data, false
 	c.priv[s] = b
 	c.touched = append(c.touched, int32(s))
 	return b
 }
 
 // ownData makes private block b's data bytes its own, copying them off the
-// frozen block they alias on the first write.
+// frozen block they alias into its buffer on the first write.
 func (c *Cache) ownData(b *setBlock) {
 	if !b.ownData {
-		d := make([]byte, c.ways*c.lineSz)
-		copy(d, b.data)
-		b.data, b.ownData = d, true
+		if b.buf == nil {
+			b.buf = make([]byte, c.ways*c.lineSz)
+		}
+		copy(b.buf, b.data)
+		b.data, b.ownData = b.buf, true
 	}
 }
 

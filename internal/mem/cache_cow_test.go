@@ -377,6 +377,83 @@ func TestCacheCloneCostsTouchedChunks(t *testing.T) {
 	}
 }
 
+// TestRecycledShellReusesBlocks: a shell recycled by CloneInto or Reset
+// keeps the blocks it privatised, none of them frozen, so a clone that
+// re-privatises the same sets, tags and bytes both, allocates nothing for
+// them, and reads and writes exactly as a fresh clone does.
+func TestRecycledShellReusesBlocks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	orig, m := testCache(t)
+	touch(orig, 3, 1)
+	frozen, fm := cloneOver(orig, m)
+	shell, sm := cloneOver(frozen, fm)
+	touch(shell, 2, 5)
+	if tags, bytes := shell.PrivateSets(); tags == 0 || bytes == 0 {
+		t.Fatalf("the shell privatised %d sets' tags and %d sets' bytes, want some of both", tags, bytes)
+	}
+	for _, reset := range []bool{false, true} {
+		if reset {
+			shell.Reset()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		frozen.CloneInto(shell, sm)
+		touch(shell, 2, 5)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got != 0 {
+			t.Errorf("reset %v: re-privatising the shell's sets allocated %d bytes", reset, got)
+		}
+		want, _ := cloneOver(frozen, fm)
+		touch(want, 2, 5)
+		if !shell.Equal(want) {
+			t.Errorf("reset %v: the recycled shell diverged from a fresh clone", reset)
+		}
+	}
+	// A frozen block is never recycled: the shell, frozen by a Clone, hands
+	// its blocks to the generation and keeps none to reuse.
+	refBytes := frozenBytes(shell)
+	snap, _ := cloneOver(shell, sm)
+	frozen.CloneInto(shell, sm)
+	touch(shell, 2, 9)
+	if !sameBytes(snap, refBytes) {
+		t.Error("a block the shell donated to a generation was written after recycling")
+	}
+}
+
+// TestUntouchedCloneSharesSlotTable: a clone that never privatises a set
+// (a checkpoint rung, only ever cloned from) reads through the shared
+// all-nil slot table, so a clone of the 1,024-set L2 allocates a few
+// hundred bytes, not its 12 KiB slot table and set list; its first write
+// gives it its own, and the shared one stays all nil.
+func TestUntouchedCloneSharesSlotTable(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	m := NewMemory(0, 1<<24, 80)
+	c := NewCache(CacheConfig{Name: "L2", Size: 1 << 20, LineSize: 64, Ways: 16, HitLatency: 12}, m)
+	c.Access(0, 8, true, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rung := c.Clone(m)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(c.sets)*8 {
+		t.Errorf("an untouched clone allocated %d bytes, as much as a slot table of %d sets", got, c.sets)
+	}
+	shared := &rung.priv[0]
+	fork := rung.Clone(m)
+	fork.Access(64, 8, true, 2)
+	if &fork.priv[0] == shared || &rung.priv[0] != shared {
+		t.Error("a write did not give the clone its own slot table, or the rung lost the shared one")
+	}
+	for s, b := range noPrivate(c.sets) {
+		if b != nil {
+			t.Fatalf("set %d of the shared slot table was written", s)
+		}
+	}
+}
+
 // TestCacheConcurrentClones: many goroutines cloning one frozen snapshot
 // (into fresh caches and recycled shells), reading it and writing into their
 // clones must never observe each other's writes, while each also builds
@@ -417,6 +494,12 @@ func TestCacheConcurrentClones(t *testing.T) {
 			work(want)
 			if !c.Equal(want) {
 				errs <- fmt.Errorf("salt %d: concurrent clone diverged from its serial twin", salt)
+			}
+			c.Reset() // as a pool retires it, then reuse its blocks again
+			frozen.CloneInto(c, fm.Clone())
+			work(c)
+			if !c.Equal(want) {
+				errs <- fmt.Errorf("salt %d: concurrent clone on a reset shell diverged from its serial twin", salt)
 			}
 			z := NewCache(fresh, NewMemory(0, 1<<20, 1))
 			zeros[w] = z.shared[0]

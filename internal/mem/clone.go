@@ -78,7 +78,9 @@ func (m *Memory) ResidentBytes() int64 {
 // already-frozen cache, so frozen snapshots clone concurrently without
 // synchronisation. Private blocks are donated to the generation by
 // pointer: a freeze copies the top table and each chunk holding a private
-// set, O(touched chunks) pointers, never a byte.
+// set, O(touched chunks) pointers, never a byte. A donated block that never
+// wrote its bytes lets go of the spare buffer it may carry from the free
+// list.
 func (c *Cache) freeze() {
 	if len(c.touched) == 0 {
 		return
@@ -90,15 +92,24 @@ func (c *Cache) freeze() {
 			ch := *c.shared[i]
 			top[i] = &ch
 		}
-		top[i][s&(chunkSets-1)] = c.priv[s]
+		b := c.priv[s]
+		if !b.ownData {
+			b.buf = nil
+		}
+		top[i][s&(chunkSets-1)] = b
+		c.priv[s] = nil
 	}
-	c.dropPrivate()
+	c.touched = c.touched[:0]
 	c.shared = top
 }
 
-// dropPrivate forgets every private block, clearing only the listed slots.
-func (c *Cache) dropPrivate() {
+// recycle moves every private block, none of them ever frozen, to the free
+// list, clearing only the listed slots. A free block keeps its lines and
+// its own buffer, never the frozen bytes its data may alias.
+func (c *Cache) recycle() {
 	for _, s := range c.touched {
+		b := c.priv[s]
+		b.data, b.next, c.free = nil, c.free, b
 		c.priv[s] = nil
 	}
 	c.touched = c.touched[:0]
@@ -124,39 +135,41 @@ func (c *Cache) Clone(below Backend) *Cache {
 		below:    below,
 		lruClock: c.lruClock,
 	}
-	n.newPrivate()
+	n.priv = noPrivate(c.sets)
 	return n
 }
 
-// CloneInto is Clone targeting an existing Cache shell of identical
-// geometry (a retired clone being recycled by a pool): the shell's private
-// slot table is reused, clearing only the slots it lists. Every field of n
-// is overwritten by copy-over; hooks are cleared for the owner to
-// re-attach.
+// CloneInto is Clone targeting an existing Cache shell (a retired clone
+// being recycled by a pool): a shell of identical geometry keeps its
+// private slot table, clearing only the slots it lists, and moves its
+// private blocks to its free list for the sets the clone will privatise.
+// Every other field of n is overwritten by copy-over; hooks are cleared for
+// the owner to re-attach.
 func (c *Cache) CloneInto(n *Cache, below Backend) {
 	c.freeze()
+	if len(n.priv) == c.sets && n.ways == c.ways && n.lineSz == c.lineSz {
+		n.recycle()
+	} else {
+		n.priv, n.touched, n.free = noPrivate(c.sets), nil, nil
+	}
 	n.Cfg = c.Cfg
 	n.Stats = c.Stats
 	n.sets, n.lineSz, n.ways = c.sets, c.lineSz, c.ways
 	n.offBits, n.idxBits = c.offBits, c.idxBits
-	if len(n.priv) == c.sets {
-		n.dropPrivate()
-	} else {
-		n.newPrivate()
-	}
 	n.shared = c.shared
 	n.below = below
 	n.lruClock = c.lruClock
 	n.OnFill, n.OnEvict = nil, nil
 }
 
-// Reset drops every set-block reference — privatised and shared — while
-// keeping the private slot table for reuse, and detaches the hooks and
-// backend. Like Memory.Reset it leaves the cache unusable until the next
-// CloneInto: its purpose is to stop an idle pooled shell from pinning the
-// blocks and generations of the campaign that retired it.
+// Reset drops every shared set-block reference while keeping the private
+// slot table for reuse, moves the private blocks to the free list, and
+// detaches the hooks and backend. Like Memory.Reset it leaves the cache
+// unusable until the next CloneInto: its purpose is to stop an idle pooled
+// shell from pinning the generations of the campaign that retired it. The
+// shell keeps only blocks no generation holds, at most one per set.
 func (c *Cache) Reset() {
-	c.dropPrivate()
+	c.recycle()
 	c.shared = nil
 	c.below = nil
 	c.OnFill, c.OnEvict = nil, nil

@@ -138,7 +138,7 @@ type Event struct {
 
 	// Inject and baseline events: whether the shared snapshot cache
 	// served the checkpoint ladder (false on a miss, where the campaign's
-	// sweep froze the ladder as it went), and the campaign's effective
+	// walkers froze the ladder as they went), and the campaign's effective
 	// simulation throughput in cycles per wall-clock second.
 	SnapshotHit  *bool   `json:"snapshot_hit,omitempty"`
 	CyclesPerSec float64 `json:"cycles_per_sec,omitempty"`

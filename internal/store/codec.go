@@ -33,6 +33,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"math/bits"
 
 	"merlin/internal/cpu"
 	"merlin/internal/lifetime"
@@ -66,24 +67,25 @@ func length[T any](s []T) int {
 	return len(s)
 }
 
-// encodeArtifact renders the body of a.
-func encodeArtifact(a *Artifact) ([]byte, error) {
+// encodeArtifact renders the body of a behind front reserved bytes (Put
+// seals the file in place there), into one buffer of exactly the size it
+// takes: a first pass sizes the varints, a second writes them.
+func encodeArtifact(a *Artifact, front int) ([]byte, error) {
 	if len(a.Structures) > int(lifetime.NumStructures) {
 		return nil, errCorrupt
 	}
 	h := artifactHeader{Workload: a.Workload, Golden: a.Golden, Structures: make([]traceHeader, len(a.Structures))}
-	// A little over what the workloads' intervals take, so the body is
-	// allocated once.
-	var size int
+	size := 0
 	for i, t := range a.Structures {
 		h.Structures[i] = traceHeader{t.Structure, t.Entries, t.EntryBytes, length(t.Intervals)}
-		size += 14 * len(t.Intervals)
+		size += intervalsLen(t.Intervals)
 	}
 	var hdr bytes.Buffer
 	if err := gob.NewEncoder(&hdr).Encode(&h); err != nil {
 		return nil, err
 	}
-	b := make([]byte, 0, binary.MaxVarintLen64+hdr.Len()+size)
+	size += front + uvarintLen(uint64(hdr.Len())) + hdr.Len()
+	b := make([]byte, front, size)
 	b = binary.AppendUvarint(b, uint64(hdr.Len()))
 	b = append(b, hdr.Bytes()...)
 	for _, t := range a.Structures {
@@ -100,6 +102,26 @@ func encodeArtifact(a *Artifact) ([]byte, error) {
 	}
 	return b, nil
 }
+
+// intervalsLen is the encoded size of ivs, field by field as
+// encodeArtifact writes them.
+func intervalsLen(ivs []lifetime.Interval) int {
+	n := 0
+	var prevIv lifetime.Interval
+	for _, iv := range ivs {
+		n += uvarintLen(uint64(uint32(iv.Entry))) + uvarintLen(iv.Mask) +
+			varintLen(int64(iv.Start-prevIv.Start)) + varintLen(int64(iv.End-prevIv.End)) +
+			varintLen(int64(iv.EndSeq-prevIv.EndSeq)) + varintLen(int64(iv.RIP)) + 1
+		prevIv = iv
+	}
+	return n
+}
+
+// uvarintLen is the length of binary.AppendUvarint(nil, x).
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// varintLen is the length of binary.AppendVarint(nil, x).
+func varintLen(x int64) int { return uvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
 
 // decodeArtifact parses a body written by encodeArtifact: the length-framed
 // gob header, then the packed intervals behind it (decodeArrays).

@@ -39,7 +39,9 @@ func extremeArtifact() *Artifact {
 }
 
 // TestArtifactExtremes: the hand-built corners round-trip exactly, as do
-// an artifact with no structures and one whose every slice is nil.
+// an artifact with no structures and one whose every slice is nil; and
+// encodeArtifact sizes each buffer exactly, behind any reserved front,
+// ten-byte varints included.
 func TestArtifactExtremes(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -50,6 +52,14 @@ func TestArtifactExtremes(t *testing.T) {
 		"no structures":  {Workload: "qsort"},
 		"nil everywhere": {Workload: "qsort", Structures: []StructureTrace{{Structure: lifetime.StructRF}}},
 	} {
+		body, err := encodeArtifact(a, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file, err := encodeArtifact(a, 7)
+		if err != nil || len(body) != cap(body) || len(file) != cap(file) || !bytes.Equal(file[7:], body) {
+			t.Errorf("%s: body %d of %d bytes, file %d of %d behind 7 (%v)", name, len(body), cap(body), len(file), cap(file), err)
+		}
 		k := Key{Workload: a.Workload, Structures: a.structureSet()}
 		if err := s.Put(k, a); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -68,7 +78,7 @@ func TestArtifactExtremes(t *testing.T) {
 // is made), and an artifact with more traces than there are structures is
 // refused on the way in.
 func TestArtifactBodyRejects(t *testing.T) {
-	body, err := encodeArtifact(extremeArtifact())
+	body, err := encodeArtifact(extremeArtifact(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +103,7 @@ func TestArtifactBodyRejects(t *testing.T) {
 		}
 	}
 	four := &Artifact{Structures: make([]StructureTrace, lifetime.NumStructures+1)}
-	if _, err := encodeArtifact(four); err == nil {
+	if _, err := encodeArtifact(four, 0); err == nil {
 		t.Fatal("an artifact with more traces than structures was encoded")
 	}
 }
@@ -159,7 +169,7 @@ func FuzzArtifactBody(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, err := encodeArtifact(a)
+		again, err := encodeArtifact(a, 0)
 		if err != nil {
 			t.Fatalf("decoded artifact does not re-encode: %v", err)
 		}

@@ -292,11 +292,12 @@ func artifactMatches(a *Artifact, k Key) bool {
 // payloads are bit-identical by determinism) and readers never observe a
 // partial file.
 func (s *Store) Put(k Key, a *Artifact) error {
-	body, err := encodeArtifact(a)
+	file, err := encodeArtifact(a, len(fileMagic)+sha256.Size)
 	if err != nil {
 		return fmt.Errorf("store: encoding artifact: %w", err)
 	}
-	if err := (OSFS{}).WriteFileAtomic(s.path(k), seal(fileMagic, body)); err != nil {
+	sealFront(fileMagic, file)
+	if err := (OSFS{}).WriteFileAtomic(s.path(k), file); err != nil {
 		return err
 	}
 	s.puts.Add(1)
@@ -328,11 +329,18 @@ func (s *Store) Stats() Stats {
 // seal renders magic ‖ sha256(body) ‖ body: the one file layout of the
 // artifact cache and the campaign registry, each under its own magic.
 func seal(magic, body []byte) []byte {
-	sum := sha256.Sum256(body)
-	out := make([]byte, 0, len(magic)+len(sum)+len(body))
-	out = append(out, magic...)
-	out = append(out, sum[:]...)
-	return append(out, body...)
+	out := make([]byte, len(magic)+sha256.Size+len(body))
+	copy(out[len(magic)+sha256.Size:], body)
+	sealFront(magic, out)
+	return out
+}
+
+// sealFront is seal in place: file holds the body behind len(magic) +
+// sha256.Size bytes of room, which it fills with magic ‖ sha256(body).
+func sealFront(magic, file []byte) {
+	n := copy(file, magic)
+	sum := sha256.Sum256(file[n+sha256.Size:])
+	copy(file[n:], sum[:])
 }
 
 // unseal verifies magic and checksum and returns the body.

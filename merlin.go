@@ -130,14 +130,14 @@ type CacheStats = store.Stats
 func OpenCache(dir string) (*Cache, error) { return store.Open(dir) }
 
 // SnapshotCache is an in-memory, byte-budgeted LRU of checkpoint ladders
-// (the frozen machine snapshots the forked strategy's sweep jumps forward
-// to). Campaigns sharing one SnapshotCache and agreeing on (workload, CPU
-// config, golden cycles) reuse one immutable ladder: on a miss a forked
-// campaign's sweep freezes it as it goes, at no extra replay, and later
-// campaigns jump along it — the in-memory complement of the on-disk
-// artifact Cache, which cannot hold machine snapshots because they are not
-// serializable. Safe for concurrent use; the daemon shares one across all
-// campaigns.
+// (the frozen machine snapshots the forked strategy cuts its walk of the
+// golden run at). Campaigns sharing one SnapshotCache and agreeing on
+// (workload, CPU config, golden cycles) reuse one immutable ladder: on a
+// miss a forked campaign's walkers freeze it as they go, at no extra
+// replay, and later campaigns walk from its rungs — the in-memory
+// complement of the on-disk artifact Cache, which cannot hold machine
+// snapshots because they are not serializable. Safe for concurrent use;
+// the daemon shares one across all campaigns.
 type SnapshotCache = campaign.SnapshotCache
 
 // SnapshotCacheStats is a point-in-time snapshot of snapshot-cache
@@ -192,10 +192,11 @@ type Config struct {
 	Cache *Cache
 
 	// Snapshots, when non-nil, shares checkpoint ladders across forked
-	// campaigns: on a miss the sweep freezes its machine snapshots into it,
-	// and on a hit the sweep jumps along them. Nil means no ladder: the
-	// sweep runs from reset. Create one with NewSnapshotCache; the daemon wires a
-	// process-wide instance.
+	// campaigns: on a miss the walkers freeze its machine snapshots into
+	// it, and on a hit the walk is cut at them. Nil means a campaign walks
+	// from the rungs its own golden run froze, or from reset after an
+	// artifact-cache hit. Create one with NewSnapshotCache; the daemon
+	// wires a process-wide instance.
 	Snapshots *SnapshotCache
 }
 

@@ -55,7 +55,7 @@ type ServeOptions struct {
 	// SnapshotBudget bounds the in-memory snapshot cache that shares
 	// checkpoint ladders (frozen machine snapshots) across concurrent and
 	// repeat campaigns: the first forked campaign on a key freezes its
-	// ladder into it as its sweep goes, and later ones jump along it,
+	// ladder into it as its walkers go, and later ones cut their walks at it,
 	// whether or not the golden-artifact cache served them. <= 0 means the
 	// default budget (512 MB).
 	SnapshotBudget int64

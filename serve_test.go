@@ -160,9 +160,9 @@ func TestDaemonCacheHitOnResubmit(t *testing.T) {
 }
 
 // TestDaemonSnapshotHitOnResubmit is the snapshot-cache acceptance test:
-// the first campaign misses the daemon's snapshot cache and its sweep
-// freezes the checkpoint ladder into it, and a repeat campaign, served by
-// the golden-artifact cache, jumps along that ladder — visible as the
+// the first campaign misses the daemon's snapshot cache and its walkers
+// freeze the checkpoint ladder into it, and a repeat campaign, served by
+// the golden-artifact cache, walks from that ladder's rungs — visible as the
 // report's SnapshotHit, the inject event's snapshot_hit field, and the
 // /statsz counters (one miss, one hit, one ladder) — while producing a
 // bit-identical Dist. It runs on

@@ -104,12 +104,13 @@ func WithCache(c *Cache) Option {
 }
 
 // WithSnapshotCache attaches a shared checkpoint-ladder cache to a forked
-// campaign: on a miss its sweep freezes the ladder into the cache as it
-// passes the rungs, at no replay of its own, and on a hit, with or without
-// an artifact-cache hit, its sweep jumps along the cached ladder, so
-// concurrent and repeat campaigns over one (workload, CPU config, golden
-// cycles) share one ladder. Without one, a campaign has no ladder: its
-// sweep runs from reset. Create one
+// campaign: on a miss its walkers freeze the ladder into the cache as they
+// pass the rungs, at no replay of their own, and on a hit, with or without
+// an artifact-cache hit, its walk is cut into segments at the cached
+// rungs, so concurrent and repeat campaigns over one (workload, CPU
+// config, golden cycles) share one ladder. Without one, a campaign walks
+// from the rungs its own golden run froze (from reset after an
+// artifact-cache hit). Create one
 // with NewSnapshotCache; the daemon wires a process-wide instance into
 // every campaign.
 func WithSnapshotCache(c *SnapshotCache) Option {
