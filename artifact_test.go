@@ -127,8 +127,8 @@ func TestArtifactCodecBudget(t *testing.T) {
 }
 
 // TestColdCachePreprocessAllocBudget is TestPreprocessAllocBudget with a
-// fresh cache attached: the golden run with its ladder at two workers, its
-// analysis and the artifact write. It was 72.6 MB with the all-gob body of format 3, 42.2 MB with
+// fresh cache attached: the golden run at two workers, its analysis and
+// the artifact write. It was 72.6 MB with the all-gob body of format 3, 42.2 MB with
 // format 4, 46.8 MB while the golden run froze the checkpoint ladder as it
 // went, 42.6 MB once it froze nothing and 13.3 MB once the golden run
 // recorded no event log and the artifact carried none, 7.9 MB once the
@@ -136,18 +136,18 @@ func TestArtifactCodecBudget(t *testing.T) {
 // core's caches started on the shared zero generation, 5.4 MB once the
 // golden run recorded no branch trace and the artifact carried none, 2.9
 // MB once each interval was stored once and the RF index kept one id run
-// per register; it is 3.0 MB now that the golden run freezes a ladder of
-// at most four rungs (0.5 MB) and Put writes the file into one
-// exact-size buffer (0.4 MB less), so the budget fails if any of the
-// larger costs comes back.
+// per register, and 2.95 MB while every Runner's golden run froze its own
+// ladder of four rungs; it is 2.38 MB now that the process's golden ladder
+// is shared and Put writes the file into one exact-size buffer, so the
+// budget fails if any of the larger costs comes back.
 func TestColdCachePreprocessAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	const budget = 3_700_000
-	// The program assembled and the spare interval chunks built once per
-	// process: not Preprocess's cost.
-	preprocessed(t, "gcc", WithStructure(RF), WithFaults(2000), WithSeed(1))
+	const budget = 2_990_000
+	// The program assembled, the spare interval chunks and the golden
+	// ladder built once per process: not Preprocess's cost.
+	preprocessed(t, "gcc", WithStructure(RF), WithFaults(2000), WithSeed(1), WithWorkers(2))
 	cache, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)

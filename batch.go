@@ -4,10 +4,11 @@ package merlin
 // structures over a single shared golden run. The paper's evaluation
 // (§4.4) reports every workload per structure — RF, SQ and L1D columns of
 // the same campaign — and the structures share everything the fault lists
-// do not depend on: the golden run, its artifact-cache entry, the clone
-// pool and the ladder the golden run froze (or, with a snapshot cache, the
-// checkpoint ladder the first structure's walkers freeze). StartBatch bundles them so
-// the expensive shared work is paid once instead of once per structure.
+// do not depend on: the golden run, its artifact-cache entry, and the
+// clone pool and golden ladder of the workload and core config (or, with a
+// snapshot cache, the checkpoint ladder the first structure's walkers
+// freeze). StartBatch bundles them so the expensive shared work is paid
+// once instead of once per structure.
 
 import (
 	"context"
@@ -27,8 +28,10 @@ type VarianceReport = stats.Report
 // Batch is one multi-structure campaign over a shared golden run: every
 // structure in Structures gets its own Session (own fault list, own
 // reduction, own report), but phase 1 runs once — a single fault-free run
-// traces all structures, is cached under one artifact, and its reset state
-// and clone pool are shared by every per-structure injection.
+// traces all structures, is cached under one artifact, and every
+// per-structure injection runs on one Runner (whose reset state, golden
+// ladder and clone pool every campaign of the workload and core config in
+// the process shares).
 //
 // Like a Session, a Batch runs a single campaign and its methods must not
 // be called concurrently. The per-structure injection phases run

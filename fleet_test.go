@@ -10,9 +10,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -125,18 +125,20 @@ func joinFleet(t *testing.T, coordURL, id, addr string) {
 // fleetWorker serves the real shard executor behind an httptest listener;
 // it holds nothing but the jobs it is sent — no cache directory, no
 // coordinator URL. dieAfter >= 0 turns it into a crashing worker: every
-// shard request streams that many outcomes and then aborts the connection
-// without a done marker — exactly what the coordinator sees when a
-// worker process is killed mid-shard.
+// shard request streams the outcomes of the job's first dieAfter reps and
+// then aborts the connection without a done marker — exactly what the
+// coordinator sees when a worker process is killed mid-shard. Which reps
+// it streams does not depend on the order its campaign finishes them in,
+// so a retried shard loses the same reps again.
 func fleetWorker(t *testing.T, dieAfter int) *httptest.Server {
 	t.Helper()
 	run := WorkerShardRun(nil)
 	if dieAfter >= 0 {
 		inner := run
 		run = func(ctx context.Context, job fleet.ShardJob, emit func(fleet.Outcome)) (json.RawMessage, error) {
-			var n atomic.Int32
+			first := job.Reps[:min(dieAfter, len(job.Reps))]
 			inner(ctx, job, func(o fleet.Outcome) {
-				if int(n.Add(1)) <= dieAfter {
+				if slices.Contains(first, o.Rep) {
 					emit(o)
 				}
 			})
@@ -164,8 +166,8 @@ func TestFleetWorkerLossRequeue(t *testing.T) {
 	refOpts := []Option{WithFaults(300), WithSeed(9), WithStrategy(StrategyForked)}
 	want := libraryReports(t, "sha", []Structure{RF}, refOpts...)[0]
 
-	// Coordinator plus two workers; w1 streams two outcomes per shard and
-	// then drops the connection, every time.
+	// Coordinator plus two workers; w1 streams the outcomes of each
+	// shard's first two reps and then drops the connection, every time.
 	coord := daemon(t, ServeOptions{Cache: cache})
 	w1 := fleetWorker(t, 2)
 	w2 := fleetWorker(t, -1)

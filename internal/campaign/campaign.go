@@ -165,8 +165,21 @@ type Golden struct {
 const timeoutFactor = 3
 
 // Runner executes injection campaigns for a target. The zero value is not
-// usable (it has no clone pool and would run a zero-cycle golden run);
-// start from NewRunner, which fills every default below.
+// usable (it would run a zero-cycle golden run); start from NewRunner,
+// which fills every default below.
+//
+// A Runner keeps no machine state of its own: the reset state, the golden
+// ladders and the clone pool live in a process-wide table keyed by program
+// and core configuration (machineFor), shared by every Runner of the pair
+// and bounded to the 8 most recently used pairs. On the default core an
+// entry holds at most: the reset state and ForkSyncPoints rungs, whatever
+// ladders it keeps (schedules nest, and a rung is stored once), 2.9 MB on
+// the largest workload; 2 x workers pooled shells of the widest Run on
+// it, each at most 1.7 MB (≈100 KB of fixed-size arrays plus at most one
+// recycled block per cache set); and the convergence exit's golden
+// checkpoints, 1.9 MB for omnetpp. So the table holds at most 8 x (4.8 MB
+// + 2 x workers x 1.7 MB), 93 MB at two workers; campaigns over 40 keys at
+// two workers left it holding about 10 MB (TestSharedMachinesBounded).
 type Runner struct {
 	Target
 	// Workers is Run's injection worker count. NewRunner leaves it 0, which
@@ -180,24 +193,13 @@ type Runner struct {
 	// checkpoint ladders Run cuts its walk at (the daemon's and a fleet
 	// worker's in-memory snapshot cache): Run is served the ladder, or on a
 	// miss its walkers freeze the ladder as they go and store it for every
-	// Runner sharing the cache. Nil means Run walks from the Runner's own
-	// ladder (see RunGolden).
+	// Runner sharing the cache. Nil means Run walks from the process's
+	// golden ladder (see RunGolden).
 	Snapshots *SnapshotCache
-
-	// pool recycles retired machine-clone shells across faults and
-	// across the campaigns run on this Runner.
-	pool *cpu.ClonePool
 
 	// goldenRuns counts the fault-free reference runs this Runner has
 	// simulated; batch pipelines assert exactly one per shared golden.
 	goldenRuns atomic.Int64
-
-	// ladder is the Runner's own frozen ladder, guarded by ladderMu: the
-	// reset state every Replay fault starts from, and the rungs RunGolden
-	// froze, which a Forked Run not served a ladder cuts its walk at (see
-	// frozenLadder).
-	ladderMu sync.Mutex
-	ladder   *CheckpointSet
 
 	// track holds the golden checkpoints of the hand-off's convergence
 	// exit, fetched by the first hand-off (goldenTrack).
@@ -217,22 +219,12 @@ func (r *Runner) GoldenRuns() int64 { return r.goldenRuns.Load() }
 // configuration, small enough to catch a diverging program.
 const DefaultGoldenBudget = 500_000_000
 
-// NewRunner returns a Runner with its own clone pool, DefaultGoldenBudget,
-// no snapshot cache, and Workers 0 (= all host cores at run time).
+// NewRunner returns a Runner with DefaultGoldenBudget, no snapshot cache,
+// and Workers 0 (= all host cores at run time). It shares the reset state,
+// golden ladders and clone pool of every other Runner of its program and
+// core configuration.
 func NewRunner(t Target) *Runner {
-	return &Runner{Target: t, GoldenBudget: DefaultGoldenBudget, pool: cpu.NewClonePool(0)}
-}
-
-// frozenLadder returns the Runner's own ladder: RunGolden's, or for a
-// Runner that ran no golden run the reset state alone, cloned off a fresh
-// core the first time.
-func (r *Runner) frozenLadder() *CheckpointSet {
-	r.ladderMu.Lock()
-	defer r.ladderMu.Unlock()
-	if r.ladder == nil {
-		r.ladder = &CheckpointSet{cycles: []uint64{0}, cores: []*cpu.Core{r.NewCore().Clone()}}
-	}
-	return r.ladder
+	return &Runner{Target: t, GoldenBudget: DefaultGoldenBudget}
 }
 
 // workers is the number of injection workers a Run uses at most.
@@ -241,6 +233,16 @@ func (r *Runner) workers() int {
 		return r.Workers
 	}
 	return runtime.GOMAXPROCS(0)
+}
+
+// ladderRungs is k, the rung count of the golden ladder a Forked Run cuts
+// its walk at: 2 x workers, ForkSyncPoints at most, and 0 at one worker,
+// which walks one segment.
+func (r *Runner) ladderRungs() int {
+	if w := r.workers(); w > 1 {
+		return min(2*w, ForkSyncPoints)
+	}
+	return 0
 }
 
 // runMetrics accumulates Run's injection-phase performance counters;
@@ -289,14 +291,14 @@ func (m *runMetrics) fill(res *Result) {
 // tracer: Tracer.Analysis(s) is ready, and Tracer.Log(s) and
 // Tracer.BranchTrace() replay the run the first time either is asked for.
 //
-// The first RunGolden of a Runner also freezes the Runner's ladder as the
-// run steps: the reset state and, with more than one worker, the
-// CheckpointSchedule(2 x workers, cycles) rungs (ForkSyncPoints at most),
-// where Run cuts a Forked walk into segments the workers walk in
-// parallel. At one worker it freezes the reset state alone. A rung is a
+// With more than one worker it also freezes the golden ladder of k =
+// ladderRungs() rungs (2 x workers, ForkSyncPoints at most) as the run
+// steps, the CheckpointSchedule(k, cycles) rungs where Run cuts a Forked
+// walk into segments the workers walk in parallel, and publishes it for
+// every Runner of the program and core configuration — unless one was
+// published already, in which case it clones no rung. A rung is a
 // copy-on-write clone of the golden core, about 118 KB on the default core
-// (its predictor tables are 75 KB of that), so a retained Runner pins
-// about 0.5 MB of rungs at two workers and 2.8 MB at most.
+// (its predictor tables are 75 KB of that).
 func (r *Runner) RunGolden(track ...lifetime.StructureID) (*Golden, error) {
 	r.goldenRuns.Add(1)
 	c := r.NewCore()
@@ -305,22 +307,13 @@ func (r *Runner) RunGolden(track ...lifetime.StructureID) (*Golden, error) {
 		tr = lifetime.NewGoldenTracer(r.replay(), track...)
 		c.AttachTracer(tr)
 	}
-	r.ladderMu.Lock()
-	fresh := r.ladder == nil
-	r.ladderMu.Unlock()
+	e, k := machineFor(r.Target), r.ladderRungs()
 	var res cpu.RunResult
-	if fresh {
-		k := min(2*r.workers(), ForkSyncPoints)
-		if k == 2 {
-			k = 0 // one worker walks one segment
+	if k > 0 && e.ladder(k) == nil {
+		f := newFreezer(k, e.ladders[0].cores[0], e.poolFor(r.workers()))
+		if res = f.run(c, r.GoldenBudget); res.Halt == cpu.HaltOK {
+			e.publish(k, res.Cycles, f.set)
 		}
-		f := newFreezer(k, c, r.pool)
-		res = f.run(c, r.GoldenBudget)
-		r.ladderMu.Lock()
-		if r.ladder == nil { // the first ladder stays
-			r.ladder = f.set
-		}
-		r.ladderMu.Unlock()
 	} else {
 		res = c.Run(r.GoldenBudget)
 	}
@@ -346,7 +339,7 @@ func (r *Runner) CachedGolden(res cpu.RunResult, track ...lifetime.StructureID) 
 // replay returns a golden tracer's replay: the fault-free run from a fresh
 // core, traced by the tracer it is handed. It counts in no GoldenRuns and
 // leaves the ladder alone, and it holds the target and budget, not
-// the Runner, so a retained Golden pins no clone pool or ladder.
+// the Runner, so a retained Golden pins nothing else.
 func (r *Runner) replay() func(*lifetime.Tracer) {
 	t, budget := r.Target, r.GoldenBudget
 	return func(tr *lifetime.Tracer) {

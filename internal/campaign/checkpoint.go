@@ -91,10 +91,10 @@ type freezer struct {
 	set   *CheckpointSet
 }
 
-// newFreezer starts a ladder at c's reset state.
-func newFreezer(k int, c *cpu.Core, pool *cpu.ClonePool) *freezer {
+// newFreezer starts a ladder at the frozen reset state.
+func newFreezer(k int, reset *cpu.Core, pool *cpu.ClonePool) *freezer {
 	return &freezer{k: k, every: ladderBase, pool: pool,
-		set: &CheckpointSet{cycles: []uint64{0}, cores: []*cpu.Core{c.Clone()}}}
+		set: &CheckpointSet{cycles: []uint64{0}, cores: []*cpu.Core{reset}}}
 }
 
 // run is c.Run(maxCycles), freezing the ladder's rungs on the way.

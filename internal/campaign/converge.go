@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"merlin/internal/cpu"
 	"merlin/internal/interp"
@@ -50,61 +49,20 @@ type goldenTrack struct {
 	exc    []uint32
 }
 
-// goldenTrack returns the Runner's golden checkpoints, looked up or built
-// on first use (sharedTrack). It is nil, and the exit stays off, if the
-// interpreter's run of the program does not end exactly as golden did —
-// HaltOK after golden's committed instruction count, with its output and
-// exception log — since the exit rests on the two being aligned
-// (TestInterpStepsMatchCommitted).
+// goldenTrack returns the Runner's golden checkpoints, those of its
+// program and core configuration's machine entry, built on first use. It is
+// nil, and the exit stays off, if the interpreter's run of the program does
+// not end exactly as golden did — HaltOK after golden's committed
+// instruction count, with its output and exception log — since the exit
+// rests on the two being aligned (TestInterpStepsMatchCommitted).
 func (r *Runner) goldenTrack(golden *cpu.RunResult) *goldenTrack {
 	r.trackOnce.Do(func() {
-		if t := sharedTrack(r.Prog, golden.Stats.CommittedInsts); t != nil && t.steps == golden.Stats.CommittedInsts &&
+		if t := machineFor(r.Target).goldenTrack(golden.Stats.CommittedInsts); t != nil && t.steps == golden.Stats.CommittedInsts &&
 			slices.Equal(t.out, golden.Output) && slices.Equal(t.exc, golden.ExcLog) {
 			r.track = t
 		}
 	})
 	return r.track
-}
-
-// goldenTracks keeps the golden checkpoints of the last few programs
-// built: they depend on the program alone, and a daemon, a fleet worker or
-// a benchmark builds a Runner per campaign or shard of the same few
-// programs. An entry is immutable once stored.
-var goldenTracks struct {
-	sync.Mutex
-	progs  []*isa.Program
-	tracks []*goldenTrack
-}
-
-// goldenTracksKept bounds goldenTracks; omnetpp's track is ~2 MB.
-const goldenTracksKept = 8
-
-// sharedTrack returns prog's golden checkpoints from goldenTracks, or
-// builds them, interpreting at most g instructions, and keeps them if the
-// run halted.
-func sharedTrack(prog *isa.Program, g uint64) *goldenTrack {
-	gt := &goldenTracks
-	gt.Lock()
-	if i := slices.Index(gt.progs, prog); i >= 0 {
-		t := gt.tracks[i]
-		gt.Unlock()
-		return t
-	}
-	gt.Unlock()
-	t := buildGoldenTrack(prog, g)
-	if t == nil {
-		return nil
-	}
-	gt.Lock()
-	defer gt.Unlock()
-	if i := slices.Index(gt.progs, prog); i >= 0 {
-		return gt.tracks[i] // built meanwhile by another Runner
-	}
-	if len(gt.progs) == goldenTracksKept {
-		gt.progs, gt.tracks = gt.progs[1:], gt.tracks[1:]
-	}
-	gt.progs, gt.tracks = append(gt.progs, prog), append(gt.tracks, t)
-	return t
 }
 
 // buildGoldenTrack interprets prog from reset one instruction at a time,

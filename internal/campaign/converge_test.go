@@ -191,7 +191,7 @@ func TestGoldenTrackBuiltConcurrently(t *testing.T) {
 			t.Errorf("two workers converged %d runs interpreting %d instructions, one worker %d and %d",
 				got.Converged, got.InterpInsts, want.Converged, want.InterpInsts)
 		}
-		if r.track == nil || sharedTrack(r.Prog, 0) != r.track {
+		if r.track == nil || machineFor(r.Target).goldenTrack(0) != r.track {
 			t.Errorf("the Runner's golden checkpoints are not the ones kept for its program")
 		}
 	}

@@ -121,16 +121,19 @@ func TestPlansAgreeOnGeneratedKernels(t *testing.T) {
 // snapshot hit, what the hand-off did (runs the interpreter finished,
 // attempts that fell back, instructions interpreted), the faults
 // classified dead at the flip, those the overwrite watch decided and the
-// hand-offs the convergence exit decided. A Runner that ran the golden run
-// (cold) froze three rungs, so its Forked walk is four segments, each
-// cloning its rung; one that ran none (warm, the artifact-cache-hit path)
-// walks from reset in one. On a cache holding no ladder the walk freezes
-// the ladder as it passes the rungs, one clone each (none where a segment
-// starts on one); the Runner's next campaign and a fresh Runner sharing
-// the cache are served it. The ladder only moves the walk: every Forked
-// row's hand-off and exit counters are equal. Replay has no rung and no
-// fork, so it never hands off and never decides at the flip or at an
-// overwrite.
+// hand-offs the convergence exit decided. It starts from an empty machine
+// table. The golden run (cold) freezes the golden ladder, three rungs, so
+// a Forked walk is four segments, each cloning its rung, on that Runner
+// and on one that ran none (warm, the artifact-cache-hit path). On a cache
+// holding no ladder the walk freezes the cache's ladder as it passes the
+// rungs, one clone each (none where a segment starts on one); the Runner's
+// next campaign and a fresh Runner sharing the cache are served it. In a
+// process with no golden ladder (first, after the table is emptied) the
+// walk is one segment from reset that freezes the three rungs, and the
+// next Runner (next) walks the four segments. The ladder only moves the
+// walk: every Forked row's hand-off and exit counters are equal. Replay
+// has no rung and no fork, so it never hands off and never decides at the
+// flip or at an overwrite.
 func TestPlanWorkCounters(t *testing.T) {
 	type work struct {
 		clones      int64
@@ -148,6 +151,7 @@ func TestPlanWorkCounters(t *testing.T) {
 		r.Workers, r.Snapshots = 2, cache
 		return r
 	}
+	resetMachines()
 	cold := runner(nil)
 	g, err := cold.RunGolden()
 	if err != nil {
@@ -163,22 +167,32 @@ func TestPlanWorkCounters(t *testing.T) {
 	if _, err := coldCached.RunGolden(); err != nil {
 		t.Fatal(err)
 	}
+	goldenRungs := int64(len(cold.goldenLadder().cycles) - 1)
+	if goldenRungs != 3 {
+		t.Errorf("the golden run froze %d rungs at two workers, want 3", goldenRungs)
+	}
 	rows := []struct {
 		name     string
 		r        *Runner
 		strategy Strategy
+		reset    bool // empty the machine table first
 		want     work
 	}{
-		{"replay", cold, Replay, work{1000, 6152243, false, 0, 0, 0, 0, 0, 0}},
-		{"forked cold", cold, Forked, work{172, 8595, false, 69, 0, 127949, 832, 99, 49}},
-		{"forked warm", warm, Forked, work{169, 8602, false, 69, 0, 127949, 832, 99, 49}},
-		{"forked miss", cached, Forked, work{193, 8602, false, 69, 0, 127949, 832, 99, 49}},
-		{"forked hit", cached, Forked, work{193, 8437, true, 69, 0, 127949, 832, 99, 49}},
-		{"forked served", served, Forked, work{193, 8437, true, 69, 0, 127949, 832, 99, 49}},
-		{"forked cold miss", coldCached, Forked, work{193, 8595, false, 69, 0, 127949, 832, 99, 49}},
+		{"replay", cold, Replay, false, work{1000, 6152243, false, 0, 0, 0, 0, 0, 0}},
+		{"forked cold", cold, Forked, false, work{172, 8595, false, 69, 0, 127949, 832, 99, 49}},
+		{"forked warm", warm, Forked, false, work{172, 8595, false, 69, 0, 127949, 832, 99, 49}},
+		{"forked miss", cached, Forked, false, work{193, 8595, false, 69, 0, 127949, 832, 99, 49}},
+		{"forked hit", cached, Forked, false, work{193, 8437, true, 69, 0, 127949, 832, 99, 49}},
+		{"forked served", served, Forked, false, work{193, 8437, true, 69, 0, 127949, 832, 99, 49}},
+		{"forked cold miss", coldCached, Forked, false, work{193, 8595, false, 69, 0, 127949, 832, 99, 49}},
+		{"forked first", runner(nil), Forked, true, work{172, 8602, false, 69, 0, 127949, 832, 99, 49}},
+		{"forked next", runner(nil), Forked, false, work{172, 8595, false, 69, 0, 127949, 832, 99, 49}},
 	}
 	got := map[string]work{}
 	for _, row := range rows {
+		if row.reset {
+			resetMachines()
+		}
 		res := mustRun(t)(row.r.Run(context.Background(), faults, &g.Result, Plan{Strategy: row.strategy}))
 		got[row.name] = work{res.Clones, res.SimCycles, res.SnapshotHit, res.HandOffs, res.FellBack, res.InterpInsts, res.DeadAtFlip, res.Overwritten, res.Converged}
 		if got[row.name] != row.want {
@@ -186,18 +200,15 @@ func TestPlanWorkCounters(t *testing.T) {
 		}
 	}
 	rungs := int64(len(CheckpointSchedule(ForkSyncPoints, g.Result.Cycles)) - 1)
-	goldenRungs := int64(len(cold.frozenLadder().cycles) - 1)
-	if goldenRungs != 3 {
-		t.Errorf("the golden run froze %d rungs at two workers, want 3", goldenRungs)
-	}
 	for _, pair := range [][2]string{{"forked warm", "forked miss"}, {"forked cold", "forked cold miss"}} {
-		want := rungs
-		if pair[0] == "forked cold" {
-			want -= goldenRungs // the segments start on them
+		if extra := got[pair[1]].clones - got[pair[0]].clones; extra != rungs-goldenRungs {
+			t.Errorf("%s: freezing the ladder took %d clones, want one per rung past reset no segment starts on, %d", pair[1], extra, rungs-goldenRungs)
 		}
-		if extra := got[pair[1]].clones - got[pair[0]].clones; extra != want {
-			t.Errorf("%s: freezing the ladder took %d clones, want one per rung past reset no segment starts on, %d", pair[1], extra, want)
-		}
+	}
+	// One walker and a clone per rung frozen, against a walker per segment.
+	if first, next := got["forked first"], got["forked next"]; first.clones-1-goldenRungs != next.clones-(goldenRungs+1) {
+		t.Errorf("forked first: one segment freezing %d rungs took %d clones, the next Runner's %d segments %d",
+			goldenRungs, first.clones, goldenRungs+1, next.clones)
 	}
 	if hit, served := got["forked hit"], got["forked served"]; hit != served {
 		t.Errorf("the freezing Runner's next campaign did %+v, a fresh Runner served the ladder %+v", hit, served)

@@ -93,10 +93,11 @@ type Plan struct {
 // Under Forked the golden run is walked once per campaign, not once per
 // fault, in segments: the cycle-sorted list is cut at the rungs of the
 // best ladder at hand — the ForkSyncPoints-rung one r.Snapshots serves,
-// else the Runner's own (the rungs RunGolden froze), else the reset state
-// alone, which makes one segment — and each worker takes the next segment
-// in cycle order, clones its rung and steps the clone (the walker) through
-// the segment's faults. At each fault cycle it forks a clone off the
+// else the process's golden ladder for the Runner's program, core config
+// and rung count (the rungs a RunGolden froze, or a walk published), else
+// the reset state alone, which makes one segment — and each worker takes
+// the next segment in cycle order, clones its rung and steps the clone
+// (the walker) through the segment's faults. At each fault cycle it forks a clone off the
 // walker and hands it to an idle worker; when no worker is idle it parks
 // the rest of its walk for the first worker that becomes idle, itself
 // included, and classifies the fork itself. A worker resumes a parked walk
@@ -113,9 +114,15 @@ type Plan struct {
 // CheckpointSchedule(ForkSyncPoints, cycles) rung inside its segment,
 // stepping on past its last fault to the segment's last rung, and a
 // campaign that was not cancelled stores the ladder once every segment is
-// done. The walks are shared pre-fault work, counted once in Serial and
-// SimCycles; an empty or already-cancelled campaign does none and asks
-// the cache nothing. OnOutcome is called in completion order, from the
+// done, and publishes its k-rung subset as the golden ladder if the
+// process has none. Without a cache and without a golden ladder (at more
+// than one worker, outside plan.Cut) the one walker freezes the
+// CheckpointSchedule(k, cycles) rungs instead, and an uncancelled campaign
+// publishes them, so the next campaign walks in parallel. Clones come from
+// and go back to the clone pool every Runner of the program and core
+// config shares. The walks are shared pre-fault work, counted once in
+// Serial and SimCycles; an empty or already-cancelled campaign does none
+// and asks the cache nothing. OnOutcome is called in completion order, from the
 // workers. Cancellation is observed between faults: no fault is forked or
 // started once ctx is done, forks already taken finish classification,
 // the rest stay marked Cancelled, and the partial Result is returned
@@ -130,30 +137,37 @@ func (r *Runner) Run(ctx context.Context, faults []fault.Fault, golden *cpu.RunR
 	if plan.Cut != nil {
 		golden = &plan.Cut.Result
 	}
+	e, k := machineFor(r.Target), r.ladderRungs()
+	workers := min(r.workers(), len(faults))
 	s := &scheduler{
 		r: r, faults: faults, golden: golden, plan: plan, res: res,
-		pool: r.pool, done: ctx.Done(), forks: make(chan fork),
+		pool: e.poolFor(workers), done: ctx.Done(), forks: make(chan fork),
 	}
-	ladder := r.frozenLadder()
+	ladder := e.ladders[0]
 	var key SnapshotKey
-	var freeze []uint64 // the rungs to freeze, on a SnapshotCache miss
+	var freeze []uint64 // the rungs to freeze: on a SnapshotCache miss, or with no golden ladder
 	if plan.Strategy == Forked {
 		sched := CheckpointSchedule(ForkSyncPoints, golden.Cycles)
 		s.rungs = sched[1:]
-		if r.Snapshots != nil {
+		if l := e.ladder(k); l != nil {
+			ladder = l
+		}
+		switch {
+		case r.Snapshots != nil:
 			key = r.ladderKey(golden.Cycles)
 			if cached := r.Snapshots.Get(key); cached != nil {
 				ladder, res.SnapshotHit = cached, true
 			} else {
 				freeze = sched
 			}
+		case ladder == e.ladders[0] && k > 0 && plan.Cut == nil:
+			freeze = CheckpointSchedule(k, golden.Cycles)
 		}
 		// A walker only moves forward.
 		s.segs = cutSegments(ladder, faults, fault.SortedIndices(faults), freeze)
 		s.open.Store(int64(len(s.segs)))
 		s.parked = make(chan *segment, len(s.segs))
 	}
-	workers := min(r.workers(), len(faults))
 	s.serialNS.Add(int64(time.Since(start)))
 
 	var next atomic.Int64 // the next Replay fault
@@ -199,7 +213,12 @@ func (r *Runner) Run(ctx context.Context, faults []fault.Fault, golden *cpu.RunR
 			set.cycles = append(set.cycles, sg.frozen.cycles...)
 			set.cores = append(set.cores, sg.frozen.cores...)
 		}
-		r.Snapshots.Put(key, set)
+		if r.Snapshots != nil {
+			r.Snapshots.Put(key, set)
+		}
+		if plan.Cut == nil { // schedules nest: set holds the k-rung ladder
+			e.publish(k, golden.Cycles, set)
+		}
 	}
 
 	res.Wall = time.Since(start)

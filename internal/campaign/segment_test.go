@@ -65,7 +65,7 @@ func TestSegmentedRunMatchesRunFault(t *testing.T) {
 			if _, err := r.RunGolden(); err != nil {
 				t.Fatal(err)
 			}
-			if rungs := len(r.frozenLadder().cycles) - 1; (rungs == 0) != (workers == 1) {
+			if rungs := len(r.goldenLadder().cycles) - 1; (rungs == 0) != (workers == 1) {
 				t.Fatalf("%s x%d: the golden run froze %d rungs", tc.wl, workers, rungs)
 			}
 			c := r.NewCore()
@@ -74,7 +74,7 @@ func TestSegmentedRunMatchesRunFault(t *testing.T) {
 				if cut != nil {
 					cycles, limit = cut.Cut, cut.Cut
 				}
-				faults := strategyFaultList(c, tc.s, cycles, n, int64(workers), edgeCycles(r.frozenLadder(), cycles, limit))
+				faults := strategyFaultList(c, tc.s, cycles, n, int64(workers), edgeCycles(r.goldenLadder(), cycles, limit))
 				want := make([]Outcome, len(faults))
 				for i, f := range faults {
 					if cut != nil {
@@ -120,10 +120,11 @@ func TestSegmentedRunMatchesRunFault(t *testing.T) {
 
 // TestGoldenLadderMatchesReplay: on every workload (shortWorkloads under
 // -short and -race) at two, three and four workers, traced or not, the
-// golden run freezes its rungs at CheckpointSchedule(2 x workers, cycles),
-// and each is state-equal to (and hashes like) the rung BuildCheckpoints
-// replays at that cycle; at one worker it freezes the reset state alone.
-// A second golden run on the Runner keeps the first ladder.
+// golden run of a process with no golden ladder freezes its rungs at
+// CheckpointSchedule(2 x workers, cycles), and each is state-equal to (and
+// hashes like) the rung BuildCheckpoints replays at that cycle; at one
+// worker it freezes nothing, and the ladder is the reset state alone. A
+// second golden run keeps the first ladder.
 func TestGoldenLadderMatchesReplay(t *testing.T) {
 	names := workloads.Names("")
 	if testing.Short() || raceEnabled {
@@ -132,6 +133,7 @@ func TestGoldenLadderMatchesReplay(t *testing.T) {
 	for _, name := range names {
 		for workers := 1; workers <= 4; workers++ {
 			id := fmt.Sprintf("%s x%d", name, workers)
+			resetMachines()
 			r := NewRunner(target(t, name))
 			r.Workers = workers
 			var track []lifetime.StructureID
@@ -142,7 +144,7 @@ func TestGoldenLadderMatchesReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ladder := r.frozenLadder()
+			ladder := r.goldenLadder()
 			k := 2 * workers
 			if workers == 1 {
 				k = 0
@@ -159,8 +161,8 @@ func TestGoldenLadderMatchesReplay(t *testing.T) {
 			if _, err := r.RunGolden(); err != nil {
 				t.Fatal(err)
 			}
-			if r.frozenLadder() != ladder {
-				t.Errorf("%s: a second golden run replaced the Runner's ladder", id)
+			if r.goldenLadder() != ladder {
+				t.Errorf("%s: a second golden run replaced the golden ladder", id)
 			}
 		}
 	}
@@ -179,7 +181,7 @@ func TestCancelMidSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := r.NewCore()
-	faults := strategyFaultList(c, lifetime.StructRF, g.Result.Cycles, 200, 31, r.frozenLadder().cycles)
+	faults := strategyFaultList(c, lifetime.StructRF, g.Result.Cycles, 200, 31, r.goldenLadder().cycles)
 	want := mustRun(t)(r.Run(context.Background(), faults, &g.Result, Plan{Strategy: Forked}))
 
 	r.Snapshots = NewSnapshotCache(0)
@@ -205,7 +207,7 @@ func TestCancelMidSegment(t *testing.T) {
 		}
 	}
 	mid := false // some segment has both finished and cancelled faults
-	for _, sg := range cutSegments(r.frozenLadder(), faults, fault.SortedIndices(faults), nil) {
+	for _, sg := range cutSegments(r.goldenLadder(), faults, fault.SortedIndices(faults), nil) {
 		var done, left bool
 		for _, idx := range sg.faults {
 			done = done || res.Outcomes[idx] != Cancelled

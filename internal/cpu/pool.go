@@ -25,6 +25,7 @@ type poolKey struct {
 // mid-panic or carries stale state is indistinguishable from a fresh
 // allocation. The pool is safe for concurrent use; cloning the same
 // *frozen* source from many goroutines is safe exactly as Core.Clone is.
+// The zero ClonePool retains no shell until Retain raises its bound.
 type ClonePool struct {
 	mu   sync.Mutex
 	free map[poolKey][]*Core
@@ -42,7 +43,26 @@ func NewClonePool(max int) *ClonePool {
 	if max <= 0 {
 		max = DefaultPoolShells
 	}
-	return &ClonePool{free: make(map[poolKey][]*Core), max: max}
+	return &ClonePool{max: max}
+}
+
+// Retain raises the bound on the free shells retained per key to n, if it
+// is lower.
+func (p *ClonePool) Retain(n int) {
+	p.mu.Lock()
+	p.max = max(p.max, n)
+	p.mu.Unlock()
+}
+
+// Free returns the free shells the pool retains, over every key.
+func (p *ClonePool) Free() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, l := range p.free {
+		n += len(l)
+	}
+	return n
 }
 
 // Clone returns a snapshot of src, recycling a retired shell when one of
@@ -80,6 +100,9 @@ func (p *ClonePool) Release(c *Core) {
 	k := poolKey{cfg: c.Cfg, prog: c.prog}
 	p.mu.Lock()
 	if len(p.free[k]) < p.max {
+		if p.free == nil {
+			p.free = make(map[poolKey][]*Core)
+		}
 		p.free[k] = append(p.free[k], c)
 	}
 	p.mu.Unlock()

@@ -194,9 +194,10 @@ type Config struct {
 	// Snapshots, when non-nil, shares checkpoint ladders across forked
 	// campaigns: on a miss the walkers freeze its machine snapshots into
 	// it, and on a hit the walk is cut at them. Nil means a campaign walks
-	// from the rungs its own golden run froze, or from reset after an
-	// artifact-cache hit. Create one with NewSnapshotCache; the daemon
-	// wires a process-wide instance.
+	// from the process's golden ladder of its workload and CPU (frozen by
+	// the first golden run, or published by the first campaign walked from
+	// reset after an artifact-cache hit). Create one with NewSnapshotCache;
+	// the daemon wires a process-wide instance.
 	Snapshots *SnapshotCache
 }
 
@@ -274,7 +275,8 @@ func Workloads(suite string) []string { return workloads.Names(suite) }
 // same workload, core config and structures) tracing every listed
 // structure, plus the initial statistical fault lists, yielding one
 // *Artifacts per structure — all sharing the same Runner (and therefore
-// clone pool and snapshot source) and the same Golden. A single-structure
+// snapshot source, and with every Runner of the workload and core config
+// in the process the clone pool and golden ladder) and the same Golden. A single-structure
 // campaign passes its one target; a batch passes its whole list and pays
 // for exactly one golden run.
 //

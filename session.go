@@ -109,8 +109,10 @@ func WithCache(c *Cache) Option {
 // an artifact-cache hit, its walk is cut into segments at the cached
 // rungs, so concurrent and repeat campaigns over one (workload, CPU
 // config, golden cycles) share one ladder. Without one, a campaign walks
-// from the rungs its own golden run froze (from reset after an
-// artifact-cache hit). Create one
+// from the process's golden ladder of its workload and CPU config: the
+// rungs the first golden run froze, or, after an artifact-cache hit in a
+// process that ran none, the rungs its first campaign froze walking from
+// reset. Create one
 // with NewSnapshotCache; the daemon wires a process-wide instance into
 // every campaign.
 func WithSnapshotCache(c *SnapshotCache) Option {

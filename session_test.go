@@ -322,14 +322,16 @@ func TestBaselineReportPinsNoRunner(t *testing.T) {
 }
 
 // TestPreprocessAllocBudget: what one cold gcc/RF Preprocess allocates at
-// two workers, whose golden run freezes the Runner's ladder (the reset
-// state and at most four rungs). The run is single-goroutine and the
-// worker count fixed, so the figure repeats to the byte on any host. It is
-// 2.6 MB: 2.2 MB of golden run and analysis now that each interval is
-// stored once, into recycled chunks and then an exact-size slice, and the
-// RF index keeps one id run per register (4.7 MB while the interval slice
-// doubled as it grew and the index kept one run per byte), plus 0.4 MB of
-// rungs; the budget sits below that and below the 7.0 MB it was
+// two workers, after a first one has built what a process builds once (the
+// program, the caches' zero generations, the spare interval chunks, and
+// the program's golden ladder at two workers, which the process shares).
+// The run is single-goroutine and the worker count fixed, so the figure
+// repeats to the byte on any host. It is 2.07 MB: the golden run and
+// analysis now that each interval is stored once, into recycled chunks and
+// then an exact-size slice, and the RF index keeps one id run per register
+// (4.7 MB while the interval slice doubled as it grew and the index kept
+// one run per byte); it was 2.65 MB while every Runner's golden run froze
+// its own rungs. The budget sits below that and below the 7.0 MB it was
 // while each new core built and cleared its own 1.4 MB of cache sets, the
 // 12.4 MB the slices' quarter-step growth cost and the 37.6 MB the
 // retained log and its doublings cost (41.8 MB while the golden run froze
@@ -339,10 +341,11 @@ func TestPreprocessAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	const budget = 3_000_000
-	// The program assembled, the caches' zero generations and the spare
-	// interval chunks built, once per process: not Preprocess's cost.
-	preprocessed(t, "gcc", WithStructure(RF), WithFaults(2000), WithSeed(1))
+	const budget = 2_350_000
+	// The program assembled, the caches' zero generations, the spare
+	// interval chunks and the golden ladder built, once per process: not
+	// Preprocess's cost.
+	preprocessed(t, "gcc", WithStructure(RF), WithFaults(2000), WithSeed(1), WithWorkers(2))
 	s := startSession(t, "gcc", WithStructure(RF), WithFaults(2000), WithSeed(1), WithWorkers(2))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -360,21 +363,23 @@ func TestPreprocessAllocBudget(t *testing.T) {
 // TestCampaignAllocBudget: what one sha/RF/2000 campaign allocates from
 // Start through Run and Baseline on one worker (the benchmark's
 // audit_baseline campaign), after a first campaign has built what a process
-// builds once (the program, the golden track, the zero generations). One
+// builds once (the program, the golden track, the zero generations, the
+// reset state and the pooled shells of the program's machine entry). One
 // worker makes the figure repeat to the byte, and its golden run freezes no
-// rung. It is 1.71 MB now that a pooled shell reuses the cache blocks it
-// privatised and a clone that never writes shares one all-nil slot table;
-// it was 2.12 MB once the golden run stored each interval once and
-// indexed each RF interval once, 2.71 MB while the interval slice doubled
-// as it grew and the index kept one id run per byte, 2.8 MB before the
-// golden run stopped recording the branch trace, and 6.7 MB while every
-// new core built its own cache sets, a read hit copied its set's bytes and
-// every freeze rebuilt a table of every set.
+// rung. It is 1.37 MB now that the reset state and the clone pool are
+// shared by every Runner of the program; it was 1.71 MB while each Runner
+// cloned its own reset state and filled its own pool, 2.12 MB once the
+// golden run stored each interval once and indexed each RF interval once,
+// 2.71 MB while the interval slice doubled as it grew and the index kept
+// one id run per byte, 2.8 MB before the golden run stopped recording the
+// branch trace, and 6.7 MB while every new core built its own cache sets,
+// a read hit copied its set's bytes and every freeze rebuilt a table of
+// every set.
 func TestCampaignAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	const budget = 2_100_000
+	const budget = 1_680_000
 	campaign := func() {
 		s := startSession(t, "sha", WithStructure(RF), WithFaults(2000), WithSeed(1), WithWorkers(1))
 		if _, err := s.Run(context.Background()); err != nil {
